@@ -20,9 +20,8 @@ from math import inf
 
 from . import kisin_model as km
 from . import perm as pm
-from .polyhedra import (HPolyhedron, VPolyhedron, Vec, cone_generators, cone_hull,
-                        dot, enumerate_vertices, extreme_points_of_sum, fmt_frac,
-                        frac, in_cone, vec)
+from .polyhedra import (HPolyhedron, Vec, cone_generators, cone_hull, dot, dual_cone,
+                        enumerate_vertices, fmt_frac, frac, in_cone, vec, vertices_of_sum)
 
 
 class UnsupportedRegime(Exception):
@@ -217,27 +216,17 @@ def b_value(dd: DualityData, y) -> Fraction | float:
         return -inf
     A = a_set(inst, dd.variant, dd.form)
     if dd.C_gens:
-        from .polyhedra import dual_cone
-
         A = A.intersect(dual_cone(list(dd.C_gens), n))
     V = enumerate_vertices(A)
     if V.is_empty:
         return inf
     verts = V.vertices
     if dd.D_gens:
-        dual_D = _dual_of_generated(list(dd.D_gens), n)
-        verts = extreme_points_of_sum(
-            VPolyhedron(n, verts, tuple(sorted(set(list(V.rays) + dual_D))), V.lines), [])
+        # D* = cone(rays) + span(lines); y in D is orthogonal to the lines,
+        # which therefore move no value, so only the rays filter vertices
+        _, dual_D = cone_generators(list(dd.D_gens), [], n)
+        verts = vertices_of_sum(A, verts, dual_D)
     return min(dot(v, y) for v in verts)
-
-
-def _dual_of_generated(gens: list[Vec], n: int) -> list[Vec]:
-    """Generators of the dual of cone(gens)."""
-    from .polyhedra import dual_cone
-
-    H = dual_cone(gens, n)
-    lines, rays = cone_generators([h.normal for h in H.ineqs], [], n)
-    return list(rays) + list(lines) + [tuple(-x for x in l) for l in lines]
 
 
 @lru_cache(maxsize=None)
@@ -309,10 +298,6 @@ def min_over_permutations(mu, inst: km.KisinInstance):
 # theorem bounds
 # ---------------------------------------------------------------------------
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
 def dominance_polytope(mu, inst: km.KisinInstance, strong: bool) -> HPolyhedron:
     """{mu' : mu' dominated by mu} cap the (strong) regularity halfspaces."""
     mu = vec(mu)
@@ -362,7 +347,7 @@ def theorem_bounds(target: str, params, inst: km.KisinInstance) -> dict:
         e = int(params)
         if e < 0:
             raise ValueError("e must be nonnegative")
-        n = _floor_div(e - b + 2, b + 1)
+        n = (e - b + 2) // (b + 1)
         lower_raw = quarter * n
         return {
             "target": "le_e", "params": {"e": e},
@@ -420,7 +405,7 @@ def witness_le_e(inst: km.KisinInstance, e: int):
     if e < 0:
         raise ValueError("e must be nonnegative")
     d, b = inst.d, inst.b
-    n_raw = _floor_div(e - b + 2, b + 1)
+    n_raw = (e - b + 2) // (b + 1)
     n = max(0, n_raw)
     m = (-n) % (b - 1)
     hi = Fraction(m + b * n, b - 1)
@@ -540,7 +525,7 @@ def k_polytopes(inst: km.KisinInstance) -> KTables:
     shifted = cone_hull(km.regular_dual_generators(inst), [], d).translate(apex)
     K = shifted.intersect(km.cone_chain(d))
     V = enumerate_vertices(K)
-    kp = extreme_points_of_sum(V, km.chain_dual_generators(d))
+    kp = vertices_of_sum(K, V.vertices, km.chain_dual_generators(d))
     if apex not in kp:
         raise AssertionError("the apex 2rho/(b+1) must be a vertex of K + C*")
     return KTables(inst, K, V.vertices, V.rays, tuple(kp))

@@ -49,10 +49,6 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
@@ -66,18 +62,20 @@ def is_zero(v: Vec) -> bool:
     return all(a == 0 for a in v)
 
 
-def normalize_ray(v: Vec) -> Vec:
-    """Scale by a positive rational so entries are coprime integers."""
+def primitive_ints(v) -> tuple[int, ...]:
+    """Scale a rational vector by a positive rational to coprime integers
+    (the zero vector stays zero)."""
     den = 1
     for a in v:
         den = den * a.denominator // gcd(den, a.denominator)
-    ints = [int(a * den) for a in v]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    if g == 0:
-        return tuple(Fraction(0) for _ in v)
-    return tuple(Fraction(a // g) for a in ints)
+    ints = [a.numerator * (den // a.denominator) for a in v]
+    g = gcd(*ints)
+    return tuple(a // g for a in ints) if g > 1 else tuple(ints)
+
+
+def normalize_ray(v: Vec) -> Vec:
+    """Scale by a positive rational so entries are coprime integers."""
+    return tuple(map(Fraction, primitive_ints(v)))
 
 
 def normalize_line(v: Vec) -> Vec:
@@ -140,10 +138,6 @@ def solve(rows: list[Vec], rhs: list[Fraction], n: int) -> Vec | None:
     for row, p in zip(red, pivots):
         x[p] = row[n]
     return tuple(x)
-
-
-def mat_vec(rows: list[Vec], x: Vec) -> Vec:
-    return tuple(dot(r, x) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +339,6 @@ def _extreme_rays_pointed(rows: list[Vec], n: int) -> list[Vec]:
             bit = 1 << len(processed)
             zsets = [z | bit if v == 0 else z for z, v in zip(zsets, vals)]
             processed.append(idx)
-            rays = rays  # unchanged
             continue
         pos = [i for i, v in enumerate(vals) if v > 0]
         zer = [i for i, v in enumerate(vals) if v == 0]
@@ -510,23 +503,8 @@ def _v_inside_h(V: VPolyhedron, H: HPolyhedron) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact LP feasibility (cone membership) and extreme-point filtering
+# exact LP feasibility (cone membership) and vertices of Minkowski sums
 # ---------------------------------------------------------------------------
-
-def _int_rows(vectors: list[Vec]) -> list[list[int]]:
-    """Scale each vector by a positive rational to a primitive integer row."""
-    out = []
-    for v in vectors:
-        den = 1
-        for a in v:
-            den = den * a.denominator // gcd(den, a.denominator)
-        ints = [int(a * den) for a in v]
-        g = 0
-        for a in ints:
-            g = gcd(g, abs(a))
-        out.append([a // (g or 1) for a in ints])
-    return out
-
 
 def in_cone(generators: list[Vec], target: Vec) -> bool:
     """Is target a nonnegative combination of the generators?
@@ -536,8 +514,8 @@ def in_cone(generators: list[Vec], target: Vec) -> bool:
     the ratio test cross-multiplies, so no rational arithmetic is needed.
     """
     n = len(target)
-    gens = _int_rows([vec(g) for g in generators])
-    tgt = _int_rows([vec(target)])[0]
+    gens = [primitive_ints(g) for g in generators]
+    tgt = primitive_ints(target)
     m = len(gens)
     # flip equation signs so the rhs is nonnegative
     tab = []
@@ -600,48 +578,45 @@ def in_cone(generators: list[Vec], target: Vec) -> bool:
     return cost[m + n] == 0
 
 
-def extreme_points_of_sum(V: VPolyhedron, extra_rays: list[Vec]) -> list[Vec]:
-    """Extreme points of conv(V.vertices) + cone(V.rays + extra_rays).
+def vertices_of_sum(P: HPolyhedron, vertices, gens) -> list[Vec]:
+    """The vertices of P + cone(gens), given the vertices of P, sorted.
 
-    A vertex of the sum is always one of V.vertices; each candidate is kept
-    iff it is not a convex combination of the others plus the cone.  A cheap
-    pairwise domination test (v = u + ray) prunes before the exact LPs.
+    Every vertex of the sum is a vertex of P, and by the normal-fan
+    criterion for Minkowski sums (Ziegler, *Lectures on Polytopes*, sec. 7)
+    a vertex v of P is one exactly when some c in the normal cone N of P at
+    v has <c, g> > 0 for every generator g.  If c exposes v in the sum, it
+    lies in N and is positive on every g.  Conversely, the set
+    {c : <c, g> > 0 for all g} is open and N is full-dimensional at a
+    vertex, so the set also meets the interior of N; such a c is minimised
+    over P at v alone, and over the sum too.
+
+    N is generated by the normals of the inequalities tight at v plus the
+    equation normals with both signs, so the test is one feasibility LP in
+    R^|gens|: is (1, ..., 1) a nonnegative combination of their images
+    (<a, g>)_g and the slacks -e_k?  The recession cone of P needs no
+    separate care, since it is part of the H-representation.  Rows,
+    vertices and images are all integers, so the test is exact.
     """
-    if V.lines:
-        raise ValueError("summand with lines has no extreme points")
-    rays = sorted(set(tuple(normalize_ray(vec(r))) for r in list(V.rays) + list(extra_rays))
-                  - {tuple(Fraction(0) for _ in range(V.dim))})
-    verts = list(V.vertices)
-    n = V.dim
-    cone_h = cone_hull(rays, [], n) if rays else None
-    # profile of each vertex against the recession cone facets
-    if cone_h is not None:
-        ins = [h.normal for h in cone_h.ineqs]
-        eqs = [h.normal for h in cone_h.eqs]
-        prof = [(tuple(dot(a, v) for a in ins), tuple(dot(a, v) for a in eqs)) for v in verts]
-    alive = [True] * len(verts)
-    if cone_h is not None:
-        for i in range(len(verts)):
-            if not alive[i]:
-                continue
-            for j in range(len(verts)):
-                if i == j or not alive[j]:
-                    continue
-                # verts[i] = verts[j] + c with c in the cone kills i
-                if (prof[i][1] == prof[j][1]
-                        and all(x >= y for x, y in zip(prof[i][0], prof[j][0]))):
-                    alive[i] = False
-                    break
-    hom_rays = [tuple(list(r) + [Fraction(0)]) for r in rays]
+    n = P.dim
+    if rank([h.normal for h in P.halfspaces], n) < n:
+        raise ValueError("summand with lines has no vertices")
+    gens = [g for g in map(primitive_ints, gens) if any(g)]
+    k = len(gens)
+    rows, cone_gens = [], []
+    for h in P.halfspaces:
+        a = primitive_ints(h.normal + (-h.offset,))
+        image = tuple(sum(x * y for x, y in zip(a[:n], g)) for g in gens)
+        if h.is_eq:
+            cone_gens += [image, tuple(-x for x in image)]
+        else:
+            rows.append((a, image))
+    cone_gens += [tuple(-int(i == j) for j in range(k)) for i in range(k)]
+    ones = (1,) * k
     out = []
-    for i, v in enumerate(verts):
-        if not alive[i]:
-            continue
-        # pruned vertices are cone-translates of survivors, so the
-        # survivors alone generate the same sum
-        gens = [tuple(list(u) + [Fraction(1)]) for k, u in enumerate(verts)
-                if k != i and alive[k]] + hom_rays
-        if not gens or not in_cone(gens, tuple(list(v) + [Fraction(1)])):
+    for v in vertices:
+        hv = primitive_ints(v + (1,))
+        tight = [image for a, image in rows if sum(x * y for x, y in zip(a, hv)) == 0]
+        if in_cone(tight + cone_gens, ones):
             out.append(v)
     return sorted(out)
 

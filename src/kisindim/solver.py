@@ -14,7 +14,6 @@ when h = 0; a query that would exceed the node budget raises the typed
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -311,14 +310,6 @@ def _solve_mu(inst, top, budget):
     return value, tri
 
 
-def _thread_count():
-    raw = os.environ.get("KISIN_DIM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def dim_exact(query: DimQuery, budget: int = DEFAULT_BUDGET) -> DimResult:
     """Exact dimension (h != 0) or interval (h = 0) for the query, by
     maximizing dim(phi) over the lattice points of the feasible region."""
@@ -335,15 +326,8 @@ def dim_exact(query: DimQuery, budget: int = DEFAULT_BUDGET) -> DimResult:
         tops = [] if sum(query.mu) % (b - 1) != 0 else \
             list(_enumerate_dominated_tops(tuple(query.mu), b))
     best, witness = None, None
-    threads = _thread_count()
-    if threads > 1 and len(tops) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: _solve_mu(inst, t, tracker), tops))
-    else:
-        results = [_solve_mu(inst, top, tracker) for top in tops]
-    for value, tri in results:
+    for top in tops:
+        value, tri = _solve_mu(inst, top, tracker)
         if value is None:
             continue
         if best is None or value > best or (value == best and tri.values < witness.values):

@@ -1,9 +1,10 @@
 import json
-import os
 
 import pytest
 
+from kisindim import solver as sv
 from kisindim.cli import main
+from kisindim.kisin_model import KisinInstance
 
 
 def run(capsys, *argv):
@@ -129,8 +130,20 @@ def test_out_file_written_atomically(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
-def test_thread_cap_env(capsys, monkeypatch):
+def test_budget_is_deterministic_cold_and_warm(capsys, monkeypatch):
+    # a memo hit charges the node cost of the search that filled it, so the
+    # same query spends the same budget whether the memo is cold or warm,
+    # and a refusal does not depend on cache warmth or on the environment
     monkeypatch.setenv("KISIN_DIM_THREADS", "2")
-    code, out = run(capsys, "dim", "--d", "2", "--b", "2", "--e", "3")
-    assert code == 0
-    assert json.loads(out)["dim"] == 1
+    monkeypatch.setattr(sv, "_memo", {})
+    query = sv.DimQuery(KisinInstance(4, 2), "le_e", e=8)
+    cold = sv.dim_exact(query)
+    warm = sv.dim_exact(query)
+    assert cold.nodes == warm.nodes > 0
+    assert cold.to_dict() == warm.to_dict()
+    argv = ["dim", "--d", "4", "--b", "2", "--e", "8", "--budget"]
+    for budget, code in ((cold.nodes, 0), (cold.nodes - 1, 2)):
+        sv._memo.clear()
+        assert main(argv + [str(budget)]) == code  # cold memo
+        assert main(argv + [str(budget)]) == code  # warm memo
+    capsys.readouterr()

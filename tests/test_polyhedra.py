@@ -5,13 +5,15 @@ from math import inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kisindim import bounds as bd
+from kisindim.kisin_model import KisinInstance, chain_dual_generators
 from kisindim.polyhedra import (FlowNetwork, HPolyhedron, INF, VPolyhedron,
                                 cone_generators, cone_hull, dot, dual_cone,
                                 dual_cone_h, enumerate_vertices,
-                                extreme_points_of_sum,
                                 graph_cone_dual_membership, in_cone, maxflow,
                                 min_cut_exhaustive, minkowski_sum_cone,
-                                normalize_ray, polyhedra_set_equal, v_to_h, vec)
+                                normalize_ray, polyhedra_set_equal, v_to_h, vec,
+                                vertices_of_sum)
 
 
 def square():
@@ -106,10 +108,73 @@ def test_minkowski_sum_with_zero_cone_is_identity():
     assert polyhedra_set_equal(P, S)
 
 
+def _lp_sum_vertices(V: VPolyhedron, gens) -> list:
+    """Oracle for vertices_of_sum: keep a vertex of V exactly when it is not
+    a convex combination of the other vertices plus a nonnegative
+    combination of the rays of V and gens (one LP per vertex, no
+    prefilter)."""
+    rays = [tuple(r) + (0,) for r in list(V.rays) + list(gens)]
+    out = []
+    for i, v in enumerate(V.vertices):
+        others = [tuple(u) + (1,) for k, u in enumerate(V.vertices) if k != i]
+        if not in_cone(others + rays, tuple(v) + (1,)):
+            out.append(v)
+    return sorted(out)
+
+
 def test_minkowski_sum_absorbs_dominated_vertex():
     V = enumerate_vertices(square())
-    pts = extreme_points_of_sum(V, [vec((1, 1))])
-    assert set(pts) == {vec((0, 0)), vec((0, 1)), vec((1, 0))}
+    pts = vertices_of_sum(square(), V.vertices, [vec((1, 1))])
+    assert pts == [vec((0, 0)), vec((0, 1)), vec((1, 0))]
+    assert pts == _lp_sum_vertices(V, [vec((1, 1))])
+
+
+def test_vertices_of_sum_normal_cone_has_both_signs_of_equations():
+    # segment x + y = 1, x, y >= 0: the normal cone at (0, 1) needs the
+    # equation normal with a negative sign to be positive on (-1, 0)
+    P = HPolyhedron.build(2, ineqs=[((1, 0), 0), ((0, 1), 0)], eqs=[((1, 1), 1)])
+    V = enumerate_vertices(P)
+    for gens, expected in [([vec((-1, 0))], [vec((0, 1)), vec((1, 0))]),
+                           ([vec((1, -1))], [vec((0, 1))])]:
+        assert vertices_of_sum(P, V.vertices, gens) == expected
+        assert _lp_sum_vertices(V, gens) == expected
+
+
+def test_vertices_of_sum_refuses_summand_with_lines():
+    strip = HPolyhedron.build(2, ineqs=[((1, 0), 0), ((-1, 0), -1)])
+    with pytest.raises(ValueError):
+        vertices_of_sum(strip, [vec((0, 0))], [vec((1, 0))])
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_vertices_of_sum_matches_lp_oracle_on_k_polytopes(d):
+    # K + C* for the acceptance tables; K has rays for small b
+    for b in (2, 3, 4, 5, 7, 10, 17, 101, 1009, 10000):
+        kt = bd.k_polytopes(KisinInstance(d, b))
+        V = VPolyhedron(d, kt.K_vertices, kt.K_rays)
+        assert list(kt.Kp_vertices) == _lp_sum_vertices(V, chain_dual_generators(d)), (d, b)
+
+
+def test_b_value_dual_summand_filter_matches_lp_oracle(monkeypatch):
+    # D = the chain cone, so D* is pointed and the filter runs on A-sets
+    # that carry an equation; for y in D the filter moves no value
+    removed = []
+
+    def checked(P, vertices, gens):
+        got = vertices_of_sum(P, vertices, gens)
+        assert got == _lp_sum_vertices(enumerate_vertices(P), gens)
+        removed.append(len(vertices) - len(got))
+        return got
+
+    monkeypatch.setattr(bd, "vertices_of_sum", checked)
+    for d, b in [(3, 3), (4, 3), (4, 5)]:
+        inst = KisinInstance(d, b)
+        dd = bd.DualityData(inst, "Qmax", "g", D_gens=bd.chain_cone_gens(d))
+        A = enumerate_vertices(bd.a_set(inst, "Qmax", "g"))
+        for y in [bd.two_rho(d), vec(range(d, 0, -1)), vec([7] + [0] * (d - 1)),
+                  vec([3] * (d - 1) + [-4])]:
+            assert bd.b_value(dd, y) == min(dot(v, y) for v in A.vertices)
+    assert len(removed) == 12 and all(k > 0 for k in removed)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
