@@ -64,19 +64,22 @@ def _mu_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(x) for x in raw.split(","))
 
 
+def _one_target(args) -> None:
+    """--mu and --e select different queries: exactly one must be given."""
+    if (args.mu is None) == (args.e is None):
+        raise ValueError(f"{args.command} needs exactly one of --mu and --e")
+
+
 def cmd_dim(args) -> int:
+    _one_target(args)
     inst = _instance(args)
     if args.mu is not None:
-        kind = "mu"
-        query = sv.DimQuery(inst, "mu", mu=_mu_tuple(args.mu))
-    elif args.e is not None:
-        query = sv.DimQuery(inst, "le_e", e=args.e)
+        query = sv.DimQuery(inst, "le_mu" if args.le_mu else "mu",
+                            mu=_mu_tuple(args.mu))
+    elif args.le_mu:
+        raise ValueError("--le-mu needs --mu")
     else:
-        raise ValueError("dim needs --mu or --e")
-    if args.le_mu:
-        if args.mu is None:
-            raise ValueError("--le-mu needs --mu")
-        query = sv.DimQuery(inst, "le_mu", mu=_mu_tuple(args.mu))
+        query = sv.DimQuery(inst, "le_e", e=args.e)
     result = sv.dim_exact(query, budget=args.budget)
     payload = {"query": query.to_dict(), **result.to_dict()}
     payload.pop("nodes", None)  # diagnostics, not part of the report schema
@@ -85,13 +88,14 @@ def cmd_dim(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    _one_target(args)
     inst = _instance(args)
     witnesses = {}
     if args.e is not None:
         report = bd.theorem_bounds("le_e", args.e, inst)
         _, wrep = bd.witness_le_e(inst, args.e)
         witnesses["le_e"] = wrep
-    elif args.mu is not None:
+    else:
         mu = _mu_tuple(args.mu)
         target = "le_mu" if args.le_mu else "mu"
         report = bd.theorem_bounds(target, mu, inst)
@@ -99,8 +103,6 @@ def cmd_bounds(args) -> int:
                 tuple(map(frac, mu)), inst).strongly_integrally_b_regular:
             _, wrep = bd.witness_le_mu(inst, tuple(map(frac, mu)))
             witnesses["le_mu"] = wrep
-    else:
-        raise ValueError("bounds needs --mu or --e")
     payload = {"target": report.pop("target"), "params": report.pop("params"),
                "lower": report.pop("lower"), "upper": report.pop("upper", None),
                "witnesses": witnesses, "details": report}
@@ -131,13 +133,12 @@ def cmd_tables(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    _one_target(args)
     inst = _instance(args)
     if args.e is not None:
         q, report = bd.witness_le_e(inst, args.e)
-    elif args.mu is not None:
-        q, report = bd.witness_le_mu(inst, tuple(map(frac, _mu_tuple(args.mu))))
     else:
-        raise ValueError("witness needs --mu or --e")
+        q, report = bd.witness_le_mu(inst, tuple(map(frac, _mu_tuple(args.mu))))
     payload = {"q": json.loads(q.to_json()), "report": report}
     _emit(_json_dumps(payload), args.out)
     return 0

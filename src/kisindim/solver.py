@@ -7,6 +7,17 @@ the remaining cone inequalities (checked incrementally through the scaled
 q-coordinates, which are integer linear forms).  A relaxation bound on the
 unfilled cells prunes branches that cannot beat the incumbent.
 
+The e-bounded and dominance-bounded families take a maximum over many top
+rows.  Each top has the bound floor(<2 rho | top> / (b+1)), with
+2 rho = (d-1, d-3, ..., 1-d); the tops are visited by descending bound and
+the loop stops once a bound is strictly below the best value found, so
+every top that can tie the best is still solved and the lexicographic
+witness tie-break is unchanged.  The bound is not taken on faith: for each
+(d, b) `_top_bound_certified` checks by an exact LP that
+(b+1)(bound - dim) is a nonnegative combination of the rows of the
+search's own real relaxation (Farkas), and without that certificate every
+top is searched.  A solved top above its bound raises AssertionError.
+
 Results are exact integers when h != 0 and intervals of width d(d-1)/2
 when h = 0; a query that would exceed the node budget raises the typed
 `BudgetExceeded` instead of approximating.
@@ -21,9 +32,12 @@ from functools import lru_cache
 
 from . import bounds as bd
 from . import kisin_model as km
-from .polyhedra import frac
+from .polyhedra import frac, in_cone
 
 DEFAULT_BUDGET = 5_000_000
+# entries of the top-row memo; a full memo is cleared, which costs time but
+# changes no result, node count or refusal (a miss charges what a hit would)
+_MEMO_CAP = 200_000
 
 
 class BudgetExceeded(Exception):
@@ -166,6 +180,60 @@ def _self_test(d: int, b: int) -> bool:
     return True
 
 
+def _dim_form(rows, d):
+    """dim(phi) as an integer form of the mu-cells: the top row weighted by
+    d - j, minus every lower cell."""
+    return (sum((d - j) * x for j, x in enumerate(rows[0], 1))
+            - sum(map(sum, rows[1:])))
+
+
+def _two_rho(top):
+    """<2 rho | top> with 2 rho = (d-1, d-3, ..., 1-d); it sums to 0, so a
+    constant shift of the top does not change it."""
+    d = len(top)
+    return sum((d + 1 - 2 * j) * x for j, x in enumerate(top, 1))
+
+
+def _top_bound(top, b):
+    """floor(<2 rho | top> / (b+1)): an upper bound on dim(phi) over the
+    triangles with this top row, once _top_bound_certified(d, b) holds."""
+    return _two_rho(top) // (b + 1)
+
+
+@lru_cache(maxsize=1024)
+def _top_bound_certified(d: int, b: int, divisor: int | None = None) -> bool:
+    """Prove _top_bound for (d, b) by Farkas' lemma: is
+    divisor * (<2 rho | top> / divisor - dim) a nonnegative combination of
+    the rows of the search's real relaxation?  Those rows are the order
+    rows mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1} and the scaled-q rows
+    _scaled_q(i,j) - _scaled_q(i-1,j-1) >= 0; every linear form is read
+    off its own code on unit triangles.  If so, each triangle the search
+    accepts has dim <= <2 rho | top> / divisor, hence <= its floor.  The
+    divisor defaults to b+1, the one _top_bound uses."""
+    divisor = b + 1 if divisor is None else divisor
+    units = []
+    for i in range(1, d + 1):
+        for j in range(i, d + 1):
+            rows = [[0] * (d - r + 1) for r in range(1, d + 1)]
+            rows[i - 1][j - i] = 1
+            units.append(rows)
+
+    def coefficients(form):
+        return tuple(form(rows) for rows in units)
+
+    relaxation = []
+    for i in range(2, d + 1):
+        for j in range(i, d + 1):
+            relaxation += [
+                coefficients(lambda r: r[i - 1][j - i] - r[i - 2][j - i + 1]),
+                coefficients(lambda r: r[i - 2][j - i] - r[i - 1][j - i]),
+                coefficients(lambda r: _scaled_q(r, d, b, i, j)
+                             - _scaled_q(r, d, b, i - 1, j - 1)),
+            ]
+    target = coefficients(lambda r: _two_rho(r[0]) - divisor * _dim_form(r, d))
+    return in_cone(relaxation, target)
+
+
 # ---------------------------------------------------------------------------
 # the core search: maximal dim(phi) with a prescribed top row
 # ---------------------------------------------------------------------------
@@ -195,7 +263,7 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget):
         return value, rows
     _self_test(d, b)
     start_left = budget.left
-    const = sum((d + 1 - j) * top[j - 1] for j in range(1, d + 1)) - sum(top)
+    const = _dim_form([top], d)
     rows = [list(top)] + [[0] * (d - i + 1) for i in range(2, d + 1)]
     best = [None, None]
 
@@ -259,6 +327,8 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget):
     else:
         fill_row(2, 0)
         result = (best[0], best[1])
+    if len(_memo) >= _MEMO_CAP:
+        _memo.clear()
     _memo[key] = (result[0], result[1], start_left - budget.left)
     return result
 
@@ -317,6 +387,8 @@ def dim_exact(query: DimQuery, budget: int = DEFAULT_BUDGET) -> DimResult:
     d, b = inst.d, inst.b
     if d > 4:
         raise ValueError("the exact search supports d <= 4")
+    if budget < 0:
+        raise ValueError("the node budget must be >= 0")
     tracker = _Budget(budget)
     if query.kind == "mu":
         tops = [tuple(query.mu)] if sum(query.mu) % (b - 1) == 0 else []
@@ -325,11 +397,22 @@ def dim_exact(query: DimQuery, budget: int = DEFAULT_BUDGET) -> DimResult:
     else:
         tops = [] if sum(query.mu) % (b - 1) != 0 else \
             list(_enumerate_dominated_tops(tuple(query.mu), b))
+    certified = _top_bound_certified(d, b)
+    if certified:
+        # best bound first; the sort is stable, so ties keep enumeration order
+        tops.sort(key=lambda top: _top_bound(top, b), reverse=True)
     best, witness = None, None
     for top in tops:
+        bound = _top_bound(top, b)
+        if certified and best is not None and bound < best:
+            break  # no later top can reach the incumbent, let alone tie it
         value, tri = _solve_mu(inst, top, tracker)
         if value is None:
             continue
+        if certified and value > bound:
+            raise AssertionError(
+                f"top {top} reaches dim {value} above its certified bound "
+                f"{bound} at d={d} b={b}")
         if best is None or value > best or (value == best and tri.values < witness.values):
             best, witness = value, tri
     nodes = budget - tracker.left

@@ -52,6 +52,21 @@ def test_dim_invalid_input_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ("dim", "bounds", "witness"))
+def test_mu_with_e_is_invalid_input(capsys, command):
+    # --mu and --e name different queries; no command may pick one silently
+    assert main([command, "--d", "2", "--b", "2", "--mu", "3,0", "--e", "3"]) == 1
+    assert main([command, "--d", "2", "--b", "2"]) == 1
+    assert "exactly one of --mu and --e" in capsys.readouterr().err
+
+
+def test_negative_budget_is_invalid_input(capsys):
+    for budget in ("-1", "-5"):
+        assert main(["dim", "--d", "2", "--b", "2", "--e", "3", "--budget", budget]) == 1
+    assert "budget must be >= 0" in capsys.readouterr().err
+    assert main(["dim", "--d", "1", "--b", "2", "--e", "0", "--budget", "0"]) == 0
+
+
 def test_tables_counts(capsys):
     code, out = run(capsys, "tables", "--b", "10000", "--dmax", "4")
     assert code == 0

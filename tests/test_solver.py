@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from kisindim import bounds as bd
+from kisindim import solver as sv
 from kisindim.kisin_model import (KisinInstance, MuTriangle, cone_q, dim_phi,
                                   mu_from_q, q_from_mu)
 from kisindim.solver import (BudgetExceeded, DimQuery, DimResult, dim_d2_closed,
@@ -22,6 +23,8 @@ def test_query_validation():
         DimQuery(inst, "nope", e=1)
     with pytest.raises(ValueError):
         dim_exact(DimQuery(KisinInstance(5, 2), "mu", mu=(1, 1, 1, 1, 1)))
+    with pytest.raises(ValueError):
+        dim_exact(DimQuery(inst, "le_e", e=3), budget=-1)
 
 
 def test_worked_examples():
@@ -238,3 +241,108 @@ def test_result_serialization():
     payload = r.to_dict()
     assert payload["status"] == "exact" and payload["dim"] == 1
     assert payload["witness"]["2,2"] == "2"
+
+
+# ---------------------------------------------------------------------------
+# pruning across top rows: the exhaustive oracle and the certified bound
+# ---------------------------------------------------------------------------
+
+def _dim_all_tops(query):
+    """The exhaustive oracle: solve every top row in enumeration order and
+    keep the best value with the lexicographically least witness.  Returns
+    (best, witness, nodes)."""
+    inst = query.instance
+    b = inst.b
+    if query.kind == "le_e":
+        tops = sv._enumerate_le_e_tops(inst.d, query.e, b)
+    elif sum(query.mu) % (b - 1):
+        tops = []
+    else:
+        tops = sv._enumerate_dominated_tops(tuple(query.mu), b)
+    tracker = sv._Budget(10 ** 9)
+    best, witness = None, None
+    for top in tops:
+        value, tri = sv._solve_mu(inst, top, tracker)
+        if value is None:
+            continue
+        if best is None or value > best or (value == best and tri.values < witness.values):
+            best, witness = value, tri
+    return best, witness, 10 ** 9 - tracker.left
+
+
+def _assert_matches_oracle(query):
+    r = dim_exact(query, budget=10 ** 9)
+    best, witness, nodes = _dim_all_tops(query)
+    d = query.instance.d
+    if best is None:
+        assert r.status == "empty" and r.witness is None
+    elif query.instance.h_zero:
+        assert r.status == "interval" and r.interval == (best, best + d * (d - 1) // 2)
+    else:
+        assert r.status == "exact" and r.dim == best
+    assert r.witness == witness
+    assert r.nodes <= nodes
+    return r.nodes, nodes
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+@pytest.mark.parametrize("b", (2, 3, 5))
+def test_pruned_search_matches_all_tops_le_e(d, b):
+    for e in range(0, 11 if d == 4 else 13):
+        for h_zero in (False, True):
+            nodes, oracle_nodes = _assert_matches_oracle(
+                DimQuery(KisinInstance(d, b, h_zero), "le_e", e=e))
+    # the last query is large enough that pruning must show in the count
+    assert nodes < oracle_nodes
+
+
+def test_pruned_search_matches_all_tops_le_mu():
+    rng = random.Random(44)
+    for d in (2, 3, 4):
+        for b in (2, 3, 5):
+            done = 0
+            while done < 4:
+                mu = tuple(sorted((rng.randint(0, 12 if d < 4 else 9) for _ in range(d)),
+                                  reverse=True))
+                if sum(mu) % (b - 1):
+                    continue
+                done += 1
+                _assert_matches_oracle(
+                    DimQuery(KisinInstance(d, b, done % 2 == 0), "le_mu", mu=mu))
+    # a dominance family whose total is not divisible by b-1 is empty
+    _assert_matches_oracle(DimQuery(KisinInstance(3, 3), "le_mu", mu=(4, 2, 1)))
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_top_bound_certificate(d):
+    for b in (2, 3, 4, 5, 7, 10, 101, 10007):
+        assert sv._top_bound_certified(d, b)
+        # control: the certificate is not vacuous, a smaller bound fails it
+        assert not sv._top_bound_certified(d, b, b + 2)
+
+
+def test_every_top_solves_within_its_bound():
+    for d in (1, 2, 3):
+        for b in (2, 3, 5):
+            inst = KisinInstance(d, b)
+            for top in sv._enumerate_le_e_tops(d, 12, b):
+                value, _ = sv._solve_mu(inst, top, sv._Budget(10 ** 9))
+                assert value is None or value <= sv._top_bound(top, b), (d, b, top)
+
+
+def test_memo_cap_changes_no_result(monkeypatch):
+    queries = [DimQuery(KisinInstance(4, 2), "le_e", e=8),
+               DimQuery(KisinInstance(3, 3), "le_mu", mu=(9, 4, 1)),
+               DimQuery(KisinInstance(4, 3, True), "mu", mu=(6, 2, 2, 0))]
+    monkeypatch.setattr(sv, "_memo", {})
+    free = [dim_exact(q) for q in queries]
+    monkeypatch.setattr(sv, "_memo", {})
+    monkeypatch.setattr(sv, "_MEMO_CAP", 3)
+    for _ in range(2):  # cold, then as warm as a 3-entry memo gets
+        capped = [dim_exact(q) for q in queries]
+        assert [r.to_dict() for r in capped] == [r.to_dict() for r in free]
+        assert len(sv._memo) <= 3
+    for q, r in zip(queries, free):
+        dim_exact(q, budget=r.nodes)
+        with pytest.raises(BudgetExceeded):
+            dim_exact(q, budget=r.nodes - 1)
