@@ -64,7 +64,7 @@ def _indicator(inst, cells) -> Vec:
     return tuple(v)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _q_rays(d: int, b: int):
     """Extreme rays and lines of the full cone Q (double description)."""
     inst = km.KisinInstance(d, b)
@@ -229,7 +229,7 @@ def b_value(dd: DualityData, y) -> Fraction | float:
     return min(dot(v, y) for v in verts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _variant_generators_cached(d: int, b: int, key):
     inst = km.KisinInstance(d, b)
     cone = {"Q": km.cone_q, "Qmax": km.cone_qmax, "Qmin": km.cone_qmin}[key](inst)
@@ -445,10 +445,12 @@ def witness_le_mu(inst: km.KisinInstance, mu):
         raise ValueError("mu must be strongly integrally b-regular")
     qp = [Fraction(mu[i - 1] + b * mu[d - i], b * b - 1) for i in range(1, d + 1)]
     total = sum(qp)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise AssertionError("the rounded levels need an integral total")
     qq = [-(-x.numerator // x.denominator) for x in qp[:-1]]  # ceil
     qq.append(int(total) - sum(qq))
-    assert all(x <= y for x, y in zip(qq, qq[1:])), "rounded levels not nondecreasing"
+    if any(x > y for x, y in zip(qq, qq[1:])):
+        raise AssertionError("rounded levels not nondecreasing")
     q = km.QPoint(inst, {(i, j): frac(qq[d - 1 - (j - i)]) for (i, j) in inst.cells})
     g = [dot(km.mu_vec(inst, i), q.values) for i in range(1, d + 1)]
     target = Fraction(dot(two_rho(d), mu), b + 1)

@@ -111,19 +111,21 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    if args.dmax is None and args.d is None:
+        raise ValueError("tables needs --d or --dmax")
+    ds = range(2, args.dmax + 1) if args.dmax is not None else (args.d,)
+    for d in ds:
+        validity = bd.TABLE2_VALIDITY.get(d)
+        if validity is not None and args.b < validity:
+            raise ValueError(
+                f"outside validity domain: the d={d} vertex table needs b >= {validity}")
     if args.dmax is not None:
         lines = ["d,K,K_plus_Cstar"]
-        for d in range(2, args.dmax + 1):
+        for d in ds:
             kt = bd.k_polytopes(km.KisinInstance(d, args.b))
             lines.append(f"{d},{kt.counts[0]},{kt.counts[1]}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
-    if args.d is None:
-        raise ValueError("tables needs --d or --dmax")
-    validity = bd.TABLE2_VALIDITY.get(args.d)
-    if validity is not None and args.b < validity:
-        raise ValueError(
-            f"outside validity domain: the d={args.d} vertex table needs b >= {validity}")
     kt = bd.k_polytopes(km.KisinInstance(args.d, args.b))
     if args.format == "json":
         _emit(kt.to_json() + "\n", args.out)

@@ -604,6 +604,7 @@ def d2_lattice_invariants(alpha: int, gamma: int, delta: int, b: int) -> D2Latti
     prof = phi_from_q(q)
     # cross-check the generic pieces against the closed forms
     m = mu_from_q(q)
-    assert m[(1, 1)] == mu1 and m[(1, 2)] == mu2
-    assert m[(2, 2)] == (b - 1) * (alpha + delta - gamma)
+    if not (m[(1, 1)] == mu1 and m[(1, 2)] == mu2
+            and m[(2, 2)] == (b - 1) * (alpha + delta - gamma)):
+        raise AssertionError("d = 2 divisor row differs from the closed forms")
     return D2LatticeData(inst, alpha, gamma, delta, mu1, mu2, prof)

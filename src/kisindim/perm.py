@@ -258,7 +258,8 @@ def ord_tableau(w: Permutation) -> OrdTableau:
             i = depth[j] + 1
             depth[j] = i
             entries[(i, j)] = s
-    assert all(depth[j] == j for j in range(1, d + 1))
+    if any(depth[j] != j for j in range(1, d + 1)):
+        raise AssertionError(f"ord tableau of {w.images} is not triangular")
     return OrdTableau(d, entries)
 
 

@@ -1,7 +1,12 @@
 """Exact-rational linear algebra and polyhedral geometry.
 
-Everything here computes over `fractions.Fraction`; there is no floating
-point anywhere in this module.  Polyhedra come in two representations:
+There is no floating point anywhere in this module.  The double
+description and the LP oracle run on primitive integer vectors (rows and
+rays scaled by positive rationals, which changes neither cones nor
+feasibility).  `fractions.Fraction` appears only at the API edge (the
+coordinates of points, rays and halfspaces), in `rref` and the helpers
+built on it, and in the max-flow capacities.  Polyhedra come in two
+representations:
 
 - `HPolyhedron`: a finite list of halfspaces ``<a, x> >= c`` and equations
   ``<a, x> = c``;
@@ -27,6 +32,7 @@ from fractions import Fraction
 from math import gcd
 
 Vec = tuple[Fraction, ...]
+IVec = tuple[int, ...]
 
 INF = None  # capacity sentinel: +infinity
 
@@ -49,20 +55,11 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, v: Vec) -> Vec:
-    c = frac(c)
-    return tuple(c * a for a in v)
-
-
 def is_zero(v: Vec) -> bool:
     return all(a == 0 for a in v)
 
 
-def primitive_ints(v) -> tuple[int, ...]:
+def primitive_ints(v) -> IVec:
     """Scale a rational vector by a positive rational to coprime integers
     (the zero vector stays zero)."""
     den = 1
@@ -73,22 +70,40 @@ def primitive_ints(v) -> tuple[int, ...]:
     return tuple(a // g for a in ints) if g > 1 else tuple(ints)
 
 
+def _idot(u, v) -> int:
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _eliminate(row: list[int], t: list[int], c: int) -> list[int]:
+    """Clear column c of row with a multiple of t (t[c] != 0), keeping the
+    sign of row, and divide out the gcd."""
+    if not row[c]:
+        return row
+    p, f = (t[c], row[c]) if t[c] > 0 else (-t[c], -row[c])
+    out = [p * x - f * y for x, y in zip(row, t)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
 def normalize_ray(v: Vec) -> Vec:
     """Scale by a positive rational so entries are coprime integers."""
     return tuple(map(Fraction, primitive_ints(v)))
 
 
+def _canonical_line(v) -> IVec:
+    """Primitive integer direction of a line, first nonzero entry positive."""
+    w = primitive_ints(v)
+    return w if next((a for a in w if a), 0) >= 0 else tuple(-a for a in w)
+
+
 def normalize_line(v: Vec) -> Vec:
     """Like normalize_ray but with a canonical sign (first nonzero > 0)."""
-    w = normalize_ray(v)
-    for a in w:
-        if a != 0:
-            return w if a > 0 else tuple(-x for x in w)
-    return w
+    return tuple(map(Fraction, _canonical_line(v)))
 
 
 def rref(rows: list[Vec], n: int) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form of integer or rational rows; returns
+    (nonzero rows, pivot columns)."""
     mat = [list(r) for r in rows]
     pivots: list[int] = []
     r = 0
@@ -97,7 +112,7 @@ def rref(rows: list[Vec], n: int) -> tuple[list[Vec], list[int]]:
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
+        inv = Fraction(1) / mat[r][c]
         mat[r] = [x * inv for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
@@ -293,126 +308,123 @@ class VPolyhedron:
 # double description
 # ---------------------------------------------------------------------------
 
-def _initial_simplicial(rows: list[Vec], n: int) -> tuple[list[int], list[Vec]]:
-    """Pick n independent rows and return their indices and the rays of the
-    cone they cut out (columns of the inverse matrix)."""
+def _initial_simplicial(rows: list[IVec], n: int) -> tuple[list[int], list[IVec]]:
+    """Pick n independent rows B and return their indices and the primitive
+    integer rays of the cone they cut out, the columns of B^-1, by
+    fraction-free Gauss-Jordan elimination on [B | I]."""
     chosen: list[int] = []
-    basis: list[Vec] = []
+    tab: list[list[int]] = []  # reduced rows of [B | I]
+    pivots: list[int] = []
     for i, r in enumerate(rows):
-        if rank(basis + [r], n) > len(basis):
-            chosen.append(i)
-            basis.append(r)
-            if len(basis) == n:
-                break
-    if len(basis) < n:
+        row = list(r) + [int(j == len(chosen)) for j in range(n)]
+        for c, t in zip(pivots, tab):
+            row = _eliminate(row, t, c)
+        c = next((c for c in range(n) if row[c]), None)
+        if c is None:
+            continue
+        tab = [_eliminate(t, row, c) for t in tab] + [row]
+        chosen.append(i)
+        pivots.append(c)
+        if len(chosen) == n:
+            break
+    if len(chosen) < n:
         raise ValueError("constraint matrix not full rank (cone not pointed)")
-    cols = []
+    # each row t of tab is t[c] times row c of [I | B^-1], c its pivot
+    scale = 1
+    for c, t in zip(pivots, tab):
+        scale = scale * abs(t[c]) // gcd(scale, t[c])
+    rays = []
     for j in range(n):
-        rhs = [Fraction(1) if k == j else Fraction(0) for k in range(n)]
-        cols.append(solve(basis, rhs, n))
-    return chosen, [normalize_ray(c) for c in cols]
+        x = [0] * n
+        for c, t in zip(pivots, tab):
+            x[c] = t[n + j] * (scale // t[c])
+        rays.append(primitive_ints(x))
+    return chosen, rays
 
 
-def _extreme_rays_pointed(rows: list[Vec], n: int) -> list[Vec]:
+def _extreme_rays_pointed(rows: list[IVec], n: int) -> list[IVec]:
     """Extreme rays of the pointed full-dimensional cone {x : <r,x> >= 0}.
 
     Incremental double description with the combinatorial adjacency test.
+    Rows are integer vectors and rays primitive integer vectors: a new ray
+    is the positive combination vals[p]*r_m - vals[m]*r_p divided by its
+    gcd, so no rational arithmetic is needed.
     """
     if n == 0:
         return []
     chosen, rays = _initial_simplicial(rows, n)
-    processed = list(chosen)
-    # zero sets over processed constraints, as bitmasks
-    zsets = []
-    for r in rays:
-        m = 0
-        for k, idx in enumerate(processed):
-            if dot(rows[idx], r) == 0:
-                m |= 1 << k
-        zsets.append(m)
-    for idx in range(len(rows)):
-        if idx in chosen:
+    # zero sets over the processed constraints, as bitmasks; initial ray j
+    # is tight on every chosen row but the j-th
+    zsets = [((1 << n) - 1) ^ (1 << j) for j in range(n)]
+    bit = 1 << n
+    skip = set(chosen)
+    for idx, a in enumerate(rows):
+        if idx in skip:
             continue
-        a = rows[idx]
-        vals = [dot(a, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            bit = 1 << len(processed)
-            zsets = [z | bit if v == 0 else z for z, v in zip(zsets, vals)]
-            processed.append(idx)
-            continue
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        zer = [i for i, v in enumerate(vals) if v == 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        new_rays: list[Vec] = [rays[i] for i in pos + zer]
-        new_z: list[int] = [zsets[i] for i in pos + zer]
-        for p in pos:
-            for m in neg:
-                common = zsets[p] & zsets[m]
-                # an edge of a pointed n-cone lies on >= n-2 of the
-                # processed constraints; cheap necessary test first
-                if common.bit_count() < n - 2:
-                    continue
-                # adjacency: no third ray's zero set contains the common one
-                adjacent = True
-                for q in range(len(rays)):
-                    if q != p and q != m and (zsets[q] & common) == common:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                r = normalize_ray(vsub(vscale(vals[p], rays[m]), vscale(vals[m], rays[p])))
-                new_rays.append(r)
-                new_z.append(common)
-        bit = 1 << len(processed)
-        processed.append(idx)
-        zsets = []
-        for r, z in zip(new_rays, new_z):
-            if dot(a, r) == 0:
-                z |= bit
-            zsets.append(z)
-        rays = new_rays
-    return sorted(set(rays))
+        vals = [_idot(a, r) for r in rays]
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        new_z = [z | bit if v == 0 else z for z, v in zip(zsets, vals) if v >= 0]
+        if len(new_rays) < len(rays):
+            pos = [i for i, v in enumerate(vals) if v > 0]
+            neg = [i for i, v in enumerate(vals) if v < 0]
+            for p in pos:
+                for m in neg:
+                    common = zsets[p] & zsets[m]
+                    # an edge of a pointed n-cone lies on >= n-2 of the
+                    # processed constraints; cheap necessary test first
+                    if common.bit_count() < n - 2:
+                        continue
+                    # adjacency: no third ray's zero set contains the common one
+                    adjacent = True
+                    for q in range(len(rays)):
+                        if q != p and q != m and (zsets[q] & common) == common:
+                            adjacent = False
+                            break
+                    if not adjacent:
+                        continue
+                    vp, vm = vals[p], -vals[m]
+                    r = [vp * x + vm * y for x, y in zip(rays[m], rays[p])]
+                    g = gcd(*r)
+                    new_rays.append(tuple(x // g for x in r))
+                    new_z.append(common | bit)
+        rays, zsets = new_rays, new_z
+        bit <<= 1
+    return rays
 
 
 def cone_generators(ineqs: list[Vec], eqs: list[Vec], n: int) -> tuple[list[Vec], list[Vec]]:
-    """Minimal (lines, rays) generating {x : <a,x> >= 0, <e,x> = 0}."""
-    ineqs = [vec(a) for a in ineqs]
-    eqs = [vec(e) for e in eqs]
-    # restrict to the equation subspace: x = N u
-    N = nullspace(eqs, n) if eqs else [tuple(Fraction(1 if i == j else 0) for j in range(n))
-                                       for i in range(n)]
-    if not N:
-        return [], []
-    k = len(N)
-    A = [tuple(dot(a, col) for col in N) for a in ineqs]
-    A = [r for r in A if not is_zero(r)]
+    """Minimal (lines, rays) generating {x : <a,x> >= 0, <e,x> = 0}.
+
+    The rows are scaled to primitive integer vectors once, the double
+    description and the maps back run on integers, and the generators
+    become `Fraction` tuples only on return.  Positive rescaling of the
+    parametrisations N and W below leaves the normalised output unchanged.
+    """
+    A = [primitive_ints(a) for a in ineqs]
+    N = None
+    if eqs:
+        # restrict to the equation subspace: x = N u
+        N = [primitive_ints(c) for c in nullspace([primitive_ints(e) for e in eqs], n)]
+        if not N:
+            return [], []
+        A = [tuple(_idot(a, c) for c in N) for a in A]
+    k = n if N is None else len(N)
+    A = [r for r in A if any(r)]
     # lineality of the restricted cone
-    L = nullspace(A, k)
-    lines = [normalize_line(_combine(N, u)) for u in L]
-    if not A:
-        return sorted(set(lines)), []
-    # quotient out the lineality: parametrize u = W^T t with W = rowspace(A)
-    W, _ = rref(A, k)
-    r = len(W)
-    if r == 0:
-        return sorted(set(lines)), []
-    A2 = [tuple(dot(a, w) for w in W) for a in A]
-    rays2 = _extreme_rays_pointed(A2, r)
-    rays = []
-    for t in rays2:
-        u = tuple(sum((t[i] * W[i][j] for i in range(r)), Fraction(0)) for j in range(k))
-        rays.append(normalize_ray(_combine(N, u)))
-    return sorted(set(lines)), sorted(set(rays))
-
-
-def _combine(basis: list[Vec], coeffs: Vec) -> Vec:
-    n = len(basis[0])
-    out = [Fraction(0)] * n
-    for c, b in zip(coeffs, basis):
-        if c != 0:
-            for j in range(n):
-                out[j] += c * b[j]
-    return tuple(out)
+    lines = [primitive_ints(u) for u in nullspace(A, k)]
+    if lines:
+        # quotient out the lineality: u = W^T t with W = rowspace(A)
+        W = [primitive_ints(w) for w in rref(A, k)[0]]
+        rays2 = _extreme_rays_pointed([tuple(_idot(a, w) for w in W) for a in A], len(W))
+        rays = [primitive_ints([_idot(t, col) for col in zip(*W)]) for t in rays2]
+    else:
+        rays = _extreme_rays_pointed(A, k)
+    if N is not None:
+        cols = list(zip(*N))
+        lines = [[_idot(u, col) for col in cols] for u in lines]
+        rays = [primitive_ints([_idot(u, col) for col in cols]) for u in rays]
+    return ([tuple(map(Fraction, l)) for l in sorted(set(map(_canonical_line, lines)))],
+            [tuple(map(Fraction, r)) for r in sorted(set(rays))])
 
 
 def enumerate_vertices(P: HPolyhedron) -> VPolyhedron:
@@ -422,7 +434,8 @@ def enumerate_vertices(P: HPolyhedron) -> VPolyhedron:
     hom_ineqs.append(tuple([Fraction(0)] * n + [Fraction(1)]))  # t >= 0
     hom_eqs = [tuple(list(h.normal) + [-h.offset]) for h in P.eqs]
     lines, rays = cone_generators(hom_ineqs, hom_eqs, n + 1)
-    assert all(l[n] == 0 for l in lines)
+    if any(l[n] for l in lines):
+        raise AssertionError("a line of the homogenized cone leaves t = 0")
     verts = []
     vrays = []
     for r in rays:
@@ -499,7 +512,7 @@ def _v_inside_h(V: VPolyhedron, H: HPolyhedron) -> bool:
         return enumerate_vertices(H).is_empty
     return (all(H.contains(v) for v in V.vertices)
             and all(H.contains_ray(r) for r in V.rays)
-            and all(H.contains_ray(l) and H.contains_ray(vscale(-1, l)) for l in V.lines))
+            and all(H.contains_ray(l) and H.contains_ray(tuple(-a for a in l)) for l in V.lines))
 
 
 # ---------------------------------------------------------------------------
@@ -550,28 +563,11 @@ def in_cone(generators: list[Vec], target: Vec) -> bool:
                 leave = i
         if leave is None:
             raise AssertionError("phase-1 unbounded")
-        piv = tab[leave][enter]
         for i in range(n):
-            if i == leave or tab[i][enter] == 0:
-                continue
-            f = tab[i][enter]
-            row = [piv * x - f * y for x, y in zip(tab[i], tab[leave])]
-            g = 0
-            for x in row:
-                g = gcd(g, abs(x))
-            if g > 1:
-                row = [x // g for x in row]
-            tab[i] = row
-        f = cost[enter]
-        cost = [piv * x - f * y for x, y in zip(cost, tab[leave])]
-        g = 0
-        for x in cost:
-            g = gcd(g, abs(x))
-        if g > 1:
-            cost = [x // g for x in cost]
-        g = 0
-        for x in tab[leave]:
-            g = gcd(g, abs(x))
+            if i != leave:
+                tab[i] = _eliminate(tab[i], tab[leave], enter)
+        cost = _eliminate(cost, tab[leave], enter)
+        g = gcd(*tab[leave])
         if g > 1:
             tab[leave] = [x // g for x in tab[leave]]
         basis[leave] = enter
@@ -605,7 +601,7 @@ def vertices_of_sum(P: HPolyhedron, vertices, gens) -> list[Vec]:
     rows, cone_gens = [], []
     for h in P.halfspaces:
         a = primitive_ints(h.normal + (-h.offset,))
-        image = tuple(sum(x * y for x, y in zip(a[:n], g)) for g in gens)
+        image = tuple(_idot(a, g) for g in gens)
         if h.is_eq:
             cone_gens += [image, tuple(-x for x in image)]
         else:
@@ -615,7 +611,7 @@ def vertices_of_sum(P: HPolyhedron, vertices, gens) -> list[Vec]:
     out = []
     for v in vertices:
         hv = primitive_ints(v + (1,))
-        tight = [image for a, image in rows if sum(x * y for x, y in zip(a, hv)) == 0]
+        tight = [image for a, image in rows if _idot(a, hv) == 0]
         if in_cone(tight + cone_gens, ones):
             out.append(v)
     return sorted(out)

@@ -149,7 +149,7 @@ def mu_constraints_ok(inst: km.KisinInstance, rows) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _self_test(d: int, b: int) -> bool:
     """Assert on seeded random triangles that the mu-coordinate system
     agrees with membership of q_from_mu in the cone Q (single source of

@@ -80,6 +80,17 @@ def test_tables_validity_gate(capsys):
     assert "outside validity domain" in err
 
 
+def test_tables_dmax_validity_gate(capsys):
+    # every d in 2..dmax is checked: d = 4 needs b >= 3 and d = 5 needs b >= 6
+    for b, dmax, bad in ((2, 5, 4), (2, 4, 4), (5, 5, 5)):
+        assert main(["tables", "--b", str(b), "--dmax", str(dmax)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the d={bad} vertex table needs b >=" in captured.err
+    assert main(["tables", "--b", "2", "--dmax", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["d,K,K_plus_Cstar", "2,1,1", "3,3,3"]
+
+
 def test_tables_coordinates(capsys):
     code, out = run(capsys, "tables", "--b", "7", "--d", "2")
     assert code == 0

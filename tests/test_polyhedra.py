@@ -1,19 +1,20 @@
 import random
 from fractions import Fraction as F
-from math import inf
+from itertools import combinations
+from math import gcd, inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kisindim import bounds as bd
+from kisindim import bounds as bd, polyhedra
 from kisindim.kisin_model import KisinInstance, chain_dual_generators
 from kisindim.polyhedra import (FlowNetwork, HPolyhedron, INF, VPolyhedron,
                                 cone_generators, cone_hull, dot, dual_cone,
                                 dual_cone_h, enumerate_vertices,
                                 graph_cone_dual_membership, in_cone, maxflow,
                                 min_cut_exhaustive, minkowski_sum_cone,
-                                normalize_ray, polyhedra_set_equal, v_to_h, vec,
-                                vertices_of_sum)
+                                normalize_ray, polyhedra_set_equal, rank, v_to_h,
+                                vec, vertices_of_sum)
 
 
 def square():
@@ -89,8 +90,6 @@ def test_double_description_soundness_random():
                 continue
             P = HPolyhedron.build(n, ineqs)
             V = enumerate_vertices(P)
-            from kisindim.polyhedra import rank
-
             for v in V.vertices:
                 assert P.contains(v)
                 active = [h.normal for h in P.halfspaces
@@ -100,6 +99,171 @@ def test_double_description_soundness_random():
                 assert P.contains_ray(r)
             if not V.is_empty:
                 assert polyhedra_set_equal(P, v_to_h(V))
+
+
+def _det(rows) -> F:
+    """Determinant by Gaussian elimination over Fractions (the oracles below
+    use this and Cramer's rule, not the engine's linear algebra)."""
+    m = [list(map(F, r)) for r in rows]
+    det = F(1)
+    for c in range(len(m)):
+        p = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+def _brute_vertices(ineqs, eqs, n) -> set:
+    """Every feasible point that n of the rows (equations included) cut out
+    on their own: solve each n-subset with a nonzero determinant."""
+    rows = [(tuple(a), c) for a, c in eqs + ineqs]
+    out = set()
+    for sub in combinations(rows, n):
+        D = _det([a for a, _ in sub])
+        if D == 0:
+            continue
+        x = tuple(_det([a[:j] + (c,) + a[j + 1:] for a, c in sub]) / D for j in range(n))
+        if (all(dot(a, x) >= c for a, c in ineqs)
+                and all(dot(a, x) == c for a, c in eqs)):
+            out.add(x)
+    return out
+
+
+def _brute_rays(ineqs, eqs, n) -> set:
+    """Extreme rays of the pointed cone {<a,x> >= 0, <e,x> = 0}: the kernel
+    direction (cofactor vector) of each n-1 rows, with either sign, kept
+    when it is nonzero and lies in the cone."""
+    out = set()
+    for sub in combinations([tuple(e) for e in eqs] + [tuple(a) for a in ineqs], n - 1):
+        r = tuple((-1) ** j * _det([a[:j] + a[j + 1:] for a in sub]) for j in range(n))
+        for s in (r, tuple(-x for x in r)):
+            if (any(s) and all(dot(a, s) >= 0 for a in ineqs)
+                    and all(dot(e, s) == 0 for e in eqs)):
+                out.add(normalize_ray(s))
+    return out
+
+
+def _random_rows(rng, n, count, offsets=True):
+    rows = []
+    while len(rows) < count:
+        a = vec([rng.randint(-3, 3) for _ in range(n)])
+        if any(a):
+            rows.append((a, F(rng.randint(-3, 3))) if offsets else a)
+    return rows
+
+
+def test_enumerate_vertices_matches_brute_force_random():
+    rng = random.Random(2024)
+    seen = {"bounded": 0, "rays": 0, "lines": 0, "equations": 0, "empty": 0}
+    for n in (2, 3, 4):
+        for trial in range(36):
+            kind = ("bounded", "unbounded", "equation")[trial % 3]
+            ineqs = _random_rows(rng, n, rng.randint(1, n + 1))
+            eqs = []
+            if kind == "bounded":
+                # the simplex x_i >= -2, sum x_i <= 2 bounds every cut of it
+                ineqs += [(vec([int(i == j) for j in range(n)]), F(-2)) for i in range(n)]
+                ineqs.append((vec([-1] * n), F(-2)))
+            elif kind == "equation":
+                eqs = _random_rows(rng, n, rng.randint(1, n - 1))
+            P = HPolyhedron.build(n, ineqs, eqs)
+            V = enumerate_vertices(P)
+            normals = [a for a, _ in ineqs + eqs]
+            lineality = n - rank(normals, n)
+            if lineality:
+                # no vertices; the lines span the lineality space
+                assert _brute_vertices(ineqs, eqs, n) == set()
+                assert all(dot(a, l) == 0 for a in normals for l in V.lines)
+                assert V.is_empty or rank(list(V.lines), n) == lineality
+                seen["lines"] += not V.is_empty
+                continue
+            assert set(V.vertices) == _brute_vertices(ineqs, eqs, n), (n, ineqs, eqs)
+            assert len(V.vertices) == len(set(V.vertices))
+            if V.is_empty:
+                seen["empty"] += 1
+                continue
+            assert set(V.rays) == _brute_rays([a for a, _ in ineqs], [a for a, _ in eqs], n)
+            seen["bounded"] += not V.rays
+            seen["rays"] += bool(V.rays)
+            seen["equations"] += bool(eqs)
+    assert min(seen.values()) >= 5, seen
+
+
+def _check_cone_generators(ineqs, eqs, n):
+    lines, rays = cone_generators(ineqs, eqs, n)
+    lineality = n - rank(ineqs + eqs, n)
+    # the lines lie in the lineality space and span it
+    assert all(dot(a, l) == 0 for a in ineqs + eqs for l in lines)
+    assert len(lines) == rank(lines, n) == lineality
+    for r in rays:
+        assert all(x.denominator == 1 for x in r) and gcd(*map(int, r)) == 1
+        assert all(dot(e, r) == 0 for e in eqs)
+        assert all(dot(a, r) >= 0 for a in ineqs) and any(dot(a, r) > 0 for a in ineqs)
+        # extreme: the tight rows leave one direction beyond the lines
+        tight = [a for a in ineqs if dot(a, r) == 0] + list(eqs)
+        assert rank(tight, n) == n - lineality - 1, r
+    # the rays are the extreme rays of the pointed cone cut by the lines'
+    # orthogonal complement, one per extreme ray of the quotient
+    expected = _brute_rays(ineqs, list(eqs) + list(lines), n)
+    if lineality:
+        assert len(rays) == len(expected)
+    else:
+        assert set(rays) == expected
+    return lines, rays
+
+
+def test_cone_generators_every_branch_against_brute_force():
+    rng = random.Random(77)
+    seen = set()
+    for n in (2, 3, 4):
+        for trial in range(40):
+            with_eqs = trial % 2 == 1
+            eqs = _random_rows(rng, n, rng.randint(1, n - 1), offsets=False) if with_eqs else []
+            ineqs = _random_rows(rng, n, rng.randint(1, n + 2), offsets=False)
+            if trial % 4 >= 2 and n > 2:
+                # project every row orthogonal to a direction z, which then
+                # lies in the lineality space unless the equations cut it
+                z = vec([rng.randint(-2, 2) for _ in range(n)])
+                ineqs = [tuple(dot(z, z) * x - dot(a, z) * y for x, y in zip(a, z))
+                         for a in ineqs]
+                ineqs = [a for a in ineqs if any(a)]
+            if not ineqs:
+                continue
+            k = n - rank(eqs, n)
+            restricted_rank = rank(ineqs + eqs, n) - (n - k)
+            if k == 0:
+                assert cone_generators(ineqs, eqs, n) == ([], [])
+                continue
+            lines, _ = _check_cone_generators(ineqs, eqs, n)
+            branch = ("equations" if eqs else "identity",
+                      "projection" if restricted_rank < k else "full rank")
+            seen.add(branch)
+            if lines:
+                seen.add("lineality")
+    assert seen == {("identity", "full rank"), ("identity", "projection"),
+                    ("equations", "full rank"), ("equations", "projection"),
+                    "lineality"}
+
+
+def test_double_description_runs_on_integers(monkeypatch):
+    # the DD creates no Fraction: integer rows in, primitive integer rays out
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1), (-1, 2, 3), (2, -1, 1)]
+    _, expected = cone_generators([vec(r) for r in rows], [], 3)
+
+    def no_fractions(*args):
+        raise AssertionError("Fraction created inside the double description")
+
+    monkeypatch.setattr(polyhedra, "Fraction", no_fractions)
+    rays = polyhedra._extreme_rays_pointed(rows, 3)
+    assert all(type(x) is int for r in rays for x in r)
+    assert sorted(rays) == [tuple(map(int, r)) for r in expected]
 
 
 def test_minkowski_sum_with_zero_cone_is_identity():

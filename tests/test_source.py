@@ -1,0 +1,70 @@
+"""Source-level checks on the kisindim package: its correctness checks are
+explicit raises, which `python -O` keeps, and none of its caches grows
+without bound in a long-running process."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import kisindim
+from kisindim import bounds as bd
+from kisindim.cli import main
+from kisindim.kisin_model import KisinInstance
+
+SRC = Path(kisindim.__file__).resolve().parent
+
+
+def _lru_caches():
+    for info in pkgutil.iter_modules(kisindim.__path__):
+        module = importlib.import_module(f"kisindim.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                yield f"{module.__name__}.{name}", obj
+
+
+def test_no_assert_statements_in_src():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_every_lru_cache_is_bounded():
+    caches = dict(_lru_caches())
+    assert {"kisindim.solver._self_test", "kisindim.bounds._q_rays",
+            "kisindim.bounds._variant_generators_cached"} <= set(caches)
+    unbounded = [name for name, fn in caches.items()
+                 if fn.cache_parameters()["maxsize"] is None]
+    assert unbounded == []
+
+
+def _clear_caches():
+    for _, fn in _lru_caches():
+        fn.cache_clear()
+
+
+def test_bounds_output_same_with_caches_cold_and_warm(capsys):
+    argvs = [["bounds", "--d", "3", "--b", "2", "--e", "4"],
+             ["bounds", "--d", "3", "--b", "3", "--mu", "9,5,1", "--le-mu"],
+             ["tables", "--d", "3", "--b", "5"]]
+
+    def outputs():
+        out = []
+        for argv in argvs:
+            assert main(argv) == 0
+            out.append(capsys.readouterr().out)
+        inst = KisinInstance(3, 3)
+        out.append(bd.a_set(inst, "Q", "g").to_json())
+        out.append(bd.b_value(bd.DualityData(inst, "Qmax", "f", bd.orthant_pm_gens()), (3, -2)))
+        return out
+
+    _clear_caches()
+    cold = outputs()
+    assert bd._q_rays.cache_info().currsize > 0
+    assert bd._variant_generators_cached.cache_info().currsize > 0
+    assert outputs() == cold
+    _clear_caches()
+    assert outputs() == cold
