@@ -65,9 +65,12 @@ def _mu_tuple(raw: str) -> tuple[int, ...]:
 
 
 def _one_target(args) -> None:
-    """--mu and --e select different queries: exactly one must be given."""
+    """--mu and --e select different queries: exactly one must be given,
+    and --le-mu qualifies --mu."""
     if (args.mu is None) == (args.e is None):
         raise ValueError(f"{args.command} needs exactly one of --mu and --e")
+    if getattr(args, "le_mu", False) and args.mu is None:
+        raise ValueError("--le-mu needs --mu")
 
 
 def cmd_dim(args) -> int:
@@ -76,8 +79,6 @@ def cmd_dim(args) -> int:
     if args.mu is not None:
         query = sv.DimQuery(inst, "le_mu" if args.le_mu else "mu",
                             mu=_mu_tuple(args.mu))
-    elif args.le_mu:
-        raise ValueError("--le-mu needs --mu")
     else:
         query = sv.DimQuery(inst, "le_e", e=args.e)
     result = sv.dim_exact(query, budget=args.budget)
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, bd.UnsupportedRegime) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
+        return 1
+    except OSError as exc:  # --out could not be written; _emit left no file
+        sys.stderr.write(f"cannot write {args.out}: {exc.strerror or exc}\n")
         return 1
 
 

@@ -385,6 +385,8 @@ def maximal_elements(d: int) -> list[Permutation]:
 def hasse_dot(d: int) -> str:
     """DOT export: one node per permutation labeled w(1)w(2)...w(d), one edge
     per covering relation, drawn from the smaller to the larger element."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
     lines = ["digraph hasse {"]
     for w in all_permutations(d):
         lines.append(f'  "{w.label()}";')

@@ -4,8 +4,11 @@ The search runs in mu-coordinates: the top row is (part of) the query, the
 lower rows are enumerated row by row under the order constraints
 mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1}, the integral row congruences, and
 the remaining cone inequalities (checked incrementally through the scaled
-q-coordinates, which are integer linear forms).  A relaxation bound on the
-unfilled cells prunes branches that cannot beat the incumbent.
+q-coordinates, which are integer linear forms).  `_self_test` proves once
+per (d, b) that this system is the cone Q: it and Q pulled back through
+q_from_mu are the same set of primitive integer rows over the mu-cells.
+A relaxation bound on the unfilled cells prunes branches that cannot beat
+the incumbent.
 
 The e-bounded and dominance-bounded families take a maximum over many top
 rows.  Each top has the bound floor(<2 rho | top> / (b+1)), with
@@ -29,10 +32,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import bounds as bd
 from . import kisin_model as km
-from .polyhedra import frac, in_cone
+from .polyhedra import frac, in_cone, primitive_ints
 
 DEFAULT_BUDGET = 5_000_000
 # entries of the top-row memo; a full memo is cleared, which costs time but
@@ -135,48 +139,53 @@ def _scaled_q(rows, d, b, i, j):
     return v
 
 
-def mu_constraints_ok(inst: km.KisinInstance, rows) -> bool:
-    """The full cone system in mu-coordinates: order constraints plus the
-    scaled-q inequalities b(b-1) q_{i-1,j-1} <= b(b-1) q_{i,j}."""
-    d, b = inst.d, inst.b
+def _unit_triangles(d):
+    """One unit triangle per mu-cell, in row form and row-major order."""
+    return [[[int((r, s) == (i, j)) for s in range(r, d + 1)] for r in range(1, d + 1)]
+            for i in range(1, d + 1) for j in range(i, d + 1)]
+
+
+@lru_cache(maxsize=1024)
+def _mu_system_rows(d: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the search's real relaxation as primitive integer forms
+    of the mu-cells: for 2 <= i <= j <= d the order rows
+    mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1} and the scaled-q row
+    _scaled_q(i,j) - _scaled_q(i-1,j-1) >= 0, each read off the search's own
+    code on unit triangles."""
+    units = _unit_triangles(d)
+    out = []
     for i in range(2, d + 1):
         for j in range(i, d + 1):
-            v = rows[i - 1][j - i]
-            if not (rows[i - 2][j - i + 1] <= v <= rows[i - 2][j - i]):
-                return False
-            if _scaled_q(rows, d, b, i - 1, j - 1) > _scaled_q(rows, d, b, i, j):
-                return False
-    return True
+            out += [primitive_ints([form(r) for r in units]) for form in (
+                lambda r: r[i - 1][j - i] - r[i - 2][j - i + 1],
+                lambda r: r[i - 2][j - i] - r[i - 1][j - i],
+                lambda r: _scaled_q(r, d, b, i, j) - _scaled_q(r, d, b, i - 1, j - 1))]
+    return tuple(out)
 
 
 @lru_cache(maxsize=1024)
 def _self_test(d: int, b: int) -> bool:
-    """Assert on seeded random triangles that the mu-coordinate system
-    agrees with membership of q_from_mu in the cone Q (single source of
-    truth for the search)."""
+    """Prove that the mu-system is the cone Q pulled back through the linear
+    map q_from_mu, or raise AssertionError.  Each halfspace of Q, read on
+    the images of the unit triangles, is a form of the mu-cells; the two
+    systems must be the same set of primitive integer rows, and equal row
+    sets cut out the same cone on every triangle (single source of truth
+    for the search)."""
     inst = km.KisinInstance(d, b)
-    rng = random.Random(10_000 * d + b)
+    n = inst.dim_E
+    # one positive scale for all the images keeps each pulled-back row's direction
+    flat = primitive_ints([x for rows in _unit_triangles(d) for x in
+                           km.q_from_mu(km.MuTriangle(inst, sum(rows, []))).values])
+    images = [flat[k:k + n] for k in range(0, n * n, n)]
     Q = km.cone_q(inst)
-    agree = 0
-    for trial in range(200):
-        if trial % 2 == 0:
-            rows = [[rng.randint(-6, 6) for _ in range(d - i)] for i in range(d)]
-        else:
-            # biased toward feasibility: monotone rows
-            top = sorted((rng.randint(-6, 6) for _ in range(d)), reverse=True)
-            rows = [top]
-            for i in range(2, d + 1):
-                prev = rows[-1]
-                rows.append([rng.randint(min(prev[k + 1], prev[k]), max(prev[k + 1], prev[k]))
-                             for k in range(d - i + 1)])
-        tri = km.MuTriangle(inst, {(i, j): rows[i - 1][j - i]
-                                   for (i, j) in inst.cells})
-        lhs = mu_constraints_ok(inst, rows)
-        rhs = Q.contains(km.q_from_mu(tri).values)
-        if lhs != rhs:
-            raise AssertionError(
-                f"mu-system and q-system disagree at d={d} b={b} rows={rows}")
-        agree += 1
+    if any(h.is_eq or h.offset for h in Q.halfspaces):
+        raise AssertionError(f"cone Q at d={d} b={b} has an equation or an offset row")
+    pulled = {primitive_ints([sum(map(mul, a, q)) for q in images])
+              for a in (primitive_ints(h.normal) for h in Q.halfspaces)}
+    mine = set(_mu_system_rows(d, b))
+    if pulled != mine:
+        raise AssertionError(f"mu-system and q-system disagree at d={d} b={b} "
+                             f"on the rows {sorted(pulled ^ mine)}")
     return True
 
 
@@ -204,34 +213,13 @@ def _top_bound(top, b):
 def _top_bound_certified(d: int, b: int, divisor: int | None = None) -> bool:
     """Prove _top_bound for (d, b) by Farkas' lemma: is
     divisor * (<2 rho | top> / divisor - dim) a nonnegative combination of
-    the rows of the search's real relaxation?  Those rows are the order
-    rows mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1} and the scaled-q rows
-    _scaled_q(i,j) - _scaled_q(i-1,j-1) >= 0; every linear form is read
-    off its own code on unit triangles.  If so, each triangle the search
-    accepts has dim <= <2 rho | top> / divisor, hence <= its floor.  The
-    divisor defaults to b+1, the one _top_bound uses."""
+    the rows of the search's real relaxation (_mu_system_rows), with the
+    target read off its own code on unit triangles?  If so, each triangle
+    the search accepts has dim <= <2 rho | top> / divisor, hence <= its
+    floor.  The divisor defaults to b+1, the one _top_bound uses."""
     divisor = b + 1 if divisor is None else divisor
-    units = []
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
-            rows = [[0] * (d - r + 1) for r in range(1, d + 1)]
-            rows[i - 1][j - i] = 1
-            units.append(rows)
-
-    def coefficients(form):
-        return tuple(form(rows) for rows in units)
-
-    relaxation = []
-    for i in range(2, d + 1):
-        for j in range(i, d + 1):
-            relaxation += [
-                coefficients(lambda r: r[i - 1][j - i] - r[i - 2][j - i + 1]),
-                coefficients(lambda r: r[i - 2][j - i] - r[i - 1][j - i]),
-                coefficients(lambda r: _scaled_q(r, d, b, i, j)
-                             - _scaled_q(r, d, b, i - 1, j - 1)),
-            ]
-    target = coefficients(lambda r: _two_rho(r[0]) - divisor * _dim_form(r, d))
-    return in_cone(relaxation, target)
+    target = [_two_rho(r[0]) - divisor * _dim_form(r, d) for r in _unit_triangles(d)]
+    return in_cone(_mu_system_rows(d, b), target)
 
 
 # ---------------------------------------------------------------------------

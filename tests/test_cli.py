@@ -60,6 +60,15 @@ def test_mu_with_e_is_invalid_input(capsys, command):
     assert "exactly one of --mu and --e" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ("dim", "bounds"))
+def test_le_mu_without_mu_is_invalid_input(capsys, command):
+    # --le-mu qualifies --mu; with --e it must not answer the le_e query
+    assert main([command, "--d", "3", "--b", "2", "--e", "3", "--le-mu"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--le-mu needs --mu" in captured.err
+
+
 def test_negative_budget_is_invalid_input(capsys):
     for budget in ("-1", "-5"):
         assert main(["dim", "--d", "2", "--b", "2", "--e", "3", "--budget", budget]) == 1
@@ -121,6 +130,14 @@ def test_hasse_d4_node_count(capsys):
     assert out.count(";") - out.count("->") == 24
 
 
+@pytest.mark.parametrize("d", ("0", "-2"))
+def test_hasse_rejects_d_below_one(capsys, d):
+    assert main(["hasse", "--d", d]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "d must be >= 1" in captured.err
+
+
 def test_d2_oracle(capsys):
     code, out = run(capsys, "d2-oracle", "--b", "2", "--alpha", "2",
                     "--gamma", "0", "--delta", "1")
@@ -154,6 +171,27 @@ def test_out_file_written_atomically(tmp_path, capsys):
     assert payload["dim"] == 1
     # no stray temporary files
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_out_into_missing_directory_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code = main(["dim", "--d", "2", "--b", "2", "--mu", "3,0", "--out", str(target)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"cannot write {target}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_out_write_leaves_no_partial_file(tmp_path, capsys):
+    # the final rename fails (the target is a directory): the temporary file
+    # written beside it is removed and the directory is left as it was
+    target = tmp_path / "taken"
+    target.mkdir()
+    code = main(["dim", "--d", "2", "--b", "2", "--mu", "3,0", "--out", str(target)])
+    assert code == 1
+    assert "cannot write" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list(target.iterdir()) == []
 
 
 def test_budget_is_deterministic_cold_and_warm(capsys, monkeypatch):

@@ -4,13 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from kisindim import bounds as bd
+from kisindim import kisin_model as km
 from kisindim import solver as sv
 from kisindim.kisin_model import (KisinInstance, MuTriangle, cone_q, dim_phi,
                                   mu_from_q, q_from_mu)
+from kisindim.polyhedra import Halfspace, HPolyhedron
 from kisindim.solver import (BudgetExceeded, DimQuery, DimResult, dim_d2_closed,
                              dim_d3_closed, dim_exact, consistency_suite,
-                             mu_constraints_ok, _enumerate_dominated_tops,
-                             _self_test)
+                             _enumerate_dominated_tops, _self_test)
 
 
 def test_query_validation():
@@ -71,18 +72,139 @@ def test_witness_checks_always_verified():
         assert dim_phi(tri) == r.max_dim_phi
 
 
-def test_mu_constraint_system_self_test():
-    for d, b in [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3)]:
-        assert _self_test(d, b)
+def _mu_constraints_ok(inst, rows):
+    """The full cone system in mu-coordinates, evaluated on one triangle:
+    order constraints plus the scaled-q inequalities
+    b(b-1) q_{i-1,j-1} <= b(b-1) q_{i,j}."""
+    d, b = inst.d, inst.b
+    for i in range(2, d + 1):
+        for j in range(i, d + 1):
+            v = rows[i - 1][j - i]
+            if not (rows[i - 2][j - i + 1] <= v <= rows[i - 2][j - i]):
+                return False
+            if sv._scaled_q(rows, d, b, i - 1, j - 1) > sv._scaled_q(rows, d, b, i, j):
+                return False
+    return True
+
+
+def _sampling_self_test(d, b):
+    """Oracle for solver._self_test: on 200 seeded triangles, half of them
+    biased toward feasibility, the mu-system agrees with membership of
+    q_from_mu in the cone Q, all in Fraction arithmetic."""
+    inst = KisinInstance(d, b)
+    rng = random.Random(10_000 * d + b)
+    Q = cone_q(inst)
+    for trial in range(200):
+        if trial % 2 == 0:
+            rows = [[rng.randint(-6, 6) for _ in range(d - i)] for i in range(d)]
+        else:
+            top = sorted((rng.randint(-6, 6) for _ in range(d)), reverse=True)
+            rows = [top]
+            for i in range(2, d + 1):
+                prev = rows[-1]
+                rows.append([rng.randint(min(prev[k + 1], prev[k]), max(prev[k + 1], prev[k]))
+                             for k in range(d - i + 1)])
+        tri = MuTriangle(inst, {(i, j): rows[i - 1][j - i] for (i, j) in inst.cells})
+        if _mu_constraints_ok(inst, rows) != Q.contains(q_from_mu(tri).values):
+            raise AssertionError(f"mu-system and q-system disagree at d={d} b={b} rows={rows}")
+    return True
+
+
+SELF_TEST_GRID = [(d, b) for d in range(1, 5) for b in (2, 3, 5, 7, 101, 10007)]
+
+
+@pytest.fixture
+def cold_mu_system():
+    """Clear the per-(d, b) proofs before and after a test that patches
+    what they are read from."""
+    caches = (sv._self_test, sv._mu_system_rows, sv._top_bound_certified)
+    for fn in caches:
+        fn.cache_clear()
+    yield
+    for fn in caches:
+        fn.cache_clear()
+
+
+@pytest.mark.parametrize("d,b", SELF_TEST_GRID)
+def test_mu_constraint_system_self_test(d, b):
+    assert _sampling_self_test(d, b)
+    assert _self_test(d, b)
+    assert len(sv._mu_system_rows(d, b)) == 3 * d * (d - 1) // 2
 
 
 def test_mu_constraints_match_cone_on_feasible_triangle():
     inst = KisinInstance(3, 2)
-    rows = [[6, 3, 0], [4, 2], [3]]
-    tri = MuTriangle(inst, {(i, j): rows[i - 1][j - i]
-                            for (i, j) in inst.cells})
-    assert mu_constraints_ok(inst, rows) == cone_q(inst).contains(
-        q_from_mu(tri).values)
+    # the first triangle is a search witness; the second interlaces but
+    # breaks a scaled-q inequality
+    for rows, inside in (([[6, 3, 0], [5, 2], [4]], True),
+                         ([[6, 3, 0], [4, 2], [3]], False)):
+        tri = MuTriangle(inst, {(i, j): rows[i - 1][j - i]
+                                for (i, j) in inst.cells})
+        assert _mu_constraints_ok(inst, rows) == inside
+        assert cone_q(inst).contains(q_from_mu(tri).values) == inside
+
+
+@pytest.mark.parametrize("form", [(i, j) for i in range(1, 5) for j in range(i, 5)
+                                  if (i, j) != (1, 4)])
+def test_self_test_catches_perturbed_scaled_q(form, monkeypatch, cold_mu_system):
+    # (1, 4) is the one q-form of d = 4 that no row of the mu-system uses
+    scaled_q = sv._scaled_q
+
+    def perturbed(rows, d, b, i, j):
+        return scaled_q(rows, d, b, i, j) + (rows[i - 1][0] if (i, j) == form else 0)
+
+    monkeypatch.setattr(sv, "_scaled_q", perturbed)
+    for b in (2, 3):
+        with pytest.raises(AssertionError, match="disagree"):
+            _self_test(4, b)
+
+
+@pytest.mark.parametrize("b", (2, 3))
+def test_self_test_catches_cone_with_a_halfspace_dropped(b, monkeypatch, cold_mu_system):
+    inst = KisinInstance(4, b)
+    full = cone_q(inst)
+    for k in range(len(full.halfspaces)):
+        dropped = HPolyhedron(full.dim, full.halfspaces[:k] + full.halfspaces[k + 1:])
+        monkeypatch.setattr(km, "cone_q", lambda inst: dropped)
+        sv._self_test.cache_clear()
+        with pytest.raises(AssertionError, match="disagree"):
+            _self_test(4, b)
+
+
+@pytest.mark.parametrize("extra", [dict(is_eq=True), dict(offset=F(1))])
+def test_self_test_rejects_a_cone_not_cut_by_linear_inequalities(extra, monkeypatch,
+                                                                 cold_mu_system):
+    full = cone_q(KisinInstance(3, 2))
+    h = full.halfspaces[0]
+    changed = HPolyhedron(full.dim, full.halfspaces + (Halfspace(h.normal, **extra),))
+    monkeypatch.setattr(km, "cone_q", lambda inst: changed)
+    with pytest.raises(AssertionError, match="equation or an offset row"):
+        _self_test(3, 2)
+
+
+def test_search_runs_the_proof(monkeypatch, cold_mu_system):
+    # a cold search for a new (d, b) must refuse to run on a mu-system that
+    # is not the cone Q
+    inst = KisinInstance(3, 2)
+    full = cone_q(inst)
+    monkeypatch.setattr(km, "cone_q", lambda inst: HPolyhedron(full.dim, full.halfspaces[1:]))
+    monkeypatch.setattr(sv, "_memo", {})
+    with pytest.raises(AssertionError, match="disagree"):
+        dim_exact(DimQuery(inst, "mu", mu=(4, 2, 0)))
+
+
+@pytest.mark.parametrize("b", (2, 3, 10007))
+def test_self_test_reads_each_unit_triangle_once(b, monkeypatch, cold_mu_system):
+    calls = []
+    transform = km.q_from_mu
+
+    def counted(m):
+        calls.append(m)
+        return transform(m)
+
+    monkeypatch.setattr(km, "q_from_mu", counted)
+    assert _self_test(4, b)
+    assert 0 < len(calls) <= KisinInstance(4, b).dim_E
 
 
 def test_shift_invariance_of_dim():

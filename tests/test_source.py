@@ -34,7 +34,8 @@ def test_no_assert_statements_in_src():
 
 def test_every_lru_cache_is_bounded():
     caches = dict(_lru_caches())
-    assert {"kisindim.solver._self_test", "kisindim.bounds._q_rays",
+    assert {"kisindim.solver._self_test", "kisindim.solver._mu_system_rows",
+            "kisindim.bounds._q_rays",
             "kisindim.bounds._variant_generators_cached"} <= set(caches)
     unbounded = [name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None]
