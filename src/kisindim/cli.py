@@ -112,8 +112,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    if args.dmax is None and args.d is None:
-        raise ValueError("tables needs --d or --dmax")
+    if (args.dmax is None) == (args.d is None):
+        raise ValueError("tables needs exactly one of --d and --dmax")
+    if args.dmax is not None and args.dmax < 2:
+        raise ValueError("tables --dmax must be >= 2, the first row of the table")
     ds = range(2, args.dmax + 1) if args.dmax is not None else (args.d,)
     for d in ds:
         validity = bd.TABLE2_VALIDITY.get(d)

@@ -3,12 +3,17 @@
 The search runs in mu-coordinates: the top row is (part of) the query, the
 lower rows are enumerated row by row under the order constraints
 mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1}, the integral row congruences, and
-the remaining cone inequalities (checked incrementally through the scaled
-q-coordinates, which are integer linear forms).  `_self_test` proves once
-per (d, b) that this system is the cone Q: it and Q pulled back through
-q_from_mu are the same set of primitive integer rows over the mu-cells.
-A relaxation bound on the unfilled cells prunes branches that cannot beat
-the incumbent.
+the remaining cone inequalities, the scaled-q rows (integer linear forms).
+They are enforced as caps, not checked on complete rows: once rows r-2 and
+r-1 are fixed, each level-(r-1) row reads sum_s c_{j,s} mu_{r,s} <= S_j
+with c_{j,s} = b for s <= j and 1 otherwise, so every cell of row r gets an
+integer upper bound from the slacks left by the cells before it (bounds
+propagation), and the level-d row is a lower bound on mu_{d,d}.  A row
+whose slacks are negative before its first cell is skipped.  `_self_test`
+proves once per (d, b) that this system is the cone Q: it and Q pulled
+back through q_from_mu are the same set of primitive integer rows over the
+mu-cells.  A relaxation bound on the unfilled cells prunes branches that
+cannot beat the incumbent.
 
 The e-bounded and dominance-bounded families take a maximum over many top
 rows.  Each top has the bound floor(<2 rho | top> / (b+1)), with
@@ -255,13 +260,6 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget):
     rows = [list(top)] + [[0] * (d - i + 1) for i in range(2, d + 1)]
     best = [None, None]
 
-    def check_level(i):
-        # scaled-q constraints with index i (need rows i-1, i, i+1)
-        for j in range(i, d + 1):
-            if _scaled_q(rows, d, b, i - 1, j - 1) > _scaled_q(rows, d, b, i, j):
-                return False
-        return True
-
     def remaining_bound(r):
         # each unfilled cell (r', j) is at least the entry above it
         return sum(rows[r - 2][j - r + 1] for rp in range(r, d + 1)
@@ -269,10 +267,7 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget):
 
     def fill_row(r, partial_sum):
         if r > d:
-            if not check_level(d):
-                return
-            total = partial_sum
-            value = const - total
+            value = const - partial_sum
             if best[0] is None or value > best[0]:
                 best[0] = value
                 best[1] = [row[:] for row in rows]
@@ -280,33 +275,55 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget):
         # prune: even the smallest legal completion cannot beat the incumbent
         if best[0] is not None and const - partial_sum - remaining_bound(r) <= best[0]:
             return
-        prev = rows[r - 2]
-        row = rows[r - 1]
-
-        def fill_cell(idx, row_sum):
-            if idx == d - r + 1:
-                if (row_sum % (b - 1)) != 0:
-                    return
-                if r >= 3 and not check_level(r - 1):
-                    return
-                fill_row(r + 1, partial_sum + row_sum)
+        prev, row = rows[r - 2], rows[r - 1]
+        n = d - r + 1  # cells of row r; cell idx is mu_{r, r+idx}
+        lows = prev[1:]  # a copy: the level-d row may raise lows[0]
+        # row r is still zero, so each _scaled_q below reads the fixed rows only
+        if r == d:
+            # the level-d row, (b+1) mu_{d,d} >= b mu_{d-1,d-1} + mu_{d-1,d},
+            # raises the lower bound of the last cell
+            lows[0] = max(lows[0], -((_scaled_q(rows, d, b, d, d)
+                                      - _scaled_q(rows, d, b, d - 1, d - 1)) // (b + 1)))
+        if r >= 3:
+            # the level-(r-1) row j = r-1+k reads sum_s c_{j,s} mu_{r,s} <= S_j,
+            # with c_{j,s} = b for s <= j and 1 for s > j; rem[k] is its slack
+            # with every cell of row r at its lower bound
+            rem = [_scaled_q(rows, d, b, r - 1, j) - _scaled_q(rows, d, b, r - 2, j - 1)
+                   - b * sum(lows[:k]) - sum(lows[k:])
+                   for k, j in enumerate(range(r - 1, d + 1))]
+            if min(rem) < 0:
                 return
-            lo, hi = prev[idx + 1], prev[idx]
-            if idx == d - r:  # last cell of the row: walk its residue class
+        else:
+            # row 2 meets no scaled-q row: slacks that no choice of its cells uses up
+            rem = [b * (prev[0] - prev[-1])] * (n + 1)
+        # raising cell s by one spends b of the slack of each row j >= s and 1
+        # of each row j < s; every cell before s spent b of each row j >= s
+        tail = [min(rem[k + 1:]) // b for k in range(n)]
+
+        def fill_cell(idx, row_sum, used, slack):
+            # used: how far the cells set so far rose above their lower bounds;
+            # slack: the least slack left among the rows j < s, s = r + idx
+            if idx == n:
+                if row_sum % (b - 1) == 0:
+                    fill_row(r + 1, partial_sum + row_sum)
+                return
+            lo = lows[idx]
+            hi = min(prev[idx], lo + min(slack, tail[idx] - used))
+            if idx == n - 1:  # last cell of the row: walk its residue class
                 res = (-row_sum) % (b - 1)
                 start = lo + ((res - lo) % (b - 1))
                 step = b - 1
             else:
                 start, step = lo, 1
-            v = start
-            while v <= hi:
+            for v in range(start, hi + 1, step):
                 budget.spend()
                 row[idx] = v
-                fill_cell(idx + 1, row_sum + v)
-                v += step
+                up = used + v - lo
+                fill_cell(idx + 1, row_sum + v, up,
+                          min(slack - v + lo, rem[idx + 1] - b * up))
             row[idx] = 0
 
-        fill_cell(0, 0)
+        fill_cell(0, 0, 0, rem[0])
 
     if d == 1:
         result = (0, [list(top)]) if top[0] % (b - 1) == 0 else (None, None)

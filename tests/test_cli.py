@@ -100,6 +100,25 @@ def test_tables_dmax_validity_gate(capsys):
     assert capsys.readouterr().out.splitlines() == ["d,K,K_plus_Cstar", "2,1,1", "3,3,3"]
 
 
+def test_tables_d_with_dmax_is_invalid_input(capsys):
+    # --d names one coordinate table and --dmax a count table; neither may
+    # be dropped silently
+    for argv in (("--d", "3", "--dmax", "4"), ()):
+        assert main(["tables", "--b", "10000", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid input: tables needs exactly one of --d and --dmax" in captured.err
+
+
+@pytest.mark.parametrize("dmax", ("1", "0", "-3"))
+def test_tables_dmax_below_two_is_invalid_input(capsys, dmax):
+    # the count table starts at d = 2; a smaller --dmax would print a bare header
+    assert main(["tables", "--b", "2", "--dmax", dmax]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input: tables --dmax must be >= 2" in captured.err
+
+
 def test_tables_coordinates(capsys):
     code, out = run(capsys, "tables", "--b", "7", "--d", "2")
     assert code == 0

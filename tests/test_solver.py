@@ -468,3 +468,86 @@ def test_memo_cap_changes_no_result(monkeypatch):
         dim_exact(q, budget=r.nodes)
         with pytest.raises(BudgetExceeded):
             dim_exact(q, budget=r.nodes - 1)
+
+
+# ---------------------------------------------------------------------------
+# caps from the scaled-q rows: the row-end-check search as the oracle
+# ---------------------------------------------------------------------------
+
+def _row_end_max_dim_top(inst, top, budget):
+    """The search before the caps, kept as the oracle for
+    solver._max_dim_top: each cell ranges over its order interval, each
+    level-(r-1) scaled-q row is checked once row r is complete and the
+    level-d row at the leaf.  No memo; a memo hit charges the same nodes."""
+    d, b = inst.d, inst.b
+    if d == 1:
+        return (0, [list(top)]) if top[0] % (b - 1) == 0 else (None, None)
+    if sum(top) % (b - 1):
+        return None, None
+    const = sv._dim_form([top], d)
+    rows = [list(top)] + [[0] * (d - i + 1) for i in range(2, d + 1)]
+    best = [None, None]
+
+    def check_level(i):
+        return all(sv._scaled_q(rows, d, b, i - 1, j - 1) <= sv._scaled_q(rows, d, b, i, j)
+                   for j in range(i, d + 1))
+
+    def fill_row(r, partial_sum):
+        if r > d:
+            if check_level(d) and (best[0] is None or const - partial_sum > best[0]):
+                best[:] = const - partial_sum, [row[:] for row in rows]
+            return
+        remaining = sum(rows[r - 2][j - r + 1] for rp in range(r, d + 1)
+                        for j in range(rp, d + 1))
+        if best[0] is not None and const - partial_sum - remaining <= best[0]:
+            return
+        prev, row = rows[r - 2], rows[r - 1]
+
+        def fill_cell(idx, row_sum):
+            if idx == d - r + 1:
+                if row_sum % (b - 1) == 0 and (r < 3 or check_level(r - 1)):
+                    fill_row(r + 1, partial_sum + row_sum)
+                return
+            lo, hi = prev[idx + 1], prev[idx]
+            step = b - 1 if idx == d - r else 1  # the last cell walks its residue class
+            for v in range(lo + (-row_sum - lo) % step, hi + 1, step):
+                budget.spend()
+                row[idx] = v
+                fill_cell(idx + 1, row_sum + v)
+            row[idx] = 0
+
+        fill_cell(0, 0)
+
+    fill_row(2, 0)
+    return best[0], best[1]
+
+
+def _assert_matches_row_end_oracle(query, monkeypatch):
+    monkeypatch.setattr(sv, "_memo", {})
+    r = dim_exact(query, budget=10 ** 9)
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_max_dim_top", _row_end_max_dim_top)
+        o = dim_exact(query, budget=10 ** 9)
+    assert (r.status, r.dim, r.interval, r.witness) == (o.status, o.dim, o.interval, o.witness), \
+        query
+    assert r.nodes <= o.nodes, query
+    return r.nodes, o.nodes
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+@pytest.mark.parametrize("b", (2, 3, 5))
+def test_capped_search_matches_row_end_oracle(d, b, monkeypatch):
+    counts = []
+    for e in range(0, 11 if d == 4 else 13):
+        for h_zero in (False, True):
+            counts.append(_assert_matches_row_end_oracle(
+                DimQuery(KisinInstance(d, b, h_zero), "le_e", e=e), monkeypatch))
+    rng = random.Random(1000 * d + b)
+    for k in range(8):
+        mu = tuple(sorted((rng.randint(0, 14 if d < 4 else 10) for _ in range(d)),
+                          reverse=True))
+        for kind in ("mu", "le_mu"):
+            counts.append(_assert_matches_row_end_oracle(
+                DimQuery(KisinInstance(d, b, k % 2 == 0), kind, mu=mu), monkeypatch))
+    # the caps must show in the count
+    assert sum(n for n, _ in counts) < sum(o for _, o in counts)
