@@ -233,23 +233,29 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Report a malformed command line as invalid input (exit 1), not with
+    argparse's own exit 2, which the CLI keeps for budget refusals; the
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="kisindim",
-                                description="exact Kisin-variety dimension engine")
+    p = _Parser(prog="kisindim", description="exact Kisin-variety dimension engine")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_db=True):
-        if need_db:
-            sp.add_argument("--d", type=int, required=True)
-            sp.add_argument("--b", type=int, required=True)
+    def common(sp):
+        sp.add_argument("--d", type=int, required=True)
+        sp.add_argument("--b", type=int, required=True)
         sp.add_argument("--h0", action="store_true", help="the h = 0 regime")
-        sp.add_argument("--budget", type=int, default=sv.DEFAULT_BUDGET)
-        sp.add_argument("--format", choices=("json", "csv", "dot"), default="json")
+        sp.add_argument("--format", choices=("json",), default="json")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("dim", help="exact dimension by lattice-point search")
     common(sp)
+    sp.add_argument("--budget", type=int, default=sv.DEFAULT_BUDGET)
     sp.add_argument("--mu", default=None, help="comma-separated divisor type")
     sp.add_argument("--e", type=int, default=None)
     sp.add_argument("--le-mu", action="store_true",
@@ -300,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except sv.BudgetExceeded as exc:
         sys.stderr.write(f"budget refusal: {exc}\n")

@@ -725,33 +725,6 @@ def maxflow(net: FlowNetwork):
     return total, {i: flow[i] for i in range(m)}
 
 
-def min_cut_exhaustive(net: FlowNetwork):
-    """Oracle: minimum cut capacity over all 2^|S| cuts (use on tiny graphs).
-
-    Any cut containing an infinite edge counts as infinite.
-    """
-    import math
-    from itertools import combinations
-
-    others = sorted(net.nodes() - {net.source, net.sink}, key=repr)
-    best = None
-    for k in range(len(others) + 1):
-        for sub in combinations(others, k):
-            side = set(sub) | {net.source}
-            total = Fraction(0)
-            infinite = False
-            for u, v, c in net.edges:
-                if u in side and v not in side:
-                    if c is INF:
-                        infinite = True
-                        break
-                    total += c
-            val = math.inf if infinite else total
-            if best is None or val < best:
-                best = val
-    return best
-
-
 # ---------------------------------------------------------------------------
 # graph cones and their dual-membership oracles
 # ---------------------------------------------------------------------------

@@ -12,8 +12,26 @@ propagation), and the level-d row is a lower bound on mu_{d,d}.  A row
 whose slacks are negative before its first cell is skipped.  `_self_test`
 proves once per (d, b) that this system is the cone Q: it and Q pulled
 back through q_from_mu are the same set of primitive integer rows over the
-mu-cells.  A relaxation bound on the unfilled cells prunes branches that
-cannot beat the incumbent.
+mu-cells.
+
+Each row is set up in O(d) by closed forms, with no _scaled_q call.  With
+P, Q the rows r-2, r-1 and R the lower bounds of row r, the slacks are
+rem_0 = (b-1)(Q_0 - P_0) + 2 sum Q - sum P - sum R and
+rem_{k+1} = rem_k + (b-1)(Q_{k+1} - P_{k+1} + Q_k - R_k); the level-d row
+is the same form with no row below it, (b+1) mu_{d,d} >= b Q_0 + Q_1.
+`_row_slacks_proved` checks once per (d, b) that the forms equal the
+scaled-q rows read off _scaled_q on every unit triangle; both are linear,
+so they are equal everywhere.
+
+Two lower bounds on the unfilled cells, rows r..d, prune branches that
+cannot beat the incumbent; the search takes the larger.  Each cell is at
+least the entry above it, so they sum to at least sum_t t Q_t.  And rows
+r-1..d satisfy the d' = d-r+2 system shifted, so by the top-row bound
+below their dim is at most floor(<2 rho' | Q> / (b+1)), hence the unfilled
+cells sum to at least sum_t (d'-1-t) Q_t - floor(<2 rho' | Q> / (b+1)).
+The second bound is used only once `_sub_bound_certified` has checked, for
+every d' = 2..d, that the shifted d'-rows are rows of the d-system and
+that `_top_bound_certified(d', b)` holds.
 
 The e-bounded and dominance-bounded families take a maximum over many top
 rows.  Each top has the bound floor(<2 rho | top> / (b+1)), with
@@ -227,6 +245,61 @@ def _top_bound_certified(d: int, b: int, divisor: int | None = None) -> bool:
     return in_cone(_mu_system_rows(d, b), target)
 
 
+def _row_slacks(P, Q, R, b):
+    """The level-(r-1) scaled-q rows with rows r-2, r-1, r equal to P, Q, R,
+    in O(d): entry k is _scaled_q(r-1, r-1+k) - _scaled_q(r-2, r-2+k).
+    From one row to the next, each of the two _scaled_q weighs one more
+    column by b instead of 1, hence the steps of (b-1) times a column."""
+    rem = [(b - 1) * (Q[0] - P[0]) + 2 * sum(Q) - sum(P) - sum(R)]
+    for k, x in enumerate(R):
+        rem.append(rem[k] + (b - 1) * (Q[k + 1] - P[k + 1] + Q[k] - x))
+    return rem
+
+
+@lru_cache(maxsize=1024)
+def _row_slacks_proved(d: int, b: int) -> bool:
+    """Prove the closed form _row_slacks for (d, b), or raise AssertionError:
+    for 3 <= r <= d+1 (row d+1 is empty) it must equal the scaled-q rows
+    read off _scaled_q on every unit triangle.  Both sides are linear forms
+    of the mu-cells, so agreeing on a basis makes them equal everywhere, and
+    the rows the search sets up stay the rows _self_test proves."""
+    for rows in _unit_triangles(d):
+        rows.append([])
+        for r in range(3, d + 2):
+            got = _row_slacks(rows[r - 3], rows[r - 2], rows[r - 1], b)
+            want = [_scaled_q(rows, d, b, r - 1, j) - _scaled_q(rows, d, b, r - 2, j - 1)
+                    for j in range(r - 1, d + 1)]
+            if got != want:
+                raise AssertionError(f"_row_slacks and _scaled_q disagree at d={d} b={b} "
+                                     f"r={r} on the unit triangle {rows[:-1]}")
+    return True
+
+
+@lru_cache(maxsize=1024)
+def _sub_bound_certified(d: int, b: int) -> bool:
+    """Prove the sub-triangle bound of _max_dim_top for (d, b): for each
+    2 <= d' <= d, the rows of the d'-system moved onto the last d' rows and
+    columns of the triangle must be rows of the d-system, and
+    _top_bound_certified(d', b) must hold.  Then rows r-1..d of each
+    triangle the search accepts satisfy the d'-system for d' = d-r+2, and
+    their dim is at most the top bound of row r-1."""
+    cells = {(i, j): k for k, (i, j) in enumerate(
+        (i, j) for i in range(1, d + 1) for j in range(i, d + 1))}
+    full = set(_mu_system_rows(d, b))
+    for dp in range(2, d + 1):
+        shift = d - dp
+        at = [cells[i + shift, j + shift] for i in range(1, dp + 1) for j in range(i, dp + 1)]
+        for sub_row in _mu_system_rows(dp, b):
+            row = [0] * len(cells)
+            for k, x in zip(at, sub_row):
+                row[k] = x
+            if tuple(row) not in full:
+                return False
+        if not _top_bound_certified(dp, b):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # the core search: maximal dim(phi) with a prescribed top row
 # ---------------------------------------------------------------------------
@@ -255,15 +328,26 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget):
         budget.spend(cost)
         return value, rows
     _self_test(d, b)
+    _row_slacks_proved(d, b)
+    sub_bound = _sub_bound_certified(d, b)
     start_left = budget.left
     const = _dim_form([top], d)
     rows = [list(top)] + [[0] * (d - i + 1) for i in range(2, d + 1)]
     best = [None, None]
 
     def remaining_bound(r):
-        # each unfilled cell (r', j) is at least the entry above it
-        return sum(rows[r - 2][j - r + 1] for rp in range(r, d + 1)
-                   for j in range(rp, d + 1))
+        # a lower bound on the sum of the unfilled cells, rows r..d, from
+        # Q = row r-1: each cell is at least the entry above it, so they sum
+        # to at least w = sum_t t Q[t]
+        Q = rows[r - 2]
+        w = sum(t * x for t, x in enumerate(Q))
+        if not sub_bound:
+            return w
+        # rows r-1..d satisfy the (n+1)-system, n = d-r+1, so their dim,
+        # sum_t (n-t) Q[t] = x + w minus the unfilled cells, is at most
+        # floor(x / (b+1)) with x = <2 rho' | Q> = sum_t (n-2t) Q[t]
+        x = (d - r + 1) * sum(Q) - 2 * w
+        return max(w, x + w - x // (b + 1))
 
     def fill_row(r, partial_sum):
         if r > d:
@@ -278,19 +362,16 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget):
         prev, row = rows[r - 2], rows[r - 1]
         n = d - r + 1  # cells of row r; cell idx is mu_{r, r+idx}
         lows = prev[1:]  # a copy: the level-d row may raise lows[0]
-        # row r is still zero, so each _scaled_q below reads the fixed rows only
         if r == d:
-            # the level-d row, (b+1) mu_{d,d} >= b mu_{d-1,d-1} + mu_{d-1,d},
-            # raises the lower bound of the last cell
-            lows[0] = max(lows[0], -((_scaled_q(rows, d, b, d, d)
-                                      - _scaled_q(rows, d, b, d - 1, d - 1)) // (b + 1)))
+            # the level-d row is the level-(r-1) row of r = d+1, which has no
+            # row below it: its slack with mu_{d,d} = 0 is -(b mu_{d-1,d-1} +
+            # mu_{d-1,d}), and (b+1) mu_{d,d} must make up for it
+            lows[0] = max(lows[0], -(_row_slacks(prev, (0,), (), b)[0] // (b + 1)))
         if r >= 3:
             # the level-(r-1) row j = r-1+k reads sum_s c_{j,s} mu_{r,s} <= S_j,
             # with c_{j,s} = b for s <= j and 1 for s > j; rem[k] is its slack
             # with every cell of row r at its lower bound
-            rem = [_scaled_q(rows, d, b, r - 1, j) - _scaled_q(rows, d, b, r - 2, j - 1)
-                   - b * sum(lows[:k]) - sum(lows[k:])
-                   for k, j in enumerate(range(r - 1, d + 1))]
+            rem = _row_slacks(rows[r - 3], prev, lows, b)
             if min(rem) < 0:
                 return
         else:

@@ -230,3 +230,52 @@ def test_budget_is_deterministic_cold_and_warm(capsys, monkeypatch):
         assert main(argv + [str(budget)]) == code  # cold memo
         assert main(argv + [str(budget)]) == code  # warm memo
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", (
+    ["dim", "--d", "2", "--b", "x", "--e", "3"],  # not an integer
+    ["dim", "--d", "2", "--e", "3"],  # a required flag is missing
+    ["tables", "--d", "3"],
+    ["frobnicate"],  # no such command
+    [],
+))
+def test_malformed_command_line_is_invalid_input(capsys, argv):
+    # exit 2 means a budget refusal, so argparse must not use it
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--help"])
+    assert exc.value.code == 0
+    assert "--budget" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", (
+    ["dim", "--d", "2", "--b", "2", "--e", "3", "--format", "csv"],
+    ["dim", "--d", "2", "--b", "2", "--e", "3", "--seed", "1"],
+    ["bounds", "--d", "2", "--b", "2", "--e", "3", "--format", "dot"],
+    ["bounds", "--d", "2", "--b", "2", "--e", "3", "--budget", "10"],
+    ["bounds", "--d", "2", "--b", "2", "--e", "3", "--seed", "1"],
+    ["witness", "--d", "2", "--b", "2", "--e", "3", "--format", "csv"],
+    ["witness", "--d", "2", "--b", "2", "--e", "3", "--budget", "10"],
+    ["witness", "--d", "2", "--b", "2", "--e", "3", "--seed", "1"],
+))
+def test_flags_a_command_would_ignore_are_invalid_input(capsys, argv):
+    # these commands print JSON only and read no seed; bounds and witness
+    # run no search, so a budget would bound nothing
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ("dim", "bounds", "witness"))
+def test_format_json_is_the_default(capsys, command):
+    argv = [command, "--d", "2", "--b", "2", "--e", "3"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == default
+    json.loads(default)

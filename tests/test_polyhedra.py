@@ -12,7 +12,7 @@ from kisindim.polyhedra import (FlowNetwork, HPolyhedron, INF, VPolyhedron,
                                 cone_generators, cone_hull, dot, dual_cone,
                                 dual_cone_h, enumerate_vertices,
                                 graph_cone_dual_membership, in_cone, maxflow,
-                                min_cut_exhaustive, minkowski_sum_cone,
+                                minkowski_sum_cone,
                                 normalize_ray, polyhedra_set_equal, rank, v_to_h,
                                 vec, vertices_of_sum)
 
@@ -369,6 +369,21 @@ def test_contains_dimension_mismatch():
 # ---------------------------------------------------------------------------
 # max flow
 # ---------------------------------------------------------------------------
+
+def min_cut_exhaustive(net: FlowNetwork):
+    """Oracle for maxflow: the minimum cut capacity over all 2^|S| cuts (use
+    on tiny graphs).  A cut containing an infinite edge counts as infinite."""
+    others = sorted(net.nodes() - {net.source, net.sink}, key=repr)
+    best = None
+    for k in range(len(others) + 1):
+        for sub in combinations(others, k):
+            side = set(sub) | {net.source}
+            crossing = [c for u, v, c in net.edges if u in side and v not in side]
+            val = inf if INF in crossing else sum(crossing, F(0))
+            if best is None or val < best:
+                best = val
+    return best
+
 
 def test_maxflow_single_edge():
     net = FlowNetwork("D", "A", [("D", "A", F(5))])

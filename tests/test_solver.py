@@ -117,7 +117,8 @@ SELF_TEST_GRID = [(d, b) for d in range(1, 5) for b in (2, 3, 5, 7, 101, 10007)]
 def cold_mu_system():
     """Clear the per-(d, b) proofs before and after a test that patches
     what they are read from."""
-    caches = (sv._self_test, sv._mu_system_rows, sv._top_bound_certified)
+    caches = (sv._self_test, sv._mu_system_rows, sv._top_bound_certified,
+              sv._row_slacks_proved, sv._sub_bound_certified)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -534,20 +535,185 @@ def _assert_matches_row_end_oracle(query, monkeypatch):
     return r.nodes, o.nodes
 
 
-@pytest.mark.parametrize("d", (2, 3, 4))
-@pytest.mark.parametrize("b", (2, 3, 5))
-def test_capped_search_matches_row_end_oracle(d, b, monkeypatch):
-    counts = []
+def _oracle_grid(d, b):
+    """le_e queries with and without h0, then eight seeded mu and le_mu
+    queries each."""
     for e in range(0, 11 if d == 4 else 13):
         for h_zero in (False, True):
-            counts.append(_assert_matches_row_end_oracle(
-                DimQuery(KisinInstance(d, b, h_zero), "le_e", e=e), monkeypatch))
+            yield DimQuery(KisinInstance(d, b, h_zero), "le_e", e=e)
     rng = random.Random(1000 * d + b)
     for k in range(8):
         mu = tuple(sorted((rng.randint(0, 14 if d < 4 else 10) for _ in range(d)),
                           reverse=True))
         for kind in ("mu", "le_mu"):
-            counts.append(_assert_matches_row_end_oracle(
-                DimQuery(KisinInstance(d, b, k % 2 == 0), kind, mu=mu), monkeypatch))
+            yield DimQuery(KisinInstance(d, b, k % 2 == 0), kind, mu=mu)
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+@pytest.mark.parametrize("b", (2, 3, 5))
+def test_capped_search_matches_row_end_oracle(d, b, monkeypatch):
+    counts = [_assert_matches_row_end_oracle(q, monkeypatch) for q in _oracle_grid(d, b)]
     # the caps must show in the count
     assert sum(n for n, _ in counts) < sum(o for _, o in counts)
+
+
+# ---------------------------------------------------------------------------
+# O(d) row set-up and the sub-triangle bound: the search that read each
+# row's slacks off _scaled_q and pruned by the order relaxation alone
+# ---------------------------------------------------------------------------
+
+def _capped_max_dim_top(inst, top, budget):
+    """The search before the closed-form row set-up and the sub-triangle
+    bound, kept as the oracle for solver._max_dim_top: each row's slacks
+    and the level-d bound are read off _scaled_q, and the unfilled cells
+    are bounded below by the entries above them only.  No memo; a memo hit
+    charges the same nodes."""
+    d, b = inst.d, inst.b
+    if d == 1:
+        return (0, [list(top)]) if top[0] % (b - 1) == 0 else (None, None)
+    if sum(top) % (b - 1):
+        return None, None
+    const = sv._dim_form([top], d)
+    rows = [list(top)] + [[0] * (d - i + 1) for i in range(2, d + 1)]
+    best = [None, None]
+
+    def fill_row(r, partial_sum):
+        if r > d:
+            if best[0] is None or const - partial_sum > best[0]:
+                best[:] = const - partial_sum, [row[:] for row in rows]
+            return
+        remaining = sum(rows[r - 2][j - r + 1] for rp in range(r, d + 1)
+                        for j in range(rp, d + 1))
+        if best[0] is not None and const - partial_sum - remaining <= best[0]:
+            return
+        prev, row = rows[r - 2], rows[r - 1]
+        n = d - r + 1
+        lows = prev[1:]
+        if r == d:
+            lows[0] = max(lows[0], -((sv._scaled_q(rows, d, b, d, d)
+                                      - sv._scaled_q(rows, d, b, d - 1, d - 1)) // (b + 1)))
+        if r >= 3:
+            rem = [sv._scaled_q(rows, d, b, r - 1, j) - sv._scaled_q(rows, d, b, r - 2, j - 1)
+                   - b * sum(lows[:k]) - sum(lows[k:])
+                   for k, j in enumerate(range(r - 1, d + 1))]
+            if min(rem) < 0:
+                return
+        else:
+            rem = [b * (prev[0] - prev[-1])] * (n + 1)
+        tail = [min(rem[k + 1:]) // b for k in range(n)]
+
+        def fill_cell(idx, row_sum, used, slack):
+            if idx == n:
+                if row_sum % (b - 1) == 0:
+                    fill_row(r + 1, partial_sum + row_sum)
+                return
+            lo = lows[idx]
+            hi = min(prev[idx], lo + min(slack, tail[idx] - used))
+            step = b - 1 if idx == n - 1 else 1  # the last cell walks its residue class
+            for v in range(lo + (-row_sum - lo) % step, hi + 1, step):
+                budget.spend()
+                row[idx] = v
+                up = used + v - lo
+                fill_cell(idx + 1, row_sum + v, up, min(slack - v + lo, rem[idx + 1] - b * up))
+            row[idx] = 0
+
+        fill_cell(0, 0, 0, rem[0])
+
+    fill_row(2, 0)
+    return best[0], best[1]
+
+
+def _vs_capped_oracle(query, monkeypatch):
+    monkeypatch.setattr(sv, "_memo", {})
+    r = dim_exact(query, budget=10 ** 9)
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_max_dim_top", _capped_max_dim_top)
+        o = dim_exact(query, budget=10 ** 9)
+    assert (r.status, r.dim, r.interval, r.witness) == (o.status, o.dim, o.interval, o.witness), \
+        query
+    return r.nodes, o.nodes
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+@pytest.mark.parametrize("b", (2, 3, 5))
+def test_closed_form_rows_match_capped_oracle(d, b, monkeypatch):
+    # without the sub-triangle bound the closed forms change no node count
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_sub_bound_certified", lambda d, b: False)
+        for q in _oracle_grid(d, b):
+            nodes, oracle_nodes = _vs_capped_oracle(q, monkeypatch)
+            assert nodes == oracle_nodes, q
+    # with it no query costs more, and at d = 4 the bound shows in the count;
+    # at b = 5 it prunes nothing on the grid, so one larger type joins it
+    counts = [_vs_capped_oracle(q, monkeypatch) for q in _oracle_grid(d, b)]
+    if d == 4:
+        counts.append(_vs_capped_oracle(
+            DimQuery(KisinInstance(4, b), "mu", mu=(24, 12, 8, 0)), monkeypatch))
+        assert sum(n for n, _ in counts) < sum(o for _, o in counts)
+    assert all(n <= o for n, o in counts)
+
+
+def test_node_counts_of_the_documented_queries(monkeypatch):
+    # the counts the README quotes; a weaker valid bound (a divisor b for
+    # b+1, say) changes no result, only these
+    monkeypatch.setattr(sv, "_memo", {})
+    for e, nodes in ((15, 231), (20, 46_278)):
+        assert dim_exact(DimQuery(KisinInstance(4, 2), "le_e", e=e)).nodes == nodes
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_row_slacks_and_sub_bound_are_proved(d):
+    for b in (2, 3, 5, 7, 101, 10007):
+        assert sv._row_slacks_proved(d, b)
+        assert sv._sub_bound_certified(d, b)
+
+
+def test_row_slacks_proof_catches_a_wrong_step(monkeypatch, cold_mu_system):
+    # b for b-1 in the step from one scaled-q row to the next
+    def mutant(P, Q, R, b):
+        rem = [(b - 1) * (Q[0] - P[0]) + 2 * sum(Q) - sum(P) - sum(R)]
+        for k, x in enumerate(R):
+            rem.append(rem[k] + b * (Q[k + 1] - P[k + 1] + Q[k] - x))
+        return rem
+
+    monkeypatch.setattr(sv, "_row_slacks", mutant)
+    for d in (3, 4):
+        with pytest.raises(AssertionError, match="disagree"):
+            sv._row_slacks_proved(d, 2)
+    monkeypatch.setattr(sv, "_memo", {})
+    with pytest.raises(AssertionError, match="disagree"):
+        dim_exact(DimQuery(KisinInstance(3, 2), "mu", mu=(4, 2, 0)))
+
+
+def test_row_slacks_proof_covers_the_level_d_row(monkeypatch, cold_mu_system):
+    # the level-d row is read with no row below it; a wrong first slack
+    # there must fail even at d = 2, which has no other scaled-q row
+    row_slacks = sv._row_slacks
+
+    def mutant(P, Q, R, b):
+        rem = row_slacks(P, Q, R, b)
+        return [rem[0] + (Q[0] if not R else 0)] + rem[1:]
+
+    monkeypatch.setattr(sv, "_row_slacks", mutant)
+    with pytest.raises(AssertionError, match="disagree"):
+        sv._row_slacks_proved(2, 3)
+
+
+def test_sub_bound_needs_every_smaller_certificate(monkeypatch, cold_mu_system):
+    certified = sv._top_bound_certified
+    monkeypatch.setattr(sv, "_top_bound_certified",
+                        lambda d, b, divisor=None: d != 3 and certified(d, b, divisor))
+    assert not sv._sub_bound_certified(4, 2)
+    assert sv._sub_bound_certified(2, 2)
+
+
+def test_sub_bound_needs_the_shifted_rows(monkeypatch, cold_mu_system):
+    # a d'-system row that the d-system lacks voids the bound
+    rows = sv._mu_system_rows
+
+    def extra(d, b):
+        out = rows(d, b)
+        return out + ((1,) + (0,) * (len(out[0]) - 1),) if d == 2 else out
+
+    monkeypatch.setattr(sv, "_mu_system_rows", extra)
+    assert not sv._sub_bound_certified(3, 2)
