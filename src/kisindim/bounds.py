@@ -13,14 +13,13 @@ the threshold for the extremal-point and cone-equality statements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf
 
 from . import kisin_model as km
 from . import perm as pm
-from .polyhedra import (HPolyhedron, Vec, cone_generators, cone_hull, dot, dual_cone,
+from .polyhedra import (Frozen, HPolyhedron, Vec, cone_generators, cone_hull, dot, dual_cone,
                         enumerate_vertices, fmt_frac, frac, in_cone, vec, vertices_of_sum)
 
 
@@ -163,35 +162,16 @@ def extremal_points_a_qmax(inst: km.KisinInstance) -> dict[pm.Permutation, Vec]:
 # optimal-value evaluators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DualityData:
+class DualityData(Frozen):
     """A cone variant, a constraint form, and target-space cones C and D.
 
     C and D are given by generator lists (rays; lines as +-pairs); D = None
     means the whole target space.
     """
 
-    instance: km.KisinInstance
-    variant: object = "Q"
-    form: str = "g"
-    C_gens: tuple[Vec, ...] = ()
-    D_gens: tuple[Vec, ...] | None = None
-
-
-def orthant_pm_gens() -> tuple[Vec, ...]:
-    """Generators of R+ x R- in the plane."""
-    return (vec((1, 0)), vec((0, -1)))
-
-
-def chain_cone_gens(d: int) -> tuple[Vec, ...]:
-    """Generators of {y_1 >= ... >= y_d}: prefix indicators plus the
-    constants line (both signs)."""
-    gens = []
-    for k in range(1, d):
-        gens.append(vec([1] * k + [0] * (d - k)))
-    gens.append(vec([1] * d))
-    gens.append(vec([-1] * d))
-    return tuple(gens)
+    def __init__(self, instance: km.KisinInstance, variant: object = "Q", form: str = "g",
+                 C_gens: tuple[Vec, ...] = (), D_gens: tuple[Vec, ...] | None = None):
+        self._store(locals())
 
 
 def b_value(dd: DualityData, y) -> Fraction | float:
@@ -248,12 +228,10 @@ def _variant_generators(inst, variant):
 # regularity and the minimum over permutations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegularityClass:
-    mu: Vec
-    b_regular: bool
-    integrally_b_regular: bool
-    strongly_integrally_b_regular: bool
+class RegularityClass(Frozen):
+    def __init__(self, mu: Vec, b_regular: bool, integrally_b_regular: bool,
+                 strongly_integrally_b_regular: bool):
+        self._store(locals())
 
 
 def regularity(mu, inst: km.KisinInstance) -> RegularityClass:
@@ -484,13 +462,10 @@ def witness_le_mu(inst: km.KisinInstance, mu):
 # the K(b) polytopes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KTables:
-    instance: km.KisinInstance
-    K: HPolyhedron
-    K_vertices: tuple[Vec, ...]
-    K_rays: tuple[Vec, ...]
-    Kp_vertices: tuple[Vec, ...]
+class KTables(Frozen):
+    def __init__(self, instance: km.KisinInstance, K: HPolyhedron, K_vertices: tuple[Vec, ...],
+                 K_rays: tuple[Vec, ...], Kp_vertices: tuple[Vec, ...]):
+        self._store(locals())
 
     @property
     def counts(self) -> tuple[int, int]:

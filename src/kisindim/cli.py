@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 from . import bounds as bd
@@ -40,6 +39,8 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kisindim-")
     try:
@@ -171,12 +172,16 @@ def cmd_d2_oracle(args) -> int:
 def cmd_verify(args) -> int:
     import random
 
+    if args.budget < 0:
+        raise ValueError("the node budget must be >= 0")
     failures = []
     lines = []
 
     def run(name, fn):
         try:
             ok, detail = fn()
+        except sv.BudgetExceeded:  # a refusal, not a failed check: exit 2
+            raise
         except Exception as exc:  # a crash is a failure with its message
             ok, detail = False, repr(exc)
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name}" + ("" if ok else f"  [{detail}]"))

@@ -14,27 +14,22 @@ h = 0).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import perm as pm
-from .polyhedra import (HPolyhedron, Vec, dot, fmt_frac, frac, parse_frac, vec)
+from .polyhedra import (Frozen, HPolyhedron, Vec, dot, fmt_frac, frac, parse_frac, vec)
 
 
-@dataclass(frozen=True)
-class KisinInstance:
+class KisinInstance(Frozen):
     """Problem size d, Frobenius exponent base b, and the h = 0 flag that
     switches exact stratum dimensions to intervals of width d(d-1)/2."""
 
-    d: int
-    b: int
-    h_zero: bool = False
-
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, b: int, h_zero: bool = False):
+        if d < 1:
             raise ValueError("d must be >= 1")
-        if self.b < 2:
+        if b < 2:
             raise ValueError("b must be >= 2")
+        self._store(locals())
 
     @property
     def b0(self) -> int:
@@ -352,19 +347,6 @@ def cone_qw(inst: KisinInstance, w: pm.Permutation) -> HPolyhedron:
     return HPolyhedron.build(inst.dim_E, ineqs)
 
 
-def build_cones(inst: KisinInstance) -> dict:
-    """All the standing cones plus the lattice membership predicates."""
-    return {
-        "Q": cone_q(inst),
-        "Q_max": cone_qmax(inst),
-        "Q_min": cone_qmin(inst),
-        "C": cone_chain(inst.d),
-        "Reg": cone_regular(inst),
-        "lattice_q": lambda q: q.in_lattice(),
-        "lattice_mu": lambda m: m.in_lattice(),
-    }
-
-
 # ---------------------------------------------------------------------------
 # the dimension functional
 # ---------------------------------------------------------------------------
@@ -393,15 +375,15 @@ def dim_phi(x: QPoint | MuTriangle) -> Fraction:
 # piecewise-affine profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhiFunctions:
+class PhiFunctions(Frozen):
     """The d-tuple phi (slope b) and companion tuple psi (slope 1/b), stored
     by their breakpoints: phi_pieces[i-1] = [(q_{i,j}, mu_{i,j}) for j = d..i],
     psi_pieces[j-1] = [(mu_{i,j}, q_{i,j}) for i = 1..j]."""
 
-    instance: KisinInstance
-    phi_pieces: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
-    psi_pieces: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
+    def __init__(self, instance: KisinInstance,
+                 phi_pieces: tuple[tuple[tuple[Fraction, Fraction], ...], ...],
+                 psi_pieces: tuple[tuple[tuple[Fraction, Fraction], ...], ...]):
+        self._store(locals())
 
     def phi(self, i: int, x) -> Fraction | None:
         """phi_i(x); None encodes -infinity."""
@@ -559,18 +541,13 @@ def _phi_preimage(p: PhiFunctions, i: int, value: Fraction):
 # the d = 2 lattice oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class D2LatticeData:
+class D2LatticeData(Frozen):
     """Profile data of the rank-2 lattice spanned by (u^alpha, 0) and
     (u^gamma, u^delta), in the regime gamma < delta < alpha."""
 
-    instance: KisinInstance
-    alpha: int
-    gamma: int
-    delta: int
-    mu1: int
-    mu2: int
-    profile: PhiFunctions
+    def __init__(self, instance: KisinInstance, alpha: int, gamma: int, delta: int,
+                 mu1: int, mu2: int, profile: PhiFunctions):
+        self._store(locals())
 
     def phi1(self, v):
         return self.profile.phi(1, v)

@@ -10,16 +10,14 @@ defined by lexicographic comparison of iterated prefix sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as _itertools_permutations
 from math import gcd
 
-from .polyhedra import Vec, frac
+from .polyhedra import Frozen, Vec, frac
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A bijection of {1..d} in one-line notation: images[i-1] = w(i).
 
     >>> w = Permutation((3, 2, 4, 5, 1))
@@ -29,13 +27,23 @@ class Permutation:
     1
     """
 
-    images: tuple[int, ...]
+    def __init__(self, images: tuple[int, ...]):
+        images = tuple(int(x) for x in images)
+        d = len(images)
+        if sorted(images) != list(range(1, d + 1)):
+            raise ValueError(f"not a permutation of 1..{d}: {images}")
+        object.__setattr__(self, "images", images)
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(int(x) for x in self.images))
-        d = len(self.images)
-        if sorted(self.images) != list(range(1, d + 1)):
-            raise ValueError(f"not a permutation of 1..{d}: {self.images}")
+    # hashed and compared often (sets and dicts keyed by permutations), so
+    # both skip the generic field getter of Frozen; as for the other records,
+    # the hash is that of the field tuple, which fixes the order sets iterate in
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash((self.images,))
 
     @property
     def d(self) -> int:
@@ -167,23 +175,19 @@ def index_set(d: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, d + 1) for j in range(i, d + 1)]
 
 
-@dataclass(frozen=True)
-class AdmissibleSubset:
+class AdmissibleSubset(Frozen):
     """A subset J of the triangle I closed under (i,j) -> (i,j+1) and
     (i,j) -> (i-1,j-1), together with the subset T of {1..d} it encodes."""
 
-    d: int
-    cells: frozenset[tuple[int, int]]
-    t_set: frozenset[int]
-
-    def __post_init__(self):
-        for (i, j) in self.cells:
-            if not (1 <= i <= j <= self.d):
+    def __init__(self, d: int, cells: frozenset[tuple[int, int]], t_set: frozenset[int]):
+        for (i, j) in cells:
+            if not (1 <= i <= j <= d):
                 raise ValueError(f"cell {(i, j)} outside the triangle")
-            if j + 1 <= self.d and (i, j + 1) not in self.cells:
+            if j + 1 <= d and (i, j + 1) not in cells:
                 raise ValueError(f"not admissible: {(i, j)} in, {(i, j + 1)} out")
-            if i >= 2 and j - 1 >= i - 1 and (i - 1, j - 1) not in self.cells:
+            if i >= 2 and j - 1 >= i - 1 and (i - 1, j - 1) not in cells:
                 raise ValueError(f"not admissible: {(i, j)} in, {(i - 1, j - 1)} out")
+        self._store(locals())
 
 
 def admissible_from_subset(d: int, T) -> AdmissibleSubset:
@@ -198,29 +202,18 @@ def admissible_from_subset(d: int, T) -> AdmissibleSubset:
     return AdmissibleSubset(d, cells, T)
 
 
-def subset_from_admissible(adm: AdmissibleSubset) -> frozenset[int]:
-    """Inverse map: the nonzero row counts of J."""
-    counts = []
-    for i in range(1, adm.d + 1):
-        c = sum(1 for (a, b) in adm.cells if a == i)
-        if c:
-            counts.append(c)
-    return frozenset(counts)
-
-
 def admissible_level(d: int, s: int) -> AdmissibleSubset:
     """I_s = {(i,j) : j - i >= d - s}, the admissible subset of {1..s}."""
     return admissible_from_subset(d, range(1, s + 1))
 
 
-@dataclass(frozen=True)
-class OrdTableau:
+class OrdTableau(Frozen):
     """The triangular filling attached to w: entry(i,j) is the step at which
     the cell gets filled by the greedy column procedure (value s goes into
     the last w(s) columns, each time as high as possible)."""
 
-    d: int
-    entries: dict[tuple[int, int], int]
+    def __init__(self, d: int, entries: dict[tuple[int, int], int]):
+        self._store(locals())
 
     def __getitem__(self, cell):
         return self.entries[cell]
@@ -267,18 +260,6 @@ def level_set(w: Permutation, s: int) -> AdmissibleSubset:
     """I_s(w), the admissible subset attached to T_s(w) = w*({1..s})."""
     ws = w_star(w)
     return admissible_from_subset(w.d, {ws(i) for i in range(1, s + 1)})
-
-
-def wv_chain(w: Permutation) -> list[Permutation]:
-    """The permutations v_i with v_i(j) = w_i^{-1}(d+2-i-j), where w_1 = w
-    and w_{i+1} is the losers' permutation of w_i."""
-    chain = losers_chain(w)
-    out = []
-    for i, wi in enumerate(chain, start=1):
-        di = wi.d  # = d + 1 - i
-        inv = wi.inverse()
-        out.append(Permutation(tuple(inv(di + 1 - j) for j in range(1, di + 1))))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 Vec = tuple[Fraction, ...]
 IVec = tuple[int, ...]
@@ -169,32 +169,76 @@ def parse_frac(s: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# immutable value types
+# ---------------------------------------------------------------------------
+
+class Frozen:
+    """Base of the package's immutable value types.
+
+    The fields of a subclass are the parameters of its own `__init__`, in
+    order.  `__init__` checks its arguments and stores each field with
+    `object.__setattr__(self, name, value)`, or all of them with
+    `self._store(locals())`.
+
+    Instances of one class with equal fields are equal and hash alike (with
+    two or more fields, as their field tuple does), a repr lists the fields,
+    and assignment raises `AttributeError`: the semantics of
+    `@dataclass(frozen=True)`, without importing `dataclasses` or generating
+    code for each class.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._key = staticmethod(attrgetter(*cls._fields))
+
+    def _store(self, values: dict) -> None:
+        for name in self._fields:
+            object.__setattr__(self, name, values[name])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # polyhedron types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Halfspace:
+class Halfspace(Frozen):
     """``<normal, x> >= offset`` (or ``=`` when is_eq)."""
 
-    normal: Vec
-    offset: Fraction = Fraction(0)
-    is_eq: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", vec(self.normal))
-        object.__setattr__(self, "offset", frac(self.offset))
-        if not self.is_eq and is_zero(self.normal):
+    def __init__(self, normal: Vec, offset: Fraction = Fraction(0), is_eq: bool = False):
+        normal, offset = vec(normal), frac(offset)
+        if not is_eq and is_zero(normal):
             raise ValueError("inequality with zero normal")
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "is_eq", is_eq)
 
     def holds(self, x: Vec) -> bool:
         v = dot(self.normal, x)
         return v == self.offset if self.is_eq else v >= self.offset
 
 
-@dataclass(frozen=True)
-class HPolyhedron:
-    dim: int
-    halfspaces: tuple[Halfspace, ...]
+class HPolyhedron(Frozen):
+    def __init__(self, dim: int, halfspaces: tuple[Halfspace, ...]):
+        self._store(locals())
 
     @staticmethod
     def build(dim, ineqs=(), eqs=()):
@@ -271,14 +315,12 @@ def _split(item):
     return vec(item), Fraction(0)
 
 
-@dataclass(frozen=True)
-class VPolyhedron:
+class VPolyhedron(Frozen):
     """conv(vertices) + cone(rays) + span(lines); minimal and sorted."""
 
-    dim: int
-    vertices: tuple[Vec, ...]
-    rays: tuple[Vec, ...]
-    lines: tuple[Vec, ...] = ()
+    def __init__(self, dim: int, vertices: tuple[Vec, ...], rays: tuple[Vec, ...],
+                 lines: tuple[Vec, ...] = ()):
+        self._store(locals())
 
     @property
     def is_empty(self) -> bool:
@@ -631,29 +673,28 @@ def minkowski_sum_cone(P: HPolyhedron | VPolyhedron, cone_gens: list[Vec]) -> HP
 # max flow / min cut on rational capacities
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FlowNetwork:
     """Finite directed graph with a source, a sink and rational capacities.
 
     Capacities are nonnegative `Fraction`s, or the sentinel `INF` (None) for
-    +infinity.  Parallel edges are allowed.
+    +infinity.  Parallel edges are allowed.  A network is mutable and
+    unhashable; two networks are equal when source, sink and edges are.
     """
 
-    source: object
-    sink: object
-    edges: list[tuple[object, object, Fraction | None]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.source == self.sink:
+    def __init__(self, source, sink, edges=()):
+        if source == sink:
             raise ValueError("source and sink must differ")
-        norm = []
-        for u, v, c in self.edges:
-            if c is not INF:
-                c = frac(c)
-                if c < 0:
-                    raise ValueError("negative capacity")
-            norm.append((u, v, c))
-        self.edges = norm
+        self.source, self.sink = source, sink
+        self.edges: list[tuple[object, object, Fraction | None]] = []
+        for u, v, c in edges:
+            self.add_edge(u, v, c)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.sink, self.edges) == (other.source, other.sink, other.edges)
+
+    __hash__ = None
 
     def add_edge(self, u, v, c):
         if c is not INF:

@@ -51,15 +51,13 @@ when h = 0; a query that would exceed the node budget raises the typed
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from . import bounds as bd
 from . import kisin_model as km
-from .polyhedra import frac, in_cone, primitive_ints
+from .polyhedra import Frozen, frac, in_cone, primitive_ints
 
 DEFAULT_BUDGET = 5_000_000
 # entries of the top-row memo; a full memo is cleared, which costs time but
@@ -71,27 +69,23 @@ class BudgetExceeded(Exception):
     """The enumeration budget ran out; no approximation is returned."""
 
 
-@dataclass(frozen=True)
-class DimQuery:
+class DimQuery(Frozen):
     """Which variety family to measure: e-bounded ("le_e" with e), exact
     divisor type ("mu"), or dominance-bounded type ("le_mu")."""
 
-    instance: km.KisinInstance
-    kind: str
-    e: int | None = None
-    mu: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("le_e", "mu", "le_mu"):
-            raise ValueError(f"unknown query kind {self.kind!r}")
-        if self.kind == "le_e":
-            if self.e is None or self.e < 0:
+    def __init__(self, instance: km.KisinInstance, kind: str, e: int | None = None,
+                 mu: tuple[int, ...] | None = None):
+        if kind not in ("le_e", "mu", "le_mu"):
+            raise ValueError(f"unknown query kind {kind!r}")
+        if kind == "le_e":
+            if e is None or e < 0:
                 raise ValueError("le_e queries need e >= 0")
         else:
-            if self.mu is None or len(self.mu) != self.instance.d:
+            if mu is None or len(mu) != instance.d:
                 raise ValueError("mu queries need a d-tuple")
-            if list(self.mu) != sorted(self.mu, reverse=True):
+            if list(mu) != sorted(mu, reverse=True):
                 raise ValueError("mu must be nonincreasing")
+        self._store(locals())
 
     def to_dict(self):
         out = {"d": self.instance.d, "b": self.instance.b,
@@ -103,14 +97,12 @@ class DimQuery:
         return out
 
 
-@dataclass(frozen=True)
-class DimResult:
-    status: str  # "exact" | "interval" | "empty"
-    dim: int | None = None
-    interval: tuple[int, int] | None = None
-    witness: km.MuTriangle | None = None
-    nodes: int = 0
-    checks: dict | None = None
+class DimResult(Frozen):
+    def __init__(self, status: str,  # "exact" | "interval" | "empty"
+                 dim: int | None = None, interval: tuple[int, int] | None = None,
+                 witness: km.MuTriangle | None = None, nodes: int = 0,
+                 checks: dict | None = None):
+        self._store(locals())
 
     @property
     def max_dim_phi(self) -> int | None:
@@ -587,6 +579,8 @@ def consistency_suite(d_values=(2, 3), b_values=(2, 3), e_max=8, mu_samples=4,
     periodicity step, (d) the dominance family as a maximum of divisor
     types.
     """
+    import random
+
     rng = random.Random(seed)
     failures = []
     checks = 0

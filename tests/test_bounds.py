@@ -6,9 +6,9 @@ import pytest
 
 from kisindim import perm as pm
 from kisindim.bounds import (DualityData, KTables, UnsupportedRegime, a_set,
-                             b_value, chain_cone_gens, dominance_polytope,
+                             b_value, dominance_polytope,
                              extremal_points_a_qmax, f_T, f_T_halfspace,
-                             k_polytopes, min_over_permutations, orthant_pm_gens,
+                             k_polytopes, min_over_permutations,
                              regularity, theorem_bounds, two_rho, witness_le_e,
                              witness_le_mu)
 from kisindim.kisin_model import (KisinInstance, chain_dual_generators,
@@ -178,6 +178,11 @@ def test_apex_of_qmax_a_set_membership():
 # ---------------------------------------------------------------------------
 # b-value evaluators
 # ---------------------------------------------------------------------------
+
+def orthant_pm_gens():
+    """Generators of R+ x R- in the plane."""
+    return (vec((1, 0)), vec((0, -1)))
+
 
 def test_b_value_qmin_two_sided():
     for d, b in [(2, 2), (3, 3), (4, 2), (5, 3)]:

@@ -76,6 +76,22 @@ def test_negative_budget_is_invalid_input(capsys):
     assert main(["dim", "--d", "1", "--b", "2", "--e", "0", "--budget", "0"]) == 0
 
 
+def test_verify_budget_refusal_exit_2(capsys):
+    # a search the budget cuts short is refused, as by dim, not a failed check
+    assert main(["verify", "--budget", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget refusal: ")
+
+
+def test_verify_negative_budget_is_invalid_input(capsys):
+    # rejected before any suite runs
+    assert main(["verify", "--budget", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: the node budget must be >= 0\n"
+
+
 def test_tables_counts(capsys):
     code, out = run(capsys, "tables", "--b", "10000", "--dmax", "4")
     assert code == 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kisindim import perm as pm
 from kisindim.kisin_model import (KisinInstance, MuTriangle, QPoint, S_T,
-                                  build_cones, cone_chain, cone_q, cone_qmax,
+                                  cone_chain, cone_q, cone_qmax,
                                   cone_qmin, cone_qw, cone_regular,
                                   d2_lattice_invariants, delta_vec, dim_phi,
                                   mu_cell_vector, mu_from_q, mu_vec, phi_from_q,
@@ -198,12 +198,42 @@ def test_mu_order_inside_q():
         assert found > 50
 
 
+def build_cones(inst):
+    """All the standing cones plus the lattice membership predicates."""
+    return {
+        "Q": cone_q(inst),
+        "Q_max": cone_qmax(inst),
+        "Q_min": cone_qmin(inst),
+        "C": cone_chain(inst.d),
+        "Reg": cone_regular(inst),
+        "lattice_q": lambda q: q.in_lattice(),
+        "lattice_mu": lambda m: m.in_lattice(),
+    }
+
+
 def test_build_cones_keys():
     inst = KisinInstance(3, 2)
     cones = build_cones(inst)
     assert set(cones) >= {"Q", "Q_max", "Q_min", "C", "Reg"}
     q = QPoint(inst, [F(0)] * inst.dim_E)
     assert cones["lattice_q"](q)
+
+
+def wv_chain(w):
+    """The permutations v_i with v_i(j) = w_i^{-1}(d+2-i-j), where w_1 = w
+    and w_{i+1} is the losers' permutation of w_i."""
+    out = []
+    for wi in pm.losers_chain(w):
+        di = wi.d  # = d + 1 - i
+        inv = wi.inverse()
+        out.append(pm.Permutation(tuple(inv(di + 1 - j) for j in range(1, di + 1))))
+    return out
+
+
+def test_wv_chain_shapes():
+    w = pm.Permutation((3, 2, 4, 5, 1))
+    chain = wv_chain(w)
+    assert [v.d for v in chain] == [5, 4, 3, 2, 1]
 
 
 def test_levels_give_qw_members():
@@ -215,7 +245,7 @@ def test_levels_give_qw_members():
         inst = KisinInstance(d, b)
         for w in pm.all_permutations(d):
             tab = pm.ord_tableau(w)
-            chain = pm.wv_chain(w)
+            chain = wv_chain(w)
             for _ in range(3):
                 levels = sorted(rng.randint(-9, 9) for _ in range(d))
                 q = QPoint(inst, {c: F(levels[tab[c] - 1]) for c in inst.cells})

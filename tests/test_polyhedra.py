@@ -319,6 +319,13 @@ def test_vertices_of_sum_matches_lp_oracle_on_k_polytopes(d):
         assert list(kt.Kp_vertices) == _lp_sum_vertices(V, chain_dual_generators(d)), (d, b)
 
 
+def chain_cone_gens(d):
+    """Generators of {y_1 >= ... >= y_d}: prefix indicators plus the
+    constants line (both signs)."""
+    prefixes = [vec([1] * k + [0] * (d - k)) for k in range(1, d)]
+    return tuple(prefixes + [vec([1] * d), vec([-1] * d)])
+
+
 def test_b_value_dual_summand_filter_matches_lp_oracle(monkeypatch):
     # D = the chain cone, so D* is pointed and the filter runs on A-sets
     # that carry an equation; for y in D the filter moves no value
@@ -333,7 +340,7 @@ def test_b_value_dual_summand_filter_matches_lp_oracle(monkeypatch):
     monkeypatch.setattr(bd, "vertices_of_sum", checked)
     for d, b in [(3, 3), (4, 3), (4, 5)]:
         inst = KisinInstance(d, b)
-        dd = bd.DualityData(inst, "Qmax", "g", D_gens=bd.chain_cone_gens(d))
+        dd = bd.DualityData(inst, "Qmax", "g", D_gens=chain_cone_gens(d))
         A = enumerate_vertices(bd.a_set(inst, "Qmax", "g"))
         for y in [bd.two_rho(d), vec(range(d, 0, -1)), vec([7] + [0] * (d - 1)),
                   vec([3] * (d - 1) + [-4])]:

@@ -1,18 +1,23 @@
 """Source-level checks on the kisindim package: its correctness checks are
-explicit raises, which `python -O` keeps, and none of its caches grows
-without bound in a long-running process."""
+explicit raises, which `python -O` keeps, none of its caches grows without
+bound in a long-running process, and importing the CLI stays cheap."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import kisindim
 from kisindim import bounds as bd
 from kisindim.cli import main
 from kisindim.kisin_model import KisinInstance
+from kisindim.polyhedra import vec
 
 SRC = Path(kisindim.__file__).resolve().parent
+ORTHANT_PM = (vec((1, 0)), vec((0, -1)))  # generators of R+ x R-
 
 
 def _lru_caches():
@@ -30,6 +35,31 @@ def test_no_assert_statements_in_src():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _fresh_interpreter(code: str) -> str:
+    """stdout of code run by a new interpreter; -S keeps site's imports out."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # every CLI call pays for its imports; dataclasses alone pulls in
+    # inspect, ast, dis and tokenize
+    out = _fresh_interpreter("import kisindim.cli, sys; "
+                             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert out == "[]\n"
+
+
+def test_cli_imports_only_argparse_json_and_fractions():
+    # the README's start-up promise: no standard-library module beyond these
+    # three and what they import themselves
+    out = _fresh_interpreter(
+        "import sys, argparse, json, fractions; std = set(sys.modules); "
+        "import kisindim.cli; "
+        "print(sorted(m for m in set(sys.modules) - std if m.split('.')[0] != 'kisindim'))")
+    assert out == "['__future__']\n"
 
 
 def test_every_lru_cache_is_bounded():
@@ -59,7 +89,7 @@ def test_bounds_output_same_with_caches_cold_and_warm(capsys):
             out.append(capsys.readouterr().out)
         inst = KisinInstance(3, 3)
         out.append(bd.a_set(inst, "Q", "g").to_json())
-        out.append(bd.b_value(bd.DualityData(inst, "Qmax", "f", bd.orthant_pm_gens()), (3, -2)))
+        out.append(bd.b_value(bd.DualityData(inst, "Qmax", "f", ORTHANT_PM), (3, -2)))
         return out
 
     _clear_caches()
