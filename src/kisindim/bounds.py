@@ -63,15 +63,6 @@ def _indicator(inst, cells) -> Vec:
     return tuple(v)
 
 
-@lru_cache(maxsize=128)
-def _q_rays(d: int, b: int):
-    """Extreme rays and lines of the full cone Q (double description)."""
-    inst = km.KisinInstance(d, b)
-    Q = km.cone_q(inst)
-    lines, rays = cone_generators([h.normal for h in Q.ineqs], [], inst.dim_E)
-    return lines, rays
-
-
 def _dual_hrep(inst: km.KisinInstance, variant):
     """(ineq_rows, eq_rows) in E such that z is in (variant cone)* iff
     <z, v> >= 0 for the ineq rows and <z, v> = 0 for the eq rows."""
@@ -98,7 +89,7 @@ def _dual_hrep(inst: km.KisinInstance, variant):
         if inst.b < inst.b0:
             raise UnsupportedRegime(
                 f"A-set for the full cone Q needs b >= b0 = {inst.b0}, got b = {inst.b}")
-        lines, rays = _q_rays(inst.d, inst.b)
+        lines, rays = _variant_generators(inst, "Q")
         return list(rays), list(lines)
     raise ValueError(f"unknown cone variant {variant!r}")
 

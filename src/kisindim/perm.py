@@ -158,14 +158,6 @@ def losers_permutation(w: Permutation) -> Permutation:
     return Permutation(tuple(out))
 
 
-def losers_chain(w: Permutation) -> list[Permutation]:
-    """[w, w', w'', ...] down to the unique permutation of size 1."""
-    chain = [w]
-    while chain[-1].d > 1:
-        chain.append(losers_permutation(chain[-1]))
-    return chain
-
-
 # ---------------------------------------------------------------------------
 # triangular index set, admissible subsets, ord tableaux
 # ---------------------------------------------------------------------------

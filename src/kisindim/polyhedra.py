@@ -531,18 +531,6 @@ def dual_cone(generators: list[Vec], dim: int) -> HPolyhedron:
     return HPolyhedron.build(dim, [(g, 0) for g in gens if not is_zero(g)])
 
 
-def dual_cone_h(P: HPolyhedron) -> tuple[list[Vec], list[Vec]]:
-    """Generators (lines, rays) of the dual of a cone given by halfspaces
-    through the origin: the dual is generated by the inequality normals
-    plus +-(equation normals)."""
-    for h in P.halfspaces:
-        if h.offset != 0:
-            raise ValueError("dual_cone_h expects a cone through the origin")
-    rays = [h.normal for h in P.ineqs]
-    lines = [h.normal for h in P.eqs]
-    return lines, rays
-
-
 def polyhedra_set_equal(P: HPolyhedron, Q: HPolyhedron) -> bool:
     """Exact set equality via mutual containment of V-representations."""
     VP, VQ = enumerate_vertices(P), enumerate_vertices(Q)

@@ -9,19 +9,18 @@ r-1 are fixed, each level-(r-1) row reads sum_s c_{j,s} mu_{r,s} <= S_j
 with c_{j,s} = b for s <= j and 1 otherwise, so every cell of row r gets an
 integer upper bound from the slacks left by the cells before it (bounds
 propagation), and the level-d row is a lower bound on mu_{d,d}.  A row
-whose slacks are negative before its first cell is skipped.  `_self_test`
-proves once per (d, b) that this system is the cone Q: it and Q pulled
-back through q_from_mu are the same set of primitive integer rows over the
-mu-cells.
+whose slacks are negative before its first cell is skipped.
 
-Each row is set up in O(d) by closed forms, with no _scaled_q call.  With
+Each row is set up in O(d) by the closed forms of `_row_slacks`.  With
 P, Q the rows r-2, r-1 and R the lower bounds of row r, the slacks are
 rem_0 = (b-1)(Q_0 - P_0) + 2 sum Q - sum P - sum R and
 rem_{k+1} = rem_k + (b-1)(Q_{k+1} - P_{k+1} + Q_k - R_k); the level-d row
 is the same form with no row below it, (b+1) mu_{d,d} >= b Q_0 + Q_1.
-`_row_slacks_proved` checks once per (d, b) that the forms equal the
-scaled-q rows read off _scaled_q on every unit triangle; both are linear,
-so they are equal everywhere.
+`_mu_system_rows` reads the scaled-q rows off these same forms on the unit
+triangles, and `_self_test` proves once per (d, b) that the system is the
+cone Q: it and Q pulled back through q_from_mu are the same set of
+primitive integer rows over the mu-cells.  So the rows the search sets up
+are the rows that are proved.
 
 Two lower bounds on the unfilled cells, rows r..d, prune branches that
 cannot beat the incumbent; the search takes the larger.  Each cell is at
@@ -143,15 +142,17 @@ class _Budget:
 # the mu-coordinate constraint system
 # ---------------------------------------------------------------------------
 
-def _scaled_q(rows, d, b, i, j):
-    """b(b-1) q_{i,j} as an integer form of the mu-cells (rows is a list of
-    row lists, rows[i-1][j-i] = mu_{i,j})."""
-    v = b * rows[i - 1][0]  # mu_{i,i}
-    for s in range(i + 1, j + 1):
-        v += b * (rows[i - 1][s - i] - rows[i][s - i - 1])
-    for s in range(j + 1, d + 1):
-        v += rows[i - 1][s - i] - rows[i][s - i - 1]
-    return v
+def _row_slacks(P, Q, R, b):
+    """The level-(r-1) scaled-q rows with rows r-2, r-1, r equal to P, Q, R,
+    in O(d): entry k is b(b-1)(q_{r-1,r-1+k} - q_{r-2,r-2+k}), where
+    b(b-1) q_{i,j} = b mu_{i,i} + sum_{i<s<=j} b (mu_{i,s} - mu_{i+1,s})
+    + sum_{s>j} (mu_{i,s} - mu_{i+1,s}).  From one row to the next, each of
+    the two q-forms weighs one more column by b instead of 1, hence the
+    steps of (b-1) times a column."""
+    rem = [(b - 1) * (Q[0] - P[0]) + 2 * sum(Q) - sum(P) - sum(R)]
+    for k, x in enumerate(R):
+        rem.append(rem[k] + (b - 1) * (Q[k + 1] - P[k + 1] + Q[k] - x))
+    return rem
 
 
 def _unit_triangles(d):
@@ -164,17 +165,17 @@ def _unit_triangles(d):
 def _mu_system_rows(d: int, b: int) -> tuple[tuple[int, ...], ...]:
     """The rows of the search's real relaxation as primitive integer forms
     of the mu-cells: for 2 <= i <= j <= d the order rows
-    mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1} and the scaled-q row
-    _scaled_q(i,j) - _scaled_q(i-1,j-1) >= 0, each read off the search's own
-    code on unit triangles."""
-    units = _unit_triangles(d)
+    mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1} and the scaled-q row, entry j-i
+    of _row_slacks on rows i-1, i, i+1 (row d+1 is empty), each read off
+    the search's own code on unit triangles."""
+    units = [rows + [[]] for rows in _unit_triangles(d)]
     out = []
     for i in range(2, d + 1):
         for j in range(i, d + 1):
             out += [primitive_ints([form(r) for r in units]) for form in (
                 lambda r: r[i - 1][j - i] - r[i - 2][j - i + 1],
                 lambda r: r[i - 2][j - i] - r[i - 1][j - i],
-                lambda r: _scaled_q(r, d, b, i, j) - _scaled_q(r, d, b, i - 1, j - 1))]
+                lambda r: _row_slacks(r[i - 2], r[i - 1], r[i], b)[j - i])]
     return tuple(out)
 
 
@@ -225,46 +226,14 @@ def _top_bound(top, b):
 
 
 @lru_cache(maxsize=1024)
-def _top_bound_certified(d: int, b: int, divisor: int | None = None) -> bool:
+def _top_bound_certified(d: int, b: int) -> bool:
     """Prove _top_bound for (d, b) by Farkas' lemma: is
-    divisor * (<2 rho | top> / divisor - dim) a nonnegative combination of
-    the rows of the search's real relaxation (_mu_system_rows), with the
-    target read off its own code on unit triangles?  If so, each triangle
-    the search accepts has dim <= <2 rho | top> / divisor, hence <= its
-    floor.  The divisor defaults to b+1, the one _top_bound uses."""
-    divisor = b + 1 if divisor is None else divisor
-    target = [_two_rho(r[0]) - divisor * _dim_form(r, d) for r in _unit_triangles(d)]
+    <2 rho | top> - (b+1) dim a nonnegative combination of the rows of the
+    search's real relaxation (_mu_system_rows), with the target read off
+    its own code on unit triangles?  If so, each triangle the search
+    accepts has dim <= <2 rho | top> / (b+1), hence <= its floor."""
+    target = [_two_rho(r[0]) - (b + 1) * _dim_form(r, d) for r in _unit_triangles(d)]
     return in_cone(_mu_system_rows(d, b), target)
-
-
-def _row_slacks(P, Q, R, b):
-    """The level-(r-1) scaled-q rows with rows r-2, r-1, r equal to P, Q, R,
-    in O(d): entry k is _scaled_q(r-1, r-1+k) - _scaled_q(r-2, r-2+k).
-    From one row to the next, each of the two _scaled_q weighs one more
-    column by b instead of 1, hence the steps of (b-1) times a column."""
-    rem = [(b - 1) * (Q[0] - P[0]) + 2 * sum(Q) - sum(P) - sum(R)]
-    for k, x in enumerate(R):
-        rem.append(rem[k] + (b - 1) * (Q[k + 1] - P[k + 1] + Q[k] - x))
-    return rem
-
-
-@lru_cache(maxsize=1024)
-def _row_slacks_proved(d: int, b: int) -> bool:
-    """Prove the closed form _row_slacks for (d, b), or raise AssertionError:
-    for 3 <= r <= d+1 (row d+1 is empty) it must equal the scaled-q rows
-    read off _scaled_q on every unit triangle.  Both sides are linear forms
-    of the mu-cells, so agreeing on a basis makes them equal everywhere, and
-    the rows the search sets up stay the rows _self_test proves."""
-    for rows in _unit_triangles(d):
-        rows.append([])
-        for r in range(3, d + 2):
-            got = _row_slacks(rows[r - 3], rows[r - 2], rows[r - 1], b)
-            want = [_scaled_q(rows, d, b, r - 1, j) - _scaled_q(rows, d, b, r - 2, j - 1)
-                    for j in range(r - 1, d + 1)]
-            if got != want:
-                raise AssertionError(f"_row_slacks and _scaled_q disagree at d={d} b={b} "
-                                     f"r={r} on the unit triangle {rows[:-1]}")
-    return True
 
 
 @lru_cache(maxsize=1024)
@@ -320,7 +289,6 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget):
         budget.spend(cost)
         return value, rows
     _self_test(d, b)
-    _row_slacks_proved(d, b)
     sub_bound = _sub_bound_certified(d, b)
     start_left = budget.left
     const = _dim_form([top], d)

@@ -5,18 +5,15 @@ from math import inf
 import pytest
 
 from kisindim import perm as pm
-from kisindim.bounds import (DualityData, KTables, UnsupportedRegime, a_set,
-                             b_value, dominance_polytope,
-                             extremal_points_a_qmax, f_T, f_T_halfspace,
-                             k_polytopes, min_over_permutations,
+from kisindim.bounds import (DualityData, UnsupportedRegime, a_set, b_value,
+                             dominance_polytope, extremal_points_a_qmax,
+                             f_T_halfspace, k_polytopes, min_over_permutations,
                              regularity, theorem_bounds, two_rho, witness_le_e,
                              witness_le_mu)
 from kisindim.kisin_model import (KisinInstance, chain_dual_generators,
-                                  cone_chain, cone_q, cone_regular, dim_phi,
-                                  mu_from_q, mu_vec, q_from_mu,
-                                  regular_dual_generators)
-from kisindim.polyhedra import (dot, dual_cone, enumerate_vertices,
-                                minkowski_sum_cone, polyhedra_set_equal, vec)
+                                  cone_chain, mu_from_q, regular_dual_generators)
+from kisindim.polyhedra import (dot, enumerate_vertices, minkowski_sum_cone,
+                                polyhedra_set_equal, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +42,7 @@ def test_a_set_qmin_g_form_is_shifted_regular_dual():
             apex = tuple(F(x, b + 1) for x in two_rho(d))
             assert V.vertices == (apex,)
             gens = [vec(g) for g in regular_dual_generators(inst)]
-            from kisindim.polyhedra import cone_hull, in_cone
+            from kisindim.polyhedra import in_cone
 
             for r in V.rays:
                 assert in_cone(gens, r)

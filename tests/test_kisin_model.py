@@ -11,7 +11,7 @@ from kisindim.kisin_model import (KisinInstance, MuTriangle, QPoint, S_T,
                                   d2_lattice_invariants, delta_vec, dim_phi,
                                   mu_cell_vector, mu_from_q, mu_vec, phi_from_q,
                                   q_from_mu, read_back_q, validate_phi)
-from kisindim.polyhedra import dot, polyhedra_set_equal, vec
+from kisindim.polyhedra import dot, polyhedra_set_equal
 
 
 def rand_qpoint(inst, rng, denom=(1, 2, 3)):
@@ -222,12 +222,14 @@ def test_build_cones_keys():
 def wv_chain(w):
     """The permutations v_i with v_i(j) = w_i^{-1}(d+2-i-j), where w_1 = w
     and w_{i+1} is the losers' permutation of w_i."""
-    out = []
-    for wi in pm.losers_chain(w):
+    out, wi = [], w
+    while True:
         di = wi.d  # = d + 1 - i
         inv = wi.inverse()
         out.append(pm.Permutation(tuple(inv(di + 1 - j) for j in range(1, di + 1))))
-    return out
+        if di == 1:
+            return out
+        wi = pm.losers_permutation(wi)
 
 
 def test_wv_chain_shapes():

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,9 +5,9 @@ import pytest
 from kisindim import perm as pm
 from kisindim.perm import (Permutation, admissible_from_subset, admissible_level,
                            all_permutations, hasse_diagram, hasse_dot, identity,
-                           in_dual_chain_cone, level_set, losers_chain,
-                           losers_permutation, maximal_elements, ord_tableau,
-                           precedes, records, rho_w, w0, w_star)
+                           in_dual_chain_cone, level_set, losers_permutation,
+                           maximal_elements, ord_tableau, precedes, records,
+                           rho_w, w0, w_star)
 from kisindim.polyhedra import solve, vec
 
 
@@ -66,6 +65,14 @@ def test_losers_record_characterization():
                     assert wp(i) == prev
                 else:
                     assert wp(i) == w(i + 1)
+
+
+def losers_chain(w):
+    """[w, w', w'', ...] down to the unique permutation of size 1."""
+    chain = [w]
+    while chain[-1].d > 1:
+        chain.append(losers_permutation(chain[-1]))
+    return chain
 
 
 def test_losers_chain_terminates():

@@ -10,7 +10,7 @@ from kisindim import bounds as bd, polyhedra
 from kisindim.kisin_model import KisinInstance, chain_dual_generators
 from kisindim.polyhedra import (FlowNetwork, HPolyhedron, INF, VPolyhedron,
                                 cone_generators, cone_hull, dot, dual_cone,
-                                dual_cone_h, enumerate_vertices,
+                                enumerate_vertices,
                                 graph_cone_dual_membership, in_cone, maxflow,
                                 minkowski_sum_cone,
                                 normalize_ray, polyhedra_set_equal, rank, v_to_h,

@@ -6,12 +6,11 @@ import pytest
 from kisindim import bounds as bd
 from kisindim import kisin_model as km
 from kisindim import solver as sv
-from kisindim.kisin_model import (KisinInstance, MuTriangle, cone_q, dim_phi,
-                                  mu_from_q, q_from_mu)
-from kisindim.polyhedra import Halfspace, HPolyhedron
-from kisindim.solver import (BudgetExceeded, DimQuery, DimResult, dim_d2_closed,
-                             dim_d3_closed, dim_exact, consistency_suite,
-                             _enumerate_dominated_tops, _self_test)
+from kisindim.kisin_model import KisinInstance, MuTriangle, cone_q, dim_phi, q_from_mu
+from kisindim.polyhedra import Halfspace, HPolyhedron, in_cone
+from kisindim.solver import (BudgetExceeded, DimQuery, dim_d2_closed, dim_d3_closed,
+                             dim_exact, consistency_suite, _enumerate_dominated_tops,
+                             _self_test)
 
 
 def test_query_validation():
@@ -72,6 +71,18 @@ def test_witness_checks_always_verified():
         assert dim_phi(tri) == r.max_dim_phi
 
 
+def _scaled_q(rows, d, b, i, j):
+    """b(b-1) q_{i,j} as an integer form of the mu-cells (rows is a list of
+    row lists, rows[i-1][j-i] = mu_{i,j}), read term by term off the
+    q-coordinates: the oracle for solver._row_slacks."""
+    v = b * rows[i - 1][0]  # mu_{i,i}
+    for s in range(i + 1, j + 1):
+        v += b * (rows[i - 1][s - i] - rows[i][s - i - 1])
+    for s in range(j + 1, d + 1):
+        v += rows[i - 1][s - i] - rows[i][s - i - 1]
+    return v
+
+
 def _mu_constraints_ok(inst, rows):
     """The full cone system in mu-coordinates, evaluated on one triangle:
     order constraints plus the scaled-q inequalities
@@ -82,7 +93,7 @@ def _mu_constraints_ok(inst, rows):
             v = rows[i - 1][j - i]
             if not (rows[i - 2][j - i + 1] <= v <= rows[i - 2][j - i]):
                 return False
-            if sv._scaled_q(rows, d, b, i - 1, j - 1) > sv._scaled_q(rows, d, b, i, j):
+            if _scaled_q(rows, d, b, i - 1, j - 1) > _scaled_q(rows, d, b, i, j):
                 return False
     return True
 
@@ -118,7 +129,7 @@ def cold_mu_system():
     """Clear the per-(d, b) proofs before and after a test that patches
     what they are read from."""
     caches = (sv._self_test, sv._mu_system_rows, sv._top_bound_certified,
-              sv._row_slacks_proved, sv._sub_bound_certified)
+              sv._sub_bound_certified)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -145,16 +156,20 @@ def test_mu_constraints_match_cone_on_feasible_triangle():
         assert cone_q(inst).contains(q_from_mu(tri).values) == inside
 
 
-@pytest.mark.parametrize("form", [(i, j) for i in range(1, 5) for j in range(i, 5)
-                                  if (i, j) != (1, 4)])
+@pytest.mark.parametrize("form", [(i, j) for i in range(2, 5) for j in range(i, 5)])
 def test_self_test_catches_perturbed_scaled_q(form, monkeypatch, cold_mu_system):
-    # (1, 4) is the one q-form of d = 4 that no row of the mu-system uses
-    scaled_q = sv._scaled_q
+    # one entry of one scaled-q row of d = 4 gains mu_{i-1,i-1}; the rows
+    # of level i are the _row_slacks of rows i-1, i, i+1, and row i has 5-i cells
+    i, j = form
+    row_slacks = sv._row_slacks
 
-    def perturbed(rows, d, b, i, j):
-        return scaled_q(rows, d, b, i, j) + (rows[i - 1][0] if (i, j) == form else 0)
+    def perturbed(P, Q, R, b):
+        rem = row_slacks(P, Q, R, b)
+        if len(Q) == 5 - i:
+            rem[j - i] += P[0]
+        return rem
 
-    monkeypatch.setattr(sv, "_scaled_q", perturbed)
+    monkeypatch.setattr(sv, "_row_slacks", perturbed)
     for b in (2, 3):
         with pytest.raises(AssertionError, match="disagree"):
             _self_test(4, b)
@@ -440,8 +455,11 @@ def test_pruned_search_matches_all_tops_le_mu():
 def test_top_bound_certificate(d):
     for b in (2, 3, 4, 5, 7, 10, 101, 10007):
         assert sv._top_bound_certified(d, b)
-        # control: the certificate is not vacuous, a smaller bound fails it
-        assert not sv._top_bound_certified(d, b, b + 2)
+        # control: the certificate is not vacuous, a smaller bound (divisor
+        # b+2 for b+1) is not a combination of the search's rows
+        target = [sv._two_rho(r[0]) - (b + 2) * sv._dim_form(r, d)
+                  for r in sv._unit_triangles(d)]
+        assert not in_cone(sv._mu_system_rows(d, b), target)
 
 
 def test_every_top_solves_within_its_bound():
@@ -490,7 +508,7 @@ def _row_end_max_dim_top(inst, top, budget):
     best = [None, None]
 
     def check_level(i):
-        return all(sv._scaled_q(rows, d, b, i - 1, j - 1) <= sv._scaled_q(rows, d, b, i, j)
+        return all(_scaled_q(rows, d, b, i - 1, j - 1) <= _scaled_q(rows, d, b, i, j)
                    for j in range(i, d + 1))
 
     def fill_row(r, partial_sum):
@@ -590,10 +608,10 @@ def _capped_max_dim_top(inst, top, budget):
         n = d - r + 1
         lows = prev[1:]
         if r == d:
-            lows[0] = max(lows[0], -((sv._scaled_q(rows, d, b, d, d)
-                                      - sv._scaled_q(rows, d, b, d - 1, d - 1)) // (b + 1)))
+            lows[0] = max(lows[0], -((_scaled_q(rows, d, b, d, d)
+                                      - _scaled_q(rows, d, b, d - 1, d - 1)) // (b + 1)))
         if r >= 3:
-            rem = [sv._scaled_q(rows, d, b, r - 1, j) - sv._scaled_q(rows, d, b, r - 2, j - 1)
+            rem = [_scaled_q(rows, d, b, r - 1, j) - _scaled_q(rows, d, b, r - 2, j - 1)
                    - b * sum(lows[:k]) - sum(lows[k:])
                    for k, j in enumerate(range(r - 1, d + 1))]
             if min(rem) < 0:
@@ -663,8 +681,18 @@ def test_node_counts_of_the_documented_queries(monkeypatch):
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_row_slacks_and_sub_bound_are_proved(d):
+    # the closed forms equal the scaled-q rows read off the q-forms on every
+    # unit triangle for 3 <= r <= d+1 (row d+1 is empty); both sides are
+    # linear in the mu-cells, so they are equal everywhere
     for b in (2, 3, 5, 7, 101, 10007):
-        assert sv._row_slacks_proved(d, b)
+        for rows in sv._unit_triangles(d):
+            rows.append([])
+            for r in range(3, d + 2):
+                want = [_scaled_q(rows, d, b, r - 1, j) - _scaled_q(rows, d, b, r - 2, j - 1)
+                        for j in range(r - 1, d + 1)]
+                assert sv._row_slacks(rows[r - 3], rows[r - 2], rows[r - 1], b) == want, \
+                    (b, r, rows)
+        assert _self_test(d, b)
         assert sv._sub_bound_certified(d, b)
 
 
@@ -679,7 +707,7 @@ def test_row_slacks_proof_catches_a_wrong_step(monkeypatch, cold_mu_system):
     monkeypatch.setattr(sv, "_row_slacks", mutant)
     for d in (3, 4):
         with pytest.raises(AssertionError, match="disagree"):
-            sv._row_slacks_proved(d, 2)
+            _self_test(d, 2)
     monkeypatch.setattr(sv, "_memo", {})
     with pytest.raises(AssertionError, match="disagree"):
         dim_exact(DimQuery(KisinInstance(3, 2), "mu", mu=(4, 2, 0)))
@@ -696,13 +724,13 @@ def test_row_slacks_proof_covers_the_level_d_row(monkeypatch, cold_mu_system):
 
     monkeypatch.setattr(sv, "_row_slacks", mutant)
     with pytest.raises(AssertionError, match="disagree"):
-        sv._row_slacks_proved(2, 3)
+        _self_test(2, 3)
 
 
 def test_sub_bound_needs_every_smaller_certificate(monkeypatch, cold_mu_system):
     certified = sv._top_bound_certified
     monkeypatch.setattr(sv, "_top_bound_certified",
-                        lambda d, b, divisor=None: d != 3 and certified(d, b, divisor))
+                        lambda d, b: d != 3 and certified(d, b))
     assert not sv._sub_bound_certified(4, 2)
     assert sv._sub_bound_certified(2, 2)
 

@@ -1,6 +1,7 @@
 """Source-level checks on the kisindim package: its correctness checks are
 explicit raises, which `python -O` keeps, none of its caches grows without
-bound in a long-running process, and importing the CLI stays cheap."""
+bound in a long-running process, importing the CLI stays cheap, and no
+module of the package or its tests imports a name it never uses."""
 
 import ast
 import importlib
@@ -17,6 +18,7 @@ from kisindim.kisin_model import KisinInstance
 from kisindim.polyhedra import vec
 
 SRC = Path(kisindim.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 ORTHANT_PM = (vec((1, 0)), vec((0, -1)))  # generators of R+ x R-
 
 
@@ -35,6 +37,24 @@ def test_no_assert_statements_in_src():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _unused_imports(path):
+    """Names that path imports and never reads; `from __future__` is exempt."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert [x for path in paths for x in _unused_imports(path)] == []
 
 
 def _fresh_interpreter(code: str) -> str:
@@ -65,7 +85,6 @@ def test_cli_imports_only_argparse_json_and_fractions():
 def test_every_lru_cache_is_bounded():
     caches = dict(_lru_caches())
     assert {"kisindim.solver._self_test", "kisindim.solver._mu_system_rows",
-            "kisindim.bounds._q_rays",
             "kisindim.bounds._variant_generators_cached"} <= set(caches)
     unbounded = [name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None]
@@ -94,7 +113,6 @@ def test_bounds_output_same_with_caches_cold_and_warm(capsys):
 
     _clear_caches()
     cold = outputs()
-    assert bd._q_rays.cache_info().currsize > 0
     assert bd._variant_generators_cached.cache_info().currsize > 0
     assert outputs() == cold
     _clear_caches()
