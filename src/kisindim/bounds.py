@@ -176,14 +176,12 @@ def b_value(dd: DualityData, y) -> Fraction | float:
     # membership: y in D
     if dd.D_gens is not None and not in_cone(list(dd.D_gens), y):
         return -inf
-    # membership: y in image(Q) + C, via the cone hull of the generators
+    # membership: y in image(Q) + C, by the same LP
     lines, rays = _variant_generators(inst, dd.variant)
     image_gens = [tuple(dot(Fi, r) for Fi in F) for r in rays]
     image_gens += [tuple(dot(Fi, l) for Fi in F) for l in lines]
     image_gens += [tuple(-dot(Fi, l) for Fi in F) for l in lines]
-    image_gens += [vec(c) for c in dd.C_gens]
-    hull = cone_hull([g for g in image_gens if any(x != 0 for x in g)], [], n)
-    if not hull.contains(y):
+    if not in_cone(image_gens + list(dd.C_gens), y):
         return -inf
     A = a_set(inst, dd.variant, dd.form)
     if dd.C_gens:
@@ -329,6 +327,12 @@ def theorem_bounds(target: str, params, inst: km.KisinInstance) -> dict:
     mu = tuple(int(x) for x in params)
     if list(mu) != sorted(mu, reverse=True):
         raise ValueError("mu must be nonincreasing")
+    # the regime depends on (d, b) alone, so it is refused whatever mu's length
+    if target == "mu" and inst.b < inst.b0:
+        raise UnsupportedRegime(
+            f"the minimum-over-permutations upper bound needs b >= b0 = {inst.b0}")
+    if len(mu) != d:
+        raise ValueError("mu must have d entries")
     divisible = sum(mu) % (b - 1) == 0
     if target == "mu":
         out = {
@@ -337,9 +341,6 @@ def theorem_bounds(target: str, params, inst: km.KisinInstance) -> dict:
             "congruence_mod_b_minus_1": (-sum(i * m for i, m in enumerate(mu, 1))) % (b - 1),
             "lower": None,  # the generic lower bound's constants are not explicit
         }
-        if inst.b < inst.b0:
-            raise UnsupportedRegime(
-                f"the minimum-over-permutations upper bound needs b >= b0 = {inst.b0}")
         val, _ = min_over_permutations(mu, inst)
         out["upper"] = eps + val
         return out

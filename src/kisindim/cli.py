@@ -320,8 +320,9 @@ def main(argv=None) -> int:
     except (ValueError, bd.UnsupportedRegime) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 1
-    except OSError as exc:  # --out could not be written; _emit left no file
-        sys.stderr.write(f"cannot write {args.out}: {exc.strerror or exc}\n")
+    except OSError as exc:  # the output could not be written; _emit left no file
+        target = "stdout" if args.out is None else args.out
+        sys.stderr.write(f"cannot write {target}: {exc.strerror or exc}\n")
         return 1
 
 

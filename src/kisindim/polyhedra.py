@@ -1,12 +1,14 @@
 """Exact-rational linear algebra and polyhedral geometry.
 
-There is no floating point anywhere in this module.  The double
-description and the LP oracle run on primitive integer vectors (rows and
-rays scaled by positive rationals, which changes neither cones nor
-feasibility).  `fractions.Fraction` appears only at the API edge (the
-coordinates of points, rays and halfspaces), in `rref` and the helpers
-built on it, and in the max-flow capacities.  Polyhedra come in two
-representations:
+There is no floating point anywhere in this module.  Elimination (`rank`,
+`nullspace`, the row spaces and the initial simplex of the double
+description), the double description itself and the LP oracle all run on
+primitive integer vectors (rows and rays scaled by positive rationals,
+which changes neither cones nor feasibility), through one fraction-free
+row step, `_eliminate`.  `fractions.Fraction` appears only at the API
+edge: halfspaces, `dot`, the coordinates of points and vertices, and the
+max-flow capacities.  Rays and lines are returned as primitive integer
+tuples.  Polyhedra come in two representations:
 
 - `HPolyhedron`: a finite list of halfspaces ``<a, x> >= c`` and equations
   ``<a, x> = c``;
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import attrgetter
 
 Vec = tuple[Fraction, ...]
@@ -96,63 +98,53 @@ def _canonical_line(v) -> IVec:
     return w if next((a for a in w if a), 0) >= 0 else tuple(-a for a in w)
 
 
-def normalize_line(v: Vec) -> Vec:
-    """Like normalize_ray but with a canonical sign (first nonzero > 0)."""
-    return tuple(map(Fraction, _canonical_line(v)))
+def _echelon(rows, n: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """Fraction-free Gauss-Jordan elimination over the first n columns.
 
-
-def rref(rows: list[Vec], n: int) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form of integer or rational rows; returns
-    (nonzero rows, pivot columns)."""
-    mat = [list(r) for r in rows]
+    Returns (reduced rows, pivot columns, indices of the independent input
+    rows, each independent of the rows before it).  Reduced row k is the
+    primitive positive multiple of row k of the reduced row echelon form:
+    its pivot is positive and every other reduced row is zero there.
+    Entries past column n are carried along, as in [B | I].
+    """
+    tab: list[list[int]] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
+    chosen: list[int] = []
+    for i, r in enumerate(rows):
+        if len(pivots) == n:
             break
-    return [tuple(row) for row in mat[:r]], pivots
+        row = list(primitive_ints(r))
+        for c, t in zip(pivots, tab):
+            row = _eliminate(row, t, c)
+        c = next((c for c in range(n) if row[c]), None)
+        if c is None:
+            continue
+        if row[c] < 0:
+            row = [-x for x in row]
+        tab = [_eliminate(t, row, c) for t in tab] + [row]
+        pivots.append(c)
+        chosen.append(i)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [tab[k] for k in order], [pivots[k] for k in order], chosen
 
 
-def nullspace(rows: list[Vec], n: int) -> list[Vec]:
-    """Basis of {x : <r, x> = 0 for all rows r}."""
-    red, pivots = rref(rows, n)
-    free = [c for c in range(n) if c not in pivots]
+def nullspace(rows, n: int) -> list[IVec]:
+    """Basis of {x : <r, x> = 0 for all rows r}, one primitive integer
+    vector per free column f, with x_f > 0."""
+    tab, pivots, _ = _echelon(rows, n)
+    scale = lcm(*(t[c] for c, t in zip(pivots, tab)))
     basis = []
-    for f in free:
-        x = [Fraction(0)] * n
-        x[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            x[p] = -row[f]
-        basis.append(tuple(x))
+    for f in (c for c in range(n) if c not in pivots):
+        x = [0] * n
+        x[f] = scale
+        for c, t in zip(pivots, tab):
+            x[c] = -t[f] * (scale // t[c])
+        basis.append(primitive_ints(x))
     return basis
 
 
-def rank(rows: list[Vec], n: int) -> int:
-    return len(rref(rows, n)[0])
-
-
-def solve(rows: list[Vec], rhs: list[Fraction], n: int) -> Vec | None:
-    """One solution of the linear system, or None if inconsistent."""
-    aug = [tuple(list(r) + [b]) for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, n + 1)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for row, p in zip(red, pivots):
-        x[p] = row[n]
-    return tuple(x)
+def rank(rows, n: int) -> int:
+    return len(_echelon(rows, n)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -352,36 +344,17 @@ class VPolyhedron(Frozen):
 
 def _initial_simplicial(rows: list[IVec], n: int) -> tuple[list[int], list[IVec]]:
     """Pick n independent rows B and return their indices and the primitive
-    integer rays of the cone they cut out, the columns of B^-1, by
-    fraction-free Gauss-Jordan elimination on [B | I]."""
-    chosen: list[int] = []
-    tab: list[list[int]] = []  # reduced rows of [B | I]
-    pivots: list[int] = []
-    for i, r in enumerate(rows):
-        row = list(r) + [int(j == len(chosen)) for j in range(n)]
-        for c, t in zip(pivots, tab):
-            row = _eliminate(row, t, c)
-        c = next((c for c in range(n) if row[c]), None)
-        if c is None:
-            continue
-        tab = [_eliminate(t, row, c) for t in tab] + [row]
-        chosen.append(i)
-        pivots.append(c)
-        if len(chosen) == n:
-            break
+    integer rays of the cone they cut out, the columns of B^-1, read off the
+    reduced [B | I]."""
+    chosen = _echelon(rows, n)[2]
     if len(chosen) < n:
         raise ValueError("constraint matrix not full rank (cone not pointed)")
-    # each row t of tab is t[c] times row c of [I | B^-1], c its pivot
-    scale = 1
-    for c, t in zip(pivots, tab):
-        scale = scale * abs(t[c]) // gcd(scale, t[c])
-    rays = []
-    for j in range(n):
-        x = [0] * n
-        for c, t in zip(pivots, tab):
-            x[c] = t[n + j] * (scale // t[c])
-        rays.append(primitive_ints(x))
-    return chosen, rays
+    tab, _, _ = _echelon([tuple(rows[i]) + tuple(int(j == k) for j in range(n))
+                          for k, i in enumerate(chosen)], n)
+    # reduced row c is t[c] > 0 times row c of [I | B^-1]
+    scale = lcm(*(t[c] for c, t in enumerate(tab)))
+    return chosen, [primitive_ints([t[n + j] * (scale // t[c]) for c, t in enumerate(tab)])
+                    for j in range(n)]
 
 
 def _extreme_rays_pointed(rows: list[IVec], n: int) -> list[IVec]:
@@ -434,61 +407,60 @@ def _extreme_rays_pointed(rows: list[IVec], n: int) -> list[IVec]:
     return rays
 
 
-def cone_generators(ineqs: list[Vec], eqs: list[Vec], n: int) -> tuple[list[Vec], list[Vec]]:
-    """Minimal (lines, rays) generating {x : <a,x> >= 0, <e,x> = 0}.
+def cone_generators(ineqs: list[Vec], eqs: list[Vec], n: int) -> tuple[list[IVec], list[IVec]]:
+    """Minimal (lines, rays) generating {x : <a,x> >= 0, <e,x> = 0}, as
+    sorted primitive integer tuples (lines with their first nonzero entry
+    positive).
 
-    The rows are scaled to primitive integer vectors once, the double
-    description and the maps back run on integers, and the generators
-    become `Fraction` tuples only on return.  Positive rescaling of the
-    parametrisations N and W below leaves the normalised output unchanged.
+    The rows are scaled to primitive integer vectors once; the elimination,
+    the double description and the maps back all run on integers.  Positive
+    rescaling of the parametrisations N and W below leaves the normalised
+    output unchanged.
     """
     A = [primitive_ints(a) for a in ineqs]
     N = None
     if eqs:
         # restrict to the equation subspace: x = N u
-        N = [primitive_ints(c) for c in nullspace([primitive_ints(e) for e in eqs], n)]
+        N = nullspace(eqs, n)
         if not N:
             return [], []
         A = [tuple(_idot(a, c) for c in N) for a in A]
     k = n if N is None else len(N)
     A = [r for r in A if any(r)]
-    # lineality of the restricted cone
-    lines = [primitive_ints(u) for u in nullspace(A, k)]
-    if lines:
-        # quotient out the lineality: u = W^T t with W = rowspace(A)
-        W = [primitive_ints(w) for w in rref(A, k)[0]]
+    W = _echelon(A, k)[0]
+    if len(W) < k:
+        # quotient out the lineality: u = W^T t with W a basis of rowspace(A)
+        lines = nullspace(A, k)
         rays2 = _extreme_rays_pointed([tuple(_idot(a, w) for w in W) for a in A], len(W))
         rays = [primitive_ints([_idot(t, col) for col in zip(*W)]) for t in rays2]
     else:
-        rays = _extreme_rays_pointed(A, k)
+        lines, rays = [], _extreme_rays_pointed(A, k)
     if N is not None:
         cols = list(zip(*N))
         lines = [[_idot(u, col) for col in cols] for u in lines]
         rays = [primitive_ints([_idot(u, col) for col in cols]) for u in rays]
-    return ([tuple(map(Fraction, l)) for l in sorted(set(map(_canonical_line, lines)))],
-            [tuple(map(Fraction, r)) for r in sorted(set(rays))])
+    return sorted(set(map(_canonical_line, lines))), sorted(set(rays))
 
 
 def enumerate_vertices(P: HPolyhedron) -> VPolyhedron:
-    """Exact minimal V-representation; empty lists when P is empty."""
+    """Exact minimal V-representation; empty lists when P is empty.
+
+    Vertices are `Fraction` tuples; rays and lines are primitive integer
+    tuples."""
     n = P.dim
-    hom_ineqs = [tuple(list(h.normal) + [-h.offset]) for h in P.ineqs]
-    hom_ineqs.append(tuple([Fraction(0)] * n + [Fraction(1)]))  # t >= 0
-    hom_eqs = [tuple(list(h.normal) + [-h.offset]) for h in P.eqs]
+    hom_ineqs = [h.normal + (-h.offset,) for h in P.ineqs]
+    hom_ineqs.append((0,) * n + (1,))  # t >= 0
+    hom_eqs = [h.normal + (-h.offset,) for h in P.eqs]
     lines, rays = cone_generators(hom_ineqs, hom_eqs, n + 1)
     if any(l[n] for l in lines):
         raise AssertionError("a line of the homogenized cone leaves t = 0")
-    verts = []
-    vrays = []
-    for r in rays:
-        if r[n] > 0:
-            verts.append(tuple(a / r[n] for a in r[:n]))
-        else:
-            vrays.append(normalize_ray(r[:n]))
-    vlines = [normalize_line(l[:n]) for l in lines]
+    # a generator with r[n] = 0 is primitive and canonical without it
+    verts = [tuple(Fraction(a, r[n]) for a in r[:n]) for r in rays if r[n]]
     if not verts:
         return VPolyhedron(n, (), (), ())
-    return VPolyhedron(n, tuple(sorted(verts)), tuple(sorted(vrays)), tuple(sorted(vlines)))
+    vrays = [r[:n] for r in rays if not r[n]]
+    return VPolyhedron(n, tuple(sorted(verts)), tuple(sorted(vrays)),
+                       tuple(sorted(l[:n] for l in lines)))
 
 
 def cone_hull(rays: list[Vec], lines: list[Vec], n: int) -> HPolyhedron:

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 from math import inf
 
 import pytest
 
-from kisindim import perm as pm
+from kisindim import bounds as bd, perm as pm
 from kisindim.bounds import (DualityData, UnsupportedRegime, a_set, b_value,
                              dominance_polytope, extremal_points_a_qmax,
                              f_T_halfspace, k_polytopes, min_over_permutations,
@@ -12,7 +13,7 @@ from kisindim.bounds import (DualityData, UnsupportedRegime, a_set, b_value,
                              witness_le_mu)
 from kisindim.kisin_model import (KisinInstance, chain_dual_generators,
                                   cone_chain, mu_from_q, regular_dual_generators)
-from kisindim.polyhedra import (dot, enumerate_vertices, minkowski_sum_cone,
+from kisindim.polyhedra import (cone_hull, dot, enumerate_vertices, minkowski_sum_cone,
                                 polyhedra_set_equal, vec)
 
 
@@ -214,6 +215,30 @@ def test_b_value_outside_image_is_minus_infinity():
     inst = KisinInstance(2, 2)
     dd = DualityData(inst, "Qmin", "f", orthant_pm_gens())
     assert b_value(dd, (F(0), F(5))) == -inf
+
+
+def test_b_value_minus_infinity_matches_cone_hull_route():
+    # b_value tests y in D and y in image(Q) + C by one LP each; the oracle
+    # is an H-representation of each cone by double description
+    cases = [DualityData(KisinInstance(d, b), "Qmin", "f", orthant_pm_gens())
+             for d, b in [(2, 2), (3, 3), (4, 2), (5, 3)]]
+    cases += [DualityData(KisinInstance(d, b), "Qmax", "f", orthant_pm_gens())
+              for d, b in [(3, 2), (4, 3), (5, 4), (4, 17)]]
+    cases.append(DualityData(KisinInstance(2, 2), "Qmin", "f", orthant_pm_gens(),
+                             D_gens=(vec((1, 0)),)))
+    outside = 0
+    for dd in cases:
+        F_ = bd._form_vectors(dd.instance, dd.form)
+        lines, rays = bd._variant_generators(dd.instance, dd.variant)
+        gens = [tuple(dot(Fi, r) for Fi in F_) for r in rays]
+        gens += [tuple(s * dot(Fi, l) for Fi in F_) for l in lines for s in (1, -1)]
+        image = cone_hull([g for g in gens + list(dd.C_gens) if any(g)], [], 2)
+        D = None if dd.D_gens is None else cone_hull(list(dd.D_gens), [], 2)
+        for y in product(range(-2, 3), repeat=2):
+            expected = not image.contains(y) or (D is not None and not D.contains(y))
+            assert (b_value(dd, y) == -inf) == expected, (dd, y)
+            outside += expected
+    assert 0 < outside < 25 * len(cases)
 
 
 # ---------------------------------------------------------------------------

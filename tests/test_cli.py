@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -67,6 +68,18 @@ def test_le_mu_without_mu_is_invalid_input(capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--le-mu needs --mu" in captured.err
+
+
+@pytest.mark.parametrize("argv", (
+    ["bounds", "--d", "2", "--b", "2", "--mu", "3"],
+    ["bounds", "--d", "3", "--b", "2", "--mu", "3,0"],
+))
+def test_mu_of_the_wrong_length_is_invalid_input(capsys, argv):
+    # the same message as witness, not a mismatch from deep inside the bounds
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: mu must have d entries\n"
 
 
 def test_negative_budget_is_invalid_input(capsys):
@@ -227,6 +240,17 @@ def test_failed_out_write_leaves_no_partial_file(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert list(target.iterdir()) == []
+
+
+def test_failed_stdout_write_names_stdout(capsys, monkeypatch):
+    # with no --out the message names stdout, as in `hasse --d 2 > /dev/full`
+    class Full:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["hasse", "--d", "2"]) == 1
+    assert capsys.readouterr().err == "cannot write stdout: No space left on device\n"
 
 
 def test_budget_is_deterministic_cold_and_warm(capsys, monkeypatch):

@@ -8,7 +8,7 @@ from kisindim.perm import (Permutation, admissible_from_subset, admissible_level
                            in_dual_chain_cone, level_set, losers_permutation,
                            maximal_elements, ord_tableau, precedes, records,
                            rho_w, w0, w_star)
-from kisindim.polyhedra import solve, vec
+from kisindim.polyhedra import dot, rank, vec
 
 
 def test_permutation_validation():
@@ -202,7 +202,8 @@ def test_rho_coordinates_sum_to_zero():
 
 def test_rho_solves_the_chain_hyperplane_system():
     # independent oracle: rho_w is the unique solution of the linear system
-    # cut out by the chain subsets T_s(w) = {w*(1..s)} and the zero-sum
+    # cut out by the chain subsets T_s(w) = {w*(1..s)} and the zero-sum, as
+    # it satisfies every row with equality and the d rows have rank d
     from kisindim.bounds import f_T_halfspace
     from kisindim.kisin_model import KisinInstance
 
@@ -218,7 +219,9 @@ def test_rho_solves_the_chain_hyperplane_system():
                 rhs.append(c)
             rows.append(vec([1] * d))
             rhs.append(F(0))
-            assert solve(rows, rhs, d) == rho_w(w, b)
+            rho = rho_w(w, b)
+            assert all(dot(a, rho) == c for a, c in zip(rows, rhs))
+            assert rank(rows, d) == d
 
 
 # ---------------------------------------------------------------------------

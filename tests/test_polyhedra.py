@@ -12,8 +12,8 @@ from kisindim.polyhedra import (FlowNetwork, HPolyhedron, INF, VPolyhedron,
                                 cone_generators, cone_hull, dot, dual_cone,
                                 enumerate_vertices,
                                 graph_cone_dual_membership, in_cone, maxflow,
-                                minkowski_sum_cone,
-                                normalize_ray, polyhedra_set_equal, rank, v_to_h,
+                                minkowski_sum_cone, normalize_ray, nullspace,
+                                polyhedra_set_equal, primitive_ints, rank, v_to_h,
                                 vec, vertices_of_sum)
 
 
@@ -264,6 +264,126 @@ def test_double_description_runs_on_integers(monkeypatch):
     rays = polyhedra._extreme_rays_pointed(rows, 3)
     assert all(type(x) is int for r in rays for x in r)
     assert sorted(rays) == [tuple(map(int, r)) for r in expected]
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free elimination kernel against a Fraction RREF oracle
+# ---------------------------------------------------------------------------
+
+def _rref(rows, n):
+    """Reduced row echelon form over Fractions: (nonzero rows, pivot
+    columns).  The oracle for `_echelon`, `rank` and `nullspace`."""
+    mat = [list(map(F, r)) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def _rref_nullspace(rows, n):
+    """One kernel vector per free column f of the RREF: x_f = 1 and x_p the
+    negated entry of pivot row p in column f."""
+    red, pivots = _rref(rows, n)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        x = [F(0)] * n
+        x[f] = F(1)
+        for row, p in zip(red, pivots):
+            x[p] = -row[f]
+        basis.append(tuple(x))
+    return basis
+
+
+def _kernel_matrices():
+    """Seeded random rational matrices with zero rows, repeated (rescaled)
+    rows, a row that is the sum of two others, full rank, and n = 0."""
+    rng = random.Random(314)
+    out = []
+    for trial in range(240):
+        n = trial % 6
+        rows = [tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n))
+                for _ in range(rng.randint(0, n + 2))]
+        kind = trial // 6 % 4
+        if kind == 0:
+            rows.insert(rng.randint(0, len(rows)), (F(0),) * n)
+        elif kind == 1 and rows:
+            s = F(rng.choice((-3, -1, 2)), rng.randint(1, 3))
+            rows.append(tuple(s * x for x in rng.choice(rows)))
+        elif kind == 2 and len(rows) >= 2:
+            rows.insert(1, tuple(x + y for x, y in zip(rows[0], rows[-1])))
+        out.append((rows, n))
+    ranks = [(len(_rref(rows, n)[1]), len(rows), n) for rows, n in out]
+    assert any(r == n > 0 for r, _, n in ranks)  # full rank
+    assert any(r < min(m, n) for r, m, n in ranks)  # rank-deficient
+    assert any(n == 0 for _, _, n in ranks)
+    return out
+
+
+def test_rank_matches_rref_oracle():
+    for rows, n in _kernel_matrices():
+        assert rank(rows, n) == len(_rref(rows, n)[1]), (rows, n)
+
+
+def test_echelon_rows_are_positive_multiples_of_rref_rows():
+    for rows, n in _kernel_matrices():
+        tab, pivots, chosen = polyhedra._echelon(rows, n)
+        red, oracle_pivots = _rref(rows, n)
+        assert pivots == oracle_pivots
+        for t, r, c in zip(tab, red, pivots):
+            assert all(type(x) is int for x in t)
+            # the RREF pivot is 1, so the multiple is t[c]
+            assert t[c] > 0 and list(t) == [t[c] * x for x in r], (rows, n)
+        # the chosen rows are those independent of the rows before them
+        assert chosen == [i for i in range(len(rows))
+                          if len(_rref(rows[:i + 1], n)[1]) > len(_rref(rows[:i], n)[1])]
+
+
+def test_nullspace_matches_rref_oracle():
+    for rows, n in _kernel_matrices():
+        basis = nullspace(rows, n)
+        assert basis == [primitive_ints(x) for x in _rref_nullspace(rows, n)], (rows, n)
+        assert all(type(x) is int for v in basis for x in v)
+
+
+def test_initial_simplicial_rays_are_tight_on_all_chosen_rows_but_one():
+    checked = 0
+    for rows, n in _kernel_matrices():
+        rows = [primitive_ints(r) for r in rows]
+        if n == 0 or rank(rows, n) < n:
+            if n:
+                with pytest.raises(ValueError):
+                    polyhedra._initial_simplicial(rows, n)
+            continue
+        chosen, rays = polyhedra._initial_simplicial(rows, n)
+        assert chosen == polyhedra._echelon(rows, n)[2]
+        for j, ray in enumerate(rays):
+            assert all(type(x) is int for x in ray) and gcd(*ray) == 1
+            for k, i in enumerate(chosen):
+                value = dot(rows[i], ray)
+                assert value > 0 if k == j else value == 0, (rows, j, k)
+        checked += 1
+    assert checked >= 20
+
+
+def test_cone_generators_returns_int_tuples():
+    for rows, n in _kernel_matrices():
+        half = len(rows) // 2
+        for ineqs, eqs in ((rows, []), (rows[half:], rows[:half])):
+            lines, rays = cone_generators(ineqs, eqs, n)
+            assert all(type(g) is tuple for g in lines + rays)
+            assert all(type(x) is int for g in lines + rays for x in g)
 
 
 def test_minkowski_sum_with_zero_cone_is_identity():
