@@ -43,6 +43,10 @@ witness tie-break is unchanged.  The bound is not taken on faith: for each
 search's own real relaxation (Farkas), and without that certificate every
 top is searched.  A solved top above its bound raises AssertionError.
 
+For le_e only the tops with mu_d <= b-2 are searched (see
+`_enumerate_le_e_tops`).  Nothing is kept between queries, so node counts
+and budget refusals are a function of the query and the budget alone.
+
 Results are exact integers when h != 0 and intervals of width d(d-1)/2
 when h = 0; a query that would exceed the node budget raises the typed
 `BudgetExceeded` instead of approximating.
@@ -59,9 +63,6 @@ from . import kisin_model as km
 from .polyhedra import Frozen, frac, in_cone, primitive_ints
 
 DEFAULT_BUDGET = 5_000_000
-# entries of the top-row memo; a full memo is cleared, which costs time but
-# changes no result, node count or refusal (a miss charges what a hit would)
-_MEMO_CAP = 200_000
 
 
 class BudgetExceeded(Exception):
@@ -81,7 +82,7 @@ class DimQuery(Frozen):
                 raise ValueError("le_e queries need e >= 0")
         else:
             if mu is None or len(mu) != instance.d:
-                raise ValueError("mu queries need a d-tuple")
+                raise ValueError("mu must have d entries")
             if list(mu) != sorted(mu, reverse=True):
                 raise ValueError("mu must be nonincreasing")
         self._store(locals())
@@ -132,8 +133,8 @@ class _Budget:
     def __init__(self, budget):
         self.left = budget
 
-    def spend(self, k=1):
-        self.left -= k
+    def spend(self):
+        self.left -= 1
         if self.left < 0:
             raise BudgetExceeded("enumeration budget exhausted")
 
@@ -265,32 +266,15 @@ def _sub_bound_certified(d: int, b: int) -> bool:
 # the core search: maximal dim(phi) with a prescribed top row
 # ---------------------------------------------------------------------------
 
-_memo: dict = {}
-
-
-def _canonical_shift(inst, top):
-    """Shift by a multiple of (b-1) so the last entry lies in [0, b-2]."""
-    t = (top[-1] // (inst.b - 1)) * (inst.b - 1)
-    return tuple(x - t for x in top), t
-
-
 def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget):
     """(best dim, witness rows) over lower rows for a fixed top row, or
     (None, None) when infeasible.  top must be nonincreasing integers with
-    row sum divisible by b-1.
-
-    Memoized; a cache hit still charges the original node cost so that
-    budget refusals do not depend on cache warmth.
-    """
+    row sum divisible by b-1.  Shifting the top by a multiple of b-1
+    leaves every slack, cap, residue walk and prune unchanged, so it shifts
+    the rows by the same amount after the same number of nodes."""
     d, b = inst.d, inst.b
-    key = (d, b, top)
-    if key in _memo:
-        value, rows, cost = _memo[key]
-        budget.spend(cost)
-        return value, rows
     _self_test(d, b)
     sub_bound = _sub_bound_certified(d, b)
-    start_left = budget.left
     const = _dim_form([top], d)
     rows = [list(top)] + [[0] * (d - i + 1) for i in range(2, d + 1)]
     best = [None, None]
@@ -367,26 +351,28 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget):
         fill_cell(0, 0, 0, rem[0])
 
     if d == 1:
-        result = (0, [list(top)]) if top[0] % (b - 1) == 0 else (None, None)
-    elif sum(top) % (b - 1) != 0:
-        result = (None, None)
-    else:
-        fill_row(2, 0)
-        result = (best[0], best[1])
-    if len(_memo) >= _MEMO_CAP:
-        _memo.clear()
-    _memo[key] = (result[0], result[1], start_left - budget.left)
-    return result
+        return (0, [list(top)]) if top[0] % (b - 1) == 0 else (None, None)
+    if sum(top) % (b - 1) != 0:
+        return None, None
+    fill_row(2, 0)
+    return best[0], best[1]
 
 
 def _enumerate_le_e_tops(d, e, b):
-    """Nonincreasing tuples e >= mu_1 >= ... >= mu_d >= 0 with divisible sum."""
+    """Nonincreasing tuples e >= mu_1 >= ... >= mu_d >= 0 with divisible sum
+    and mu_d <= b-2, the only tops of the e-bounded family that can win.  A
+    top with mu_d >= b-1, shifted down by b-1, is also in the family: the
+    shift keeps the divisibility, the top bound and (the search being
+    shift-equivariant) the dim, and it moves the witness down in every
+    cell.  So the skipped top can neither beat its shift nor win a tie."""
 
     def rec(prefix, last, total):
         if len(prefix) == d:
             if total % (b - 1) == 0:
                 yield tuple(prefix)
             return
+        if len(prefix) == d - 1:
+            last = min(last, b - 2)
         for v in range(last, -1, -1):
             yield from rec(prefix + [v], v, total + v)
 
@@ -417,11 +403,9 @@ def _enumerate_dominated_tops(mu, b):
 
 
 def _solve_mu(inst, top, budget):
-    canon, t = _canonical_shift(inst, top)
-    value, rows = _max_dim_top(inst, canon, budget)
+    value, rows = _max_dim_top(inst, top, budget)
     if value is None:
         return None, None
-    rows = [[x + t for x in row] for row in rows]
     tri = km.MuTriangle(inst, {(i, j): rows[i - 1][j - i] for (i, j) in inst.cells})
     return value, tri
 

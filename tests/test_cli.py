@@ -73,9 +73,11 @@ def test_le_mu_without_mu_is_invalid_input(capsys, command):
 @pytest.mark.parametrize("argv", (
     ["bounds", "--d", "2", "--b", "2", "--mu", "3"],
     ["bounds", "--d", "3", "--b", "2", "--mu", "3,0"],
+    ["dim", "--d", "2", "--b", "2", "--mu", "3"],
 ))
 def test_mu_of_the_wrong_length_is_invalid_input(capsys, argv):
-    # the same message as witness, not a mismatch from deep inside the bounds
+    # one message for dim, bounds and witness, not a mismatch from deep
+    # inside the bounds
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -254,21 +256,26 @@ def test_failed_stdout_write_names_stdout(capsys, monkeypatch):
 
 
 def test_budget_is_deterministic_cold_and_warm(capsys, monkeypatch):
-    # a memo hit charges the node cost of the search that filled it, so the
-    # same query spends the same budget whether the memo is cold or warm,
-    # and a refusal does not depend on cache warmth or on the environment
+    # the search keeps nothing between queries, so the same query spends the
+    # same budget on its first and its second run, and a refusal depends
+    # neither on what ran before nor on the environment
     monkeypatch.setenv("KISIN_DIM_THREADS", "2")
-    monkeypatch.setattr(sv, "_memo", {})
-    query = sv.DimQuery(KisinInstance(4, 2), "le_e", e=8)
-    cold = sv.dim_exact(query)
-    warm = sv.dim_exact(query)
-    assert cold.nodes == warm.nodes > 0
-    assert cold.to_dict() == warm.to_dict()
+    queries = [sv.DimQuery(KisinInstance(4, 2), "le_e", e=8),
+               sv.DimQuery(KisinInstance(3, 3), "le_mu", mu=(9, 4, 1)),
+               sv.DimQuery(KisinInstance(4, 3, True), "mu", mu=(6, 2, 2, 0))]
+    first = [sv.dim_exact(q) for q in queries]
+    for q, r in zip(queries, first):
+        again = sv.dim_exact(q)
+        assert r.nodes == again.nodes > 0
+        assert r.to_dict() == again.to_dict()
+        # the budget is exact: r.nodes answers, one node fewer refuses
+        sv.dim_exact(q, budget=r.nodes)
+        with pytest.raises(sv.BudgetExceeded):
+            sv.dim_exact(q, budget=r.nodes - 1)
     argv = ["dim", "--d", "4", "--b", "2", "--e", "8", "--budget"]
-    for budget, code in ((cold.nodes, 0), (cold.nodes - 1, 2)):
-        sv._memo.clear()
-        assert main(argv + [str(budget)]) == code  # cold memo
-        assert main(argv + [str(budget)]) == code  # warm memo
+    for budget, code in ((first[0].nodes, 0), (first[0].nodes - 1, 2)):
+        assert main(argv + [str(budget)]) == code
+        assert main(argv + [str(budget)]) == code
     capsys.readouterr()
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -204,7 +205,6 @@ def test_search_runs_the_proof(monkeypatch, cold_mu_system):
     inst = KisinInstance(3, 2)
     full = cone_q(inst)
     monkeypatch.setattr(km, "cone_q", lambda inst: HPolyhedron(full.dim, full.halfspaces[1:]))
-    monkeypatch.setattr(sv, "_memo", {})
     with pytest.raises(AssertionError, match="disagree"):
         dim_exact(DimQuery(inst, "mu", mu=(4, 2, 0)))
 
@@ -385,6 +385,13 @@ def test_result_serialization():
 # pruning across top rows: the exhaustive oracle and the certified bound
 # ---------------------------------------------------------------------------
 
+def _all_le_e_tops(d, e, b):
+    """Every top of the e-bounded family: nonincreasing tuples
+    e >= mu_1 >= ... >= mu_d >= 0 with divisible sum, mu_d >= b-1 included."""
+    return [top for top in itertools.combinations_with_replacement(range(e, -1, -1), d)
+            if sum(top) % (b - 1) == 0]
+
+
 def _dim_all_tops(query):
     """The exhaustive oracle: solve every top row in enumeration order and
     keep the best value with the lexicographically least witness.  Returns
@@ -392,7 +399,7 @@ def _dim_all_tops(query):
     inst = query.instance
     b = inst.b
     if query.kind == "le_e":
-        tops = sv._enumerate_le_e_tops(inst.d, query.e, b)
+        tops = _all_le_e_tops(inst.d, query.e, b)
     elif sum(query.mu) % (b - 1):
         tops = []
     else:
@@ -466,27 +473,43 @@ def test_every_top_solves_within_its_bound():
     for d in (1, 2, 3):
         for b in (2, 3, 5):
             inst = KisinInstance(d, b)
-            for top in sv._enumerate_le_e_tops(d, 12, b):
+            for top in _all_le_e_tops(d, 12, b):
                 value, _ = sv._solve_mu(inst, top, sv._Budget(10 ** 9))
                 assert value is None or value <= sv._top_bound(top, b), (d, b, top)
 
 
-def test_memo_cap_changes_no_result(monkeypatch):
-    queries = [DimQuery(KisinInstance(4, 2), "le_e", e=8),
-               DimQuery(KisinInstance(3, 3), "le_mu", mu=(9, 4, 1)),
-               DimQuery(KisinInstance(4, 3, True), "mu", mu=(6, 2, 2, 0))]
-    monkeypatch.setattr(sv, "_memo", {})
-    free = [dim_exact(q) for q in queries]
-    monkeypatch.setattr(sv, "_memo", {})
-    monkeypatch.setattr(sv, "_MEMO_CAP", 3)
-    for _ in range(2):  # cold, then as warm as a 3-entry memo gets
-        capped = [dim_exact(q) for q in queries]
-        assert [r.to_dict() for r in capped] == [r.to_dict() for r in free]
-        assert len(sv._memo) <= 3
-    for q, r in zip(queries, free):
-        dim_exact(q, budget=r.nodes)
-        with pytest.raises(BudgetExceeded):
-            dim_exact(q, budget=r.nodes - 1)
+@pytest.mark.parametrize("d", (2, 3, 4))
+@pytest.mark.parametrize("b", (2, 3, 5))
+def test_search_is_shift_equivariant(d, b):
+    # a top shifted by c(b-1) gives the same dim, every row shifted by
+    # c(b-1), after the same nodes; the le_e family skips the tops with
+    # mu_d >= b-1 on the strength of it
+    inst = KisinInstance(d, b)
+    tops = _all_le_e_tops(d, 9 if d == 4 else 12, b)
+    spent = []
+    for top in random.Random(100 * d + b).sample(tops, 8) + [tops[0]]:
+        base = sv._Budget(10 ** 9)
+        value, rows = sv._max_dim_top(inst, top, base)
+        spent.append(10 ** 9 - base.left)
+        for c in (1, 3, -1, -2):
+            t = c * (b - 1)
+            shifted = sv._Budget(10 ** 9)
+            got = sv._max_dim_top(inst, tuple(x + t for x in top), shifted)
+            assert got == (value, rows and [[x + t for x in row] for row in rows]), (top, t)
+            assert shifted.left == base.left, (top, t)
+    assert max(spent) > 0
+
+
+@pytest.mark.parametrize("d, b, e_max", [(2, 2, 10), (2, 3, 21), (3, 2, 10), (3, 3, 21),
+                                         (4, 2, 10), (4, 3, 8)])
+def test_le_e_quasi_periodicity(d, b, e_max):
+    # dim(e + b^2 - 1) = dim(e) + floor(d^2/4)(b-1) for every e at d = 2;
+    # from d = 3 on it fails exactly at b <= e <= 2b-2
+    period, jump = b * b - 1, d * d // 4 * (b - 1)
+    inst = KisinInstance(d, b)
+    dims = [dim_exact(DimQuery(inst, "le_e", e=e)).dim for e in range(e_max + period + 1)]
+    holds = [e for e in range(e_max + 1) if dims[e + period] == dims[e] + jump]
+    assert holds == [e for e in range(e_max + 1) if d == 2 or not b <= e <= 2 * b - 2]
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +520,7 @@ def _row_end_max_dim_top(inst, top, budget):
     """The search before the caps, kept as the oracle for
     solver._max_dim_top: each cell ranges over its order interval, each
     level-(r-1) scaled-q row is checked once row r is complete and the
-    level-d row at the leaf.  No memo; a memo hit charges the same nodes."""
+    level-d row at the leaf."""
     d, b = inst.d, inst.b
     if d == 1:
         return (0, [list(top)]) if top[0] % (b - 1) == 0 else (None, None)
@@ -542,7 +565,6 @@ def _row_end_max_dim_top(inst, top, budget):
 
 
 def _assert_matches_row_end_oracle(query, monkeypatch):
-    monkeypatch.setattr(sv, "_memo", {})
     r = dim_exact(query, budget=10 ** 9)
     with monkeypatch.context() as m:
         m.setattr(sv, "_max_dim_top", _row_end_max_dim_top)
@@ -584,8 +606,7 @@ def _capped_max_dim_top(inst, top, budget):
     """The search before the closed-form row set-up and the sub-triangle
     bound, kept as the oracle for solver._max_dim_top: each row's slacks
     and the level-d bound are read off _scaled_q, and the unfilled cells
-    are bounded below by the entries above them only.  No memo; a memo hit
-    charges the same nodes."""
+    are bounded below by the entries above them only."""
     d, b = inst.d, inst.b
     if d == 1:
         return (0, [list(top)]) if top[0] % (b - 1) == 0 else (None, None)
@@ -642,7 +663,6 @@ def _capped_max_dim_top(inst, top, budget):
 
 
 def _vs_capped_oracle(query, monkeypatch):
-    monkeypatch.setattr(sv, "_memo", {})
     r = dim_exact(query, budget=10 ** 9)
     with monkeypatch.context() as m:
         m.setattr(sv, "_max_dim_top", _capped_max_dim_top)
@@ -671,11 +691,10 @@ def test_closed_form_rows_match_capped_oracle(d, b, monkeypatch):
     assert all(n <= o for n, o in counts)
 
 
-def test_node_counts_of_the_documented_queries(monkeypatch):
+def test_node_counts_of_the_documented_queries():
     # the counts the README quotes; a weaker valid bound (a divisor b for
     # b+1, say) changes no result, only these
-    monkeypatch.setattr(sv, "_memo", {})
-    for e, nodes in ((15, 231), (20, 46_278)):
+    for e, nodes in ((15, 231), (20, 44_383)):
         assert dim_exact(DimQuery(KisinInstance(4, 2), "le_e", e=e)).nodes == nodes
 
 
@@ -708,7 +727,6 @@ def test_row_slacks_proof_catches_a_wrong_step(monkeypatch, cold_mu_system):
     for d in (3, 4):
         with pytest.raises(AssertionError, match="disagree"):
             _self_test(d, 2)
-    monkeypatch.setattr(sv, "_memo", {})
     with pytest.raises(AssertionError, match="disagree"):
         dim_exact(DimQuery(KisinInstance(3, 2), "mu", mu=(4, 2, 0)))
 

@@ -1,7 +1,8 @@
 """Source-level checks on the kisindim package: its correctness checks are
 explicit raises, which `python -O` keeps, none of its caches grows without
-bound in a long-running process, importing the CLI stays cheap, and no
-module of the package or its tests imports a name it never uses."""
+bound in a long-running process, no module keeps mutable state in a
+lower-case global, importing the CLI stays cheap, and no module of the
+package or its tests imports a name it never uses."""
 
 import ast
 import importlib
@@ -89,6 +90,18 @@ def test_every_lru_cache_is_bounded():
     unbounded = [name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
+
+
+def test_no_module_level_mutable_state():
+    # state kept between queries in a module global would make node counts
+    # and refusals depend on what ran before; upper-case names are constants
+    found = []
+    for info in pkgutil.iter_modules(kisindim.__path__):
+        module = importlib.import_module(f"kisindim.{info.name}")
+        found += [f"{module.__name__}.{name}" for name, obj in vars(module).items()
+                  if isinstance(obj, (dict, list, set)) and not name.isupper()
+                  and not name.startswith("__")]
+    assert found == []
 
 
 def _clear_caches():
