@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 
 from . import perm as pm
-from .polyhedra import (Frozen, HPolyhedron, Vec, dot, fmt_frac, frac, parse_frac, vec)
+from .polyhedra import Frozen, HPolyhedron, Vec, dot, fmt_frac, frac, vec
 
 
 class KisinInstance(Frozen):
@@ -102,7 +102,7 @@ class _Triangle:
         data = json.loads(s)
         inst = KisinInstance(data["d"], data["b"], h_zero)
         key = cls._json_key(cls)  # type: ignore[arg-type]
-        vals = {tuple(map(int, k.split(","))): parse_frac(v)
+        vals = {tuple(map(int, k.split(","))): Fraction(v)
                 for k, v in data[key].items()}
         return cls(inst, vals)
 

@@ -5,8 +5,9 @@ There is no floating point anywhere in this module.  Elimination (`rank`,
 description), the double description itself and the LP oracle all run on
 primitive integer vectors (rows and rays scaled by positive rationals,
 which changes neither cones nor feasibility), through one fraction-free
-row step, `_eliminate`.  `fractions.Fraction` appears only at the API
-edge: halfspaces, `dot`, the coordinates of points and vertices, and the
+row step, `_eliminate`.  A halfspace is stored as its primitive integer
+row, so membership is an integer dot.  `fractions.Fraction` appears only
+at the API edge: `dot`, the coordinates of points and vertices, and the
 max-flow capacities.  Rays and lines are returned as primitive integer
 tuples.  Polyhedra come in two representations:
 
@@ -27,7 +28,6 @@ that it certifies.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
@@ -156,10 +156,6 @@ def fmt_frac(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 # ---------------------------------------------------------------------------
 # immutable value types
 # ---------------------------------------------------------------------------
@@ -213,19 +209,19 @@ class Frozen:
 # ---------------------------------------------------------------------------
 
 class Halfspace(Frozen):
-    """``<normal, x> >= offset`` (or ``=`` when is_eq)."""
+    """``<normal, x> >= offset`` (or ``=`` when is_eq).
 
-    def __init__(self, normal: Vec, offset: Fraction = Fraction(0), is_eq: bool = False):
-        normal, offset = vec(normal), frac(offset)
-        if not is_eq and is_zero(normal):
+    The rational input is stored as the primitive integer row of
+    (normal, offset), a positive multiple of it that cuts out the same set,
+    so every positive multiple of a row gives an equal halfspace."""
+
+    def __init__(self, normal: Vec, offset: Fraction = 0, is_eq: bool = False):
+        row = primitive_ints((*normal, offset))
+        if not is_eq and not any(row[:-1]):
             raise ValueError("inequality with zero normal")
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "normal", row[:-1])
+        object.__setattr__(self, "offset", row[-1])
         object.__setattr__(self, "is_eq", is_eq)
-
-    def holds(self, x: Vec) -> bool:
-        v = dot(self.normal, x)
-        return v == self.offset if self.is_eq else v >= self.offset
 
 
 class HPolyhedron(Frozen):
@@ -234,15 +230,9 @@ class HPolyhedron(Frozen):
 
     @staticmethod
     def build(dim, ineqs=(), eqs=()):
-        """ineqs/eqs are (normal, offset) pairs; offset defaults to 0."""
-        hs = []
-        for item in ineqs:
-            a, c = _split(item)
-            hs.append(Halfspace(a, c))
-        for item in eqs:
-            a, c = _split(item)
-            hs.append(Halfspace(a, c, is_eq=True))
-        return HPolyhedron(dim, tuple(hs))
+        """ineqs/eqs are (normal, offset) pairs."""
+        return HPolyhedron(dim, tuple([Halfspace(a, c) for a, c in ineqs]
+                                      + [Halfspace(a, c, True) for a, c in eqs]))
 
     @property
     def ineqs(self):
@@ -253,17 +243,22 @@ class HPolyhedron(Frozen):
         return [h for h in self.halfspaces if h.is_eq]
 
     def contains(self, x: Vec) -> bool:
-        x = vec(x)
         if len(x) != self.dim:
             raise ValueError(f"point of dimension {len(x)} in R^{self.dim}")
-        return all(h.holds(x) for h in self.halfspaces)
+        L = lcm(*(a.denominator for a in x))
+        X = [a.numerator * (L // a.denominator) for a in x]
+        for h in self.halfspaces:
+            v, c = _idot(h.normal, X), h.offset * L
+            if v < c or (h.is_eq and v != c):
+                return False
+        return True
 
     def contains_ray(self, r: Vec) -> bool:
         """Is r in the recession cone?"""
-        r = vec(r)
+        r = primitive_ints(r)
         for h in self.halfspaces:
-            v = dot(h.normal, r)
-            if (h.is_eq and v != 0) or (not h.is_eq and v < 0):
+            v = _idot(h.normal, r)
+            if v < 0 or (h.is_eq and v):
                 return False
         return True
 
@@ -279,33 +274,6 @@ class HPolyhedron(Frozen):
             Halfspace(h.normal, h.offset + dot(h.normal, p), h.is_eq)
             for h in self.halfspaces))
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "dim": self.dim,
-            "ineqs": [[fmt_frac(a) for a in h.normal] + [fmt_frac(h.offset)]
-                      for h in self.ineqs],
-            "eqs": [[fmt_frac(a) for a in h.normal] + [fmt_frac(h.offset)]
-                    for h in self.eqs],
-        }, sort_keys=True)
-
-    @staticmethod
-    def from_json(s: str) -> "HPolyhedron":
-        d = json.loads(s)
-        ineqs = [(vec(map(parse_frac, row[:-1])), parse_frac(row[-1])) for row in d["ineqs"]]
-        eqs = [(vec(map(parse_frac, row[:-1])), parse_frac(row[-1])) for row in d["eqs"]]
-        return HPolyhedron.build(d["dim"], ineqs, eqs)
-
-
-def _split(item):
-    if isinstance(item, Halfspace):
-        return item.normal, item.offset
-    if len(item) == 2 and not isinstance(item[1], (tuple, list)):
-        try:
-            return vec(item[0]), frac(item[1])
-        except TypeError:
-            pass
-    return vec(item), Fraction(0)
-
 
 class VPolyhedron(Frozen):
     """conv(vertices) + cone(rays) + span(lines); minimal and sorted."""
@@ -317,25 +285,6 @@ class VPolyhedron(Frozen):
     @property
     def is_empty(self) -> bool:
         return not self.vertices
-
-    def to_json(self) -> str:
-        out = {
-            "vertices": [[fmt_frac(a) for a in v] for v in self.vertices],
-            "rays": [[fmt_frac(a) for a in r] for r in self.rays],
-        }
-        if self.lines:
-            out["lines"] = [[fmt_frac(a) for a in l] for l in self.lines]
-        return json.dumps(out, sort_keys=True)
-
-    @staticmethod
-    def from_json(s: str, dim: int | None = None) -> "VPolyhedron":
-        d = json.loads(s)
-        vs = tuple(vec(map(parse_frac, v)) for v in d["vertices"])
-        rs = tuple(vec(map(parse_frac, r)) for r in d["rays"])
-        ls = tuple(vec(map(parse_frac, l)) for l in d.get("lines", []))
-        if dim is None:
-            dim = len(vs[0]) if vs else (len(rs[0]) if rs else 0)
-        return VPolyhedron(dim, vs, rs, ls)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +551,7 @@ def vertices_of_sum(P: HPolyhedron, vertices, gens) -> list[Vec]:
     k = len(gens)
     rows, cone_gens = [], []
     for h in P.halfspaces:
-        a = primitive_ints(h.normal + (-h.offset,))
+        a = h.normal + (-h.offset,)
         image = tuple(_idot(a, g) for g in gens)
         if h.is_eq:
             cone_gens += [image, tuple(-x for x in image)]
@@ -744,39 +693,28 @@ def admissible_vertex_subsets(nodes: list, arcs: list[tuple]) -> list[frozenset]
     return out
 
 
-def graph_cone_dual_membership(nodes: list, arcs: list[tuple], x: dict,
-                               method: str = "both") -> bool:
+def graph_cone_dual_membership(nodes: list, arcs: list[tuple], x: dict) -> bool:
     """Membership of x in the dual of the cone {y : y_v <= y_u per arc u->v}.
 
-    method: "subsets" enumerates admissible vertex subsets, "flow" runs the
-    max-flow construction, "both" runs the two and insists they agree.
+    Runs two oracles, one over the admissible vertex subsets and one by a
+    max-flow construction, and raises if they disagree.
     """
     nodes = list(nodes)
     xs = {s: frac(x[s]) for s in nodes}
     if sum(xs.values()) != 0:
         return False
-
-    def by_subsets():
-        return all(sum((xs[s] for s in sub), Fraction(0)) <= 0
-                   for sub in admissible_vertex_subsets(nodes, arcs))
-
-    def by_flow():
-        big = max((abs(v) for v in xs.values()), default=Fraction(0)) + 1
-        src, snk = ("__D__",), ("__A__",)
-        net = FlowNetwork(src, snk)
-        for u, v in arcs:
-            net.add_edge(u, v, INF)
-        for s in nodes:
-            net.add_edge(src, s, xs[s] + big)
-            net.add_edge(s, snk, big)
-        value, _ = maxflow(net)
-        return value == big * len(nodes)
-
-    if method == "subsets":
-        return by_subsets()
-    if method == "flow":
-        return by_flow()
-    a, b = by_subsets(), by_flow()
-    if a != b:
-        raise AssertionError(f"dual membership oracles disagree: subsets={a} flow={b}")
-    return a
+    by_subsets = all(sum((xs[s] for s in sub), Fraction(0)) <= 0
+                     for sub in admissible_vertex_subsets(nodes, arcs))
+    big = max((abs(v) for v in xs.values()), default=Fraction(0)) + 1
+    src, snk = ("__D__",), ("__A__",)
+    net = FlowNetwork(src, snk)
+    for u, v in arcs:
+        net.add_edge(u, v, INF)
+    for s in nodes:
+        net.add_edge(src, s, xs[s] + big)
+        net.add_edge(s, snk, big)
+    by_flow = maxflow(net)[0] == big * len(nodes)
+    if by_subsets != by_flow:
+        raise AssertionError(f"dual membership oracles disagree: subsets={by_subsets} "
+                             f"flow={by_flow}")
+    return by_subsets

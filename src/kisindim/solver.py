@@ -197,8 +197,8 @@ def _self_test(d: int, b: int) -> bool:
     Q = km.cone_q(inst)
     if any(h.is_eq or h.offset for h in Q.halfspaces):
         raise AssertionError(f"cone Q at d={d} b={b} has an equation or an offset row")
-    pulled = {primitive_ints([sum(map(mul, a, q)) for q in images])
-              for a in (primitive_ints(h.normal) for h in Q.halfspaces)}
+    pulled = {primitive_ints([sum(map(mul, h.normal, q)) for q in images])
+              for h in Q.halfspaces}
     mine = set(_mu_system_rows(d, b))
     if pulled != mine:
         raise AssertionError(f"mu-system and q-system disagree at d={d} b={b} "

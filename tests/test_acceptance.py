@@ -310,7 +310,7 @@ def test_acceptance_9_dual_oracles():
         if rng.random() < 0.6:
             x[-1] = -sum(x[:-1])
         # raises if the subset and max-flow methods disagree
-        graph_cone_dual_membership(nodes, arcs, dict(zip(nodes, x)), method="both")
+        graph_cone_dual_membership(nodes, arcs, dict(zip(nodes, x)))
     # the closed-form dual descriptions against the graph oracles, on the
     # two graph cones the model uses
     for d in (2, 3, 4):
@@ -332,14 +332,12 @@ def test_acceptance_9_dual_oracles():
             closed_min = zero and all(
                 sum(x[c] for c in pm.admissible_level(d, s).cells) <= 0
                 for s in range(1, d))
-            assert closed_min == graph_cone_dual_membership(cells, arcs_min, x,
-                                                            method="both")
+            assert closed_min == graph_cone_dual_membership(cells, arcs_min, x)
             # closed form for the max-variant: all admissible sums nonpositive
             closed_max = zero and all(
                 sum((x[c] for c in pm.admissible_from_subset(d, T).cells), F(0)) <= 0
                 for T in _subsets(d))
-            assert closed_max == graph_cone_dual_membership(cells, arcs_max, x,
-                                                            method="both")
+            assert closed_max == graph_cone_dual_membership(cells, arcs_max, x)
     _ok("9 (dual-membership oracles: 500 random graphs + both model cones)")
 
 

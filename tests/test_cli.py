@@ -255,11 +255,10 @@ def test_failed_stdout_write_names_stdout(capsys, monkeypatch):
     assert capsys.readouterr().err == "cannot write stdout: No space left on device\n"
 
 
-def test_budget_is_deterministic_cold_and_warm(capsys, monkeypatch):
+def test_budget_is_deterministic_cold_and_warm(capsys):
     # the search keeps nothing between queries, so the same query spends the
-    # same budget on its first and its second run, and a refusal depends
-    # neither on what ran before nor on the environment
-    monkeypatch.setenv("KISIN_DIM_THREADS", "2")
+    # same budget on its first and its second run, and a refusal does not
+    # depend on what ran before
     queries = [sv.DimQuery(KisinInstance(4, 2), "le_e", e=8),
                sv.DimQuery(KisinInstance(3, 3), "le_mu", mu=(9, 4, 1)),
                sv.DimQuery(KisinInstance(4, 3, True), "mu", mu=(6, 2, 2, 0))]

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from kisindim import bounds as bd, polyhedra
 from kisindim.kisin_model import KisinInstance, chain_dual_generators
-from kisindim.polyhedra import (FlowNetwork, HPolyhedron, INF, VPolyhedron,
-                                cone_generators, cone_hull, dot, dual_cone,
-                                enumerate_vertices,
+from kisindim.polyhedra import (FlowNetwork, Halfspace, HPolyhedron, INF,
+                                VPolyhedron, cone_generators, cone_hull, dot,
+                                dual_cone, enumerate_vertices,
                                 graph_cone_dual_membership, in_cone, maxflow,
                                 minkowski_sum_cone, normalize_ray, nullspace,
                                 polyhedra_set_equal, primitive_ints, rank, v_to_h,
@@ -480,17 +480,55 @@ def test_in_cone_certificates(gens, target):
     assert member == H.contains(target)
 
 
-def test_json_round_trip():
-    P = HPolyhedron.build(2, ineqs=[((1, 2), F(1, 3))], eqs=[((1, -1), 0)])
-    Q = HPolyhedron.from_json(P.to_json())
-    assert P.to_json() == Q.to_json()
-    V = VPolyhedron(2, (vec((F(1, 2), 1)),), (vec((1, 0)),))
-    assert VPolyhedron.from_json(V.to_json()).to_json() == V.to_json()
-
-
 def test_contains_dimension_mismatch():
     with pytest.raises(ValueError):
         square().contains(vec((1, 2, 3)))
+
+
+def test_integer_membership_matches_the_fraction_definition():
+    # a halfspace keeps only the primitive integer row of (normal, offset);
+    # the oracle is the Fraction dot on the rows as drawn, before each is
+    # scaled by a random positive rational
+    rng = random.Random(31)
+
+    def rat(num=6, den=4):
+        return F(rng.randint(-num, num), rng.randint(1, den))
+
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        anchor = [rat() for _ in range(n)]
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            is_eq = rng.random() < 0.3
+            a = [rat() for _ in range(n)]
+            if not is_eq and not any(a):
+                a[rng.randrange(n)] = F(-1)
+            # zero, negative and positive offsets, many of them tight at anchor
+            c = rng.choice((F(0), -abs(rat()), rat(), dot(a, anchor), dot(a, anchor)))
+            rows.append((a, c, is_eq))
+        scaled = []
+        for a, c, is_eq in rows:
+            s = F(rng.randint(1, 9), rng.randint(1, 9))
+            h = Halfspace([s * x for x in a], s * c, is_eq)
+            assert h == Halfspace(a, c, is_eq)
+            assert all(type(x) is int for x in h.normal + (h.offset,))
+            if not is_eq:
+                assert h != Halfspace([-s * x for x in a], -s * c)
+            scaled.append(h)
+        P = HPolyhedron(n, tuple(scaled))
+        points = [anchor] + [[rng.randint(1, 3) * rat(3, 3) for _ in range(n)]
+                             for _ in range(6)]
+        points += [[rng.randint(2, 4) * x for x in anchor]]
+        for x in points:
+            x = tuple(x)
+            expected = all(dot(a, x) == c if is_eq else dot(a, x) >= c
+                           for a, c, is_eq in rows)
+            assert P.contains(x) == expected, (rows, x)
+            r = tuple(u - v for u, v in zip(x, anchor))
+            for ray in (x, r, tuple(-u for u in r)):
+                expected = all(dot(a, ray) == 0 if is_eq else dot(a, ray) >= 0
+                               for a, _, is_eq in rows)
+                assert P.contains_ray(ray) == expected, (rows, ray)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +629,7 @@ def test_graph_membership_indicator_inequality():
         x = [F(rng.randint(-4, 4)) for _ in nodes]
         x[-1] = -sum(x[:-1])
         xs = dict(zip(nodes, x))
-        if graph_cone_dual_membership(nodes, arcs, xs, method="subsets"):
+        if graph_cone_dual_membership(nodes, arcs, xs):
             from kisindim.polyhedra import admissible_vertex_subsets
 
             for sub in admissible_vertex_subsets(nodes, arcs):
@@ -609,7 +647,7 @@ def test_graph_membership_methods_agree_500_random():
         if rng.random() < 0.6:
             x[-1] = -sum(x[:-1])  # hit the zero-sum hyperplane often
         xs = dict(zip(nodes, x))
-        # method="both" raises if the subset and flow oracles disagree
-        graph_cone_dual_membership(nodes, arcs, xs, method="both")
+        # raises if the subset and flow oracles disagree
+        graph_cone_dual_membership(nodes, arcs, xs)
         agreements += 1
     assert agreements == 500

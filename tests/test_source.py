@@ -1,8 +1,9 @@
 """Source-level checks on the kisindim package: its correctness checks are
 explicit raises, which `python -O` keeps, none of its caches grows without
 bound in a long-running process, no module keeps mutable state in a
-lower-case global, importing the CLI stays cheap, and no module of the
-package or its tests imports a name it never uses."""
+lower-case global, no module reads the environment, importing the CLI
+stays cheap, and no module of the package or its tests imports a name it
+never uses."""
 
 import ast
 import importlib
@@ -56,6 +57,25 @@ def _unused_imports(path):
 def test_no_unused_imports():
     paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert [x for path in paths for x in _unused_imports(path)] == []
+
+
+def _environment_reads(path):
+    """Places where path names os.environ, os.getenv or os.putenv."""
+    names = {"environ", "getenv", "putenv"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(f"{path.name}:{node.lineno} {node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                      if a.name in names]
+    return found
+
+
+def test_no_module_reads_the_environment():
+    # results, witnesses, node counts and refusals must not depend on
+    # environment variables
+    assert [x for path in sorted(SRC.glob("*.py")) for x in _environment_reads(path)] == []
 
 
 def _fresh_interpreter(code: str) -> str:
@@ -120,7 +140,7 @@ def test_bounds_output_same_with_caches_cold_and_warm(capsys):
             assert main(argv) == 0
             out.append(capsys.readouterr().out)
         inst = KisinInstance(3, 3)
-        out.append(bd.a_set(inst, "Q", "g").to_json())
+        out.append(repr(bd.a_set(inst, "Q", "g")))
         out.append(bd.b_value(bd.DualityData(inst, "Qmax", "f", ORTHANT_PM), (3, -2)))
         return out
 

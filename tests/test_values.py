@@ -144,9 +144,10 @@ def test_validation_errors():
 
 
 def test_constructors_normalise_their_fields():
-    h = Halfspace([1, 2], 3)
-    assert h.normal == (F(1), F(2)) and type(h.normal) is tuple
-    assert all(type(x) is F for x in h.normal + (h.offset,))
+    # a halfspace stores the primitive integer row of (normal, offset)
+    h = Halfspace([F(1, 2), 1], F(3, 2))
+    assert h.normal == (1, 2) and type(h.normal) is tuple
+    assert all(type(x) is int for x in h.normal + (h.offset,)) and h.offset == 3
     assert Permutation([F(2), 1]).images == (2, 1)
 
 
