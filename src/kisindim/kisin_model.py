@@ -181,16 +181,27 @@ def q_from_mu(m: MuTriangle) -> QPoint:
     return QPoint(inst, vals)
 
 
+def _mu_cell_terms(inst: KisinInstance, i: int, j: int):
+    """mu_{i,j} as (coefficient, q-cell) terms."""
+    b = inst.b
+    yield b, (j, j)
+    yield -1, (j, inst.d)
+    for s in range(i, j):
+        yield b, (s, j)
+        yield -b, (s, j - 1)
+
+
+def _int_row(inst: KisinInstance, terms) -> list[int]:
+    """The integer row over the cells of E that sums (coefficient, cell) terms."""
+    a = [0] * inst.dim_E
+    for c, cell in terms:
+        a[inst.cell_index(*cell)] += c
+    return a
+
+
 def mu_cell_vector(inst: KisinInstance, i: int, j: int) -> Vec:
     """The vector v in E with <q, v> = mu_{i,j}(q)."""
-    b = inst.b
-    coeffs = [Fraction(0)] * inst.dim_E
-    coeffs[inst.cell_index(j, j)] += b
-    coeffs[inst.cell_index(j, inst.d)] -= 1
-    for s in range(i, j):
-        coeffs[inst.cell_index(s, j)] += b
-        coeffs[inst.cell_index(s, j - 1)] -= b
-    return tuple(coeffs)
+    return tuple(map(Fraction, _int_row(inst, _mu_cell_terms(inst, i, j))))
 
 
 def mu_vec(inst: KisinInstance, i: int) -> Vec:
@@ -241,40 +252,30 @@ def cone_qmin(inst: KisinInstance) -> HPolyhedron:
     ineqs = []
     eqs = []
     for a, kind in _game_rows(inst, ("I", "II'")):
-        (ineqs if kind == "ineq" else eqs).append((a, Fraction(0)))
+        (ineqs if kind == "ineq" else eqs).append((a, 0))
     return HPolyhedron.build(inst.dim_E, ineqs, eqs)
 
 
-def _unit(inst, i, j, c=1):
-    v = [Fraction(0)] * inst.dim_E
-    v[inst.cell_index(i, j)] = frac(c)
-    return tuple(v)
-
-
 def _game_rows(inst, games):
+    """The integer rows of the games over 1 <= i <= j < d: I is
+    q_{i,j} - q_{i,j+1}, II and II' are q_{i+1,j+1} - q_{i,j}, III is
+    mu_{i,j} - mu_{i+1,j+1}."""
     d = inst.d
     for i in range(1, d + 1):
         for j in range(i, d):
             if "I" in games:
-                a = list(_unit(inst, i, j))
-                a[inst.cell_index(i, j + 1)] -= 1
-                yield tuple(a), "ineq"
+                yield _int_row(inst, ((1, (i, j)), (-1, (i, j + 1)))), "ineq"
             if "II" in games:
-                a = list(_unit(inst, i + 1, j + 1))
-                a[inst.cell_index(i, j)] -= 1
-                yield tuple(a), "ineq"
+                yield _int_row(inst, ((1, (i + 1, j + 1)), (-1, (i, j)))), "ineq"
             if "II'" in games:
-                a = list(_unit(inst, i + 1, j + 1))
-                a[inst.cell_index(i, j)] -= 1
-                yield tuple(a), "eq"
+                yield _int_row(inst, ((1, (i + 1, j + 1)), (-1, (i, j)))), "eq"
             if "III" in games:
-                u = mu_cell_vector(inst, i, j)
-                v = mu_cell_vector(inst, i + 1, j + 1)
-                yield tuple(x - y for x, y in zip(u, v)), "ineq"
+                below = ((-c, x) for c, x in _mu_cell_terms(inst, i + 1, j + 1))
+                yield _int_row(inst, (*_mu_cell_terms(inst, i, j), *below)), "ineq"
 
 
 def _cone_from_games(inst, games):
-    ineqs = [(a, Fraction(0)) for a, kind in _game_rows(inst, games)]
+    ineqs = [(a, 0) for a, kind in _game_rows(inst, games)]
     return HPolyhedron.build(inst.dim_E, ineqs)
 
 
@@ -336,14 +337,11 @@ def cone_qw(inst: KisinInstance, w: pm.Permutation) -> HPolyhedron:
         raise ValueError("permutation size must match d")
     tab = pm.ord_tableau(pm.w_star(w))
     ineqs = []
-    d = inst.d
     cells = inst.cells
     for x in cells:
         for y in cells:
             if x != y and tab[x] >= tab[y]:
-                a = list(_unit(inst, *x))
-                a[inst.cell_index(*y)] -= 1
-                ineqs.append((tuple(a), Fraction(0)))
+                ineqs.append((_int_row(inst, ((1, x), (-1, y))), 0))
     return HPolyhedron.build(inst.dim_E, ineqs)
 
 

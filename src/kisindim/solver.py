@@ -11,6 +11,20 @@ integer upper bound from the slacks left by the cells before it (bounds
 propagation), and the level-d row is a lower bound on mu_{d,d}.  A row
 whose slacks are negative before its first cell is skipped.
 
+The search also looks one row ahead.  Before the values of a cell of row
+r < d are walked, its lower end is raised to the least value at which
+row r, with the cells after it at their order caps mu_{r-1,j-1}, leaves
+every level-r slack >= 0, the row below starting at row r shifted (and
+raised by the level-d row when it is row d).  Each of these slacks is
+nondecreasing in every cell of row r: through the row below, a cell
+enters each slack with a coefficient of at least 1, and the level-d bound
+on mu_{d,d} grows by at most 1 per unit of a cell, which each slack
+weighs by at least one more than it weighs mu_{d,d}.  So a skipped value
+has no feasible completion, and every incumbent, result and witness is
+unchanged.  The least value is found by jumps of the deficit over the
+largest rise per unit, 2b for the first cell and b+1 for a later one,
+which pass no value that fits.
+
 Each row is set up in O(d) by the closed forms of `_row_slacks`.  With
 P, Q the rows r-2, r-1 and R the lower bounds of row r, the slacks are
 rem_0 = (b-1)(Q_0 - P_0) + 2 sum Q - sum P - sum R and
@@ -42,6 +56,9 @@ witness tie-break is unchanged.  The bound is not taken on faith: for each
 (b+1)(bound - dim) is a nonnegative combination of the rows of the
 search's own real relaxation (Farkas), and without that certificate every
 top is searched.  A solved top above its bound raises AssertionError.
+Each top is searched with the best value so far as a floor: a branch is
+cut when its bound is strictly below it, so a top that can tie still
+finds its own first optimum.
 
 For le_e only the tops with mu_d <= b-2 are searched (see
 `_enumerate_le_e_tops`).  Nothing is kept between queries, so node counts
@@ -156,6 +173,17 @@ def _row_slacks(P, Q, R, b):
     return rem
 
 
+def _below(Q, b, last):
+    """Lower bounds on the row under Q: the order bounds Q[1:] and, when
+    that row is row d, the level-d row, which has no row below it: its
+    slack with mu_{d,d} = 0 is -(b Q_0 + Q_1), and (b+1) mu_{d,d} must make
+    up for it."""
+    R = Q[1:]
+    if last:
+        R[0] = max(R[0], -(_row_slacks(Q, (0,), (), b)[0] // (b + 1)))
+    return R
+
+
 def _unit_triangles(d):
     """One unit triangle per mu-cell, in row form and row-major order."""
     return [[[int((r, s) == (i, j)) for s in range(r, d + 1)] for r in range(1, d + 1)]
@@ -266,18 +294,22 @@ def _sub_bound_certified(d: int, b: int) -> bool:
 # the core search: maximal dim(phi) with a prescribed top row
 # ---------------------------------------------------------------------------
 
-def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget):
+def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget, floor: int | None = None):
     """(best dim, witness rows) over lower rows for a fixed top row, or
     (None, None) when infeasible.  top must be nonincreasing integers with
-    row sum divisible by b-1.  Shifting the top by a multiple of b-1
-    leaves every slack, cap, residue walk and prune unchanged, so it shifts
-    the rows by the same amount after the same number of nodes."""
+    row sum divisible by b-1.  A floor cuts every branch whose bound is
+    below it: the result is the top's own, witness included, when that
+    reaches the floor, and (None, None) when not.  Shifting the top by a
+    multiple of b-1 leaves every slack, cap, residue walk and prune
+    unchanged, so it shifts the rows by the same amount after the same
+    number of nodes."""
     d, b = inst.d, inst.b
     _self_test(d, b)
     sub_bound = _sub_bound_certified(d, b)
     const = _dim_form([top], d)
     rows = [list(top)] + [[0] * (d - i + 1) for i in range(2, d + 1)]
     best = [None, None]
+    need = [floor]  # the least value a new incumbent must reach (None: any)
 
     def remaining_bound(r):
         # a lower bound on the sum of the unfilled cells, rows r..d, from
@@ -296,21 +328,16 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget):
     def fill_row(r, partial_sum):
         if r > d:
             value = const - partial_sum
-            if best[0] is None or value > best[0]:
-                best[0] = value
-                best[1] = [row[:] for row in rows]
+            if need[0] is None or value >= need[0]:
+                best[:] = value, [row[:] for row in rows]
+                need[0] = value + 1
             return
-        # prune: even the smallest legal completion cannot beat the incumbent
-        if best[0] is not None and const - partial_sum - remaining_bound(r) <= best[0]:
+        # prune: even the smallest legal completion cannot reach the need
+        if need[0] is not None and const - partial_sum - remaining_bound(r) < need[0]:
             return
         prev, row = rows[r - 2], rows[r - 1]
         n = d - r + 1  # cells of row r; cell idx is mu_{r, r+idx}
-        lows = prev[1:]  # a copy: the level-d row may raise lows[0]
-        if r == d:
-            # the level-d row is the level-(r-1) row of r = d+1, which has no
-            # row below it: its slack with mu_{d,d} = 0 is -(b mu_{d-1,d-1} +
-            # mu_{d-1,d}), and (b+1) mu_{d,d} must make up for it
-            lows[0] = max(lows[0], -(_row_slacks(prev, (0,), (), b)[0] // (b + 1)))
+        lows = _below(prev, b, r == d)
         if r >= 3:
             # the level-(r-1) row j = r-1+k reads sum_s c_{j,s} mu_{r,s} <= S_j,
             # with c_{j,s} = b for s <= j and 1 for s > j; rem[k] is its slack
@@ -325,6 +352,21 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget):
         # of each row j < s; every cell before s spent b of each row j >= s
         tail = [min(rem[k + 1:]) // b for k in range(n)]
 
+        def fit(idx, v, hi):
+            # look ahead to row r+1: the least v' >= v for cell idx at which
+            # row r, the later cells at their caps prev[idx'], leaves every
+            # level-r slack >= 0 (> hi if none); a jump divides the deficit
+            # by the largest rise per unit of the cell
+            probe = row[:idx] + [v] + prev[idx + 1:n]
+            rise = 2 * b if idx == 0 else b + 1
+            while v <= hi:
+                probe[idx] = v
+                short = min(_row_slacks(prev, probe, _below(probe, b, r + 1 == d), b))
+                if short >= 0:
+                    break
+                v -= short // rise
+            return v
+
         def fill_cell(idx, row_sum, used, slack):
             # used: how far the cells set so far rose above their lower bounds;
             # slack: the least slack left among the rows j < s, s = r + idx
@@ -334,12 +376,12 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget):
                 return
             lo = lows[idx]
             hi = min(prev[idx], lo + min(slack, tail[idx] - used))
+            start = fit(idx, lo, hi) if r < d else lo
             if idx == n - 1:  # last cell of the row: walk its residue class
-                res = (-row_sum) % (b - 1)
-                start = lo + ((res - lo) % (b - 1))
+                start += (-row_sum - start) % (b - 1)
                 step = b - 1
             else:
-                start, step = lo, 1
+                step = 1
             for v in range(start, hi + 1, step):
                 budget.spend()
                 row[idx] = v
@@ -402,8 +444,8 @@ def _enumerate_dominated_tops(mu, b):
     yield from rec([], mu[0], 0)
 
 
-def _solve_mu(inst, top, budget):
-    value, rows = _max_dim_top(inst, top, budget)
+def _solve_mu(inst, top, budget, floor=None):
+    value, rows = _max_dim_top(inst, top, budget, floor)
     if value is None:
         return None, None
     tri = km.MuTriangle(inst, {(i, j): rows[i - 1][j - i] for (i, j) in inst.cells})
@@ -436,7 +478,9 @@ def dim_exact(query: DimQuery, budget: int = DEFAULT_BUDGET) -> DimResult:
         bound = _top_bound(top, b)
         if certified and best is not None and bound < best:
             break  # no later top can reach the incumbent, let alone tie it
-        value, tri = _solve_mu(inst, top, tracker)
+        # seeded with the incumbent: a top that cannot reach it is cut early,
+        # one that can tie still finds its own first optimum
+        value, tri = _solve_mu(inst, top, tracker, best)
         if value is None:
             continue
         if certified and value > bound:

@@ -11,7 +11,7 @@ from kisindim.kisin_model import (KisinInstance, MuTriangle, QPoint, S_T,
                                   d2_lattice_invariants, delta_vec, dim_phi,
                                   mu_cell_vector, mu_from_q, mu_vec, phi_from_q,
                                   q_from_mu, read_back_q, validate_phi)
-from kisindim.polyhedra import dot, polyhedra_set_equal
+from kisindim.polyhedra import HPolyhedron, dot, polyhedra_set_equal
 
 
 def rand_qpoint(inst, rng, denom=(1, 2, 3)):
@@ -113,6 +113,64 @@ def test_game_counts_d3():
     assert len(cone_q(inst).ineqs) == 9  # three games, three couples each
     assert len(cone_qmax(inst).ineqs) == 6
     assert len(cone_qmin(inst).ineqs) == 3 and len(cone_qmin(inst).eqs) == 3
+
+
+def _fraction_mu_cell(inst, i, j):
+    b = inst.b
+    coeffs = [F(0)] * inst.dim_E
+    coeffs[inst.cell_index(j, j)] += b
+    coeffs[inst.cell_index(j, inst.d)] -= 1
+    for s in range(i, j):
+        coeffs[inst.cell_index(s, j)] += b
+        coeffs[inst.cell_index(s, j - 1)] -= b
+    return coeffs
+
+
+def _fraction_difference(inst, x, y):
+    a = [F(0)] * inst.dim_E
+    a[inst.cell_index(*x)] += 1
+    a[inst.cell_index(*y)] -= 1
+    return a
+
+
+def _fraction_cone(inst, games):
+    """The cone of the games with its rows built cell by cell in Fraction
+    arithmetic: the oracle for the integer rows of kisin_model._game_rows."""
+    ineqs, eqs = [], []
+    for i in range(1, inst.d + 1):
+        for j in range(i, inst.d):
+            if "I" in games:
+                ineqs.append(_fraction_difference(inst, (i, j), (i, j + 1)))
+            if "II" in games:
+                ineqs.append(_fraction_difference(inst, (i + 1, j + 1), (i, j)))
+            if "II'" in games:
+                eqs.append(_fraction_difference(inst, (i + 1, j + 1), (i, j)))
+            if "III" in games:
+                ineqs.append([x - y for x, y in zip(_fraction_mu_cell(inst, i, j),
+                                                    _fraction_mu_cell(inst, i + 1, j + 1))])
+    return HPolyhedron.build(inst.dim_E, [(a, F(0)) for a in ineqs], [(a, F(0)) for a in eqs])
+
+
+def test_integer_cone_rows_match_the_fraction_construction():
+    # the same halfspaces in the same order, for every cone built from rows
+    for d in range(1, 7):
+        for b in (2, 3, 5, 7):
+            inst = KisinInstance(d, b)
+            for cone, games in ((cone_q, ("I", "II", "III")), (cone_qmax, ("I", "II")),
+                                (cone_qmin, ("I", "II'"))):
+                assert cone(inst).halfspaces == _fraction_cone(inst, games).halfspaces, \
+                    (cone.__name__, d, b)
+            for (i, j) in inst.cells:
+                v = mu_cell_vector(inst, i, j)
+                assert v == tuple(_fraction_mu_cell(inst, i, j))
+                assert all(type(x) is F for x in v)
+    for d in (2, 3, 4):
+        inst = KisinInstance(d, 3)
+        for w in pm.all_permutations(d):
+            tab = pm.ord_tableau(pm.w_star(w))
+            rows = [(_fraction_difference(inst, x, y), F(0))
+                    for x in inst.cells for y in inst.cells if x != y and tab[x] >= tab[y]]
+            assert cone_qw(inst, w).halfspaces == HPolyhedron.build(inst.dim_E, rows).halfspaces
 
 
 def banded_point(inst, levels, tilt=0, jitter=None, rng=None):

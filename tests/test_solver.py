@@ -516,11 +516,12 @@ def test_le_e_quasi_periodicity(d, b, e_max):
 # caps from the scaled-q rows: the row-end-check search as the oracle
 # ---------------------------------------------------------------------------
 
-def _row_end_max_dim_top(inst, top, budget):
+def _row_end_max_dim_top(inst, top, budget, floor=None):
     """The search before the caps, kept as the oracle for
     solver._max_dim_top: each cell ranges over its order interval, each
     level-(r-1) scaled-q row is checked once row r is complete and the
-    level-d row at the leaf."""
+    level-d row at the leaf.  It ignores the floor, as every oracle here
+    does: the top's own optimum is a valid answer whatever the floor."""
     d, b = inst.d, inst.b
     if d == 1:
         return (0, [list(top)]) if top[0] % (b - 1) == 0 else (None, None)
@@ -602,7 +603,7 @@ def test_capped_search_matches_row_end_oracle(d, b, monkeypatch):
 # row's slacks off _scaled_q and pruned by the order relaxation alone
 # ---------------------------------------------------------------------------
 
-def _capped_max_dim_top(inst, top, budget):
+def _capped_max_dim_top(inst, top, budget, floor=None):
     """The search before the closed-form row set-up and the sub-triangle
     bound, kept as the oracle for solver._max_dim_top: each row's slacks
     and the level-d bound are read off _scaled_q, and the unfilled cells
@@ -662,11 +663,15 @@ def _capped_max_dim_top(inst, top, budget):
     return best[0], best[1]
 
 
-def _vs_capped_oracle(query, monkeypatch):
-    r = dim_exact(query, budget=10 ** 9)
-    with monkeypatch.context() as m:
-        m.setattr(sv, "_max_dim_top", _capped_max_dim_top)
-        o = dim_exact(query, budget=10 ** 9)
+def _vs_oracle(query, monkeypatch, search, oracle):
+    """Run the query with each search in place of solver._max_dim_top;
+    assert equal results and return (search nodes, oracle nodes)."""
+    got = []
+    for fn in (search, oracle):
+        with monkeypatch.context() as m:
+            m.setattr(sv, "_max_dim_top", fn)
+            got.append(dim_exact(query, budget=10 ** 9))
+    r, o = got
     assert (r.status, r.dim, r.interval, r.witness) == (o.status, o.dim, o.interval, o.witness), \
         query
     return r.nodes, o.nodes
@@ -679,22 +684,156 @@ def test_closed_form_rows_match_capped_oracle(d, b, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(sv, "_sub_bound_certified", lambda d, b: False)
         for q in _oracle_grid(d, b):
-            nodes, oracle_nodes = _vs_capped_oracle(q, monkeypatch)
+            nodes, oracle_nodes = _vs_oracle(q, monkeypatch, _closed_form_max_dim_top,
+                                             _capped_max_dim_top)
             assert nodes == oracle_nodes, q
     # with it no query costs more, and at d = 4 the bound shows in the count;
     # at b = 5 it prunes nothing on the grid, so one larger type joins it
-    counts = [_vs_capped_oracle(q, monkeypatch) for q in _oracle_grid(d, b)]
+    counts = [_vs_oracle(q, monkeypatch, _closed_form_max_dim_top, _capped_max_dim_top)
+              for q in _oracle_grid(d, b)]
     if d == 4:
-        counts.append(_vs_capped_oracle(
-            DimQuery(KisinInstance(4, b), "mu", mu=(24, 12, 8, 0)), monkeypatch))
+        counts.append(_vs_oracle(DimQuery(KisinInstance(4, b), "mu", mu=(24, 12, 8, 0)),
+                                 monkeypatch, _closed_form_max_dim_top, _capped_max_dim_top))
         assert sum(n for n, _ in counts) < sum(o for _, o in counts)
     assert all(n <= o for n, o in counts)
 
 
-def test_node_counts_of_the_documented_queries():
+# ---------------------------------------------------------------------------
+# look-ahead to the row below and tops seeded with the incumbent: the
+# closed-form search, which did neither, as the oracle
+# ---------------------------------------------------------------------------
+
+def _closed_form_max_dim_top(inst, top, budget, floor=None):
+    """The search before the look-ahead and the floor, kept as the oracle
+    for solver._max_dim_top: each cell starts at its order and level-d lower
+    bound, and a row the cells leave no room under is only found out when
+    the row below is set up.  Every top starts with no incumbent."""
+    d, b = inst.d, inst.b
+    sv._self_test(d, b)
+    sub_bound = sv._sub_bound_certified(d, b)
+    const = sv._dim_form([top], d)
+    rows = [list(top)] + [[0] * (d - i + 1) for i in range(2, d + 1)]
+    best = [None, None]
+
+    def remaining_bound(r):
+        Q = rows[r - 2]
+        w = sum(t * x for t, x in enumerate(Q))
+        if not sub_bound:
+            return w
+        x = (d - r + 1) * sum(Q) - 2 * w
+        return max(w, x + w - x // (b + 1))
+
+    def fill_row(r, partial_sum):
+        if r > d:
+            value = const - partial_sum
+            if best[0] is None or value > best[0]:
+                best[0] = value
+                best[1] = [row[:] for row in rows]
+            return
+        if best[0] is not None and const - partial_sum - remaining_bound(r) <= best[0]:
+            return
+        prev, row = rows[r - 2], rows[r - 1]
+        n = d - r + 1
+        lows = prev[1:]
+        if r == d:
+            lows[0] = max(lows[0], -(sv._row_slacks(prev, (0,), (), b)[0] // (b + 1)))
+        if r >= 3:
+            rem = sv._row_slacks(rows[r - 3], prev, lows, b)
+            if min(rem) < 0:
+                return
+        else:
+            rem = [b * (prev[0] - prev[-1])] * (n + 1)
+        tail = [min(rem[k + 1:]) // b for k in range(n)]
+
+        def fill_cell(idx, row_sum, used, slack):
+            if idx == n:
+                if row_sum % (b - 1) == 0:
+                    fill_row(r + 1, partial_sum + row_sum)
+                return
+            lo = lows[idx]
+            hi = min(prev[idx], lo + min(slack, tail[idx] - used))
+            if idx == n - 1:
+                res = (-row_sum) % (b - 1)
+                start = lo + ((res - lo) % (b - 1))
+                step = b - 1
+            else:
+                start, step = lo, 1
+            for v in range(start, hi + 1, step):
+                budget.spend()
+                row[idx] = v
+                up = used + v - lo
+                fill_cell(idx + 1, row_sum + v, up,
+                          min(slack - v + lo, rem[idx + 1] - b * up))
+            row[idx] = 0
+
+        fill_cell(0, 0, 0, rem[0])
+
+    if d == 1:
+        return (0, [list(top)]) if top[0] % (b - 1) == 0 else (None, None)
+    if sum(top) % (b - 1) != 0:
+        return None, None
+    fill_row(2, 0)
+    return best[0], best[1]
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+@pytest.mark.parametrize("b", (2, 3, 5))
+def test_lookahead_and_floor_match_closed_form_oracle(d, b, monkeypatch):
+    # equal results and witnesses; no query costs more, and from d = 3 on,
+    # where rows below row 2 exist to look ahead to, the count falls
+    counts = [_vs_oracle(q, monkeypatch, sv._max_dim_top, _closed_form_max_dim_top)
+              for q in _oracle_grid(d, b)]
+    assert all(n <= o for n, o in counts)
+    if d >= 3:
+        assert sum(n for n, _ in counts) < sum(o for _, o in counts)
+
+
+@pytest.mark.parametrize("b", (2, 3))
+def test_lookahead_matches_closed_form_oracle_at_d5(b):
+    # dim_exact refuses d = 5, so the tops are searched directly
+    inst = KisinInstance(5, b)
+    for top in [(6, 3, 2, 1, 0), (8, 6, 2, 2, 0), (10, 4, 4, 2, 0), (12, 6, 4, 2, 0),
+                (9, 7, 5, 3, 0), (7, 7, 1, 1, 0)]:
+        if sum(top) % (b - 1):
+            continue
+        live, oracle = sv._Budget(10 ** 9), sv._Budget(10 ** 9)
+        assert sv._max_dim_top(inst, top, live) == _closed_form_max_dim_top(inst, top, oracle), top
+        assert live.left >= oracle.left, top
+
+
+@pytest.mark.parametrize("b", (2, 3, 5))
+def test_level_r_slacks_rise_with_every_cell_of_row_r(b):
+    # the premise of the look-ahead: with row r-1 fixed and the row below
+    # bounded by _below, each level-r slack is nondecreasing in every cell
+    # Q_idx of row r and rises by at most 2b per unit of Q_0 and b+1 per
+    # unit of a later cell; exhaustive on small rows, the level-d raise
+    # included (row r = d-1 has two cells)
+    for n in (2, 3, 4):
+        P = [9, 5, 2, 1, -3][:n + 1]
+        for last in (False, True) if n == 2 else (False,):
+            def slacks(Q):
+                return sv._row_slacks(P, Q, sv._below(Q, b, last), b)
+
+            for Q in itertools.product(range(-4, 5), repeat=n):
+                Q = list(Q)
+                base = slacks(Q)
+                for idx in range(n):
+                    up = Q[:idx] + [Q[idx] + 1] + Q[idx + 1:]
+                    rise = 2 * b if idx == 0 else b + 1
+                    assert all(0 <= y - x <= rise for x, y in zip(base, slacks(up))), \
+                        (n, last, Q, idx)
+
+
+def test_node_counts_of_the_documented_queries(monkeypatch):
     # the counts the README quotes; a weaker valid bound (a divisor b for
-    # b+1, say) changes no result, only these
-    for e, nodes in ((15, 231), (20, 44_383)):
+    # b+1, say) changes no result, only these.  Without the incumbent as the
+    # floor of each top the look-ahead alone gives the second pair
+    for e, nodes in ((15, 46), (20, 4_959)):
+        assert dim_exact(DimQuery(KisinInstance(4, 2), "le_e", e=e)).nodes == nodes
+    live = sv._max_dim_top
+    monkeypatch.setattr(sv, "_max_dim_top", lambda inst, top, budget, floor=None:
+                        live(inst, top, budget))
+    for e, nodes in ((15, 46), (20, 5_488)):
         assert dim_exact(DimQuery(KisinInstance(4, 2), "le_e", e=e)).nodes == nodes
 
 
