@@ -41,4 +41,4 @@ data = d2_lattice_invariants(alpha=2, gamma=0, delta=1, b=2)
 print(f"\nrank-2 lattice with (alpha, gamma, delta) = (2, 0, 1), b = 2:")
 print(f"  elementary-divisor exponents: mu1 = {data.mu1}, mu2 = {data.mu2}")
 print(f"  phi_1 jumps slope-intercept at v = 5/2: "
-      f"{data.phi1(F(2))} -> {data.phi1(F(5, 2))}")
+      f"{data.profile.phi(1, F(2))} -> {data.profile.phi(1, F(5, 2))}")

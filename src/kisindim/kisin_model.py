@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
 from . import perm as pm
 from .polyhedra import Frozen, HPolyhedron, Vec, dot, fmt_frac, frac, vec
@@ -154,31 +155,25 @@ class MuTriangle(_Triangle):
 
 def mu_from_q(q: QPoint) -> MuTriangle:
     """mu_{i,j} = b q_{j,j} - q_{j,d} + b * sum_{s=i}^{j-1} (q_{s,j} - q_{s,j-1})."""
-    inst = q.instance
-    b, d = inst.b, inst.d
-    vals = {}
-    for (i, j) in inst.cells:
-        v = b * q[(j, j)] - q[(j, d)]
-        for s in range(i, j):
-            v += b * (q[(s, j)] - q[(s, j - 1)])
-        vals[(i, j)] = v
-    return MuTriangle(inst, vals)
+    return MuTriangle(q.instance, _apply_terms(q, _mu_cell_terms, 1))
 
 
 def q_from_mu(m: MuTriangle) -> QPoint:
-    """q_{i,j} = (mu_{i,i} + sum_{s=i+1}^{j}(mu_{i,s}-mu_{i+1,s})
-    + sum_{s=j+1}^{d}(mu_{i,s}-mu_{i+1,s})/b) / (b-1)."""
-    inst = m.instance
-    b, d = inst.b, inst.d
-    vals = {}
-    for (i, j) in inst.cells:
-        v = m[(i, i)]
-        for s in range(i + 1, j + 1):
-            v += m[(i, s)] - m[(i + 1, s)]
-        for s in range(j + 1, d + 1):
-            v += Fraction(m[(i, s)] - m[(i + 1, s)], b)
-        vals[(i, j)] = v / (b - 1)
-    return QPoint(inst, vals)
+    """q_{i,j} = (b mu_{i,i} + b sum_{s=i+1}^{j}(mu_{i,s}-mu_{i+1,s})
+    + sum_{s=j+1}^{d}(mu_{i,s}-mu_{i+1,s})) / (b(b-1))."""
+    b = m.instance.b
+    return QPoint(m.instance, _apply_terms(m, _q_cell_terms, b * (b - 1)))
+
+
+def _apply_terms(x: _Triangle, terms, scale: int) -> list[Fraction]:
+    """For each cell (i, j), the sum of c * x[cell] over terms(inst, i, j),
+    divided by scale, in integers over the common denominator of x."""
+    inst = x.instance
+    den = lcm(*(v.denominator for v in x.values))
+    nums = [v.numerator * (den // v.denominator) for v in x.values]
+    at = inst.cell_index
+    return [Fraction(sum(c * nums[at(*cell)] for c, cell in terms(inst, i, j)), den * scale)
+            for (i, j) in inst.cells]
 
 
 def _mu_cell_terms(inst: KisinInstance, i: int, j: int):
@@ -189,6 +184,16 @@ def _mu_cell_terms(inst: KisinInstance, i: int, j: int):
     for s in range(i, j):
         yield b, (s, j)
         yield -b, (s, j - 1)
+
+
+def _q_cell_terms(inst: KisinInstance, i: int, j: int):
+    """b(b-1) q_{i,j} as (coefficient, mu-cell) terms."""
+    b = inst.b
+    yield b, (i, i)
+    for s in range(i + 1, inst.d + 1):
+        c = b if s <= j else 1
+        yield c, (i, s)
+        yield -c, (i + 1, s)
 
 
 def _int_row(inst: KisinInstance, terms) -> list[int]:
@@ -546,18 +551,6 @@ class D2LatticeData(Frozen):
     def __init__(self, instance: KisinInstance, alpha: int, gamma: int, delta: int,
                  mu1: int, mu2: int, profile: PhiFunctions):
         self._store(locals())
-
-    def phi1(self, v):
-        return self.profile.phi(1, v)
-
-    def phi2(self, v):
-        return self.profile.phi(2, v)
-
-    def psi1(self, m):
-        return self.profile.psi(1, m)
-
-    def psi2(self, m):
-        return self.profile.psi(2, m)
 
 
 def d2_lattice_invariants(alpha: int, gamma: int, delta: int, b: int) -> D2LatticeData:

@@ -22,8 +22,10 @@ on mu_{d,d} grows by at most 1 per unit of a cell, which each slack
 weighs by at least one more than it weighs mu_{d,d}.  So a skipped value
 has no feasible completion, and every incumbent, result and witness is
 unchanged.  The least value is found by jumps of the deficit over the
-largest rise per unit, 2b for the first cell and b+1 for a later one,
-which pass no value that fits.
+rise of the least slack per unit of the cell, which pass no value that
+fits: with the later cells at their caps that slack is rem_0 below, which
+rises by b+1 per unit of the first cell and 1 per unit of a later one (at
+most b+1 per unit when row r+1 is row d, through the level-d raise).
 
 Each row is set up in O(d) by the closed forms of `_row_slacks`.  With
 P, Q the rows r-2, r-1 and R the lower bounds of row r, the slacks are
@@ -32,33 +34,35 @@ rem_{k+1} = rem_k + (b-1)(Q_{k+1} - P_{k+1} + Q_k - R_k); the level-d row
 is the same form with no row below it, (b+1) mu_{d,d} >= b Q_0 + Q_1.
 `_mu_system_rows` reads the scaled-q rows off these same forms on the unit
 triangles, and `_self_test` proves once per (d, b) that the system is the
-cone Q: it and Q pulled back through q_from_mu are the same set of
-primitive integer rows over the mu-cells.  So the rows the search sets up
-are the rows that are proved.
+cone Q: it and Q pulled back through the integer forms of b(b-1) q (the
+forms q_from_mu divides) are the same set of primitive integer rows over
+the mu-cells.  So the rows the search sets up are the rows that are
+proved.
 
-Two lower bounds on the unfilled cells, rows r..d, prune branches that
-cannot beat the incumbent; the search takes the larger.  Each cell is at
-least the entry above it, so they sum to at least sum_t t Q_t.  And rows
-r-1..d satisfy the d' = d-r+2 system shifted, so by the top-row bound
-below their dim is at most floor(<2 rho' | Q> / (b+1)), hence the unfilled
-cells sum to at least sum_t (d'-1-t) Q_t - floor(<2 rho' | Q> / (b+1)).
-The second bound is used only once `_sub_bound_certified` has checked, for
-every d' = 2..d, that the shifted d'-rows are rows of the d-system and
-that `_top_bound_certified(d', b)` holds.
+One lower bound on the unfilled cells, rows r..d, prunes branches that
+cannot beat the incumbent.  With Q = row r-1, rows r-1..d satisfy the
+d' = d-r+2 system shifted, so by the top-row bound below their dim is at
+most floor(<2 rho' | Q> / (b+1)), hence the unfilled cells sum to at least
+sum_t (d'-1-t) Q_t - floor(<2 rho' | Q> / (b+1)).  Q is nonincreasing, so
+<2 rho' | Q> >= 0 and the bound is at least sum_t t Q_t, the sum of the
+entries above the unfilled cells.
 
 The e-bounded and dominance-bounded families take a maximum over many top
 rows.  Each top has the bound floor(<2 rho | top> / (b+1)), with
 2 rho = (d-1, d-3, ..., 1-d); the tops are visited by descending bound and
 the loop stops once a bound is strictly below the best value found, so
 every top that can tie the best is still solved and the lexicographic
-witness tie-break is unchanged.  The bound is not taken on faith: for each
-(d, b) `_top_bound_certified` checks by an exact LP that
-(b+1)(bound - dim) is a nonnegative combination of the rows of the
-search's own real relaxation (Farkas), and without that certificate every
-top is searched.  A solved top above its bound raises AssertionError.
-Each top is searched with the best value so far as a floor: a branch is
-cut when its bound is strictly below it, so a top that can tie still
-finds its own first optimum.
+witness tie-break is unchanged.  A solved top above its bound raises
+AssertionError.  Each top is searched with the best value so far as a
+floor: a branch is cut when its bound is strictly below it, so a top that
+can tie still finds its own first optimum.
+
+The bounds are proved, not assumed: `_prove` runs once per (d, b) at the
+entry of the search and raises AssertionError unless `_self_test` holds
+and, for every d' = 2..d, an exact LP certifies that (b+1)(bound - dim)
+is a nonnegative combination of the rows of the d'-system, the search's
+own real relaxation (Farkas), and the shifted d'-rows are rows of the
+d-system.
 
 For le_e only the tops with mu_d <= b-2 are searched (see
 `_enumerate_le_e_tops`).  Nothing is kept between queries, so node counts
@@ -211,17 +215,15 @@ def _mu_system_rows(d: int, b: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=1024)
 def _self_test(d: int, b: int) -> bool:
     """Prove that the mu-system is the cone Q pulled back through the linear
-    map q_from_mu, or raise AssertionError.  Each halfspace of Q, read on
-    the images of the unit triangles, is a form of the mu-cells; the two
-    systems must be the same set of primitive integer rows, and equal row
-    sets cut out the same cone on every triangle (single source of truth
-    for the search)."""
+    map q_from_mu, or raise AssertionError.  Each halfspace of Q, applied to
+    the integer forms b(b-1) q_{i,j} of the mu-cells, is a form of the
+    mu-cells; the two systems must be the same set of primitive integer
+    rows, and equal row sets cut out the same cone on every triangle
+    (single source of truth for the search)."""
     inst = km.KisinInstance(d, b)
-    n = inst.dim_E
-    # one positive scale for all the images keeps each pulled-back row's direction
-    flat = primitive_ints([x for rows in _unit_triangles(d) for x in
-                           km.q_from_mu(km.MuTriangle(inst, sum(rows, []))).values])
-    images = [flat[k:k + n] for k in range(0, n * n, n)]
+    # column k holds the images of the unit triangle of mu-cell k, scaled by b(b-1) > 0
+    images = list(zip(*(km._int_row(inst, km._q_cell_terms(inst, i, j))
+                        for (i, j) in inst.cells)))
     Q = km.cone_q(inst)
     if any(h.is_eq or h.offset for h in Q.halfspaces):
         raise AssertionError(f"cone Q at d={d} b={b} has an equation or an offset row")
@@ -266,13 +268,14 @@ def _top_bound_certified(d: int, b: int) -> bool:
 
 
 @lru_cache(maxsize=1024)
-def _sub_bound_certified(d: int, b: int) -> bool:
-    """Prove the sub-triangle bound of _max_dim_top for (d, b): for each
-    2 <= d' <= d, the rows of the d'-system moved onto the last d' rows and
-    columns of the triangle must be rows of the d-system, and
-    _top_bound_certified(d', b) must hold.  Then rows r-1..d of each
-    triangle the search accepts satisfy the d'-system for d' = d-r+2, and
-    their dim is at most the top bound of row r-1."""
+def _prove(d: int, b: int) -> bool:
+    """Prove the preconditions of the search for (d, b), or raise
+    AssertionError: _self_test, and for each 2 <= d' <= d the d'-system
+    rows moved onto the last d' rows and columns are rows of the d-system
+    and _top_bound_certified(d', b) holds.  So rows r-1..d of a triangle
+    the search accepts, d' = d-r+2, have dim at most the top bound of row
+    r-1."""
+    _self_test(d, b)
     cells = {(i, j): k for k, (i, j) in enumerate(
         (i, j) for i in range(1, d + 1) for j in range(i, d + 1))}
     full = set(_mu_system_rows(d, b))
@@ -284,9 +287,10 @@ def _sub_bound_certified(d: int, b: int) -> bool:
             for k, x in zip(at, sub_row):
                 row[k] = x
             if tuple(row) not in full:
-                return False
+                raise AssertionError(f"the {dp}-system row {sub_row}, shifted, is not a "
+                                     f"row of the {d}-system at b={b}")
         if not _top_bound_certified(dp, b):
-            return False
+            raise AssertionError(f"the top-row bound has no certificate at d={dp} b={b}")
     return True
 
 
@@ -304,8 +308,7 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget, floor: int | None
     unchanged, so it shifts the rows by the same amount after the same
     number of nodes."""
     d, b = inst.d, inst.b
-    _self_test(d, b)
-    sub_bound = _sub_bound_certified(d, b)
+    _prove(d, b)
     const = _dim_form([top], d)
     rows = [list(top)] + [[0] * (d - i + 1) for i in range(2, d + 1)]
     best = [None, None]
@@ -313,17 +316,14 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget, floor: int | None
 
     def remaining_bound(r):
         # a lower bound on the sum of the unfilled cells, rows r..d, from
-        # Q = row r-1: each cell is at least the entry above it, so they sum
-        # to at least w = sum_t t Q[t]
+        # Q = row r-1: rows r-1..d satisfy the (n+1)-system, n = d-r+1, so
+        # their dim, sum_t (n-t) Q[t] = x + w minus the unfilled cells, is at
+        # most floor(x / (b+1)), with w = sum_t t Q[t] and
+        # x = <2 rho' | Q> = sum_t (n-2t) Q[t]
         Q = rows[r - 2]
         w = sum(t * x for t, x in enumerate(Q))
-        if not sub_bound:
-            return w
-        # rows r-1..d satisfy the (n+1)-system, n = d-r+1, so their dim,
-        # sum_t (n-t) Q[t] = x + w minus the unfilled cells, is at most
-        # floor(x / (b+1)) with x = <2 rho' | Q> = sum_t (n-2t) Q[t]
         x = (d - r + 1) * sum(Q) - 2 * w
-        return max(w, x + w - x // (b + 1))
+        return x + w - x // (b + 1)
 
     def fill_row(r, partial_sum):
         if r > d:
@@ -356,9 +356,9 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget, floor: int | None
             # look ahead to row r+1: the least v' >= v for cell idx at which
             # row r, the later cells at their caps prev[idx'], leaves every
             # level-r slack >= 0 (> hi if none); a jump divides the deficit
-            # by the largest rise per unit of the cell
+            # by the largest rise of the least slack per unit of the cell
             probe = row[:idx] + [v] + prev[idx + 1:n]
-            rise = 2 * b if idx == 0 else b + 1
+            rise = b + 1 if idx == 0 or r + 1 == d else 1
             while v <= hi:
                 probe[idx] = v
                 short = min(_row_slacks(prev, probe, _below(probe, b, r + 1 == d), b))
@@ -392,8 +392,6 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget, floor: int | None
 
         fill_cell(0, 0, 0, rem[0])
 
-    if d == 1:
-        return (0, [list(top)]) if top[0] % (b - 1) == 0 else (None, None)
     if sum(top) % (b - 1) != 0:
         return None, None
     fill_row(2, 0)
@@ -469,21 +467,19 @@ def dim_exact(query: DimQuery, budget: int = DEFAULT_BUDGET) -> DimResult:
     else:
         tops = [] if sum(query.mu) % (b - 1) != 0 else \
             list(_enumerate_dominated_tops(tuple(query.mu), b))
-    certified = _top_bound_certified(d, b)
-    if certified:
-        # best bound first; the sort is stable, so ties keep enumeration order
-        tops.sort(key=lambda top: _top_bound(top, b), reverse=True)
+    # best bound first; the sort is stable, so ties keep enumeration order
+    tops.sort(key=lambda top: _top_bound(top, b), reverse=True)
     best, witness = None, None
     for top in tops:
         bound = _top_bound(top, b)
-        if certified and best is not None and bound < best:
+        if best is not None and bound < best:
             break  # no later top can reach the incumbent, let alone tie it
         # seeded with the incumbent: a top that cannot reach it is cut early,
         # one that can tie still finds its own first optimum
         value, tri = _solve_mu(inst, top, tracker, best)
         if value is None:
             continue
-        if certified and value > bound:
+        if value > bound:
             raise AssertionError(
                 f"top {top} reaches dim {value} above its certified bound "
                 f"{bound} at d={d} b={b}")

@@ -50,6 +50,52 @@ def test_transforms_inverse_random():
             assert mu_from_q(q_from_mu(m)) == m
 
 
+def _mu_from_q_loops(q):
+    """mu_{i,j} = b q_{j,j} - q_{j,d} + b * sum_{s=i}^{j-1} (q_{s,j} - q_{s,j-1}),
+    term by term in Fraction arithmetic: the oracle for mu_from_q."""
+    inst = q.instance
+    b, d = inst.b, inst.d
+    vals = {}
+    for (i, j) in inst.cells:
+        v = b * q[(j, j)] - q[(j, d)]
+        for s in range(i, j):
+            v += b * (q[(s, j)] - q[(s, j - 1)])
+        vals[(i, j)] = v
+    return MuTriangle(inst, vals)
+
+
+def _q_from_mu_loops(m):
+    """q_{i,j} = (mu_{i,i} + sum_{s=i+1}^{j}(mu_{i,s}-mu_{i+1,s})
+    + sum_{s=j+1}^{d}(mu_{i,s}-mu_{i+1,s})/b) / (b-1), term by term in
+    Fraction arithmetic: the oracle for q_from_mu."""
+    inst = m.instance
+    b, d = inst.b, inst.d
+    vals = {}
+    for (i, j) in inst.cells:
+        v = m[(i, i)]
+        for s in range(i + 1, j + 1):
+            v += m[(i, s)] - m[(i + 1, s)]
+        for s in range(j + 1, d + 1):
+            v += F(m[(i, s)] - m[(i + 1, s)], b)
+        vals[(i, j)] = v / (b - 1)
+    return QPoint(inst, vals)
+
+
+def test_transforms_match_the_fraction_loops():
+    # both transforms read one integer definition per coordinate, the
+    # (coefficient, cell) terms of mu_{i,j} and of b(b-1) q_{i,j}
+    rng = random.Random(23)
+    for d in range(1, 7):
+        for b in (2, 3, 5, 7, 101):
+            inst = KisinInstance(d, b)
+            for _ in range(10):
+                q = rand_qpoint(inst, rng)
+                assert mu_from_q(q) == _mu_from_q_loops(q)
+                m = MuTriangle(inst, [F(rng.randint(-9, 9), rng.choice((1, 2)))
+                                      for _ in inst.cells])
+                assert q_from_mu(m) == _q_from_mu_loops(m)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.integers(2, 4), st.integers(2, 6), st.data())
 def test_transforms_inverse_property(d, b, data):
@@ -477,11 +523,11 @@ def test_phi_round_trip_via_mu():
 def test_d2_oracle_worked_example():
     data = d2_lattice_invariants(alpha=2, gamma=0, delta=1, b=2)
     assert (data.mu1, data.mu2) == (5, -2)
-    assert data.phi1(F(-1, 2)) is None
-    assert data.phi1(0) == -2
-    assert data.phi1(2) == 2
-    assert data.phi1(F(5, 2)) == 5
-    assert data.phi1(3) == 6
+    assert data.profile.phi(1, F(-1, 2)) is None
+    assert data.profile.phi(1, 0) == -2
+    assert data.profile.phi(1, 2) == 2
+    assert data.profile.phi(1, F(5, 2)) == 5
+    assert data.profile.phi(1, 3) == 6
 
 
 def test_d2_oracle_requires_ordering():

@@ -129,8 +129,7 @@ SELF_TEST_GRID = [(d, b) for d in range(1, 5) for b in (2, 3, 5, 7, 101, 10007)]
 def cold_mu_system():
     """Clear the per-(d, b) proofs before and after a test that patches
     what they are read from."""
-    caches = (sv._self_test, sv._mu_system_rows, sv._top_bound_certified,
-              sv._sub_bound_certified)
+    caches = (sv._self_test, sv._mu_system_rows, sv._top_bound_certified, sv._prove)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -210,17 +209,15 @@ def test_search_runs_the_proof(monkeypatch, cold_mu_system):
 
 
 @pytest.mark.parametrize("b", (2, 3, 10007))
-def test_self_test_reads_each_unit_triangle_once(b, monkeypatch, cold_mu_system):
-    calls = []
-    transform = km.q_from_mu
+def test_self_test_calls_no_fraction_transform(b, monkeypatch, cold_mu_system):
+    # the proof reads the integer forms b(b-1) q off km._q_cell_terms, the
+    # forms q_from_mu divides, and maps no triangle in Fraction arithmetic
+    def refused(m):
+        raise AssertionError("the proof mapped a triangle")
 
-    def counted(m):
-        calls.append(m)
-        return transform(m)
-
-    monkeypatch.setattr(km, "q_from_mu", counted)
+    monkeypatch.setattr(km, "q_from_mu", refused)
+    monkeypatch.setattr(km, "mu_from_q", refused)
     assert _self_test(4, b)
-    assert 0 < len(calls) <= KisinInstance(4, b).dim_E
 
 
 def test_shift_invariance_of_dim():
@@ -682,7 +679,7 @@ def _vs_oracle(query, monkeypatch, search, oracle):
 def test_closed_form_rows_match_capped_oracle(d, b, monkeypatch):
     # without the sub-triangle bound the closed forms change no node count
     with monkeypatch.context() as m:
-        m.setattr(sv, "_sub_bound_certified", lambda d, b: False)
+        m.setattr(sv, "_prove", lambda d, b: False)
         for q in _oracle_grid(d, b):
             nodes, oracle_nodes = _vs_oracle(q, monkeypatch, _closed_form_max_dim_top,
                                              _capped_max_dim_top)
@@ -710,7 +707,7 @@ def _closed_form_max_dim_top(inst, top, budget, floor=None):
     the row below is set up.  Every top starts with no incumbent."""
     d, b = inst.d, inst.b
     sv._self_test(d, b)
-    sub_bound = sv._sub_bound_certified(d, b)
+    sub_bound = sv._prove(d, b)
     const = sv._dim_form([top], d)
     rows = [list(top)] + [[0] * (d - i + 1) for i in range(2, d + 1)]
     best = [None, None]
@@ -824,6 +821,36 @@ def test_level_r_slacks_rise_with_every_cell_of_row_r(b):
                         (n, last, Q, idx)
 
 
+@pytest.mark.parametrize("b", (2, 3, 5))
+def test_least_slack_at_the_probe_rises_by_the_jump_divisor(b):
+    # the premise of the jump in fit: with row r-1 fixed, the cells of row r
+    # before idx in their order ranges and the later ones at their caps,
+    # the least level-r slack rises by at most b+1 per unit of cell 0 and 1
+    # per unit of a later cell; away from row d it is rem_0 and the rise is
+    # exact.  Exhaustive on small rows, the level-d raise included (row
+    # r = d-1 has two cells)
+    for n in (2, 3, 4):
+        for P in itertools.combinations_with_replacement(range(3, -4, -1), n + 1):
+            for last in (False, True) if n == 2 else (False,):
+                def slacks(Q):
+                    return sv._row_slacks(P, Q, sv._below(Q, b, last), b)
+
+                for idx in range(n):
+                    rise = b + 1 if idx == 0 or last else 1
+                    for head in itertools.product(*(range(P[k + 1], P[k] + 1)
+                                                     for k in range(idx))):
+                        for v in range(P[idx + 1], P[idx]):
+                            probe = list(head) + [v] + list(P[idx + 1:n])
+                            base = slacks(probe)
+                            probe[idx] = v + 1
+                            up = slacks(probe)
+                            if last:
+                                assert 0 <= min(up) - min(base) <= rise, (P, probe)
+                            else:
+                                assert min(base) == base[0], (P, probe)
+                                assert up[0] - base[0] == rise, (P, probe)
+
+
 def test_node_counts_of_the_documented_queries(monkeypatch):
     # the counts the README quotes; a weaker valid bound (a divisor b for
     # b+1, say) changes no result, only these.  Without the incumbent as the
@@ -851,7 +878,7 @@ def test_row_slacks_and_sub_bound_are_proved(d):
                 assert sv._row_slacks(rows[r - 3], rows[r - 2], rows[r - 1], b) == want, \
                     (b, r, rows)
         assert _self_test(d, b)
-        assert sv._sub_bound_certified(d, b)
+        assert sv._prove(d, b)
 
 
 def test_row_slacks_proof_catches_a_wrong_step(monkeypatch, cold_mu_system):
@@ -888,8 +915,11 @@ def test_sub_bound_needs_every_smaller_certificate(monkeypatch, cold_mu_system):
     certified = sv._top_bound_certified
     monkeypatch.setattr(sv, "_top_bound_certified",
                         lambda d, b: d != 3 and certified(d, b))
-    assert not sv._sub_bound_certified(4, 2)
-    assert sv._sub_bound_certified(2, 2)
+    with pytest.raises(AssertionError, match="no certificate at d=3 b=2"):
+        sv._prove(4, 2)
+    with pytest.raises(AssertionError, match="no certificate at d=3 b=2"):
+        dim_exact(DimQuery(KisinInstance(4, 2), "le_e", e=6))
+    assert sv._prove(2, 2)
 
 
 def test_sub_bound_needs_the_shifted_rows(monkeypatch, cold_mu_system):
@@ -901,4 +931,35 @@ def test_sub_bound_needs_the_shifted_rows(monkeypatch, cold_mu_system):
         return out + ((1,) + (0,) * (len(out[0]) - 1),) if d == 2 else out
 
     monkeypatch.setattr(sv, "_mu_system_rows", extra)
-    assert not sv._sub_bound_certified(3, 2)
+    with pytest.raises(AssertionError, match="not a row of the 3-system"):
+        sv._prove(3, 2)
+    with pytest.raises(AssertionError, match="not a row of the 3-system"):
+        dim_exact(DimQuery(KisinInstance(3, 2), "mu", mu=(4, 2, 0)))
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_search_without_a_certificate_raises_and_spends_no_node(d, monkeypatch,
+                                                                cold_mu_system):
+    # the proofs are preconditions: with the top-row bound uncertified the
+    # search raises before its first node instead of searching without it
+    def spend(self):
+        raise AssertionError("a node was spent")
+
+    monkeypatch.setattr(sv, "_top_bound_certified", lambda *_: False)
+    monkeypatch.setattr(sv._Budget, "spend", spend)
+    for query in (DimQuery(KisinInstance(d, 2), "le_e", e=8),
+                  DimQuery(KisinInstance(d, 3), "le_mu", mu=(6,) + (0,) * (d - 1))):
+        with pytest.raises(AssertionError, match="no certificate"):
+            dim_exact(query)
+
+
+@pytest.mark.parametrize("b", (2, 3, 5, 101))
+def test_sub_triangle_bound_is_at_least_the_entries_above(b):
+    # remaining_bound returns x + w - x // (b+1) alone: on a nonincreasing
+    # row Q, x = sum_t (n-2t) Q_t >= 0, so the bound is never below
+    # w = sum_t t Q_t, the sum of the entries above the unfilled cells
+    for n in range(1, 5):
+        for Q in itertools.combinations_with_replacement(range(4, -5, -1), n + 1):
+            w = sum(t * x for t, x in enumerate(Q))
+            x = n * sum(Q) - 2 * w
+            assert x >= 0 and x + w - x // (b + 1) >= w, Q

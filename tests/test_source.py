@@ -2,8 +2,8 @@
 explicit raises, which `python -O` keeps, none of its caches grows without
 bound in a long-running process, no module keeps mutable state in a
 lower-case global, no module reads the environment, importing the CLI
-stays cheap, and no module of the package or its tests imports a name it
-never uses."""
+stays cheap, no module of the package or its tests imports a name it
+never uses, and every function and method of the package has a caller."""
 
 import ast
 import importlib
@@ -11,6 +11,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import kisindim
@@ -21,6 +22,7 @@ from kisindim.polyhedra import vec
 
 SRC = Path(kisindim.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+DEMOS = TESTS.parent / "demos"
 ORTHANT_PM = (vec((1, 0)), vec((0, -1)))  # generators of R+ x R-
 
 
@@ -150,3 +152,49 @@ def test_bounds_output_same_with_caches_cold_and_warm(capsys):
     assert outputs() == cold
     _clear_caches()
     assert outputs() == cold
+
+
+def _references(tree):
+    """Counter of the names that tree reads: as a name, an attribute or a
+    string such as a monkeypatch target."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def _dead_names():
+    """Functions and methods defined in the package that nothing in the
+    package, its tests or its demos refers to outside their own body.
+    Dunders and overrides of a base-class method are exempt: Python or the
+    base class calls them."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for root in (SRC, TESTS, DEMOS) for path in sorted(root.glob("*.py"))}
+    everywhere = sum(map(_references, trees.values()), Counter())
+    dead = []
+    for info in pkgutil.iter_modules(kisindim.__path__):
+        module = importlib.import_module(f"kisindim.{info.name}")
+        for top in trees[SRC / f"{info.name}.py"].body:
+            defs = [(None, top)] if not isinstance(top, ast.ClassDef) else [
+                (getattr(module, top.name), node) for node in top.body]
+            for cls, node in defs:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = node.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if cls is not None and any(hasattr(base, name) for base in cls.__mro__[1:]):
+                    continue
+                if everywhere[name] == _references(node)[name]:
+                    dead.append(f"{info.name}.{cls.__name__ + '.' if cls else ''}{name}")
+    return dead
+
+
+def test_every_function_has_a_caller():
+    # a function or method that only its definition names is dead code
+    assert _dead_names() == []
