@@ -118,19 +118,21 @@ def cmd_tables(args) -> int:
     if args.dmax is not None and args.dmax < 2:
         raise ValueError("tables --dmax must be >= 2, the first row of the table")
     ds = range(2, args.dmax + 1) if args.dmax is not None else (args.d,)
-    for d in ds:
-        validity = bd.TABLE2_VALIDITY.get(d)
-        if validity is not None and args.b < validity:
+    # built first, so a bad d or b reads as it does in every other command
+    insts = [km.KisinInstance(d, args.b) for d in ds]
+    for inst in insts:
+        validity = bd.TABLE2_VALIDITY.get(inst.d)
+        if validity is not None and inst.b < validity:
             raise ValueError(
-                f"outside validity domain: the d={d} vertex table needs b >= {validity}")
+                f"outside validity domain: the d={inst.d} vertex table needs b >= {validity}")
     if args.dmax is not None:
         lines = ["d,K,K_plus_Cstar"]
-        for d in ds:
-            kt = bd.k_polytopes(km.KisinInstance(d, args.b))
-            lines.append(f"{d},{kt.counts[0]},{kt.counts[1]}")
+        for inst in insts:
+            kt = bd.k_polytopes(inst)
+            lines.append(f"{inst.d},{kt.counts[0]},{kt.counts[1]}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
-    kt = bd.k_polytopes(km.KisinInstance(args.d, args.b))
+    kt = bd.k_polytopes(insts[0])
     if args.format == "json":
         _emit(kt.to_json() + "\n", args.out)
     else:

@@ -5,11 +5,12 @@ There is no floating point anywhere in this module.  Elimination (`rank`,
 description), the double description itself and the LP oracle all run on
 primitive integer vectors (rows and rays scaled by positive rationals,
 which changes neither cones nor feasibility), through one fraction-free
-row step, `_eliminate`.  A halfspace is stored as its primitive integer
-row, so membership is an integer dot.  `fractions.Fraction` appears only
-at the API edge: `dot`, the coordinates of points and vertices, and the
-max-flow capacities.  Rays and lines are returned as primitive integer
-tuples.  Polyhedra come in two representations:
+row step, `_eliminate`.  `vertices_of_sum` asks the LP only what its
+integer sign certificates leave open.  A halfspace is stored as its
+primitive integer row, so membership is an integer dot.
+`fractions.Fraction` appears only at the API edge: `dot`, the coordinates
+of points and vertices, and the max-flow capacities.  Rays and lines are
+returned as primitive integer tuples.  Polyhedra come in two representations:
 
 - `HPolyhedron`: a finite list of halfspaces ``<a, x> >= c`` and equations
   ``<a, x> = c``;
@@ -525,6 +526,31 @@ def in_cone(generators: list[Vec], target: Vec) -> bool:
     return cost[m + n] == 0
 
 
+def _sign_certificate(tight: list[IVec], eq_images: list[IVec], k: int) -> bool | None:
+    """The certificates of `vertices_of_sum` on the integer images in Z^k
+    of the tight rows and the equations: False for a reject, True for an
+    accept, None when neither is found.  The accepting combination starts
+    from the sum of the tight images and, for at most 3k rounds, lifts the
+    first coordinate that is still <= 0 to 1 with copies of the tight image
+    largest there."""
+    for j in range(k):
+        if all(t[j] <= 0 for t in tight) and not any(e[j] for e in eq_images):
+            return False
+    if not tight:
+        return None
+    s = [sum(col) for col in zip(*tight)]
+    for _ in range(3 * k):
+        j = next((j for j in range(k) if s[j] <= 0), None)
+        if j is None:
+            return True
+        t = max(tight, key=lambda t: t[j])
+        if t[j] <= 0:
+            return None
+        m = -s[j] // t[j] + 1
+        s = [x + m * y for x, y in zip(s, t)]
+    return None if any(x <= 0 for x in s) else True
+
+
 def vertices_of_sum(P: HPolyhedron, vertices, gens) -> list[Vec]:
     """The vertices of P + cone(gens), given the vertices of P, sorted.
 
@@ -538,32 +564,43 @@ def vertices_of_sum(P: HPolyhedron, vertices, gens) -> list[Vec]:
     over P at v alone, and over the sum too.
 
     N is generated by the normals of the inequalities tight at v plus the
-    equation normals with both signs, so the test is one feasibility LP in
-    R^|gens|: is (1, ..., 1) a nonnegative combination of their images
-    (<a, g>)_g and the slacks -e_k?  The recession cone of P needs no
-    separate care, since it is part of the H-representation.  Rows,
-    vertices and images are all integers, so the test is exact.
+    equation normals with both signs, so the question lives on their
+    integer images (<a, g>)_g in Z^|gens|.  Two certificates settle it
+    first.  Reject: in some coordinate j every tight image is <= 0 and
+    every equation image is 0, so <c, g_j> <= 0 on all of N; the equation
+    images must be 0, not just <= 0, since they enter N with both signs.
+    Accept: a nonnegative integer combination of the tight images is
+    positive everywhere, and it is (<c, g>)_g for a c in N.  Only when
+    neither is found does one exact LP decide (`in_cone`): is (1, ..., 1)
+    a nonnegative combination of the tight images, the equation images
+    with both signs and the slacks -e_k?  The recession cone of P is part
+    of its H-representation and needs no separate care.  Rows, vertices
+    and images are integers, so the certificates and the LP are exact.
     """
     n = P.dim
     if rank([h.normal for h in P.halfspaces], n) < n:
         raise ValueError("summand with lines has no vertices")
     gens = [g for g in map(primitive_ints, gens) if any(g)]
     k = len(gens)
-    rows, cone_gens = [], []
+    rows, eq_images = [], []
     for h in P.halfspaces:
         a = h.normal + (-h.offset,)
         image = tuple(_idot(a, g) for g in gens)
         if h.is_eq:
-            cone_gens += [image, tuple(-x for x in image)]
+            eq_images.append(image)
         else:
             rows.append((a, image))
+    cone_gens = eq_images + [tuple(-x for x in e) for e in eq_images]
     cone_gens += [tuple(-int(i == j) for j in range(k)) for i in range(k)]
     ones = (1,) * k
     out = []
     for v in vertices:
         hv = primitive_ints(v + (1,))
         tight = [image for a, image in rows if _idot(a, hv) == 0]
-        if in_cone(tight + cone_gens, ones):
+        keep = _sign_certificate(tight, eq_images, k)
+        if keep is None:
+            keep = in_cone(tight + cone_gens, ones)
+        if keep:
             out.append(v)
     return sorted(out)
 

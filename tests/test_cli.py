@@ -120,6 +120,16 @@ def test_tables_validity_gate(capsys):
     assert "outside validity domain" in err
 
 
+def test_tables_bad_b_reads_like_every_other_command(capsys):
+    # b < 2 is not a point outside some table's validity domain
+    for argv in (["tables", "--d", "3", "--b", "-2"], ["tables", "--dmax", "3", "--b", "1"],
+                 ["bounds", "--d", "3", "--b", "-2", "--e", "1"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid input: b must be >= 2\n"
+
+
 def test_tables_dmax_validity_gate(capsys):
     # every d in 2..dmax is checked: d = 4 needs b >= 3 and d = 5 needs b >= 6
     for b, dmax, bad in ((2, 5, 4), (2, 4, 4), (5, 5, 5)):

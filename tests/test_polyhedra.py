@@ -406,6 +406,27 @@ def _lp_sum_vertices(V: VPolyhedron, gens) -> list:
     return sorted(out)
 
 
+def _normal_cone_lp_vertices(P: HPolyhedron, vertices, gens) -> list:
+    """Oracle for vertices_of_sum: the same normal-cone criterion decided
+    by one exact LP per vertex, with no certificate first.  Keep v when
+    (1, ..., 1) is a nonnegative combination of the images (<a, g>)_g of
+    the tight normals, the equation images with both signs and the slacks
+    -e_k."""
+    gens = [g for g in map(primitive_ints, gens) if any(g)]
+    k = len(gens)
+    rows, cone_gens = [], []
+    for h in P.halfspaces:
+        image = tuple(dot(h.normal, g) for g in gens)
+        if h.is_eq:
+            cone_gens += [image, tuple(-x for x in image)]
+        else:
+            rows.append((h, image))
+    cone_gens += [tuple(-int(i == j) for j in range(k)) for i in range(k)]
+    return sorted(v for v in vertices
+                  if in_cone([image for h, image in rows if dot(h.normal, v) == h.offset]
+                             + cone_gens, (1,) * k))
+
+
 def test_minkowski_sum_absorbs_dominated_vertex():
     V = enumerate_vertices(square())
     pts = vertices_of_sum(square(), V.vertices, [vec((1, 1))])
@@ -437,6 +458,55 @@ def test_vertices_of_sum_matches_lp_oracle_on_k_polytopes(d):
         kt = bd.k_polytopes(KisinInstance(d, b))
         V = VPolyhedron(d, kt.K_vertices, kt.K_rays)
         assert list(kt.Kp_vertices) == _lp_sum_vertices(V, chain_dual_generators(d)), (d, b)
+        assert list(kt.Kp_vertices) == _normal_cone_lp_vertices(
+            kt.K, kt.K_vertices, chain_dual_generators(d)), (d, b)
+
+
+def test_vertices_of_sum_matches_normal_cone_lp_on_the_acceptance_tables():
+    # acceptance 1: d = 2..10 at b = 10000, where K has no rays
+    for d in range(2, 11):
+        kt = bd.k_polytopes(KisinInstance(d, 10000))
+        assert list(kt.Kp_vertices) == _normal_cone_lp_vertices(
+            kt.K, kt.K_vertices, chain_dual_generators(d)), d
+
+
+def test_sign_certificate_agrees_with_the_lp():
+    # random integer images; every certificate found must match in_cone on
+    # the LP that vertices_of_sum would otherwise solve
+    rng = random.Random(15)
+    seen = {True: 0, False: 0, None: 0}
+    for trial in range(3000):
+        k = rng.randint(1, 4)
+
+        def image():
+            return tuple(rng.randint(-3, 3) for _ in range(k))
+
+        tight = [image() for _ in range(rng.randint(0, 5))]
+        eqs = [image() for _ in range(rng.randint(1, 2))] if trial % 2 else []
+        lp = in_cone(tight + eqs + [tuple(-x for x in e) for e in eqs]
+                     + [tuple(-int(i == j) for j in range(k)) for i in range(k)],
+                     (1,) * k)
+        got = polyhedra._sign_certificate(tight, eqs, k)
+        seen[got] += 1
+        assert got is None or got == lp, (tight, eqs)
+    assert all(seen.values()), seen
+
+
+def test_k_polytopes_solve_an_lp_only_where_no_certificate_is_found(monkeypatch):
+    # the LP fallback of vertices_of_sum stays live at d = 9, 10
+    calls = []
+
+    def counted(gens, target):
+        calls.append(target)
+        return in_cone(gens, target)
+
+    monkeypatch.setattr(polyhedra, "in_cone", counted)
+    counts = {}
+    for d in (8, 9, 10):
+        calls.clear()
+        bd.k_polytopes(KisinInstance(d, 10000))
+        counts[d] = len(calls)
+    assert counts == {8: 0, 9: 2, 10: 2}
 
 
 def chain_cone_gens(d):
@@ -454,6 +524,7 @@ def test_b_value_dual_summand_filter_matches_lp_oracle(monkeypatch):
     def checked(P, vertices, gens):
         got = vertices_of_sum(P, vertices, gens)
         assert got == _lp_sum_vertices(enumerate_vertices(P), gens)
+        assert got == _normal_cone_lp_vertices(P, vertices, gens)
         removed.append(len(vertices) - len(got))
         return got
 
