@@ -19,17 +19,18 @@ from math import inf
 
 from . import kisin_model as km
 from . import perm as pm
-from .polyhedra import (Frozen, HPolyhedron, Vec, cone_generators, cone_hull, dot, dual_cone,
-                        enumerate_vertices, fmt_frac, frac, in_cone, vec, vertices_of_sum)
+from .polyhedra import (Frozen, HPolyhedron, IVec, Vec, cone_generators, cone_hull, dot,
+                        dual_cone, enumerate_vertices, fmt_frac, frac, in_cone, vec,
+                        vertices_of_sum)
 
 
 class UnsupportedRegime(Exception):
     """Raised when an identity is requested outside its proven range of b."""
 
 
-def two_rho(d: int) -> Vec:
+def two_rho(d: int) -> IVec:
     """(d-1, d-3, ..., 1-d): twice the half-sum vector."""
-    return tuple(Fraction(d + 1 - 2 * i) for i in range(1, d + 1))
+    return tuple(d + 1 - 2 * i for i in range(1, d + 1))
 
 
 def f_T(inst: km.KisinInstance, T, y) -> Fraction:
@@ -56,42 +57,39 @@ def f_T_halfspace(inst: km.KisinInstance, T) -> tuple[Vec, Fraction]:
 # dual descriptions of the cone variants and the A-sets
 # ---------------------------------------------------------------------------
 
-def _indicator(inst, cells) -> Vec:
-    v = [Fraction(0)] * inst.dim_E
-    for (i, j) in cells:
-        v[inst.cell_index(i, j)] = Fraction(1)
-    return tuple(v)
+def _proper_subsets(d: int):
+    """The nonempty proper subsets T of {1..d}, in the order of their bitmasks."""
+    for mask in range(1, 2 ** d - 1):
+        yield frozenset(t for t in range(1, d + 1) if mask & (1 << (t - 1)))
 
 
 def _dual_hrep(inst: km.KisinInstance, variant):
     """(ineq_rows, eq_rows) in E such that z is in (variant cone)* iff
-    <z, v> >= 0 for the ineq rows and <z, v> = 0 for the eq rows."""
+    <z, v> >= 0 for the ineq rows and <z, v> = 0 for the eq rows.
+
+    Q_max and the graph cones Q_w (Q_min is Q_{w0}) are cut out by rows
+    q_x >= q_y, the arcs x -> y of a graph on the cells.  So the dual of
+    each is {z : sum z = 0, sum_J z <= 0} over the nonempty proper cell
+    sets J closed under the arcs: the admissible sets attached to the
+    proper subsets T of {1..d} for Q_max, the level sets I_s(w), s < d,
+    for Q_w.  The dual of the full cone Q is the cone of its generators
+    (needs b >= b0)."""
     d = inst.d
-    ones = _indicator(inst, inst.cells)
-    if variant == "Qmin":
-        rows = [tuple(-x for x in _indicator(inst, pm.admissible_level(d, s).cells))
-                for s in range(1, d)]
-        return rows, [ones]
-    if variant == "Qmax":
-        subsets = []
-        for mask in range(1, 2 ** d - 1):
-            T = {t for t in range(1, d + 1) if mask & (1 << (t - 1))}
-            subsets.append(T)
-        rows = [tuple(-x for x in _indicator(inst, pm.admissible_from_subset(d, T).cells))
-                for T in subsets]
-        return rows, [ones]
-    if isinstance(variant, tuple) and variant[0] == "Qw":
-        w = variant[1]
-        rows = [tuple(-x for x in _indicator(inst, pm.level_set(w, s).cells))
-                for s in range(1, d)]
-        return rows, [ones]
     if variant == "Q":
         if inst.b < inst.b0:
             raise UnsupportedRegime(
                 f"A-set for the full cone Q needs b >= b0 = {inst.b0}, got b = {inst.b}")
         lines, rays = _variant_generators(inst, "Q")
         return list(rays), list(lines)
-    raise ValueError(f"unknown cone variant {variant!r}")
+    if variant == "Qmax":
+        sets = [pm.admissible_from_subset(d, T) for T in _proper_subsets(d)]
+    elif variant == "Qmin" or (isinstance(variant, tuple) and variant[0] == "Qw"):
+        w = pm.w0(d) if variant == "Qmin" else variant[1]
+        sets = [pm.level_set(w, s) for s in range(1, d)]
+    else:
+        raise ValueError(f"unknown cone variant {variant!r}")
+    rows = [km._int_row(inst, ((-1, c) for c in adm.cells)) for adm in sets]
+    return rows, [km._int_row(inst, ((1, c) for c in inst.cells))]
 
 
 def _form_vectors(inst: km.KisinInstance, form: str) -> list[Vec]:
@@ -136,8 +134,7 @@ def extremal_points_a_qmax(inst: km.KisinInstance) -> dict[pm.Permutation, Vec]:
     # permutations share their vertex, though the vertex SET is still exact
     for w, v in out.items():
         chain = {frozenset(pm.w_star(w)(i) for i in range(1, s + 1)) for s in range(1, d)}
-        for mask in range(1, 2 ** d - 1):
-            T = frozenset(t for t in range(1, d + 1) if mask & (1 << (t - 1)))
+        for T in _proper_subsets(d):
             val = f_T(inst, T, v)
             if T in chain:
                 if val != 0:
@@ -229,8 +226,7 @@ def regularity(mu, inst: km.KisinInstance) -> RegularityClass:
     d, b = inst.d, inst.b
     if len(mu) != d:
         raise ValueError("mu must have d entries")
-    breg = all(mu[i - 1] - mu[i] <= b * (mu[d - i - 1] - mu[d - i])
-               for i in range(1, d))
+    breg = km.cone_regular(inst).contains(mu)
     integrally = (breg and all(x.denominator == 1 for x in mu)
                   and sum(mu) % (b - 1) == 0)
     strongly = bool(integrally and (d < 2 or mu[d - 2] - mu[d - 1]

@@ -29,8 +29,6 @@ def _encode(obj):
         return {k: _encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_encode(v) for v in obj]
-    if isinstance(obj, pm.Permutation):
-        return obj.label()
     return obj
 
 
@@ -117,6 +115,8 @@ def cmd_tables(args) -> int:
         raise ValueError("tables needs exactly one of --d and --dmax")
     if args.dmax is not None and args.dmax < 2:
         raise ValueError("tables --dmax must be >= 2, the first row of the table")
+    if args.dmax is not None and args.format == "json":
+        raise ValueError("tables --dmax prints a CSV count table; --format json needs --d")
     ds = range(2, args.dmax + 1) if args.dmax is not None else (args.d,)
     # built first, so a bad d or b reads as it does in every other command
     insts = [km.KisinInstance(d, args.b) for d in ds]

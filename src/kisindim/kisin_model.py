@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import perm as pm
-from .polyhedra import Frozen, HPolyhedron, Vec, dot, fmt_frac, frac, vec
+from .polyhedra import Frozen, HPolyhedron, IVec, Vec, dot, dual_cone, fmt_frac, frac, vec
 
 
 class KisinInstance(Frozen):
@@ -224,18 +224,13 @@ def delta_vec(inst: KisinInstance) -> Vec:
     return tuple(coeffs)
 
 
-def S_T(x, T, d: int | None = None) -> Fraction:
-    """Sum of the coordinates of x over the admissible subset attached to T."""
-    if isinstance(x, _Triangle):
-        inst = x.instance
-        adm = pm.admissible_from_subset(inst.d, T)
-        return sum((x[c] for c in adm.cells), Fraction(0))
-    if d is None:
-        raise ValueError("S_T on a raw vector needs the ambient d")
+def S_T(x, T, d: int) -> Fraction:
+    """Sum of the coordinates of the vector x in E over the admissible
+    subset attached to T."""
     inst = KisinInstance(d, 2)
-    adm = pm.admissible_from_subset(d, T)
     x = vec(x)
-    return sum((x[inst.cell_index(i, j)] for (i, j) in adm.cells), Fraction(0))
+    return sum((x[inst.cell_index(i, j)] for (i, j) in pm.admissible_from_subset(d, T).cells),
+               Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -284,54 +279,29 @@ def _cone_from_games(inst, games):
     return HPolyhedron.build(inst.dim_E, ineqs)
 
 
+def chain_dual_generators(d: int) -> list[IVec]:
+    """The rows e_i - e_{i+1} of the chain cone C, which generate its dual
+    C* (Ziegler, *Lectures on Polytopes*, sec. 1.4)."""
+    return [tuple(int(j == i) - int(j == i + 1) for j in range(d)) for i in range(d - 1)]
+
+
 def cone_chain(d: int) -> HPolyhedron:
-    """C = {y in R^d : y_1 >= ... >= y_d}."""
-    ineqs = []
-    for i in range(d - 1):
-        a = [Fraction(0)] * d
-        a[i], a[i + 1] = Fraction(1), Fraction(-1)
-        ineqs.append((tuple(a), Fraction(0)))
-    return HPolyhedron.build(d, ineqs)
+    """C = {y in R^d : y_1 >= ... >= y_d}, the dual of C*."""
+    return dual_cone(chain_dual_generators(d), d)
 
 
-def chain_dual_generators(d: int) -> list[Vec]:
-    """Generators (0,..,1,-1,..,0) of C* = dual of the chain cone."""
-    out = []
-    for i in range(d - 1):
-        a = [Fraction(0)] * d
-        a[i], a[i + 1] = Fraction(1), Fraction(-1)
-        out.append(tuple(a))
-    return out
+def regular_dual_generators(inst: KisinInstance) -> list[IVec]:
+    """The generators b*v_{d-i} - v_i of Reg*, with v_i = e_i - e_{i+1} the
+    generators of C*."""
+    b, d = inst.b, inst.d
+    v = chain_dual_generators(d)  # v[i - 1] is v_i
+    return [tuple(b * x - y for x, y in zip(v[d - i - 1], v[i - 1])) for i in range(1, d)]
 
 
 def cone_regular(inst: KisinInstance) -> HPolyhedron:
-    """Reg = {mu : mu_i - mu_{i+1} <= b (mu_{d-i} - mu_{d-i+1}) for all i}."""
-    b, d = inst.b, inst.d
-    ineqs = []
-    for i in range(1, d):
-        a = [Fraction(0)] * d
-        a[i - 1] -= 1
-        a[i] += 1
-        a[d - i - 1] += b
-        a[d - i] -= b
-        ineqs.append((tuple(a), Fraction(0)))
-    return HPolyhedron.build(d, ineqs)
-
-
-def regular_dual_generators(inst: KisinInstance) -> list[Vec]:
-    """Generators b*v_{d-i} - v_i of Reg*, with v_i = e_i - e_{i+1}."""
-    b, d = inst.b, inst.d
-
-    def v(i):
-        a = [Fraction(0)] * d
-        a[i - 1], a[i] = Fraction(1), Fraction(-1)
-        return a
-
-    out = []
-    for i in range(1, d):
-        w = [b * x - y for x, y in zip(v(d - i), v(i))]
-        out.append(tuple(w))
-    return out
+    """Reg = {mu : mu_i - mu_{i+1} <= b (mu_{d-i} - mu_{d-i+1}) for all i},
+    the dual of Reg*."""
+    return dual_cone(regular_dual_generators(inst), inst.d)
 
 
 def cone_qw(inst: KisinInstance, w: pm.Permutation) -> HPolyhedron:

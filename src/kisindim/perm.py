@@ -293,25 +293,18 @@ def _prefix_sum_sequence(w: Permutation, s: int, length: int) -> list[int]:
     return out
 
 
-def precedes(w1: Permutation, w2: Permutation, b: int | None = None) -> bool:
+def precedes(w1: Permutation, w2: Permutation) -> bool:
     """The order on S_d: w1 <= w2 iff for every s the sequence of prefix sums
     sum_{i<=s} w1^n(i) is lexicographically <= the one for w2.
 
     The sequences are periodic, so comparison up to n = lcm of the two
-    permutation orders decides.  With b given (b >= b0 = 1 + floor((d-1)^2/4))
-    the test rho_{w1} in rho_{w2} + C* is used instead; beware that the two
-    tests provably coincide only once b >= floor(d^2/4) + 1 (checked
-    exhaustively through d = 5; at (d, b) = (4, 3) and (4, 4) they differ).
+    permutation orders decides.  It agrees with the rho form
+    in_dual_chain_cone(rho_w(w1, b) - rho_w(w2, b)) once
+    b >= floor(d^2/4) + 1 (checked exhaustively through d = 5; at
+    (d, b) = (4, 3) and (4, 4) the two differ).
     """
     if w1.d != w2.d:
         raise ValueError("permutations of different sizes")
-    if b is not None:
-        d = w1.d
-        b0 = 1 + (d - 1) ** 2 // 4
-        if b < b0:
-            raise ValueError(f"the rho-based test needs b >= {b0}")
-        diff = tuple(x - y for x, y in zip(rho_w(w1, b), rho_w(w2, b)))
-        return in_dual_chain_cone(diff)
     o1, o2 = w1.order(), w2.order()
     n = o1 * o2 // gcd(o1, o2)
     for s in range(1, w1.d):

@@ -88,11 +88,6 @@ def _eliminate(row: list[int], t: list[int], c: int) -> list[int]:
     return [x // g for x in out] if g > 1 else out
 
 
-def normalize_ray(v: Vec) -> Vec:
-    """Scale by a positive rational so entries are coprime integers."""
-    return tuple(map(Fraction, primitive_ints(v)))
-
-
 def _canonical_line(v) -> IVec:
     """Primitive integer direction of a line, first nonzero entry positive."""
     w = primitive_ints(v)
@@ -448,9 +443,8 @@ def v_to_h(V: VPolyhedron) -> HPolyhedron:
 
 
 def dual_cone(generators: list[Vec], dim: int) -> HPolyhedron:
-    """{x : <x, g> >= 0 for every generator g}."""
-    gens = [vec(g) for g in generators]
-    return HPolyhedron.build(dim, [(g, 0) for g in gens if not is_zero(g)])
+    """{x : <x, g> >= 0 for every generator g}, the dual of cone(generators)."""
+    return HPolyhedron.build(dim, [(g, 0) for g in generators if any(g)])
 
 
 def polyhedra_set_equal(P: HPolyhedron, Q: HPolyhedron) -> bool:
@@ -610,8 +604,7 @@ def minkowski_sum_cone(P: HPolyhedron | VPolyhedron, cone_gens: list[Vec]) -> HP
     V = P if isinstance(P, VPolyhedron) else enumerate_vertices(P)
     if V.is_empty:
         raise ValueError("Minkowski sum with the empty polyhedron")
-    gens = [normalize_ray(vec(g)) for g in cone_gens]
-    gens = [g for g in gens if not is_zero(g)]
+    gens = [g for g in map(primitive_ints, cone_gens) if any(g)]
     return v_to_h(VPolyhedron(V.dim, V.vertices, tuple(sorted(set(list(V.rays) + gens))), V.lines))
 
 

@@ -8,8 +8,10 @@ They are enforced as caps, not checked on complete rows: once rows r-2 and
 r-1 are fixed, each level-(r-1) row reads sum_s c_{j,s} mu_{r,s} <= S_j
 with c_{j,s} = b for s <= j and 1 otherwise, so every cell of row r gets an
 integer upper bound from the slacks left by the cells before it (bounds
-propagation), and the level-d row is a lower bound on mu_{d,d}.  A row
-whose slacks are negative before its first cell is skipped.
+propagation), and the level-d row is a lower bound on mu_{d,d}.  No row
+is entered with a negative slack: the look-ahead below already required
+every slack of row r >= 3, its cells at their lower bounds, to be >= 0
+when it fixed the last cell of row r-1.
 
 The search also looks one row ahead.  Before the values of a cell of row
 r < d are walked, its lower end is raised to the least value at which
@@ -244,10 +246,9 @@ def _dim_form(rows, d):
 
 
 def _two_rho(top):
-    """<2 rho | top> with 2 rho = (d-1, d-3, ..., 1-d); it sums to 0, so a
-    constant shift of the top does not change it."""
-    d = len(top)
-    return sum((d + 1 - 2 * j) * x for j, x in enumerate(top, 1))
+    """<2 rho | top>; 2 rho sums to 0, so a constant shift of the top does
+    not change it."""
+    return sum(map(mul, bd.two_rho(len(top)), top))
 
 
 def _top_bound(top, b):
@@ -343,8 +344,6 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget, floor: int | None
             # with c_{j,s} = b for s <= j and 1 for s > j; rem[k] is its slack
             # with every cell of row r at its lower bound
             rem = _row_slacks(rows[r - 3], prev, lows, b)
-            if min(rem) < 0:
-                return
         else:
             # row 2 meets no scaled-q row: slacks that no choice of its cells uses up
             rem = [b * (prev[0] - prev[-1])] * (n + 1)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from math import inf
@@ -20,6 +21,48 @@ from kisindim.polyhedra import (Halfspace, cone_hull, dot, enumerate_vertices,
 # ---------------------------------------------------------------------------
 # A-sets
 # ---------------------------------------------------------------------------
+
+def _indicator(inst, cells):
+    v = [F(0)] * inst.dim_E
+    for (i, j) in cells:
+        v[inst.cell_index(i, j)] = F(1)
+    return tuple(v)
+
+
+def _fraction_dual_hrep(inst, variant):
+    """The three graph-cone branches of _dual_hrep as they stood before they
+    became one path, in Fraction rows."""
+    d = inst.d
+    ones = _indicator(inst, inst.cells)
+    if variant == "Qmin":
+        rows = [tuple(-x for x in _indicator(inst, pm.admissible_level(d, s).cells))
+                for s in range(1, d)]
+        return rows, [ones]
+    if variant == "Qmax":
+        subsets = []
+        for mask in range(1, 2 ** d - 1):
+            subsets.append({t for t in range(1, d + 1) if mask & (1 << (t - 1))})
+        rows = [tuple(-x for x in _indicator(inst, pm.admissible_from_subset(d, T).cells))
+                for T in subsets]
+        return rows, [ones]
+    w = variant[1]
+    rows = [tuple(-x for x in _indicator(inst, pm.level_set(w, s).cells))
+            for s in range(1, d)]
+    return rows, [ones]
+
+
+def test_dual_hrep_matches_its_fraction_builders():
+    rng = random.Random(41)
+    for d in range(1, 8):
+        perms = [pm.w0(d), pm.identity(d)]
+        perms += [pm.Permutation(rng.sample(range(1, d + 1), d)) for _ in range(3)]
+        for b in (2, 3, 5, 7, 101):
+            inst = KisinInstance(d, b)
+            for variant in ["Qmin", "Qmax"] + [("Qw", w) for w in perms]:
+                ineqs, eqs = bd._dual_hrep(inst, variant)
+                assert (list(map(tuple, ineqs)), list(map(tuple, eqs))) \
+                    == _fraction_dual_hrep(inst, variant), (d, b, variant)
+
 
 def test_a_set_qmin_f_form_is_a_halfline():
     # the two-sided form pins y_1 + y_d = 0 and y_1 >= floor(d^2/4)/(b+1)
@@ -269,6 +312,35 @@ def test_regularity_nesting_random():
             assert r.b_regular
         if r.b_regular:
             assert list(mu) == sorted(mu, reverse=True)
+
+
+def _inline_regularity(mu, b):
+    """The three flags of `regularity` by its defining inequalities, written
+    out as they stood before b-regularity became membership in Reg."""
+    d = len(mu)
+    breg = all(mu[i - 1] - mu[i] <= b * (mu[d - i - 1] - mu[d - i]) for i in range(1, d))
+    integrally = breg and all(x.denominator == 1 for x in mu) and sum(mu) % (b - 1) == 0
+    strongly = bool(integrally and (d < 2 or mu[d - 2] - mu[d - 1]
+                                    <= b * (mu[0] - mu[1]) - d * (b * b - 1)))
+    return breg, integrally, strongly
+
+
+def test_regularity_matches_its_inline_inequalities():
+    rng = random.Random(42)
+    seen = Counter()
+    for d in range(1, 8):
+        for b in (2, 3, 5, 7, 101):
+            inst = KisinInstance(d, b)
+            for k in range(60):
+                # half nonincreasing, half in any order; some entries non-integral
+                mu = [F(rng.randint(-12, 12), rng.choice((1, 1, 1, 2, 3))) for _ in range(d)]
+                mu = tuple(sorted(mu, reverse=True) if k % 2 else mu)
+                r = regularity(mu, inst)
+                flags = (r.b_regular, r.integrally_b_regular, r.strongly_integrally_b_regular)
+                assert flags == _inline_regularity(mu, b), (mu, b)
+                seen[flags] += 1
+    # not b-regular, b-regular only, integrally and strongly integrally b-regular
+    assert len(seen) == 4
 
 
 def test_min_over_permutations_regular_case():

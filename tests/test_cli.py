@@ -160,6 +160,17 @@ def test_tables_dmax_below_two_is_invalid_input(capsys, dmax):
     assert "invalid input: tables --dmax must be >= 2" in captured.err
 
 
+def test_tables_dmax_with_format_json_is_invalid_input(capsys):
+    # the count table is CSV only, so --dmax would ignore --format json
+    assert main(["tables", "--dmax", "3", "--b", "10", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid input: tables --dmax prints a CSV count table; "
+                            "--format json needs --d\n")
+    assert main(["tables", "--dmax", "3", "--b", "10", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "d,K,K_plus_Cstar\n2,1,1\n3,3,3\n"
+
+
 def test_tables_coordinates(capsys):
     code, out = run(capsys, "tables", "--b", "7", "--d", "2")
     assert code == 0

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from kisindim import perm as pm
 from kisindim.kisin_model import (KisinInstance, MuTriangle, QPoint, S_T,
-                                  cone_chain, cone_q, cone_qmax,
+                                  chain_dual_generators, cone_chain, cone_q, cone_qmax,
                                   cone_qmin, cone_qw, cone_regular,
                                   d2_lattice_invariants, delta_vec, dim_phi,
                                   mu_cell_vector, mu_from_q, mu_vec, phi_from_q,
-                                  q_from_mu, read_back_q, validate_phi)
+                                  q_from_mu, read_back_q, regular_dual_generators,
+                                  validate_phi)
 from kisindim.polyhedra import HPolyhedron, dot, polyhedra_set_equal
 
 
@@ -266,6 +267,61 @@ def test_regular_cone_is_chain_cone_for_d2():
     for _ in range(200):
         x = (F(rng.randint(-9, 9)), F(rng.randint(-9, 9)))
         assert Reg.contains(x) == C.contains(x)
+
+
+# the Fraction builders of C, C*, Reg and Reg* from before each cone was read
+# off its integer generators, kept as oracles for the integer builders
+
+
+def _fraction_chain_rows(d):
+    out = []
+    for i in range(d - 1):
+        a = [F(0)] * d
+        a[i], a[i + 1] = F(1), F(-1)
+        out.append(tuple(a))
+    return out
+
+
+def _fraction_cone_chain(d):
+    return HPolyhedron.build(d, [(a, F(0)) for a in _fraction_chain_rows(d)])
+
+
+def _fraction_cone_regular(inst):
+    b, d = inst.b, inst.d
+    ineqs = []
+    for i in range(1, d):
+        a = [F(0)] * d
+        a[i - 1] -= 1
+        a[i] += 1
+        a[d - i - 1] += b
+        a[d - i] -= b
+        ineqs.append((tuple(a), F(0)))
+    return HPolyhedron.build(d, ineqs)
+
+
+def _fraction_regular_dual_generators(inst):
+    b, d = inst.b, inst.d
+
+    def v(i):
+        a = [F(0)] * d
+        a[i - 1], a[i] = F(1), F(-1)
+        return a
+
+    return [tuple(b * x - y for x, y in zip(v(d - i), v(i))) for i in range(1, d)]
+
+
+def test_chain_and_regular_cones_match_their_fraction_builders():
+    for d in range(1, 8):
+        gens = chain_dual_generators(d)
+        assert gens == _fraction_chain_rows(d)
+        assert all(type(x) is int for g in gens for x in g)
+        assert cone_chain(d).halfspaces == _fraction_cone_chain(d).halfspaces
+        for b in (2, 3, 5, 7, 101):
+            inst = KisinInstance(d, b)
+            gens = regular_dual_generators(inst)
+            assert gens == _fraction_regular_dual_generators(inst), (d, b)
+            assert all(type(x) is int for g in gens for x in g)
+            assert cone_regular(inst).halfspaces == _fraction_cone_regular(inst).halfspaces
 
 
 def test_qw_of_reversal_is_qmin():

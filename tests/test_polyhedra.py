@@ -12,7 +12,7 @@ from kisindim.polyhedra import (FlowNetwork, Halfspace, HPolyhedron, INF,
                                 VPolyhedron, cone_generators, cone_hull, dot,
                                 dual_cone, enumerate_vertices,
                                 graph_cone_dual_membership, in_cone, maxflow,
-                                minkowski_sum_cone, normalize_ray, nullspace,
+                                minkowski_sum_cone, nullspace,
                                 polyhedra_set_equal, primitive_ints, rank, v_to_h,
                                 vec, vertices_of_sum)
 
@@ -146,7 +146,7 @@ def _brute_rays(ineqs, eqs, n) -> set:
         for s in (r, tuple(-x for x in r)):
             if (any(s) and all(dot(a, s) >= 0 for a in ineqs)
                     and all(dot(e, s) == 0 for e in eqs)):
-                out.add(normalize_ray(s))
+                out.add(primitive_ints(s))
     return out
 
 
