@@ -19,9 +19,9 @@ from math import inf
 
 from . import kisin_model as km
 from . import perm as pm
-from .polyhedra import (Frozen, HPolyhedron, IVec, Vec, cone_generators, cone_hull, dot,
-                        dual_cone, enumerate_vertices, fmt_frac, frac, in_cone, vec,
-                        vertices_of_sum)
+from .polyhedra import (Frozen, Halfspace, HPolyhedron, IVec, Vec, cone_generators, dot,
+                        dual_cone, enumerate_vertices, fmt_frac, frac, in_cone,
+                        primitive_ints, vec, vertices_of_sum)
 
 
 class UnsupportedRegime(Exception):
@@ -220,6 +220,16 @@ class RegularityClass(Frozen):
         self._store(locals())
 
 
+def strong_regularity(inst: km.KisinInstance) -> Halfspace:
+    """mu_{d-1} - mu_d <= b (mu_1 - mu_2) - d (b^2 - 1) as an integer row
+    (d >= 2)."""
+    d, b = inst.d, inst.b
+    a = [b, -b] + [0] * (d - 2)
+    a[d - 2] -= 1
+    a[d - 1] += 1
+    return Halfspace(a, d * (b * b - 1))
+
+
 def regularity(mu, inst: km.KisinInstance) -> RegularityClass:
     """The three nested regularity flags of a d-tuple."""
     mu = vec(mu)
@@ -229,8 +239,7 @@ def regularity(mu, inst: km.KisinInstance) -> RegularityClass:
     breg = km.cone_regular(inst).contains(mu)
     integrally = (breg and all(x.denominator == 1 for x in mu)
                   and sum(mu) % (b - 1) == 0)
-    strongly = bool(integrally and (d < 2 or mu[d - 2] - mu[d - 1]
-                                    <= b * (mu[0] - mu[1]) - d * (b * b - 1)))
+    strongly = integrally and (d < 2 or HPolyhedron(d, (strong_regularity(inst),)).contains(mu))
     return RegularityClass(mu, breg, integrally, strongly)
 
 
@@ -264,7 +273,7 @@ def min_over_permutations(mu, inst: km.KisinInstance):
 def dominance_polytope(mu, inst: km.KisinInstance, strong: bool) -> HPolyhedron:
     """{mu' : mu' dominated by mu} cap the (strong) regularity halfspaces."""
     mu = vec(mu)
-    d, b = inst.d, inst.b
+    d = inst.d
     ineqs = []
     eqs = []
     for t in range(1, d):
@@ -274,14 +283,9 @@ def dominance_polytope(mu, inst: km.KisinInstance, strong: bool) -> HPolyhedron:
     Reg = km.cone_regular(inst)
     for h in Reg.ineqs:
         ineqs.append((h.normal, h.offset))
-    if strong:
-        a = [Fraction(0)] * d
-        if d >= 2:
-            a[0] += b
-            a[1] -= b
-            a[d - 2] -= 1
-            a[d - 1] += 1
-            ineqs.append((tuple(a), frac(d * (b * b - 1))))
+    if strong and d >= 2:
+        h = strong_regularity(inst)
+        ineqs.append((h.normal, h.offset))
     return HPolyhedron.build(d, ineqs, eqs)
 
 
@@ -483,12 +487,21 @@ class KTables(Frozen):
 def k_polytopes(inst: km.KisinInstance) -> KTables:
     """K = (2 rho/(b+1) + Reg*) cap C and K' = K + C*, with exact vertices.
 
-    The vertex 2 rho/(b+1) always survives into K'.
+    Reg* = cone(b v_{d-j} - v_j) lies in the plane sum y = 0.  Its facet
+    rows, sorted, are d (P_j + b P_{d-j}) - (j + b (d-j)) (1, ..., 1) for
+    j = 1..d-1, P_j the indicator vector of {1..j}: the fundamental weights
+    w_j + b w_{d-j} (dual to the basis v_i of the plane), reduced mod the
+    all-ones line, since (bJ - I)^-1 = (bJ + I)/(b^2 - 1) for the reversal
+    J v_i = v_{d-i}.  Each row is shifted by its value at the apex
+    2 rho/(b+1), which always survives into K' as a vertex.
     """
     d, b = inst.d, inst.b
-    apex = tuple(Fraction(x, b + 1) for x in two_rho(d))
-    shifted = cone_hull(km.regular_dual_generators(inst), [], d).translate(apex)
-    K = shifted.intersect(km.cone_chain(d))
+    rho2 = two_rho(d)
+    rows = sorted(primitive_ints([d * ((i < j) + b * (i < d - j)) - j - b * (d - j)
+                                  for i in range(d)]) for j in range(1, d))
+    K = HPolyhedron.build(d, [(a, dot(a, rho2) / (b + 1)) for a in rows],
+                          [((1,) * d, 0)]).intersect(km.cone_chain(d))
+    apex = tuple(Fraction(x, b + 1) for x in rho2)
     V = enumerate_vertices(K)
     kp = vertices_of_sum(K, V.vertices, km.chain_dual_generators(d))
     if apex not in kp:

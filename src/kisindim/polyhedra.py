@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, mul
 
 Vec = tuple[Fraction, ...]
 IVec = tuple[int, ...]
@@ -74,7 +74,7 @@ def primitive_ints(v) -> IVec:
 
 
 def _idot(u, v) -> int:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _eliminate(row: list[int], t: list[int], c: int) -> list[int]:
@@ -263,13 +263,6 @@ class HPolyhedron(Frozen):
             raise ValueError("dimension mismatch")
         return HPolyhedron(self.dim, self.halfspaces + other.halfspaces)
 
-    def translate(self, p: Vec) -> "HPolyhedron":
-        """The translate P + p."""
-        p = vec(p)
-        return HPolyhedron(self.dim, tuple(
-            Halfspace(h.normal, h.offset + dot(h.normal, p), h.is_eq)
-            for h in self.halfspaces))
-
 
 class VPolyhedron(Frozen):
     """conv(vertices) + cone(rays) + span(lines); minimal and sorted."""
@@ -334,13 +327,9 @@ def _extreme_rays_pointed(rows: list[IVec], n: int) -> list[IVec]:
                     # processed constraints; cheap necessary test first
                     if common.bit_count() < n - 2:
                         continue
-                    # adjacency: no third ray's zero set contains the common one
-                    adjacent = True
-                    for q in range(len(rays)):
-                        if q != p and q != m and (zsets[q] & common) == common:
-                            adjacent = False
-                            break
-                    if not adjacent:
+                    # adjacency: no ray but p and m has a zero set containing
+                    # the common one
+                    if list(map(common.__and__, zsets)).count(common) > 2:
                         continue
                     vp, vm = vals[p], -vals[m]
                     r = [vp * x + vm * y for x, y in zip(rays[m], rays[p])]
@@ -399,13 +388,16 @@ def enumerate_vertices(P: HPolyhedron) -> VPolyhedron:
     lines, rays = cone_generators(hom_ineqs, hom_eqs, n + 1)
     if any(l[n] for l in lines):
         raise AssertionError("a line of the homogenized cone leaves t = 0")
-    # a generator with r[n] = 0 is primitive and canonical without it
-    verts = [tuple(Fraction(a, r[n]) for a in r[:n]) for r in rays if r[n]]
-    if not verts:
+    # vertices sort as the integer vectors L * r[:n] / r[n], L the lcm of
+    # the r[n]; a generator with r[n] = 0 is primitive, canonical and still
+    # in sorted order without it
+    hom = [r for r in rays if r[n]]
+    if not hom:
         return VPolyhedron(n, (), (), ())
-    vrays = [r[:n] for r in rays if not r[n]]
-    return VPolyhedron(n, tuple(sorted(verts)), tuple(sorted(vrays)),
-                       tuple(sorted(l[:n] for l in lines)))
+    L = lcm(*(r[n] for r in hom))
+    hom.sort(key=lambda r: [a * (L // r[n]) for a in r[:n]])
+    return VPolyhedron(n, tuple(tuple(Fraction(a, r[n]) for a in r[:n]) for r in hom),
+                       tuple(r[:n] for r in rays if not r[n]), tuple(l[:n] for l in lines))
 
 
 def cone_hull(rays: list[Vec], lines: list[Vec], n: int) -> HPolyhedron:
@@ -445,20 +437,6 @@ def v_to_h(V: VPolyhedron) -> HPolyhedron:
 def dual_cone(generators: list[Vec], dim: int) -> HPolyhedron:
     """{x : <x, g> >= 0 for every generator g}, the dual of cone(generators)."""
     return HPolyhedron.build(dim, [(g, 0) for g in generators if any(g)])
-
-
-def polyhedra_set_equal(P: HPolyhedron, Q: HPolyhedron) -> bool:
-    """Exact set equality via mutual containment of V-representations."""
-    VP, VQ = enumerate_vertices(P), enumerate_vertices(Q)
-    return _v_inside_h(VP, Q) and _v_inside_h(VQ, P)
-
-
-def _v_inside_h(V: VPolyhedron, H: HPolyhedron) -> bool:
-    if V.is_empty:
-        return enumerate_vertices(H).is_empty
-    return (all(H.contains(v) for v in V.vertices)
-            and all(H.contains_ray(r) for r in V.rays)
-            and all(H.contains_ray(l) and H.contains_ray(tuple(-a for a in l)) for l in V.lines))
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +524,8 @@ def _sign_certificate(tight: list[IVec], eq_images: list[IVec], k: int) -> bool 
 
 
 def vertices_of_sum(P: HPolyhedron, vertices, gens) -> list[Vec]:
-    """The vertices of P + cone(gens), given the vertices of P, sorted.
+    """The vertices of P + cone(gens), given the vertices of P, in the
+    order given (sorted, when they come from `enumerate_vertices`).
 
     Every vertex of the sum is a vertex of P, and by the normal-fan
     criterion for Minkowski sums (Ziegler, *Lectures on Polytopes*, sec. 7)
@@ -589,14 +568,16 @@ def vertices_of_sum(P: HPolyhedron, vertices, gens) -> list[Vec]:
     ones = (1,) * k
     out = []
     for v in vertices:
-        hv = primitive_ints(v + (1,))
+        # v scaled by L, the lcm of its denominators, and homogenized
+        L = lcm(*(x.denominator for x in v))
+        hv = [x.numerator * (L // x.denominator) for x in v] + [L]
         tight = [image for a, image in rows if _idot(a, hv) == 0]
         keep = _sign_certificate(tight, eq_images, k)
         if keep is None:
             keep = in_cone(tight + cone_gens, ones)
         if keep:
             out.append(v)
-    return sorted(out)
+    return out
 
 
 def minkowski_sum_cone(P: HPolyhedron | VPolyhedron, cone_gens: list[Vec]) -> HPolyhedron:

@@ -14,8 +14,9 @@ from kisindim.bounds import (DualityData, UnsupportedRegime, a_set, b_value,
                              witness_le_mu)
 from kisindim.kisin_model import (KisinInstance, chain_dual_generators,
                                   cone_chain, mu_from_q, regular_dual_generators)
-from kisindim.polyhedra import (Halfspace, cone_hull, dot, enumerate_vertices,
-                                minkowski_sum_cone, polyhedra_set_equal, vec)
+from kisindim.polyhedra import (Halfspace, HPolyhedron, cone_hull, dot,
+                                enumerate_vertices, minkowski_sum_cone, vec)
+from oracles import polyhedra_set_equal
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +427,22 @@ def test_theorem_bounds_le_mu_relaxed_sup_at_strongly_regular():
     assert tb["lower"] == F(dot(two_rho(3), vec(mu)), 3) - 4 - F(1, 4)
 
 
+def test_dominance_polytope_cuts_by_the_regularity_flags():
+    # mu is dominated by itself, so it lies in its own dominance polytope
+    # exactly when it passes the (strong) regularity rows
+    rng = random.Random(7)
+    for d in range(2, 7):
+        for b in (2, 3, 5, 101):
+            inst = KisinInstance(d, b)
+            for _ in range(40):
+                mu = sorted((rng.randint(-3 * b, 3 * b) for _ in range(d)), reverse=True)
+                mu[-1] -= sum(mu) % (b - 1)
+                r = regularity(mu, inst)
+                assert dominance_polytope(mu, inst, strong=False).contains(vec(mu)) == r.b_regular
+                assert (dominance_polytope(mu, inst, strong=True).contains(vec(mu))
+                        == r.strongly_integrally_b_regular), (mu, b)
+
+
 def test_dominance_polytope_empty_when_no_regular_point():
     inst = KisinInstance(3, 2)
     P = dominance_polytope((2, 0, -2), inst, strong=True)
@@ -524,6 +541,24 @@ def test_k_polytope_small_counts():
     for d, counts in expect.items():
         kt = k_polytopes(KisinInstance(d, 10000))
         assert kt.counts == counts
+
+
+def _k_by_double_description(inst):
+    """K the long way: the facets of Reg* from the double description of its
+    generators, each translated to the apex 2 rho/(b+1), cut by C."""
+    apex = tuple(F(x, inst.b + 1) for x in two_rho(inst.d))
+    Reg_star = cone_hull(regular_dual_generators(inst), [], inst.d)
+    shifted = HPolyhedron(inst.d, tuple(Halfspace(h.normal, dot(h.normal, apex), h.is_eq)
+                                        for h in Reg_star.halfspaces))
+    return shifted.intersect(cone_chain(inst.d))
+
+
+def test_k_polytope_closed_form_rows_match_the_double_description():
+    # the same halfspaces in the same order, so the same vertex tables
+    for d in range(2, 11):
+        for b in (2, 3, 5, 7, 17, 101, 1009, 10000, 10007, 100003):
+            inst = KisinInstance(d, b)
+            assert k_polytopes(inst).K == _k_by_double_description(inst), (d, b)
 
 
 def test_k_polytope_apex_always_survives():

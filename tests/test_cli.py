@@ -1,10 +1,11 @@
+import hashlib
 import json
 import sys
 
 import pytest
 
 from kisindim import solver as sv
-from kisindim.cli import main
+from kisindim.cli import build_parser, main
 from kisindim.kisin_model import KisinInstance
 
 
@@ -179,6 +180,20 @@ def test_tables_coordinates(capsys):
     assert "K+C*,1/8,-1/8" in lines
 
 
+# sha256 of the CSV coordinate tables at b = 10000 past the benchmark's
+# d <= 8 (450 and 830 lines), as recorded before K was built from
+# closed-form rows
+TABLE_DIGESTS = {9: "6803e284e74f002fda8576c7f98ef44694fa75db1482adb30ec0dd5f843bdfb1",
+                 10: "76a24f3ce5504d54443692ab437a8607f7a6203657123d6f7e6721aec4f4e3ff"}
+
+
+@pytest.mark.parametrize("d", sorted(TABLE_DIGESTS))
+def test_tables_coordinates_past_the_benchmark_are_pinned(capsys, d):
+    code, out = run(capsys, "tables", "--b", "10000", "--d", str(d))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[d]
+
+
 def test_bounds_report(capsys):
     code, out = run(capsys, "bounds", "--d", "2", "--b", "2", "--e", "3")
     assert code == 0
@@ -312,6 +327,27 @@ def test_malformed_command_line_is_invalid_input(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("invalid input: ")
+
+
+def test_one_parser_serves_many_requests():
+    # a parser reused across requests, through a malformed command line,
+    # parses each as a fresh one does
+    argvs = (["dim", "--d", "3", "--b", "2", "--e", "9", "--budget", "100"],
+             ["dim", "--d", "3", "--b", "2", "--mu", "4,2,0", "--le-mu", "--h0"],
+             ["bounds", "--d", "2", "--b", "2", "--e", "3"],
+             ["tables", "--b", "7", "--d", "5", "--format", "json"],
+             ["tables", "--b", "10000", "--dmax", "10"],
+             ["witness", "--d", "4", "--b", "3", "--mu", "9,5,1,0", "--out", "w.json"],
+             ["hasse", "--d", "4", "--out", "order.dot"],
+             ["verify", "--seed", "3"],
+             ["d2-oracle", "--b", "2", "--alpha", "2", "--gamma", "0", "--delta", "1"])
+    parser = build_parser()
+    for argv in argvs:
+        assert parser.parse_args(argv) == build_parser().parse_args(argv), argv
+    with pytest.raises(ValueError):
+        parser.parse_args(["dim", "--d", "2", "--b", "x", "--e", "3"])
+    for argv in argvs:
+        assert parser.parse_args(argv) == build_parser().parse_args(argv), argv
 
 
 def test_help_still_exits_0(capsys):

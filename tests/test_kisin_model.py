@@ -12,7 +12,8 @@ from kisindim.kisin_model import (KisinInstance, MuTriangle, QPoint, S_T,
                                   mu_cell_vector, mu_from_q, mu_vec, phi_from_q,
                                   q_from_mu, read_back_q, regular_dual_generators,
                                   validate_phi)
-from kisindim.polyhedra import HPolyhedron, dot, polyhedra_set_equal
+from kisindim.polyhedra import HPolyhedron, dot
+from oracles import polyhedra_set_equal
 
 
 def rand_qpoint(inst, rng, denom=(1, 2, 3)):

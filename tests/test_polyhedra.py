@@ -12,9 +12,9 @@ from kisindim.polyhedra import (FlowNetwork, Halfspace, HPolyhedron, INF,
                                 VPolyhedron, cone_generators, cone_hull, dot,
                                 dual_cone, enumerate_vertices,
                                 graph_cone_dual_membership, in_cone, maxflow,
-                                minkowski_sum_cone, nullspace,
-                                polyhedra_set_equal, primitive_ints, rank, v_to_h,
-                                vec, vertices_of_sum)
+                                minkowski_sum_cone, nullspace, primitive_ints, rank,
+                                v_to_h, vec, vertices_of_sum)
+from oracles import polyhedra_set_equal
 
 
 def square():
