@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
+from math import gcd, inf, lcm
 
 from . import kisin_model as km
 from . import perm as pm
-from .polyhedra import (Frozen, Halfspace, HPolyhedron, IVec, Vec, cone_generators, dot,
-                        dual_cone, enumerate_vertices, fmt_frac, frac, in_cone,
-                        primitive_ints, vec, vertices_of_sum)
+from .polyhedra import (Frozen, Halfspace, HPolyhedron, IVec, Vec, _idot, cone_generators,
+                        dot, double_description, dual_cone, enumerate_vertices, frac, in_cone,
+                        kept_in_sum, primitive_ints, vec, vertices_of_sum)
 
 
 class UnsupportedRegime(Exception):
@@ -454,59 +454,116 @@ def witness_le_mu(inst: km.KisinInstance, mu):
 # the K(b) polytopes
 # ---------------------------------------------------------------------------
 
+def _fmt_row(row: IVec) -> list[str]:
+    """The coordinates a/T of a homogeneous integer row (a_1, ..., a_d, T),
+    T > 0, each in lowest terms as `fmt_frac` prints it."""
+    *Y, T = row
+    out = []
+    for a in Y:
+        g = gcd(a, T)
+        out.append(str(a // g) if g == T else f"{a // g}/{T // g}")
+    return out
+
+
 class KTables(Frozen):
-    def __init__(self, instance: km.KisinInstance, K: HPolyhedron, K_vertices: tuple[Vec, ...],
-                 K_rays: tuple[Vec, ...], Kp_vertices: tuple[Vec, ...]):
+    """The vertex tables of K and K + C*.  A vertex y is kept as the
+    primitive homogeneous integer row (Y, T), T > 0, with y = Y/T."""
+
+    def __init__(self, instance: km.KisinInstance, K: HPolyhedron, K_rows: tuple[IVec, ...],
+                 K_rays: tuple[IVec, ...], Kp_rows: tuple[IVec, ...]):
         self._store(locals())
 
     @property
+    def K_vertices(self) -> tuple[Vec, ...]:
+        return tuple(tuple(Fraction(a, r[-1]) for a in r[:-1]) for r in self.K_rows)
+
+    @property
+    def Kp_vertices(self) -> tuple[Vec, ...]:
+        return tuple(tuple(Fraction(a, r[-1]) for a in r[:-1]) for r in self.Kp_rows)
+
+    @property
     def counts(self) -> tuple[int, int]:
-        return len(self.K_vertices), len(self.Kp_vertices)
+        return len(self.K_rows), len(self.Kp_rows)
 
     def to_json(self) -> str:
         import json
 
         return json.dumps({
             "d": self.instance.d, "b": self.instance.b,
-            "K_vertex_count": len(self.K_vertices),
-            "K_plus_Cstar_vertex_count": len(self.Kp_vertices),
-            "K_vertices": [[fmt_frac(x) for x in v] for v in self.K_vertices],
-            "K_plus_Cstar_vertices": [[fmt_frac(x) for x in v] for v in self.Kp_vertices],
+            "K_vertex_count": len(self.K_rows),
+            "K_plus_Cstar_vertex_count": len(self.Kp_rows),
+            "K_vertices": [_fmt_row(r) for r in self.K_rows],
+            "K_plus_Cstar_vertices": [_fmt_row(r) for r in self.Kp_rows],
         }, sort_keys=True)
 
     def coords_csv(self) -> str:
         d = self.instance.d
         lines = ["polytope," + ",".join(f"y{i}" for i in range(1, d + 1))]
-        for v in self.K_vertices:
-            lines.append("K," + ",".join(fmt_frac(x) for x in v))
-        for v in self.Kp_vertices:
-            lines.append("K+C*," + ",".join(fmt_frac(x) for x in v))
+        lines += ["K," + ",".join(_fmt_row(r)) for r in self.K_rows]
+        lines += ["K+C*," + ",".join(_fmt_row(r)) for r in self.Kp_rows]
         return "\n".join(lines) + "\n"
 
 
 def k_polytopes(inst: km.KisinInstance) -> KTables:
     """K = (2 rho/(b+1) + Reg*) cap C and K' = K + C*, with exact vertices.
 
-    Reg* = cone(b v_{d-j} - v_j) lies in the plane sum y = 0.  Its facet
-    rows, sorted, are d (P_j + b P_{d-j}) - (j + b (d-j)) (1, ..., 1) for
-    j = 1..d-1, P_j the indicator vector of {1..j}: the fundamental weights
-    w_j + b w_{d-j} (dual to the basis v_i of the plane), reduced mod the
-    all-ones line, since (bJ - I)^-1 = (bJ + I)/(b^2 - 1) for the reversal
-    J v_i = v_{d-i}.  Each row is shifted by its value at the apex
+    Reg* = cone(g_j), g_j = b v_{d-j} - v_j, lies in the plane sum y = 0.
+    Its facet rows, sorted, are d (P_j + b P_{d-j}) - (j + b (d-j)) (1, ...,
+    1) for j = 1..d-1, P_j the indicator vector of {1..j}: the fundamental
+    weights w_j + b w_{d-j} (dual to the basis v_i of the plane), reduced
+    mod the all-ones line, since (bJ - I)^-1 = (bJ + I)/(b^2 - 1) for the
+    reversal J v_i = v_{d-i}.  Row j is positive on g_j and zero on every
+    other generator.  Each row is shifted by its value at the apex
     2 rho/(b+1), which always survives into K' as a vertex.
+
+    The vertices come from one double description in the coordinates of
+    the simplicial cone itself: x = (lambda_1..lambda_{d-1}, s) >= 0 maps
+    to y = ((b+1) sum_j lambda_j g_j + 2 rho s) / ((b+1) s), with lambda
+    in the order of the sorted facet rows.  The d unit rows are the seed,
+    whose rays are the unit vectors, and only the d-1 chain rows
+    c_i((b+1) G lambda + 2 rho s) >= 0 are inserted.  A ray with s > 0 is
+    a vertex, kept as the primitive integer row (Y, T) of its image; one
+    with s = 0 is a ray of K.  The inequalities of K tight at a vertex are
+    read off its zero set (bit j < d-1: the facet row that is zero on the
+    j-th generator, lambda_j = 0; bit d-1: s = 0; bit d + i: the chain row
+    c_i), and `kept_in_sum` decides K + C* from them.
     """
     d, b = inst.d, inst.b
     rho2 = two_rho(d)
-    rows = sorted(primitive_ints([d * ((i < j) + b * (i < d - j)) - j - b * (d - j)
-                                  for i in range(d)]) for j in range(1, d))
-    K = HPolyhedron.build(d, [(a, dot(a, rho2) / (b + 1)) for a in rows],
+    rows = [primitive_ints([d * ((i < j) + b * (i < d - j)) - j - b * (d - j)
+                            for i in range(d)]) for j in range(1, d)]
+    order = sorted(range(d - 1), key=rows.__getitem__)
+    K = HPolyhedron.build(d, [(rows[j], dot(rows[j], rho2) / (b + 1)) for j in order],
                           [((1,) * d, 0)]).intersect(km.cone_chain(d))
-    apex = tuple(Fraction(x, b + 1) for x in rho2)
-    V = enumerate_vertices(K)
-    kp = vertices_of_sum(K, V.vertices, km.chain_dual_generators(d))
-    if apex not in kp:
+    gens = km.regular_dual_generators(inst)
+    gens = [[(b + 1) * x for x in gens[j]] for j in order]
+    # (Y, T) = M x: the rows of M are the coordinates of y, then T
+    M = [tuple(g[i] for g in gens) + (rho2[i],) for i in range(d)] + [(0,) * (d - 1) + (b + 1,)]
+    chain = km.chain_dual_generators(d)
+    seed = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    # the chain rows <c_i, Y> >= 0 in x-coordinates
+    rays, zsets = double_description(seed, [[_idot(c, m) for m in zip(*M[:d])]
+                                              for c in chain])
+    verts, K_rays = [], []
+    low = (1 << (d - 1)) - 1
+    for x, z in zip(rays, zsets):
+        image = [_idot(m, x) for m in M]
+        g = gcd(*image)
+        image = tuple(a // g for a in image)
+        if image[d]:
+            # the zero set without its s bit: bit i is K.ineqs[i]
+            verts.append((image, z & low | z >> d << (d - 1)))
+        else:
+            K_rays.append(image[:d])
+    # sorted as the rational vertices are, by an exact integer key
+    L = lcm(*(r[d] for r, _ in verts))
+    verts.sort(key=lambda v: [a * (L // v[0][d]) for a in v[0][:d]])
+    kept = kept_in_sum(K, chain, [mask for _, mask in verts])
+    K_rows = tuple(r for r, _ in verts)
+    kp = tuple(r for r, keep in zip(K_rows, kept) if keep)
+    if primitive_ints((*rho2, b + 1)) not in kp:
         raise AssertionError("the apex 2rho/(b+1) must be a vertex of K + C*")
-    return KTables(inst, K, V.vertices, V.rays, tuple(kp))
+    return KTables(inst, K, K_rows, tuple(sorted(K_rays)), kp)
 
 
 TABLE2_VALIDITY = {2: 2, 3: 2, 4: 3, 5: 6}

@@ -5,12 +5,17 @@ There is no floating point anywhere in this module.  Elimination (`rank`,
 description), the double description itself and the LP oracle all run on
 primitive integer vectors (rows and rays scaled by positive rationals,
 which changes neither cones nor feasibility), through one fraction-free
-row step, `_eliminate`.  `vertices_of_sum` asks the LP only what its
-integer sign certificates leave open.  A halfspace is stored as its
-primitive integer row, so membership is an integer dot.
-`fractions.Fraction` appears only at the API edge: `dot`, the coordinates
-of points and vertices, and the max-flow capacities.  Rays and lines are
-returned as primitive integer tuples.  Polyhedra come in two representations:
+row step, `_eliminate`.  `double_description` is the one incremental loop:
+it starts from any simplicial seed (`_initial_simplicial` here, the unit
+simplex of a cone given in its own coordinates elsewhere) and returns each
+ray's zero set with it.  `kept_in_sum` decides which vertices of a
+polyhedron survive into its sum with a cone from the facets tight at each,
+and asks the LP only what its integer sign certificates leave open.  A
+halfspace is stored as its primitive integer row, so membership is an
+integer dot.  `fractions.Fraction` appears only at the API edge: `dot`,
+the coordinates of points and vertices, and the max-flow capacities.  Rays
+and lines are returned as primitive integer tuples.  Polyhedra come in two
+representations:
 
 - `HPolyhedron`: a finite list of halfspaces ``<a, x> >= c`` and equations
   ``<a, x> = c``;
@@ -295,25 +300,26 @@ def _initial_simplicial(rows: list[IVec], n: int) -> tuple[list[int], list[IVec]
                     for j in range(n)]
 
 
-def _extreme_rays_pointed(rows: list[IVec], n: int) -> list[IVec]:
-    """Extreme rays of the pointed full-dimensional cone {x : <r,x> >= 0}.
+def double_description(seed: list[IVec], rows) -> tuple[list[IVec], list[int]]:
+    """Extreme rays of a pointed cone, each with its zero set, from a
+    simplicial seed.
 
-    Incremental double description with the combinatorial adjacency test.
-    Rows are integer vectors and rays primitive integer vectors: a new ray
-    is the positive combination vals[p]*r_m - vals[m]*r_p divided by its
-    gcd, so no rational arithmetic is needed.
+    The seed is the n extreme rays of the cone of n independent seed rows:
+    seed[j] is tight on every seed row but the j-th, so its zero set is
+    bits 0..n-1 but bit j.  The rows are inserted one at a time (rows[i]
+    is bit n + i) by incremental double description with the combinatorial
+    adjacency test (Motzkin et al., 1953; Fukuda & Prodon, 1996).  Rows
+    are integer vectors and rays primitive integer vectors: a new ray is
+    the positive combination vals[p]*r_m - vals[m]*r_p divided by its gcd,
+    so no rational arithmetic is needed, and it is tight on the new row by
+    construction, so its zero set gets the bit without a dot product.
+    Returns the rays and their zero sets over every row, as bitmasks.
     """
-    if n == 0:
-        return []
-    chosen, rays = _initial_simplicial(rows, n)
-    # zero sets over the processed constraints, as bitmasks; initial ray j
-    # is tight on every chosen row but the j-th
+    n = len(seed)
+    rays = list(seed)
     zsets = [((1 << n) - 1) ^ (1 << j) for j in range(n)]
     bit = 1 << n
-    skip = set(chosen)
-    for idx, a in enumerate(rows):
-        if idx in skip:
-            continue
+    for a in rows:
         vals = [_idot(a, r) for r in rays]
         new_rays = [r for r, v in zip(rays, vals) if v >= 0]
         new_z = [z | bit if v == 0 else z for z, v in zip(zsets, vals) if v >= 0]
@@ -338,7 +344,18 @@ def _extreme_rays_pointed(rows: list[IVec], n: int) -> list[IVec]:
                     new_z.append(common | bit)
         rays, zsets = new_rays, new_z
         bit <<= 1
-    return rays
+    return rays, zsets
+
+
+def _extreme_rays_pointed(rows: list[IVec], n: int) -> list[IVec]:
+    """Extreme rays of the pointed full-dimensional cone {x : <r,x> >= 0}:
+    the double description seeded with the simplicial cone of the first n
+    independent rows."""
+    if n == 0:
+        return []
+    chosen, seed = _initial_simplicial(rows, n)
+    skip = set(chosen)
+    return double_description(seed, [a for i, a in enumerate(rows) if i not in skip])[0]
 
 
 def cone_generators(ineqs: list[Vec], eqs: list[Vec], n: int) -> tuple[list[IVec], list[IVec]]:
@@ -523,9 +540,10 @@ def _sign_certificate(tight: list[IVec], eq_images: list[IVec], k: int) -> bool 
     return None if any(x <= 0 for x in s) else True
 
 
-def vertices_of_sum(P: HPolyhedron, vertices, gens) -> list[Vec]:
-    """The vertices of P + cone(gens), given the vertices of P, in the
-    order given (sorted, when they come from `enumerate_vertices`).
+def kept_in_sum(P: HPolyhedron, gens, tight_masks) -> list[bool]:
+    """For each vertex v of P, given by the bitmask of the inequalities of
+    P tight at v (bit i for P.ineqs[i]), whether v is a vertex of
+    P + cone(gens).
 
     Every vertex of the sum is a vertex of P, and by the normal-fan
     criterion for Minkowski sums (Ziegler, *Lectures on Polytopes*, sec. 7)
@@ -547,46 +565,41 @@ def vertices_of_sum(P: HPolyhedron, vertices, gens) -> list[Vec]:
     neither is found does one exact LP decide (`in_cone`): is (1, ..., 1)
     a nonnegative combination of the tight images, the equation images
     with both signs and the slacks -e_k?  The recession cone of P is part
-    of its H-representation and needs no separate care.  Rows, vertices
-    and images are integers, so the certificates and the LP are exact.
+    of its H-representation and needs no separate care.  Rows and images
+    are integers, so the certificates and the LP are exact.
+    """
+    gens = [g for g in map(primitive_ints, gens) if any(g)]
+    k = len(gens)
+    images = [tuple(_idot(h.normal, g) for g in gens) for h in P.ineqs]
+    eq_images = [tuple(_idot(h.normal, g) for g in gens) for h in P.eqs]
+    cone_gens = eq_images + [tuple(-x for x in e) for e in eq_images]
+    cone_gens += [tuple(-int(i == j) for j in range(k)) for i in range(k)]
+    out = []
+    for mask in tight_masks:
+        tight = [image for i, image in enumerate(images) if mask >> i & 1]
+        keep = _sign_certificate(tight, eq_images, k)
+        out.append(in_cone(tight + cone_gens, (1,) * k) if keep is None else keep)
+    return out
+
+
+def vertices_of_sum(P: HPolyhedron, vertices, gens) -> list[Vec]:
+    """The vertices of P + cone(gens), given the vertices of P, in the
+    order given (sorted, when they come from `enumerate_vertices`).
+
+    The inequalities tight at each vertex are found by integer dots, and
+    `kept_in_sum` decides the vertex from them.
     """
     n = P.dim
     if rank([h.normal for h in P.halfspaces], n) < n:
         raise ValueError("summand with lines has no vertices")
-    gens = [g for g in map(primitive_ints, gens) if any(g)]
-    k = len(gens)
-    rows, eq_images = [], []
-    for h in P.halfspaces:
-        a = h.normal + (-h.offset,)
-        image = tuple(_idot(a, g) for g in gens)
-        if h.is_eq:
-            eq_images.append(image)
-        else:
-            rows.append((a, image))
-    cone_gens = eq_images + [tuple(-x for x in e) for e in eq_images]
-    cone_gens += [tuple(-int(i == j) for j in range(k)) for i in range(k)]
-    ones = (1,) * k
-    out = []
+    rows = [h.normal + (-h.offset,) for h in P.ineqs]
+    masks = []
     for v in vertices:
         # v scaled by L, the lcm of its denominators, and homogenized
         L = lcm(*(x.denominator for x in v))
         hv = [x.numerator * (L // x.denominator) for x in v] + [L]
-        tight = [image for a, image in rows if _idot(a, hv) == 0]
-        keep = _sign_certificate(tight, eq_images, k)
-        if keep is None:
-            keep = in_cone(tight + cone_gens, ones)
-        if keep:
-            out.append(v)
-    return out
-
-
-def minkowski_sum_cone(P: HPolyhedron | VPolyhedron, cone_gens: list[Vec]) -> HPolyhedron:
-    """H-representation of P + cone(cone_gens)."""
-    V = P if isinstance(P, VPolyhedron) else enumerate_vertices(P)
-    if V.is_empty:
-        raise ValueError("Minkowski sum with the empty polyhedron")
-    gens = [g for g in map(primitive_ints, cone_gens) if any(g)]
-    return v_to_h(VPolyhedron(V.dim, V.vertices, tuple(sorted(set(list(V.rays) + gens))), V.lines))
+        masks.append(sum(1 << i for i, a in enumerate(rows) if _idot(a, hv) == 0))
+    return [v for v, keep in zip(vertices, kept_in_sum(P, gens, masks)) if keep]
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,8 @@ from kisindim import solver as sv
 from kisindim.kisin_model import (KisinInstance, QPoint, chain_dual_generators,
                                   cone_chain, cone_q, mu_from_q, phi_from_q,
                                   q_from_mu, read_back_q, validate_phi)
-from kisindim.polyhedra import (enumerate_vertices, graph_cone_dual_membership,
-                                minkowski_sum_cone)
-from oracles import polyhedra_set_equal
+from kisindim.polyhedra import enumerate_vertices, graph_cone_dual_membership
+from oracles import minkowski_sum_cone, polyhedra_set_equal
 
 BIG_BUDGET = 500_000_000
 

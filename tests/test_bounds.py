@@ -2,7 +2,8 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
-from math import inf
+from math import gcd, inf
+from operator import mul
 
 import pytest
 
@@ -15,8 +16,9 @@ from kisindim.bounds import (DualityData, UnsupportedRegime, a_set, b_value,
 from kisindim.kisin_model import (KisinInstance, chain_dual_generators,
                                   cone_chain, mu_from_q, regular_dual_generators)
 from kisindim.polyhedra import (Halfspace, HPolyhedron, cone_hull, dot,
-                                enumerate_vertices, minkowski_sum_cone, vec)
-from oracles import polyhedra_set_equal
+                                enumerate_vertices, fmt_frac, kept_in_sum, vec,
+                                vertices_of_sum)
+from oracles import minkowski_sum_cone, polyhedra_set_equal
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +563,36 @@ def test_k_polytope_closed_form_rows_match_the_double_description():
             assert k_polytopes(inst).K == _k_by_double_description(inst), (d, b)
 
 
+@pytest.mark.parametrize("d", range(1, 11))
+def test_k_polytopes_match_the_generic_route(d, monkeypatch):
+    # the double description seeded in the coordinates of Reg*, with the
+    # tight facets read off its zero sets, against the generic route: the
+    # double description of the H-representation of K, and vertices_of_sum
+    # with the tight facets found by dots
+    masks = []
+
+    def recorded(P, gens, tight_masks):
+        masks.append(list(tight_masks))
+        return kept_in_sum(P, gens, tight_masks)
+
+    monkeypatch.setattr(bd, "kept_in_sum", recorded)
+    for b in (2, 3, 5, 7, 17, 101, 1009, 10000, 10007, 100003):
+        masks.clear()
+        kt = k_polytopes(KisinInstance(d, b))
+        V = enumerate_vertices(kt.K)
+        assert kt.K_vertices == V.vertices, (d, b)
+        assert kt.K_rays == V.rays, (d, b)
+        assert list(kt.Kp_vertices) == vertices_of_sum(kt.K, V.vertices,
+                                                       chain_dual_generators(d)), (d, b)
+        # every zero-set bit, not only those that decide a vertex: the rows
+        # equal the vertices above, so their integer dots find the tight set
+        rows = [h.normal + (-h.offset,) for h in kt.K.ineqs]
+        assert masks == [[sum(1 << i for i, a in enumerate(rows) if sum(map(mul, a, r)) == 0)
+                          for r in kt.K_rows]], (d, b)
+        for row in kt.K_rows + kt.Kp_rows:
+            assert all(type(x) is int for x in row) and row[-1] > 0 and gcd(*row) == 1
+
+
 def test_k_polytope_apex_always_survives():
     for d, b in [(2, 2), (3, 7), (4, 3), (5, 6)]:
         kt = k_polytopes(KisinInstance(d, b))
@@ -586,3 +618,7 @@ def test_k_polytope_csv_and_json():
 
     payload = json.loads(kt.to_json())
     assert payload["K_vertex_count"] == 3
+    # the integer rows print as their Fraction coordinates do
+    expected = [[fmt_frac(x) for x in v] for v in kt.K_vertices]
+    assert payload["K_vertices"] == expected
+    assert csv.splitlines()[1:4] == ["K," + ",".join(v) for v in expected]

@@ -12,9 +12,9 @@ from kisindim.polyhedra import (FlowNetwork, Halfspace, HPolyhedron, INF,
                                 VPolyhedron, cone_generators, cone_hull, dot,
                                 dual_cone, enumerate_vertices,
                                 graph_cone_dual_membership, in_cone, maxflow,
-                                minkowski_sum_cone, nullspace, primitive_ints, rank,
-                                v_to_h, vec, vertices_of_sum)
-from oracles import polyhedra_set_equal
+                                nullspace, primitive_ints, rank, v_to_h, vec,
+                                vertices_of_sum)
+from oracles import minkowski_sum_cone, polyhedra_set_equal
 
 
 def square():
@@ -264,6 +264,26 @@ def test_double_description_runs_on_integers(monkeypatch):
     rays = polyhedra._extreme_rays_pointed(rows, 3)
     assert all(type(x) is int for r in rays for x in r)
     assert sorted(rays) == [tuple(map(int, r)) for r in expected]
+
+
+def test_double_description_zero_sets_are_the_tight_rows():
+    # bit j < n of a zero set is seed row j, bit n + i inserted row i, and
+    # each set holds exactly the rows on which the ray's dot is zero
+    rng = random.Random(18)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n + rng.randint(0, 6))]
+        if rank(rows, n) < n:
+            continue
+        chosen, seed = polyhedra._initial_simplicial(rows, n)
+        rest = [a for i, a in enumerate(rows) if i not in chosen]
+        rays, zsets = polyhedra.double_description(seed, rest)
+        order = [rows[i] for i in chosen] + rest
+        for ray, z in zip(rays, zsets):
+            assert z == sum(1 << k for k, a in enumerate(order) if dot(a, ray) == 0), (rows, ray)
+        checked += len(rays)
+    assert checked >= 300
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,9 @@ CASES = {
                       ("strongly_integrally_b_regular", False, True, REQUIRED)],
     KTables: [("instance", I23, I35, REQUIRED),
               ("K", HPolyhedron(2, (H,)), HPolyhedron(2, ()), REQUIRED),
-              ("K_vertices", (), ((F(0), F(0)),), REQUIRED),
-              ("K_rays", (), ((F(1), F(0)),), REQUIRED),
-              ("Kp_vertices", (), ((F(0), F(0)),), REQUIRED)],
+              ("K_rows", (), ((0, 0, 1),), REQUIRED),
+              ("K_rays", (), ((1, -1),), REQUIRED),
+              ("Kp_rows", (), ((0, 0, 1),), REQUIRED)],
 }
 # a "le_mu" query needs its mu, so the defaults are checked with it given
 MINIMAL_EXTRA = {DimQuery: {"mu": (3, 0)}}
