@@ -6,6 +6,10 @@ full map g, R^2 for the two-sided map f) and consist of the y whose lift
 Minimizing <alpha | y> over the relevant B-set evaluates the optimal-value
 function, which is how every bound in this module is produced.
 
+Each cone variant is given once, by the generator rows of `_dual_hrep`:
+they cut out its dual, and so the A-set (whose Q_max rows are the facet
+forms f_T), and their images span the image that `b_value` tests.
+
 Everything refuses (typed `UnsupportedRegime`) outside the regime where
 the identity it computes is actually proved: b0 = 1 + floor((d-1)^2/4) is
 the threshold for the extremal-point and cone-equality statements.
@@ -21,7 +25,7 @@ from . import kisin_model as km
 from . import perm as pm
 from .polyhedra import (Frozen, Halfspace, HPolyhedron, IVec, Vec, _idot, cone_generators,
                         dot, double_description, dual_cone, enumerate_vertices, frac, in_cone,
-                        kept_in_sum, primitive_ints, vec, vertices_of_sum)
+                        kept_in_sum, primitive_ints, vec)
 
 
 class UnsupportedRegime(Exception):
@@ -31,26 +35,6 @@ class UnsupportedRegime(Exception):
 def two_rho(d: int) -> IVec:
     """(d-1, d-3, ..., 1-d): twice the half-sum vector."""
     return tuple(d + 1 - 2 * i for i in range(1, d + 1))
-
-
-def f_T(inst: km.KisinInstance, T, y) -> Fraction:
-    """The facet form of the A-set for Q_max at the subset T."""
-    a, c = f_T_halfspace(inst, T)
-    return dot(a, vec(y)) - c
-
-
-def f_T_halfspace(inst: km.KisinInstance, T) -> tuple[Vec, Fraction]:
-    """f_T(y) >= 0 written as <a, y> >= c."""
-    d, b = inst.d, inst.b
-    T = sorted(set(int(t) for t in T))
-    s = len(T)
-    a = [Fraction(0)] * d
-    for i in range(1, s + 1):
-        a[i - 1] += 1
-    for t in T:
-        a[d - t] -= b
-    c = frac(s * (d - s)) - b * (sum(T) - Fraction(s * (s + 1), 2))
-    return tuple(a), c
 
 
 # ---------------------------------------------------------------------------
@@ -64,23 +48,20 @@ def _proper_subsets(d: int):
 
 
 def _dual_hrep(inst: km.KisinInstance, variant):
-    """(ineq_rows, eq_rows) in E such that z is in (variant cone)* iff
-    <z, v> >= 0 for the ineq rows and <z, v> = 0 for the eq rows.
+    """(rows, eq_rows) in E: the variant cone is cone(rows) + span(eq_rows),
+    so z is in its dual iff <z, r> >= 0 for the rows and <z, l> = 0 for the
+    eq rows.
 
     Q_max and the graph cones Q_w (Q_min is Q_{w0}) are cut out by rows
-    q_x >= q_y, the arcs x -> y of a graph on the cells.  So the dual of
-    each is {z : sum z = 0, sum_J z <= 0} over the nonempty proper cell
-    sets J closed under the arcs: the admissible sets attached to the
-    proper subsets T of {1..d} for Q_max, the level sets I_s(w), s < d,
-    for Q_w.  The dual of the full cone Q is the cone of its generators
-    (needs b >= b0)."""
+    q_x >= q_y, the arcs x -> y of a graph on the cells.  So each is spanned
+    by the all-ones line and the rays -1_J, J a nonempty proper cell set
+    closed under the arcs: the admissible sets of the proper subsets T of
+    {1..d} (in `_proper_subsets` order) for Q_max, the level sets I_s(w),
+    s < d, for Q_w.  The rays of the full cone Q come from a double description."""
     d = inst.d
     if variant == "Q":
-        if inst.b < inst.b0:
-            raise UnsupportedRegime(
-                f"A-set for the full cone Q needs b >= b0 = {inst.b0}, got b = {inst.b}")
-        lines, rays = _variant_generators(inst, "Q")
-        return list(rays), list(lines)
+        lines, rays = _q_generators(d, inst.b)
+        return rays, lines
     if variant == "Qmax":
         sets = [pm.admissible_from_subset(d, T) for T in _proper_subsets(d)]
     elif variant == "Qmin" or (isinstance(variant, tuple) and variant[0] == "Qw"):
@@ -92,6 +73,13 @@ def _dual_hrep(inst: km.KisinInstance, variant):
     return rows, [km._int_row(inst, ((1, c) for c in inst.cells))]
 
 
+@lru_cache(maxsize=128)
+def _q_generators(d: int, b: int):
+    """The (lines, rays) of the full cone Q, by double description."""
+    cone = km.cone_q(km.KisinInstance(d, b))
+    return cone_generators([h.normal for h in cone.ineqs], [h.normal for h in cone.eqs], cone.dim)
+
+
 def _form_vectors(inst: km.KisinInstance, form: str) -> list[Vec]:
     if form == "g":
         return [km.mu_vec(inst, i) for i in range(1, inst.d + 1)]
@@ -101,7 +89,12 @@ def _form_vectors(inst: km.KisinInstance, form: str) -> list[Vec]:
 
 
 def a_set(inst: km.KisinInstance, variant, form: str = "g") -> HPolyhedron:
-    """H-representation of A = {y : sum_i y_i F_i - delta in (variant)*}."""
+    """H-representation of A = {y : sum_i y_i F_i - delta in (variant)*}, one
+    row per row of `_dual_hrep` (in order, those with a zero image dropped).
+    The A-set of the full cone Q is refused below b0."""
+    if variant == "Q" and inst.b < inst.b0:
+        raise UnsupportedRegime(
+            f"A-set for the full cone Q needs b >= b0 = {inst.b0}, got b = {inst.b}")
     F = _form_vectors(inst, form)
     delta = km.delta_vec(inst)
     ineq_rows, eq_rows = _dual_hrep(inst, variant)
@@ -115,27 +108,31 @@ def a_set(inst: km.KisinInstance, variant, form: str = "g") -> HPolyhedron:
 def extremal_points_a_qmax(inst: km.KisinInstance) -> dict[pm.Permutation, Vec]:
     """The vertex map w -> rho_w of the A-set for Q_max (needs b >= b0).
 
-    Also certifies the facet structure: f_T(rho_w) >= 0 for every proper
-    subset with equality on the chain T_s(w), and strict positivity off the
-    chain once b > b0.  (At b = b0 itself extra facets can meet a vertex:
-    at d = 4, b = 3 some off-chain f_T vanish, though the vertex set is
-    still exactly the rho_w family.)
+    Also certifies the facet structure on the A-set's inequalities, the
+    forms f_T up to a positive factor, one per proper subset T in the order
+    of `_proper_subsets`: f_T(rho_w) >= 0 with equality on the chain T_s(w),
+    and strict positivity off the chain once b > b0.  (At b = b0 itself
+    extra facets can meet a vertex: at d = 4, b = 3 some off-chain f_T
+    vanish, though the vertex set is still exactly the rho_w family.)
     """
     if inst.b < inst.b0:
         raise UnsupportedRegime(
             f"extremal points of the Q_max A-set need b >= b0 = {inst.b0}")
     d = inst.d
     A = a_set(inst, "Qmax", "g")
+    if len(A.ineqs) != 2 ** d - 2:
+        raise AssertionError("the Q_max A-set needs one facet per proper subset")
     V = enumerate_vertices(A)
     out = {w: pm.rho_w(w, inst.b) for w in pm.all_permutations(d)}
     if set(V.vertices) != set(out.values()):
         raise AssertionError("vertex set differs from the rho_w family")
     # the map need not be injective near b0: at (d, b) = (4, 3) two
     # permutations share their vertex, though the vertex SET is still exact
+    facets = list(zip(_proper_subsets(d), A.ineqs))
     for w, v in out.items():
         chain = {frozenset(pm.w_star(w)(i) for i in range(1, s + 1)) for s in range(1, d)}
-        for T in _proper_subsets(d):
-            val = f_T(inst, T, v)
+        for T, h in facets:
+            val = dot(h.normal, v) - h.offset
             if T in chain:
                 if val != 0:
                     raise AssertionError(f"f_T nonzero on the chain of {w.images}: T={set(T)}")
@@ -163,51 +160,32 @@ class DualityData(Frozen):
 
 
 def b_value(dd: DualityData, y) -> Fraction | float:
-    """The optimal-value function at y: min <alpha | y> over the finite
-    vertices of B = (A cap C*) + D* when y lies in D cap (image(Q) + C),
-    -inf otherwise, +inf when B is empty."""
+    """The optimal-value function at y: min <alpha | y> over the vertices of
+    A cap C* when y lies in D cap (image(Q) + C), -inf otherwise, +inf when
+    A cap C* is empty.  The image is spanned by the rows of `_dual_hrep`.
+
+    This is the minimum over B = (A cap C*) + D* with no D* filter (weak
+    LP duality).  For y = F(q) + c in D, q in Q, c in C, each ray r of
+    A cap C* has <r, y> = <sum_i r_i F_i, q> + <r, c> >= 0, and each g in D*
+    has <g, y> >= 0, so no direction of B lowers <., y>.
+    """
     inst = dd.instance
     y = vec(y)
     F = _form_vectors(inst, dd.form)
-    n = len(F)
-    # membership: y in D
     if dd.D_gens is not None and not in_cone(list(dd.D_gens), y):
         return -inf
-    # membership: y in image(Q) + C, by the same LP
-    lines, rays = _variant_generators(inst, dd.variant)
+    rays, lines = _dual_hrep(inst, dd.variant)
     image_gens = [tuple(dot(Fi, r) for Fi in F) for r in rays]
-    image_gens += [tuple(dot(Fi, l) for Fi in F) for l in lines]
-    image_gens += [tuple(-dot(Fi, l) for Fi in F) for l in lines]
+    image_gens += [tuple(s * dot(Fi, l) for Fi in F) for l in lines for s in (1, -1)]
     if not in_cone(image_gens + list(dd.C_gens), y):
         return -inf
     A = a_set(inst, dd.variant, dd.form)
     if dd.C_gens:
-        A = A.intersect(dual_cone(list(dd.C_gens), n))
+        A = A.intersect(dual_cone(list(dd.C_gens), len(F)))
     V = enumerate_vertices(A)
     if V.is_empty:
         return inf
-    verts = V.vertices
-    if dd.D_gens:
-        # D* = cone(rays) + span(lines); y in D is orthogonal to the lines,
-        # which therefore move no value, so only the rays filter vertices
-        _, dual_D = cone_generators(list(dd.D_gens), [], n)
-        verts = vertices_of_sum(A, verts, dual_D)
-    return min(dot(v, y) for v in verts)
-
-
-@lru_cache(maxsize=128)
-def _variant_generators_cached(d: int, b: int, key):
-    inst = km.KisinInstance(d, b)
-    cone = {"Q": km.cone_q, "Qmax": km.cone_qmax, "Qmin": km.cone_qmin}[key](inst)
-    return cone_generators([h.normal for h in cone.ineqs],
-                           [h.normal for h in cone.eqs], inst.dim_E)
-
-
-def _variant_generators(inst, variant):
-    if isinstance(variant, tuple) and variant[0] == "Qw":
-        cone = km.cone_qw(inst, variant[1])
-        return cone_generators([h.normal for h in cone.ineqs], [], inst.dim_E)
-    return _variant_generators_cached(inst.d, inst.b, variant)
+    return min(dot(v, y) for v in V.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -516,7 +516,7 @@ def in_cone(generators: list[Vec], target: Vec) -> bool:
 
 
 def _sign_certificate(tight: list[IVec], eq_images: list[IVec], k: int) -> bool | None:
-    """The certificates of `vertices_of_sum` on the integer images in Z^k
+    """The certificates of `kept_in_sum` on the integer images in Z^k
     of the tight rows and the equations: False for a reject, True for an
     accept, None when neither is found.  The accepting combination starts
     from the sum of the tight images and, for at most 3k rounds, lifts the
@@ -580,26 +580,6 @@ def kept_in_sum(P: HPolyhedron, gens, tight_masks) -> list[bool]:
         keep = _sign_certificate(tight, eq_images, k)
         out.append(in_cone(tight + cone_gens, (1,) * k) if keep is None else keep)
     return out
-
-
-def vertices_of_sum(P: HPolyhedron, vertices, gens) -> list[Vec]:
-    """The vertices of P + cone(gens), given the vertices of P, in the
-    order given (sorted, when they come from `enumerate_vertices`).
-
-    The inequalities tight at each vertex are found by integer dots, and
-    `kept_in_sum` decides the vertex from them.
-    """
-    n = P.dim
-    if rank([h.normal for h in P.halfspaces], n) < n:
-        raise ValueError("summand with lines has no vertices")
-    rows = [h.normal + (-h.offset,) for h in P.ineqs]
-    masks = []
-    for v in vertices:
-        # v scaled by L, the lcm of its denominators, and homogenized
-        L = lcm(*(x.denominator for x in v))
-        hv = [x.numerator * (L // x.denominator) for x in v] + [L]
-        masks.append(sum(1 << i for i, a in enumerate(rows) if _idot(a, hv) == 0))
-    return [v for v, keep in zip(vertices, kept_in_sum(P, gens, masks)) if keep]
 
 
 # ---------------------------------------------------------------------------

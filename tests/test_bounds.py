@@ -7,18 +7,19 @@ from operator import mul
 
 import pytest
 
-from kisindim import bounds as bd, perm as pm
+from kisindim import bounds as bd, kisin_model as km, perm as pm
 from kisindim.bounds import (DualityData, UnsupportedRegime, a_set, b_value,
                              dominance_polytope, extremal_points_a_qmax,
-                             f_T_halfspace, k_polytopes, min_over_permutations,
+                             k_polytopes, min_over_permutations,
                              regularity, theorem_bounds, two_rho, witness_le_e,
                              witness_le_mu)
 from kisindim.kisin_model import (KisinInstance, chain_dual_generators,
                                   cone_chain, mu_from_q, regular_dual_generators)
-from kisindim.polyhedra import (Halfspace, HPolyhedron, cone_hull, dot,
-                                enumerate_vertices, fmt_frac, kept_in_sum, vec,
-                                vertices_of_sum)
-from oracles import minkowski_sum_cone, polyhedra_set_equal
+from kisindim.polyhedra import (Halfspace, HPolyhedron, cone_generators, cone_hull, dot,
+                                dual_cone, enumerate_vertices, fmt_frac, in_cone,
+                                kept_in_sum, vec)
+from oracles import (chain_cone_gens, f_T_halfspace, minkowski_sum_cone, polyhedra_set_equal,
+                     vertices_of_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +90,6 @@ def test_a_set_qmin_g_form_is_shifted_regular_dual():
             apex = tuple(F(x, b + 1) for x in two_rho(d))
             assert V.vertices == (apex,)
             gens = [vec(g) for g in regular_dual_generators(inst)]
-            from kisindim.polyhedra import in_cone
-
             for r in V.rays:
                 assert in_cone(gens, r)
             for g in gens:
@@ -111,14 +110,47 @@ def test_a_set_full_q_refuses_small_b():
 
 
 def test_a_set_qmax_matches_f_T_halfspaces():
-    d, b = 4, 5
-    inst = KisinInstance(d, b)
-    A = a_set(inst, "Qmax", "g")
-    expected = set()
-    for mask in range(1, 2 ** d - 1):
-        T = {t for t in range(1, d + 1) if mask & (1 << (t - 1))}
-        expected.add(Halfspace(*f_T_halfspace(inst, T)))
-    assert set(A.ineqs) == expected
+    # extremal_points_a_qmax reads f_T off these rows, zipped with the
+    # proper subsets in bitmask order, so the order must match too
+    for d in range(1, 7):
+        for b in (2, 3, 4, 5, 17):
+            inst = KisinInstance(d, b)
+            expected = []
+            for mask in range(1, 2 ** d - 1):
+                T = {t for t in range(1, d + 1) if mask & (1 << (t - 1))}
+                expected.append(Halfspace(*f_T_halfspace(inst, T)))
+            assert a_set(inst, "Qmax", "g").ineqs == expected, (d, b)
+
+
+def _variant_cone(inst, variant):
+    """The variant cone as `kisin_model` cuts it out, by its game rows."""
+    if variant == "Qmax":
+        return km.cone_qmax(inst)
+    if variant == "Qmin":
+        return km.cone_qmin(inst)
+    return km.cone_qw(inst, variant[1])
+
+
+def _dd_generators(inst, variant):
+    """(lines, rays) of the variant cone by double description of its rows."""
+    cone = _variant_cone(inst, variant)
+    return cone_generators([h.normal for h in cone.ineqs], [h.normal for h in cone.eqs],
+                           inst.dim_E)
+
+
+def test_dual_hrep_rows_generate_the_variant_cone():
+    # biduality: the rows cut out the dual of cone(rows) + span(eq rows), so
+    # they describe the variant's dual only if they generate the cone itself
+    for d in range(1, 6):
+        variants = ["Qmax", "Qmin"]
+        if d <= 4:
+            variants += [("Qw", w) for w in pm.all_permutations(d)]
+        for b in (2, 3, 5):
+            inst = KisinInstance(d, b)
+            for variant in variants:
+                rows, eq_rows = bd._dual_hrep(inst, variant)
+                assert polyhedra_set_equal(cone_hull(rows, eq_rows, inst.dim_E),
+                                           _variant_cone(inst, variant)), (d, b, variant)
 
 
 def test_prop_a_q_equals_a_qmax_plus_chain_dual():
@@ -274,7 +306,7 @@ def test_b_value_minus_infinity_matches_cone_hull_route():
     outside = 0
     for dd in cases:
         F_ = bd._form_vectors(dd.instance, dd.form)
-        lines, rays = bd._variant_generators(dd.instance, dd.variant)
+        lines, rays = _dd_generators(dd.instance, dd.variant)
         gens = [tuple(dot(Fi, r) for Fi in F_) for r in rays]
         gens += [tuple(s * dot(Fi, l) for Fi in F_) for l in lines for s in (1, -1)]
         image = cone_hull([g for g in gens + list(dd.C_gens) if any(g)], [], 2)
@@ -284,6 +316,77 @@ def test_b_value_minus_infinity_matches_cone_hull_route():
             assert (b_value(dd, y) == -inf) == expected, (dd, y)
             outside += expected
     assert 0 < outside < 25 * len(cases)
+
+
+def _b_value_by_dual_summand(dd, y):
+    """The optimal-value function by the route b_value took before it
+    dropped the D* filter: image generators by double description of the
+    variant cone, then the vertices of B = (A cap C*) + D* by
+    `vertices_of_sum`.  Where B has a line, and so no vertex, the minimum
+    over B is read off its own V-representation instead."""
+    inst = dd.instance
+    y = vec(y)
+    F_ = bd._form_vectors(inst, dd.form)
+    n = len(F_)
+    if dd.D_gens is not None and not in_cone(list(dd.D_gens), y):
+        return -inf
+    lines, rays = _dd_generators(inst, dd.variant)
+    gens = [tuple(dot(Fi, r) for Fi in F_) for r in rays]
+    gens += [tuple(s * dot(Fi, l) for Fi in F_) for l in lines for s in (1, -1)]
+    if not in_cone(gens + list(dd.C_gens), y):
+        return -inf
+    A = a_set(inst, dd.variant, dd.form)
+    if dd.C_gens:
+        A = A.intersect(dual_cone(list(dd.C_gens), n))
+    V = enumerate_vertices(A)
+    if V.is_empty:
+        return inf
+    verts = V.vertices
+    if dd.D_gens:
+        _, dual_D = cone_generators(list(dd.D_gens), [], n)
+        verts = vertices_of_sum(A, verts, dual_D)
+        if not verts:
+            B = enumerate_vertices(minkowski_sum_cone(V, dual_D))
+            assert B.lines and all(dot(r, y) >= 0 for r in B.rays)
+            assert all(dot(l, y) == 0 for l in B.lines)
+            verts = B.vertices
+    return min(dot(v, y) for v in verts)
+
+
+def test_b_value_matches_the_dual_summand_route():
+    # no D* filter and the generators of _dual_hrep: the same values as the
+    # filtered route on double-description generators
+    rng = random.Random(19)
+    half_plane = (vec((1, -1)), vec((1, 1)), vec((-1, -1)))  # y_1 >= y_2
+    seen = Counter()
+    for d in (2, 3, 4):
+        for b in (2, 3, 5):
+            inst = KisinInstance(d, b)
+            w = pm.Permutation(rng.sample(range(1, d + 1), d))
+            for variant, form in product(("Qmin", "Qmax", ("Qw", w)), ("f", "g")):
+                n, C = (2, orthant_pm_gens()) if form == "f" else (d, ())
+                for D in (None, half_plane if form == "f" else chain_cone_gens(d)):
+                    dd = DualityData(inst, variant, form, C, D)
+                    for _ in range(5):
+                        y = tuple(rng.randint(-4, 4) for _ in range(n))
+                        value = b_value(dd, y)
+                        assert value == _b_value_by_dual_summand(dd, y), (dd, y)
+                        seen[value in (inf, -inf)] += 1
+    assert seen[False] > 200 and seen[True] > 200, seen
+
+
+def test_b_value_where_the_dual_summand_has_a_line():
+    # A + D* contains a line here, so it has no vertex and the filtered
+    # route found none (its min() raised); the minimum over A + D* is still
+    # attained, on the line through a vertex of A, and b_value returns it
+    inst = KisinInstance(2, 3)
+    dd = DualityData(inst, ("Qw", pm.identity(2)), "g", D_gens=chain_cone_gens(2))
+    A = a_set(inst, dd.variant, dd.form)
+    _, dual_D = cone_generators(list(dd.D_gens), [], 2)
+    assert vertices_of_sum(A, enumerate_vertices(A).vertices, dual_D) == []
+    for y in [(1, 1), (-1, -1), (3, 3)]:
+        assert b_value(dd, y) == 0 == _b_value_by_dual_summand(dd, y)
+    assert b_value(dd, (1, 0)) == -inf
 
 
 # ---------------------------------------------------------------------------

@@ -204,8 +204,8 @@ def test_rho_solves_the_chain_hyperplane_system():
     # independent oracle: rho_w is the unique solution of the linear system
     # cut out by the chain subsets T_s(w) = {w*(1..s)} and the zero-sum, as
     # it satisfies every row with equality and the d rows have rank d
-    from kisindim.bounds import f_T_halfspace
     from kisindim.kisin_model import KisinInstance
+    from oracles import f_T_halfspace
 
     for d in (3, 4):
         b = 17

@@ -12,9 +12,8 @@ from kisindim.polyhedra import (FlowNetwork, Halfspace, HPolyhedron, INF,
                                 VPolyhedron, cone_generators, cone_hull, dot,
                                 dual_cone, enumerate_vertices,
                                 graph_cone_dual_membership, in_cone, maxflow,
-                                nullspace, primitive_ints, rank, v_to_h, vec,
-                                vertices_of_sum)
-from oracles import minkowski_sum_cone, polyhedra_set_equal
+                                nullspace, primitive_ints, rank, v_to_h, vec)
+from oracles import chain_cone_gens, minkowski_sum_cone, polyhedra_set_equal, vertices_of_sum
 
 
 def square():
@@ -529,33 +528,25 @@ def test_k_polytopes_solve_an_lp_only_where_no_certificate_is_found(monkeypatch)
     assert counts == {8: 0, 9: 2, 10: 2}
 
 
-def chain_cone_gens(d):
-    """Generators of {y_1 >= ... >= y_d}: prefix indicators plus the
-    constants line (both signs)."""
-    prefixes = [vec([1] * k + [0] * (d - k)) for k in range(1, d)]
-    return tuple(prefixes + [vec([1] * d), vec([-1] * d)])
-
-
-def test_b_value_dual_summand_filter_matches_lp_oracle(monkeypatch):
+def test_b_value_dual_summand_filter_matches_lp_oracle():
     # D = the chain cone, so D* is pointed and the filter runs on A-sets
-    # that carry an equation; for y in D the filter moves no value
+    # that carry an equation; for y in D the filter moves no value, which is
+    # why b_value takes the minimum over the vertices of A itself
     removed = []
-
-    def checked(P, vertices, gens):
-        got = vertices_of_sum(P, vertices, gens)
-        assert got == _lp_sum_vertices(enumerate_vertices(P), gens)
-        assert got == _normal_cone_lp_vertices(P, vertices, gens)
-        removed.append(len(vertices) - len(got))
-        return got
-
-    monkeypatch.setattr(bd, "vertices_of_sum", checked)
     for d, b in [(3, 3), (4, 3), (4, 5)]:
         inst = KisinInstance(d, b)
+        P = bd.a_set(inst, "Qmax", "g")
+        A = enumerate_vertices(P)
         dd = bd.DualityData(inst, "Qmax", "g", D_gens=chain_cone_gens(d))
-        A = enumerate_vertices(bd.a_set(inst, "Qmax", "g"))
+        _, dual_D = cone_generators(list(dd.D_gens), [], d)
         for y in [bd.two_rho(d), vec(range(d, 0, -1)), vec([7] + [0] * (d - 1)),
                   vec([3] * (d - 1) + [-4])]:
-            assert bd.b_value(dd, y) == min(dot(v, y) for v in A.vertices)
+            got = vertices_of_sum(P, A.vertices, dual_D)
+            assert got == _lp_sum_vertices(A, dual_D)
+            assert got == _normal_cone_lp_vertices(P, A.vertices, dual_D)
+            removed.append(len(A.vertices) - len(got))
+            value = min(dot(v, y) for v in A.vertices)
+            assert bd.b_value(dd, y) == value == min(dot(v, y) for v in got)
     assert len(removed) == 12 and all(k > 0 for k in removed)
 
 

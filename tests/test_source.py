@@ -108,7 +108,7 @@ def test_cli_imports_only_argparse_json_and_fractions():
 def test_every_lru_cache_is_bounded():
     caches = dict(_lru_caches())
     assert {"kisindim.solver._self_test", "kisindim.solver._mu_system_rows",
-            "kisindim.bounds._variant_generators_cached"} <= set(caches)
+            "kisindim.bounds._q_generators"} <= set(caches)
     unbounded = [name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
@@ -148,7 +148,7 @@ def test_bounds_output_same_with_caches_cold_and_warm(capsys):
 
     _clear_caches()
     cold = outputs()
-    assert bd._variant_generators_cached.cache_info().currsize > 0
+    assert bd._q_generators.cache_info().currsize > 0
     assert outputs() == cold
     _clear_caches()
     assert outputs() == cold
