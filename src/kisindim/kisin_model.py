@@ -58,61 +58,46 @@ class KisinInstance(Frozen):
         return self.d * (self.d + 1) // 2
 
 
-class _Triangle:
-    """Shared container: one rational per cell of the triangle I."""
+class _Triangle(Frozen):
+    """One rational per cell of the triangle I, in row-major cell order: a
+    record whose fields are the instance and the value tuple.  `KEY` names
+    the coordinates in JSON."""
+
+    KEY: str
 
     def __init__(self, instance: KisinInstance, values):
-        self.instance = instance
         if isinstance(values, dict):
-            vals = [frac(values[c]) for c in instance.cells]
+            vals = tuple(frac(values[c]) for c in instance.cells)
         else:
-            vals = [frac(v) for v in values]
+            vals = tuple(frac(v) for v in values)
         if len(vals) != instance.dim_E:
             raise ValueError(f"expected {instance.dim_E} values, got {len(vals)}")
-        self.values: Vec = tuple(vals)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "values", vals)
 
     def __getitem__(self, cell):
         i, j = cell
         return self.values[self.instance.cell_index(i, j)]
 
-    def __eq__(self, other):
-        return (type(self) is type(other) and self.instance == other.instance
-                and self.values == other.values)
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.instance, self.values))
-
-    def __repr__(self):
-        cells = self.instance.cells
-        body = ", ".join(f"{c}: {fmt_frac(v)}" for c, v in zip(cells, self.values))
-        return f"{type(self).__name__}({body})"
-
-    def _json_key(self):
-        raise NotImplementedError
-
     def to_json(self) -> str:
         inst = self.instance
         return json.dumps({
             "d": inst.d, "b": inst.b,
-            self._json_key(): {f"{i},{j}": fmt_frac(self[(i, j)])
-                               for (i, j) in inst.cells},
+            self.KEY: {f"{i},{j}": fmt_frac(self[(i, j)]) for (i, j) in inst.cells},
         }, sort_keys=True)
 
     @classmethod
     def from_json(cls, s: str, h_zero: bool = False):
         data = json.loads(s)
         inst = KisinInstance(data["d"], data["b"], h_zero)
-        key = cls._json_key(cls)  # type: ignore[arg-type]
-        vals = {tuple(map(int, k.split(","))): Fraction(v)
-                for k, v in data[key].items()}
+        vals = {tuple(map(int, k.split(","))): Fraction(v) for k, v in data[cls.KEY].items()}
         return cls(inst, vals)
 
 
 class QPoint(_Triangle):
     """A point of E in q-coordinates."""
 
-    def _json_key(self):
-        return "q"
+    KEY = "q"
 
     @property
     def q_bottom(self) -> Vec:
@@ -130,8 +115,7 @@ class MuTriangle(_Triangle):
     """A point of E in mu-coordinates; the top row is the elementary-divisor
     exponent vector."""
 
-    def _json_key(self):
-        return "mu"
+    KEY = "mu"
 
     @property
     def top_row(self) -> Vec:

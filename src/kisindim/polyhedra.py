@@ -1,6 +1,6 @@
 """Exact-rational linear algebra and polyhedral geometry.
 
-There is no floating point anywhere in this module.  Elimination (`rank`,
+There is no floating point anywhere in this module.  Elimination (`_echelon`,
 `nullspace`, the row spaces and the initial simplex of the double
 description), the double description itself and the LP oracle all run on
 primitive integer vectors (rows and rays scaled by positive rationals,
@@ -12,10 +12,9 @@ ray's zero set with it.  `kept_in_sum` decides which vertices of a
 polyhedron survive into its sum with a cone from the facets tight at each,
 and asks the LP only what its integer sign certificates leave open.  A
 halfspace is stored as its primitive integer row, so membership is an
-integer dot.  `fractions.Fraction` appears only at the API edge: `dot`,
-the coordinates of points and vertices, and the max-flow capacities.  Rays
-and lines are returned as primitive integer tuples.  Polyhedra come in two
-representations:
+integer dot.  `fractions.Fraction` appears only at the API edge: `dot`
+and the coordinates of points and vertices.  Rays and lines are returned
+as primitive integer tuples.  Polyhedra come in two representations:
 
 - `HPolyhedron`: a finite list of halfspaces ``<a, x> >= c`` and equations
   ``<a, x> = c``;
@@ -27,9 +26,8 @@ the incremental step only ever runs on pointed cones.  Output is always
 minimal and sorted lexicographically, which makes results deterministic
 and directly comparable as exact sets.
 
-The module also carries a max-flow solver on rational capacities (with an
-infinity sentinel) and the two dual-membership oracles for graph cones
-that it certifies.
+The module also carries a max-flow solver on integer capacities and the
+two dual-membership oracles for graph cones that it certifies.
 """
 
 from __future__ import annotations
@@ -41,8 +39,6 @@ from operator import attrgetter, mul
 
 Vec = tuple[Fraction, ...]
 IVec = tuple[int, ...]
-
-INF = None  # capacity sentinel: +infinity
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +57,6 @@ def dot(u: Vec, v: Vec) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def is_zero(v: Vec) -> bool:
-    return all(a == 0 for a in v)
 
 
 def primitive_ints(v) -> IVec:
@@ -142,10 +134,6 @@ def nullspace(rows, n: int) -> list[IVec]:
             x[c] = -t[f] * (scale // t[c])
         basis.append(primitive_ints(x))
     return basis
-
-
-def rank(rows, n: int) -> int:
-    return len(_echelon(rows, n)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +407,8 @@ def enumerate_vertices(P: HPolyhedron) -> VPolyhedron:
 
 def cone_hull(rays: list[Vec], lines: list[Vec], n: int) -> HPolyhedron:
     """Minimal H-representation of cone(rays) + span(lines)."""
-    dlines, drays = cone_generators([vec(r) for r in rays], [vec(l) for l in lines], n)
-    ineqs = [(r, Fraction(0)) for r in drays]
-    eqs = [(l, Fraction(0)) for l in dlines]
-    return HPolyhedron.build(n, ineqs, eqs)
+    dlines, drays = cone_generators(rays, lines, n)
+    return HPolyhedron.build(n, [(r, 0) for r in drays], [(l, 0) for l in dlines])
 
 
 def v_to_h(V: VPolyhedron) -> HPolyhedron:
@@ -430,20 +416,18 @@ def v_to_h(V: VPolyhedron) -> HPolyhedron:
     if V.is_empty:
         raise ValueError("cannot convert the empty polyhedron to halfspaces")
     n = V.dim
-    gens = [tuple(list(v) + [Fraction(1)]) for v in V.vertices]
-    gens += [tuple(list(r) + [Fraction(0)]) for r in V.rays]
-    glines = [tuple(list(l) + [Fraction(0)]) for l in V.lines]
-    H = cone_hull(gens, glines, n + 1)
+    gens = [(*v, 1) for v in V.vertices] + [(*r, 0) for r in V.rays]
+    H = cone_hull(gens, [(*l, 0) for l in V.lines], n + 1)
     ineqs = []
     eqs = []
     for h in H.ineqs:
         a, a0 = h.normal[:n], h.normal[n]
-        if is_zero(a):
+        if not any(a):
             continue  # the trivial t >= 0 facet
         ineqs.append((a, -a0))
     for h in H.eqs:
         a, a0 = h.normal[:n], h.normal[n]
-        if is_zero(a):
+        if not any(a):
             if a0 != 0:
                 raise AssertionError("inconsistent homogenization")
             continue
@@ -583,100 +567,48 @@ def kept_in_sum(P: HPolyhedron, gens, tight_masks) -> list[bool]:
 
 
 # ---------------------------------------------------------------------------
-# max flow / min cut on rational capacities
+# max flow / min cut on integer capacities
 # ---------------------------------------------------------------------------
 
-class FlowNetwork:
-    """Finite directed graph with a source, a sink and rational capacities.
-
-    Capacities are nonnegative `Fraction`s, or the sentinel `INF` (None) for
-    +infinity.  Parallel edges are allowed.  A network is mutable and
-    unhashable; two networks are equal when source, sink and edges are.
-    """
-
-    def __init__(self, source, sink, edges=()):
-        if source == sink:
-            raise ValueError("source and sink must differ")
-        self.source, self.sink = source, sink
-        self.edges: list[tuple[object, object, Fraction | None]] = []
-        for u, v, c in edges:
-            self.add_edge(u, v, c)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source, self.sink, self.edges) == (other.source, other.sink, other.edges)
-
-    __hash__ = None
-
-    def add_edge(self, u, v, c):
-        if c is not INF:
-            c = frac(c)
-            if c < 0:
-                raise ValueError("negative capacity")
-        self.edges.append((u, v, c))
-
-    def nodes(self):
-        seen = {self.source, self.sink}
-        for u, v, _ in self.edges:
-            seen.add(u)
-            seen.add(v)
-        return seen
-
-
-def maxflow(net: FlowNetwork):
-    """Edmonds-Karp.  Returns (value, flow) where flow maps edge index to the
-    rational flow on that edge; value may be `math.inf` only when an all-
-    infinite augmenting path exists."""
-    import math
-
-    m = len(net.edges)
-    # residual arcs: 2 per edge (forward i, backward i+m)
-    cap = [c for _, _, c in net.edges] + [Fraction(0)] * m
-    flow = [Fraction(0)] * (2 * m)
+def maxflow(source, sink, edges) -> tuple[int, list[int]]:
+    """Edmonds-Karp on a list of (u, v, capacity) edges with nonnegative
+    integer capacities; parallel edges are allowed.  Returns the value of a
+    maximum flow and the flow on each edge, in edge order."""
+    if source == sink:
+        raise ValueError("source and sink must differ")
+    if any(c < 0 for _, _, c in edges):
+        raise ValueError("negative capacity")
+    m = len(edges)
+    # residual arcs: forward i and backward i + m, with tail and head
+    residual = [c for _, _, c in edges] + [0] * m
+    tail = [u for u, _, _ in edges] + [v for _, v, _ in edges]
+    head = tail[m:] + tail[:m]
     out: dict[object, list[int]] = {}
-    for i, (u, v, _) in enumerate(net.edges):
+    for i, u in enumerate(tail):
         out.setdefault(u, []).append(i)
-        out.setdefault(v, []).append(i + m)
-    head = [v for _, v, _ in net.edges] + [u for u, _, _ in net.edges]
-
-    def residual(i):
-        return INF if cap[i] is INF else cap[i] - flow[i]
-
-    total = Fraction(0)
+    total = 0
     while True:
         # BFS for a shortest augmenting path
-        prev = {net.source: None}
-        queue = deque([net.source])
-        while queue and net.sink not in prev:
-            u = queue.popleft()
-            for i in out.get(u, []):
-                r = residual(i)
-                if (r is INF or r > 0) and head[i] not in prev:
+        prev = {source: None}
+        queue = deque([source])
+        while queue and sink not in prev:
+            for i in out.get(queue.popleft(), ()):
+                if residual[i] > 0 and head[i] not in prev:
                     prev[head[i]] = i
                     queue.append(head[i])
-        if net.sink not in prev:
+        if sink not in prev:
             break
-        # bottleneck
-        bottleneck = INF
-        v = net.sink
+        path = []
+        v = sink
         while prev[v] is not None:
-            i = prev[v]
-            r = residual(i)
-            if r is not INF and (bottleneck is INF or r < bottleneck):
-                bottleneck = r
-            v = net.edges[i][0] if i < m else net.edges[i - m][1]
-        if bottleneck is INF:
-            return math.inf, {}
-        v = net.sink
-        while prev[v] is not None:
-            i = prev[v]
-            j = i + m if i < m else i - m
-            flow[i] += bottleneck
-            flow[j] -= bottleneck
-            v = net.edges[i][0] if i < m else net.edges[i - m][1]
+            path.append(prev[v])
+            v = tail[prev[v]]
+        bottleneck = min(residual[i] for i in path)
+        for i in path:
+            residual[i] -= bottleneck
+            residual[(i + m) % (2 * m)] += bottleneck
         total += bottleneck
-    return total, {i: flow[i] for i in range(m)}
+    return total, residual[m:]
 
 
 # ---------------------------------------------------------------------------
@@ -701,23 +633,30 @@ def graph_cone_dual_membership(nodes: list, arcs: list[tuple], x: dict) -> bool:
     """Membership of x in the dual of the cone {y : y_v <= y_u per arc u->v}.
 
     Runs two oracles, one over the admissible vertex subsets and one by a
-    max-flow construction, and raises if they disagree.
+    max-flow construction (Picard's closure network), and raises if they
+    disagree.  x is scaled by the lcm of its denominators to integers X,
+    and big = max|X| + 1.  Each source edge src->s gets X_s + big, each
+    sink edge s->snk gets big, and each arc gets big*n, the whole source
+    capacity when sum X = 0.  A cut {src} + S with an arc leaving S costs
+    at least big*n; with S closed under the arcs it costs
+    big*n - sum_{s in S} X_s, and S = {} is closed.  So, as with infinite
+    arcs, the maximum flow saturates the source exactly when every closed
+    set has a nonpositive sum: the test the subset oracle makes.
     """
     nodes = list(nodes)
-    xs = {s: frac(x[s]) for s in nodes}
-    if sum(xs.values()) != 0:
+    xs = [frac(x[s]) for s in nodes]
+    L = lcm(*(a.denominator for a in xs))
+    X = dict(zip(nodes, (a.numerator * (L // a.denominator) for a in xs)))
+    if sum(X.values()) != 0:
         return False
-    by_subsets = all(sum((xs[s] for s in sub), Fraction(0)) <= 0
+    by_subsets = all(sum(X[s] for s in sub) <= 0
                      for sub in admissible_vertex_subsets(nodes, arcs))
-    big = max((abs(v) for v in xs.values()), default=Fraction(0)) + 1
+    n = len(nodes)
+    big = max(map(abs, X.values()), default=0) + 1
     src, snk = ("__D__",), ("__A__",)
-    net = FlowNetwork(src, snk)
-    for u, v in arcs:
-        net.add_edge(u, v, INF)
-    for s in nodes:
-        net.add_edge(src, s, xs[s] + big)
-        net.add_edge(s, snk, big)
-    by_flow = maxflow(net)[0] == big * len(nodes)
+    edges = [(u, v, big * n) for u, v in arcs]
+    edges += [(src, s, X[s] + big) for s in nodes] + [(s, snk, big) for s in nodes]
+    by_flow = maxflow(src, snk, edges)[0] == big * n
     if by_subsets != by_flow:
         raise AssertionError(f"dual membership oracles disagree: subsets={by_subsets} "
                              f"flow={by_flow}")

@@ -3,8 +3,8 @@
 from fractions import Fraction
 from math import lcm
 
-from kisindim.polyhedra import (HPolyhedron, VPolyhedron, _idot, enumerate_vertices,
-                                kept_in_sum, primitive_ints, rank, v_to_h, vec)
+from kisindim.polyhedra import (HPolyhedron, VPolyhedron, _echelon, _idot, enumerate_vertices,
+                                kept_in_sum, primitive_ints, v_to_h, vec)
 
 
 def polyhedra_set_equal(P: HPolyhedron, Q: HPolyhedron) -> bool:
@@ -29,6 +29,10 @@ def minkowski_sum_cone(P: HPolyhedron | VPolyhedron, cone_gens) -> HPolyhedron:
         raise ValueError("Minkowski sum with the empty polyhedron")
     gens = [g for g in map(primitive_ints, cone_gens) if any(g)]
     return v_to_h(VPolyhedron(V.dim, V.vertices, tuple(sorted(set(list(V.rays) + gens))), V.lines))
+
+
+def rank(rows, n: int) -> int:
+    return len(_echelon(rows, n)[1])
 
 
 def vertices_of_sum(P: HPolyhedron, vertices, gens) -> list:

@@ -8,7 +8,7 @@ from kisindim.perm import (Permutation, admissible_from_subset, admissible_level
                            in_dual_chain_cone, level_set, losers_permutation,
                            maximal_elements, ord_tableau, precedes, records,
                            rho_w, w0, w_star)
-from kisindim.polyhedra import dot, rank, vec
+from kisindim.polyhedra import dot, vec
 
 
 def test_permutation_validation():
@@ -205,7 +205,7 @@ def test_rho_solves_the_chain_hyperplane_system():
     # cut out by the chain subsets T_s(w) = {w*(1..s)} and the zero-sum, as
     # it satisfies every row with equality and the d rows have rank d
     from kisindim.kisin_model import KisinInstance
-    from oracles import f_T_halfspace
+    from oracles import f_T_halfspace, rank
 
     for d in (3, 4):
         b = 17

@@ -1,19 +1,19 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
-from math import gcd, inf
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kisindim import bounds as bd, polyhedra
 from kisindim.kisin_model import KisinInstance, chain_dual_generators
-from kisindim.polyhedra import (FlowNetwork, Halfspace, HPolyhedron, INF,
-                                VPolyhedron, cone_generators, cone_hull, dot,
-                                dual_cone, enumerate_vertices,
+from kisindim.polyhedra import (Halfspace, HPolyhedron, VPolyhedron, cone_generators,
+                                cone_hull, dot, dual_cone, enumerate_vertices,
                                 graph_cone_dual_membership, in_cone, maxflow,
-                                nullspace, primitive_ints, rank, v_to_h, vec)
-from oracles import chain_cone_gens, minkowski_sum_cone, polyhedra_set_equal, vertices_of_sum
+                                nullspace, primitive_ints, v_to_h, vec)
+from oracles import (chain_cone_gens, minkowski_sum_cone, polyhedra_set_equal, rank,
+                     vertices_of_sum)
 
 
 def square():
@@ -617,38 +617,36 @@ def test_integer_membership_matches_the_fraction_definition():
 # max flow
 # ---------------------------------------------------------------------------
 
-def min_cut_exhaustive(net: FlowNetwork):
+def min_cut_exhaustive(source, sink, edges):
     """Oracle for maxflow: the minimum cut capacity over all 2^|S| cuts (use
-    on tiny graphs).  A cut containing an infinite edge counts as infinite."""
-    others = sorted(net.nodes() - {net.source, net.sink}, key=repr)
+    on tiny graphs)."""
+    others = sorted({x for u, v, _ in edges for x in (u, v)} - {source, sink}, key=repr)
     best = None
     for k in range(len(others) + 1):
         for sub in combinations(others, k):
-            side = set(sub) | {net.source}
-            crossing = [c for u, v, c in net.edges if u in side and v not in side]
-            val = inf if INF in crossing else sum(crossing, F(0))
+            side = set(sub) | {source}
+            val = sum(c for u, v, c in edges if u in side and v not in side)
             if best is None or val < best:
                 best = val
     return best
 
 
 def test_maxflow_single_edge():
-    net = FlowNetwork("D", "A", [("D", "A", F(5))])
-    assert maxflow(net)[0] == 5
+    assert maxflow("D", "A", [("D", "A", 5)]) == (5, [5])
 
 
 def test_maxflow_two_parallel_paths():
-    net = FlowNetwork("D", "A")
-    net.add_edge("D", "x", 2)
-    net.add_edge("x", "A", 2)
-    net.add_edge("D", "y", 3)
-    net.add_edge("y", "A", 3)
-    assert maxflow(net)[0] == 5
+    edges = [("D", "x", 2), ("x", "A", 2), ("D", "y", 3), ("y", "A", 3)]
+    assert maxflow("D", "A", edges) == (5, [2, 2, 3, 3])
+    # parallel edges add up
+    assert maxflow("D", "A", [("D", "A", 2), ("D", "A", 3), ("A", "D", 4)]) == (5, [2, 3, 0])
 
 
-def test_maxflow_infinite_path():
-    net = FlowNetwork("D", "A", [("D", "x", INF), ("x", "A", INF)])
-    assert maxflow(net)[0] == inf
+def test_maxflow_input_errors():
+    with pytest.raises(ValueError, match="must differ"):
+        maxflow("s", "s", [])
+    with pytest.raises(ValueError, match="negative capacity"):
+        maxflow("s", "t", [("s", "u", 1), ("u", "t", -1)])
 
 
 def test_maxflow_flow_conservation_and_capacity():
@@ -656,36 +654,30 @@ def test_maxflow_flow_conservation_and_capacity():
     for _ in range(30):
         n = rng.randint(2, 6)
         nodes = list(range(n))
-        net = FlowNetwork("D", "A")
+        edges = []
         for u in nodes:
-            net.add_edge("D", u, F(rng.randint(0, 5)))
-            net.add_edge(u, "A", F(rng.randint(0, 5)))
-        for u in nodes:
-            for v in nodes:
-                if u != v and rng.random() < 0.3:
-                    net.add_edge(u, v, F(rng.randint(0, 4), rng.randint(1, 3)))
-        value, flow = maxflow(net)
-        assert value == min_cut_exhaustive(net)
-        for i, (u, v, c) in enumerate(net.edges):
-            assert 0 <= flow[i] and (c is INF or flow[i] <= c)
+            edges += [("D", u, rng.randint(0, 5)), (u, "A", rng.randint(0, 5))]
+        edges += [(u, v, rng.randint(0, 4)) for u in nodes for v in nodes
+                  if u != v and rng.random() < 0.3]
+        value, flow = maxflow("D", "A", edges)
+        assert value == min_cut_exhaustive("D", "A", edges)
+        assert len(flow) == len(edges)
+        assert all(0 <= f <= c for f, (_, _, c) in zip(flow, edges))
         for s in nodes:
-            out_f = sum(flow[i] for i, (u, _, _) in enumerate(net.edges) if u == s)
-            in_f = sum(flow[i] for i, (_, v, _) in enumerate(net.edges) if v == s)
+            out_f = sum(f for f, (u, _, _) in zip(flow, edges) if u == s)
+            in_f = sum(f for f, (_, v, _) in zip(flow, edges) if v == s)
             assert out_f == in_f
+        assert value == sum(f for f, (u, _, _) in zip(flow, edges) if u == "D")
 
 
 def test_maxflow_exhaustive_min_cut_oracle_larger():
     rng = random.Random(4)
     for _ in range(10):
         nodes = list(range(6))
-        net = FlowNetwork("D", "A")
-        net.add_edge("D", 0, F(7))
-        net.add_edge(5, "A", F(7))
-        for u in nodes:
-            for v in nodes:
-                if u != v and rng.random() < 0.5:
-                    net.add_edge(u, v, F(rng.randint(0, 3)))
-        assert maxflow(net)[0] == min_cut_exhaustive(net)
+        edges = [("D", 0, 7), (5, "A", 7)]
+        edges += [(u, v, rng.randint(0, 3)) for u in nodes for v in nodes
+                  if u != v and rng.random() < 0.5]
+        assert maxflow("D", "A", edges)[0] == min_cut_exhaustive("D", "A", edges)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ explicit raises, which `python -O` keeps, none of its caches grows without
 bound in a long-running process, no module keeps mutable state in a
 lower-case global, no module reads the environment, importing the CLI
 stays cheap, no module of the package or its tests imports a name it
-never uses, and every function and method of the package has a caller."""
+never uses, every function and method of the package has a caller, and
+every class with value semantics is a `Frozen` record."""
 
 import ast
 import importlib
@@ -18,7 +19,7 @@ import kisindim
 from kisindim import bounds as bd
 from kisindim.cli import main
 from kisindim.kisin_model import KisinInstance
-from kisindim.polyhedra import vec
+from kisindim.polyhedra import Frozen, vec
 
 SRC = Path(kisindim.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -123,6 +124,18 @@ def test_no_module_level_mutable_state():
         found += [f"{module.__name__}.{name}" for name, obj in vars(module).items()
                   if isinstance(obj, (dict, list, set)) and not name.isupper()
                   and not name.startswith("__")]
+    assert found == []
+
+
+def test_every_record_type_is_frozen():
+    # one record type: a class that defines equality or hashing is a value,
+    # and a value is a Frozen, immutable and equal by its fields
+    found = []
+    for info in pkgutil.iter_modules(kisindim.__path__):
+        module = importlib.import_module(f"kisindim.{info.name}")
+        found += [f"{module.__name__}.{name}" for name, obj in vars(module).items()
+                  if isinstance(obj, type) and obj.__module__ == module.__name__
+                  and {"__eq__", "__hash__"} & set(vars(obj)) and not issubclass(obj, Frozen)]
     assert found == []
 
 

@@ -1,20 +1,20 @@
 """Value semantics of the package's record types: construction by position
 and by keyword with the documented defaults, equality and hash over the
 fields, a repr that lists them, immutability, and the validation errors.
-`FlowNetwork` is the one mutable, unhashable record."""
+Every record type of the package is a `Frozen`."""
 
 from fractions import Fraction as F
 
 import pytest
 
 from kisindim.bounds import DualityData, KTables, RegularityClass
-from kisindim.kisin_model import D2LatticeData, KisinInstance, MuTriangle, PhiFunctions
+from kisindim.kisin_model import D2LatticeData, KisinInstance, MuTriangle, PhiFunctions, QPoint
 from kisindim.perm import AdmissibleSubset, OrdTableau, Permutation
-from kisindim.polyhedra import INF, FlowNetwork, Halfspace, HPolyhedron, VPolyhedron
+from kisindim.polyhedra import Halfspace, HPolyhedron, VPolyhedron
 from kisindim.solver import DimQuery, DimResult
 
 REQUIRED = object()
-I23, I35 = KisinInstance(2, 3), KisinInstance(3, 5)
+I23, I25, I35 = KisinInstance(2, 3), KisinInstance(2, 5), KisinInstance(3, 5)
 H = Halfspace((1, 0))
 PIECES, PIECES2 = ((F(0), F(1)),), ((F(2), F(3)),)
 PHI, PHI2 = PhiFunctions(I23, PIECES, PIECES), PhiFunctions(I23, PIECES2, PIECES)
@@ -39,6 +39,10 @@ CASES = {
                  ("entries", {(1, 1): 1}, {(1, 1): 2}, REQUIRED)],
     KisinInstance: [("d", 3, 4, REQUIRED), ("b", 5, 7, REQUIRED),
                     ("h_zero", False, True, False)],
+    QPoint: [("instance", I23, I25, REQUIRED),
+             ("values", (F(0), F(1, 3), F(1)), (F(0), F(2, 3), F(1)), REQUIRED)],
+    MuTriangle: [("instance", I23, I25, REQUIRED),
+                 ("values", (F(3), F(0), F(2)), (F(2), F(1), F(2)), REQUIRED)],
     PhiFunctions: [("instance", I23, I35, REQUIRED),
                    ("phi_pieces", PIECES, PIECES2, REQUIRED),
                    ("psi_pieces", PIECES, PIECES2, REQUIRED)],
@@ -141,6 +145,8 @@ def test_validation_errors():
         AdmissibleSubset(2, frozenset({(2, 1)}), frozenset())
     with pytest.raises(ValueError):
         Permutation((1, 1, 3))
+    with pytest.raises(ValueError, match="expected 3 values, got 2"):
+        QPoint(I23, (0, 1))
 
 
 def test_constructors_normalise_their_fields():
@@ -149,23 +155,7 @@ def test_constructors_normalise_their_fields():
     assert h.normal == (1, 2) and type(h.normal) is tuple
     assert all(type(x) is int for x in h.normal + (h.offset,)) and h.offset == 3
     assert Permutation([F(2), 1]).images == (2, 1)
-
-
-def test_flow_network_stays_mutable_and_unhashable():
-    a, b = FlowNetwork("s", "t"), FlowNetwork("s", "t")
-    assert a.edges == [] and a.edges is not b.edges
-    assert a == b
-    with pytest.raises(TypeError):
-        hash(a)
-    a.add_edge("s", "t", 1)
-    assert a != b
-    b.edges.append(("s", "t", F(1)))
-    assert a == b
-    net = FlowNetwork(sink="t", source="s", edges=[("s", "u", 2), ("u", "t", INF)])
-    assert net.edges == [("s", "u", F(2)), ("u", "t", INF)]
-    net.source = "u"
-    assert net.source == "u"
-    with pytest.raises(ValueError, match="must differ"):
-        FlowNetwork("s", "s")
-    with pytest.raises(ValueError, match="negative capacity"):
-        FlowNetwork("s", "t", [("s", "t", -1)])
+    # a triangle stores its cells as a tuple of fractions in row-major order
+    m = MuTriangle(I23, {(2, 2): 1, (1, 1): F(1, 2), (1, 2): 0})
+    assert m.values == (F(1, 2), 0, 1) and type(m.values) is tuple
+    assert all(type(x) is F for x in m.values)
