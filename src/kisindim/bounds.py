@@ -25,7 +25,7 @@ from . import kisin_model as km
 from . import perm as pm
 from .polyhedra import (Frozen, Halfspace, HPolyhedron, IVec, Vec, _idot, cone_generators,
                         dot, double_description, dual_cone, enumerate_vertices, frac, in_cone,
-                        kept_in_sum, primitive_ints, vec)
+                        primitive_ints, vec)
 
 
 class UnsupportedRegime(Exception):
@@ -482,6 +482,44 @@ class KTables(Frozen):
         return "\n".join(lines) + "\n"
 
 
+def _kept_by_cover(d: int, covers: list[int], tight_masks) -> list[bool]:
+    """For each vertex of K = K(b), given by the bitmask of the inequalities
+    of K tight there (bit t < d-1: the facet row K.ineqs[t]; bit d-2+k: the
+    chain row c_k), whether it is a vertex of K + C*.  covers[t] has bit
+    k-1 set at each k where facet row t is positive on v_k = e_k - e_{k+1}.
+    A coordinate k in 1..d-1 is covered by a tight facet row positive at k
+    or by the tight chain row c_k, and the vertex is kept exactly when
+    every k is covered.
+
+    By the normal-fan criterion for Minkowski sums (Ziegler, *Lectures on
+    Polytopes*, sec. 7), a vertex y of K is a vertex of K + cone(v_k)
+    exactly when some nonnegative combination c of the inner normals tight
+    at y and the equation normal (either sign) has <c, v_k> > 0 for every
+    k, so the images (<a, v_k>)_k of the normals decide it.  Facet row t
+    is positive on the generator g_sigma of Reg* and zero on the others,
+    and v = (bJ + I) g / (b^2 - 1) with b^2 - 1 > 0 (b >= 2), so its image
+    is >= 0 and positive exactly at k = sigma and k = d - sigma.  The
+    chain images are the rows of the Cartan matrix A of type A_{d-1}, and
+    the equation image is 0.
+    (<=) Let U be the coordinates that no tight facet covers, each with
+    its chain row tight.  Every run of consecutive indices of U gives a
+    Cartan block with a positive inverse, so some x > 0 has A_U x = 1, and
+    the tight facet images, added in large multiples, make every other
+    coordinate positive.
+    (=>) At an uncovered k whose chain row is not tight, every tight image
+    is <= 0, so no c is positive at k.
+    """
+    full = (1 << (d - 1)) - 1
+    out = []
+    for mask in tight_masks:
+        covered = mask >> (d - 1)
+        for t, c in enumerate(covers):
+            if mask >> t & 1:
+                covered |= c
+        out.append(covered == full)
+    return out
+
+
 def k_polytopes(inst: km.KisinInstance) -> KTables:
     """K = (2 rho/(b+1) + Reg*) cap C and K' = K + C*, with exact vertices.
 
@@ -494,17 +532,16 @@ def k_polytopes(inst: km.KisinInstance) -> KTables:
     other generator.  Each row is shifted by its value at the apex
     2 rho/(b+1), which always survives into K' as a vertex.
 
-    The vertices come from one double description in the coordinates of
-    the simplicial cone itself: x = (lambda_1..lambda_{d-1}, s) >= 0 maps
-    to y = ((b+1) sum_j lambda_j g_j + 2 rho s) / ((b+1) s), with lambda
-    in the order of the sorted facet rows.  The d unit rows are the seed,
-    whose rays are the unit vectors, and only the d-1 chain rows
-    c_i((b+1) G lambda + 2 rho s) >= 0 are inserted.  A ray with s > 0 is
-    a vertex, kept as the primitive integer row (Y, T) of its image; one
-    with s = 0 is a ray of K.  The inequalities of K tight at a vertex are
-    read off its zero set (bit j < d-1: the facet row that is zero on the
-    j-th generator, lambda_j = 0; bit d-1: s = 0; bit d + i: the chain row
-    c_i), and `kept_in_sum` decides K + C* from them.
+    The vertices come from one double description in the homogeneous rows
+    (Y, T) of the points y = Y/T.  The seed is the simplicial cone of the
+    facet rows and T >= 0: its rays are the primitive (g_j, 0), in the
+    order of the sorted facet rows, and the apex row (2 rho, b+1).  Only
+    the d-1 chain rows (c_i, 0) are inserted.  A ray with T > 0 is a
+    vertex, already its primitive integer row; one with T = 0 is a ray of
+    K.  The inequalities of K tight at a vertex are read off its zero set
+    (bit j < d-1: the facet row that is zero on the j-th generator; bit
+    d-1: T = 0; bit d + i: the chain row c_i), and `_kept_by_cover`
+    decides K + C* from them with no LP.
     """
     d, b = inst.d, inst.b
     rho2 = two_rho(d)
@@ -514,32 +551,27 @@ def k_polytopes(inst: km.KisinInstance) -> KTables:
     K = HPolyhedron.build(d, [(rows[j], dot(rows[j], rho2) / (b + 1)) for j in order],
                           [((1,) * d, 0)]).intersect(km.cone_chain(d))
     gens = km.regular_dual_generators(inst)
-    gens = [[(b + 1) * x for x in gens[j]] for j in order]
-    # (Y, T) = M x: the rows of M are the coordinates of y, then T
-    M = [tuple(g[i] for g in gens) + (rho2[i],) for i in range(d)] + [(0,) * (d - 1) + (b + 1,)]
     chain = km.chain_dual_generators(d)
-    seed = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    # the chain rows <c_i, Y> >= 0 in x-coordinates
-    rays, zsets = double_description(seed, [[_idot(c, m) for m in zip(*M[:d])]
-                                              for c in chain])
+    apex = primitive_ints((*rho2, b + 1))
+    seed = [primitive_ints((*gens[j], 0)) for j in order] + [apex]
+    rays, zsets = double_description(seed, [(*c, 0) for c in chain])
     verts, K_rays = [], []
     low = (1 << (d - 1)) - 1
-    for x, z in zip(rays, zsets):
-        image = [_idot(m, x) for m in M]
-        g = gcd(*image)
-        image = tuple(a // g for a in image)
-        if image[d]:
-            # the zero set without its s bit: bit i is K.ineqs[i]
-            verts.append((image, z & low | z >> d << (d - 1)))
+    for r, z in zip(rays, zsets):
+        if r[d]:
+            # the zero set without its T bit: bit i is K.ineqs[i]
+            verts.append((r, z & low | z >> d << (d - 1)))
         else:
-            K_rays.append(image[:d])
+            K_rays.append(r[:d])
     # sorted as the rational vertices are, by an exact integer key
     L = lcm(*(r[d] for r, _ in verts))
     verts.sort(key=lambda v: [a * (L // v[0][d]) for a in v[0][:d]])
-    kept = kept_in_sum(K, chain, [mask for _, mask in verts])
+    covers = [sum(1 << k for k, v in enumerate(chain) if _idot(h.normal, v) > 0)
+              for h in K.ineqs[:d - 1]]
+    kept = _kept_by_cover(d, covers, [mask for _, mask in verts])
     K_rows = tuple(r for r, _ in verts)
     kp = tuple(r for r, keep in zip(K_rows, kept) if keep)
-    if primitive_ints((*rho2, b + 1)) not in kp:
+    if apex not in kp:
         raise AssertionError("the apex 2rho/(b+1) must be a vertex of K + C*")
     return KTables(inst, K, K_rows, tuple(sorted(K_rays)), kp)
 

@@ -6,15 +6,14 @@ description), the double description itself and the LP oracle all run on
 primitive integer vectors (rows and rays scaled by positive rationals,
 which changes neither cones nor feasibility), through one fraction-free
 row step, `_eliminate`.  `double_description` is the one incremental loop:
-it starts from any simplicial seed (`_initial_simplicial` here, the unit
-simplex of a cone given in its own coordinates elsewhere) and returns each
-ray's zero set with it.  `kept_in_sum` decides which vertices of a
-polyhedron survive into its sum with a cone from the facets tight at each,
-and asks the LP only what its integer sign certificates leave open.  A
-halfspace is stored as its primitive integer row, so membership is an
-integer dot.  `fractions.Fraction` appears only at the API edge: `dot`
-and the coordinates of points and vertices.  Rays and lines are returned
-as primitive integer tuples.  Polyhedra come in two representations:
+it starts from any simplicial seed (`_initial_simplicial` here, the rays
+of a simplicial cone known in closed form elsewhere) and returns each
+ray's zero set with it, so a caller reads the rows tight at each ray off
+its bits with no dot product.  A halfspace is stored as its primitive
+integer row, so membership is an integer dot.  `fractions.Fraction`
+appears only at the API edge: `dot` and the coordinates of points and
+vertices.  Rays and lines are returned as primitive integer tuples.
+Polyhedra come in two representations:
 
 - `HPolyhedron`: a finite list of halfspaces ``<a, x> >= c`` and equations
   ``<a, x> = c``;
@@ -441,7 +440,7 @@ def dual_cone(generators: list[Vec], dim: int) -> HPolyhedron:
 
 
 # ---------------------------------------------------------------------------
-# exact LP feasibility (cone membership) and vertices of Minkowski sums
+# exact LP feasibility (cone membership)
 # ---------------------------------------------------------------------------
 
 def in_cone(generators: list[Vec], target: Vec) -> bool:
@@ -497,73 +496,6 @@ def in_cone(generators: list[Vec], target: Vec) -> bool:
             tab[leave] = [x // g for x in tab[leave]]
         basis[leave] = enter
     return cost[m + n] == 0
-
-
-def _sign_certificate(tight: list[IVec], eq_images: list[IVec], k: int) -> bool | None:
-    """The certificates of `kept_in_sum` on the integer images in Z^k
-    of the tight rows and the equations: False for a reject, True for an
-    accept, None when neither is found.  The accepting combination starts
-    from the sum of the tight images and, for at most 3k rounds, lifts the
-    first coordinate that is still <= 0 to 1 with copies of the tight image
-    largest there."""
-    for j in range(k):
-        if all(t[j] <= 0 for t in tight) and not any(e[j] for e in eq_images):
-            return False
-    if not tight:
-        return None
-    s = [sum(col) for col in zip(*tight)]
-    for _ in range(3 * k):
-        j = next((j for j in range(k) if s[j] <= 0), None)
-        if j is None:
-            return True
-        t = max(tight, key=lambda t: t[j])
-        if t[j] <= 0:
-            return None
-        m = -s[j] // t[j] + 1
-        s = [x + m * y for x, y in zip(s, t)]
-    return None if any(x <= 0 for x in s) else True
-
-
-def kept_in_sum(P: HPolyhedron, gens, tight_masks) -> list[bool]:
-    """For each vertex v of P, given by the bitmask of the inequalities of
-    P tight at v (bit i for P.ineqs[i]), whether v is a vertex of
-    P + cone(gens).
-
-    Every vertex of the sum is a vertex of P, and by the normal-fan
-    criterion for Minkowski sums (Ziegler, *Lectures on Polytopes*, sec. 7)
-    a vertex v of P is one exactly when some c in the normal cone N of P at
-    v has <c, g> > 0 for every generator g.  If c exposes v in the sum, it
-    lies in N and is positive on every g.  Conversely, the set
-    {c : <c, g> > 0 for all g} is open and N is full-dimensional at a
-    vertex, so the set also meets the interior of N; such a c is minimised
-    over P at v alone, and over the sum too.
-
-    N is generated by the normals of the inequalities tight at v plus the
-    equation normals with both signs, so the question lives on their
-    integer images (<a, g>)_g in Z^|gens|.  Two certificates settle it
-    first.  Reject: in some coordinate j every tight image is <= 0 and
-    every equation image is 0, so <c, g_j> <= 0 on all of N; the equation
-    images must be 0, not just <= 0, since they enter N with both signs.
-    Accept: a nonnegative integer combination of the tight images is
-    positive everywhere, and it is (<c, g>)_g for a c in N.  Only when
-    neither is found does one exact LP decide (`in_cone`): is (1, ..., 1)
-    a nonnegative combination of the tight images, the equation images
-    with both signs and the slacks -e_k?  The recession cone of P is part
-    of its H-representation and needs no separate care.  Rows and images
-    are integers, so the certificates and the LP are exact.
-    """
-    gens = [g for g in map(primitive_ints, gens) if any(g)]
-    k = len(gens)
-    images = [tuple(_idot(h.normal, g) for g in gens) for h in P.ineqs]
-    eq_images = [tuple(_idot(h.normal, g) for g in gens) for h in P.eqs]
-    cone_gens = eq_images + [tuple(-x for x in e) for e in eq_images]
-    cone_gens += [tuple(-int(i == j) for j in range(k)) for i in range(k)]
-    out = []
-    for mask in tight_masks:
-        tight = [image for i, image in enumerate(images) if mask >> i & 1]
-        keep = _sign_certificate(tight, eq_images, k)
-        out.append(in_cone(tight + cone_gens, (1,) * k) if keep is None else keep)
-    return out
 
 
 # ---------------------------------------------------------------------------

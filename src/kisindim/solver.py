@@ -518,21 +518,14 @@ def dim_d2_closed(mu1: int, mu2: int, inst: km.KisinInstance):
     """Closed form of the optimized stratum dimension for d = 2: None when
     b-1 does not divide mu1+mu2, else mu1 - (b-1)*ceil((b mu1 + mu2)/(b^2-1)).
 
-    A negative value signals the empty variety (no lattice point exists);
-    the equivalent characterization "largest integer <= (mu1-mu2)/(b+1)
-    congruent to mu1 mod b-1" is computed independently and asserted equal.
+    A negative value signals the empty variety (no lattice point exists).
     """
     if mu1 < mu2:
         raise ValueError("mu1 >= mu2 required")
     b = inst.b
     if (mu1 + mu2) % (b - 1) != 0:
         return None
-    value = mu1 - (b - 1) * _ceil(Fraction(b * mu1 + mu2, b * b - 1))
-    f = (mu1 - mu2) // (b + 1)
-    alt = f - ((f - mu1) % (b - 1))
-    if alt != value:
-        raise AssertionError("the two d=2 closed forms disagree")
-    return value
+    return mu1 - (b - 1) * _ceil(Fraction(b * mu1 + mu2, b * b - 1))
 
 
 def dim_d3_closed(mu1: int, mu2: int, mu3: int, inst: km.KisinInstance):

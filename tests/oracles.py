@@ -3,8 +3,8 @@
 from fractions import Fraction
 from math import lcm
 
-from kisindim.polyhedra import (HPolyhedron, VPolyhedron, _echelon, _idot, enumerate_vertices,
-                                kept_in_sum, primitive_ints, v_to_h, vec)
+from kisindim.polyhedra import (HPolyhedron, IVec, VPolyhedron, _echelon, _idot,
+                                enumerate_vertices, in_cone, primitive_ints, v_to_h, vec)
 
 
 def polyhedra_set_equal(P: HPolyhedron, Q: HPolyhedron) -> bool:
@@ -33,6 +33,73 @@ def minkowski_sum_cone(P: HPolyhedron | VPolyhedron, cone_gens) -> HPolyhedron:
 
 def rank(rows, n: int) -> int:
     return len(_echelon(rows, n)[1])
+
+
+def _sign_certificate(tight: list[IVec], eq_images: list[IVec], k: int) -> bool | None:
+    """The certificates of `kept_in_sum` on the integer images in Z^k
+    of the tight rows and the equations: False for a reject, True for an
+    accept, None when neither is found.  The accepting combination starts
+    from the sum of the tight images and, for at most 3k rounds, lifts the
+    first coordinate that is still <= 0 to 1 with copies of the tight image
+    largest there."""
+    for j in range(k):
+        if all(t[j] <= 0 for t in tight) and not any(e[j] for e in eq_images):
+            return False
+    if not tight:
+        return None
+    s = [sum(col) for col in zip(*tight)]
+    for _ in range(3 * k):
+        j = next((j for j in range(k) if s[j] <= 0), None)
+        if j is None:
+            return True
+        t = max(tight, key=lambda t: t[j])
+        if t[j] <= 0:
+            return None
+        m = -s[j] // t[j] + 1
+        s = [x + m * y for x, y in zip(s, t)]
+    return None if any(x <= 0 for x in s) else True
+
+
+def kept_in_sum(P: HPolyhedron, gens, tight_masks) -> list[bool]:
+    """For each vertex v of P, given by the bitmask of the inequalities of
+    P tight at v (bit i for P.ineqs[i]), whether v is a vertex of
+    P + cone(gens).
+
+    Every vertex of the sum is a vertex of P, and by the normal-fan
+    criterion for Minkowski sums (Ziegler, *Lectures on Polytopes*, sec. 7)
+    a vertex v of P is one exactly when some c in the normal cone N of P at
+    v has <c, g> > 0 for every generator g.  If c exposes v in the sum, it
+    lies in N and is positive on every g.  Conversely, the set
+    {c : <c, g> > 0 for all g} is open and N is full-dimensional at a
+    vertex, so the set also meets the interior of N; such a c is minimised
+    over P at v alone, and over the sum too.
+
+    N is generated by the normals of the inequalities tight at v plus the
+    equation normals with both signs, so the question lives on their
+    integer images (<a, g>)_g in Z^|gens|.  Two certificates settle it
+    first.  Reject: in some coordinate j every tight image is <= 0 and
+    every equation image is 0, so <c, g_j> <= 0 on all of N; the equation
+    images must be 0, not just <= 0, since they enter N with both signs.
+    Accept: a nonnegative integer combination of the tight images is
+    positive everywhere, and it is (<c, g>)_g for a c in N.  Only when
+    neither is found does one exact LP decide (`in_cone`): is (1, ..., 1)
+    a nonnegative combination of the tight images, the equation images
+    with both signs and the slacks -e_k?  The recession cone of P is part
+    of its H-representation and needs no separate care.  Rows and images
+    are integers, so the certificates and the LP are exact.
+    """
+    gens = [g for g in map(primitive_ints, gens) if any(g)]
+    k = len(gens)
+    images = [tuple(_idot(h.normal, g) for g in gens) for h in P.ineqs]
+    eq_images = [tuple(_idot(h.normal, g) for g in gens) for h in P.eqs]
+    cone_gens = eq_images + [tuple(-x for x in e) for e in eq_images]
+    cone_gens += [tuple(-int(i == j) for j in range(k)) for i in range(k)]
+    out = []
+    for mask in tight_masks:
+        tight = [image for i, image in enumerate(images) if mask >> i & 1]
+        keep = _sign_certificate(tight, eq_images, k)
+        out.append(in_cone(tight + cone_gens, (1,) * k) if keep is None else keep)
+    return out
 
 
 def vertices_of_sum(P: HPolyhedron, vertices, gens) -> list:

@@ -16,10 +16,9 @@ from kisindim.bounds import (DualityData, UnsupportedRegime, a_set, b_value,
 from kisindim.kisin_model import (KisinInstance, chain_dual_generators,
                                   cone_chain, mu_from_q, regular_dual_generators)
 from kisindim.polyhedra import (Halfspace, HPolyhedron, cone_generators, cone_hull, dot,
-                                dual_cone, enumerate_vertices, fmt_frac, in_cone,
-                                kept_in_sum, vec)
-from oracles import (chain_cone_gens, f_T_halfspace, minkowski_sum_cone, polyhedra_set_equal,
-                     vertices_of_sum)
+                                dual_cone, enumerate_vertices, fmt_frac, in_cone, vec)
+from oracles import (chain_cone_gens, f_T_halfspace, kept_in_sum, minkowski_sum_cone,
+                     polyhedra_set_equal, vertices_of_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -666,21 +665,32 @@ def test_k_polytope_closed_form_rows_match_the_double_description():
             assert k_polytopes(inst).K == _k_by_double_description(inst), (d, b)
 
 
+K_GRID_B = (2, 3, 5, 7, 17, 101, 1009, 10000, 10007, 100003)
+
+
+def _recorded_cover_calls(monkeypatch):
+    """Record the arguments (d, covers, tight masks) of every call of
+    bounds._kept_by_cover, the point where k_polytopes decides K + C*."""
+    calls = []
+    cover = bd._kept_by_cover
+
+    def recorded(d, covers, tight_masks):
+        calls.append((d, covers, list(tight_masks)))
+        return cover(d, covers, tight_masks)
+
+    monkeypatch.setattr(bd, "_kept_by_cover", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("d", range(1, 11))
 def test_k_polytopes_match_the_generic_route(d, monkeypatch):
-    # the double description seeded in the coordinates of Reg*, with the
-    # tight facets read off its zero sets, against the generic route: the
-    # double description of the H-representation of K, and vertices_of_sum
-    # with the tight facets found by dots
-    masks = []
-
-    def recorded(P, gens, tight_masks):
-        masks.append(list(tight_masks))
-        return kept_in_sum(P, gens, tight_masks)
-
-    monkeypatch.setattr(bd, "kept_in_sum", recorded)
-    for b in (2, 3, 5, 7, 17, 101, 1009, 10000, 10007, 100003):
-        masks.clear()
+    # the double description seeded with the simplicial cone of Reg*, with
+    # the tight facets read off its zero sets, against the generic route:
+    # the double description of the H-representation of K, and
+    # vertices_of_sum with the tight facets found by dots
+    calls = _recorded_cover_calls(monkeypatch)
+    for b in K_GRID_B:
+        calls.clear()
         kt = k_polytopes(KisinInstance(d, b))
         V = enumerate_vertices(kt.K)
         assert kt.K_vertices == V.vertices, (d, b)
@@ -690,10 +700,37 @@ def test_k_polytopes_match_the_generic_route(d, monkeypatch):
         # every zero-set bit, not only those that decide a vertex: the rows
         # equal the vertices above, so their integer dots find the tight set
         rows = [h.normal + (-h.offset,) for h in kt.K.ineqs]
-        assert masks == [[sum(1 << i for i, a in enumerate(rows) if sum(map(mul, a, r)) == 0)
-                          for r in kt.K_rows]], (d, b)
+        assert [masks for _, _, masks in calls] == [
+            [sum(1 << i for i, a in enumerate(rows) if sum(map(mul, a, r)) == 0)
+             for r in kt.K_rows]], (d, b)
         for row in kt.K_rows + kt.Kp_rows:
             assert all(type(x) is int for x in row) and row[-1] > 0 and gcd(*row) == 1
+
+
+def test_cover_test_matches_the_normal_cone_oracle(monkeypatch):
+    # every vertex of K(b) on the grid: the cover test against kept_in_sum;
+    # a cover without the reflection d - k, and one that ignores the tight
+    # chain rows, must each disagree with the oracle somewhere on the grid
+    cover = bd._kept_by_cover
+    calls = _recorded_cover_calls(monkeypatch)
+    wrong = Counter()
+    for d in range(2, 11):
+        for b in K_GRID_B:
+            calls.clear()
+            kt = k_polytopes(KisinInstance(d, b))
+            [(_, covers, masks)] = calls
+            # facet row t is positive on one generator g_sigma of Reg*, and
+            # on v_k exactly at k = sigma and k = d - sigma
+            gens = regular_dual_generators(kt.instance)
+            sigma = [next(j for j, g in enumerate(gens, 1) if dot(h.normal, g) > 0)
+                     for h in kt.K.ineqs[:d - 1]]
+            assert covers == [1 << (s - 1) | 1 << (d - s - 1) for s in sigma], (d, b)
+            oracle = kept_in_sum(kt.K, chain_dual_generators(d), masks)
+            assert cover(d, covers, masks) == oracle, (d, b)
+            low = (1 << (d - 1)) - 1
+            wrong["no reflection"] += cover(d, [1 << (s - 1) for s in sigma], masks) != oracle
+            wrong["no chain rows"] += cover(d, covers, [m & low for m in masks]) != oracle
+    assert wrong["no reflection"] and wrong["no chain rows"], wrong
 
 
 def test_k_polytope_apex_always_survives():

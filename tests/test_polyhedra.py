@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from math import gcd
@@ -12,8 +13,8 @@ from kisindim.polyhedra import (Halfspace, HPolyhedron, VPolyhedron, cone_genera
                                 cone_hull, dot, dual_cone, enumerate_vertices,
                                 graph_cone_dual_membership, in_cone, maxflow,
                                 nullspace, primitive_ints, v_to_h, vec)
-from oracles import (chain_cone_gens, minkowski_sum_cone, polyhedra_set_equal, rank,
-                     vertices_of_sum)
+from oracles import (_sign_certificate, chain_cone_gens, minkowski_sum_cone,
+                     polyhedra_set_equal, rank, vertices_of_sum)
 
 
 def square():
@@ -505,27 +506,31 @@ def test_sign_certificate_agrees_with_the_lp():
         lp = in_cone(tight + eqs + [tuple(-x for x in e) for e in eqs]
                      + [tuple(-int(i == j) for j in range(k)) for i in range(k)],
                      (1,) * k)
-        got = polyhedra._sign_certificate(tight, eqs, k)
+        got = _sign_certificate(tight, eqs, k)
         seen[got] += 1
         assert got is None or got == lp, (tight, eqs)
     assert all(seen.values()), seen
 
 
-def test_k_polytopes_solve_an_lp_only_where_no_certificate_is_found(monkeypatch):
-    # the LP fallback of vertices_of_sum stays live at d = 9, 10
-    calls = []
+def test_k_polytopes_run_one_double_description_and_no_lp(monkeypatch):
+    # K + C* is decided by the cover test on the zero sets alone; the
+    # normal-cone filter once solved 2 LPs at each of d = 9, 10
+    calls = Counter()
 
-    def counted(gens, target):
-        calls.append(target)
-        return in_cone(gens, target)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(polyhedra, "in_cone", counted)
-    counts = {}
+    monkeypatch.setattr(polyhedra, "in_cone", counted("in_cone", in_cone))
+    monkeypatch.setattr(bd, "in_cone", counted("in_cone", in_cone))
+    monkeypatch.setattr(bd, "double_description",
+                        counted("double_description", polyhedra.double_description))
     for d in (8, 9, 10):
         calls.clear()
         bd.k_polytopes(KisinInstance(d, 10000))
-        counts[d] = len(calls)
-    assert counts == {8: 0, 9: 2, 10: 2}
+        assert calls == {"double_description": 1}, d
 
 
 def test_b_value_dual_summand_filter_matches_lp_oracle():

@@ -303,6 +303,24 @@ def test_d2_closed_worked():
     assert dim_d2_closed(3, 0, KisinInstance(2, 3)) is None
 
 
+def test_d2_closed_matches_the_congruence_form():
+    # the oracle: the largest integer <= (mu1-mu2)/(b+1) congruent to mu1
+    # mod b-1
+    seen = 0
+    for b in (2, 3, 4, 5, 7):
+        inst = KisinInstance(2, b)
+        for mu1 in range(41):
+            for mu2 in range(mu1 + 1):
+                value = dim_d2_closed(mu1, mu2, inst)
+                if (mu1 + mu2) % (b - 1):
+                    assert value is None
+                    continue
+                f = (mu1 - mu2) // (b + 1)
+                assert value == f - (f - mu1) % (b - 1), (b, mu1, mu2)
+                seen += 1
+    assert seen > 1000
+
+
 def test_d2_closed_symmetric_case():
     # (t, t) with (b-1) | 2t: dimension 0 when feasible
     for b in (2, 3, 5):
