@@ -23,7 +23,7 @@ from math import gcd, inf, lcm
 
 from . import kisin_model as km
 from . import perm as pm
-from .polyhedra import (Frozen, Halfspace, HPolyhedron, IVec, Vec, _idot, cone_generators,
+from .polyhedra import (Frozen, Halfspace, HPolyhedron, IVec, Vec, cone_generators,
                         dot, double_description, dual_cone, enumerate_vertices, frac, in_cone,
                         primitive_ints, vec)
 
@@ -444,10 +444,12 @@ def _fmt_row(row: IVec) -> list[str]:
 
 
 class KTables(Frozen):
-    """The vertex tables of K and K + C*.  A vertex y is kept as the
-    primitive homogeneous integer row (Y, T), T > 0, with y = Y/T."""
+    """The vertex tables of K and K + C*, all integer rows.  A vertex y is
+    kept as the primitive homogeneous row (Y, T), T > 0, with y = Y/T, and
+    a ray of K as its primitive row; the Fraction coordinates are built
+    only when `K_vertices` or `Kp_vertices` is read."""
 
-    def __init__(self, instance: km.KisinInstance, K: HPolyhedron, K_rows: tuple[IVec, ...],
+    def __init__(self, instance: km.KisinInstance, K_rows: tuple[IVec, ...],
                  K_rays: tuple[IVec, ...], Kp_rows: tuple[IVec, ...]):
         self._store(locals())
 
@@ -484,12 +486,12 @@ class KTables(Frozen):
 
 def _kept_by_cover(d: int, covers: list[int], tight_masks) -> list[bool]:
     """For each vertex of K = K(b), given by the bitmask of the inequalities
-    of K tight there (bit t < d-1: the facet row K.ineqs[t]; bit d-2+k: the
-    chain row c_k), whether it is a vertex of K + C*.  covers[t] has bit
-    k-1 set at each k where facet row t is positive on v_k = e_k - e_{k+1}.
-    A coordinate k in 1..d-1 is covered by a tight facet row positive at k
-    or by the tight chain row c_k, and the vertex is kept exactly when
-    every k is covered.
+    of K tight there (bit t < d-1: the t-th facet row of `reg_star_facets`;
+    bit d-2+k: the chain row c_k), whether it is a vertex of K + C*.
+    covers[t] has bit k-1 set at each k where facet row t is positive on
+    v_k = e_k - e_{k+1}.  A coordinate k in 1..d-1 is covered by a tight
+    facet row positive at k or by the tight chain row c_k, and the vertex
+    is kept exactly when every k is covered.
 
     By the normal-fan criterion for Minkowski sums (Ziegler, *Lectures on
     Polytopes*, sec. 7), a vertex y of K is a vertex of K + cone(v_k)
@@ -520,60 +522,67 @@ def _kept_by_cover(d: int, covers: list[int], tight_masks) -> list[bool]:
     return out
 
 
+def reg_star_facets(inst: km.KisinInstance) -> list[tuple[IVec, IVec]]:
+    """The facet rows of Reg* = cone(g_j), g_j = b v_{d-j} - v_j, sorted,
+    each with the one generator g_j it is positive on (zero on the others).
+
+    Reg* lies in the plane sum y = 0, and its facet row j is d (P_j +
+    b P_{d-j}) - (j + b (d-j)) (1, ..., 1), P_j the indicator vector of
+    {1..j}: the fundamental weights w_j + b w_{d-j} (dual to the basis v_i
+    of the plane), reduced mod the all-ones line, since (bJ - I)^-1 =
+    (bJ + I)/(b^2 - 1) for the reversal J v_i = v_{d-i}.
+    """
+    d, b = inst.d, inst.b
+    rows = [primitive_ints([d * ((i < j) + b * (i < d - j)) - j - b * (d - j)
+                            for i in range(d)]) for j in range(1, d)]
+    return sorted(zip(rows, km.regular_dual_generators(inst)))
+
+
 def k_polytopes(inst: km.KisinInstance) -> KTables:
-    """K = (2 rho/(b+1) + Reg*) cap C and K' = K + C*, with exact vertices.
+    """The vertices of K = (2 rho/(b+1) + Reg*) cap C and of K' = K + C*,
+    as integer rows, and the rays of K, with no Fraction arithmetic.
 
-    Reg* = cone(g_j), g_j = b v_{d-j} - v_j, lies in the plane sum y = 0.
-    Its facet rows, sorted, are d (P_j + b P_{d-j}) - (j + b (d-j)) (1, ...,
-    1) for j = 1..d-1, P_j the indicator vector of {1..j}: the fundamental
-    weights w_j + b w_{d-j} (dual to the basis v_i of the plane), reduced
-    mod the all-ones line, since (bJ - I)^-1 = (bJ + I)/(b^2 - 1) for the
-    reversal J v_i = v_{d-i}.  Row j is positive on g_j and zero on every
-    other generator.  Each row is shifted by its value at the apex
-    2 rho/(b+1), which always survives into K' as a vertex.
-
-    The vertices come from one double description in the homogeneous rows
-    (Y, T) of the points y = Y/T.  The seed is the simplicial cone of the
+    K is cut out by the facet rows a of Reg* (`reg_star_facets`), each
+    shifted by its value at the apex 2 rho/(b+1) (which always survives
+    into K' as a vertex), the plane sum y = 0 and the chain rows c_i of C.
+    Its vertices come from one double description in the homogeneous rows
+    (Y, T) of the points y = Y/T, where facet row a reads
+    (b+1) <a, Y> >= <a, 2 rho> T.  The seed is the simplicial cone of the
     facet rows and T >= 0: its rays are the primitive (g_j, 0), in the
     order of the sorted facet rows, and the apex row (2 rho, b+1).  Only
     the d-1 chain rows (c_i, 0) are inserted.  A ray with T > 0 is a
     vertex, already its primitive integer row; one with T = 0 is a ray of
     K.  The inequalities of K tight at a vertex are read off its zero set
-    (bit j < d-1: the facet row that is zero on the j-th generator; bit
-    d-1: T = 0; bit d + i: the chain row c_i), and `_kept_by_cover`
-    decides K + C* from them with no LP.
+    (bit j < d-1: the facet row positive on the j-th generator; bit d-1:
+    T = 0; bit d + i: the chain row c_i), and `_kept_by_cover`
+    decides K + C* from them with no LP, with the cover of each facet row
+    read off its integer entries.
     """
     d, b = inst.d, inst.b
-    rho2 = two_rho(d)
-    rows = [primitive_ints([d * ((i < j) + b * (i < d - j)) - j - b * (d - j)
-                            for i in range(d)]) for j in range(1, d)]
-    order = sorted(range(d - 1), key=rows.__getitem__)
-    K = HPolyhedron.build(d, [(rows[j], dot(rows[j], rho2) / (b + 1)) for j in order],
-                          [((1,) * d, 0)]).intersect(km.cone_chain(d))
-    gens = km.regular_dual_generators(inst)
+    facets = reg_star_facets(inst)
     chain = km.chain_dual_generators(d)
-    apex = primitive_ints((*rho2, b + 1))
-    seed = [primitive_ints((*gens[j], 0)) for j in order] + [apex]
+    apex = primitive_ints((*two_rho(d), b + 1))
+    seed = [primitive_ints((*g, 0)) for _, g in facets] + [apex]
     rays, zsets = double_description(seed, [(*c, 0) for c in chain])
     verts, K_rays = [], []
     low = (1 << (d - 1)) - 1
     for r, z in zip(rays, zsets):
         if r[d]:
-            # the zero set without its T bit: bit i is K.ineqs[i]
+            # the zero set without its T bit: bit t < d-1 is facet row t
             verts.append((r, z & low | z >> d << (d - 1)))
         else:
             K_rays.append(r[:d])
     # sorted as the rational vertices are, by an exact integer key
     L = lcm(*(r[d] for r, _ in verts))
     verts.sort(key=lambda v: [a * (L // v[0][d]) for a in v[0][:d]])
-    covers = [sum(1 << k for k, v in enumerate(chain) if _idot(h.normal, v) > 0)
-              for h in K.ineqs[:d - 1]]
+    # <a, v_k> = a_k - a_{k+1} for the chain generator v_k = e_k - e_{k+1}
+    covers = [sum(1 << k for k in range(d - 1) if a[k] > a[k + 1]) for a, _ in facets]
     kept = _kept_by_cover(d, covers, [mask for _, mask in verts])
     K_rows = tuple(r for r, _ in verts)
     kp = tuple(r for r, keep in zip(K_rows, kept) if keep)
     if apex not in kp:
         raise AssertionError("the apex 2rho/(b+1) must be a vertex of K + C*")
-    return KTables(inst, K, K_rows, tuple(sorted(K_rays)), kp)
+    return KTables(inst, K_rows, tuple(sorted(K_rays)), kp)
 
 
 TABLE2_VALIDITY = {2: 2, 3: 2, 4: 3, 5: 6}

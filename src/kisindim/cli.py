@@ -249,72 +249,98 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="kisindim", description="exact Kisin-variety dimension engine")
-    sub = p.add_subparsers(dest="command", required=True)
+def _common(sp):
+    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--b", type=int, required=True)
+    sp.add_argument("--h0", action="store_true", help="the h = 0 regime")
+    sp.add_argument("--format", choices=("json",), default="json")
+    sp.add_argument("--out", default=None)
 
-    def common(sp):
-        sp.add_argument("--d", type=int, required=True)
-        sp.add_argument("--b", type=int, required=True)
-        sp.add_argument("--h0", action="store_true", help="the h = 0 regime")
-        sp.add_argument("--format", choices=("json",), default="json")
-        sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("dim", help="exact dimension by lattice-point search")
-    common(sp)
+def _args_dim(sp):
+    _common(sp)
     sp.add_argument("--budget", type=int, default=sv.DEFAULT_BUDGET)
     sp.add_argument("--mu", default=None, help="comma-separated divisor type")
     sp.add_argument("--e", type=int, default=None)
     sp.add_argument("--le-mu", action="store_true",
                     help="measure the dominance-bounded family instead")
-    sp.set_defaults(fn=cmd_dim)
 
-    sp = sub.add_parser("bounds", help="closed-form lower/upper bounds")
-    common(sp)
+
+def _args_bounds(sp):
+    _common(sp)
     sp.add_argument("--mu", default=None)
     sp.add_argument("--e", type=int, default=None)
     sp.add_argument("--le-mu", action="store_true")
-    sp.set_defaults(fn=cmd_bounds)
 
-    sp = sub.add_parser("tables", help="vertex tables of K and K + C*")
+
+def _args_tables(sp):
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--dmax", type=int, default=None)
     sp.add_argument("--format", choices=("json", "csv"), default="csv")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_tables)
 
-    sp = sub.add_parser("witness", help="lower-bound witness points")
-    common(sp)
+
+def _args_witness(sp):
+    _common(sp)
     sp.add_argument("--mu", default=None)
     sp.add_argument("--e", type=int, default=None)
-    sp.set_defaults(fn=cmd_witness)
 
-    sp = sub.add_parser("hasse", help="DOT diagram of the order on S_d")
+
+def _args_hasse(sp):
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--format", choices=("dot",), default="dot")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_hasse)
 
-    sp = sub.add_parser("verify", help="run the cross-method property suites")
+
+def _args_verify(sp):
     sp.add_argument("--budget", type=int, default=sv.DEFAULT_BUDGET)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("d2-oracle", help="closed-form rank-2 lattice profile")
+
+def _args_d2_oracle(sp):
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--alpha", type=int, required=True)
     sp.add_argument("--gamma", type=int, required=True)
     sp.add_argument("--delta", type=int, required=True)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_d2_oracle)
+
+
+# name: (help line, the function that adds its arguments, the command)
+_COMMANDS = {
+    "dim": ("exact dimension by lattice-point search", _args_dim, cmd_dim),
+    "bounds": ("closed-form lower/upper bounds", _args_bounds, cmd_bounds),
+    "tables": ("vertex tables of K and K + C*", _args_tables, cmd_tables),
+    "witness": ("lower-bound witness points", _args_witness, cmd_witness),
+    "hasse": ("DOT diagram of the order on S_d", _args_hasse, cmd_hasse),
+    "verify": ("run the cross-method property suites", _args_verify, cmd_verify),
+    "d2-oracle": ("closed-form rank-2 lattice profile", _args_d2_oracle, cmd_d2_oracle),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser with every command and its help line.  Given argv, only
+    the command that argv names gets its arguments: the top level has no
+    option that takes a value, so the first word of argv that names a
+    command is the one argparse dispatches to, and the top-level help and
+    errors never read a command's arguments."""
+    command = None if argv is None else next((a for a in argv if a in _COMMANDS), None)
+    p = _Parser(prog="kisindim", description="exact Kisin-variety dimension engine")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, fn) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        if argv is None or name == command:
+            add_arguments(sp)
+            sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         return args.fn(args)
     except sv.BudgetExceeded as exc:
         sys.stderr.write(f"budget refusal: {exc}\n")

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from math import lcm
 
+from kisindim.bounds import reg_star_facets, two_rho
+from kisindim.kisin_model import cone_chain
 from kisindim.polyhedra import (HPolyhedron, IVec, VPolyhedron, _echelon, _idot,
                                 enumerate_vertices, in_cone, primitive_ints, v_to_h, vec)
 
@@ -117,6 +119,18 @@ def vertices_of_sum(P: HPolyhedron, vertices, gens) -> list:
         hv = [x.numerator * (L // x.denominator) for x in v] + [L]
         masks.append(sum(1 << i for i, a in enumerate(rows) if _idot(a, hv) == 0))
     return [v for v, keep in zip(vertices, kept_in_sum(P, gens, masks)) if keep]
+
+
+def k_hrep(inst) -> HPolyhedron:
+    """The H-representation of K(b) that `bounds.k_polytopes` enumerates in
+    (Y, T) rows: the facet rows of Reg*, in the order of `reg_star_facets`,
+    each shifted to the apex 2 rho/(b+1), the plane sum y = 0, and the
+    chain rows of C."""
+    d, b = inst.d, inst.b
+    rho2 = two_rho(d)
+    return HPolyhedron.build(
+        d, [(a, Fraction(_idot(a, rho2), b + 1)) for a, _ in reg_star_facets(inst)],
+        [((1,) * d, 0)]).intersect(cone_chain(d))
 
 
 def f_T_halfspace(inst, T) -> tuple[tuple[Fraction, ...], Fraction]:

@@ -10,15 +10,15 @@ import pytest
 from kisindim import bounds as bd, kisin_model as km, perm as pm
 from kisindim.bounds import (DualityData, UnsupportedRegime, a_set, b_value,
                              dominance_polytope, extremal_points_a_qmax,
-                             k_polytopes, min_over_permutations,
+                             k_polytopes, min_over_permutations, reg_star_facets,
                              regularity, theorem_bounds, two_rho, witness_le_e,
                              witness_le_mu)
 from kisindim.kisin_model import (KisinInstance, chain_dual_generators,
                                   cone_chain, mu_from_q, regular_dual_generators)
 from kisindim.polyhedra import (Halfspace, HPolyhedron, cone_generators, cone_hull, dot,
                                 dual_cone, enumerate_vertices, fmt_frac, in_cone, vec)
-from oracles import (chain_cone_gens, f_T_halfspace, kept_in_sum, minkowski_sum_cone,
-                     polyhedra_set_equal, vertices_of_sum)
+from oracles import (chain_cone_gens, f_T_halfspace, k_hrep, kept_in_sum,
+                     minkowski_sum_cone, polyhedra_set_equal, vertices_of_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +662,13 @@ def test_k_polytope_closed_form_rows_match_the_double_description():
     for d in range(2, 11):
         for b in (2, 3, 5, 7, 17, 101, 1009, 10000, 10007, 100003):
             inst = KisinInstance(d, b)
-            assert k_polytopes(inst).K == _k_by_double_description(inst), (d, b)
+            assert k_hrep(inst) == _k_by_double_description(inst), (d, b)
+            # each row is positive on the generator it is paired with and
+            # zero on every other one, so the seed of k_polytopes is simplicial
+            gens = regular_dual_generators(inst)
+            for a, g in reg_star_facets(inst):
+                assert [sum(map(mul, a, h)) > 0 for h in gens] == [h == g for h in gens]
+                assert all(sum(map(mul, a, h)) >= 0 for h in gens), (d, b)
 
 
 K_GRID_B = (2, 3, 5, 7, 17, 101, 1009, 10000, 10007, 100003)
@@ -692,14 +698,15 @@ def test_k_polytopes_match_the_generic_route(d, monkeypatch):
     for b in K_GRID_B:
         calls.clear()
         kt = k_polytopes(KisinInstance(d, b))
-        V = enumerate_vertices(kt.K)
+        K = k_hrep(kt.instance)
+        V = enumerate_vertices(K)
         assert kt.K_vertices == V.vertices, (d, b)
         assert kt.K_rays == V.rays, (d, b)
-        assert list(kt.Kp_vertices) == vertices_of_sum(kt.K, V.vertices,
+        assert list(kt.Kp_vertices) == vertices_of_sum(K, V.vertices,
                                                        chain_dual_generators(d)), (d, b)
         # every zero-set bit, not only those that decide a vertex: the rows
         # equal the vertices above, so their integer dots find the tight set
-        rows = [h.normal + (-h.offset,) for h in kt.K.ineqs]
+        rows = [h.normal + (-h.offset,) for h in K.ineqs]
         assert [masks for _, _, masks in calls] == [
             [sum(1 << i for i, a in enumerate(rows) if sum(map(mul, a, r)) == 0)
              for r in kt.K_rows]], (d, b)
@@ -722,10 +729,11 @@ def test_cover_test_matches_the_normal_cone_oracle(monkeypatch):
             # facet row t is positive on one generator g_sigma of Reg*, and
             # on v_k exactly at k = sigma and k = d - sigma
             gens = regular_dual_generators(kt.instance)
+            K = k_hrep(kt.instance)
             sigma = [next(j for j, g in enumerate(gens, 1) if dot(h.normal, g) > 0)
-                     for h in kt.K.ineqs[:d - 1]]
+                     for h in K.ineqs[:d - 1]]
             assert covers == [1 << (s - 1) | 1 << (d - s - 1) for s in sigma], (d, b)
-            oracle = kept_in_sum(kt.K, chain_dual_generators(d), masks)
+            oracle = kept_in_sum(K, chain_dual_generators(d), masks)
             assert cover(d, covers, masks) == oracle, (d, b)
             low = (1 << (d - 1)) - 1
             wrong["no reflection"] += cover(d, [1 << (s - 1) for s in sigma], masks) != oracle

@@ -1,12 +1,15 @@
+import argparse
 import hashlib
 import importlib
 import json
+import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from kisindim import solver as sv
+from kisindim import cli, solver as sv
 from kisindim.cli import build_parser, main
 from kisindim.kisin_model import KisinInstance
 
@@ -216,6 +219,37 @@ def test_tables_json_and_d1_are_pinned(capsys, command):
         assert out == "polytope,y1\nK,0\nK+C*,0\n"
 
 
+def _fraction_constructions(fn):
+    """The number of Fraction.__new__ calls made while fn() runs."""
+    calls = 0
+    code = Fraction.__new__.__code__
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_tables_build_no_fraction(capsys, fmt):
+    # the tables run on integer rows from the facets to stdout; the
+    # counter itself sees a Fraction built inside main
+    assert _fraction_constructions(lambda: Fraction(1, 3)) == 1
+    for d in range(2, 9):
+        b = "7" if d <= 5 else "10000"
+        argv = ["tables", "--b", b, "--d", str(d), "--format", fmt]
+        assert _fraction_constructions(lambda: main(argv)) == 0, argv
+        assert capsys.readouterr().out
+    assert _fraction_constructions(lambda: main(["tables", "--b", "10000", "--dmax", "8"])) == 0
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -369,25 +403,132 @@ def test_malformed_command_line_is_invalid_input(capsys, argv):
     assert captured.err.startswith("invalid input: ")
 
 
+ONE_PARSER_ARGVS = (
+    ["dim", "--d", "3", "--b", "2", "--e", "9", "--budget", "100"],
+    ["dim", "--d", "3", "--b", "2", "--mu", "4,2,0", "--le-mu", "--h0"],
+    ["bounds", "--d", "2", "--b", "2", "--e", "3"],
+    ["tables", "--b", "7", "--d", "5", "--format", "json"],
+    ["tables", "--b", "10000", "--dmax", "10"],
+    ["witness", "--d", "4", "--b", "3", "--mu", "9,5,1,0", "--out", "w.json"],
+    ["hasse", "--d", "4", "--out", "order.dot"],
+    ["verify", "--seed", "3"],
+    ["d2-oracle", "--b", "2", "--alpha", "2", "--gamma", "0", "--delta", "1"])
+
+
 def test_one_parser_serves_many_requests():
     # a parser reused across requests, through a malformed command line,
     # parses each as a fresh one does
-    argvs = (["dim", "--d", "3", "--b", "2", "--e", "9", "--budget", "100"],
-             ["dim", "--d", "3", "--b", "2", "--mu", "4,2,0", "--le-mu", "--h0"],
-             ["bounds", "--d", "2", "--b", "2", "--e", "3"],
-             ["tables", "--b", "7", "--d", "5", "--format", "json"],
-             ["tables", "--b", "10000", "--dmax", "10"],
-             ["witness", "--d", "4", "--b", "3", "--mu", "9,5,1,0", "--out", "w.json"],
-             ["hasse", "--d", "4", "--out", "order.dot"],
-             ["verify", "--seed", "3"],
-             ["d2-oracle", "--b", "2", "--alpha", "2", "--gamma", "0", "--delta", "1"])
     parser = build_parser()
-    for argv in argvs:
+    for argv in ONE_PARSER_ARGVS:
         assert parser.parse_args(argv) == build_parser().parse_args(argv), argv
     with pytest.raises(ValueError):
         parser.parse_args(["dim", "--d", "2", "--b", "x", "--e", "3"])
-    for argv in argvs:
+    for argv in ONE_PARSER_ARGVS:
         assert parser.parse_args(argv) == build_parser().parse_args(argv), argv
+
+
+README_CLI_LINES = [
+    shlex.split(line.split("#")[0])[1:]
+    for line in (PERFBENCH.parent / "README.md").read_text().split("## CLI", 1)[1]
+    .split("\n## ", 1)[0].splitlines() if line.startswith("kisindim ")]
+
+
+def test_the_readme_cli_lines_are_found():
+    assert len(README_CLI_LINES) == 13
+    assert {argv[0] for argv in README_CLI_LINES} == set(cli._COMMANDS)
+
+
+def test_a_request_parser_parses_as_the_full_parser():
+    # main builds the arguments of the requested command only; on every
+    # valid command line the namespace equals the full parser's
+    for argv in [*ONE_PARSER_ARGVS, *README_CLI_LINES]:
+        assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv), argv
+
+
+# per command: a required flag missing, an unknown flag, a value of the
+# wrong type (verify has no required flag, so its first case omits a value)
+MALFORMED = {
+    "dim": (["--b", "2", "--e", "3"], ["--d", "2", "--b", "2", "--e", "3", "--nosuch"],
+            ["--d", "2", "--b", "2", "--e", "x"]),
+    "bounds": (["--d", "2", "--e", "3"], ["--d", "2", "--b", "2", "--e", "3", "--dmax", "3"],
+               ["--d", "two", "--b", "2", "--e", "3"]),
+    "tables": (["--d", "3"], ["--b", "7", "--d", "3", "--seed", "1"],
+               ["--b", "seven", "--d", "3"]),
+    "witness": (["--d", "2", "--e", "3"],
+                ["--d", "2", "--b", "2", "--e", "3", "--le-mu"],
+                ["--d", "2", "--b", "1.5", "--e", "3"]),
+    "hasse": ([], ["--d", "3", "--b", "2"], ["--d", "x"]),
+    "verify": (["--seed"], ["--d", "3"], ["--budget", "many"]),
+    "d2-oracle": (["--b", "2", "--alpha", "2", "--gamma", "0"],
+                  ["--b", "2", "--alpha", "2", "--gamma", "0", "--delta", "1", "--d", "2"],
+                  ["--b", "2", "--alpha", "2", "--gamma", "0", "--delta", "1/2"]),
+}
+TEXT_ARGVS = [["--help"], [], ["nosuch"], ["nosuch", "dim"], ["-1", "dim"],
+              ["--nosuch", "tables", "--b", "7"]] + [
+    [command, *argv] for command, cases in MALFORMED.items()
+    for argv in (["--help"], *cases)]
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), help included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", TEXT_ARGVS, ids=" ".join)
+def test_help_and_error_text_match_the_full_parser(capsys, monkeypatch, argv):
+    own = _outcome(capsys, argv)
+    assert own[0] in (0, 1) and (own[1] or own[2])
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: build())
+    assert _outcome(capsys, argv) == own
+
+
+@pytest.mark.parametrize("command", sorted(MALFORMED))
+def test_a_command_line_builds_the_arguments_of_its_command_only(command):
+    subparsers = next(a for a in build_parser([command])._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(cli._COMMANDS)
+    built = {name for name, sp in subparsers.choices.items()
+             if any(a.option_strings != ["-h", "--help"] for a in sp._actions)}
+    assert built == {command}
+
+
+def test_a_dim_request_adds_arguments_to_dim_only(capsys, monkeypatch):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def recorded(self, *args, **kwargs):
+        calls.append((self.prog, args))
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recorded)
+    assert main(["dim", "--d", "2", "--b", "2", "--mu", "3,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 1
+    calls = [call for call in calls if call[1] != ("-h", "--help")]
+    assert {prog for prog, _ in calls} == {"kisindim dim"}
+    assert [args for _, args in calls] == [("--d",), ("--b",), ("--h0",), ("--format",),
+                                           ("--out",), ("--budget",), ("--mu",), ("--e",),
+                                           ("--le-mu",)]
+
+
+@pytest.mark.parametrize("argv", (["tables", "--b", "7", "--d", "3"],
+                                  ["hasse", "--d", "3"], ["nosuch"], []))
+def test_main_reads_sys_argv_when_given_no_argv(capsys, monkeypatch, argv):
+    # the console script and python -m kisindim.cli call main() with no
+    # argv; it builds the parser for the command named in sys.argv[1:]
+    expected = _outcome(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["kisindim", *argv])
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda a=None: built.append(a) or build(a))
+    assert _outcome(capsys, None) == expected
+    assert built == [argv]
+    assert expected[0] == (0 if argv and argv[0] != "nosuch" else 1)
 
 
 def test_help_still_exits_0(capsys):

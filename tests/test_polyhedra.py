@@ -13,7 +13,7 @@ from kisindim.polyhedra import (Halfspace, HPolyhedron, VPolyhedron, cone_genera
                                 cone_hull, dot, dual_cone, enumerate_vertices,
                                 graph_cone_dual_membership, in_cone, maxflow,
                                 nullspace, primitive_ints, v_to_h, vec)
-from oracles import (_sign_certificate, chain_cone_gens, minkowski_sum_cone,
+from oracles import (_sign_certificate, chain_cone_gens, k_hrep, minkowski_sum_cone,
                      polyhedra_set_equal, rank, vertices_of_sum)
 
 
@@ -479,7 +479,7 @@ def test_vertices_of_sum_matches_lp_oracle_on_k_polytopes(d):
         V = VPolyhedron(d, kt.K_vertices, kt.K_rays)
         assert list(kt.Kp_vertices) == _lp_sum_vertices(V, chain_dual_generators(d)), (d, b)
         assert list(kt.Kp_vertices) == _normal_cone_lp_vertices(
-            kt.K, kt.K_vertices, chain_dual_generators(d)), (d, b)
+            k_hrep(kt.instance), kt.K_vertices, chain_dual_generators(d)), (d, b)
 
 
 def test_vertices_of_sum_matches_normal_cone_lp_on_the_acceptance_tables():
@@ -487,7 +487,7 @@ def test_vertices_of_sum_matches_normal_cone_lp_on_the_acceptance_tables():
     for d in range(2, 11):
         kt = bd.k_polytopes(KisinInstance(d, 10000))
         assert list(kt.Kp_vertices) == _normal_cone_lp_vertices(
-            kt.K, kt.K_vertices, chain_dual_generators(d)), d
+            k_hrep(kt.instance), kt.K_vertices, chain_dual_generators(d)), d
 
 
 def test_sign_certificate_agrees_with_the_lp():

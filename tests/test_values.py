@@ -66,7 +66,6 @@ CASES = {
                       ("integrally_b_regular", True, False, REQUIRED),
                       ("strongly_integrally_b_regular", False, True, REQUIRED)],
     KTables: [("instance", I23, I35, REQUIRED),
-              ("K", HPolyhedron(2, (H,)), HPolyhedron(2, ()), REQUIRED),
               ("K_rows", (), ((0, 0, 1),), REQUIRED),
               ("K_rays", (), ((1, -1),), REQUIRED),
               ("Kp_rows", (), ((0, 0, 1),), REQUIRED)],
