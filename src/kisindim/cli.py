@@ -249,6 +249,15 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+class _Request(_Parser):
+    """One command's parser, built as build_parser() builds that command's.
+    Asked for help it raises, as it does on an error, so that the full
+    parser prints the help."""
+
+    def print_help(self, file=None):
+        raise ValueError("help")
+
+
 def _common(sp):
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
@@ -319,28 +328,47 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser with every command and its help line.  Given argv, only
-    the command that argv names gets its arguments: the top level has no
-    option that takes a value, so the first word of argv that names a
-    command is the one argparse dispatches to, and the top-level help and
-    errors never read a command's arguments."""
-    command = None if argv is None else next((a for a in argv if a in _COMMANDS), None)
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every command, its help line and its arguments: the
+    reference for every command line, and the one that prints the help and
+    reports the errors."""
     p = _Parser(prog="kisindim", description="exact Kisin-variety dimension engine")
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, fn) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_line)
-        if argv is None or name == command:
-            add_arguments(sp)
-            sp.set_defaults(fn=fn)
+        add_arguments(sp)
+        sp.set_defaults(fn=fn)
     return p
 
 
+def _parse(argv: list[str]):
+    """build_parser().parse_args(argv).  When argv starts with a command's
+    name, that command's parser alone reads the rest, as the full parser
+    hands it those words unread: its top level has no option that takes a
+    value.  Help, an error or a word left over go to the full parser, which
+    prints the help or raises its own error."""
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        _, add_arguments, fn = _COMMANDS[name]
+        request = _Request(prog=f"kisindim {name}")
+        add_arguments(request)
+        try:
+            args, extra = request.parse_known_args(argv[1:])
+        except ValueError:
+            extra = True
+        if not extra:
+            args.command, args.fn = name, fn
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
+    """Run the command line argv (sys.argv[1:] when None) and return its
+    exit code: 0 success, 1 invalid input, 2 budget refusal."""
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _parse(argv)
         return args.fn(args)
     except sv.BudgetExceeded as exc:
         sys.stderr.write(f"budget refusal: {exc}\n")

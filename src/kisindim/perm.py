@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations as _itertools_permutations
-from math import gcd
+from math import factorial, gcd
 
 from .polyhedra import Frozen, Vec, frac
 
@@ -353,6 +353,9 @@ def hasse_dot(d: int) -> str:
     per covering relation, drawn from the smaller to the larger element."""
     if d < 1:
         raise ValueError("d must be >= 1")
+    if d >= 7:  # hasse_diagram compares every pair of permutations
+        raise ValueError(f"d must be <= 6: S_{d} has {factorial(d)} permutations, "
+                         f"too many to compare all {factorial(d) ** 2} pairs")
     lines = ["digraph hasse {"]
     for w in all_permutations(d):
         lines.append(f'  "{w.label()}";')

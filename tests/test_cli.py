@@ -298,6 +298,15 @@ def test_hasse_rejects_d_below_one(capsys, d):
     assert "d must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("d", ("7", "12"))
+def test_hasse_refuses_d_of_seven_and_more(capsys, d):
+    # every pair of S_d is compared: S_7 alone would take hours
+    assert main(["hasse", "--d", d]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"invalid input: d must be <= 6: S_{d} has ")
+
+
 def test_d2_oracle(capsys):
     code, out = run(capsys, "d2-oracle", "--b", "2", "--alpha", "2",
                     "--gamma", "0", "--delta", "1")
@@ -438,11 +447,41 @@ def test_the_readme_cli_lines_are_found():
     assert {argv[0] for argv in README_CLI_LINES} == set(cli._COMMANDS)
 
 
+# spellings the requested command's parser must read as the full parser
+# does: an attached value, abbreviations, a flag given twice, "--", a
+# negative value, a second command name and the ambiguous "--h"
+SPELLING_ARGVS = (
+    ["dim", "--d=3", "--b", "2", "--e", "9"],
+    ["dim", "--d", "3", "--b", "2", "--e", "9", "--budg", "100"],
+    ["dim", "--d", "3", "--b", "2", "--mu", "4,2,0", "--le"],
+    ["bounds", "--d", "2", "--b", "2", "--mu", "3,0", "--le", "--le-mu"],
+    ["dim", "--d", "3", "--d", "2", "--b", "2", "--e", "3"],
+    ["tables", "--b", "7", "--d", "3", "--format", "json", "--format", "csv"],
+    ["dim", "--d", "2", "--b", "2", "--e", "-3"],
+    ["dim", "--d", "2", "--b", "2", "--e", "3", "--"],
+    ["dim", "--", "--d", "2", "--b", "2", "--e", "3"],
+    ["dim", "--d", "2", "--b", "2", "--mu", "--", "--e", "3"],
+    ["dim", "dim", "--d", "2", "--b", "2", "--e", "3"],
+    ["dim", "--d", "2", "--b", "2", "--e", "3", "dim"],
+    ["dim", "--d", "2", "--b", "2", "--e", "3", "--h"],
+    ["witness", "--d", "2", "--b", "2", "--e", "3", "--le"],
+)
+
+
+def _parsed(parse, argv):
+    """The namespace parse(argv) returns, or the message it raises."""
+    try:
+        return parse(argv)
+    except ValueError as exc:
+        return str(exc)
+
+
 def test_a_request_parser_parses_as_the_full_parser():
-    # main builds the arguments of the requested command only; on every
-    # valid command line the namespace equals the full parser's
-    for argv in [*ONE_PARSER_ARGVS, *README_CLI_LINES]:
-        assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv), argv
+    # main parses a request with its command's parser alone; on every
+    # command line it returns the full parser's namespace or raises its error
+    for argv in [*ONE_PARSER_ARGVS, *README_CLI_LINES, *SPELLING_ARGVS]:
+        assert _parsed(cli._parse, argv) == _parsed(build_parser().parse_args, argv), argv
+    assert sum(isinstance(_parsed(cli._parse, argv), str) for argv in SPELLING_ARGVS) == 7
 
 
 # per command: a required flag missing, an unknown flag, a value of the
@@ -464,7 +503,8 @@ MALFORMED = {
                   ["--b", "2", "--alpha", "2", "--gamma", "0", "--delta", "1/2"]),
 }
 TEXT_ARGVS = [["--help"], [], ["nosuch"], ["nosuch", "dim"], ["-1", "dim"],
-              ["--nosuch", "tables", "--b", "7"]] + [
+              ["--nosuch", "tables", "--b", "7"],
+              ["dim", "--d", "2", "--b", "2", "--e", "3", "extra"]] + [
     [command, *argv] for command, cases in MALFORMED.items()
     for argv in (["--help"], *cases)]
 
@@ -488,14 +528,41 @@ def test_help_and_error_text_match_the_full_parser(capsys, monkeypatch, argv):
     assert _outcome(capsys, argv) == own
 
 
+def _counted(monkeypatch):
+    """The lists that record each ArgumentParser built and each call of
+    cli.build_parser from now on."""
+    parsers, full = [], []
+    init = argparse.ArgumentParser.__init__
+    build = cli.build_parser
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: parsers.append(k.get("prog")) or init(self, *a, **k))
+    monkeypatch.setattr(cli, "build_parser", lambda: full.append(1) or build())
+    return parsers, full
+
+
+@pytest.mark.parametrize("argv", TEXT_ARGVS, ids=" ".join)
+def test_help_and_errors_come_from_the_full_parser(capsys, monkeypatch, argv):
+    # the full parser builds itself only for a line it does not accept (in
+    # d2-oracle, --d abbreviates --delta, and the command rejects the value)
+    try:
+        build_parser().parse_args(argv)
+        accepted = True
+    except (ValueError, SystemExit):
+        accepted = False
+    _, full = _counted(monkeypatch)
+    _outcome(capsys, argv)
+    assert full == ([] if accepted else [1])
+    assert accepted == (argv == ["d2-oracle", *MALFORMED["d2-oracle"][1]])
+
+
 @pytest.mark.parametrize("command", sorted(MALFORMED))
-def test_a_command_line_builds_the_arguments_of_its_command_only(command):
-    subparsers = next(a for a in build_parser([command])._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    assert list(subparsers.choices) == list(cli._COMMANDS)
-    built = {name for name, sp in subparsers.choices.items()
-             if any(a.option_strings != ["-h", "--help"] for a in sp._actions)}
-    assert built == {command}
+def test_a_command_line_builds_the_arguments_of_its_command_only(monkeypatch, command):
+    # a valid request builds one parser, its command's, and not the full one
+    argv = next(argv for argv in ONE_PARSER_ARGVS if argv[0] == command)
+    expected = build_parser().parse_args(argv)
+    parsers, full = _counted(monkeypatch)
+    assert cli._parse(argv) == expected
+    assert parsers == [f"kisindim {command}"] and full == []
 
 
 def test_a_dim_request_adds_arguments_to_dim_only(capsys, monkeypatch):
@@ -520,15 +587,18 @@ def test_a_dim_request_adds_arguments_to_dim_only(capsys, monkeypatch):
                                   ["hasse", "--d", "3"], ["nosuch"], []))
 def test_main_reads_sys_argv_when_given_no_argv(capsys, monkeypatch, argv):
     # the console script and python -m kisindim.cli call main() with no
-    # argv; it builds the parser for the command named in sys.argv[1:]
+    # argv; it parses sys.argv[1:], with the full parser only when invalid
     expected = _outcome(capsys, argv)
     monkeypatch.setattr(sys, "argv", ["kisindim", *argv])
-    built = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda a=None: built.append(a) or build(a))
+    parsers, full = _counted(monkeypatch)
     assert _outcome(capsys, None) == expected
-    assert built == [argv]
-    assert expected[0] == (0 if argv and argv[0] != "nosuch" else 1)
+    valid = bool(argv) and argv[0] != "nosuch"
+    assert expected[0] == (0 if valid else 1)
+    if valid:
+        assert (parsers, full) == ([f"kisindim {argv[0]}"], [])
+    else:
+        assert (parsers, full) == (["kisindim", *(f"kisindim {name}" for name in cli._COMMANDS)],
+                                   [1])
 
 
 def test_help_still_exits_0(capsys):
