@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import gcd, inf, lcm
 
 from . import kisin_model as km
 from . import perm as pm
-from .polyhedra import (Frozen, Halfspace, HPolyhedron, IVec, Vec, cone_generators,
+from .polyhedra import (Frozen, Halfspace, HPolyhedron, IVec, Vec, _idot, cone_generators,
                         dot, double_description, dual_cone, enumerate_vertices, frac, in_cone,
                         primitive_ints, vec)
 
@@ -222,26 +223,37 @@ def regularity(mu, inst: km.KisinInstance) -> RegularityClass:
 
 
 def min_over_permutations(mu, inst: km.KisinInstance):
-    """min_w <rho_w | mu> over all of S_d, with the argmin set.
+    """min_w <rho_w | mu> over all of S_d, with the argmin set in the order
+    of all_permutations.
 
-    This equals (b-1) times the minimum of the defining series.  For
-    b-regular mu the minimum sits at w0 and equals <2 rho | mu>/(b+1).
+    The dots are taken on integers: the rows D * rho_w of `pm.rho_row`
+    against mu scaled to integers, so the value is the least integer dot
+    over D times that scale.  This equals (b-1) times the minimum of the
+    defining series.  For b-regular mu the minimum sits at w0 and equals
+    <2 rho | mu>/(b+1).
     """
     mu = vec(mu)
     d, b = inst.d, inst.b
+    if len(mu) != d:
+        raise ValueError(f"dimension mismatch: {d} vs {len(mu)}")
+    scale = lcm(*(x.denominator for x in mu))
+    imu = [x.numerator * (scale // x.denominator) for x in mu]
+    D = pm.rho_denominator(d, b)
     best = None
     argmin = []
-    for w in pm.all_permutations(d):
-        v = dot(pm.rho_w(w, b), mu)
+    # the one-line images in the order of all_permutations; only the
+    # argmin become Permutations
+    for images in permutations(range(1, d + 1)):
+        v = _idot(pm.rho_row(images, b, D), imu)
         if best is None or v < best:
-            best, argmin = v, [w]
+            best, argmin = v, [images]
         elif v == best:
-            argmin.append(w)
-    if regularity(mu, inst).b_regular:
-        expected = Fraction(dot(two_rho(d), mu), b + 1)
-        if best != expected or pm.w0(d) not in argmin:
+            argmin.append(images)
+    argmin = [pm.Permutation(images) for images in argmin]
+    if km.cone_regular(inst).contains(mu):
+        if best * (b + 1) != _idot(two_rho(d), imu) * D or pm.w0(d) not in argmin:
             raise AssertionError("regular minimum not attained at w0")
-    return best, argmin
+    return Fraction(best, D * scale), argmin
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations as _itertools_permutations
-from math import factorial, gcd
+from math import factorial, lcm
+from operator import add
 
-from .polyhedra import Frozen, Vec, frac
+from .polyhedra import Frozen, Vec
 
 
 class Permutation(Frozen):
@@ -76,28 +77,31 @@ class Permutation(Frozen):
         return out
 
     def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.d
-        out = []
-        for start in range(1, self.d + 1):
-            if seen[start - 1]:
-                continue
-            cyc = []
-            i = start
-            while not seen[i - 1]:
-                seen[i - 1] = True
-                cyc.append(i)
-                i = self(i)
-            out.append(tuple(cyc))
-        return out
+        return _cycles(self.images)
 
     def order(self) -> int:
-        out = 1
-        for c in self.cycles():
-            out = out * len(c) // gcd(out, len(c))
-        return out
+        return lcm(*map(len, self.cycles()))
 
     def label(self) -> str:
         return "".join(str(x) for x in self.images)
+
+
+def _cycles(images: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The cycles of the permutation with these one-line images, each from
+    its least element, in the order of those elements."""
+    seen = [False] * (len(images) + 1)
+    out = []
+    for start in range(1, len(images) + 1):
+        if seen[start]:
+            continue
+        cyc = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cyc.append(i)
+            i = images[i - 1]
+        out.append(tuple(cyc))
+    return out
 
 
 def identity(d: int) -> Permutation:
@@ -258,59 +262,75 @@ def level_set(w: Permutation, s: int) -> AdmissibleSubset:
 # rho_w and the order on S_d
 # ---------------------------------------------------------------------------
 
+def rho_denominator(d: int, b: int) -> int:
+    """D = lcm(b^L - 1, L = 1..d): D * rho_w is an integer row for every w
+    in S_d."""
+    if b < 2:
+        raise ValueError("b must be at least 2")
+    return lcm(*(b ** L - 1 for L in range(1, d + 1)))
+
+
+def rho_row(images: tuple[int, ...], b: int, D: int) -> list[int]:
+    """D * rho_w as integers, for w = images in one-line notation and D
+    from `rho_denominator`."""
+    d = len(images)
+    row = [0] * d
+    for cyc in _cycles(images):
+        period = b ** len(cyc) - 1
+        c = (b - 1) * (D // period)
+        # s = sum over one period of w^n(i), weighted b^{L-n}: Horner over
+        # w(i), ..., w^L(i) = i for the start, then s(w(i)) = b s(i) - w(i) period
+        s = 0
+        for j in cyc[1:] + cyc[:1]:
+            s = s * b + j
+        for i in cyc:
+            row[i - 1] = (d + 1 - i) * D - c * s
+            s = b * s - images[i - 1] * period
+    return row
+
+
 def rho_w(w: Permutation, b: int) -> Vec:
     """The vector with i-th coordinate (b-1) * sum_{n>=1} (d+1-i-w^n(i))/b^n,
-    summed in closed form over each cycle of w.
+    summed in closed form over each cycle of w; read off the integer row
+    `rho_row` over `rho_denominator(d, b)`.
 
     >>> rho_w(Permutation((2, 1)), 3)
     (Fraction(1, 4), Fraction(-1, 4))
     """
-    if b < 2:
-        raise ValueError("b must be at least 2")
-    d = w.d
-    out = [Fraction(0)] * d
-    for cyc in w.cycles():
-        L = len(cyc)
-        denom = b ** L - 1
-        for i in cyc:
-            # sum over one period of w^n(i), weighted b^{L-n}
-            s = 0
-            j = i
-            for n in range(1, L + 1):
-                j = w(j)
-                s += j * b ** (L - n)
-            out[i - 1] = frac(d + 1 - i) - Fraction((b - 1) * s, denom)
-    return tuple(out)
+    D = rho_denominator(w.d, b)
+    return tuple(Fraction(x, D) for x in rho_row(w.images, b, D))
 
 
-def _prefix_sum_sequence(w: Permutation, s: int, length: int) -> list[int]:
-    """(sum_{i<=s} w^n(i)) for n = 1..length."""
-    cur = list(range(1, w.d + 1))
+def _signature(w: Permutation) -> tuple[tuple[int, ...], ...]:
+    """For s = 1..d-1, the prefix sums (sum_{i<=s} w^n(i)) for n = 1..lcm(1..d),
+    summed column by column: column i is the orbit w(i), w^2(i), ..., repeated."""
+    steps = lcm(*range(1, w.d + 1))
     out = []
-    for _ in range(length):
-        cur = [w(x) for x in cur]
-        out.append(sum(cur[:s]))
-    return out
+    run = (0,) * steps
+    for i in range(1, w.d):
+        orbit = [w(i)]
+        while orbit[-1] != i:
+            orbit.append(w(orbit[-1]))
+        run = tuple(map(add, run, orbit * (steps // len(orbit))))
+        out.append(run)
+    return tuple(out)
 
 
 def precedes(w1: Permutation, w2: Permutation) -> bool:
     """The order on S_d: w1 <= w2 iff for every s the sequence of prefix sums
     sum_{i<=s} w1^n(i) is lexicographically <= the one for w2.
 
-    The sequences are periodic, so comparison up to n = lcm of the two
-    permutation orders decides.  It agrees with the rho form
+    The sequences are periodic in n, with a period dividing the order of
+    the permutation, so comparing them up to n = lcm(1..d), a multiple of
+    every order in S_d, decides; this is the comparison of the two
+    signatures.  It agrees with the rho form
     in_dual_chain_cone(rho_w(w1, b) - rho_w(w2, b)) once
     b >= floor(d^2/4) + 1 (checked exhaustively through d = 5; at
     (d, b) = (4, 3) and (4, 4) the two differ).
     """
     if w1.d != w2.d:
         raise ValueError("permutations of different sizes")
-    o1, o2 = w1.order(), w2.order()
-    n = o1 * o2 // gcd(o1, o2)
-    for s in range(1, w1.d):
-        if _prefix_sum_sequence(w1, s, n) > _prefix_sum_sequence(w2, s, n):
-            return False
-    return True
+    return all(x <= y for x, y in zip(_signature(w1), _signature(w2)))
 
 
 def in_dual_chain_cone(z: Vec) -> bool:
@@ -326,26 +346,51 @@ def in_dual_chain_cone(z: Vec) -> bool:
     return True
 
 
-def hasse_diagram(d: int) -> list[tuple[Permutation, Permutation]]:
-    """Covering relations (lower, upper) of the order on S_d."""
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _strict_up_sets(d: int) -> tuple[list[Permutation], list[int]]:
+    """S_d in the order of all_permutations, and for each w the bitmask (over
+    that order) of the v != w with w <= v.
+
+    w <= v iff for each s the s-th sequence of v's signature is
+    lexicographically at least w's, and the v that pass one s form a suffix
+    of S_d sorted by that sequence."""
     perms = list(all_permutations(d))
-    less = {}
-    for a in perms:
-        for b_ in perms:
-            if a != b_ and precedes(a, b_):
-                less.setdefault(a, set()).add(b_)
+    sigs = [_signature(w) for w in perms]
+    everyone = (1 << len(perms)) - 1
+    up = [everyone] * len(perms)
+    for s in range(d - 1):
+        below, prev, at_least = 0, None, everyone
+        for k in sorted(range(len(perms)), key=lambda k: sigs[k][s]):
+            if sigs[k][s] != prev:
+                prev, at_least = sigs[k][s], everyone ^ below
+            up[k] &= at_least
+            below |= 1 << k
+    return perms, [mask ^ (1 << k) for k, mask in enumerate(up)]
+
+
+def hasse_diagram(d: int) -> list[tuple[Permutation, Permutation]]:
+    """Covering relations (lower, upper) of the order on S_d: the covers of
+    w are the v above w that lie above no other element above w."""
+    perms, up = _strict_up_sets(d)
     edges = []
-    for a in perms:
-        for c in less.get(a, ()):
-            if not any(c in less.get(m, ()) for m in less[a] if m != c):
-                edges.append((a, c))
+    for a, mask in enumerate(up):
+        reach = 0
+        for m in _bits(mask):
+            reach |= up[m]
+        edges.extend((perms[a], perms[c]) for c in _bits(mask & ~reach))
     return edges
 
 
 def maximal_elements(d: int) -> list[Permutation]:
-    perms = list(all_permutations(d))
-    return [a for a in perms
-            if not any(a != b_ and precedes(a, b_) for b_ in perms)]
+    perms, up = _strict_up_sets(d)
+    return [w for w, mask in zip(perms, up) if not mask]
 
 
 def hasse_dot(d: int) -> str:
@@ -353,7 +398,7 @@ def hasse_dot(d: int) -> str:
     per covering relation, drawn from the smaller to the larger element."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    if d >= 7:  # hasse_diagram compares every pair of permutations
+    if d >= 7:  # the cover test ORs an up-set for every pair of permutations
         raise ValueError(f"d must be <= 6: S_{d} has {factorial(d)} permutations, "
                          f"too many to compare all {factorial(d) ** 2} pairs")
     lines = ["digraph hasse {"]

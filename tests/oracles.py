@@ -1,10 +1,13 @@
-"""Exact oracles, and the cones they are run on, shared by the test modules."""
+"""Exact oracles, the cones they are run on, and a Fraction counter, shared
+by the test modules."""
 
+import sys
 from fractions import Fraction
 from math import lcm
 
 from kisindim.bounds import reg_star_facets, two_rho
 from kisindim.kisin_model import cone_chain
+from kisindim.perm import all_permutations
 from kisindim.polyhedra import (HPolyhedron, IVec, VPolyhedron, _echelon, _idot,
                                 enumerate_vertices, in_cone, primitive_ints, v_to_h, vec)
 
@@ -153,3 +156,83 @@ def chain_cone_gens(d):
     constants line (both signs)."""
     prefixes = [vec([1] * k + [0] * (d - k)) for k in range(1, d)]
     return tuple(prefixes + [vec([1] * d), vec([-1] * d)])
+
+
+# ---------------------------------------------------------------------------
+# the permutation layer on Fractions and on pairs of permutations
+# ---------------------------------------------------------------------------
+
+def rho_w_fraction(w, b: int):
+    """rho_w in Fractions, summed in closed form over each cycle of w:
+    coordinate i is (d+1-i) - (b-1) s / (b^L - 1), with L the length of
+    i's cycle and s = sum_{n=1..L} w^n(i) b^{L-n}."""
+    d = w.d
+    out = [Fraction(0)] * d
+    for cyc in w.cycles():
+        L = len(cyc)
+        for i in cyc:
+            s = 0
+            j = i
+            for n in range(1, L + 1):
+                j = w(j)
+                s += j * b ** (L - n)
+            out[i - 1] = Fraction(d + 1 - i) - Fraction((b - 1) * s, b ** L - 1)
+    return tuple(out)
+
+
+def min_over_permutations_fraction(mu, b: int):
+    """min_w <rho_w | mu> over S_d by Fraction dots, with the argmin in the
+    order of all_permutations."""
+    best, argmin = None, []
+    for w in all_permutations(len(mu)):
+        v = sum((x * m for x, m in zip(rho_w_fraction(w, b), mu)), Fraction(0))
+        if best is None or v < best:
+            best, argmin = v, [w]
+        elif v == best:
+            argmin.append(w)
+    return best, argmin
+
+
+def _prefix_sum_sequence(w, s: int, length: int) -> list[int]:
+    """(sum_{i<=s} w^n(i)) for n = 1..length."""
+    cur = list(range(1, w.d + 1))
+    out = []
+    for _ in range(length):
+        cur = [w(x) for x in cur]
+        out.append(sum(cur[:s]))
+    return out
+
+
+def precedes_pairwise(w1, w2) -> bool:
+    """w1 <= w2 in the order on S_d, comparing the prefix-sum sequences up
+    to n = lcm of the two permutation orders."""
+    n = lcm(w1.order(), w2.order())
+    return all(_prefix_sum_sequence(w1, s, n) <= _prefix_sum_sequence(w2, s, n)
+               for s in range(1, w1.d))
+
+
+def hasse_diagram_pairwise(d: int) -> list:
+    """The covers (lower, upper) of the order on S_d, from the strict
+    relation on every ordered pair and a second pass over the pairs."""
+    perms = list(all_permutations(d))
+    less = {a: {c for c in perms if a != c and precedes_pairwise(a, c)} for a in perms}
+    return [(a, c) for a in perms for c in less[a]
+            if not any(c in less[m] for m in less[a] if m != c)]
+
+
+def fraction_constructions(fn) -> int:
+    """The number of Fraction.__new__ calls made while fn() runs."""
+    calls = 0
+    code = Fraction.__new__.__code__
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls

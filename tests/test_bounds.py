@@ -17,8 +17,9 @@ from kisindim.kisin_model import (KisinInstance, chain_dual_generators,
                                   cone_chain, mu_from_q, regular_dual_generators)
 from kisindim.polyhedra import (Halfspace, HPolyhedron, cone_generators, cone_hull, dot,
                                 dual_cone, enumerate_vertices, fmt_frac, in_cone, vec)
-from oracles import (chain_cone_gens, f_T_halfspace, k_hrep, kept_in_sum,
-                     minkowski_sum_cone, polyhedra_set_equal, vertices_of_sum)
+from oracles import (chain_cone_gens, f_T_halfspace, fraction_constructions, k_hrep,
+                     kept_in_sum, min_over_permutations_fraction, minkowski_sum_cone,
+                     polyhedra_set_equal, vertices_of_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +488,35 @@ def test_min_over_permutations_nonregular_two_routes():
     direct = min(series(w, 2, mu) for w in pm.all_permutations(3))
     assert val == direct
     assert val < F(dot(two_rho(3), mu), 3)  # w0 is beaten here
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
+def test_min_over_permutations_matches_the_fraction_route(d):
+    # value and argmin (in order) against Fraction dots with the closed-form
+    # rho_w, on b-regular mu, non-regular mu and mu with Fraction entries
+    rng = random.Random(d)
+    for b in (2, 3, 5, 7, 10):
+        inst = KisinInstance(d, b)
+        mus = [two_rho(d), (0,) * d, (b ** 2,) + (0,) * (d - 1), tuple(range(d)),
+               tuple(F(x, 3) for x in two_rho(d))]
+        mus += [tuple(sorted((rng.randint(-9, 30) for _ in range(d)), reverse=True))
+                for _ in range(3)]
+        mus += [tuple(F(rng.randint(-20, 20), rng.choice((1, 2, 3, 7))) for _ in range(d))
+                for _ in range(3)]
+        kinds = Counter(regularity(mu, inst).b_regular for mu in mus)
+        assert kinds[True] and kinds[False]
+        for mu in mus:
+            val, argmin = min_over_permutations(mu, inst)
+            oracle_val, oracle_argmin = min_over_permutations_fraction(vec(mu), b)
+            assert val == oracle_val and isinstance(val, F)
+            assert [w.images for w in argmin] == [w.images for w in oracle_argmin]
+
+
+def test_min_over_permutations_builds_no_fraction_per_permutation():
+    # d! = 120 permutations at d = 5: the dots are taken on integer rows
+    inst = KisinInstance(5, 7)
+    for mu in ((9, 7, 5, 3, 1), (20, 0, 0, 0, 0), (F(1, 2), 0, 0, 0, F(-1, 2))):
+        assert fraction_constructions(lambda: min_over_permutations(mu, inst)) < 120
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from kisindim import cli, solver as sv
 from kisindim.cli import build_parser, main
 from kisindim.kisin_model import KisinInstance
+from oracles import fraction_constructions
 
 
 def run(capsys, *argv):
@@ -219,35 +220,17 @@ def test_tables_json_and_d1_are_pinned(capsys, command):
         assert out == "polytope,y1\nK,0\nK+C*,0\n"
 
 
-def _fraction_constructions(fn):
-    """The number of Fraction.__new__ calls made while fn() runs."""
-    calls = 0
-    code = Fraction.__new__.__code__
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is code:
-            calls += 1
-
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_tables_build_no_fraction(capsys, fmt):
     # the tables run on integer rows from the facets to stdout; the
     # counter itself sees a Fraction built inside main
-    assert _fraction_constructions(lambda: Fraction(1, 3)) == 1
+    assert fraction_constructions(lambda: Fraction(1, 3)) == 1
     for d in range(2, 9):
         b = "7" if d <= 5 else "10000"
         argv = ["tables", "--b", b, "--d", str(d), "--format", fmt]
-        assert _fraction_constructions(lambda: main(argv)) == 0, argv
+        assert fraction_constructions(lambda: main(argv)) == 0, argv
         assert capsys.readouterr().out
-    assert _fraction_constructions(lambda: main(["tables", "--b", "10000", "--dmax", "8"])) == 0
+    assert fraction_constructions(lambda: main(["tables", "--b", "10000", "--dmax", "8"])) == 0
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -519,13 +502,26 @@ def _outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _full_parser_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of build_parser().parse_args(argv), run
+    as main runs a parsed line and reports an invalid one."""
+    try:
+        args = build_parser().parse_args(argv)
+        code = args.fn(args)
+    except SystemExit as exc:
+        code = exc.code
+    except ValueError as exc:
+        sys.stderr.write(f"invalid input: {exc}\n")
+        code = 1
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 @pytest.mark.parametrize("argv", TEXT_ARGVS, ids=" ".join)
-def test_help_and_error_text_match_the_full_parser(capsys, monkeypatch, argv):
+def test_help_and_error_text_match_the_full_parser(capsys, argv):
     own = _outcome(capsys, argv)
     assert own[0] in (0, 1) and (own[1] or own[2])
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=None: build())
-    assert _outcome(capsys, argv) == own
+    assert _full_parser_outcome(capsys, argv) == own
 
 
 def _counted(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from kisindim.perm import (Permutation, admissible_from_subset, admissible_level
                            maximal_elements, ord_tableau, precedes, records,
                            rho_w, w0, w_star)
 from kisindim.polyhedra import dot, vec
+from oracles import hasse_diagram_pairwise, precedes_pairwise, rho_w_fraction
 
 
 def test_permutation_validation():
@@ -193,6 +195,19 @@ def test_rho_reversal_d2():
         assert rho_w(Permutation((2, 1)), b) == (F(1, b + 1), F(-1, b + 1))
 
 
+def test_rho_w_matches_the_fraction_closed_form():
+    for d in range(1, 6):
+        for b in (2, 3, 5, 7, 10):
+            for w in all_permutations(d):
+                assert rho_w(w, b) == rho_w_fraction(w, b)
+
+
+def test_rho_w_refuses_b_below_two():
+    for b in (1, 0):
+        with pytest.raises(ValueError):
+            rho_w(identity(2), b)
+
+
 def test_rho_coordinates_sum_to_zero():
     for d in (2, 3, 4, 5):
         for b in (2, 7):
@@ -248,6 +263,15 @@ def test_precedes_is_partial_order_d_le_5():
                         assert (a.images, c.images) in rel  # transitivity
 
 
+def test_precedes_matches_the_pairwise_oracle():
+    # the signatures run to lcm(1..d); the oracle stops at lcm of the two orders
+    for d in range(1, 5):
+        perms = list(all_permutations(d))
+        for w1 in perms:
+            for w2 in perms:
+                assert precedes(w1, w2) == precedes_pairwise(w1, w2)
+
+
 def test_precedes_rho_characterization():
     # w1 <= w2 iff rho_{w1} - rho_{w2} lies in the dual chain cone; verified
     # exhaustively on its actual range of validity, b >= floor(d^2/4) + 1
@@ -275,6 +299,35 @@ def test_maximal_elements_d4():
     labels = {w.label() for w in maximal_elements(4)}
     assert "2431" in labels and "4213" in labels
     assert identity(4).label() not in labels
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_hasse_diagram_matches_the_pairwise_oracle(d):
+    edges = [(lo.images, hi.images) for lo, hi in hasse_diagram(d)]
+    assert len(set(edges)) == len(edges)
+    assert sorted(edges) == sorted((lo.images, hi.images)
+                                   for lo, hi in hasse_diagram_pairwise(d))
+
+
+def test_maximal_elements_match_the_pairwise_oracle():
+    for d in range(1, 5):
+        perms = list(all_permutations(d))
+        assert maximal_elements(d) == [
+            a for a in perms if not any(a != c and precedes_pairwise(a, c) for c in perms)]
+
+
+# sha256 and line count of hasse_dot(d), as the pairwise construction drew them
+HASSE_DOT_DIGESTS = {
+    5: ("3cc5b2ea7d1ecc629880d7cd0a91fd8cf97ed70f5d6f3719be731be5aaccf6fd", 919),
+    6: ("a97674f0ea9fa4b2c5e5f17abe3a078322608a014b1359877537d96e4f30a675", 12564),
+}
+
+
+@pytest.mark.parametrize("d", sorted(HASSE_DOT_DIGESTS))
+def test_hasse_dot_matches_its_pinned_digest(d):
+    text = hasse_dot(d)
+    assert (hashlib.sha256(text.encode()).hexdigest(),
+            text.count("\n")) == HASSE_DOT_DIGESTS[d]
 
 
 def test_hasse_diagram_covers():
