@@ -7,7 +7,7 @@ rho_w, one per permutation, and the closed-form bounds are their values.
 
 from fractions import Fraction as F
 
-from kisindim.bounds import (extremal_points_a_qmax, min_over_permutations,
+from kisindim.bounds import (extremal_points_a_qmax, min_over_permutations, regularity,
                              theorem_bounds, two_rho, witness_le_e,
                              witness_le_mu)
 from kisindim.kisin_model import KisinInstance, mu_from_q
@@ -44,3 +44,12 @@ mu = (F(12), F(5), F(0))
 q, report = witness_le_mu(KisinInstance(3, 2), mu)
 print(f"\ndominance witness at mu=(12,5,0), b=2: objective={fmt_frac(report['objective'])}"
       f" >= {fmt_frac(report['objective_provable_target'])}: {report['ok']}")
+
+# the dominance-bounded family: the sups over the real mu' dominated by mu
+# come from one double description in root coordinates; mu itself need
+# not be regular
+mu = (30, 2, 0)
+tb = theorem_bounds("le_mu", mu, inst)
+print(f"\nle_mu bounds at mu=(30,2,0), d=3 b=5 (regular: {regularity(mu, inst).b_regular}):"
+      f" upper {fmt_frac(tb['upper'])}, lower {fmt_frac(tb['lower'])},"
+      f" upper_strong {fmt_frac(tb['upper_strong'])}")

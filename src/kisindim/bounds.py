@@ -260,32 +260,29 @@ def min_over_permutations(mu, inst: km.KisinInstance):
 # theorem bounds
 # ---------------------------------------------------------------------------
 
-def dominance_polytope(mu, inst: km.KisinInstance, strong: bool) -> HPolyhedron:
-    """{mu' : mu' dominated by mu} cap the (strong) regularity halfspaces."""
-    mu = vec(mu)
+def _dominated_sup(mu: IVec, inst: km.KisinInstance, strong: bool):
+    """sup <2 rho | mu'> over the real mu' dominated by mu in Reg (and in the
+    strong-regularity halfspace when strong), or None when there is none.
+
+    In root coordinates mu' = mu - sum_t x_t (e_t - e_{t+1}), domination is
+    x >= 0 and <2 rho | e_t - e_{t+1}> = 2, so the sup is <2 rho | mu> - 2 min
+    sum x.  One double description in the rows (x, T), seeded with the
+    orthant, inserts each row <a, mu'> >= c as ((a_{t+1} - a_t)_t, <a, mu> - c).
+    A ray with T > 0 is a vertex x/T; along one with T = 0, x >= 0 is nonzero,
+    so sum x grows and the min sits at a vertex.
+    """
     d = inst.d
-    ineqs = []
-    eqs = []
-    for t in range(1, d):
-        a = [Fraction(-1)] * t + [Fraction(0)] * (d - t)
-        ineqs.append((tuple(a), -sum(mu[:t])))  # partial sums <= those of mu
-    eqs.append((vec([1] * d), sum(mu)))
-    Reg = km.cone_regular(inst)
-    for h in Reg.ineqs:
-        ineqs.append((h.normal, h.offset))
+    rows = [(a, 0) for a in km.regular_dual_generators(inst)]
     if strong and d >= 2:
         h = strong_regularity(inst)
-        ineqs.append((h.normal, h.offset))
-    return HPolyhedron.build(d, ineqs, eqs)
-
-
-def _sup_over(polytope: HPolyhedron, objective: Vec):
-    V = enumerate_vertices(polytope)
-    if V.is_empty:
+        rows.append((h.normal, h.offset))
+    seed = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    rays, _ = double_description(seed, [(*(a[t + 1] - a[t] for t in range(d - 1)),
+                                         _idot(a, mu) - c) for a, c in rows])
+    vertices = [Fraction(sum(r[:-1]), r[-1]) for r in rays if r[-1]]
+    if not vertices:
         return None
-    if any(dot(objective, r) > 0 for r in V.rays):
-        return inf
-    return max(dot(objective, v) for v in V.vertices)
+    return _idot(two_rho(d), mu) - 2 * min(vertices)
 
 
 def theorem_bounds(target: str, params, inst: km.KisinInstance) -> dict:
@@ -294,8 +291,11 @@ def theorem_bounds(target: str, params, inst: km.KisinInstance) -> dict:
     theorems at this (d, b) are refused via UnsupportedRegime.
 
     target "le_e":  params = e.
-    target "mu":    params = integer tuple mu (decreasing).
-    target "le_mu": params = integer tuple mu (decreasing).
+    target "mu":    params = integer tuple mu (nonincreasing).
+    target "le_mu": params = integer tuple mu (nonincreasing).  The lower
+    bound and "upper_strong" read the sup of <2 rho | mu'> over the real mu'
+    dominated by mu (`_dominated_sup`), in the strongly regular and the
+    regular mu' respectively; either is None when there is no such mu'.
     """
     d, b = inst.d, inst.b
     eps = frac(inst.epsilon_slack)
@@ -338,14 +338,14 @@ def theorem_bounds(target: str, params, inst: km.KisinInstance) -> dict:
         out = {
             "target": "le_mu", "params": {"mu": list(mu)},
             "empty": not divisible,
-            "upper": eps + Fraction(dot(two_rho(d), vec(mu)), b + 1),
+            "upper": eps + Fraction(_idot(two_rho(d), mu), b + 1),
         }
-        sup = _sup_over(dominance_polytope(mu, inst, strong=True), two_rho(d))
-        out["lower_sup_relaxed"] = True  # real LP; integrality of mu' relaxed
+        sup = _dominated_sup(mu, inst, strong=True)
+        out["lower_sup_relaxed"] = True  # the sup over real mu'; integrality relaxed
         out["lower"] = None if sup is None else \
             -frac((d - 1) ** 2) - Fraction((d - 2) ** 2, 4) + Fraction(sup, b + 1)
         if b >= 1 + max(d, (d - 1) ** 2 // 4):
-            sup2 = _sup_over(dominance_polytope(mu, inst, strong=False), two_rho(d))
+            sup2 = _dominated_sup(mu, inst, strong=False)
             out["upper_strong"] = None if sup2 is None else eps + Fraction(sup2, b + 1)
         return out
     raise ValueError(f"unknown target {target!r}")

@@ -249,15 +249,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-class _Request(_Parser):
-    """One command's parser, built as build_parser() builds that command's.
-    Asked for help it raises, as it does on an error, so that the full
-    parser prints the help."""
-
-    def print_help(self, file=None):
-        raise ValueError("help")
-
-
 def _common(sp):
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
@@ -330,8 +321,8 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The parser with every command, its help line and its arguments: the
-    reference for every command line, and the one that prints the help and
-    reports the errors."""
+    reference for every command line, and the one that prints the top-level
+    help and reports a line that names no command or leaves a word over."""
     p = _Parser(prog="kisindim", description="exact Kisin-variety dimension engine")
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, fn) in _COMMANDS.items():
@@ -345,17 +336,16 @@ def _parse(argv: list[str]):
     """build_parser().parse_args(argv).  When argv starts with a command's
     name, that command's parser alone reads the rest, as the full parser
     hands it those words unread: its top level has no option that takes a
-    value.  Help, an error or a word left over go to the full parser, which
-    prints the help or raises its own error."""
+    value.  Built under the full parser's name for it, that parser prints
+    the command's help and raises its errors in the same words.  A line
+    that names no command, or leaves a word over, goes to the full parser,
+    which reports it."""
     name = argv[0] if argv else None
     if name in _COMMANDS:
         _, add_arguments, fn = _COMMANDS[name]
-        request = _Request(prog=f"kisindim {name}")
+        request = _Parser(prog=f"kisindim {name}")
         add_arguments(request)
-        try:
-            args, extra = request.parse_known_args(argv[1:])
-        except ValueError:
-            extra = True
+        args, extra = request.parse_known_args(argv[1:])
         if not extra:
             args.command, args.fn = name, fn
             return args

@@ -3,12 +3,13 @@ by the test modules."""
 
 import sys
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
-from kisindim.bounds import reg_star_facets, two_rho
+from kisindim import kisin_model as km
+from kisindim.bounds import reg_star_facets, strong_regularity, two_rho
 from kisindim.kisin_model import cone_chain
 from kisindim.perm import all_permutations
-from kisindim.polyhedra import (HPolyhedron, IVec, VPolyhedron, _echelon, _idot,
+from kisindim.polyhedra import (HPolyhedron, IVec, Vec, VPolyhedron, _echelon, _idot, dot,
                                 enumerate_vertices, in_cone, primitive_ints, v_to_h, vec)
 
 
@@ -156,6 +157,43 @@ def chain_cone_gens(d):
     constants line (both signs)."""
     prefixes = [vec([1] * k + [0] * (d - k)) for k in range(1, d)]
     return tuple(prefixes + [vec([1] * d), vec([-1] * d)])
+
+
+# ---------------------------------------------------------------------------
+# the dominance sup by the general vertex route
+# ---------------------------------------------------------------------------
+
+def dominance_polytope(mu, inst: km.KisinInstance, strong: bool) -> HPolyhedron:
+    """{mu' : mu' dominated by mu} cap the (strong) regularity halfspaces."""
+    mu = vec(mu)
+    d = inst.d
+    ineqs = []
+    eqs = []
+    for t in range(1, d):
+        a = [Fraction(-1)] * t + [Fraction(0)] * (d - t)
+        ineqs.append((tuple(a), -sum(mu[:t])))  # partial sums <= those of mu
+    eqs.append((vec([1] * d), sum(mu)))
+    Reg = km.cone_regular(inst)
+    for h in Reg.ineqs:
+        ineqs.append((h.normal, h.offset))
+    if strong and d >= 2:
+        h = strong_regularity(inst)
+        ineqs.append((h.normal, h.offset))
+    return HPolyhedron.build(d, ineqs, eqs)
+
+
+def _sup_over(polytope: HPolyhedron, objective: Vec):
+    V = enumerate_vertices(polytope)
+    if V.is_empty:
+        return None
+    if any(dot(objective, r) > 0 for r in V.rays):
+        return inf
+    return max(dot(objective, v) for v in V.vertices)
+
+
+def dominated_sup(mu, inst: km.KisinInstance, strong: bool):
+    """sup <2 rho | mu'> over the dominance polytope, by its vertices."""
+    return _sup_over(dominance_polytope(mu, inst, strong), two_rho(inst.d))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from kisindim import bounds as bd, kisin_model as km, perm as pm
 from kisindim.bounds import (DualityData, UnsupportedRegime, a_set, b_value,
-                             dominance_polytope, extremal_points_a_qmax,
+                             extremal_points_a_qmax,
                              k_polytopes, min_over_permutations, reg_star_facets,
                              regularity, theorem_bounds, two_rho, witness_le_e,
                              witness_le_mu)
@@ -17,8 +17,9 @@ from kisindim.kisin_model import (KisinInstance, chain_dual_generators,
                                   cone_chain, mu_from_q, regular_dual_generators)
 from kisindim.polyhedra import (Halfspace, HPolyhedron, cone_generators, cone_hull, dot,
                                 dual_cone, enumerate_vertices, fmt_frac, in_cone, vec)
-from oracles import (chain_cone_gens, f_T_halfspace, fraction_constructions, k_hrep,
-                     kept_in_sum, min_over_permutations_fraction, minkowski_sum_cone,
+from oracles import (chain_cone_gens, dominance_polytope, dominated_sup, f_T_halfspace,
+                     fraction_constructions, k_hrep, kept_in_sum,
+                     min_over_permutations_fraction, minkowski_sum_cone,
                      polyhedra_set_equal, vertices_of_sum)
 
 
@@ -581,6 +582,38 @@ def test_dominance_polytope_empty_when_no_regular_point():
     inst = KisinInstance(3, 2)
     P = dominance_polytope((2, 0, -2), inst, strong=True)
     assert enumerate_vertices(P).is_empty
+
+
+def test_dominated_sup_matches_the_general_route():
+    # the root-coordinate double description against the vertices of the
+    # dominance polytope, and the le_mu bounds read off it; the grid holds
+    # empty cases, sups at mu itself and sups below it
+    rng = random.Random(11)
+    kinds = Counter()
+    for d in range(1, 7):
+        for b in (2, 3, 5, 7, 101):
+            inst = KisinInstance(d, b)
+            eps = F(inst.epsilon_slack)
+            for _ in range(30):
+                mu = tuple(sorted((rng.randint(-4 * b, 4 * b) for _ in range(d)),
+                                  reverse=True))
+                sups = {}
+                for strong in (False, True):
+                    sup = bd._dominated_sup(mu, inst, strong)
+                    assert sup == dominated_sup(mu, inst, strong), (mu, b, strong)
+                    sups[strong] = sup
+                    at_mu = sup is not None and sup == dot(two_rho(d), vec(mu))
+                    kinds["empty" if sup is None else "at mu" if at_mu else "below mu"] += 1
+                tb = theorem_bounds("le_mu", mu, inst)
+                assert tb["upper"] == eps + F(dot(two_rho(d), vec(mu)), b + 1)
+                assert tb["lower"] == (None if sups[True] is None else
+                                       F(sups[True], b + 1) - (d - 1) ** 2 - F((d - 2) ** 2, 4))
+                if b >= 1 + max(d, (d - 1) ** 2 // 4):
+                    assert tb["upper_strong"] == (None if sups[False] is None else
+                                                  eps + F(sups[False], b + 1))
+                else:
+                    assert "upper_strong" not in tb
+    assert set(kinds) == {"empty", "at mu", "below mu"}
 
 
 # ---------------------------------------------------------------------------

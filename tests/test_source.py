@@ -8,6 +8,7 @@ every class with value semantics is a `Frozen` record."""
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -15,8 +16,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import kisindim
-from kisindim import bounds as bd
+from kisindim import bounds as bd, polyhedra
 from kisindim.cli import main
 from kisindim.kisin_model import KisinInstance
 from kisindim.polyhedra import Frozen, vec
@@ -165,6 +168,31 @@ def test_bounds_output_same_with_caches_cold_and_warm(capsys):
     assert outputs() == cold
     _clear_caches()
     assert outputs() == cold
+
+
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return refused
+
+
+# mu at d = 3, b = 2 with its (b-regular, strongly integrally b-regular) flags
+FLAGGED_MU = {"12,5,0": (True, True), "7,4,1": (True, False), "10,9,0": (False, False)}
+
+
+@pytest.mark.parametrize("mu", sorted(FLAGGED_MU))
+def test_bounds_requests_take_no_vertex_route(capsys, monkeypatch, mu):
+    # the three targets of `bounds`, on strongly regular, regular and
+    # non-regular mu, never enumerate the vertices or generators of a
+    # polyhedron
+    flags = bd.regularity(vec(map(int, mu.split(","))), KisinInstance(3, 2))
+    assert (flags.b_regular, flags.strongly_integrally_b_regular) == FLAGGED_MU[mu]
+    for module in (bd, polyhedra):
+        for name in ("enumerate_vertices", "cone_generators"):
+            monkeypatch.setattr(module, name, _refuse(name))
+    for target in (["--e", "9"], ["--mu", mu], ["--mu", mu, "--le-mu"]):
+        assert main(["bounds", "--d", "3", "--b", "2", *target]) == 0, target
+        assert json.loads(capsys.readouterr().out)["target"]
 
 
 def _references(tree):
