@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import gcd, inf, lcm
+from math import ceil, gcd, inf, lcm
 
 from . import kisin_model as km
 from . import perm as pm
@@ -83,9 +83,9 @@ def _q_generators(d: int, b: int):
 
 def _form_vectors(inst: km.KisinInstance, form: str) -> list[Vec]:
     if form == "g":
-        return [km.mu_vec(inst, i) for i in range(1, inst.d + 1)]
+        return [km.mu_cell_vector(inst, 1, i) for i in range(1, inst.d + 1)]
     if form == "f":
-        return [km.mu_vec(inst, 1), km.mu_vec(inst, inst.d)]
+        return [km.mu_cell_vector(inst, 1, 1), km.mu_cell_vector(inst, 1, inst.d)]
     raise ValueError(f"unknown constraint form {form!r}")
 
 
@@ -376,7 +376,7 @@ def witness_le_e(inst: km.KisinInstance, e: int):
     mu = km.mu_from_q(q)
     report = {
         "n_raw": n_raw, "n": n, "m": m,
-        "in_Q": km.cone_q(inst).contains(q.values),
+        "in_Q": km.in_cone_q(mu),
         "in_R": q.in_lattice(),
         "mu_top_le_e": mu[(1, 1)] <= e,
         "mu_bottom_ge_0": mu[(1, d)] >= 0,
@@ -407,12 +407,13 @@ def witness_le_mu(inst: km.KisinInstance, mu):
     total = sum(qp)
     if total.denominator != 1:
         raise AssertionError("the rounded levels need an integral total")
-    qq = [-(-x.numerator // x.denominator) for x in qp[:-1]]  # ceil
+    qq = [ceil(x) for x in qp[:-1]]
     qq.append(int(total) - sum(qq))
     if any(x > y for x, y in zip(qq, qq[1:])):
         raise AssertionError("rounded levels not nondecreasing")
     q = km.QPoint(inst, {(i, j): frac(qq[d - 1 - (j - i)]) for (i, j) in inst.cells})
-    g = [dot(km.mu_vec(inst, i), q.values) for i in range(1, d + 1)]
+    m = km.mu_from_q(q)
+    g = m.top_row
     target = Fraction(dot(two_rho(d), mu), b + 1)
     # the rounding errors eps_i = q_i - q'_i satisfy sum eps = 0 and
     # eps_i in [0,1) below the last level, so the objective loss is
@@ -422,7 +423,7 @@ def witness_le_mu(inst: km.KisinInstance, mu):
     # guarantee uses the provable slack and the stated one is reported
     report = {
         "q_levels": qq,
-        "in_Q": km.cone_q(inst).contains(q.values),
+        "in_Q": km.in_cone_q(m),
         "in_R": q.in_lattice(),
         # image constraint: g(q) dominated by mu (partial sums, equal total)
         "image_dominated": all(sum(g[:t]) <= sum(mu[:t]) for t in range(1, d))

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from . import perm as pm
-from .polyhedra import Frozen, HPolyhedron, IVec, Vec, dot, dual_cone, fmt_frac, frac, vec
+from .polyhedra import (Frozen, HPolyhedron, IVec, Vec, _idot, dot, dual_cone, fmt_frac, frac,
+                        primitive_ints, vec)
 
 
 class KisinInstance(Frozen):
@@ -122,15 +124,15 @@ class MuTriangle(_Triangle):
         return tuple(self[(1, j)] for j in range(1, self.instance.d + 1))
 
     def in_lattice(self) -> bool:
-        """All mu_{i,j} integral and b-1 divides every row sum."""
+        """All mu_{i,j} integral and b-1 divides every row sum; this holds
+        exactly when q_from_mu(self).in_lattice().  With R_i the sum of row i,
+        R_i = (b-1)(q_{i,d} + ... + q_{d,d}) and b q_{i,j} = b q_{i,d} -
+        sum_{s>j} (mu_{i,s} - mu_{i+1,s}) (row d+1 empty), and mu_from_q has
+        integer coefficients on the b q_{i,j} and the q_{j,d}."""
         b, d = self.instance.b, self.instance.d
-        if not all(v.denominator == 1 for v in self.values):
-            return False
-        for i in range(1, d + 1):
-            row = sum(self[(i, j)] for j in range(i, d + 1))
-            if row % (b - 1) != 0:
-                return False
-        return True
+        return (all(v.denominator == 1 for v in self.values)
+                and all(sum(self[(i, j)] for j in range(i, d + 1)) % (b - 1) == 0
+                        for i in range(1, d + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +193,6 @@ def _int_row(inst: KisinInstance, terms) -> list[int]:
 def mu_cell_vector(inst: KisinInstance, i: int, j: int) -> Vec:
     """The vector v in E with <q, v> = mu_{i,j}(q)."""
     return tuple(map(Fraction, _int_row(inst, _mu_cell_terms(inst, i, j))))
-
-
-def mu_vec(inst: KisinInstance, i: int) -> Vec:
-    """<q, mu_vec(i)> is the i-th top-row value mu_{1,i}."""
-    return mu_cell_vector(inst, 1, i)
 
 
 def delta_vec(inst: KisinInstance) -> Vec:
@@ -263,6 +260,76 @@ def _cone_from_games(inst, games):
     return HPolyhedron.build(inst.dim_E, ineqs)
 
 
+def _row_slacks(P, Q, R, b):
+    """The level-(r-1) scaled-q rows with rows r-2, r-1, r equal to P, Q, R,
+    in O(d): entry k is b(b-1)(q_{r-1,r-1+k} - q_{r-2,r-2+k}), where
+    b(b-1) q_{i,j} = b mu_{i,i} + sum_{i<s<=j} b (mu_{i,s} - mu_{i+1,s})
+    + sum_{s>j} (mu_{i,s} - mu_{i+1,s}).  From one row to the next, each of
+    the two q-forms weighs one more column by b instead of 1, hence the
+    steps of (b-1) times a column."""
+    rem = [(b - 1) * (Q[0] - P[0]) + 2 * sum(Q) - sum(P) - sum(R)]
+    for k, x in enumerate(R):
+        rem.append(rem[k] + (b - 1) * (Q[k + 1] - P[k + 1] + Q[k] - x))
+    return rem
+
+
+def _unit_triangles(d):
+    """One unit triangle per mu-cell, in row form and row-major order."""
+    return [[[int((r, s) == (i, j)) for s in range(r, d + 1)] for r in range(1, d + 1)]
+            for i in range(1, d + 1) for j in range(i, d + 1)]
+
+
+@lru_cache(maxsize=1024)
+def _mu_system_rows(d: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the search's real relaxation as primitive integer forms
+    of the mu-cells: for 2 <= i <= j <= d the order rows
+    mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1} and the scaled-q row, entry j-i
+    of _row_slacks on rows i-1, i, i+1 (row d+1 is empty), each read off
+    the search's own code on unit triangles."""
+    units = [rows + [[]] for rows in _unit_triangles(d)]
+    out = []
+    for i in range(2, d + 1):
+        for j in range(i, d + 1):
+            out += [primitive_ints([form(r) for r in units]) for form in (
+                lambda r: r[i - 1][j - i] - r[i - 2][j - i + 1],
+                lambda r: r[i - 2][j - i] - r[i - 1][j - i],
+                lambda r: _row_slacks(r[i - 2], r[i - 1], r[i], b)[j - i])]
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _self_test(d: int, b: int) -> bool:
+    """Prove that the mu-system is the cone Q pulled back through the linear
+    map q_from_mu, or raise AssertionError.  Each halfspace of Q, applied to
+    the integer forms b(b-1) q_{i,j} of the mu-cells, is a form of the
+    mu-cells; the two systems must be the same set of primitive integer
+    rows, and equal row sets cut out the same cone on every triangle
+    (single source of truth for the search)."""
+    inst = KisinInstance(d, b)
+    # column k holds the images of the unit triangle of mu-cell k, scaled by b(b-1) > 0
+    images = list(zip(*(_int_row(inst, _q_cell_terms(inst, i, j))
+                        for (i, j) in inst.cells)))
+    Q = cone_q(inst)
+    if any(h.is_eq or h.offset for h in Q.halfspaces):
+        raise AssertionError(f"cone Q at d={d} b={b} has an equation or an offset row")
+    pulled = {primitive_ints([_idot(h.normal, q) for q in images])
+              for h in Q.halfspaces}
+    mine = set(_mu_system_rows(d, b))
+    if pulled != mine:
+        raise AssertionError(f"mu-system and q-system disagree at d={d} b={b} "
+                             f"on the rows {sorted(pulled ^ mine)}")
+    return True
+
+
+def in_cone_q(m: MuTriangle) -> bool:
+    """Whether m, any rational triangle, lies in Q: its values scaled to
+    integers on the rows of the mu-system, which _self_test proves are Q."""
+    d, b = m.instance.d, m.instance.b
+    _self_test(d, b)
+    x = primitive_ints(m.values)
+    return all(_idot(row, x) >= 0 for row in _mu_system_rows(d, b))
+
+
 def chain_dual_generators(d: int) -> list[IVec]:
     """The rows e_i - e_{i+1} of the chain cone C, which generate its dual
     C* (Ziegler, *Lectures on Polytopes*, sec. 1.4)."""
@@ -308,6 +375,13 @@ def cone_qw(inst: KisinInstance, w: pm.Permutation) -> HPolyhedron:
 # the dimension functional
 # ---------------------------------------------------------------------------
 
+def _dim_form(rows, d):
+    """dim(phi) from the top row and the lower rows (or their cells as one
+    row): the top row weighted by d - j, minus every lower cell."""
+    return (sum((d - j) * x for j, x in enumerate(rows[0], 1))
+            - sum(map(sum, rows[1:])))
+
+
 def dim_phi(x: QPoint | MuTriangle) -> Fraction:
     """dim(phi) evaluated in both coordinate systems (cross-checked).
 
@@ -320,8 +394,7 @@ def dim_phi(x: QPoint | MuTriangle) -> Fraction:
         m, q = x, q_from_mu(x)
     inst = q.instance
     d = inst.d
-    mu_form = sum(((d + 1 - j) * m[(1, j)] for j in range(1, d + 1)), Fraction(0)) \
-        - sum(m.values, Fraction(0))
+    mu_form = _dim_form((m.top_row, m.values[d:]), d)
     q_form = dot(delta_vec(inst), q.values)
     if mu_form != q_form:
         raise AssertionError("dimension functional mismatch between coordinates")
@@ -381,9 +454,9 @@ class PhiFunctions(Frozen):
 def phi_from_q(q: QPoint) -> PhiFunctions:
     """The profile tuple encoded by q (q must lie in Q)."""
     inst = q.instance
-    if not cone_q(inst).contains(q.values):
-        raise ValueError("point is not in the cone Q")
     m = mu_from_q(q)
+    if not in_cone_q(m):
+        raise ValueError("point is not in the cone Q")
     d = inst.d
     phi_pieces = tuple(
         tuple(sorted(((q[(i, j)], m[(i, j)]) for j in range(i, d + 1))))

@@ -29,17 +29,15 @@ fits: with the later cells at their caps that slack is rem_0 below, which
 rises by b+1 per unit of the first cell and 1 per unit of a later one (at
 most b+1 per unit when row r+1 is row d, through the level-d raise).
 
-Each row is set up in O(d) by the closed forms of `_row_slacks`.  With
+Each row is set up in O(d) by the closed forms of `km._row_slacks`.  With
 P, Q the rows r-2, r-1 and R the lower bounds of row r, the slacks are
 rem_0 = (b-1)(Q_0 - P_0) + 2 sum Q - sum P - sum R and
 rem_{k+1} = rem_k + (b-1)(Q_{k+1} - P_{k+1} + Q_k - R_k); the level-d row
 is the same form with no row below it, (b+1) mu_{d,d} >= b Q_0 + Q_1.
-`_mu_system_rows` reads the scaled-q rows off these same forms on the unit
-triangles, and `_self_test` proves once per (d, b) that the system is the
-cone Q: it and Q pulled back through the integer forms of b(b-1) q (the
-forms q_from_mu divides) are the same set of primitive integer rows over
-the mu-cells.  So the rows the search sets up are the rows that are
-proved.
+`kisin_model` reads the rows of Q on the mu-cells off these same forms
+(`_mu_system_rows`) and proves them once per (d, b) (`_self_test`); so
+the rows the search sets up are the rows that are proved, and the rows
+that decide every witness's membership in Q (`in_cone_q`).
 
 One lower bound on the unfilled cells, rows r..d, prunes branches that
 cannot beat the incumbent.  With Q = row r-1, rows r-1..d satisfy the
@@ -79,11 +77,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil
 from operator import mul
 
 from . import bounds as bd
 from . import kisin_model as km
-from .polyhedra import Frozen, frac, in_cone, primitive_ints
+from .polyhedra import Frozen, frac, in_cone
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -166,19 +165,6 @@ class _Budget:
 # the mu-coordinate constraint system
 # ---------------------------------------------------------------------------
 
-def _row_slacks(P, Q, R, b):
-    """The level-(r-1) scaled-q rows with rows r-2, r-1, r equal to P, Q, R,
-    in O(d): entry k is b(b-1)(q_{r-1,r-1+k} - q_{r-2,r-2+k}), where
-    b(b-1) q_{i,j} = b mu_{i,i} + sum_{i<s<=j} b (mu_{i,s} - mu_{i+1,s})
-    + sum_{s>j} (mu_{i,s} - mu_{i+1,s}).  From one row to the next, each of
-    the two q-forms weighs one more column by b instead of 1, hence the
-    steps of (b-1) times a column."""
-    rem = [(b - 1) * (Q[0] - P[0]) + 2 * sum(Q) - sum(P) - sum(R)]
-    for k, x in enumerate(R):
-        rem.append(rem[k] + (b - 1) * (Q[k + 1] - P[k + 1] + Q[k] - x))
-    return rem
-
-
 def _below(Q, b, last):
     """Lower bounds on the row under Q: the order bounds Q[1:] and, when
     that row is row d, the level-d row, which has no row below it: its
@@ -186,63 +172,8 @@ def _below(Q, b, last):
     up for it."""
     R = Q[1:]
     if last:
-        R[0] = max(R[0], -(_row_slacks(Q, (0,), (), b)[0] // (b + 1)))
+        R[0] = max(R[0], -(km._row_slacks(Q, (0,), (), b)[0] // (b + 1)))
     return R
-
-
-def _unit_triangles(d):
-    """One unit triangle per mu-cell, in row form and row-major order."""
-    return [[[int((r, s) == (i, j)) for s in range(r, d + 1)] for r in range(1, d + 1)]
-            for i in range(1, d + 1) for j in range(i, d + 1)]
-
-
-@lru_cache(maxsize=1024)
-def _mu_system_rows(d: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of the search's real relaxation as primitive integer forms
-    of the mu-cells: for 2 <= i <= j <= d the order rows
-    mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1} and the scaled-q row, entry j-i
-    of _row_slacks on rows i-1, i, i+1 (row d+1 is empty), each read off
-    the search's own code on unit triangles."""
-    units = [rows + [[]] for rows in _unit_triangles(d)]
-    out = []
-    for i in range(2, d + 1):
-        for j in range(i, d + 1):
-            out += [primitive_ints([form(r) for r in units]) for form in (
-                lambda r: r[i - 1][j - i] - r[i - 2][j - i + 1],
-                lambda r: r[i - 2][j - i] - r[i - 1][j - i],
-                lambda r: _row_slacks(r[i - 2], r[i - 1], r[i], b)[j - i])]
-    return tuple(out)
-
-
-@lru_cache(maxsize=1024)
-def _self_test(d: int, b: int) -> bool:
-    """Prove that the mu-system is the cone Q pulled back through the linear
-    map q_from_mu, or raise AssertionError.  Each halfspace of Q, applied to
-    the integer forms b(b-1) q_{i,j} of the mu-cells, is a form of the
-    mu-cells; the two systems must be the same set of primitive integer
-    rows, and equal row sets cut out the same cone on every triangle
-    (single source of truth for the search)."""
-    inst = km.KisinInstance(d, b)
-    # column k holds the images of the unit triangle of mu-cell k, scaled by b(b-1) > 0
-    images = list(zip(*(km._int_row(inst, km._q_cell_terms(inst, i, j))
-                        for (i, j) in inst.cells)))
-    Q = km.cone_q(inst)
-    if any(h.is_eq or h.offset for h in Q.halfspaces):
-        raise AssertionError(f"cone Q at d={d} b={b} has an equation or an offset row")
-    pulled = {primitive_ints([sum(map(mul, h.normal, q)) for q in images])
-              for h in Q.halfspaces}
-    mine = set(_mu_system_rows(d, b))
-    if pulled != mine:
-        raise AssertionError(f"mu-system and q-system disagree at d={d} b={b} "
-                             f"on the rows {sorted(pulled ^ mine)}")
-    return True
-
-
-def _dim_form(rows, d):
-    """dim(phi) as an integer form of the mu-cells: the top row weighted by
-    d - j, minus every lower cell."""
-    return (sum((d - j) * x for j, x in enumerate(rows[0], 1))
-            - sum(map(sum, rows[1:])))
 
 
 def _two_rho(top):
@@ -264,8 +195,8 @@ def _top_bound_certified(d: int, b: int) -> bool:
     search's real relaxation (_mu_system_rows), with the target read off
     its own code on unit triangles?  If so, each triangle the search
     accepts has dim <= <2 rho | top> / (b+1), hence <= its floor."""
-    target = [_two_rho(r[0]) - (b + 1) * _dim_form(r, d) for r in _unit_triangles(d)]
-    return in_cone(_mu_system_rows(d, b), target)
+    target = [_two_rho(r[0]) - (b + 1) * km._dim_form(r, d) for r in km._unit_triangles(d)]
+    return in_cone(km._mu_system_rows(d, b), target)
 
 
 @lru_cache(maxsize=1024)
@@ -276,14 +207,14 @@ def _prove(d: int, b: int) -> bool:
     and _top_bound_certified(d', b) holds.  So rows r-1..d of a triangle
     the search accepts, d' = d-r+2, have dim at most the top bound of row
     r-1."""
-    _self_test(d, b)
+    km._self_test(d, b)
     cells = {(i, j): k for k, (i, j) in enumerate(
         (i, j) for i in range(1, d + 1) for j in range(i, d + 1))}
-    full = set(_mu_system_rows(d, b))
+    full = set(km._mu_system_rows(d, b))
     for dp in range(2, d + 1):
         shift = d - dp
         at = [cells[i + shift, j + shift] for i in range(1, dp + 1) for j in range(i, dp + 1)]
-        for sub_row in _mu_system_rows(dp, b):
+        for sub_row in km._mu_system_rows(dp, b):
             row = [0] * len(cells)
             for k, x in zip(at, sub_row):
                 row[k] = x
@@ -310,7 +241,7 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget, floor: int | None
     number of nodes."""
     d, b = inst.d, inst.b
     _prove(d, b)
-    const = _dim_form([top], d)
+    const = km._dim_form([top], d)
     rows = [list(top)] + [[0] * (d - i + 1) for i in range(2, d + 1)]
     best = [None, None]
     need = [floor]  # the least value a new incumbent must reach (None: any)
@@ -343,7 +274,7 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget, floor: int | None
             # the level-(r-1) row j = r-1+k reads sum_s c_{j,s} mu_{r,s} <= S_j,
             # with c_{j,s} = b for s <= j and 1 for s > j; rem[k] is its slack
             # with every cell of row r at its lower bound
-            rem = _row_slacks(rows[r - 3], prev, lows, b)
+            rem = km._row_slacks(rows[r - 3], prev, lows, b)
         else:
             # row 2 meets no scaled-q row: slacks that no choice of its cells uses up
             rem = [b * (prev[0] - prev[-1])] * (n + 1)
@@ -360,7 +291,7 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget, floor: int | None
             rise = b + 1 if idx == 0 or r + 1 == d else 1
             while v <= hi:
                 probe[idx] = v
-                short = min(_row_slacks(prev, probe, _below(probe, b, r + 1 == d), b))
+                short = min(km._row_slacks(prev, probe, _below(probe, b, r + 1 == d), b))
                 if short >= 0:
                     break
                 v -= short // rise
@@ -487,18 +418,17 @@ def dim_exact(query: DimQuery, budget: int = DEFAULT_BUDGET) -> DimResult:
     nodes = budget - tracker.left
     if best is None:
         return DimResult("empty", nodes=nodes)
-    checks = _verify_witness(inst, witness, best)
+    checks = _verify_witness(witness, best)
     if inst.h_zero:
         return DimResult("interval", interval=(best, best + d * (d - 1) // 2),
                          witness=witness, nodes=nodes, checks=checks)
     return DimResult("exact", dim=best, witness=witness, nodes=nodes, checks=checks)
 
 
-def _verify_witness(inst, tri, value):
-    q = km.q_from_mu(tri)
+def _verify_witness(tri, value):
     checks = {
-        "witness_in_Q": km.cone_q(inst).contains(q.values),
-        "witness_in_R": q.in_lattice() and tri.in_lattice(),
+        "witness_in_Q": km.in_cone_q(tri),
+        "witness_in_R": tri.in_lattice(),
         "witness_dim": km.dim_phi(tri) == value,
     }
     if not all(checks.values()):
@@ -509,10 +439,6 @@ def _verify_witness(inst, tri, value):
 # ---------------------------------------------------------------------------
 # closed forms for d = 2 and d = 3
 # ---------------------------------------------------------------------------
-
-def _ceil(x: Fraction) -> int:
-    return -(-x.numerator // x.denominator)
-
 
 def dim_d2_closed(mu1: int, mu2: int, inst: km.KisinInstance):
     """Closed form of the optimized stratum dimension for d = 2: None when
@@ -525,7 +451,7 @@ def dim_d2_closed(mu1: int, mu2: int, inst: km.KisinInstance):
     b = inst.b
     if (mu1 + mu2) % (b - 1) != 0:
         return None
-    return mu1 - (b - 1) * _ceil(Fraction(b * mu1 + mu2, b * b - 1))
+    return mu1 - (b - 1) * ceil(Fraction(b * mu1 + mu2, b * b - 1))
 
 
 def dim_d3_closed(mu1: int, mu2: int, mu3: int, inst: km.KisinInstance):
@@ -540,12 +466,12 @@ def dim_d3_closed(mu1: int, mu2: int, mu3: int, inst: km.KisinInstance):
     valid = bd.regularity((frac(mu1 - shift), frac(mu2), frac(mu3 + shift)),
                           inst).integrally_b_regular
     x = Fraction(b * mu1 + mu3, b * b - 1)
-    defx = _ceil(x) - x
+    defx = ceil(x) - x
     # the branch value with the larger m wins; picking the max reproduces
     # the optimizer's case split at def = b/(b+1) exactly
     m = max(defx / b, defx - Fraction(b - 1, b + 1))
-    value = (2 * mu1 + mu2 - 2 * (b - 1) * _ceil(x)
-             - (b - 1) * _ceil(Fraction(mu2, b - 1) - (b + 1) * m))
+    value = (2 * mu1 + mu2 - 2 * (b - 1) * ceil(x)
+             - (b - 1) * ceil(Fraction(mu2, b - 1) - (b + 1) * m))
     return value, valid
 
 

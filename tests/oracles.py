@@ -197,6 +197,66 @@ def dominated_sup(mu, inst: km.KisinInstance, strong: bool):
 
 
 # ---------------------------------------------------------------------------
+# the witness reports by the Fraction route
+# ---------------------------------------------------------------------------
+
+def witness_le_e_report(inst: km.KisinInstance, e: int, q: km.QPoint) -> dict:
+    """The report of bounds.witness_le_e on its point q, re-derived in
+    Fractions: membership by the H-polyhedron cone_q, the top row of mu by
+    dots with mu_cell_vector and the objective by the q-form of dim(phi)."""
+    d, b = inst.d, inst.b
+    n_raw = (e - b + 2) // (b + 1)
+    n = max(0, n_raw)
+    quarter = d * d // 4
+    top = [dot(km.mu_cell_vector(inst, 1, j), q.values) for j in range(1, d + 1)]
+    report = {
+        "n_raw": n_raw, "n": n, "m": (-n) % (b - 1),
+        "in_Q": km.cone_q(inst).contains(q.values),
+        "in_R": q.in_lattice(),
+        "mu_top_le_e": top[0] <= e,
+        "mu_bottom_ge_0": top[-1] >= 0,
+        "objective": dot(km.delta_vec(inst), q.values),
+        "objective_target": quarter * n,
+        "objective_lower_target": quarter * n_raw,
+    }
+    report["ok"] = (report["in_Q"] and report["in_R"] and report["mu_top_le_e"]
+                    and report["mu_bottom_ge_0"]
+                    and report["objective"] == report["objective_target"]
+                    and report["objective"] >= report["objective_lower_target"])
+    return report
+
+
+def witness_le_mu_report(inst: km.KisinInstance, mu, q: km.QPoint) -> dict:
+    """The report of bounds.witness_le_mu on its point q, re-derived in
+    Fractions as in witness_le_e_report, with g(q) the dots with the
+    top-row vectors and each level rounded up by floor division."""
+    mu = vec(mu)
+    d, b = inst.d, inst.b
+    qp = [Fraction(mu[i - 1] + b * mu[d - i], b * b - 1) for i in range(1, d + 1)]
+    qq = [-(-x.numerator // x.denominator) for x in qp[:-1]]
+    qq.append(int(sum(qp)) - sum(qq))
+    g = [dot(km.mu_cell_vector(inst, 1, i), q.values) for i in range(1, d + 1)]
+    target = Fraction(dot(two_rho(d), mu), b + 1)
+    report = {
+        "q_levels": qq,
+        "in_Q": km.cone_q(inst).contains(q.values),
+        "in_R": q.in_lattice(),
+        "image_dominated": all(sum(g[:t]) <= sum(mu[:t]) for t in range(1, d))
+        and sum(g) == sum(mu),
+        "objective": dot(km.delta_vec(inst), q.values),
+        "objective_provable_target": target - d * (d - 1),
+        "objective_stated_target": target - (d - 1) ** 2 - Fraction((d - 2) ** 2, 4),
+        "exact_when_integral": all(x == y for x, y in zip(qp, qq)),
+    }
+    report["meets_stated_constant"] = report["objective"] >= report["objective_stated_target"]
+    report["ok"] = (report["in_Q"] and report["in_R"] and report["image_dominated"]
+                    and report["objective"] > report["objective_provable_target"])
+    if report["exact_when_integral"]:
+        report["ok"] = report["ok"] and report["objective"] == target
+    return report
+
+
+# ---------------------------------------------------------------------------
 # the permutation layer on Fractions and on pairs of permutations
 # ---------------------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd, inf
 from operator import mul
 
@@ -20,7 +20,8 @@ from kisindim.polyhedra import (Halfspace, HPolyhedron, cone_generators, cone_hu
 from oracles import (chain_cone_gens, dominance_polytope, dominated_sup, f_T_halfspace,
                      fraction_constructions, k_hrep, kept_in_sum,
                      min_over_permutations_fraction, minkowski_sum_cone,
-                     polyhedra_set_equal, vertices_of_sum)
+                     polyhedra_set_equal, vertices_of_sum, witness_le_e_report,
+                     witness_le_mu_report)
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +698,36 @@ def test_witness_le_mu_rejects_non_regular():
     inst = KisinInstance(3, 2)
     with pytest.raises(ValueError):
         witness_le_mu(inst, (F(2), F(1), F(0)))
+
+
+def _typed(report):
+    """The report's fields in order, each with its value and its type."""
+    return [(k, v, type(v)) for k, v in report.items()]
+
+
+def test_witness_le_e_report_matches_the_fraction_route():
+    for d in range(1, 6):
+        for b in (2, 3, 5, 7):
+            inst = KisinInstance(d, b)
+            for e in range(21):
+                q, rep = witness_le_e(inst, e)
+                assert _typed(rep) == _typed(witness_le_e_report(inst, e, q)), (d, b, e)
+
+
+def test_witness_le_mu_report_matches_the_fraction_route():
+    # every strongly integrally b-regular type with 20 >= mu_1 >= mu_d >= 0,
+    # with levels that are integral and levels that are rounded
+    seen = Counter()
+    for d in range(1, 6):
+        for b in (2, 3, 5, 7):
+            inst = KisinInstance(d, b)
+            for mu in combinations_with_replacement(range(20, -1, -1), d):
+                if not _inline_regularity(mu, b)[2]:
+                    continue
+                q, rep = witness_le_mu(inst, mu)
+                assert _typed(rep) == _typed(witness_le_mu_report(inst, mu, q)), (d, b, mu)
+                seen[rep["exact_when_integral"]] += 1
+    assert seen[True] and seen[False] and sum(seen.values()) == 630, seen
 
 
 # ---------------------------------------------------------------------------

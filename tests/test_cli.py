@@ -251,16 +251,21 @@ def test_tables_benchmark_pool_matches_its_recorded_digests(capsys, monkeypatch)
         assert hashlib.sha256(out.encode()).hexdigest() == expected[wl.key(argv)], argv
 
 
-def test_le_mu_bounds_of_the_benchmark_pool_match_their_recorded_digests(capsys,
-                                                                         monkeypatch):
-    # every bounds --le-mu request a pass of the `mixed-session` benchmark
-    # can draw against the stdout digests the benchmark checks
+# the bounds, witness and dim requests of the `mixed-session` pool, by group
+MIXED_GROUPS = {"bounds": 348, "bounds --le-mu": 192, "witness": 124, "dim": 120}
+
+
+@pytest.mark.parametrize("group", sorted(MIXED_GROUPS))
+def test_bounds_witness_and_dim_of_the_benchmark_pool_match_their_recorded_digests(
+        capsys, monkeypatch, group):
+    # every request of the group that a pass of the `mixed-session`
+    # benchmark can draw against the stdout digests the benchmark checks
     monkeypatch.syspath_prepend(str(PERFBENCH))
     wl = importlib.import_module("workloads")
     expected = json.loads((PERFBENCH / "expected.json").read_text())
     pool = [argv for argv in wl.pool("mixed-session")
-            if argv[0] == "bounds" and "--le-mu" in argv]
-    assert len(pool) == 192
+            if argv[0] + (" --le-mu" if "--le-mu" in argv else "") == group]
+    assert len(pool) == MIXED_GROUPS[group]
     for argv in pool:
         code, out = run(capsys, *argv)
         assert code == 0, argv

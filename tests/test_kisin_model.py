@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -8,8 +9,8 @@ from kisindim import perm as pm
 from kisindim.kisin_model import (KisinInstance, MuTriangle, QPoint, S_T,
                                   chain_dual_generators, cone_chain, cone_q, cone_qmax,
                                   cone_qmin, cone_qw, cone_regular,
-                                  d2_lattice_invariants, delta_vec, dim_phi,
-                                  mu_cell_vector, mu_from_q, mu_vec, phi_from_q,
+                                  d2_lattice_invariants, delta_vec, dim_phi, in_cone_q,
+                                  mu_cell_vector, mu_from_q, phi_from_q,
                                   q_from_mu, read_back_q, regular_dual_generators,
                                   validate_phi)
 from kisindim.polyhedra import HPolyhedron, dot
@@ -118,8 +119,8 @@ def test_mu_vectors_agree_with_transform():
             m = mu_from_q(q)
             for (i, j) in inst.cells:
                 assert dot(mu_cell_vector(inst, i, j), q.values) == m[(i, j)]
-            for j in range(1, d + 1):
-                assert dot(mu_vec(inst, j), q.values) == m[(1, j)]
+            assert tuple(dot(mu_cell_vector(inst, 1, j), q.values)
+                         for j in range(1, d + 1)) == m.top_row
 
 
 # ---------------------------------------------------------------------------
@@ -127,29 +128,34 @@ def test_mu_vectors_agree_with_transform():
 # ---------------------------------------------------------------------------
 
 def test_lattice_conditions_equivalent():
+    # the equivalence MuTriangle.in_lattice proves, from both sides
     rng = random.Random(22)
-    for d in (1, 2, 3, 4):
-        for b in (2, 3, 5):
+    for d in range(1, 6):
+        for b in (2, 3, 4, 5, 7):
             inst = KisinInstance(d, b)
             hits = {True: 0, False: 0}
             for _ in range(120):
                 if rng.random() < 0.5:
                     q = QPoint(inst, [F(rng.randint(-8, 8), rng.choice((1, 1, b, 2)))
                                       for _ in inst.cells])
+                    m = mu_from_q(q)
                 else:
-                    # integral mu rows with forced divisibility hit the
-                    # lattice from the mu side
+                    # rational mu rows: integral, mostly with forced
+                    # divisibility (which hits the lattice from the mu
+                    # side), now and then with one fractional cell
                     vals = {}
                     for i in range(1, d + 1):
-                        row = [rng.randint(-6, 6) for _ in range(i, d + 1)]
-                        row[-1] += (-sum(row)) % (b - 1)
-                        for k, j in enumerate(range(i, d + 1)):
-                            vals[(i, j)] = F(row[k])
-                    q = q_from_mu(MuTriangle(inst, vals))
-                m = mu_from_q(q)
-                assert q.in_lattice() == m.in_lattice()
-                hits[q.in_lattice()] += 1
-            assert hits[True] > 0 and hits[False] > 0
+                        row = [F(rng.randint(-9, 9)) for _ in range(i, d + 1)]
+                        if rng.random() < 0.8:
+                            row[-1] += (-sum(row)) % (b - 1)
+                        if rng.random() < 0.1:
+                            row[rng.randrange(len(row))] += F(1, rng.choice((2, b, b * b)))
+                        vals.update(zip(((i, j) for j in range(i, d + 1)), row))
+                    m = MuTriangle(inst, vals)
+                    q = q_from_mu(m)
+                assert q.in_lattice() == m.in_lattice(), m.values
+                hits[m.in_lattice()] += 1
+            assert hits[True] > 0 and hits[False] > 0, (d, b)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +225,51 @@ def test_integer_cone_rows_match_the_fraction_construction():
             rows = [(_fraction_difference(inst, x, y), F(0))
                     for x in inst.cells for y in inst.cells if x != y and tab[x] >= tab[y]]
             assert cone_qw(inst, w).halfspaces == HPolyhedron.build(inst.dim_E, rows).halfspaces
+
+
+def _random_mu_triangle(inst, rng, kind):
+    """A rational triangle of one of four kinds: random cells; a
+    nonincreasing top row with each lower cell between its two upper
+    neighbours (the order rows hold, ends and ties included); the image of
+    a point constant on the bands j - i and nonincreasing in j - i, which
+    lies in Q_min and so in Q; and such a point with one cell moved."""
+    d, b = inst.d, inst.b
+
+    def value():
+        return F(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, b)))
+
+    if kind == 0:
+        return MuTriangle(inst, [value() for _ in inst.cells])
+    if kind == 1:
+        rows = [sorted((value() for _ in range(d)), reverse=True)]
+        for _ in range(d - 1):
+            up = rows[-1]
+            rows.append([lo + (hi - lo) * F(rng.randint(0, 4), 4)
+                         for hi, lo in zip(up, up[1:])])
+        return MuTriangle(inst, [x for row in rows for x in row])
+    levels = sorted(value() for _ in range(d))
+    q = [levels[d - 1 - (j - i)] for (i, j) in inst.cells]
+    if kind == 3:
+        q[rng.randrange(len(q))] += F(rng.choice((-1, 1)), rng.choice((1, 2, b)))
+    return mu_from_q(QPoint(inst, q))
+
+
+def test_in_cone_q_matches_the_h_polyhedron():
+    # membership by the proved integer rows against the Fraction
+    # H-polyhedron of Q, on seeded rational triangles; at every d >= 2 both
+    # outcomes occur
+    rng = random.Random(27)
+    seen = Counter()
+    for d in range(1, 7):
+        for b in (2, 3, 5, 7, 101):
+            inst = KisinInstance(d, b)
+            Q = cone_q(inst)
+            for trial in range(100):
+                m = _random_mu_triangle(inst, rng, trial % 4)
+                inside = in_cone_q(m)
+                assert inside == Q.contains(q_from_mu(m).values), (d, b, m.values)
+                seen[d, inside] += 1
+    assert all(seen[d, True] and seen[d, False] for d in range(2, 7)), seen
 
 
 def banded_point(inst, levels, tilt=0, jitter=None, rng=None):
@@ -426,7 +477,7 @@ def test_S_T_level_identities():
     for d in (2, 3, 4, 5):
         b = 7
         inst = KisinInstance(d, b)
-        m1, md, dl = mu_vec(inst, 1), mu_vec(inst, d), delta_vec(inst)
+        m1, md, dl = mu_cell_vector(inst, 1, 1), mu_cell_vector(inst, 1, d), delta_vec(inst)
         for s in range(1, d):
             T = set(range(1, s + 1))
             assert S_T(m1, T, d) == -1
@@ -450,7 +501,7 @@ def test_S_T_general_formulas():
             s = len(T)
             for i in range(1, d + 1):
                 expected = b * (1 if (d + 1 - i) in T else 0) - (1 if s >= i else 0)
-                assert S_T(mu_vec(inst, i), T, d) == expected
+                assert S_T(mu_cell_vector(inst, 1, i), T, d) == expected
             ts = sorted(T)
             assert S_T(dl, T, d) == -s * (d - s) + b * sum(t - i for i, t in enumerate(ts, 1))
 
@@ -472,7 +523,7 @@ def test_dim_phi_two_forms_symbolic():
         inst = KisinInstance(d, 3)
         acc = [F(0)] * inst.dim_E
         for j in range(1, d + 1):
-            v = mu_vec(inst, j)
+            v = mu_cell_vector(inst, 1, j)
             acc = [a + (d + 1 - j) * x for a, x in zip(acc, v)]
         for (i, j) in inst.cells:
             v = mu_cell_vector(inst, i, j)

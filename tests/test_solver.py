@@ -7,11 +7,11 @@ import pytest
 from kisindim import bounds as bd
 from kisindim import kisin_model as km
 from kisindim import solver as sv
-from kisindim.kisin_model import KisinInstance, MuTriangle, cone_q, dim_phi, q_from_mu
+from kisindim.kisin_model import (KisinInstance, MuTriangle, cone_q, dim_phi, q_from_mu,
+                                  _self_test)
 from kisindim.polyhedra import Halfspace, HPolyhedron, in_cone
 from kisindim.solver import (BudgetExceeded, DimQuery, dim_d2_closed, dim_d3_closed,
-                             dim_exact, consistency_suite, _enumerate_dominated_tops,
-                             _self_test)
+                             dim_exact, consistency_suite, _enumerate_dominated_tops)
 
 
 def test_query_validation():
@@ -75,7 +75,7 @@ def test_witness_checks_always_verified():
 def _scaled_q(rows, d, b, i, j):
     """b(b-1) q_{i,j} as an integer form of the mu-cells (rows is a list of
     row lists, rows[i-1][j-i] = mu_{i,j}), read term by term off the
-    q-coordinates: the oracle for solver._row_slacks."""
+    q-coordinates: the oracle for kisin_model._row_slacks."""
     v = b * rows[i - 1][0]  # mu_{i,i}
     for s in range(i + 1, j + 1):
         v += b * (rows[i - 1][s - i] - rows[i][s - i - 1])
@@ -100,7 +100,7 @@ def _mu_constraints_ok(inst, rows):
 
 
 def _sampling_self_test(d, b):
-    """Oracle for solver._self_test: on 200 seeded triangles, half of them
+    """Oracle for kisin_model._self_test: on 200 seeded triangles, half of them
     biased toward feasibility, the mu-system agrees with membership of
     q_from_mu in the cone Q, all in Fraction arithmetic."""
     inst = KisinInstance(d, b)
@@ -129,7 +129,7 @@ SELF_TEST_GRID = [(d, b) for d in range(1, 5) for b in (2, 3, 5, 7, 101, 10007)]
 def cold_mu_system():
     """Clear the per-(d, b) proofs before and after a test that patches
     what they are read from."""
-    caches = (sv._self_test, sv._mu_system_rows, sv._top_bound_certified, sv._prove)
+    caches = (km._self_test, km._mu_system_rows, sv._top_bound_certified, sv._prove)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -141,7 +141,7 @@ def test_mu_constraint_system_self_test():
     for d, b in SELF_TEST_GRID:
         assert _sampling_self_test(d, b)
         assert _self_test(d, b)
-        assert len(sv._mu_system_rows(d, b)) == 3 * d * (d - 1) // 2, (d, b)
+        assert len(km._mu_system_rows(d, b)) == 3 * d * (d - 1) // 2, (d, b)
 
 
 def test_mu_constraints_match_cone_on_feasible_triangle():
@@ -161,7 +161,7 @@ def test_self_test_catches_perturbed_scaled_q(form, monkeypatch, cold_mu_system)
     # one entry of one scaled-q row of d = 4 gains mu_{i-1,i-1}; the rows
     # of level i are the _row_slacks of rows i-1, i, i+1, and row i has 5-i cells
     i, j = form
-    row_slacks = sv._row_slacks
+    row_slacks = km._row_slacks
 
     def perturbed(P, Q, R, b):
         rem = row_slacks(P, Q, R, b)
@@ -169,7 +169,7 @@ def test_self_test_catches_perturbed_scaled_q(form, monkeypatch, cold_mu_system)
             rem[j - i] += P[0]
         return rem
 
-    monkeypatch.setattr(sv, "_row_slacks", perturbed)
+    monkeypatch.setattr(km, "_row_slacks", perturbed)
     for b in (2, 3):
         with pytest.raises(AssertionError, match="disagree"):
             _self_test(4, b)
@@ -182,7 +182,7 @@ def test_self_test_catches_cone_with_a_halfspace_dropped(b, monkeypatch, cold_mu
     for k in range(len(full.halfspaces)):
         dropped = HPolyhedron(full.dim, full.halfspaces[:k] + full.halfspaces[k + 1:])
         monkeypatch.setattr(km, "cone_q", lambda inst: dropped)
-        sv._self_test.cache_clear()
+        km._self_test.cache_clear()
         with pytest.raises(AssertionError, match="disagree"):
             _self_test(4, b)
 
@@ -479,9 +479,9 @@ def test_top_bound_certificate(d):
         assert sv._top_bound_certified(d, b)
         # control: the certificate is not vacuous, a smaller bound (divisor
         # b+2 for b+1) is not a combination of the search's rows
-        target = [sv._two_rho(r[0]) - (b + 2) * sv._dim_form(r, d)
-                  for r in sv._unit_triangles(d)]
-        assert not in_cone(sv._mu_system_rows(d, b), target)
+        target = [sv._two_rho(r[0]) - (b + 2) * km._dim_form(r, d)
+                  for r in km._unit_triangles(d)]
+        assert not in_cone(km._mu_system_rows(d, b), target)
 
 
 def test_every_top_solves_within_its_bound():
@@ -542,7 +542,7 @@ def _row_end_max_dim_top(inst, top, budget, floor=None):
         return (0, [list(top)]) if top[0] % (b - 1) == 0 else (None, None)
     if sum(top) % (b - 1):
         return None, None
-    const = sv._dim_form([top], d)
+    const = km._dim_form([top], d)
     rows = [list(top)] + [[0] * (d - i + 1) for i in range(2, d + 1)]
     best = [None, None]
 
@@ -628,7 +628,7 @@ def _capped_max_dim_top(inst, top, budget, floor=None):
         return (0, [list(top)]) if top[0] % (b - 1) == 0 else (None, None)
     if sum(top) % (b - 1):
         return None, None
-    const = sv._dim_form([top], d)
+    const = km._dim_form([top], d)
     rows = [list(top)] + [[0] * (d - i + 1) for i in range(2, d + 1)]
     best = [None, None]
 
@@ -724,9 +724,9 @@ def _closed_form_max_dim_top(inst, top, budget, floor=None):
     bound, and a row the cells leave no room under is only found out when
     the row below is set up.  Every top starts with no incumbent."""
     d, b = inst.d, inst.b
-    sv._self_test(d, b)
+    km._self_test(d, b)
     sub_bound = sv._prove(d, b)
-    const = sv._dim_form([top], d)
+    const = km._dim_form([top], d)
     rows = [list(top)] + [[0] * (d - i + 1) for i in range(2, d + 1)]
     best = [None, None]
 
@@ -751,9 +751,9 @@ def _closed_form_max_dim_top(inst, top, budget, floor=None):
         n = d - r + 1
         lows = prev[1:]
         if r == d:
-            lows[0] = max(lows[0], -(sv._row_slacks(prev, (0,), (), b)[0] // (b + 1)))
+            lows[0] = max(lows[0], -(km._row_slacks(prev, (0,), (), b)[0] // (b + 1)))
         if r >= 3:
-            rem = sv._row_slacks(rows[r - 3], prev, lows, b)
+            rem = km._row_slacks(rows[r - 3], prev, lows, b)
             if min(rem) < 0:
                 return
         else:
@@ -827,7 +827,7 @@ def test_level_r_slacks_rise_with_every_cell_of_row_r(b):
         P = [9, 5, 2, 1, -3][:n + 1]
         for last in (False, True) if n == 2 else (False,):
             def slacks(Q):
-                return sv._row_slacks(P, Q, sv._below(Q, b, last), b)
+                return km._row_slacks(P, Q, sv._below(Q, b, last), b)
 
             for Q in itertools.product(range(-4, 5), repeat=n):
                 Q = list(Q)
@@ -851,7 +851,7 @@ def test_least_slack_at_the_probe_rises_by_the_jump_divisor(b):
         for P in itertools.combinations_with_replacement(range(3, -4, -1), n + 1):
             for last in (False, True) if n == 2 else (False,):
                 def slacks(Q):
-                    return sv._row_slacks(P, Q, sv._below(Q, b, last), b)
+                    return km._row_slacks(P, Q, sv._below(Q, b, last), b)
 
                 for idx in range(n):
                     rise = b + 1 if idx == 0 or last else 1
@@ -888,12 +888,12 @@ def test_row_slacks_and_sub_bound_are_proved(d):
     # unit triangle for 3 <= r <= d+1 (row d+1 is empty); both sides are
     # linear in the mu-cells, so they are equal everywhere
     for b in (2, 3, 5, 7, 101, 10007):
-        for rows in sv._unit_triangles(d):
+        for rows in km._unit_triangles(d):
             rows.append([])
             for r in range(3, d + 2):
                 want = [_scaled_q(rows, d, b, r - 1, j) - _scaled_q(rows, d, b, r - 2, j - 1)
                         for j in range(r - 1, d + 1)]
-                assert sv._row_slacks(rows[r - 3], rows[r - 2], rows[r - 1], b) == want, \
+                assert km._row_slacks(rows[r - 3], rows[r - 2], rows[r - 1], b) == want, \
                     (b, r, rows)
         assert _self_test(d, b)
         assert sv._prove(d, b)
@@ -907,7 +907,7 @@ def test_row_slacks_proof_catches_a_wrong_step(monkeypatch, cold_mu_system):
             rem.append(rem[k] + b * (Q[k + 1] - P[k + 1] + Q[k] - x))
         return rem
 
-    monkeypatch.setattr(sv, "_row_slacks", mutant)
+    monkeypatch.setattr(km, "_row_slacks", mutant)
     for d in (3, 4):
         with pytest.raises(AssertionError, match="disagree"):
             _self_test(d, 2)
@@ -918,13 +918,13 @@ def test_row_slacks_proof_catches_a_wrong_step(monkeypatch, cold_mu_system):
 def test_row_slacks_proof_covers_the_level_d_row(monkeypatch, cold_mu_system):
     # the level-d row is read with no row below it; a wrong first slack
     # there must fail even at d = 2, which has no other scaled-q row
-    row_slacks = sv._row_slacks
+    row_slacks = km._row_slacks
 
     def mutant(P, Q, R, b):
         rem = row_slacks(P, Q, R, b)
         return [rem[0] + (Q[0] if not R else 0)] + rem[1:]
 
-    monkeypatch.setattr(sv, "_row_slacks", mutant)
+    monkeypatch.setattr(km, "_row_slacks", mutant)
     with pytest.raises(AssertionError, match="disagree"):
         _self_test(2, 3)
 
@@ -942,13 +942,13 @@ def test_sub_bound_needs_every_smaller_certificate(monkeypatch, cold_mu_system):
 
 def test_sub_bound_needs_the_shifted_rows(monkeypatch, cold_mu_system):
     # a d'-system row that the d-system lacks voids the bound
-    rows = sv._mu_system_rows
+    rows = km._mu_system_rows
 
     def extra(d, b):
         out = rows(d, b)
         return out + ((1,) + (0,) * (len(out[0]) - 1),) if d == 2 else out
 
-    monkeypatch.setattr(sv, "_mu_system_rows", extra)
+    monkeypatch.setattr(km, "_mu_system_rows", extra)
     with pytest.raises(AssertionError, match="not a row of the 3-system"):
         sv._prove(3, 2)
     with pytest.raises(AssertionError, match="not a row of the 3-system"):

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import kisindim
-from kisindim import bounds as bd, polyhedra
+from kisindim import bounds as bd, kisin_model as km, polyhedra
 from kisindim.cli import main
 from kisindim.kisin_model import KisinInstance
 from kisindim.polyhedra import Frozen, vec
@@ -111,7 +111,7 @@ def test_cli_imports_only_argparse_json_and_fractions():
 
 def test_every_lru_cache_is_bounded():
     caches = dict(_lru_caches())
-    assert {"kisindim.solver._self_test", "kisindim.solver._mu_system_rows",
+    assert {"kisindim.kisin_model._self_test", "kisindim.kisin_model._mu_system_rows",
             "kisindim.bounds._q_generators"} <= set(caches)
     unbounded = [name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None]
@@ -193,6 +193,34 @@ def test_bounds_requests_take_no_vertex_route(capsys, monkeypatch, mu):
     for target in (["--e", "9"], ["--mu", mu], ["--mu", mu, "--le-mu"]):
         assert main(["bounds", "--d", "3", "--b", "2", *target]) == 0, target
         assert json.loads(capsys.readouterr().out)["target"]
+
+
+# one strongly regular type per (d, b), so bounds --le-mu builds its witness
+CONE_Q_REQUESTS = {(2, 3): "8,0", (3, 2): "12,5,0"}
+
+
+def test_witness_checks_build_cone_q_once_per_instance(capsys, monkeypatch):
+    # bounds, witness and dim requests decide membership in Q on the proved
+    # integer rows: the H-polyhedron of Q is built once per (d, b) in a
+    # process, by the proof, however many requests check a witness there
+    builds = Counter()
+    cone_q = km.cone_q
+
+    def counted(inst):
+        builds[inst.d, inst.b] += 1
+        return cone_q(inst)
+
+    _clear_caches()
+    monkeypatch.setattr(km, "cone_q", counted)
+    for _ in range(2):
+        for (d, b), mu in CONE_Q_REQUESTS.items():
+            for target in (["bounds", "--e", "9"], ["bounds", "--mu", mu],
+                           ["bounds", "--mu", mu, "--le-mu"], ["witness", "--e", "6"],
+                           ["witness", "--mu", mu], ["dim", "--e", "4"], ["dim", "--mu", mu]):
+                argv = [target[0], "--d", str(d), "--b", str(b), *target[1:]]
+                assert main(argv) == 0, argv
+                capsys.readouterr()
+    assert builds == Counter(dict.fromkeys(CONE_Q_REQUESTS, 1))
 
 
 def _references(tree):
