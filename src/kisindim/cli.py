@@ -22,16 +22,6 @@ from . import solver as sv
 from .polyhedra import fmt_frac, frac
 
 
-def _encode(obj):
-    if isinstance(obj, Fraction):
-        return fmt_frac(obj)
-    if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    return obj
-
-
 def _emit(text: str, out: str | None) -> None:
     """Write atomically: no partial files on failure."""
     if out is None:
@@ -51,8 +41,16 @@ def _emit(text: str, out: str | None) -> None:
         raise
 
 
+def _fraction_str(obj) -> str:
+    """json's hook for the objects it cannot encode itself: a Fraction
+    prints as "p/q" (fmt_frac); anything else is refused."""
+    if isinstance(obj, Fraction):
+        return fmt_frac(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _json_dumps(payload) -> str:
-    return json.dumps(_encode(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=_fraction_str) + "\n"
 
 
 def _instance(args) -> km.KisinInstance:

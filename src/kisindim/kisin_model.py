@@ -9,6 +9,13 @@ Q (games I, II, III below) is exactly the image of the valid profile
 tuples, and on lattice points the dimension functional computes the
 stratum dimension (exactly when h != 0, up to a d(d-1)/2 slack when
 h = 0).
+
+A triangle's cells are Fractions, but the work on them is integer: the
+transforms and the dimension functional apply integer matrices, kept per
+(d, b), to the cells' numerators over their common denominator, and
+membership in Q is an integer dot with the proved mu-rows.  A Fraction is
+built only for each output cell of a transform and for the value of
+dim(phi).
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from functools import lru_cache
 from math import lcm
 
 from . import perm as pm
-from .polyhedra import (Frozen, HPolyhedron, IVec, Vec, _idot, dot, dual_cone, fmt_frac, frac,
-                        primitive_ints, vec)
+from .polyhedra import (Frozen, HPolyhedron, IVec, Vec, _idot, dual_cone, fmt_frac, frac,
+                        primitive_ints, scaled_ints, vec)
 
 
 class KisinInstance(Frozen):
@@ -107,9 +114,10 @@ class QPoint(_Triangle):
         return tuple(self[(i, self.instance.d)] for i in range(1, self.instance.d + 1))
 
     def in_lattice(self) -> bool:
-        """q_{i,j} in (1/b)Z for all cells and q_{i,d} in Z."""
+        """q_{i,j} in (1/b)Z for all cells and q_{i,d} in Z: every denominator
+        divides b exactly when their lcm does."""
         b, d = self.instance.b, self.instance.d
-        return (all((v * b).denominator == 1 for v in self.values)
+        return (b % lcm(*(v.denominator for v in self.values)) == 0
                 and all(self[(i, d)].denominator == 1 for i in range(1, d + 1)))
 
 
@@ -130,9 +138,10 @@ class MuTriangle(_Triangle):
         sum_{s>j} (mu_{i,s} - mu_{i+1,s}) (row d+1 empty), and mu_from_q has
         integer coefficients on the b q_{i,j} and the q_{j,d}."""
         b, d = self.instance.b, self.instance.d
-        return (all(v.denominator == 1 for v in self.values)
-                and all(sum(self[(i, j)] for j in range(i, d + 1)) % (b - 1) == 0
-                        for i in range(1, d + 1)))
+        x, den = scaled_ints(self.values)
+        at = self.instance.cell_index
+        return den == 1 and all(sum(x[at(i, i):at(i, d) + 1]) % (b - 1) == 0
+                                for i in range(1, d + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +150,34 @@ class MuTriangle(_Triangle):
 
 def mu_from_q(q: QPoint) -> MuTriangle:
     """mu_{i,j} = b q_{j,j} - q_{j,d} + b * sum_{s=i}^{j-1} (q_{s,j} - q_{s,j-1})."""
-    return MuTriangle(q.instance, _apply_terms(q, _mu_cell_terms, 1))
+    return MuTriangle(q.instance, _apply(q, 0, 1))
 
 
 def q_from_mu(m: MuTriangle) -> QPoint:
     """q_{i,j} = (b mu_{i,i} + b sum_{s=i+1}^{j}(mu_{i,s}-mu_{i+1,s})
     + sum_{s=j+1}^{d}(mu_{i,s}-mu_{i+1,s})) / (b(b-1))."""
     b = m.instance.b
-    return QPoint(m.instance, _apply_terms(m, _q_cell_terms, b * (b - 1)))
+    return QPoint(m.instance, _apply(m, 1, b * (b - 1)))
 
 
-def _apply_terms(x: _Triangle, terms, scale: int) -> list[Fraction]:
-    """For each cell (i, j), the sum of c * x[cell] over terms(inst, i, j),
-    divided by scale, in integers over the common denominator of x."""
+def _apply(x: _Triangle, k: int, scale: int) -> list[Fraction]:
+    """Matrix k of `_transform_rows` applied to the numerators of x over
+    their common denominator, each image divided by that denominator times
+    scale: the one place the transforms build Fractions."""
     inst = x.instance
-    den = lcm(*(v.denominator for v in x.values))
-    nums = [v.numerator * (den // v.denominator) for v in x.values]
-    at = inst.cell_index
-    return [Fraction(sum(c * nums[at(*cell)] for c, cell in terms(inst, i, j)), den * scale)
-            for (i, j) in inst.cells]
+    nums, den = scaled_ints(x.values)
+    den *= scale
+    return [Fraction(_idot(row, nums), den) for row in _transform_rows(inst.d, inst.b)[k]]
+
+
+@lru_cache(maxsize=128)
+def _transform_rows(d: int, b: int) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
+    """The integer matrices of the two transforms, one row per cell in
+    row-major order: the q-cell forms of mu_{i,j} (`_mu_cell_terms`) and the
+    mu-cell forms of b(b-1) q_{i,j} (`_q_cell_terms`)."""
+    inst = KisinInstance(d, b)
+    return tuple(tuple(tuple(_int_row(inst, terms(inst, i, j))) for (i, j) in inst.cells)
+                 for terms in (_mu_cell_terms, _q_cell_terms))
 
 
 def _mu_cell_terms(inst: KisinInstance, i: int, j: int):
@@ -192,14 +210,14 @@ def _int_row(inst: KisinInstance, terms) -> list[int]:
 
 def mu_cell_vector(inst: KisinInstance, i: int, j: int) -> Vec:
     """The vector v in E with <q, v> = mu_{i,j}(q)."""
-    return tuple(map(Fraction, _int_row(inst, _mu_cell_terms(inst, i, j))))
+    return tuple(map(Fraction, _transform_rows(inst.d, inst.b)[0][inst.cell_index(i, j)]))
 
 
-def delta_vec(inst: KisinInstance) -> Vec:
+def delta_vec(inst: KisinInstance) -> IVec:
     """<q, delta_vec> is dim(phi): coefficient b on every cell plus the
     last-column correction (2i-1-d-bi) on cell (i,d)."""
     b, d = inst.b, inst.d
-    coeffs = [Fraction(b)] * inst.dim_E
+    coeffs = [b] * inst.dim_E
     for i in range(1, d + 1):
         coeffs[inst.cell_index(i, d)] += 2 * i - 1 - d - b * i
     return tuple(coeffs)
@@ -307,8 +325,7 @@ def _self_test(d: int, b: int) -> bool:
     (single source of truth for the search)."""
     inst = KisinInstance(d, b)
     # column k holds the images of the unit triangle of mu-cell k, scaled by b(b-1) > 0
-    images = list(zip(*(_int_row(inst, _q_cell_terms(inst, i, j))
-                        for (i, j) in inst.cells)))
+    images = list(zip(*_transform_rows(d, b)[1]))
     Q = cone_q(inst)
     if any(h.is_eq or h.offset for h in Q.halfspaces):
         raise AssertionError(f"cone Q at d={d} b={b} has an equation or an offset row")
@@ -326,7 +343,7 @@ def in_cone_q(m: MuTriangle) -> bool:
     integers on the rows of the mu-system, which _self_test proves are Q."""
     d, b = m.instance.d, m.instance.b
     _self_test(d, b)
-    x = primitive_ints(m.values)
+    x = scaled_ints(m.values)[0]
     return all(_idot(row, x) >= 0 for row in _mu_system_rows(d, b))
 
 
@@ -387,18 +404,25 @@ def dim_phi(x: QPoint | MuTriangle) -> Fraction:
 
     mu-form: sum_j (d+1-j) mu_{1,j} - sum_{(i,j)} mu_{i,j};
     q-form:  b * sum q_{i,j} + sum_i (2i-1-d-bi) q_{i,d}.
+
+    Both run on integers: x's numerators over its common denominator L, the
+    other coordinates from them by the matrix of `_transform_rows` (over L,
+    or over L b(b-1) for q from mu), compared exactly across the two
+    denominators.  Only the value is a Fraction.
     """
+    inst = x.instance
+    d, b = inst.d, inst.b
+    nums, den = scaled_ints(x.values)
     if isinstance(x, QPoint):
-        q, m = x, mu_from_q(x)
+        q, q_den = nums, den
+        m = [_idot(row, nums) for row in _transform_rows(d, b)[0]]
     else:
-        m, q = x, q_from_mu(x)
-    inst = q.instance
-    d = inst.d
-    mu_form = _dim_form((m.top_row, m.values[d:]), d)
-    q_form = dot(delta_vec(inst), q.values)
-    if mu_form != q_form:
+        m, q_den = nums, den * b * (b - 1)
+        q = [_idot(row, nums) for row in _transform_rows(d, b)[1]]
+    mu_form = _dim_form((m[:d], m[d:]), d)
+    if mu_form * q_den != _idot(delta_vec(inst), q) * den:
         raise AssertionError("dimension functional mismatch between coordinates")
-    return mu_form
+    return Fraction(mu_form, den)
 
 
 # ---------------------------------------------------------------------------

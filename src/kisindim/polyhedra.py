@@ -10,7 +10,8 @@ it starts from any simplicial seed (`_initial_simplicial` here, the rays
 of a simplicial cone known in closed form elsewhere) and returns each
 ray's zero set with it, so a caller reads the rows tight at each ray off
 its bits with no dot product.  A halfspace is stored as its primitive
-integer row, so membership is an integer dot.  `fractions.Fraction`
+integer row, so membership is an integer dot on a point's numerators
+over their common denominator (`scaled_ints`).  `fractions.Fraction`
 appears only at the API edge: `dot` and the coordinates of points and
 vertices.  Rays and lines are returned as primitive integer tuples.
 Polyhedra come in two representations:
@@ -19,8 +20,9 @@ Polyhedra come in two representations:
   ``<a, x> = c``;
 - `VPolyhedron`: vertices, recession-cone rays and (rarely) lines.
 
-Conversion in both directions goes through the double description method
-on a homogenizing cone, with the lineality space split off first so that
+`enumerate_vertices` converts the first to the second (and
+`cone_generators` a cone to its generators) by the double description
+method on a homogenizing cone, with the lineality space split off first so that
 the incremental step only ever runs on pointed cones.  Output is always
 minimal and sorted lexicographically, which makes results deterministic
 and directly comparable as exact sets.
@@ -58,13 +60,17 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def scaled_ints(v) -> tuple[list[int], int]:
+    """(N, L) for a rational vector v: L the lcm of its denominators and
+    N = L v, its integer numerators over that common denominator."""
+    L = lcm(*(a.denominator for a in v))
+    return [a.numerator * (L // a.denominator) for a in v], L
+
+
 def primitive_ints(v) -> IVec:
     """Scale a rational vector by a positive rational to coprime integers
     (the zero vector stays zero)."""
-    den = 1
-    for a in v:
-        den = den * a.denominator // gcd(den, a.denominator)
-    ints = [a.numerator * (den // a.denominator) for a in v]
+    ints = scaled_ints(v)[0]
     g = gcd(*ints)
     return tuple(a // g for a in ints) if g > 1 else tuple(ints)
 
@@ -233,8 +239,7 @@ class HPolyhedron(Frozen):
     def contains(self, x: Vec) -> bool:
         if len(x) != self.dim:
             raise ValueError(f"point of dimension {len(x)} in R^{self.dim}")
-        L = lcm(*(a.denominator for a in x))
-        X = [a.numerator * (L // a.denominator) for a in x]
+        X, L = scaled_ints(x)
         for h in self.halfspaces:
             v, c = _idot(h.normal, X), h.offset * L
             if v < c or (h.is_eq and v != c):
@@ -404,36 +409,6 @@ def enumerate_vertices(P: HPolyhedron) -> VPolyhedron:
                        tuple(r[:n] for r in rays if not r[n]), tuple(l[:n] for l in lines))
 
 
-def cone_hull(rays: list[Vec], lines: list[Vec], n: int) -> HPolyhedron:
-    """Minimal H-representation of cone(rays) + span(lines)."""
-    dlines, drays = cone_generators(rays, lines, n)
-    return HPolyhedron.build(n, [(r, 0) for r in drays], [(l, 0) for l in dlines])
-
-
-def v_to_h(V: VPolyhedron) -> HPolyhedron:
-    """H-representation of a nonempty V-polyhedron."""
-    if V.is_empty:
-        raise ValueError("cannot convert the empty polyhedron to halfspaces")
-    n = V.dim
-    gens = [(*v, 1) for v in V.vertices] + [(*r, 0) for r in V.rays]
-    H = cone_hull(gens, [(*l, 0) for l in V.lines], n + 1)
-    ineqs = []
-    eqs = []
-    for h in H.ineqs:
-        a, a0 = h.normal[:n], h.normal[n]
-        if not any(a):
-            continue  # the trivial t >= 0 facet
-        ineqs.append((a, -a0))
-    for h in H.eqs:
-        a, a0 = h.normal[:n], h.normal[n]
-        if not any(a):
-            if a0 != 0:
-                raise AssertionError("inconsistent homogenization")
-            continue
-        eqs.append((a, -a0))
-    return HPolyhedron.build(n, ineqs, eqs)
-
-
 def dual_cone(generators: list[Vec], dim: int) -> HPolyhedron:
     """{x : <x, g> >= 0 for every generator g}, the dual of cone(generators)."""
     return HPolyhedron.build(dim, [(g, 0) for g in generators if any(g)])
@@ -576,9 +551,7 @@ def graph_cone_dual_membership(nodes: list, arcs: list[tuple], x: dict) -> bool:
     set has a nonpositive sum: the test the subset oracle makes.
     """
     nodes = list(nodes)
-    xs = [frac(x[s]) for s in nodes]
-    L = lcm(*(a.denominator for a in xs))
-    X = dict(zip(nodes, (a.numerator * (L // a.denominator) for a in xs)))
+    X = dict(zip(nodes, scaled_ints([frac(x[s]) for s in nodes])[0]))
     if sum(X.values()) != 0:
         return False
     by_subsets = all(sum(X[s] for s in sub) <= 0

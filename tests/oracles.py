@@ -9,8 +9,39 @@ from kisindim import kisin_model as km
 from kisindim.bounds import reg_star_facets, strong_regularity, two_rho
 from kisindim.kisin_model import cone_chain
 from kisindim.perm import all_permutations
-from kisindim.polyhedra import (HPolyhedron, IVec, Vec, VPolyhedron, _echelon, _idot, dot,
-                                enumerate_vertices, in_cone, primitive_ints, v_to_h, vec)
+from kisindim.polyhedra import (HPolyhedron, IVec, Vec, VPolyhedron, _echelon, _idot,
+                                cone_generators, dot, enumerate_vertices, fmt_frac, in_cone,
+                                primitive_ints, vec)
+
+
+def cone_hull(rays: list[Vec], lines: list[Vec], n: int) -> HPolyhedron:
+    """Minimal H-representation of cone(rays) + span(lines)."""
+    dlines, drays = cone_generators(rays, lines, n)
+    return HPolyhedron.build(n, [(r, 0) for r in drays], [(l, 0) for l in dlines])
+
+
+def v_to_h(V: VPolyhedron) -> HPolyhedron:
+    """H-representation of a nonempty V-polyhedron."""
+    if V.is_empty:
+        raise ValueError("cannot convert the empty polyhedron to halfspaces")
+    n = V.dim
+    gens = [(*v, 1) for v in V.vertices] + [(*r, 0) for r in V.rays]
+    H = cone_hull(gens, [(*l, 0) for l in V.lines], n + 1)
+    ineqs = []
+    eqs = []
+    for h in H.ineqs:
+        a, a0 = h.normal[:n], h.normal[n]
+        if not any(a):
+            continue  # the trivial t >= 0 facet
+        ineqs.append((a, -a0))
+    for h in H.eqs:
+        a, a0 = h.normal[:n], h.normal[n]
+        if not any(a):
+            if a0 != 0:
+                raise AssertionError("inconsistent homogenization")
+            continue
+        eqs.append((a, -a0))
+    return HPolyhedron.build(n, ineqs, eqs)
 
 
 def polyhedra_set_equal(P: HPolyhedron, Q: HPolyhedron) -> bool:
@@ -197,6 +228,51 @@ def dominated_sup(mu, inst: km.KisinInstance, strong: bool):
 
 
 # ---------------------------------------------------------------------------
+# the triangle kernel and the JSON encoder by the Fraction route
+# ---------------------------------------------------------------------------
+
+def apply_terms(x, terms, scale: int) -> list[Fraction]:
+    """For each cell (i, j), the sum of c * x[cell] over the (coefficient,
+    cell) terms(inst, i, j), divided by scale, walking the term generators
+    cell by cell in Fractions: mu_from_q is apply_terms(q,
+    km._mu_cell_terms, 1) and q_from_mu is apply_terms(m, km._q_cell_terms,
+    b(b-1))."""
+    inst = x.instance
+    return [sum((c * x[cell] for c, cell in terms(inst, i, j)), Fraction(0)) / scale
+            for (i, j) in inst.cells]
+
+
+def dim_phi_fraction(x) -> Fraction:
+    """dim(phi) by both Fraction forms: the mu-form on mu_from_q(x) (or x)
+    and the q-form, the dot with delta_vec, on q_from_mu(x) (or x)."""
+    inst = x.instance
+    d = inst.d
+    if isinstance(x, km.QPoint):
+        q = x.values
+        m = apply_terms(x, km._mu_cell_terms, 1)
+    else:
+        m = x.values
+        q = apply_terms(x, km._q_cell_terms, inst.b * (inst.b - 1))
+    mu_form = (sum((d - j) * v for j, v in enumerate(m[:d], 1))
+               - sum(m[d:], Fraction(0)))
+    if mu_form != dot(km.delta_vec(inst), q):
+        raise AssertionError("dimension functional mismatch between coordinates")
+    return mu_form
+
+
+def encode(obj):
+    """A payload with every Fraction replaced by its "p/q" string and every
+    tuple by a list, walked before json.dumps sees it."""
+    if isinstance(obj, Fraction):
+        return fmt_frac(obj)
+    if isinstance(obj, dict):
+        return {k: encode(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [encode(v) for v in obj]
+    return obj
+
+
+# ---------------------------------------------------------------------------
 # the witness reports by the Fraction route
 # ---------------------------------------------------------------------------
 
@@ -249,10 +325,11 @@ def witness_le_mu_report(inst: km.KisinInstance, mu, q: km.QPoint) -> dict:
         "exact_when_integral": all(x == y for x, y in zip(qp, qq)),
     }
     report["meets_stated_constant"] = report["objective"] >= report["objective_stated_target"]
+    # the rounding loss is 0 with no level rounded (always at d = 1) and
+    # below d(d-1) otherwise
     report["ok"] = (report["in_Q"] and report["in_R"] and report["image_dominated"]
-                    and report["objective"] > report["objective_provable_target"])
-    if report["exact_when_integral"]:
-        report["ok"] = report["ok"] and report["objective"] == target
+                    and (report["objective"] == target if report["exact_when_integral"]
+                         else report["objective"] > report["objective_provable_target"]))
     return report
 
 

@@ -15,10 +15,10 @@ from kisindim.bounds import (DualityData, UnsupportedRegime, a_set, b_value,
                              witness_le_mu)
 from kisindim.kisin_model import (KisinInstance, chain_dual_generators,
                                   cone_chain, mu_from_q, regular_dual_generators)
-from kisindim.polyhedra import (Halfspace, HPolyhedron, cone_generators, cone_hull, dot,
+from kisindim.polyhedra import (Halfspace, HPolyhedron, cone_generators, dot,
                                 dual_cone, enumerate_vertices, fmt_frac, in_cone, vec)
-from oracles import (chain_cone_gens, dominance_polytope, dominated_sup, f_T_halfspace,
-                     fraction_constructions, k_hrep, kept_in_sum,
+from oracles import (chain_cone_gens, cone_hull, dominance_polytope, dominated_sup,
+                     f_T_halfspace, fraction_constructions, k_hrep, kept_in_sum,
                      min_over_permutations_fraction, minkowski_sum_cone,
                      polyhedra_set_equal, vertices_of_sum, witness_le_e_report,
                      witness_le_mu_report)
@@ -514,6 +514,40 @@ def test_min_over_permutations_matches_the_fraction_route(d):
             assert [w.images for w in argmin] == [w.images for w in oracle_argmin]
 
 
+def _refused(inst):
+    raise AssertionError("cone_regular called")
+
+
+@pytest.mark.parametrize("tabled", (True, False))
+def test_regularity_and_the_minimum_take_no_polyhedron_of_reg(monkeypatch, tabled):
+    # both decide b-regularity on the integer rows of
+    # regular_dual_generators, not on the H-polyhedron cone_regular; the
+    # rows D * rho_w come from the per-(d, b) table or, past
+    # RHO_TABLE_MAX_D, one at a time, with the same value and argmin
+    monkeypatch.setattr(km, "cone_regular", _refused)
+    if not tabled:
+        monkeypatch.setattr(bd, "RHO_TABLE_MAX_D", 0)
+    bd._rho_table.cache_clear()
+    rng = random.Random(44)
+    seen = Counter()
+    for d in range(1, 6):
+        for b in (2, 3, 7):
+            inst = KisinInstance(d, b)
+            for k in range(16):
+                mu = [F(rng.randint(-12, 12), rng.choice((1, 1, 1, 2))) for _ in range(d)]
+                mu = tuple(sorted(mu, reverse=True) if k % 2 else mu)
+                r = regularity(mu, inst)
+                flags = (r.b_regular, r.integrally_b_regular, r.strongly_integrally_b_regular)
+                assert flags == _inline_regularity(mu, b), (mu, b)
+                seen[flags] += 1
+                val, argmin = min_over_permutations(mu, inst)
+                oracle_val, oracle_argmin = min_over_permutations_fraction(mu, b)
+                assert val == oracle_val
+                assert [w.images for w in argmin] == [w.images for w in oracle_argmin]
+    assert len(seen) == 4
+    assert bd._rho_table.cache_info().currsize == (15 if tabled else 0)
+
+
 def test_min_over_permutations_builds_no_fraction_per_permutation():
     # d! = 120 permutations at d = 5: the dots are taken on integer rows
     inst = KisinInstance(5, 7)
@@ -692,6 +726,25 @@ def test_witness_le_mu_stated_constant_counterexample():
     q, rep = witness_le_mu(inst, (F(10), F(0)))
     assert rep["ok"] and not rep["meets_stated_constant"]
     assert rep["objective"] == 2 and rep["objective_stated_target"] == F(7, 3)
+
+
+def test_witness_le_mu_at_d1_is_ok_exactly_when_the_objective_meets_the_target(monkeypatch):
+    # d = 1 has no level below the last, so nothing is rounded and the
+    # objective must equal <2 rho | mu>/(b+1) = 0: all 42 strongly integrally
+    # b-regular types of the report grid below are ok, and none is with its
+    # objective off by one
+    types = [(b, (m,)) for b in (2, 3, 5, 7) for m in range(21)
+             if _inline_regularity((m,), b)[2]]
+    assert len(types) == 42
+    for b, mu in types:
+        _, rep = witness_le_mu(KisinInstance(1, b), mu)
+        assert rep["ok"] and rep["exact_when_integral"] and rep["objective"] == 0, (b, mu)
+    dim_phi = km.dim_phi
+    for step in (1, -1):
+        monkeypatch.setattr(km, "dim_phi", lambda q, step=step: dim_phi(q) + step)
+        for b, mu in types:
+            _, rep = witness_le_mu(KisinInstance(1, b), mu)
+            assert not rep["ok"], (b, mu, step)
 
 
 def test_witness_le_mu_rejects_non_regular():

@@ -4,15 +4,16 @@ import importlib
 import json
 import shlex
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from kisindim import cli, solver as sv
+from kisindim import bounds as bd, cli, solver as sv
 from kisindim.cli import build_parser, main
 from kisindim.kisin_model import KisinInstance
-from oracles import fraction_constructions
+from oracles import encode, fraction_constructions
 
 
 def run(capsys, *argv):
@@ -286,6 +287,39 @@ def test_witness_command(capsys):
     payload = json.loads(out)
     assert payload["report"]["ok"]
     assert payload["q"]["q"]["1,1"] == "2"
+
+
+def _report_payloads():
+    """Payloads that nest Fractions in dicts, lists and tuples: made up
+    ones and the witness and bounds reports the commands print."""
+    inst = KisinInstance(3, 2)
+    q, report = bd.witness_le_mu(inst, (12, 5, 0))
+    yield {"q": q.values, "report": report}
+    yield bd.theorem_bounds("le_mu", (12, 5, 0), inst)
+    yield bd.theorem_bounds("le_e", 9, KisinInstance(4, 3, True))
+    yield {"z": [Fraction(1, 2), (Fraction(-7, 3), 0, None)], "a": {"b": (True, Fraction(6, 4))},
+           "c": [[], {}, (), "1/2", -1.5, Fraction(10 ** 30, 7)]}
+    yield (Fraction(-1), [Fraction(0)])
+    yield Fraction(4, 6)
+
+
+@pytest.mark.parametrize("payload", list(_report_payloads()))
+def test_json_hook_prints_what_the_encode_walk_prints(payload):
+    # byte for byte the output of walking the payload first and replacing
+    # each Fraction by its "p/q" string
+    assert cli._json_dumps(payload) == json.dumps(encode(payload), sort_keys=True,
+                                                  indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", (1.5, Decimal("1.5"), 1 + 2j, {1, 2}, object()))
+def test_json_hook_refuses_everything_but_a_fraction(obj):
+    # json encodes a float itself; the hook, which json calls for what it
+    # cannot encode, prints only a Fraction as p/q
+    with pytest.raises(TypeError):
+        cli._fraction_str(obj)
+    if not isinstance(obj, float):
+        with pytest.raises(TypeError):
+            cli._json_dumps({"x": [obj]})
 
 
 def test_hasse_d4_node_count(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kisindim import perm as pm
+from kisindim import kisin_model as km, perm as pm
 from kisindim.kisin_model import (KisinInstance, MuTriangle, QPoint, S_T,
                                   chain_dual_generators, cone_chain, cone_q, cone_qmax,
                                   cone_qmin, cone_qw, cone_regular,
@@ -14,7 +14,7 @@ from kisindim.kisin_model import (KisinInstance, MuTriangle, QPoint, S_T,
                                   q_from_mu, read_back_q, regular_dual_generators,
                                   validate_phi)
 from kisindim.polyhedra import HPolyhedron, dot
-from oracles import polyhedra_set_equal
+from oracles import apply_terms, dim_phi_fraction, polyhedra_set_equal
 
 
 def rand_qpoint(inst, rng, denom=(1, 2, 3)):
@@ -97,6 +97,56 @@ def test_transforms_match_the_fraction_loops():
                 m = MuTriangle(inst, [F(rng.randint(-9, 9), rng.choice((1, 2)))
                                       for _ in inst.cells])
                 assert q_from_mu(m) == _q_from_mu_loops(m)
+
+
+def _rational_triangle(cls, inst, rng):
+    """Random cells, mostly integral, some with denominator 2, 3 or b."""
+    return cls(inst, [F(rng.randint(-20, 20), rng.choice((1, 1, 1, 2, 3, inst.b)))
+                      for _ in inst.cells])
+
+
+KERNEL_GRID = [(d, b) for d in range(1, 7) for b in (2, 3, 5, 7, 101)]
+
+
+def test_transforms_match_the_term_walk():
+    # the integer matrices of _transform_rows against the Fraction walk of
+    # the (coefficient, cell) terms they are built from
+    rng = random.Random(24)
+    for d, b in KERNEL_GRID:
+        inst = KisinInstance(d, b)
+        for _ in range(10):
+            q = _rational_triangle(QPoint, inst, rng)
+            assert list(mu_from_q(q).values) == apply_terms(q, km._mu_cell_terms, 1)
+            m = _rational_triangle(MuTriangle, inst, rng)
+            assert list(q_from_mu(m).values) == apply_terms(m, km._q_cell_terms, b * (b - 1))
+
+
+def test_dim_phi_matches_the_fraction_forms():
+    rng = random.Random(25)
+    for d, b in KERNEL_GRID:
+        inst = KisinInstance(d, b)
+        for _ in range(10):
+            for cls in (QPoint, MuTriangle):
+                x = _rational_triangle(cls, inst, rng)
+                value = dim_phi(x)
+                assert value == dim_phi_fraction(x) and type(value) is F, x
+
+
+@pytest.mark.parametrize("d, b", [(1, 2), (2, 3), (4, 5), (6, 101)])
+def test_dim_phi_raises_on_a_delta_coefficient_off_by_one(monkeypatch, d, b):
+    # the q-form is cross-checked against the mu-form on every cell: no
+    # cell of q is 0, so each wrong coefficient moves the q-form
+    inst = KisinInstance(d, b)
+    q = QPoint(inst, [F(k + 1, b) if k % 2 else F(-k - 1) for k in range(inst.dim_E)])
+    m = mu_from_q(q)
+    row = delta_vec(inst)
+    for k in range(inst.dim_E):
+        for step in (1, -1):
+            bad = row[:k] + (row[k] + step,) + row[k + 1:]
+            monkeypatch.setattr(km, "delta_vec", lambda inst, bad=bad: bad)
+            for x in (q, m):
+                with pytest.raises(AssertionError, match="mismatch"):
+                    dim_phi(x)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from kisindim import bounds as bd, polyhedra
 from kisindim.kisin_model import KisinInstance, chain_dual_generators
 from kisindim.polyhedra import (Halfspace, HPolyhedron, VPolyhedron, cone_generators,
-                                cone_hull, dot, dual_cone, enumerate_vertices,
+                                dot, dual_cone, enumerate_vertices,
                                 graph_cone_dual_membership, in_cone, maxflow,
-                                nullspace, primitive_ints, v_to_h, vec)
-from oracles import (_sign_certificate, chain_cone_gens, k_hrep, minkowski_sum_cone,
-                     polyhedra_set_equal, rank, vertices_of_sum)
+                                nullspace, primitive_ints, vec)
+from oracles import (_sign_certificate, chain_cone_gens, cone_hull, k_hrep,
+                     minkowski_sum_cone, polyhedra_set_equal, rank, v_to_h, vertices_of_sum)
 
 
 def square():
