@@ -233,28 +233,15 @@ def regularity(mu, inst: km.KisinInstance) -> RegularityClass:
     return RegularityClass(mu, breg, integrally, strongly)
 
 
-# S_d up to this d has its rows D * rho_w kept per (d, b): 720 rows at d = 6
-RHO_TABLE_MAX_D = 6
-
-
-@lru_cache(maxsize=64)
-def _rho_table(d: int, b: int) -> tuple[IVec, ...]:
-    """The rows D * rho_w of `pm.rho_row` over D = `pm.rho_denominator(d,
-    b)`, in the order of all_permutations (d <= RHO_TABLE_MAX_D)."""
-    D = pm.rho_denominator(d, b)
-    return tuple(tuple(pm.rho_row(images, b, D)) for images in permutations(range(1, d + 1)))
-
-
 def min_over_permutations(mu, inst: km.KisinInstance):
     """min_w <rho_w | mu> over all of S_d, with the argmin set in the order
     of all_permutations.
 
     The dots are taken on integers: the rows D * rho_w of `pm.rho_row`
-    (read from `_rho_table` up to d = RHO_TABLE_MAX_D, built one at a time
-    beyond) against mu scaled to integers, so the value is the least
-    integer dot over D times that scale.  This equals (b-1) times the
-    minimum of the defining series.  For b-regular mu the minimum sits at
-    w0 and equals <2 rho | mu>/(b+1).
+    against mu scaled to integers, so the value is the least integer dot
+    over D times that scale.  This equals (b-1) times the minimum of the
+    defining series.  For b-regular mu the minimum sits at w0 and equals
+    <2 rho | mu>/(b+1).
     """
     mu = vec(mu)
     d, b = inst.d, inst.b
@@ -262,16 +249,12 @@ def min_over_permutations(mu, inst: km.KisinInstance):
         raise ValueError(f"dimension mismatch: {d} vs {len(mu)}")
     imu, scale = scaled_ints(mu)
     D = pm.rho_denominator(d, b)
-    if d <= RHO_TABLE_MAX_D:
-        rows = _rho_table(d, b)
-    else:
-        rows = (pm.rho_row(images, b, D) for images in permutations(range(1, d + 1)))
     best = None
     argmin = []
     # the one-line images in the order of all_permutations; only the
     # argmin become Permutations
-    for images, row in zip(permutations(range(1, d + 1)), rows):
-        v = _idot(row, imu)
+    for images in permutations(range(1, d + 1)):
+        v = _idot(pm.rho_row(images, b, D), imu)
         if best is None or v < best:
             best, argmin = v, [images]
         elif v == best:

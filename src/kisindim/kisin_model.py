@@ -366,12 +366,6 @@ def regular_dual_generators(inst: KisinInstance) -> list[IVec]:
     return [tuple(b * x - y for x, y in zip(v[d - i - 1], v[i - 1])) for i in range(1, d)]
 
 
-def cone_regular(inst: KisinInstance) -> HPolyhedron:
-    """Reg = {mu : mu_i - mu_{i+1} <= b (mu_{d-i} - mu_{d-i+1}) for all i},
-    the dual of Reg*."""
-    return dual_cone(regular_dual_generators(inst), inst.d)
-
-
 def cone_qw(inst: KisinInstance, w: pm.Permutation) -> HPolyhedron:
     """The graph cone attached to w: q is constant on each level set
     T_s(w) = {w*(1..s)} and nondecreasing along the chain.  Its dual-side

@@ -10,8 +10,8 @@ from kisindim.bounds import reg_star_facets, strong_regularity, two_rho
 from kisindim.kisin_model import cone_chain
 from kisindim.perm import all_permutations
 from kisindim.polyhedra import (HPolyhedron, IVec, Vec, VPolyhedron, _echelon, _idot,
-                                cone_generators, dot, enumerate_vertices, fmt_frac, in_cone,
-                                primitive_ints, vec)
+                                cone_generators, dot, dual_cone, enumerate_vertices, fmt_frac,
+                                in_cone, primitive_ints, vec)
 
 
 def cone_hull(rays: list[Vec], lines: list[Vec], n: int) -> HPolyhedron:
@@ -42,6 +42,12 @@ def v_to_h(V: VPolyhedron) -> HPolyhedron:
             continue
         eqs.append((a, -a0))
     return HPolyhedron.build(n, ineqs, eqs)
+
+
+def cone_regular(inst: km.KisinInstance) -> HPolyhedron:
+    """Reg = {mu : mu_i - mu_{i+1} <= b (mu_{d-i} - mu_{d-i+1}) for all i},
+    the dual of Reg*."""
+    return dual_cone(km.regular_dual_generators(inst), inst.d)
 
 
 def polyhedra_set_equal(P: HPolyhedron, Q: HPolyhedron) -> bool:
@@ -204,7 +210,7 @@ def dominance_polytope(mu, inst: km.KisinInstance, strong: bool) -> HPolyhedron:
         a = [Fraction(-1)] * t + [Fraction(0)] * (d - t)
         ineqs.append((tuple(a), -sum(mu[:t])))  # partial sums <= those of mu
     eqs.append((vec([1] * d), sum(mu)))
-    Reg = km.cone_regular(inst)
+    Reg = cone_regular(inst)
     for h in Reg.ineqs:
         ineqs.append((h.normal, h.offset))
     if strong and d >= 2:

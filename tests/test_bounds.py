@@ -17,7 +17,7 @@ from kisindim.kisin_model import (KisinInstance, chain_dual_generators,
                                   cone_chain, mu_from_q, regular_dual_generators)
 from kisindim.polyhedra import (Halfspace, HPolyhedron, cone_generators, dot,
                                 dual_cone, enumerate_vertices, fmt_frac, in_cone, vec)
-from oracles import (chain_cone_gens, cone_hull, dominance_polytope, dominated_sup,
+from oracles import (chain_cone_gens, cone_hull, cone_regular, dominance_polytope, dominated_sup,
                      f_T_halfspace, fraction_constructions, k_hrep, kept_in_sum,
                      min_over_permutations_fraction, minkowski_sum_cone,
                      polyhedra_set_equal, vertices_of_sum, witness_le_e_report,
@@ -514,20 +514,17 @@ def test_min_over_permutations_matches_the_fraction_route(d):
             assert [w.images for w in argmin] == [w.images for w in oracle_argmin]
 
 
-def _refused(inst):
-    raise AssertionError("cone_regular called")
+def _refused(*args):
+    raise AssertionError("H-polyhedron built")
 
 
-@pytest.mark.parametrize("tabled", (True, False))
-def test_regularity_and_the_minimum_take_no_polyhedron_of_reg(monkeypatch, tabled):
+def test_regularity_and_the_minimum_take_no_polyhedron_of_reg(monkeypatch):
     # both decide b-regularity on the integer rows of
-    # regular_dual_generators, not on the H-polyhedron cone_regular; the
-    # rows D * rho_w come from the per-(d, b) table or, past
-    # RHO_TABLE_MAX_D, one at a time, with the same value and argmin
-    monkeypatch.setattr(km, "cone_regular", _refused)
-    if not tabled:
-        monkeypatch.setattr(bd, "RHO_TABLE_MAX_D", 0)
-    bd._rho_table.cache_clear()
+    # regular_dual_generators, not on an H-polyhedron such as the oracle's
+    # cone_regular
+    monkeypatch.setattr(HPolyhedron, "__init__", _refused)
+    with pytest.raises(AssertionError, match="H-polyhedron built"):
+        cone_regular(KisinInstance(3, 2))
     rng = random.Random(44)
     seen = Counter()
     for d in range(1, 6):
@@ -545,7 +542,6 @@ def test_regularity_and_the_minimum_take_no_polyhedron_of_reg(monkeypatch, table
                 assert val == oracle_val
                 assert [w.images for w in argmin] == [w.images for w in oracle_argmin]
     assert len(seen) == 4
-    assert bd._rho_table.cache_info().currsize == (15 if tabled else 0)
 
 
 def test_min_over_permutations_builds_no_fraction_per_permutation():

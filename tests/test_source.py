@@ -112,8 +112,7 @@ def test_cli_imports_only_argparse_json_and_fractions():
 def test_every_lru_cache_is_bounded():
     caches = dict(_lru_caches())
     assert {"kisindim.kisin_model._self_test", "kisindim.kisin_model._mu_system_rows",
-            "kisindim.kisin_model._transform_rows", "kisindim.bounds._q_generators",
-            "kisindim.bounds._rho_table"} <= set(caches)
+            "kisindim.kisin_model._transform_rows", "kisindim.bounds._q_generators"} <= set(caches)
     unbounded = [name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
