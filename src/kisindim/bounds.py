@@ -25,7 +25,7 @@ from math import ceil, gcd, inf, lcm
 from . import kisin_model as km
 from . import perm as pm
 from .polyhedra import (Frozen, Halfspace, HPolyhedron, IVec, Vec, _idot, cone_generators,
-                        dot, double_description, dual_cone, enumerate_vertices, frac, in_cone,
+                        dot, double_description, dual_cone, enumerate_vertices, in_cone,
                         primitive_ints, scaled_ints, vec)
 
 
@@ -81,11 +81,13 @@ def _q_generators(d: int, b: int):
     return cone_generators([h.normal for h in cone.ineqs], [h.normal for h in cone.eqs], cone.dim)
 
 
-def _form_vectors(inst: km.KisinInstance, form: str) -> list[Vec]:
+def _form_vectors(inst: km.KisinInstance, form: str) -> list[IVec]:
+    """The integer rows F_i of the top mu-cells, <q, F_i> = mu_{1,i}(q)."""
+    top = km._transform_rows(inst.d, inst.b)[0][:inst.d]
     if form == "g":
-        return [km.mu_cell_vector(inst, 1, i) for i in range(1, inst.d + 1)]
+        return list(top)
     if form == "f":
-        return [km.mu_cell_vector(inst, 1, 1), km.mu_cell_vector(inst, 1, inst.d)]
+        return [top[0], top[-1]]
     raise ValueError(f"unknown constraint form {form!r}")
 
 
@@ -100,8 +102,8 @@ def a_set(inst: km.KisinInstance, variant, form: str = "g") -> HPolyhedron:
     delta = km.delta_vec(inst)
     ineq_rows, eq_rows = _dual_hrep(inst, variant)
     n = len(F)
-    ineqs = [(tuple(dot(Fi, v) for Fi in F), dot(delta, v)) for v in ineq_rows]
-    eqs = [(tuple(dot(Fi, v) for Fi in F), dot(delta, v)) for v in eq_rows]
+    ineqs = [(tuple(_idot(Fi, v) for Fi in F), _idot(delta, v)) for v in ineq_rows]
+    eqs = [(tuple(_idot(Fi, v) for Fi in F), _idot(delta, v)) for v in eq_rows]
     ineqs = [(a, c) for a, c in ineqs if any(x != 0 for x in a)]
     return HPolyhedron.build(n, ineqs, eqs)
 
@@ -176,8 +178,8 @@ def b_value(dd: DualityData, y) -> Fraction | float:
     if dd.D_gens is not None and not in_cone(list(dd.D_gens), y):
         return -inf
     rays, lines = _dual_hrep(inst, dd.variant)
-    image_gens = [tuple(dot(Fi, r) for Fi in F) for r in rays]
-    image_gens += [tuple(s * dot(Fi, l) for Fi in F) for l in lines for s in (1, -1)]
+    image_gens = [tuple(_idot(Fi, r) for Fi in F) for r in rays]
+    image_gens += [tuple(s * _idot(Fi, l) for Fi in F) for l in lines for s in (1, -1)]
     if not in_cone(image_gens + list(dd.C_gens), y):
         return -inf
     A = a_set(inst, dd.variant, dd.form)
@@ -308,7 +310,7 @@ def theorem_bounds(target: str, params, inst: km.KisinInstance) -> dict:
     regular mu' respectively; either is None when there is no such mu'.
     """
     d, b = inst.d, inst.b
-    eps = frac(inst.epsilon_slack)
+    eps = inst.epsilon_slack
     quarter = d * d // 4
     if target == "le_e":
         e = int(params)
@@ -353,7 +355,7 @@ def theorem_bounds(target: str, params, inst: km.KisinInstance) -> dict:
         sup = _dominated_sup(mu, inst, strong=True)
         out["lower_sup_relaxed"] = True  # the sup over real mu'; integrality relaxed
         out["lower"] = None if sup is None else \
-            -frac((d - 1) ** 2) - Fraction((d - 2) ** 2, 4) + Fraction(sup, b + 1)
+            -(d - 1) ** 2 - Fraction((d - 2) ** 2, 4) + Fraction(sup, b + 1)
         if b >= 1 + max(d, (d - 1) ** 2 // 4):
             sup2 = _dominated_sup(mu, inst, strong=False)
             out["upper_strong"] = None if sup2 is None else eps + Fraction(sup2, b + 1)
@@ -421,7 +423,7 @@ def witness_le_mu(inst: km.KisinInstance, mu):
     qq.append(int(total) - sum(qq))
     if any(x > y for x, y in zip(qq, qq[1:])):
         raise AssertionError("rounded levels not nondecreasing")
-    q = km.QPoint(inst, {(i, j): frac(qq[d - 1 - (j - i)]) for (i, j) in inst.cells})
+    q = km.QPoint(inst, {(i, j): qq[d - 1 - (j - i)] for (i, j) in inst.cells})
     m = km.mu_from_q(q)
     g = m.top_row
     target = Fraction(dot(two_rho(d), mu), b + 1)
@@ -442,8 +444,8 @@ def witness_le_mu(inst: km.KisinInstance, mu):
         and sum(g) == sum(mu),
         "objective": km.dim_phi(q),
         "objective_provable_target": target - d * (d - 1),
-        "objective_stated_target": target - frac((d - 1) ** 2) - Fraction((d - 2) ** 2, 4),
-        "exact_when_integral": all(x == y for x, y in zip(qp, map(frac, qq))),
+        "objective_stated_target": target - (d - 1) ** 2 - Fraction((d - 2) ** 2, 4),
+        "exact_when_integral": qp == qq,
     }
     report["meets_stated_constant"] = report["objective"] >= report["objective_stated_target"]
     report["ok"] = (report["in_Q"] and report["in_R"] and report["image_dominated"]

@@ -19,7 +19,7 @@ from . import bounds as bd
 from . import kisin_model as km
 from . import perm as pm
 from . import solver as sv
-from .polyhedra import fmt_frac, frac
+from .polyhedra import fmt_frac
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -97,9 +97,8 @@ def cmd_bounds(args) -> int:
         mu = _mu_tuple(args.mu)
         target = "le_mu" if args.le_mu else "mu"
         report = bd.theorem_bounds(target, mu, inst)
-        if target == "le_mu" and bd.regularity(
-                tuple(map(frac, mu)), inst).strongly_integrally_b_regular:
-            _, wrep = bd.witness_le_mu(inst, tuple(map(frac, mu)))
+        if target == "le_mu" and bd.regularity(mu, inst).strongly_integrally_b_regular:
+            _, wrep = bd.witness_le_mu(inst, mu)
             witnesses["le_mu"] = wrep
     payload = {"target": report.pop("target"), "params": report.pop("params"),
                "lower": report.pop("lower"), "upper": report.pop("upper", None),
@@ -144,8 +143,8 @@ def cmd_witness(args) -> int:
     if args.e is not None:
         q, report = bd.witness_le_e(inst, args.e)
     else:
-        q, report = bd.witness_le_mu(inst, tuple(map(frac, _mu_tuple(args.mu))))
-    payload = {"q": json.loads(q.to_json()), "report": report}
+        q, report = bd.witness_le_mu(inst, _mu_tuple(args.mu))
+    payload = {"q": q.to_dict(), "report": report}
     _emit(_json_dumps(payload), args.out)
     return 0
 

@@ -88,12 +88,13 @@ class _Triangle(Frozen):
         i, j = cell
         return self.values[self.instance.cell_index(i, j)]
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         inst = self.instance
-        return json.dumps({
-            "d": inst.d, "b": inst.b,
-            self.KEY: {f"{i},{j}": fmt_frac(self[(i, j)]) for (i, j) in inst.cells},
-        }, sort_keys=True)
+        return {"d": inst.d, "b": inst.b,
+                self.KEY: {f"{i},{j}": fmt_frac(self[(i, j)]) for (i, j) in inst.cells}}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, s: str, h_zero: bool = False):
@@ -612,8 +613,8 @@ def d2_lattice_invariants(alpha: int, gamma: int, delta: int, b: int) -> D2Latti
     inst = KisinInstance(2, b)
     mu1 = b * (alpha + delta - gamma) - delta
     mu2 = b * gamma - alpha
-    q11 = frac(alpha) + Fraction((b - 1) * (delta - gamma), b)
-    q = QPoint(inst, {(1, 1): q11, (1, 2): frac(gamma), (2, 2): frac(alpha + delta - gamma)})
+    q11 = alpha + Fraction((b - 1) * (delta - gamma), b)
+    q = QPoint(inst, {(1, 1): q11, (1, 2): gamma, (2, 2): alpha + delta - gamma})
     prof = phi_from_q(q)
     # cross-check the generic pieces against the closed forms
     m = mu_from_q(q)

@@ -78,11 +78,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil
-from operator import mul
 
 from . import bounds as bd
 from . import kisin_model as km
-from .polyhedra import Frozen, frac, in_cone
+from .polyhedra import Frozen, _idot, in_cone
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -179,7 +178,7 @@ def _below(Q, b, last):
 def _two_rho(top):
     """<2 rho | top>; 2 rho sums to 0, so a constant shift of the top does
     not change it."""
-    return sum(map(mul, bd.two_rho(len(top)), top))
+    return _idot(bd.two_rho(len(top)), top)
 
 
 def _top_bound(top, b):
@@ -208,14 +207,13 @@ def _prove(d: int, b: int) -> bool:
     the search accepts, d' = d-r+2, have dim at most the top bound of row
     r-1."""
     km._self_test(d, b)
-    cells = {(i, j): k for k, (i, j) in enumerate(
-        (i, j) for i in range(1, d + 1) for j in range(i, d + 1))}
+    inst = km.KisinInstance(d, b)
     full = set(km._mu_system_rows(d, b))
     for dp in range(2, d + 1):
         shift = d - dp
-        at = [cells[i + shift, j + shift] for i in range(1, dp + 1) for j in range(i, dp + 1)]
+        at = [inst.cell_index(i + shift, j + shift) for i, j in km.KisinInstance(dp, b).cells]
         for sub_row in km._mu_system_rows(dp, b):
-            row = [0] * len(cells)
+            row = [0] * inst.dim_E
             for k, x in zip(at, sub_row):
                 row[k] = x
             if tuple(row) not in full:
@@ -372,14 +370,6 @@ def _enumerate_dominated_tops(mu, b):
     yield from rec([], mu[0], 0)
 
 
-def _solve_mu(inst, top, budget, floor=None):
-    value, rows = _max_dim_top(inst, top, budget, floor)
-    if value is None:
-        return None, None
-    tri = km.MuTriangle(inst, {(i, j): rows[i - 1][j - i] for (i, j) in inst.cells})
-    return value, tri
-
-
 def dim_exact(query: DimQuery, budget: int = DEFAULT_BUDGET) -> DimResult:
     """Exact dimension (h != 0) or interval (h = 0) for the query, by
     maximizing dim(phi) over the lattice points of the feasible region."""
@@ -399,25 +389,28 @@ def dim_exact(query: DimQuery, budget: int = DEFAULT_BUDGET) -> DimResult:
             list(_enumerate_dominated_tops(tuple(query.mu), b))
     # best bound first; the sort is stable, so ties keep enumeration order
     tops.sort(key=lambda top: _top_bound(top, b), reverse=True)
-    best, witness = None, None
+    # the incumbent is kept as its rows: rows of equal lengths compare as the
+    # row-major cells of their triangles do; only the winner becomes one
+    best, best_rows = None, None
     for top in tops:
         bound = _top_bound(top, b)
         if best is not None and bound < best:
             break  # no later top can reach the incumbent, let alone tie it
         # seeded with the incumbent: a top that cannot reach it is cut early,
         # one that can tie still finds its own first optimum
-        value, tri = _solve_mu(inst, top, tracker, best)
+        value, rows = _max_dim_top(inst, top, tracker, best)
         if value is None:
             continue
         if value > bound:
             raise AssertionError(
                 f"top {top} reaches dim {value} above its certified bound "
                 f"{bound} at d={d} b={b}")
-        if best is None or value > best or (value == best and tri.values < witness.values):
-            best, witness = value, tri
+        if best is None or value > best or (value == best and rows < best_rows):
+            best, best_rows = value, rows
     nodes = budget - tracker.left
     if best is None:
         return DimResult("empty", nodes=nodes)
+    witness = km.MuTriangle(inst, [x for row in best_rows for x in row])
     checks = _verify_witness(witness, best)
     if inst.h_zero:
         return DimResult("interval", interval=(best, best + d * (d - 1) // 2),
@@ -463,8 +456,7 @@ def dim_d3_closed(mu1: int, mu2: int, mu3: int, inst: km.KisinInstance):
         raise ValueError("mu must be nonincreasing")
     b = inst.b
     shift = b * b + b + 1
-    valid = bd.regularity((frac(mu1 - shift), frac(mu2), frac(mu3 + shift)),
-                          inst).integrally_b_regular
+    valid = bd.regularity((mu1 - shift, mu2, mu3 + shift), inst).integrally_b_regular
     x = Fraction(b * mu1 + mu3, b * b - 1)
     defx = ceil(x) - x
     # the branch value with the larger m wins; picking the max reproduces
@@ -479,9 +471,14 @@ def dim_d3_closed(mu1: int, mu2: int, mu3: int, inst: km.KisinInstance):
 # cross-method consistency suite
 # ---------------------------------------------------------------------------
 
-def consistency_suite(d_values=(2, 3), b_values=(2, 3), e_max=8, mu_samples=4,
-                      seed=0, budget=DEFAULT_BUDGET) -> dict:
-    """Run the cross-method checks on a configured grid and report failures
+SUITE_D_VALUES = (2, 3)
+SUITE_B_VALUES = (2, 3)
+SUITE_E_MAX = 8
+SUITE_MU_SAMPLES = 4
+
+
+def consistency_suite(seed=0, budget=DEFAULT_BUDGET) -> dict:
+    """Run the cross-method checks on the SUITE_* grid and report failures
     with minimal counterexamples.
 
     (a) theorem sandwiches for the e-bounded family, (b) divisor-type
@@ -498,23 +495,23 @@ def consistency_suite(d_values=(2, 3), b_values=(2, 3), e_max=8, mu_samples=4,
     def fail(name, **ctx):
         failures.append({"check": name, **ctx})
 
-    for d in d_values:
-        for b in b_values:
+    for d in SUITE_D_VALUES:
+        for b in SUITE_B_VALUES:
             inst = km.KisinInstance(d, b)
             # (a) sandwich over e
             dims = []
-            for e in range(e_max + 1):
+            for e in range(SUITE_E_MAX + 1):
                 res = dim_exact(DimQuery(inst, "le_e", e=e), budget)
                 tb = bd.theorem_bounds("le_e", e, inst)
                 dims.append(res.dim)
                 checks += 1
-                if not (tb["lower"] <= res.dim and frac(res.dim) <= tb["upper"]):
+                if not (tb["lower"] <= res.dim <= tb["upper"]):
                     fail("le_e_sandwich", d=d, b=b, e=e, dim=res.dim,
                          lower=str(tb["lower"]), upper=str(tb["upper"]))
             if any(x > y for x, y in zip(dims, dims[1:])):
                 fail("le_e_monotone", d=d, b=b, dims=dims)
             # (b) congruence + upper bound on random integrally regular mu
-            for _ in range(mu_samples):
+            for _ in range(SUITE_MU_SAMPLES):
                 mu = _random_integrally_regular(inst, rng, span=3 * b)
                 if mu is None:
                     continue
@@ -527,7 +524,7 @@ def consistency_suite(d_values=(2, 3), b_values=(2, 3), e_max=8, mu_samples=4,
                     fail("mu_congruence", d=d, b=b, mu=mu, dim=res.dim)
                 if b >= inst.b0:
                     val, _ = bd.min_over_permutations(mu, inst)
-                    if frac(res.dim) > frac(inst.epsilon_slack) + val:
+                    if res.dim > inst.epsilon_slack + val:
                         fail("mu_min_w_upper", d=d, b=b, mu=mu, dim=res.dim,
                              bound=str(val))
             # (d) dominance family = max over dominated divisor types
@@ -544,12 +541,12 @@ def consistency_suite(d_values=(2, 3), b_values=(2, 3), e_max=8, mu_samples=4,
             if best != got:
                 fail("le_mu_vs_mu_max", d=d, b=b, mu=mu, le_mu=got, max_mu=best)
     # (c) periodicity in the d = 2 family
-    for b in b_values:
+    for b in SUITE_B_VALUES:
         inst = km.KisinInstance(2, b)
         period, jump = b * b - 1, b - 1
         base = [dim_exact(DimQuery(inst, "le_e", e=e), budget).dim
-                for e in range(e_max + period + 1)]
-        for e in range(e_max + 1):
+                for e in range(SUITE_E_MAX + period + 1)]
+        for e in range(SUITE_E_MAX + 1):
             checks += 1
             if base[e + period] != base[e] + jump:
                 fail("d2_periodicity", b=b, e=e, vals=(base[e], base[e + period]))
@@ -564,7 +561,7 @@ def _random_integrally_regular(inst, rng, span):
         for g in reversed(gaps):
             mu.append(mu[-1] + g)
         mu = tuple(reversed(mu))
-        r = bd.regularity(tuple(map(frac, mu)), inst)
+        r = bd.regularity(mu, inst)
         if r.b_regular:
             # shifting by a constant keeps b-regularity; pick one that fixes
             # the divisibility of the total

@@ -1,10 +1,13 @@
-"""Exact oracles, the cones they are run on, and a Fraction counter, shared
-by the test modules."""
+"""Exact oracles, the cones they are run on, a Fraction counter and the
+package's lru caches, shared by the test modules."""
 
+import importlib
+import pkgutil
 import sys
 from fractions import Fraction
 from math import inf, lcm
 
+import kisindim
 from kisindim import kisin_model as km
 from kisindim.bounds import reg_star_facets, strong_regularity, two_rho
 from kisindim.kisin_model import cone_chain
@@ -417,3 +420,17 @@ def fraction_constructions(fn) -> int:
     finally:
         sys.setprofile(None)
     return calls
+
+
+def lru_caches():
+    """(qualified name, function) for every lru_cache of the package."""
+    for info in pkgutil.iter_modules(kisindim.__path__):
+        module = importlib.import_module(f"kisindim.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                yield f"{module.__name__}.{name}", obj
+
+
+def clear_caches():
+    for _, fn in lru_caches():
+        fn.cache_clear()

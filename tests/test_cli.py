@@ -13,7 +13,7 @@ import pytest
 from kisindim import bounds as bd, cli, solver as sv
 from kisindim.cli import build_parser, main
 from kisindim.kisin_model import KisinInstance
-from oracles import encode, fraction_constructions
+from oracles import clear_caches, encode, fraction_constructions
 
 
 def run(capsys, *argv):
@@ -250,6 +250,23 @@ def test_tables_benchmark_pool_matches_its_recorded_digests(capsys, monkeypatch)
         code, out = run(capsys, *argv)
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == expected[wl.key(argv)], argv
+
+
+def test_dim_requests_build_one_witness_triangle(capsys, monkeypatch):
+    # the search keeps its incumbent as integer rows: a request builds the
+    # cells of the one witness it prints and the value of dim(phi), at most
+    # d(d+1)/2 + 1 Fractions, with every cache cold and then warm
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    wl = importlib.import_module("workloads")
+    pool = [argv for argv in wl.pool("mixed-session") if argv[0] == "dim"]
+    pool.append(["dim", "--d", "4", "--b", "2", "--e", "20"])
+    for cold in (True, False):
+        for argv in pool:
+            d = int(argv[argv.index("--d") + 1])
+            if cold:
+                clear_caches()
+            assert fraction_constructions(lambda: main(argv)) <= d * (d + 1) // 2 + 1, argv
+            assert json.loads(capsys.readouterr().out)["query"]["d"] == d
 
 
 # the bounds, witness and dim requests of the `mixed-session` pool, by group

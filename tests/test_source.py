@@ -23,19 +23,12 @@ from kisindim import bounds as bd, kisin_model as km, polyhedra
 from kisindim.cli import main
 from kisindim.kisin_model import KisinInstance
 from kisindim.polyhedra import Frozen, vec
+from oracles import clear_caches, lru_caches
 
 SRC = Path(kisindim.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 DEMOS = TESTS.parent / "demos"
 ORTHANT_PM = (vec((1, 0)), vec((0, -1)))  # generators of R+ x R-
-
-
-def _lru_caches():
-    for info in pkgutil.iter_modules(kisindim.__path__):
-        module = importlib.import_module(f"kisindim.{info.name}")
-        for name, obj in vars(module).items():
-            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
-                yield f"{module.__name__}.{name}", obj
 
 
 def test_no_assert_statements_in_src():
@@ -110,7 +103,7 @@ def test_cli_imports_only_argparse_json_and_fractions():
 
 
 def test_every_lru_cache_is_bounded():
-    caches = dict(_lru_caches())
+    caches = dict(lru_caches())
     assert {"kisindim.kisin_model._self_test", "kisindim.kisin_model._mu_system_rows",
             "kisindim.kisin_model._transform_rows", "kisindim.bounds._q_generators"} <= set(caches)
     unbounded = [name for name, fn in caches.items()
@@ -142,11 +135,6 @@ def test_every_record_type_is_frozen():
     assert found == []
 
 
-def _clear_caches():
-    for _, fn in _lru_caches():
-        fn.cache_clear()
-
-
 def test_bounds_output_same_with_caches_cold_and_warm(capsys):
     argvs = [["bounds", "--d", "3", "--b", "2", "--e", "4"],
              ["bounds", "--d", "3", "--b", "3", "--mu", "9,5,1", "--le-mu"],
@@ -162,11 +150,11 @@ def test_bounds_output_same_with_caches_cold_and_warm(capsys):
         out.append(bd.b_value(bd.DualityData(inst, "Qmax", "f", ORTHANT_PM), (3, -2)))
         return out
 
-    _clear_caches()
+    clear_caches()
     cold = outputs()
     assert bd._q_generators.cache_info().currsize > 0
     assert outputs() == cold
-    _clear_caches()
+    clear_caches()
     assert outputs() == cold
 
 
@@ -210,7 +198,7 @@ def test_witness_checks_build_cone_q_once_per_instance(capsys, monkeypatch):
         builds[inst.d, inst.b] += 1
         return cone_q(inst)
 
-    _clear_caches()
+    clear_caches()
     monkeypatch.setattr(km, "cone_q", counted)
     for _ in range(2):
         for (d, b), mu in CONE_Q_REQUESTS.items():
