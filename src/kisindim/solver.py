@@ -64,9 +64,9 @@ is a nonnegative combination of the rows of the d'-system, the search's
 own real relaxation (Farkas), and the shifted d'-rows are rows of the
 d-system.
 
-For le_e only the tops with mu_d <= b-2 are searched (see
-`_enumerate_le_e_tops`).  Nothing is kept between queries, so node counts
-and budget refusals are a function of the query and the budget alone.
+For le_e only the tops with mu_d <= b-2 are listed (`_enumerate_le_e_tops`);
+each listed top costs one node.  Nothing is kept between queries, so node
+counts and budget refusals are a function of the query and the budget alone.
 
 Results are exact integers when h != 0 and intervals of width d(d-1)/2
 when h = 0; a query that would exceed the node budget raises the typed
@@ -238,7 +238,6 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget, floor: int | None
     unchanged, so it shifts the rows by the same amount after the same
     number of nodes."""
     d, b = inst.d, inst.b
-    _prove(d, b)
     const = km._dim_form([top], d)
     rows = [list(top)] + [[0] * (d - i + 1) for i in range(2, d + 1)]
     best = [None, None]
@@ -375,18 +374,21 @@ def dim_exact(query: DimQuery, budget: int = DEFAULT_BUDGET) -> DimResult:
     maximizing dim(phi) over the lattice points of the feasible region."""
     inst = query.instance
     d, b = inst.d, inst.b
-    if d > 4:
-        raise ValueError("the exact search supports d <= 4")
     if budget < 0:
         raise ValueError("the node budget must be >= 0")
+    _prove(d, b)  # where the search is valid, decided before any top is listed
     tracker = _Budget(budget)
-    if query.kind == "mu":
-        tops = [tuple(query.mu)] if sum(query.mu) % (b - 1) == 0 else []
-    elif query.kind == "le_e":
-        tops = list(_enumerate_le_e_tops(d, query.e, b))
+    if query.kind == "le_e":
+        listing = _enumerate_le_e_tops(d, query.e, b)
+    elif sum(query.mu) % (b - 1) != 0:
+        listing = ()
     else:
-        tops = [] if sum(query.mu) % (b - 1) != 0 else \
-            list(_enumerate_dominated_tops(tuple(query.mu), b))
+        listing = (tuple(query.mu),) if query.kind == "mu" else \
+            _enumerate_dominated_tops(tuple(query.mu), b)
+    tops = []
+    for top in listing:  # one node per top as it is listed: the budget bounds the listing
+        tracker.spend()
+        tops.append(top)
     # best bound first; the sort is stable, so ties keep enumeration order
     tops.sort(key=lambda top: _top_bound(top, b), reverse=True)
     # the incumbent is kept as its rows: rows of equal lengths compare as the

@@ -57,8 +57,9 @@ def test_dim_budget_refusal_exit_2(capsys):
 def test_dim_invalid_input_exit_1(capsys):
     code = main(["dim", "--d", "2", "--b", "2", "--mu", "0,3"])
     assert code == 1
-    code = main(["dim", "--d", "5", "--b", "2", "--mu", "1,1,1,1,1"])
-    assert code == 1
+    # d = 5 is searched, not refused as invalid: only the budget refuses it
+    code = main(["dim", "--d", "5", "--b", "2", "--e", "20", "--budget", "10"])
+    assert code == 2
 
 
 @pytest.mark.parametrize("command", ("dim", "bounds", "witness"))
@@ -96,7 +97,8 @@ def test_negative_budget_is_invalid_input(capsys):
     for budget in ("-1", "-5"):
         assert main(["dim", "--d", "2", "--b", "2", "--e", "3", "--budget", budget]) == 1
     assert "budget must be >= 0" in capsys.readouterr().err
-    assert main(["dim", "--d", "1", "--b", "2", "--e", "0", "--budget", "0"]) == 0
+    # the one listed top costs the one node
+    assert main(["dim", "--d", "1", "--b", "2", "--e", "0", "--budget", "1"]) == 0
 
 
 def test_verify_budget_refusal_exit_2(capsys):
@@ -498,7 +500,7 @@ README_CLI_LINES = [
 
 
 def test_the_readme_cli_lines_are_found():
-    assert len(README_CLI_LINES) == 13
+    assert len(README_CLI_LINES) == 14
     assert {argv[0] for argv in README_CLI_LINES} == set(cli._COMMANDS)
 
 

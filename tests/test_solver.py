@@ -7,6 +7,7 @@ import pytest
 from kisindim import bounds as bd
 from kisindim import kisin_model as km
 from kisindim import solver as sv
+from kisindim.cli import main
 from kisindim.kisin_model import (KisinInstance, MuTriangle, cone_q, dim_phi, q_from_mu,
                                   _self_test)
 from kisindim.polyhedra import Halfspace, HPolyhedron, in_cone
@@ -22,8 +23,8 @@ def test_query_validation():
         DimQuery(inst, "le_e", e=-1)
     with pytest.raises(ValueError):
         DimQuery(inst, "nope", e=1)
-    with pytest.raises(ValueError):
-        dim_exact(DimQuery(KisinInstance(5, 2), "mu", mu=(1, 1, 1, 1, 1)))
+    with pytest.raises(BudgetExceeded):  # d = 5 is searched; only the budget refuses
+        dim_exact(DimQuery(KisinInstance(5, 2), "le_e", e=20), budget=10)
     with pytest.raises(ValueError):
         dim_exact(DimQuery(inst, "le_e", e=3), budget=-1)
 
@@ -417,7 +418,8 @@ def _solve_top(inst, top, tracker):
 def _dim_all_tops(query):
     """The exhaustive oracle: solve every top row in enumeration order and
     keep the best value with the lexicographically least witness, compared
-    on the triangles' Fraction values.  Returns (best, witness, nodes)."""
+    on the triangles' Fraction values.  Returns (best, witness, nodes), one
+    node charged per top listed, as dim_exact charges its own listing."""
     inst = query.instance
     b = inst.b
     if query.kind == "le_e":
@@ -429,6 +431,7 @@ def _dim_all_tops(query):
     tracker = sv._Budget(10 ** 9)
     best, witness = None, None
     for top in tops:
+        tracker.spend()
         value, tri = _solve_top(inst, top, tracker)
         if value is None:
             continue
@@ -452,10 +455,10 @@ def _assert_matches_oracle(query):
     return r.nodes, nodes
 
 
-@pytest.mark.parametrize("d", (2, 3, 4))
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
 @pytest.mark.parametrize("b", (2, 3, 5))
 def test_pruned_search_matches_all_tops_le_e(d, b):
-    for e in range(0, 11 if d == 4 else 13):
+    for e in range(0, {4: 11, 5: 7}.get(d, 13)):
         for h_zero in (False, True):
             nodes, oracle_nodes = _assert_matches_oracle(
                 DimQuery(KisinInstance(d, b, h_zero), "le_e", e=e))
@@ -478,6 +481,84 @@ def test_pruned_search_matches_all_tops_le_mu():
                     DimQuery(KisinInstance(d, b, done % 2 == 0), "le_mu", mu=mu))
     # a dominance family whose total is not divisible by b-1 is empty
     _assert_matches_oracle(DimQuery(KisinInstance(3, 3), "le_mu", mu=(4, 2, 1)))
+
+
+def _listed_tops(query):
+    """How many tops dim_exact lists for the query, counted apart from its
+    enumerators: a dominated top has every entry between mu_d and mu_1."""
+    d, b = query.instance.d, query.instance.b
+    if query.kind == "le_e":
+        return sum(top[-1] <= b - 2 for top in _all_le_e_tops(d, query.e, b))
+    mu = query.mu
+    if sum(mu) % (b - 1):
+        return 0
+    if query.kind == "mu":
+        return 1
+    return sum(sum(top) == sum(mu) and all(sum(top[:t]) <= sum(mu[:t]) for t in range(d))
+               for top in itertools.combinations_with_replacement(range(mu[0], mu[-1] - 1, -1), d))
+
+
+def test_nodes_are_search_nodes_plus_listed_tops(monkeypatch):
+    # dim_exact charges one node per top as it lists it and every other
+    # node inside the search of a top
+    spent = []
+    live = sv._max_dim_top
+
+    def search(inst, top, budget, floor=None):
+        left = budget.left
+        got = live(inst, top, budget, floor)
+        spent.append(left - budget.left)
+        return got
+
+    monkeypatch.setattr(sv, "_max_dim_top", search)
+    for d in (2, 3, 4):
+        for b in (2, 3, 5):
+            for query in _oracle_grid(d, b):
+                spent.clear()
+                assert dim_exact(query).nodes == sum(spent) + _listed_tops(query), query
+
+
+def test_budget_bounds_the_listing_of_tops(monkeypatch, capsys):
+    # 1,373,701 tops at e = 200; a budget of 10 refuses after the eleventh
+    listed = []
+    enumerate_tops = sv._enumerate_le_e_tops
+
+    def counted(d, e, b):
+        for top in enumerate_tops(d, e, b):
+            listed.append(top)
+            yield top
+
+    monkeypatch.setattr(sv, "_enumerate_le_e_tops", counted)
+    with pytest.raises(BudgetExceeded):
+        dim_exact(DimQuery(KisinInstance(4, 2), "le_e", e=200), budget=10)
+    assert 0 < len(listed) <= 11
+    listed.clear()
+    assert main(["dim", "--d", "4", "--b", "2", "--e", "200", "--budget", "10"]) == 2
+    assert 0 < len(listed) <= 11
+    assert capsys.readouterr().err.startswith("budget refusal: ")
+
+
+# ---------------------------------------------------------------------------
+# d = 5: the proofs hold, so the search answers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("b", (2, 3))
+def test_d5_le_e_within_theorem_sandwich(b):
+    inst = KisinInstance(5, b)
+    for e in range(13):
+        r = dim_exact(DimQuery(inst, "le_e", e=e))
+        tb = bd.theorem_bounds("le_e", e, inst)
+        assert r.status == "exact" and tb["lower"] <= r.dim <= tb["upper"], e
+
+
+@pytest.mark.parametrize("b", (2, 3))
+def test_d5_le_mu_is_the_max_over_dominated_mu(b):
+    inst = KisinInstance(5, b)
+    mu = (5, 3, 2, 1, 1)
+    dims = [dim_exact(DimQuery(inst, "mu", mu=m)).max_dim_phi
+            for m in _enumerate_dominated_tops(mu, b)]
+    assert dim_exact(DimQuery(inst, "le_mu", mu=mu)).dim == \
+        max(x for x in dims if x is not None)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))
@@ -812,16 +893,13 @@ def test_lookahead_and_floor_match_closed_form_oracle(d, b, monkeypatch):
 
 
 @pytest.mark.parametrize("b", (2, 3))
-def test_lookahead_matches_closed_form_oracle_at_d5(b):
-    # dim_exact refuses d = 5, so the tops are searched directly
+def test_lookahead_matches_closed_form_oracle_at_d5(b, monkeypatch):
     inst = KisinInstance(5, b)
     for top in [(6, 3, 2, 1, 0), (8, 6, 2, 2, 0), (10, 4, 4, 2, 0), (12, 6, 4, 2, 0),
                 (9, 7, 5, 3, 0), (7, 7, 1, 1, 0)]:
-        if sum(top) % (b - 1):
-            continue
-        live, oracle = sv._Budget(10 ** 9), sv._Budget(10 ** 9)
-        assert sv._max_dim_top(inst, top, live) == _closed_form_max_dim_top(inst, top, oracle), top
-        assert live.left >= oracle.left, top
+        nodes, oracle_nodes = _vs_oracle(DimQuery(inst, "mu", mu=top), monkeypatch,
+                                         sv._max_dim_top, _closed_form_max_dim_top)
+        assert nodes <= oracle_nodes, top
 
 
 @pytest.mark.parametrize("b", (2, 3, 5))
@@ -880,13 +958,14 @@ def test_least_slack_at_the_probe_rises_by_the_jump_divisor(b):
 def test_node_counts_of_the_documented_queries(monkeypatch):
     # the counts the README quotes; a weaker valid bound (a divisor b for
     # b+1, say) changes no result, only these.  Without the incumbent as the
-    # floor of each top the look-ahead alone gives the second pair
-    for e, nodes in ((15, 46), (20, 4_959)):
+    # floor of each top the look-ahead alone gives the second pair.  Each
+    # count includes one node per listed top: 816 at e = 15, 1,771 at e = 20
+    for e, nodes in ((15, 862), (20, 6_730)):
         assert dim_exact(DimQuery(KisinInstance(4, 2), "le_e", e=e)).nodes == nodes
     live = sv._max_dim_top
     monkeypatch.setattr(sv, "_max_dim_top", lambda inst, top, budget, floor=None:
                         live(inst, top, budget))
-    for e, nodes in ((15, 46), (20, 5_488)):
+    for e, nodes in ((15, 862), (20, 7_259)):
         assert dim_exact(DimQuery(KisinInstance(4, 2), "le_e", e=e)).nodes == nodes
 
 
