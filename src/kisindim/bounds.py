@@ -403,16 +403,16 @@ def witness_le_e(inst: km.KisinInstance, e: int):
     return q, report
 
 
-def witness_le_mu(inst: km.KisinInstance, mu):
-    """The rounded lattice point certifying the lower bound for the
-    mu-dominated family; requires mu strongly integrally b-regular.
+def witness_le_mu(inst: km.KisinInstance, mu, reg=None):
+    """The rounded lattice point certifying the lower bound for the mu-dominated
+    family; mu must be strongly integrally b-regular (reg: regularity(mu, inst)).
 
     q'_i = (mu_i + b mu_{d+1-i})/(b^2-1); q_i = ceil(q'_i) for i < d and the
     last one balances the (integral) total; the point is constant on bands.
     """
     mu = vec(mu)
     d, b = inst.d, inst.b
-    reg = regularity(mu, inst)
+    reg = reg or regularity(mu, inst)
     if not reg.strongly_integrally_b_regular:
         raise ValueError("mu must be strongly integrally b-regular")
     qp = [Fraction(mu[i - 1] + b * mu[d - i], b * b - 1) for i in range(1, d + 1)]

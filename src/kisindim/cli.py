@@ -97,9 +97,9 @@ def cmd_bounds(args) -> int:
         mu = _mu_tuple(args.mu)
         target = "le_mu" if args.le_mu else "mu"
         report = bd.theorem_bounds(target, mu, inst)
-        if target == "le_mu" and bd.regularity(mu, inst).strongly_integrally_b_regular:
-            _, wrep = bd.witness_le_mu(inst, mu)
-            witnesses["le_mu"] = wrep
+        reg = target == "le_mu" and bd.regularity(mu, inst)
+        if reg and reg.strongly_integrally_b_regular:
+            witnesses["le_mu"] = bd.witness_le_mu(inst, mu, reg)[1]
     payload = {"target": report.pop("target"), "params": report.pop("params"),
                "lower": report.pop("lower"), "upper": report.pop("upper", None),
                "witnesses": witnesses, "details": report}

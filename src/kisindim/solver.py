@@ -59,10 +59,10 @@ can tie still finds its own first optimum.
 
 The bounds are proved, not assumed: `_prove` runs once per (d, b) at the
 entry of the search and raises AssertionError unless `_self_test` holds
-and, for every d' = 2..d, an exact LP certifies that (b+1)(bound - dim)
-is a nonnegative combination of the rows of the d'-system, the search's
-own real relaxation (Farkas), and the shifted d'-rows are rows of the
-d-system.
+and, for every d' = 2..d, (b+1)(bound - dim) is the sum of the scaled-q
+rows q(i, j) of the d'-system weighted by i-1, a closed-form Farkas
+certificate checked by integer dots, and the shifted d'-rows are rows of
+the d-system.
 
 For le_e only the tops with mu_d <= b-2 are listed (`_enumerate_le_e_tops`);
 each listed top costs one node.  Nothing is kept between queries, so node
@@ -81,7 +81,7 @@ from math import ceil
 
 from . import bounds as bd
 from . import kisin_model as km
-from .polyhedra import Frozen, _idot, in_cone
+from .polyhedra import Frozen, _idot
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -189,13 +189,18 @@ def _top_bound(top, b):
 
 @lru_cache(maxsize=1024)
 def _top_bound_certified(d: int, b: int) -> bool:
-    """Prove _top_bound for (d, b) by Farkas' lemma: is
-    <2 rho | top> - (b+1) dim a nonnegative combination of the rows of the
-    search's real relaxation (_mu_system_rows), with the target read off
-    its own code on unit triangles?  If so, each triangle the search
-    accepts has dim <= <2 rho | top> / (b+1), hence <= its floor."""
+    """Prove _top_bound for (d, b) by its Farkas certificate: the target
+    <2 rho | top> - (b+1) dim, read off its own code on unit triangles, is
+    sum (i-1) q(i, j) over the scaled-q rows q(i, j) that end the (i, j)
+    triples of _mu_system_rows, so a triangle the search accepts has dim at
+    most its bound.  True at every (d, b): q(i, j) = Q_{i,j} - Q_{i-1,j-1},
+    Q = b(b-1) q (_row_slacks; primitive, as it weighs mu_{i-1,j} by -1), so
+    the sum telescopes along each diagonal j - i to sum_i i Q_{i,d} - sum Q,
+    b+1 on each lower cell and b(j-d) - (j-1) on top cell j, as the target."""
     target = [_two_rho(r[0]) - (b + 1) * km._dim_form(r, d) for r in km._unit_triangles(d)]
-    return in_cone(km._mu_system_rows(d, b), target)
+    weights = [i - 1 for i in range(2, d + 1) for _ in range(i, d + 1)]
+    cols = zip(*km._mu_system_rows(d, b)[2::3], target)
+    return all(_idot(weights, col) == t for *col, t in cols)
 
 
 @lru_cache(maxsize=1024)

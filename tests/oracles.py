@@ -282,6 +282,22 @@ def encode(obj):
 
 
 # ---------------------------------------------------------------------------
+# the search's top-row bound by an exact LP
+# ---------------------------------------------------------------------------
+
+def top_bound_lp(d: int, b: int, divisor: int | None = None) -> bool:
+    """The top-row bound by an exact LP (Farkas' lemma): is
+    <2 rho | top> - divisor * dim (divisor b+1 unless given), read off the
+    search's code on unit triangles, a nonnegative combination of the rows
+    of its real relaxation, km._mu_system_rows?  The reference for
+    solver._top_bound_certified, which checks one known combination."""
+    divisor = b + 1 if divisor is None else divisor
+    target = [_idot(two_rho(d), r[0]) - divisor * km._dim_form(r, d)
+              for r in km._unit_triangles(d)]
+    return in_cone(km._mu_system_rows(d, b), target)
+
+
+# ---------------------------------------------------------------------------
 # the witness reports by the Fraction route
 # ---------------------------------------------------------------------------
 

@@ -292,6 +292,27 @@ def test_bounds_witness_and_dim_of_the_benchmark_pool_match_their_recorded_diges
         assert hashlib.sha256(out.encode()).hexdigest() == expected[wl.key(argv)], argv
 
 
+def test_bounds_le_mu_decides_regularity_once(capsys, monkeypatch):
+    # the flags the CLI decides are handed to the witness: one regularity
+    # call per `bounds --le-mu` request of the `mixed-session` pool, witness
+    # or not, and the stdout the benchmark checks
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    wl = importlib.import_module("workloads")
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    calls = []
+    regularity = bd.regularity
+    monkeypatch.setattr(bd, "regularity", lambda *args: calls.append(args) or regularity(*args))
+    pool = [argv for argv in wl.pool("mixed-session") if argv[0] == "bounds" and "--le-mu" in argv]
+    witnesses = 0
+    for argv in pool:
+        calls.clear()
+        code, out = run(capsys, *argv)
+        assert (code, len(calls)) == (0, 1), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == expected[wl.key(argv)], argv
+        witnesses += "le_mu" in json.loads(out)["witnesses"]
+    assert (len(pool), witnesses) == (MIXED_GROUPS["bounds --le-mu"], 40)
+
+
 def test_bounds_report(capsys):
     code, out = run(capsys, "bounds", "--d", "2", "--b", "2", "--e", "3")
     assert code == 0

@@ -6,13 +6,15 @@ import pytest
 
 from kisindim import bounds as bd
 from kisindim import kisin_model as km
+from kisindim import polyhedra
 from kisindim import solver as sv
 from kisindim.cli import main
 from kisindim.kisin_model import (KisinInstance, MuTriangle, cone_q, dim_phi, q_from_mu,
                                   _self_test)
-from kisindim.polyhedra import Halfspace, HPolyhedron, in_cone
+from kisindim.polyhedra import Halfspace, HPolyhedron
 from kisindim.solver import (BudgetExceeded, DimQuery, dim_d2_closed, dim_d3_closed,
                              dim_exact, consistency_suite, _enumerate_dominated_tops)
+from oracles import top_bound_lp
 
 
 def test_query_validation():
@@ -561,15 +563,57 @@ def test_d5_le_mu_is_the_max_over_dominated_mu(b):
         max(x for x in dims if x is not None)
 
 
-@pytest.mark.parametrize("d", (2, 3, 4))
+CERTIFICATE_B_VALUES = (2, 3, 4, 5, 7, 10, 101, 10007)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
 def test_top_bound_certificate(d):
-    for b in (2, 3, 4, 5, 7, 10, 101, 10007):
-        assert sv._top_bound_certified(d, b)
+    # the closed-form certificate and the LP, its reference, agree: both hold
+    for b in CERTIFICATE_B_VALUES:
+        assert sv._top_bound_certified(d, b) and top_bound_lp(d, b)
         # control: the certificate is not vacuous, a smaller bound (divisor
         # b+2 for b+1) is not a combination of the search's rows
-        target = [sv._two_rho(r[0]) - (b + 2) * km._dim_form(r, d)
-                  for r in km._unit_triangles(d)]
-        assert not in_cone(km._mu_system_rows(d, b), target)
+        assert not top_bound_lp(d, b, b + 2)
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
+def test_top_bound_check_refuses_a_wrong_certificate(d, monkeypatch, cold_mu_system):
+    # two mutants of the certificate, made through the rows it reads: the
+    # weight i for i-1 on one row (a row (2, j), of weight 1, doubled) and
+    # one scaled-q row dropped (zeroed); the doubled row leaves the LP a
+    # certificate, so it is the check that refuses
+    rows = km._mu_system_rows
+    cells = [(i, j) for i in range(2, d + 1) for j in range(i, d + 1)]
+
+    def changed(k, scale):
+        def mutant(d, b):
+            out = list(rows(d, b))
+            out[3 * k + 2] = tuple(scale * x for x in out[3 * k + 2])
+            return tuple(out)
+        return mutant
+
+    for b in CERTIFICATE_B_VALUES:
+        for k, (i, j) in enumerate(cells):
+            for scale in (2, 0) if i == 2 else (0,):
+                monkeypatch.setattr(km, "_mu_system_rows", changed(k, scale))
+                sv._top_bound_certified.cache_clear()
+                assert not sv._top_bound_certified(d, b), (b, i, j, scale)
+                if scale == 2:
+                    assert top_bound_lp(d, b), (b, i, j)
+
+
+def test_the_search_solves_no_lp(monkeypatch, cold_mu_system):
+    # every proof the search needs is an integer check: with the LP refused
+    # wherever the package binds it, the cold proofs hold and a query answers
+    def refused(*_):
+        raise AssertionError("an LP was solved")
+
+    for module in (polyhedra, km, bd, sv):
+        if hasattr(module, "in_cone"):
+            monkeypatch.setattr(module, "in_cone", refused)
+    for d in range(2, 7):
+        assert sv._prove(d, 2)
+        assert dim_exact(DimQuery(KisinInstance(d, 2), "le_e", e=3)).status == "exact"
 
 
 def test_every_top_solves_within_its_bound():
