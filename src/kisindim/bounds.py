@@ -8,7 +8,8 @@ function, which is how every bound in this module is produced.
 
 Each cone variant is given once, by the generator rows of `_dual_hrep`:
 they cut out its dual, and so the A-set (whose Q_max rows are the facet
-forms f_T), and their images span the image that `b_value` tests.
+forms f_T).  The optimal-value function itself (`b_value`) and the
+H-representations of the variants are test oracles, in tests/oracles.py.
 
 Everything refuses (typed `UnsupportedRegime`) outside the regime where
 the identity it computes is actually proved: b0 = 1 + floor((d-1)^2/4) is
@@ -20,13 +21,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import ceil, gcd, inf, lcm
+from math import ceil, gcd, lcm
 
 from . import kisin_model as km
 from . import perm as pm
 from .polyhedra import (Frozen, Halfspace, HPolyhedron, IVec, Vec, _idot, cone_generators,
-                        dot, double_description, dual_cone, enumerate_vertices, in_cone,
-                        primitive_ints, scaled_ints, vec)
+                        dot, double_description, enumerate_vertices, primitive_ints,
+                        scaled_ints, vec)
 
 
 class UnsupportedRegime(Exception):
@@ -144,51 +145,6 @@ def extremal_points_a_qmax(inst: km.KisinInstance) -> dict[pm.Permutation, Vec]:
             elif val == 0 and inst.b > inst.b0:
                 raise AssertionError(f"f_T not strictly positive off the chain: T={set(T)}")
     return out
-
-
-# ---------------------------------------------------------------------------
-# optimal-value evaluators
-# ---------------------------------------------------------------------------
-
-class DualityData(Frozen):
-    """A cone variant, a constraint form, and target-space cones C and D.
-
-    C and D are given by generator lists (rays; lines as +-pairs); D = None
-    means the whole target space.
-    """
-
-    def __init__(self, instance: km.KisinInstance, variant: object = "Q", form: str = "g",
-                 C_gens: tuple[Vec, ...] = (), D_gens: tuple[Vec, ...] | None = None):
-        self._store(locals())
-
-
-def b_value(dd: DualityData, y) -> Fraction | float:
-    """The optimal-value function at y: min <alpha | y> over the vertices of
-    A cap C* when y lies in D cap (image(Q) + C), -inf otherwise, +inf when
-    A cap C* is empty.  The image is spanned by the rows of `_dual_hrep`.
-
-    This is the minimum over B = (A cap C*) + D* with no D* filter (weak
-    LP duality).  For y = F(q) + c in D, q in Q, c in C, each ray r of
-    A cap C* has <r, y> = <sum_i r_i F_i, q> + <r, c> >= 0, and each g in D*
-    has <g, y> >= 0, so no direction of B lowers <., y>.
-    """
-    inst = dd.instance
-    y = vec(y)
-    F = _form_vectors(inst, dd.form)
-    if dd.D_gens is not None and not in_cone(list(dd.D_gens), y):
-        return -inf
-    rays, lines = _dual_hrep(inst, dd.variant)
-    image_gens = [tuple(_idot(Fi, r) for Fi in F) for r in rays]
-    image_gens += [tuple(s * _idot(Fi, l) for Fi in F) for l in lines for s in (1, -1)]
-    if not in_cone(image_gens + list(dd.C_gens), y):
-        return -inf
-    A = a_set(inst, dd.variant, dd.form)
-    if dd.C_gens:
-        A = A.intersect(dual_cone(list(dd.C_gens), len(F)))
-    V = enumerate_vertices(A)
-    if V.is_empty:
-        return inf
-    return min(dot(v, y) for v in V.vertices)
 
 
 # ---------------------------------------------------------------------------

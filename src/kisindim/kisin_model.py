@@ -26,8 +26,8 @@ from functools import lru_cache
 from math import lcm
 
 from . import perm as pm
-from .polyhedra import (Frozen, HPolyhedron, IVec, Vec, _idot, dual_cone, fmt_frac, frac,
-                        primitive_ints, scaled_ints, vec)
+from .polyhedra import (Frozen, HPolyhedron, IVec, Vec, _idot, fmt_frac, frac, primitive_ints,
+                        scaled_ints)
 
 
 class KisinInstance(Frozen):
@@ -209,11 +209,6 @@ def _int_row(inst: KisinInstance, terms) -> list[int]:
     return a
 
 
-def mu_cell_vector(inst: KisinInstance, i: int, j: int) -> Vec:
-    """The vector v in E with <q, v> = mu_{i,j}(q)."""
-    return tuple(map(Fraction, _transform_rows(inst.d, inst.b)[0][inst.cell_index(i, j)]))
-
-
 def delta_vec(inst: KisinInstance) -> IVec:
     """<q, delta_vec> is dim(phi): coefficient b on every cell plus the
     last-column correction (2i-1-d-bi) on cell (i,d)."""
@@ -224,15 +219,6 @@ def delta_vec(inst: KisinInstance) -> IVec:
     return tuple(coeffs)
 
 
-def S_T(x, T, d: int) -> Fraction:
-    """Sum of the coordinates of the vector x in E over the admissible
-    subset attached to T."""
-    inst = KisinInstance(d, 2)
-    x = vec(x)
-    return sum((x[inst.cell_index(i, j)] for (i, j) in pm.admissible_from_subset(d, T).cells),
-               Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # cones
 # ---------------------------------------------------------------------------
@@ -241,19 +227,6 @@ def cone_q(inst: KisinInstance) -> HPolyhedron:
     """The cone Q in E: games I (q_{i,j} >= q_{i,j+1}), II (q_{i,j} <=
     q_{i+1,j+1}) and III (mu_{i,j} >= mu_{i+1,j+1}), over 1 <= i <= j < d."""
     return _cone_from_games(inst, ("I", "II", "III"))
-
-
-def cone_qmax(inst: KisinInstance) -> HPolyhedron:
-    return _cone_from_games(inst, ("I", "II"))
-
-
-def cone_qmin(inst: KisinInstance) -> HPolyhedron:
-    """Game I plus the equalities q_{i,j} = q_{i+1,j+1} (game II')."""
-    ineqs = []
-    eqs = []
-    for a, kind in _game_rows(inst, ("I", "II'")):
-        (ineqs if kind == "ineq" else eqs).append((a, 0))
-    return HPolyhedron.build(inst.dim_E, ineqs, eqs)
 
 
 def _game_rows(inst, games):
@@ -304,15 +277,16 @@ def _mu_system_rows(d: int, b: int) -> tuple[tuple[int, ...], ...]:
     of the mu-cells: for 2 <= i <= j <= d the order rows
     mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1} and the scaled-q row, entry j-i
     of _row_slacks on rows i-1, i, i+1 (row d+1 is empty), each read off
-    the search's own code on unit triangles."""
+    the search's own code on unit triangles, with one _row_slacks call per
+    level i and unit triangle."""
     units = [rows + [[]] for rows in _unit_triangles(d)]
     out = []
     for i in range(2, d + 1):
+        slacks = [_row_slacks(r[i - 2], r[i - 1], r[i], b) for r in units]
         for j in range(i, d + 1):
-            out += [primitive_ints([form(r) for r in units]) for form in (
-                lambda r: r[i - 1][j - i] - r[i - 2][j - i + 1],
-                lambda r: r[i - 2][j - i] - r[i - 1][j - i],
-                lambda r: _row_slacks(r[i - 2], r[i - 1], r[i], b)[j - i])]
+            out += [primitive_ints([r[i - 1][j - i] - r[i - 2][j - i + 1] for r in units]),
+                    primitive_ints([r[i - 2][j - i] - r[i - 1][j - i] for r in units]),
+                    primitive_ints([s[j - i] for s in slacks])]
     return tuple(out)
 
 
@@ -354,33 +328,12 @@ def chain_dual_generators(d: int) -> list[IVec]:
     return [tuple(int(j == i) - int(j == i + 1) for j in range(d)) for i in range(d - 1)]
 
 
-def cone_chain(d: int) -> HPolyhedron:
-    """C = {y in R^d : y_1 >= ... >= y_d}, the dual of C*."""
-    return dual_cone(chain_dual_generators(d), d)
-
-
 def regular_dual_generators(inst: KisinInstance) -> list[IVec]:
     """The generators b*v_{d-i} - v_i of Reg*, with v_i = e_i - e_{i+1} the
     generators of C*."""
     b, d = inst.b, inst.d
     v = chain_dual_generators(d)  # v[i - 1] is v_i
     return [tuple(b * x - y for x, y in zip(v[d - i - 1], v[i - 1])) for i in range(1, d)]
-
-
-def cone_qw(inst: KisinInstance, w: pm.Permutation) -> HPolyhedron:
-    """The graph cone attached to w: q is constant on each level set
-    T_s(w) = {w*(1..s)} and nondecreasing along the chain.  Its dual-side
-    A-set has apex rho_w; for w = w0 this cone is exactly Q_min."""
-    if w.d != inst.d:
-        raise ValueError("permutation size must match d")
-    tab = pm.ord_tableau(pm.w_star(w))
-    ineqs = []
-    cells = inst.cells
-    for x in cells:
-        for y in cells:
-            if x != y and tab[x] >= tab[y]:
-                ineqs.append((_int_row(inst, ((1, x), (-1, y))), 0))
-    return HPolyhedron.build(inst.dim_E, ineqs)
 
 
 # ---------------------------------------------------------------------------

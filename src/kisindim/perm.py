@@ -198,11 +198,6 @@ def admissible_from_subset(d: int, T) -> AdmissibleSubset:
     return AdmissibleSubset(d, cells, T)
 
 
-def admissible_level(d: int, s: int) -> AdmissibleSubset:
-    """I_s = {(i,j) : j - i >= d - s}, the admissible subset of {1..s}."""
-    return admissible_from_subset(d, range(1, s + 1))
-
-
 class OrdTableau(Frozen):
     """The triangular filling attached to w: entry(i,j) is the step at which
     the cell gets filled by the greedy column procedure (value s goes into
@@ -314,36 +309,6 @@ def _signature(w: Permutation) -> tuple[tuple[int, ...], ...]:
         run = tuple(map(add, run, orbit * (steps // len(orbit))))
         out.append(run)
     return tuple(out)
-
-
-def precedes(w1: Permutation, w2: Permutation) -> bool:
-    """The order on S_d: w1 <= w2 iff for every s the sequence of prefix sums
-    sum_{i<=s} w1^n(i) is lexicographically <= the one for w2.
-
-    The sequences are periodic in n, with a period dividing the order of
-    the permutation, so comparing them up to n = lcm(1..d), a multiple of
-    every order in S_d, decides; this is the comparison of the two
-    signatures.  It agrees with the rho form
-    in_dual_chain_cone(rho_w(w1, b) - rho_w(w2, b)) once
-    b >= floor(d^2/4) + 1 (checked exhaustively through d = 5; at
-    (d, b) = (4, 3) and (4, 4) the two differ).
-    """
-    if w1.d != w2.d:
-        raise ValueError("permutations of different sizes")
-    return all(x <= y for x, y in zip(_signature(w1), _signature(w2)))
-
-
-def in_dual_chain_cone(z: Vec) -> bool:
-    """Membership in C* = {z : sum z = 0, all prefix sums >= 0}."""
-    total = sum(z)
-    if total != 0:
-        return False
-    run = 0
-    for x in z[:-1]:
-        run += x
-        if run < 0:
-            return False
-    return True
 
 
 def _bits(mask: int):

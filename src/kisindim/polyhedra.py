@@ -2,14 +2,15 @@
 
 There is no floating point anywhere in this module.  Elimination (`_echelon`,
 `nullspace`, the row spaces and the initial simplex of the double
-description), the double description itself and the LP oracle all run on
-primitive integer vectors (rows and rays scaled by positive rationals,
-which changes neither cones nor feasibility), through one fraction-free
-row step, `_eliminate`.  `double_description` is the one incremental loop:
-it starts from any simplicial seed (`_initial_simplicial` here, the rays
-of a simplicial cone known in closed form elsewhere) and returns each
-ray's zero set with it, so a caller reads the rows tight at each ray off
-its bits with no dot product.  A halfspace is stored as its primitive
+description) and the double description itself run on primitive integer
+vectors (rows and rays scaled by positive rationals, which changes no
+cone), through one fraction-free row step, `_eliminate`.  They are the
+package's one polyhedral engine: it solves no LP (the exact simplex is a
+test oracle, in tests/oracles.py).  `double_description` is the one
+incremental loop: it starts from any simplicial seed (`_initial_simplicial`
+here, the rays of a simplicial cone known in closed form elsewhere) and
+returns each ray's zero set with it, so a caller reads the rows tight at
+each ray off its bits with no dot product.  A halfspace is stored as its primitive
 integer row, so membership is an integer dot on a point's numerators
 over their common denominator (`scaled_ints`).  `fractions.Fraction`
 appears only at the API edge: `dot` and the coordinates of points and
@@ -407,70 +408,6 @@ def enumerate_vertices(P: HPolyhedron) -> VPolyhedron:
     hom.sort(key=lambda r: [a * (L // r[n]) for a in r[:n]])
     return VPolyhedron(n, tuple(tuple(Fraction(a, r[n]) for a in r[:n]) for r in hom),
                        tuple(r[:n] for r in rays if not r[n]), tuple(l[:n] for l in lines))
-
-
-def dual_cone(generators: list[Vec], dim: int) -> HPolyhedron:
-    """{x : <x, g> >= 0 for every generator g}, the dual of cone(generators)."""
-    return HPolyhedron.build(dim, [(g, 0) for g in generators if any(g)])
-
-
-# ---------------------------------------------------------------------------
-# exact LP feasibility (cone membership)
-# ---------------------------------------------------------------------------
-
-def in_cone(generators: list[Vec], target: Vec) -> bool:
-    """Is target a nonnegative combination of the generators?
-
-    Phase-1 simplex with Bland's rule.  Rows are kept as integer vectors
-    (positive rescaling preserves both feasibility and the Bland order),
-    the ratio test cross-multiplies, so no rational arithmetic is needed.
-    """
-    n = len(target)
-    gens = [primitive_ints(g) for g in generators]
-    tgt = primitive_ints(target)
-    m = len(gens)
-    # flip equation signs so the rhs is nonnegative
-    tab = []
-    for i in range(n):
-        s = -1 if tgt[i] < 0 else 1
-        tab.append([s * g[i] for g in gens]
-                   + [1 if j == i else 0 for j in range(n)] + [s * tgt[i]])
-    basis = [m + i for i in range(n)]
-    # reduced-cost row for minimizing the sum of artificials (which start
-    # out basic, hence with reduced cost 0)
-    cost = [0] * (m + n + 1)
-    for i in range(n):
-        for j in range(m + n + 1):
-            cost[j] += tab[i][j]
-    for j in range(m, m + n):
-        cost[j] -= 1
-    while True:
-        enter = next((j for j in range(m + n) if cost[j] > 0), None)
-        if enter is None:
-            break
-        leave = None
-        for i in range(n):
-            t = tab[i][enter]
-            if t <= 0:
-                continue
-            if leave is None:
-                leave = i
-                continue
-            lhs = tab[i][m + n] * tab[leave][enter]
-            rhs = tab[leave][m + n] * t
-            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                leave = i
-        if leave is None:
-            raise AssertionError("phase-1 unbounded")
-        for i in range(n):
-            if i != leave:
-                tab[i] = _eliminate(tab[i], tab[leave], enter)
-        cost = _eliminate(cost, tab[leave], enter)
-        g = gcd(*tab[leave])
-        if g > 1:
-            tab[leave] = [x // g for x in tab[leave]]
-        basis[leave] = enter
-    return cost[m + n] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,196 @@
 """Exact oracles, the cones they are run on, a Fraction counter and the
-package's lru caches, shared by the test modules."""
+package's lru caches, shared by the test modules.
+
+The simplex LP `in_cone`, the H-representations of the cone variants
+(`cone_qmax`, `cone_qmin`, `cone_qw`, `cone_chain`), the optimal-value
+function `b_value` and the order `precedes` on S_d live here, not in the
+package: no command and no demo runs them, and the tests check the
+package's own methods against them."""
 
 import importlib
 import pkgutil
 import sys
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 
 import kisindim
 from kisindim import kisin_model as km
-from kisindim.bounds import reg_star_facets, strong_regularity, two_rho
-from kisindim.kisin_model import cone_chain
-from kisindim.perm import all_permutations
-from kisindim.polyhedra import (HPolyhedron, IVec, Vec, VPolyhedron, _echelon, _idot,
-                                cone_generators, dot, dual_cone, enumerate_vertices, fmt_frac,
-                                in_cone, primitive_ints, vec)
+from kisindim import perm as pm
+from kisindim.bounds import (_dual_hrep, _form_vectors, a_set, reg_star_facets,
+                            strong_regularity, two_rho)
+from kisindim.kisin_model import (KisinInstance, _cone_from_games, _game_rows, _int_row,
+                                  _transform_rows, chain_dual_generators)
+from kisindim.perm import (AdmissibleSubset, Permutation, _signature, admissible_from_subset,
+                           all_permutations)
+from kisindim.polyhedra import (Frozen, HPolyhedron, IVec, Vec, VPolyhedron, _echelon,
+                                _eliminate, _idot, cone_generators, dot, enumerate_vertices,
+                                fmt_frac, primitive_ints, vec)
 
+
+# ---------------------------------------------------------------------------
+# the dual of a cone, and cone membership by an exact simplex LP
+# ---------------------------------------------------------------------------
+
+def dual_cone(generators: list[Vec], dim: int) -> HPolyhedron:
+    """{x : <x, g> >= 0 for every generator g}, the dual of cone(generators)."""
+    return HPolyhedron.build(dim, [(g, 0) for g in generators if any(g)])
+
+
+def in_cone(generators: list[Vec], target: Vec) -> bool:
+    """Is target a nonnegative combination of the generators?
+
+    Phase-1 simplex with Bland's rule.  Rows are kept as integer vectors
+    (positive rescaling preserves both feasibility and the Bland order),
+    the ratio test cross-multiplies, so no rational arithmetic is needed.
+    """
+    n = len(target)
+    gens = [primitive_ints(g) for g in generators]
+    tgt = primitive_ints(target)
+    m = len(gens)
+    # flip equation signs so the rhs is nonnegative
+    tab = []
+    for i in range(n):
+        s = -1 if tgt[i] < 0 else 1
+        tab.append([s * g[i] for g in gens]
+                   + [1 if j == i else 0 for j in range(n)] + [s * tgt[i]])
+    basis = [m + i for i in range(n)]
+    # reduced-cost row for minimizing the sum of artificials (which start
+    # out basic, hence with reduced cost 0)
+    cost = [0] * (m + n + 1)
+    for i in range(n):
+        for j in range(m + n + 1):
+            cost[j] += tab[i][j]
+    for j in range(m, m + n):
+        cost[j] -= 1
+    while True:
+        enter = next((j for j in range(m + n) if cost[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i in range(n):
+            t = tab[i][enter]
+            if t <= 0:
+                continue
+            if leave is None:
+                leave = i
+                continue
+            lhs = tab[i][m + n] * tab[leave][enter]
+            rhs = tab[leave][m + n] * t
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave = i
+        if leave is None:
+            raise AssertionError("phase-1 unbounded")
+        for i in range(n):
+            if i != leave:
+                tab[i] = _eliminate(tab[i], tab[leave], enter)
+        cost = _eliminate(cost, tab[leave], enter)
+        g = gcd(*tab[leave])
+        if g > 1:
+            tab[leave] = [x // g for x in tab[leave]]
+        basis[leave] = enter
+    return cost[m + n] == 0
+
+
+# ---------------------------------------------------------------------------
+# the cone variants and the coordinate forms as H-polyhedra and vectors
+# ---------------------------------------------------------------------------
+
+def mu_cell_vector(inst: KisinInstance, i: int, j: int) -> Vec:
+    """The vector v in E with <q, v> = mu_{i,j}(q)."""
+    return tuple(map(Fraction, _transform_rows(inst.d, inst.b)[0][inst.cell_index(i, j)]))
+
+
+def S_T(x, T, d: int) -> Fraction:
+    """Sum of the coordinates of the vector x in E over the admissible
+    subset attached to T."""
+    inst = KisinInstance(d, 2)
+    x = vec(x)
+    return sum((x[inst.cell_index(i, j)] for (i, j) in pm.admissible_from_subset(d, T).cells),
+               Fraction(0))
+
+
+def cone_qmax(inst: KisinInstance) -> HPolyhedron:
+    return _cone_from_games(inst, ("I", "II"))
+
+
+def cone_qmin(inst: KisinInstance) -> HPolyhedron:
+    """Game I plus the equalities q_{i,j} = q_{i+1,j+1} (game II')."""
+    ineqs = []
+    eqs = []
+    for a, kind in _game_rows(inst, ("I", "II'")):
+        (ineqs if kind == "ineq" else eqs).append((a, 0))
+    return HPolyhedron.build(inst.dim_E, ineqs, eqs)
+
+
+def cone_chain(d: int) -> HPolyhedron:
+    """C = {y in R^d : y_1 >= ... >= y_d}, the dual of C*."""
+    return dual_cone(chain_dual_generators(d), d)
+
+
+def cone_qw(inst: KisinInstance, w: pm.Permutation) -> HPolyhedron:
+    """The graph cone attached to w: q is constant on each level set
+    T_s(w) = {w*(1..s)} and nondecreasing along the chain.  Its dual-side
+    A-set has apex rho_w; for w = w0 this cone is exactly Q_min."""
+    if w.d != inst.d:
+        raise ValueError("permutation size must match d")
+    tab = pm.ord_tableau(pm.w_star(w))
+    ineqs = []
+    cells = inst.cells
+    for x in cells:
+        for y in cells:
+            if x != y and tab[x] >= tab[y]:
+                ineqs.append((_int_row(inst, ((1, x), (-1, y))), 0))
+    return HPolyhedron.build(inst.dim_E, ineqs)
+
+
+# ---------------------------------------------------------------------------
+# the optimal-value function b
+# ---------------------------------------------------------------------------
+
+class DualityData(Frozen):
+    """A cone variant, a constraint form, and target-space cones C and D.
+
+    C and D are given by generator lists (rays; lines as +-pairs); D = None
+    means the whole target space.
+    """
+
+    def __init__(self, instance: km.KisinInstance, variant: object = "Q", form: str = "g",
+                 C_gens: tuple[Vec, ...] = (), D_gens: tuple[Vec, ...] | None = None):
+        self._store(locals())
+
+
+def b_value(dd: DualityData, y) -> Fraction | float:
+    """The optimal-value function at y: min <alpha | y> over the vertices of
+    A cap C* when y lies in D cap (image(Q) + C), -inf otherwise, +inf when
+    A cap C* is empty.  The image is spanned by the rows of `_dual_hrep`.
+
+    This is the minimum over B = (A cap C*) + D* with no D* filter (weak
+    LP duality).  For y = F(q) + c in D, q in Q, c in C, each ray r of
+    A cap C* has <r, y> = <sum_i r_i F_i, q> + <r, c> >= 0, and each g in D*
+    has <g, y> >= 0, so no direction of B lowers <., y>.
+    """
+    inst = dd.instance
+    y = vec(y)
+    F = _form_vectors(inst, dd.form)
+    if dd.D_gens is not None and not in_cone(list(dd.D_gens), y):
+        return -inf
+    rays, lines = _dual_hrep(inst, dd.variant)
+    image_gens = [tuple(_idot(Fi, r) for Fi in F) for r in rays]
+    image_gens += [tuple(s * _idot(Fi, l) for Fi in F) for l in lines for s in (1, -1)]
+    if not in_cone(image_gens + list(dd.C_gens), y):
+        return -inf
+    A = a_set(inst, dd.variant, dd.form)
+    if dd.C_gens:
+        A = A.intersect(dual_cone(list(dd.C_gens), len(F)))
+    V = enumerate_vertices(A)
+    if V.is_empty:
+        return inf
+    return min(dot(v, y) for v in V.vertices)
+
+
+# ---------------------------------------------------------------------------
+# hulls, set equality and Minkowski sums by the double description
+# ---------------------------------------------------------------------------
 
 def cone_hull(rays: list[Vec], lines: list[Vec], n: int) -> HPolyhedron:
     """Minimal H-representation of cone(rays) + span(lines)."""
@@ -309,7 +484,7 @@ def witness_le_e_report(inst: km.KisinInstance, e: int, q: km.QPoint) -> dict:
     n_raw = (e - b + 2) // (b + 1)
     n = max(0, n_raw)
     quarter = d * d // 4
-    top = [dot(km.mu_cell_vector(inst, 1, j), q.values) for j in range(1, d + 1)]
+    top = [dot(mu_cell_vector(inst, 1, j), q.values) for j in range(1, d + 1)]
     report = {
         "n_raw": n_raw, "n": n, "m": (-n) % (b - 1),
         "in_Q": km.cone_q(inst).contains(q.values),
@@ -336,7 +511,7 @@ def witness_le_mu_report(inst: km.KisinInstance, mu, q: km.QPoint) -> dict:
     qp = [Fraction(mu[i - 1] + b * mu[d - i], b * b - 1) for i in range(1, d + 1)]
     qq = [-(-x.numerator // x.denominator) for x in qp[:-1]]
     qq.append(int(sum(qp)) - sum(qq))
-    g = [dot(km.mu_cell_vector(inst, 1, i), q.values) for i in range(1, d + 1)]
+    g = [dot(mu_cell_vector(inst, 1, i), q.values) for i in range(1, d + 1)]
     target = Fraction(dot(two_rho(d), mu), b + 1)
     report = {
         "q_levels": qq,
@@ -419,6 +594,49 @@ def hasse_diagram_pairwise(d: int) -> list:
     return [(a, c) for a in perms for c in less[a]
             if not any(c in less[m] for m in less[a] if m != c)]
 
+
+# ---------------------------------------------------------------------------
+# the admissible level sets and the order on S_d by signatures
+# ---------------------------------------------------------------------------
+
+def admissible_level(d: int, s: int) -> AdmissibleSubset:
+    """I_s = {(i,j) : j - i >= d - s}, the admissible subset of {1..s}."""
+    return admissible_from_subset(d, range(1, s + 1))
+
+
+def precedes(w1: Permutation, w2: Permutation) -> bool:
+    """The order on S_d: w1 <= w2 iff for every s the sequence of prefix sums
+    sum_{i<=s} w1^n(i) is lexicographically <= the one for w2.
+
+    The sequences are periodic in n, with a period dividing the order of
+    the permutation, so comparing them up to n = lcm(1..d), a multiple of
+    every order in S_d, decides; this is the comparison of the two
+    signatures.  It agrees with the rho form
+    in_dual_chain_cone(rho_w(w1, b) - rho_w(w2, b)) once
+    b >= floor(d^2/4) + 1 (checked exhaustively through d = 5; at
+    (d, b) = (4, 3) and (4, 4) the two differ).
+    """
+    if w1.d != w2.d:
+        raise ValueError("permutations of different sizes")
+    return all(x <= y for x, y in zip(_signature(w1), _signature(w2)))
+
+
+def in_dual_chain_cone(z: Vec) -> bool:
+    """Membership in C* = {z : sum z = 0, all prefix sums >= 0}."""
+    total = sum(z)
+    if total != 0:
+        return False
+    run = 0
+    for x in z[:-1]:
+        run += x
+        if run < 0:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# a Fraction counter and the package's lru caches
+# ---------------------------------------------------------------------------
 
 def fraction_constructions(fn) -> int:
     """The number of Fraction.__new__ calls made while fn() runs."""

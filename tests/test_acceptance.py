@@ -10,11 +10,11 @@ from fractions import Fraction as F
 from kisindim import bounds as bd
 from kisindim import perm as pm
 from kisindim import solver as sv
-from kisindim.kisin_model import (KisinInstance, QPoint, chain_dual_generators,
-                                  cone_chain, cone_q, mu_from_q, phi_from_q,
-                                  q_from_mu, read_back_q, validate_phi)
+from kisindim.kisin_model import (KisinInstance, QPoint, chain_dual_generators, cone_q,
+                                  mu_from_q, phi_from_q, q_from_mu, read_back_q,
+                                  validate_phi)
 from kisindim.polyhedra import enumerate_vertices, graph_cone_dual_membership
-from oracles import minkowski_sum_cone, polyhedra_set_equal
+from oracles import admissible_level, cone_chain, minkowski_sum_cone, polyhedra_set_equal
 
 BIG_BUDGET = 500_000_000
 
@@ -271,6 +271,23 @@ def test_acceptance_7_d2_periodicity():
     _ok("7 (dimension steps by b-1 under e -> e + b^2 - 1, d = 2)")
 
 
+# the excess dim(e) - lower(e) over one period e = 2b-1, ..., 2b-2 + b^2-1,
+# one digit per e, on the grid where it is measured (the conjecture's shape
+# beyond d = 2; (6, 3) takes about 30 s and is left out)
+PERIOD_EXCESS = {2: {2: "000", 3: "001", 4: "001", 5: "002", 6: "003"},
+                 3: {2: "00010000", 3: "00120011", 4: "00140011", 5: "00260022"}}
+
+
+def test_conjecture_period_table():
+    for b, rows in PERIOD_EXCESS.items():
+        for d, expected in rows.items():
+            inst = KisinInstance(d, b)
+            got = "".join(str(sv.dim_exact(sv.DimQuery(inst, "le_e", e=e)).dim
+                              - bd.theorem_bounds("le_e", e, inst)["lower"])
+                          for e in range(2 * b - 1, 2 * b - 1 + b * b - 1))
+            assert got == expected, (d, b)
+
+
 # ---------------------------------------------------------------------------
 # 8. witness soundness on the full mechanical grids
 # ---------------------------------------------------------------------------
@@ -330,7 +347,7 @@ def test_acceptance_9_dual_oracles():
             zero = sum(x.values()) == 0
             # closed form for the min-variant: level-set sums nonpositive
             closed_min = zero and all(
-                sum(x[c] for c in pm.admissible_level(d, s).cells) <= 0
+                sum(x[c] for c in admissible_level(d, s).cells) <= 0
                 for s in range(1, d))
             assert closed_min == graph_cone_dual_membership(cells, arcs_min, x)
             # closed form for the max-variant: all admissible sums nonpositive

@@ -8,17 +8,18 @@ from operator import mul
 import pytest
 
 from kisindim import bounds as bd, kisin_model as km, perm as pm
-from kisindim.bounds import (DualityData, UnsupportedRegime, a_set, b_value,
-                             extremal_points_a_qmax,
+from kisindim.bounds import (UnsupportedRegime, a_set, extremal_points_a_qmax,
                              k_polytopes, min_over_permutations, reg_star_facets,
                              regularity, theorem_bounds, two_rho, witness_le_e,
                              witness_le_mu)
-from kisindim.kisin_model import (KisinInstance, chain_dual_generators,
-                                  cone_chain, mu_from_q, regular_dual_generators)
+from kisindim.kisin_model import (KisinInstance, chain_dual_generators, mu_from_q,
+                                  regular_dual_generators)
 from kisindim.polyhedra import (Halfspace, HPolyhedron, cone_generators, dot,
-                                dual_cone, enumerate_vertices, fmt_frac, in_cone, vec)
-from oracles import (chain_cone_gens, cone_hull, cone_regular, dominance_polytope, dominated_sup,
-                     f_T_halfspace, fraction_constructions, k_hrep, kept_in_sum,
+                                enumerate_vertices, fmt_frac, vec)
+from oracles import (DualityData, admissible_level, b_value, chain_cone_gens, cone_chain,
+                     cone_hull, cone_qmax, cone_qmin, cone_qw, cone_regular,
+                     dominance_polytope, dominated_sup, dual_cone, f_T_halfspace,
+                     fraction_constructions, in_cone, k_hrep, kept_in_sum,
                      min_over_permutations_fraction, minkowski_sum_cone,
                      polyhedra_set_equal, vertices_of_sum, witness_le_e_report,
                      witness_le_mu_report)
@@ -41,7 +42,7 @@ def _fraction_dual_hrep(inst, variant):
     d = inst.d
     ones = _indicator(inst, inst.cells)
     if variant == "Qmin":
-        rows = [tuple(-x for x in _indicator(inst, pm.admissible_level(d, s).cells))
+        rows = [tuple(-x for x in _indicator(inst, admissible_level(d, s).cells))
                 for s in range(1, d)]
         return rows, [ones]
     if variant == "Qmax":
@@ -127,10 +128,10 @@ def test_a_set_qmax_matches_f_T_halfspaces():
 def _variant_cone(inst, variant):
     """The variant cone as `kisin_model` cuts it out, by its game rows."""
     if variant == "Qmax":
-        return km.cone_qmax(inst)
+        return cone_qmax(inst)
     if variant == "Qmin":
-        return km.cone_qmin(inst)
-    return km.cone_qw(inst, variant[1])
+        return cone_qmin(inst)
+    return cone_qw(inst, variant[1])
 
 
 def _dd_generators(inst, variant):

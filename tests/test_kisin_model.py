@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kisindim import kisin_model as km, perm as pm
-from kisindim.kisin_model import (KisinInstance, MuTriangle, QPoint, S_T,
-                                  chain_dual_generators, cone_chain, cone_q, cone_qmax,
-                                  cone_qmin, cone_qw, d2_lattice_invariants, delta_vec,
-                                  dim_phi, in_cone_q, mu_cell_vector, mu_from_q, phi_from_q,
-                                  q_from_mu, read_back_q, regular_dual_generators,
-                                  validate_phi)
+from kisindim.kisin_model import (KisinInstance, MuTriangle, QPoint, chain_dual_generators,
+                                  cone_q, d2_lattice_invariants, delta_vec, dim_phi,
+                                  in_cone_q, mu_from_q, phi_from_q, q_from_mu, read_back_q,
+                                  regular_dual_generators, validate_phi)
 from kisindim.polyhedra import HPolyhedron, dot
-from oracles import apply_terms, cone_regular, dim_phi_fraction, polyhedra_set_equal
+from oracles import (S_T, apply_terms, cone_chain, cone_qmax, cone_qmin, cone_qw,
+                     cone_regular, dim_phi_fraction, mu_cell_vector, polyhedra_set_equal)
 
 
 def rand_qpoint(inst, rng, denom=(1, 2, 3)):

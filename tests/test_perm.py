@@ -4,13 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from kisindim import perm as pm
-from kisindim.perm import (Permutation, admissible_from_subset, admissible_level,
-                           all_permutations, hasse_diagram, hasse_dot, identity,
-                           in_dual_chain_cone, level_set, losers_permutation,
-                           maximal_elements, ord_tableau, precedes, records,
+from kisindim.perm import (Permutation, admissible_from_subset, all_permutations,
+                           hasse_diagram, hasse_dot, identity, level_set,
+                           losers_permutation, maximal_elements, ord_tableau, records,
                            rho_w, w0, w_star)
 from kisindim.polyhedra import dot, vec
-from oracles import hasse_diagram_pairwise, precedes_pairwise, rho_w_fraction
+from oracles import (admissible_level, hasse_diagram_pairwise, in_dual_chain_cone, precedes,
+                     precedes_pairwise, rho_w_fraction)
 
 
 def test_permutation_validation():

@@ -3,8 +3,9 @@ explicit raises, which `python -O` keeps, none of its caches grows without
 bound in a long-running process, no module keeps mutable state in a
 lower-case global, no module reads the environment, importing the CLI
 stays cheap, no module of the package or its tests imports a name it
-never uses, every function and method of the package has a caller, and
-every class with value semantics is a `Frozen` record."""
+never uses, every function and method of the package has a caller, every
+top-level function and class of the package is used by the package or a
+demo, and every class with value semantics is a `Frozen` record."""
 
 import ast
 import importlib
@@ -23,7 +24,7 @@ from kisindim import bounds as bd, kisin_model as km, polyhedra
 from kisindim.cli import main
 from kisindim.kisin_model import KisinInstance
 from kisindim.polyhedra import Frozen, vec
-from oracles import clear_caches, lru_caches
+from oracles import DualityData, b_value, clear_caches, lru_caches
 
 SRC = Path(kisindim.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -147,7 +148,7 @@ def test_bounds_output_same_with_caches_cold_and_warm(capsys):
             out.append(capsys.readouterr().out)
         inst = KisinInstance(3, 3)
         out.append(repr(bd.a_set(inst, "Q", "g")))
-        out.append(bd.b_value(bd.DualityData(inst, "Qmax", "f", ORTHANT_PM), (3, -2)))
+        out.append(b_value(DualityData(inst, "Qmax", "f", ORTHANT_PM), (3, -2)))
         return out
 
     clear_caches()
@@ -255,3 +256,38 @@ def _dead_names():
 def test_every_function_has_a_caller():
     # a function or method that only its definition names is dead code
     assert _dead_names() == []
+
+
+# q_from_mu stays though no command or demo calls it: it is the documented
+# inverse of mu_from_q (MuTriangle.in_lattice states its contract through
+# it), and the two transforms share one kernel, `_apply`
+PRODUCT_ALLOWLIST = {"q_from_mu"}
+
+
+def _product_references(tree):
+    """Counter of the names that tree reads as a name, an attribute or an
+    import alias."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.rsplit(".", 1)[-1]] += 1
+    return found
+
+
+def test_every_src_name_is_used_by_the_product():
+    # a top-level function or class that only the tests reach is a test
+    # oracle and lives in tests/oracles.py: the package keeps what its own
+    # modules or a demo use
+    paths = sorted(SRC.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in paths + sorted(DEMOS.glob("*.py"))}
+    everywhere = sum(map(_product_references, trees.values()), Counter())
+    unused = [f"{path.stem}.{top.name}" for path in paths for top in trees[path].body
+              if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+              and top.name not in PRODUCT_ALLOWLIST
+              and everywhere[top.name] == _product_references(top)[top.name]]
+    assert unused == []

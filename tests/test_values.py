@@ -7,11 +7,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from kisindim.bounds import DualityData, KTables, RegularityClass
+from kisindim.bounds import KTables, RegularityClass
 from kisindim.kisin_model import D2LatticeData, KisinInstance, MuTriangle, PhiFunctions, QPoint
 from kisindim.perm import AdmissibleSubset, OrdTableau, Permutation
 from kisindim.polyhedra import Halfspace, HPolyhedron, VPolyhedron
 from kisindim.solver import DimQuery, DimResult
+from oracles import DualityData
 
 REQUIRED = object()
 I23, I25, I35 = KisinInstance(2, 3), KisinInstance(2, 5), KisinInstance(3, 5)
