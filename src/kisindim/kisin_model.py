@@ -226,30 +226,20 @@ def delta_vec(inst: KisinInstance) -> IVec:
 def cone_q(inst: KisinInstance) -> HPolyhedron:
     """The cone Q in E: games I (q_{i,j} >= q_{i,j+1}), II (q_{i,j} <=
     q_{i+1,j+1}) and III (mu_{i,j} >= mu_{i+1,j+1}), over 1 <= i <= j < d."""
-    return _cone_from_games(inst, ("I", "II", "III"))
+    return HPolyhedron.build(inst.dim_E, [(a, 0) for a in _game_rows(inst)])
 
 
-def _game_rows(inst, games):
-    """The integer rows of the games over 1 <= i <= j < d: I is
-    q_{i,j} - q_{i,j+1}, II and II' are q_{i+1,j+1} - q_{i,j}, III is
+def _game_rows(inst):
+    """The integer rows of the games over 1 <= i <= j < d, interleaved: I is
+    q_{i,j} - q_{i,j+1}, II is q_{i+1,j+1} - q_{i,j}, III is
     mu_{i,j} - mu_{i+1,j+1}."""
     d = inst.d
     for i in range(1, d + 1):
         for j in range(i, d):
-            if "I" in games:
-                yield _int_row(inst, ((1, (i, j)), (-1, (i, j + 1)))), "ineq"
-            if "II" in games:
-                yield _int_row(inst, ((1, (i + 1, j + 1)), (-1, (i, j)))), "ineq"
-            if "II'" in games:
-                yield _int_row(inst, ((1, (i + 1, j + 1)), (-1, (i, j)))), "eq"
-            if "III" in games:
-                below = ((-c, x) for c, x in _mu_cell_terms(inst, i + 1, j + 1))
-                yield _int_row(inst, (*_mu_cell_terms(inst, i, j), *below)), "ineq"
-
-
-def _cone_from_games(inst, games):
-    ineqs = [(a, 0) for a, kind in _game_rows(inst, games)]
-    return HPolyhedron.build(inst.dim_E, ineqs)
+            yield _int_row(inst, ((1, (i, j)), (-1, (i, j + 1))))
+            yield _int_row(inst, ((1, (i + 1, j + 1)), (-1, (i, j))))
+            below = ((-c, x) for c, x in _mu_cell_terms(inst, i + 1, j + 1))
+            yield _int_row(inst, (*_mu_cell_terms(inst, i, j), *below))
 
 
 def _row_slacks(P, Q, R, b):
@@ -298,14 +288,19 @@ def _self_test(d: int, b: int) -> bool:
     mu-cells; the two systems must be the same set of primitive integer
     rows, and equal row sets cut out the same cone on every triangle
     (single source of truth for the search)."""
-    inst = KisinInstance(d, b)
-    # column k holds the images of the unit triangle of mu-cell k, scaled by b(b-1) > 0
-    images = list(zip(*_transform_rows(d, b)[1]))
-    Q = cone_q(inst)
+    Q = cone_q(KisinInstance(d, b))
     if any(h.is_eq or h.offset for h in Q.halfspaces):
         raise AssertionError(f"cone Q at d={d} b={b} has an equation or an offset row")
-    pulled = {primitive_ints([_idot(h.normal, q) for q in images])
-              for h in Q.halfspaces}
+    # row k is the mu-form of b(b-1) q of cell k, so a halfspace pulls back
+    # to the sum of c times row k over its nonzero coefficients c at cell k
+    forms = _transform_rows(d, b)[1]
+    pulled = set()
+    for h in Q.halfspaces:
+        row = [0] * len(forms)
+        for c, form in zip(h.normal, forms):
+            if c:
+                row = [x + c * y for x, y in zip(row, form)]
+        pulled.add(primitive_ints(row))
     mine = set(_mu_system_rows(d, b))
     if pulled != mine:
         raise AssertionError(f"mu-system and q-system disagree at d={d} b={b} "

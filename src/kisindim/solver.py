@@ -40,9 +40,10 @@ the rows the search sets up are the rows that are proved, and the rows
 that decide every witness's membership in Q (`in_cone_q`).
 
 One lower bound on the unfilled cells, rows r..d, prunes branches that
-cannot beat the incumbent.  With Q = row r-1, rows r-1..d satisfy the
-d' = d-r+2 system shifted, so by the top-row bound below their dim is at
-most floor(<2 rho' | Q> / (b+1)), hence the unfilled cells sum to at least
+cannot beat the incumbent.  With Q = row r-1, rows r-1..d are a suffix of
+the d-system, d' = d-r+2, so by the top-row bound below, certified on
+every suffix, their dim is at most floor(<2 rho' | Q> / (b+1)), hence the
+unfilled cells sum to at least
 sum_t (d'-1-t) Q_t - floor(<2 rho' | Q> / (b+1)).  Q is nonincreasing, so
 <2 rho' | Q> >= 0 and the bound is at least sum_t t Q_t, the sum of the
 entries above the unfilled cells.
@@ -58,11 +59,11 @@ floor: a branch is cut when its bound is strictly below it, so a top that
 can tie still finds its own first optimum.
 
 The bounds are proved, not assumed: `_prove` runs once per (d, b) at the
-entry of the search and raises AssertionError unless `_self_test` holds
-and, for every d' = 2..d, (b+1)(bound - dim) is the sum of the scaled-q
-rows q(i, j) of the d'-system weighted by i-1, a closed-form Farkas
-certificate checked by integer dots, and the shifted d'-rows are rows of
-the d-system.
+entry of the search and raises AssertionError unless two checks hold on
+the d-system's rows: `_self_test`, which proves they are Q, and for every
+suffix of rows s-1..d, s = 2..d, (b+1)(bound - dim) of the suffix is the
+sum of its scaled-q rows q(i, j), i >= s, weighted by i-s+1, a
+closed-form Farkas certificate checked by integer sums.
 
 For le_e only the tops with mu_d <= b-2 are listed (`_enumerate_le_e_tops`);
 each listed top costs one node.  Nothing is kept between queries, so node
@@ -78,6 +79,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil
+from operator import add
 
 from . import bounds as bd
 from . import kisin_model as km
@@ -189,43 +191,43 @@ def _top_bound(top, b):
 
 @lru_cache(maxsize=1024)
 def _top_bound_certified(d: int, b: int) -> bool:
-    """Prove _top_bound for (d, b) by its Farkas certificate: the target
-    <2 rho | top> - (b+1) dim, read off its own code on unit triangles, is
-    sum (i-1) q(i, j) over the scaled-q rows q(i, j) that end the (i, j)
-    triples of _mu_system_rows, so a triangle the search accepts has dim at
-    most its bound.  True at every (d, b): q(i, j) = Q_{i,j} - Q_{i-1,j-1},
-    Q = b(b-1) q (_row_slacks; primitive, as it weighs mu_{i-1,j} by -1), so
-    the sum telescopes along each diagonal j - i to sum_i i Q_{i,d} - sum Q,
-    b+1 on each lower cell and b(j-d) - (j-1) on top cell j, as the target."""
-    target = [_two_rho(r[0]) - (b + 1) * km._dim_form(r, d) for r in km._unit_triangles(d)]
-    weights = [i - 1 for i in range(2, d + 1) for _ in range(i, d + 1)]
-    cols = zip(*km._mu_system_rows(d, b)[2::3], target)
-    return all(_idot(weights, col) == t for *col, t in cols)
+    """Prove _top_bound on every suffix of rows of the d-system by its
+    Farkas certificate.  For s = 2..d, rows s-1..d with d' = d-s+2: the
+    target <2 rho' | row s-1> - (b+1) dim'(rows s-1..d), read off its own
+    code on unit triangles, is sum (i-s+1) q(i, j) over the scaled-q rows
+    q(i, j), i >= s, that end the (i, j) triples of _mu_system_rows, so those
+    rows of a triangle the search accepts have dim' at most the bound of row
+    s-1.  True at every (d, b): q(i, j) = Q_{i,j} - Q_{i-1,j-1}, Q = b(b-1) q
+    (_row_slacks; primitive, as it weighs mu_{i-1,j} by -1), so the sum
+    telescopes along each diagonal j - i to sum_i (i-s+2) Q_{i,d} - sum Q
+    over rows i >= s-1: b+1 on each cell below row s-1 and b(j-d') - (j-1)
+    on the j-th cell of row s-1, as the target.  The sums run from s = d
+    down: level holds sum_{i >= s} q(i, j), and weighted adds it once per
+    suffix it is in."""
+    rows = km._mu_system_rows(d, b)[2::3]
+    units = km._unit_triangles(d)
+    level = weighted = [0] * len(units)
+    end = len(rows)
+    for s in range(d, 1, -1):
+        end -= d - s + 1  # rows[end:] now start at q(s, s)
+        level = [sum(col) for col in zip(level, *rows[end:end + d - s + 1])]
+        weighted = list(map(add, weighted, level))
+        if any(w != _two_rho(r[s - 2]) - (b + 1) * km._dim_form(r[s - 2:], d - s + 2)
+               for w, r in zip(weighted, units)):
+            return False
+    return True
 
 
 @lru_cache(maxsize=1024)
 def _prove(d: int, b: int) -> bool:
     """Prove the preconditions of the search for (d, b), or raise
-    AssertionError: _self_test, and for each 2 <= d' <= d the d'-system
-    rows moved onto the last d' rows and columns are rows of the d-system
-    and _top_bound_certified(d', b) holds.  So rows r-1..d of a triangle
+    AssertionError: _self_test, which proves that the d-system is Q, and
+    _top_bound_certified(d, b) on those rows.  So rows r-1..d of a triangle
     the search accepts, d' = d-r+2, have dim at most the top bound of row
     r-1."""
     km._self_test(d, b)
-    inst = km.KisinInstance(d, b)
-    full = set(km._mu_system_rows(d, b))
-    for dp in range(2, d + 1):
-        shift = d - dp
-        at = [inst.cell_index(i + shift, j + shift) for i, j in km.KisinInstance(dp, b).cells]
-        for sub_row in km._mu_system_rows(dp, b):
-            row = [0] * inst.dim_E
-            for k, x in zip(at, sub_row):
-                row[k] = x
-            if tuple(row) not in full:
-                raise AssertionError(f"the {dp}-system row {sub_row}, shifted, is not a "
-                                     f"row of the {d}-system at b={b}")
-        if not _top_bound_certified(dp, b):
-            raise AssertionError(f"the top-row bound has no certificate at d={dp} b={b}")
+    if not _top_bound_certified(d, b):
+        raise AssertionError(f"the top-row bound has no certificate at d={d} b={b}")
     return True
 
 
@@ -250,10 +252,10 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget, floor: int | None
 
     def remaining_bound(r):
         # a lower bound on the sum of the unfilled cells, rows r..d, from
-        # Q = row r-1: rows r-1..d satisfy the (n+1)-system, n = d-r+1, so
-        # their dim, sum_t (n-t) Q[t] = x + w minus the unfilled cells, is at
-        # most floor(x / (b+1)), with w = sum_t t Q[t] and
-        # x = <2 rho' | Q> = sum_t (n-2t) Q[t]
+        # Q = row r-1: rows r-1..d are a suffix of the proved d-system, whose
+        # certificate _prove checked, so their dim, sum_t (n-t) Q[t] = x + w
+        # minus the unfilled cells, n = d-r+1, is at most floor(x / (b+1)),
+        # with w = sum_t t Q[t] and x = <2 rho' | Q> = sum_t (n-2t) Q[t]
         Q = rows[r - 2]
         w = sum(t * x for t, x in enumerate(Q))
         x = (d - r + 1) * sum(Q) - 2 * w

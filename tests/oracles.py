@@ -18,8 +18,7 @@ from kisindim import kisin_model as km
 from kisindim import perm as pm
 from kisindim.bounds import (_dual_hrep, _form_vectors, a_set, reg_star_facets,
                             strong_regularity, two_rho)
-from kisindim.kisin_model import (KisinInstance, _cone_from_games, _game_rows, _int_row,
-                                  _transform_rows, chain_dual_generators)
+from kisindim.kisin_model import KisinInstance, _int_row, _transform_rows, chain_dual_generators
 from kisindim.perm import (AdmissibleSubset, Permutation, _signature, admissible_from_subset,
                            all_permutations)
 from kisindim.polyhedra import (Frozen, HPolyhedron, IVec, Vec, VPolyhedron, _echelon,
@@ -109,17 +108,26 @@ def S_T(x, T, d: int) -> Fraction:
                Fraction(0))
 
 
+def _games_i_and_ii(inst: KisinInstance):
+    """The integer rows of games I (q_{i,j} - q_{i,j+1}) and II
+    (q_{i+1,j+1} - q_{i,j}), one pair per 1 <= i <= j < d."""
+    for i in range(1, inst.d + 1):
+        for j in range(i, inst.d):
+            yield (_int_row(inst, ((1, (i, j)), (-1, (i, j + 1)))),
+                   _int_row(inst, ((1, (i + 1, j + 1)), (-1, (i, j)))))
+
+
 def cone_qmax(inst: KisinInstance) -> HPolyhedron:
-    return _cone_from_games(inst, ("I", "II"))
+    """Games I and II, interleaved."""
+    return HPolyhedron.build(inst.dim_E, [(a, 0) for pair in _games_i_and_ii(inst)
+                                          for a in pair])
 
 
 def cone_qmin(inst: KisinInstance) -> HPolyhedron:
     """Game I plus the equalities q_{i,j} = q_{i+1,j+1} (game II')."""
-    ineqs = []
-    eqs = []
-    for a, kind in _game_rows(inst, ("I", "II'")):
-        (ineqs if kind == "ineq" else eqs).append((a, 0))
-    return HPolyhedron.build(inst.dim_E, ineqs, eqs)
+    pairs = list(_games_i_and_ii(inst))
+    return HPolyhedron.build(inst.dim_E, [(a, 0) for a, _ in pairs],
+                             [(a, 0) for _, a in pairs])
 
 
 def cone_chain(d: int) -> HPolyhedron:
@@ -470,6 +478,50 @@ def top_bound_lp(d: int, b: int, divisor: int | None = None) -> bool:
     target = [_idot(two_rho(d), r[0]) - divisor * km._dim_form(r, d)
               for r in km._unit_triangles(d)]
     return in_cone(km._mu_system_rows(d, b), target)
+
+
+def whole_triangle_certificate(rows, d: int, b: int) -> bool:
+    """The top-row bound's closed-form certificate on the whole triangle
+    only: <2 rho | top> - (b+1) dim, read off the search's code on unit
+    triangles, is sum (i-1) q(i, j) over the scaled-q rows q(i, j) that end
+    the (i, j) triples of the d-system rows."""
+    target = [_idot(two_rho(d), r[0]) - (b + 1) * km._dim_form(r, d)
+              for r in km._unit_triangles(d)]
+    weights = [i - 1 for i in range(2, d + 1) for _ in range(i, d + 1)]
+    cols = zip(*rows[2::3], target)
+    return all(_idot(weights, col) == t for *col, t in cols)
+
+
+def sub_bounds_by_shifted_systems(d: int, b: int) -> bool:
+    """The top-row bound on rows r-1..d by the smaller systems: for each
+    2 <= d' <= d, the d'-system rows moved onto the last d' rows and columns
+    are rows of the d-system, and the d'-system has the whole-triangle
+    certificate.  The reference for solver._top_bound_certified, which reads
+    every suffix certificate off the d-system's own rows."""
+    inst = KisinInstance(d, b)
+    full = set(km._mu_system_rows(d, b))
+    for dp in range(2, d + 1):
+        shift = d - dp
+        at = [inst.cell_index(i + shift, j + shift) for i, j in KisinInstance(dp, b).cells]
+        sub_rows = km._mu_system_rows(dp, b)
+        for sub_row in sub_rows:
+            row = [0] * inst.dim_E
+            for k, x in zip(at, sub_row):
+                row[k] = x
+            if tuple(row) not in full:
+                return False
+        if not whole_triangle_certificate(sub_rows, dp, b):
+            return False
+    return True
+
+
+def pulled_back_rows_dense(d: int, b: int) -> set:
+    """The rows of Q pulled back to the mu-cells by dotting each halfspace
+    with every column of the b(b-1) q-forms: the reference for the sparse
+    sum in km._self_test."""
+    images = list(zip(*_transform_rows(d, b)[1]))
+    return {primitive_ints([_idot(h.normal, q) for q in images])
+            for h in km.cone_q(KisinInstance(d, b)).halfspaces}
 
 
 # ---------------------------------------------------------------------------

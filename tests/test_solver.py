@@ -14,7 +14,9 @@ from kisindim.kisin_model import (KisinInstance, MuTriangle, cone_q, dim_phi, q_
 from kisindim.polyhedra import Halfspace, HPolyhedron
 from kisindim.solver import (BudgetExceeded, DimQuery, dim_d2_closed, dim_d3_closed,
                              dim_exact, consistency_suite, _enumerate_dominated_tops)
-from oracles import top_bound_lp
+from oracles import (pulled_back_rows_dense, sub_bounds_by_shifted_systems, top_bound_lp,
+                     whole_triangle_certificate)
+from test_acceptance import _integrally_regular_samples, _strongly_regular_samples
 
 
 def test_query_validation():
@@ -553,6 +555,34 @@ def test_d5_le_e_within_theorem_sandwich(b):
         assert r.status == "exact" and tb["lower"] <= r.dim <= tb["upper"], e
 
 
+@pytest.mark.parametrize("b", (2, 3, 5))
+def test_d5_mu_within_theorem_sandwich(b):
+    # acceptance 6's divisor-type checks at d = 5: the congruence always, the
+    # minimum over S_5 on its proven range b >= b0 = 5
+    inst = KisinInstance(5, b)
+    nonempty = 0
+    for mu in _integrally_regular_samples(inst, random.Random(505), count=10):
+        r = dim_exact(DimQuery(inst, "mu", mu=mu))
+        if r.status == "empty":
+            continue
+        nonempty += 1
+        assert (r.dim + sum(i * m for i, m in enumerate(mu, 1))) % (b - 1) == 0, mu
+        if b >= inst.b0:
+            val, _ = bd.min_over_permutations(tuple(map(F, mu)), inst)
+            assert F(r.dim) <= F(inst.epsilon_slack) + val, mu
+    assert nonempty >= 3
+
+
+@pytest.mark.parametrize("b", (2, 3))
+def test_d5_le_mu_within_theorem_sandwich(b):
+    # acceptance 6's dominance-family check at d = 5, on strongly regular mu
+    inst = KisinInstance(5, b)
+    for mu in _strongly_regular_samples(inst, random.Random(505)):
+        r = dim_exact(DimQuery(inst, "le_mu", mu=mu))
+        tb = bd.theorem_bounds("le_mu", mu, inst)
+        assert tb["lower"] is not None and tb["lower"] <= r.dim <= tb["upper"], mu
+
+
 @pytest.mark.parametrize("b", (2, 3))
 def test_d5_le_mu_is_the_max_over_dominated_mu(b):
     inst = KisinInstance(5, b)
@@ -1061,29 +1091,62 @@ def test_row_slacks_proof_covers_the_level_d_row(monkeypatch, cold_mu_system):
 
 
 def test_sub_bound_needs_every_smaller_certificate(monkeypatch, cold_mu_system):
-    certified = sv._top_bound_certified
-    monkeypatch.setattr(sv, "_top_bound_certified",
-                        lambda d, b: d != 3 and certified(d, b))
-    with pytest.raises(AssertionError, match="no certificate at d=3 b=2"):
-        sv._prove(4, 2)
-    with pytest.raises(AssertionError, match="no certificate at d=3 b=2"):
-        dim_exact(DimQuery(KisinInstance(4, 2), "le_e", e=6))
+    # a row-pair mutant of the 4-system: q(3,3) gains q(4,4) and q(2,2)
+    # loses twice it, so the whole-triangle certificate (weight i-1 on level
+    # i) still holds, but the suffix of rows 2..4 (weight i-2) sees q(4,4) once
+    rows = km._mu_system_rows
+    at = {cell: 3 * k + 2 for k, cell in enumerate((i, j) for i in range(2, 5)
+                                                  for j in range(i, 5))}
+
+    def mutant(d, b):
+        out = list(rows(d, b))
+        if d == 4:
+            q44 = out[at[4, 4]]
+            out[at[3, 3]] = tuple(x + y for x, y in zip(out[at[3, 3]], q44))
+            out[at[2, 2]] = tuple(x - 2 * y for x, y in zip(out[at[2, 2]], q44))
+        return tuple(out)
+
+    monkeypatch.setattr(km, "_mu_system_rows", mutant)
+    for b in CERTIFICATE_B_VALUES:
+        assert whole_triangle_certificate(km._mu_system_rows(4, b), 4, b), b
+        assert not sv._top_bound_certified(4, b), b
     assert sv._prove(2, 2)
 
 
-def test_sub_bound_needs_the_shifted_rows(monkeypatch, cold_mu_system):
-    # a d'-system row that the d-system lacks voids the bound
+def test_prove_reads_only_the_d_system(monkeypatch, cold_mu_system):
+    # every suffix bound is certified on the d-system's own rows: the proofs
+    # build no smaller system
     rows = km._mu_system_rows
+    asked = []
 
-    def extra(d, b):
-        out = rows(d, b)
-        return out + ((1,) + (0,) * (len(out[0]) - 1),) if d == 2 else out
+    def recorded(d, b):
+        asked.append(d)
+        return rows(d, b)
 
-    monkeypatch.setattr(km, "_mu_system_rows", extra)
-    with pytest.raises(AssertionError, match="not a row of the 3-system"):
-        sv._prove(3, 2)
-    with pytest.raises(AssertionError, match="not a row of the 3-system"):
-        dim_exact(DimQuery(KisinInstance(3, 2), "mu", mu=(4, 2, 0)))
+    monkeypatch.setattr(km, "_mu_system_rows", recorded)
+    for d in range(2, 7):
+        for fn in (km._self_test, sv._top_bound_certified, sv._prove):
+            fn.cache_clear()
+        asked.clear()
+        assert sv._prove(d, 2)
+        assert set(asked) == {d}, (d, asked)
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_suffix_certificates_match_the_shifted_systems(d):
+    # the old route, each smaller system shifted into the d-system with its
+    # own certificate, and the suffix certificates on the d-system both hold
+    for b in CERTIFICATE_B_VALUES:
+        assert sv._top_bound_certified(d, b) and sub_bounds_by_shifted_systems(d, b), b
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_sparse_pull_back_matches_the_dense_dots(d):
+    # _self_test sums the q-forms over each halfspace's nonzero coefficients
+    # and finds the mu-system; the dense dots find it too, so both sets agree
+    for b in (2, 3, 5, 101, 10007):
+        assert _self_test(d, b)
+        assert pulled_back_rows_dense(d, b) == set(km._mu_system_rows(d, b)), b
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))
