@@ -447,22 +447,30 @@ class KTables(Frozen):
     def counts(self) -> tuple[int, int]:
         return len(self.K_rows), len(self.Kp_rows)
 
+    def _formatted(self) -> tuple[list[list[str]], list[list[str]]]:
+        """The `_fmt_row` coordinates of the K rows and the K + C* rows, each
+        K row formatted once (the K + C* rows are among them)."""
+        K = [_fmt_row(r) for r in self.K_rows]
+        by_row = dict(zip(self.K_rows, K))
+        return K, [by_row[r] for r in self.Kp_rows]
+
     def to_json(self) -> str:
         import json
 
+        K, Kp = self._formatted()
         return json.dumps({
             "d": self.instance.d, "b": self.instance.b,
             "K_vertex_count": len(self.K_rows),
             "K_plus_Cstar_vertex_count": len(self.Kp_rows),
-            "K_vertices": [_fmt_row(r) for r in self.K_rows],
-            "K_plus_Cstar_vertices": [_fmt_row(r) for r in self.Kp_rows],
+            "K_vertices": K, "K_plus_Cstar_vertices": Kp,
         }, sort_keys=True)
 
     def coords_csv(self) -> str:
         d = self.instance.d
         lines = ["polytope," + ",".join(f"y{i}" for i in range(1, d + 1))]
-        lines += ["K," + ",".join(_fmt_row(r)) for r in self.K_rows]
-        lines += ["K+C*," + ",".join(_fmt_row(r)) for r in self.Kp_rows]
+        K, Kp = self._formatted()
+        lines += ["K," + ",".join(c) for c in K]
+        lines += ["K+C*," + ",".join(c) for c in Kp]
         return "\n".join(lines) + "\n"
 
 

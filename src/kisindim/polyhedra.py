@@ -10,11 +10,15 @@ test oracle, in tests/oracles.py).  `double_description` is the one
 incremental loop: it starts from any simplicial seed (`_initial_simplicial`
 here, the rays of a simplicial cone known in closed form elsewhere) and
 returns each ray's zero set with it, so a caller reads the rows tight at
-each ray off its bits with no dot product.  A halfspace is stored as its primitive
-integer row, so membership is an integer dot on a point's numerators
-over their common denominator (`scaled_ints`).  `fractions.Fraction`
-appears only at the API edge: `dot` and the coordinates of points and
-vertices.  Rays and lines are returned as primitive integer tuples.
+each ray off its bits with no dot product.  Its adjacency test is an AND of
+per-row incidence bitsets over the current rays.  A halfspace is stored as
+its primitive integer row, so membership is an integer dot on a point's
+numerators over their common denominator (`scaled_ints`).  A rational row
+is scaled to integers once, where it enters (`Halfspace`, `contains_ray`,
+`cone_generators` and `_echelon`); below that, `primitive_ints` divides
+integer vectors by their gcd.  `fractions.Fraction` appears only at the API
+edge: `dot` and the coordinates of points and vertices.  Rays and lines are
+returned as primitive integer tuples.
 Polyhedra come in two representations:
 
 - `HPolyhedron`: a finite list of halfspaces ``<a, x> >= c`` and equations
@@ -69,11 +73,11 @@ def scaled_ints(v) -> tuple[list[int], int]:
 
 
 def primitive_ints(v) -> IVec:
-    """Scale a rational vector by a positive rational to coprime integers
-    (the zero vector stays zero)."""
-    ints = scaled_ints(v)[0]
-    g = gcd(*ints)
-    return tuple(a // g for a in ints) if g > 1 else tuple(ints)
+    """Divide an integer vector by the gcd of its entries, to coprime
+    integers (the zero vector stays zero).  A rational vector is scaled to
+    integers first, by `scaled_ints`, where it enters the module."""
+    g = gcd(*v)
+    return tuple(a // g for a in v) if g > 1 else tuple(v)
 
 
 def _idot(u, v) -> int:
@@ -92,7 +96,7 @@ def _eliminate(row: list[int], t: list[int], c: int) -> list[int]:
 
 
 def _canonical_line(v) -> IVec:
-    """Primitive integer direction of a line, first nonzero entry positive."""
+    """Primitive direction of an integer line, first nonzero entry positive."""
     w = primitive_ints(v)
     return w if next((a for a in w if a), 0) >= 0 else tuple(-a for a in w)
 
@@ -112,7 +116,7 @@ def _echelon(rows, n: int) -> tuple[list[list[int]], list[int], list[int]]:
     for i, r in enumerate(rows):
         if len(pivots) == n:
             break
-        row = list(primitive_ints(r))
+        row = list(primitive_ints(scaled_ints(r)[0]))
         for c, t in zip(pivots, tab):
             row = _eliminate(row, t, c)
         c = next((c for c in range(n) if row[c]), None)
@@ -211,7 +215,7 @@ class Halfspace(Frozen):
     so every positive multiple of a row gives an equal halfspace."""
 
     def __init__(self, normal: Vec, offset: Fraction = 0, is_eq: bool = False):
-        row = primitive_ints((*normal, offset))
+        row = primitive_ints(scaled_ints((*normal, offset))[0])
         if not is_eq and not any(row[:-1]):
             raise ValueError("inequality with zero normal")
         object.__setattr__(self, "normal", row[:-1])
@@ -249,7 +253,7 @@ class HPolyhedron(Frozen):
 
     def contains_ray(self, r: Vec) -> bool:
         """Is r in the recession cone?"""
-        r = primitive_ints(r)
+        r = scaled_ints(r)[0]
         for h in self.halfspaces:
             v = _idot(h.normal, r)
             if v < 0 or (h.is_eq and v):
@@ -306,6 +310,15 @@ def double_description(seed: list[IVec], rows) -> tuple[list[IVec], list[int]]:
     the positive combination vals[p]*r_m - vals[m]*r_p divided by its gcd,
     so no rational arithmetic is needed, and it is tight on the new row by
     construction, so its zero set gets the bit without a dot product.
+
+    The adjacency test runs on incidence bitsets: before a row is inserted,
+    tight[1 << j] has bit k set when the current ray k is tight on row j
+    (read off the zero sets without the new row's bit; a row tight on no
+    ray has no entry and is in no common zero set).  The rays whose
+    zero sets contain the common zero set of a pair (p, m) are the AND of
+    tight[1 << j] over its bits j, started from all current rays; the pair
+    is adjacent exactly when that leaves p and m alone.  That costs one
+    big-int AND per common row, not a pass over every zero set.
     Returns the rays and their zero sets over every row, as bitmasks.
     """
     n = len(seed)
@@ -319,6 +332,14 @@ def double_description(seed: list[IVec], rows) -> tuple[list[IVec], list[int]]:
         if len(new_rays) < len(rays):
             pos = [i for i, v in enumerate(vals) if v > 0]
             neg = [i for i, v in enumerate(vals) if v < 0]
+            tight = {}
+            for k, z in enumerate(zsets):
+                kbit = 1 << k
+                while z:
+                    low = z & -z
+                    tight[low] = tight.get(low, 0) | kbit
+                    z ^= low
+            everyone = (1 << len(rays)) - 1
             for p in pos:
                 for m in neg:
                     common = zsets[p] & zsets[m]
@@ -328,7 +349,12 @@ def double_description(seed: list[IVec], rows) -> tuple[list[IVec], list[int]]:
                         continue
                     # adjacency: no ray but p and m has a zero set containing
                     # the common one
-                    if list(map(common.__and__, zsets)).count(common) > 2:
+                    around, rest = everyone, common
+                    while rest:
+                        low = rest & -rest
+                        around &= tight[low]
+                        rest ^= low
+                    if around.bit_count() > 2:
                         continue
                     vp, vm = vals[p], -vals[m]
                     r = [vp * x + vm * y for x, y in zip(rays[m], rays[p])]
@@ -361,7 +387,7 @@ def cone_generators(ineqs: list[Vec], eqs: list[Vec], n: int) -> tuple[list[IVec
     rescaling of the parametrisations N and W below leaves the normalised
     output unchanged.
     """
-    A = [primitive_ints(a) for a in ineqs]
+    A = [primitive_ints(scaled_ints(a)[0]) for a in ineqs]
     N = None
     if eqs:
         # restrict to the equation subspace: x = N u

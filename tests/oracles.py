@@ -23,7 +23,13 @@ from kisindim.perm import (AdmissibleSubset, Permutation, _signature, admissible
                            all_permutations)
 from kisindim.polyhedra import (Frozen, HPolyhedron, IVec, Vec, VPolyhedron, _echelon,
                                 _eliminate, _idot, cone_generators, dot, enumerate_vertices,
-                                fmt_frac, primitive_ints, vec)
+                                fmt_frac, primitive_ints, scaled_ints, vec)
+
+
+def primitive_row(v) -> IVec:
+    """The primitive integer row of a rational vector: its `scaled_ints`
+    numerators divided by their gcd."""
+    return primitive_ints(scaled_ints(v)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +49,8 @@ def in_cone(generators: list[Vec], target: Vec) -> bool:
     the ratio test cross-multiplies, so no rational arithmetic is needed.
     """
     n = len(target)
-    gens = [primitive_ints(g) for g in generators]
-    tgt = primitive_ints(target)
+    gens = [primitive_row(g) for g in generators]
+    tgt = primitive_row(target)
     m = len(gens)
     # flip equation signs so the rhs is nonnegative
     tab = []
@@ -200,6 +206,42 @@ def b_value(dd: DualityData, y) -> Fraction | float:
 # hulls, set equality and Minkowski sums by the double description
 # ---------------------------------------------------------------------------
 
+def double_description_by_scan(seed: list[IVec], rows) -> tuple[list[IVec], list[int]]:
+    """`polyhedra.double_description` with its adjacency test as a scan:
+    a pair (p, m) is adjacent when no third zero set contains the common
+    one, checked against every zero set.  Same rays, zero sets and order."""
+    n = len(seed)
+    rays = list(seed)
+    zsets = [((1 << n) - 1) ^ (1 << j) for j in range(n)]
+    bit = 1 << n
+    for a in rows:
+        vals = [_idot(a, r) for r in rays]
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        new_z = [z | bit if v == 0 else z for z, v in zip(zsets, vals) if v >= 0]
+        if len(new_rays) < len(rays):
+            pos = [i for i, v in enumerate(vals) if v > 0]
+            neg = [i for i, v in enumerate(vals) if v < 0]
+            for p in pos:
+                for m in neg:
+                    common = zsets[p] & zsets[m]
+                    # an edge of a pointed n-cone lies on >= n-2 of the
+                    # processed constraints; cheap necessary test first
+                    if common.bit_count() < n - 2:
+                        continue
+                    # adjacency: no ray but p and m has a zero set containing
+                    # the common one
+                    if list(map(common.__and__, zsets)).count(common) > 2:
+                        continue
+                    vp, vm = vals[p], -vals[m]
+                    r = [vp * x + vm * y for x, y in zip(rays[m], rays[p])]
+                    g = gcd(*r)
+                    new_rays.append(tuple(x // g for x in r))
+                    new_z.append(common | bit)
+        rays, zsets = new_rays, new_z
+        bit <<= 1
+    return rays, zsets
+
+
 def cone_hull(rays: list[Vec], lines: list[Vec], n: int) -> HPolyhedron:
     """Minimal H-representation of cone(rays) + span(lines)."""
     dlines, drays = cone_generators(rays, lines, n)
@@ -256,7 +298,7 @@ def minkowski_sum_cone(P: HPolyhedron | VPolyhedron, cone_gens) -> HPolyhedron:
     V = P if isinstance(P, VPolyhedron) else enumerate_vertices(P)
     if V.is_empty:
         raise ValueError("Minkowski sum with the empty polyhedron")
-    gens = [g for g in map(primitive_ints, cone_gens) if any(g)]
+    gens = [g for g in map(primitive_row, cone_gens) if any(g)]
     return v_to_h(VPolyhedron(V.dim, V.vertices, tuple(sorted(set(list(V.rays) + gens))), V.lines))
 
 
@@ -317,7 +359,7 @@ def kept_in_sum(P: HPolyhedron, gens, tight_masks) -> list[bool]:
     of its H-representation and needs no separate care.  Rows and images
     are integers, so the certificates and the LP are exact.
     """
-    gens = [g for g in map(primitive_ints, gens) if any(g)]
+    gens = [g for g in map(primitive_row, gens) if any(g)]
     k = len(gens)
     images = [tuple(_idot(h.normal, g) for g in gens) for h in P.ineqs]
     eq_images = [tuple(_idot(h.normal, g) for g in gens) for h in P.eqs]

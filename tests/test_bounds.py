@@ -112,6 +112,11 @@ def test_a_set_full_q_refuses_small_b():
         a_set(inst, "Q", "g")
 
 
+def test_full_cone_q_ray_counts_at_d6():
+    # the double description of the full cone Q at d = 6, below b0 = 7
+    assert [len(bd._q_generators(6, b)[1]) for b in (2, 3)] == [3933, 3993]
+
+
 def test_a_set_qmax_matches_f_T_halfspaces():
     # extremal_points_a_qmax reads f_T off these rows, zipped with the
     # proper subsets in bitmask order, so the order must match too

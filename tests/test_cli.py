@@ -321,6 +321,36 @@ def test_bounds_report(capsys):
     assert payload["witnesses"]["le_e"]["ok"]
 
 
+BOUNDS_BELOW_MU = """{
+  "details": {
+    "empty": false,
+    "lower_sup_relaxed": true,
+    "upper_strong": "64/7"
+  },
+  "lower": "137/28",
+  "params": {
+    "mu": [
+      30,
+      2,
+      0
+    ]
+  },
+  "target": "le_mu",
+  "upper": "10",
+  "witnesses": {}
+}
+"""
+
+
+def test_bounds_le_mu_with_a_dominance_sup_below_mu_is_pinned(capsys):
+    # the dominance sup is 384/7 < <2 rho | mu> = 60: a double description
+    # value no `bounds --le-mu` request of the benchmark reaches
+    inst = KisinInstance(3, 5)
+    assert bd._dominated_sup((30, 2, 0), inst, True) == Fraction(384, 7)
+    assert run(capsys, "bounds", "--d", "3", "--b", "5", "--mu", "30,2,0", "--le-mu") == (
+        0, BOUNDS_BELOW_MU)
+
+
 def test_witness_command(capsys):
     code, out = run(capsys, "witness", "--d", "2", "--b", "2", "--e", "3")
     assert code == 0

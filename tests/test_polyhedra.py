@@ -13,8 +13,9 @@ from kisindim.polyhedra import (Halfspace, HPolyhedron, VPolyhedron, cone_genera
                                 dot, enumerate_vertices, graph_cone_dual_membership,
                                 maxflow, nullspace, primitive_ints, vec)
 from oracles import (DualityData, _sign_certificate, b_value, chain_cone_gens, cone_hull,
-                     dual_cone, in_cone, k_hrep, minkowski_sum_cone, polyhedra_set_equal,
-                     rank, v_to_h, vertices_of_sum)
+                     double_description_by_scan, dual_cone, in_cone, k_hrep,
+                     minkowski_sum_cone, polyhedra_set_equal, primitive_row, rank, v_to_h,
+                     vertices_of_sum)
 
 
 def square():
@@ -146,7 +147,7 @@ def _brute_rays(ineqs, eqs, n) -> set:
         for s in (r, tuple(-x for x in r)):
             if (any(s) and all(dot(a, s) >= 0 for a in ineqs)
                     and all(dot(e, s) == 0 for e in eqs)):
-                out.add(primitive_ints(s))
+                out.add(primitive_row(s))
     return out
 
 
@@ -266,24 +267,72 @@ def test_double_description_runs_on_integers(monkeypatch):
     assert sorted(rays) == [tuple(map(int, r)) for r in expected]
 
 
-def test_double_description_zero_sets_are_the_tight_rows():
-    # bit j < n of a zero set is seed row j, bit n + i inserted row i, and
-    # each set holds exactly the rows on which the ray's dot is zero
+def _random_seeded_rows(nmax: int):
+    """(rows, chosen, seed, rest) for random full-rank integer rows in
+    1..nmax variables: the simplicial seed of the chosen rows, and the rows
+    the double description inserts."""
     rng = random.Random(18)
-    checked = 0
     for _ in range(300):
-        n = rng.randint(1, 5)
+        n = rng.randint(1, nmax)
         rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n + rng.randint(0, 6))]
         if rank(rows, n) < n:
             continue
         chosen, seed = polyhedra._initial_simplicial(rows, n)
-        rest = [a for i, a in enumerate(rows) if i not in chosen]
+        yield rows, chosen, seed, [a for i, a in enumerate(rows) if i not in chosen]
+
+
+def test_double_description_zero_sets_are_the_tight_rows():
+    # bit j < n of a zero set is seed row j, bit n + i inserted row i, and
+    # each set holds exactly the rows on which the ray's dot is zero
+    checked = 0
+    for rows, chosen, seed, rest in _random_seeded_rows(5):
         rays, zsets = polyhedra.double_description(seed, rest)
         order = [rows[i] for i in chosen] + rest
         for ray, z in zip(rays, zsets):
             assert z == sum(1 << k for k, a in enumerate(order) if dot(a, ray) == 0), (rows, ray)
         checked += len(rays)
     assert checked >= 300
+
+
+def test_double_description_matches_the_scan_oracle(monkeypatch):
+    # the adjacency test on incidence bitsets against the scan over every
+    # zero set: the same rays and zero sets, in the same order, on random
+    # rows and on each double description that the K(b) tables, the
+    # dominance sups and the full cone Q run
+    checked_rays = 0
+    for _, _, seed, rest in _random_seeded_rows(6):
+        rays, zsets = polyhedra.double_description(seed, rest)
+        assert (rays, zsets) == double_description_by_scan(seed, rest), (seed, rest)
+        checked_rays += len(rays)
+    assert checked_rays >= 1000
+    kernel = polyhedra.double_description
+    calls = Counter()
+
+    def checked(seed, rows):
+        out = kernel(seed, rows)
+        assert out == double_description_by_scan(seed, rows), (seed, rows)
+        calls[caller] += 1
+        return out
+
+    monkeypatch.setattr(polyhedra, "double_description", checked)
+    monkeypatch.setattr(bd, "double_description", checked)
+    caller = "k_polytopes"
+    for d in range(2, 10):
+        for b in (7, 10000):
+            bd.k_polytopes(KisinInstance(d, b))
+    caller = "_dominated_sup"
+    rng = random.Random(34)
+    for d in range(2, 6):
+        for b in (2, 3, 5, 7):
+            inst = KisinInstance(d, b)
+            for _ in range(10):
+                mu = tuple(sorted((rng.randint(-4 * b, 4 * b) for _ in range(d)), reverse=True))
+                for strong in (False, True):
+                    bd._dominated_sup(mu, inst, strong)
+    caller = "_q_generators"
+    for b in (2, 3):
+        assert len(bd._q_generators.__wrapped__(5, b)[1]) > 100
+    assert calls == {"k_polytopes": 16, "_dominated_sup": 320, "_q_generators": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +419,30 @@ def test_echelon_rows_are_positive_multiples_of_rref_rows():
                           if len(_rref(rows[:i + 1], n)[1]) > len(_rref(rows[:i], n)[1])]
 
 
+def test_rational_rows_are_scaled_where_they_enter():
+    # below the edge, rows are integers divided by their gcd alone; a
+    # Fraction row is scaled by scaled_ints in nullspace and cone_generators
+    assert primitive_ints((4, -6, 0)) == (2, -3, 0) and primitive_ints((0, 0)) == (0, 0)
+    with pytest.raises(TypeError):
+        primitive_ints((F(1, 2), 1))
+    rational = [(F(1, 2), F(-1, 3), 1)]
+    assert nullspace(rational, 3) == nullspace([(3, -2, 6)], 3)
+    ineqs = [(F(1, 2), 0, 0), (0, F(2, 3), 0), (0, 0, F(5, 7))]
+    assert cone_generators(ineqs, rational, 3) == cone_generators(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(3, -2, 6)], 3)
+
+
 def test_nullspace_matches_rref_oracle():
     for rows, n in _kernel_matrices():
         basis = nullspace(rows, n)
-        assert basis == [primitive_ints(x) for x in _rref_nullspace(rows, n)], (rows, n)
+        assert basis == [primitive_row(x) for x in _rref_nullspace(rows, n)], (rows, n)
         assert all(type(x) is int for v in basis for x in v)
 
 
 def test_initial_simplicial_rays_are_tight_on_all_chosen_rows_but_one():
     checked = 0
     for rows, n in _kernel_matrices():
-        rows = [primitive_ints(r) for r in rows]
+        rows = [primitive_row(r) for r in rows]
         if n == 0 or rank(rows, n) < n:
             if n:
                 with pytest.raises(ValueError):
@@ -432,7 +494,7 @@ def _normal_cone_lp_vertices(P: HPolyhedron, vertices, gens) -> list:
     (1, ..., 1) is a nonnegative combination of the images (<a, g>)_g of
     the tight normals, the equation images with both signs and the slacks
     -e_k."""
-    gens = [g for g in map(primitive_ints, gens) if any(g)]
+    gens = [g for g in map(primitive_row, gens) if any(g)]
     k = len(gens)
     rows, cone_gens = [], []
     for h in P.halfspaces:
