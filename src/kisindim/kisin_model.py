@@ -263,12 +263,19 @@ def _unit_triangles(d):
 
 @lru_cache(maxsize=1024)
 def _mu_system_rows(d: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of the search's real relaxation as primitive integer forms
-    of the mu-cells: for 2 <= i <= j <= d the order rows
+    """The rows of the cone Q on the mu-cells, proved before they are
+    returned, or AssertionError: the search's real relaxation as primitive
+    integer forms of the mu-cells, for 2 <= i <= j <= d the order rows
     mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1} and the scaled-q row, entry j-i
     of _row_slacks on rows i-1, i, i+1 (row d+1 is empty), each read off
     the search's own code on unit triangles, with one _row_slacks call per
-    level i and unit triangle."""
+    level i and unit triangle.
+
+    The proof: each game row of Q, applied to the integer forms
+    b(b-1) q_{i,j} of the mu-cells (the q_from_mu matrix), is a form of
+    the mu-cells; the two systems must be the same set of primitive
+    integer rows, and equal row sets cut out the same cone on every
+    triangle (single source of truth for the search and `in_cone_q`)."""
     units = [rows + [[]] for rows in _unit_triangles(d)]
     out = []
     for i in range(2, d + 1):
@@ -277,44 +284,31 @@ def _mu_system_rows(d: int, b: int) -> tuple[tuple[int, ...], ...]:
             out += [primitive_ints([r[i - 1][j - i] - r[i - 2][j - i + 1] for r in units]),
                     primitive_ints([r[i - 2][j - i] - r[i - 1][j - i] for r in units]),
                     primitive_ints([s[j - i] for s in slacks])]
-    return tuple(out)
-
-
-@lru_cache(maxsize=1024)
-def _self_test(d: int, b: int) -> bool:
-    """Prove that the mu-system is the cone Q pulled back through the linear
-    map q_from_mu, or raise AssertionError.  Each halfspace of Q, applied to
-    the integer forms b(b-1) q_{i,j} of the mu-cells, is a form of the
-    mu-cells; the two systems must be the same set of primitive integer
-    rows, and equal row sets cut out the same cone on every triangle
-    (single source of truth for the search)."""
-    Q = cone_q(KisinInstance(d, b))
-    if any(h.is_eq or h.offset for h in Q.halfspaces):
-        raise AssertionError(f"cone Q at d={d} b={b} has an equation or an offset row")
-    # row k is the mu-form of b(b-1) q of cell k, so a halfspace pulls back
-    # to the sum of c times row k over its nonzero coefficients c at cell k
-    forms = _transform_rows(d, b)[1]
+    # form k is the mu-form of b(b-1) q of cell k, kept as its nonzero
+    # entries, so a game row pulls back to the sum of c times form k over
+    # its nonzero coefficients c at cell k
+    forms = [[(k, y) for k, y in enumerate(form) if y] for form in _transform_rows(d, b)[1]]
     pulled = set()
-    for h in Q.halfspaces:
+    for game in _game_rows(KisinInstance(d, b)):
         row = [0] * len(forms)
-        for c, form in zip(h.normal, forms):
+        for c, form in zip(game, forms):
             if c:
-                row = [x + c * y for x, y in zip(row, form)]
+                for k, y in form:
+                    row[k] += c * y
         pulled.add(primitive_ints(row))
-    mine = set(_mu_system_rows(d, b))
+    mine = set(out)
     if pulled != mine:
         raise AssertionError(f"mu-system and q-system disagree at d={d} b={b} "
                              f"on the rows {sorted(pulled ^ mine)}")
-    return True
+    return tuple(out)
 
 
 def in_cone_q(m: MuTriangle) -> bool:
     """Whether m, any rational triangle, lies in Q: its values scaled to
-    integers on the rows of the mu-system, which _self_test proves are Q."""
-    d, b = m.instance.d, m.instance.b
-    _self_test(d, b)
+    integers on the rows of the mu-system, which are proved to be Q where
+    they are built."""
     x = scaled_ints(m.values)[0]
-    return all(_idot(row, x) >= 0 for row in _mu_system_rows(d, b))
+    return all(_idot(row, x) >= 0 for row in _mu_system_rows(m.instance.d, m.instance.b))
 
 
 def chain_dual_generators(d: int) -> list[IVec]:

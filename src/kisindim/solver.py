@@ -35,9 +35,10 @@ rem_0 = (b-1)(Q_0 - P_0) + 2 sum Q - sum P - sum R and
 rem_{k+1} = rem_k + (b-1)(Q_{k+1} - P_{k+1} + Q_k - R_k); the level-d row
 is the same form with no row below it, (b+1) mu_{d,d} >= b Q_0 + Q_1.
 `kisin_model` reads the rows of Q on the mu-cells off these same forms
-(`_mu_system_rows`) and proves them once per (d, b) (`_self_test`); so
-the rows the search sets up are the rows that are proved, and the rows
-that decide every witness's membership in Q (`in_cone_q`).
+and proves them where it builds them, once per (d, b)
+(`_mu_system_rows`); so the rows the search sets up are the rows that
+are proved, and the rows that decide every witness's membership in Q
+(`in_cone_q`).
 
 One lower bound on the unfilled cells, rows r..d, prunes branches that
 cannot beat the incumbent.  With Q = row r-1, rows r-1..d are a suffix of
@@ -59,11 +60,11 @@ floor: a branch is cut when its bound is strictly below it, so a top that
 can tie still finds its own first optimum.
 
 The bounds are proved, not assumed: `_prove` runs once per (d, b) at the
-entry of the search and raises AssertionError unless two checks hold on
-the d-system's rows: `_self_test`, which proves they are Q, and for every
-suffix of rows s-1..d, s = 2..d, (b+1)(bound - dim) of the suffix is the
-sum of its scaled-q rows q(i, j), i >= s, weighted by i-s+1, a
-closed-form Farkas certificate checked by integer sums.
+entry of the search, on the d-system's rows, which `_mu_system_rows`
+returns only once it has proved them to be Q, and raises AssertionError
+unless for every suffix of rows s-1..d, s = 2..d, (b+1)(bound - dim) of
+the suffix is the sum of its scaled-q rows q(i, j), i >= s, weighted by
+i-s+1, a closed-form Farkas certificate checked by integer sums.
 
 For le_e only the tops with mu_d <= b-2 are listed (`_enumerate_le_e_tops`);
 each listed top costs one node.  Nothing is kept between queries, so node
@@ -185,13 +186,15 @@ def _two_rho(top):
 
 def _top_bound(top, b):
     """floor(<2 rho | top> / (b+1)): an upper bound on dim(phi) over the
-    triangles with this top row, once _top_bound_certified(d, b) holds."""
+    triangles with this top row, once _prove(d, b) has returned."""
     return _two_rho(top) // (b + 1)
 
 
 @lru_cache(maxsize=1024)
-def _top_bound_certified(d: int, b: int) -> bool:
-    """Prove _top_bound on every suffix of rows of the d-system by its
+def _prove(d: int, b: int) -> bool:
+    """Prove the preconditions of the search for (d, b), or raise
+    AssertionError: the rows of km._mu_system_rows, which are proved to be
+    Q where they are built, and _top_bound on every suffix of them by its
     Farkas certificate.  For s = 2..d, rows s-1..d with d' = d-s+2: the
     target <2 rho' | row s-1> - (b+1) dim'(rows s-1..d), read off its own
     code on unit triangles, is sum (i-s+1) q(i, j) over the scaled-q rows
@@ -214,20 +217,7 @@ def _top_bound_certified(d: int, b: int) -> bool:
         weighted = list(map(add, weighted, level))
         if any(w != _two_rho(r[s - 2]) - (b + 1) * km._dim_form(r[s - 2:], d - s + 2)
                for w, r in zip(weighted, units)):
-            return False
-    return True
-
-
-@lru_cache(maxsize=1024)
-def _prove(d: int, b: int) -> bool:
-    """Prove the preconditions of the search for (d, b), or raise
-    AssertionError: _self_test, which proves that the d-system is Q, and
-    _top_bound_certified(d, b) on those rows.  So rows r-1..d of a triangle
-    the search accepts, d' = d-r+2, have dim at most the top bound of row
-    r-1."""
-    km._self_test(d, b)
-    if not _top_bound_certified(d, b):
-        raise AssertionError(f"the top-row bound has no certificate at d={d} b={b}")
+            raise AssertionError(f"the top-row bound has no certificate at d={d} b={b}")
     return True
 
 
@@ -252,8 +242,8 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget, floor: int | None
 
     def remaining_bound(r):
         # a lower bound on the sum of the unfilled cells, rows r..d, from
-        # Q = row r-1: rows r-1..d are a suffix of the proved d-system, whose
-        # certificate _prove checked, so their dim, sum_t (n-t) Q[t] = x + w
+        # Q = row r-1: rows r-1..d are a suffix of the d-system, on which
+        # _prove certified the top-row bound, so their dim, sum_t (n-t) Q[t] = x + w
         # minus the unfilled cells, n = d-r+1, is at most floor(x / (b+1)),
         # with w = sum_t t Q[t] and x = <2 rho' | Q> = sum_t (n-2t) Q[t]
         Q = rows[r - 2]

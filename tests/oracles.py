@@ -515,7 +515,7 @@ def top_bound_lp(d: int, b: int, divisor: int | None = None) -> bool:
     <2 rho | top> - divisor * dim (divisor b+1 unless given), read off the
     search's code on unit triangles, a nonnegative combination of the rows
     of its real relaxation, km._mu_system_rows?  The reference for
-    solver._top_bound_certified, which checks one known combination."""
+    solver._prove, which checks one known combination."""
     divisor = b + 1 if divisor is None else divisor
     target = [_idot(two_rho(d), r[0]) - divisor * km._dim_form(r, d)
               for r in km._unit_triangles(d)]
@@ -538,7 +538,7 @@ def sub_bounds_by_shifted_systems(d: int, b: int) -> bool:
     """The top-row bound on rows r-1..d by the smaller systems: for each
     2 <= d' <= d, the d'-system rows moved onto the last d' rows and columns
     are rows of the d-system, and the d'-system has the whole-triangle
-    certificate.  The reference for solver._top_bound_certified, which reads
+    certificate.  The reference for solver._prove, which reads
     every suffix certificate off the d-system's own rows."""
     inst = KisinInstance(d, b)
     full = set(km._mu_system_rows(d, b))
@@ -560,7 +560,7 @@ def sub_bounds_by_shifted_systems(d: int, b: int) -> bool:
 def pulled_back_rows_dense(d: int, b: int) -> set:
     """The rows of Q pulled back to the mu-cells by dotting each halfspace
     with every column of the b(b-1) q-forms: the reference for the sparse
-    sum in km._self_test."""
+    sum in km._mu_system_rows."""
     images = list(zip(*_transform_rows(d, b)[1]))
     return {primitive_ints([_idot(h.normal, q) for q in images])
             for h in km.cone_q(KisinInstance(d, b)).halfspaces}

@@ -9,13 +9,11 @@ from kisindim import kisin_model as km
 from kisindim import polyhedra
 from kisindim import solver as sv
 from kisindim.cli import main
-from kisindim.kisin_model import (KisinInstance, MuTriangle, cone_q, dim_phi, q_from_mu,
-                                  _self_test)
-from kisindim.polyhedra import Halfspace, HPolyhedron
+from kisindim.kisin_model import KisinInstance, MuTriangle, cone_q, dim_phi, q_from_mu
 from kisindim.solver import (BudgetExceeded, DimQuery, dim_d2_closed, dim_d3_closed,
                              dim_exact, consistency_suite, _enumerate_dominated_tops)
-from oracles import (pulled_back_rows_dense, sub_bounds_by_shifted_systems, top_bound_lp,
-                     whole_triangle_certificate)
+from oracles import (clear_caches, pulled_back_rows_dense, sub_bounds_by_shifted_systems,
+                     top_bound_lp, whole_triangle_certificate)
 from test_acceptance import _integrally_regular_samples, _strongly_regular_samples
 
 
@@ -105,9 +103,9 @@ def _mu_constraints_ok(inst, rows):
 
 
 def _sampling_self_test(d, b):
-    """Oracle for kisin_model._self_test: on 200 seeded triangles, half of them
-    biased toward feasibility, the mu-system agrees with membership of
-    q_from_mu in the cone Q, all in Fraction arithmetic."""
+    """Oracle for the proof in kisin_model._mu_system_rows: on 200 seeded
+    triangles, half of them biased toward feasibility, the mu-system agrees
+    with membership of q_from_mu in the cone Q, all in Fraction arithmetic."""
     inst = KisinInstance(d, b)
     rng = random.Random(10_000 * d + b)
     Q = cone_q(inst)
@@ -134,18 +132,14 @@ SELF_TEST_GRID = [(d, b) for d in range(1, 5) for b in (2, 3, 5, 7, 101, 10007)]
 def cold_mu_system():
     """Clear the per-(d, b) proofs before and after a test that patches
     what they are read from."""
-    caches = (km._self_test, km._mu_system_rows, sv._top_bound_certified, sv._prove)
-    for fn in caches:
-        fn.cache_clear()
+    clear_caches()
     yield
-    for fn in caches:
-        fn.cache_clear()
+    clear_caches()
 
 
 def test_mu_constraint_system_self_test():
     for d, b in SELF_TEST_GRID:
         assert _sampling_self_test(d, b)
-        assert _self_test(d, b)
         assert len(km._mu_system_rows(d, b)) == 3 * d * (d - 1) // 2, (d, b)
 
 
@@ -177,40 +171,45 @@ def test_self_test_catches_perturbed_scaled_q(form, monkeypatch, cold_mu_system)
     monkeypatch.setattr(km, "_row_slacks", perturbed)
     for b in (2, 3):
         with pytest.raises(AssertionError, match="disagree"):
-            _self_test(4, b)
+            km._mu_system_rows(4, b)
 
 
 @pytest.mark.parametrize("b", (2, 3))
 def test_self_test_catches_cone_with_a_halfspace_dropped(b, monkeypatch, cold_mu_system):
-    inst = KisinInstance(4, b)
-    full = cone_q(inst)
-    for k in range(len(full.halfspaces)):
-        dropped = HPolyhedron(full.dim, full.halfspaces[:k] + full.halfspaces[k + 1:])
-        monkeypatch.setattr(km, "cone_q", lambda inst: dropped)
-        km._self_test.cache_clear()
+    full = list(km._game_rows(KisinInstance(4, b)))
+    for k in range(len(full)):
+        monkeypatch.setattr(km, "_game_rows", lambda inst, k=k: full[:k] + full[k + 1:])
+        km._mu_system_rows.cache_clear()
         with pytest.raises(AssertionError, match="disagree"):
-            _self_test(4, b)
+            km._mu_system_rows(4, b)
 
 
-@pytest.mark.parametrize("extra", [dict(is_eq=True), dict(offset=F(1))])
-def test_self_test_rejects_a_cone_not_cut_by_linear_inequalities(extra, monkeypatch,
-                                                                 cold_mu_system):
-    full = cone_q(KisinInstance(3, 2))
-    h = full.halfspaces[0]
-    changed = HPolyhedron(full.dim, full.halfspaces + (Halfspace(h.normal, **extra),))
-    monkeypatch.setattr(km, "cone_q", lambda inst: changed)
-    with pytest.raises(AssertionError, match="equation or an offset row"):
-        _self_test(3, 2)
+def _game_row_dropped(monkeypatch):
+    # Q with its first game row dropped, on every (d, b)
+    game_rows = km._game_rows
+    monkeypatch.setattr(km, "_game_rows", lambda inst: list(game_rows(inst))[1:])
 
 
 def test_search_runs_the_proof(monkeypatch, cold_mu_system):
     # a cold search for a new (d, b) must refuse to run on a mu-system that
     # is not the cone Q
-    inst = KisinInstance(3, 2)
-    full = cone_q(inst)
-    monkeypatch.setattr(km, "cone_q", lambda inst: HPolyhedron(full.dim, full.halfspaces[1:]))
+    _game_row_dropped(monkeypatch)
     with pytest.raises(AssertionError, match="disagree"):
-        dim_exact(DimQuery(inst, "mu", mu=(4, 2, 0)))
+        dim_exact(DimQuery(KisinInstance(3, 2), "mu", mu=(4, 2, 0)))
+
+
+@pytest.mark.parametrize("read", [
+    lambda: km.in_cone_q(MuTriangle(KisinInstance(3, 2), (6, 3, 0, 5, 2, 4))),
+    lambda: bd.witness_le_e(KisinInstance(3, 2), 9),
+    lambda: bd.witness_le_mu(KisinInstance(3, 2), (12, 5, 0)),
+    lambda: dim_exact(DimQuery(KisinInstance(3, 2), "mu", mu=(6, 3, 0))),
+], ids=["in_cone_q", "witness_le_e", "witness_le_mu", "dim_exact"])
+def test_no_reader_gets_unproved_rows(read, monkeypatch, cold_mu_system):
+    # every reader of the mu-rows reaches them through the builder that
+    # proves them: with a game row dropped, each raises before it returns
+    _game_row_dropped(monkeypatch)
+    with pytest.raises(AssertionError, match="disagree"):
+        read()
 
 
 @pytest.mark.parametrize("b", (2, 3, 10007))
@@ -222,7 +221,7 @@ def test_self_test_calls_no_fraction_transform(b, monkeypatch, cold_mu_system):
 
     monkeypatch.setattr(km, "q_from_mu", refused)
     monkeypatch.setattr(km, "mu_from_q", refused)
-    assert _self_test(4, b)
+    assert km._mu_system_rows(4, b)
 
 
 def test_shift_invariance_of_dim():
@@ -600,7 +599,7 @@ CERTIFICATE_B_VALUES = (2, 3, 4, 5, 7, 10, 101, 10007)
 def test_top_bound_certificate(d):
     # the closed-form certificate and the LP, its reference, agree: both hold
     for b in CERTIFICATE_B_VALUES:
-        assert sv._top_bound_certified(d, b) and top_bound_lp(d, b)
+        assert sv._prove(d, b) and top_bound_lp(d, b)
         # control: the certificate is not vacuous, a smaller bound (divisor
         # b+2 for b+1) is not a combination of the search's rows
         assert not top_bound_lp(d, b, b + 2)
@@ -626,8 +625,9 @@ def test_top_bound_check_refuses_a_wrong_certificate(d, monkeypatch, cold_mu_sys
         for k, (i, j) in enumerate(cells):
             for scale in (2, 0) if i == 2 else (0,):
                 monkeypatch.setattr(km, "_mu_system_rows", changed(k, scale))
-                sv._top_bound_certified.cache_clear()
-                assert not sv._top_bound_certified(d, b), (b, i, j, scale)
+                sv._prove.cache_clear()
+                with pytest.raises(AssertionError, match="no certificate"):
+                    sv._prove(d, b)
                 if scale == 2:
                     assert top_bound_lp(d, b), (b, i, j)
 
@@ -887,7 +887,6 @@ def _closed_form_max_dim_top(inst, top, budget, floor=None):
     bound, and a row the cells leave no room under is only found out when
     the row below is set up.  Every top starts with no incumbent."""
     d, b = inst.d, inst.b
-    km._self_test(d, b)
     sub_bound = sv._prove(d, b)
     const = km._dim_form([top], d)
     rows = [list(top)] + [[0] * (d - i + 1) for i in range(2, d + 1)]
@@ -1056,7 +1055,6 @@ def test_row_slacks_and_sub_bound_are_proved(d):
                         for j in range(r - 1, d + 1)]
                 assert km._row_slacks(rows[r - 3], rows[r - 2], rows[r - 1], b) == want, \
                     (b, r, rows)
-        assert _self_test(d, b)
         assert sv._prove(d, b)
 
 
@@ -1071,7 +1069,7 @@ def test_row_slacks_proof_catches_a_wrong_step(monkeypatch, cold_mu_system):
     monkeypatch.setattr(km, "_row_slacks", mutant)
     for d in (3, 4):
         with pytest.raises(AssertionError, match="disagree"):
-            _self_test(d, 2)
+            km._mu_system_rows(d, 2)
     with pytest.raises(AssertionError, match="disagree"):
         dim_exact(DimQuery(KisinInstance(3, 2), "mu", mu=(4, 2, 0)))
 
@@ -1087,7 +1085,7 @@ def test_row_slacks_proof_covers_the_level_d_row(monkeypatch, cold_mu_system):
 
     monkeypatch.setattr(km, "_row_slacks", mutant)
     with pytest.raises(AssertionError, match="disagree"):
-        _self_test(2, 3)
+        km._mu_system_rows(2, 3)
 
 
 def test_sub_bound_needs_every_smaller_certificate(monkeypatch, cold_mu_system):
@@ -1109,7 +1107,8 @@ def test_sub_bound_needs_every_smaller_certificate(monkeypatch, cold_mu_system):
     monkeypatch.setattr(km, "_mu_system_rows", mutant)
     for b in CERTIFICATE_B_VALUES:
         assert whole_triangle_certificate(km._mu_system_rows(4, b), 4, b), b
-        assert not sv._top_bound_certified(4, b), b
+        with pytest.raises(AssertionError, match="no certificate"):
+            sv._prove(4, b)
     assert sv._prove(2, 2)
 
 
@@ -1125,8 +1124,7 @@ def test_prove_reads_only_the_d_system(monkeypatch, cold_mu_system):
 
     monkeypatch.setattr(km, "_mu_system_rows", recorded)
     for d in range(2, 7):
-        for fn in (km._self_test, sv._top_bound_certified, sv._prove):
-            fn.cache_clear()
+        clear_caches()
         asked.clear()
         assert sv._prove(d, 2)
         assert set(asked) == {d}, (d, asked)
@@ -1137,27 +1135,35 @@ def test_suffix_certificates_match_the_shifted_systems(d):
     # the old route, each smaller system shifted into the d-system with its
     # own certificate, and the suffix certificates on the d-system both hold
     for b in CERTIFICATE_B_VALUES:
-        assert sv._top_bound_certified(d, b) and sub_bounds_by_shifted_systems(d, b), b
+        assert sv._prove(d, b) and sub_bounds_by_shifted_systems(d, b), b
 
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_sparse_pull_back_matches_the_dense_dots(d):
-    # _self_test sums the q-forms over each halfspace's nonzero coefficients
-    # and finds the mu-system; the dense dots find it too, so both sets agree
+    # _mu_system_rows proves its rows by summing the nonzero entries of the
+    # q-forms over each game row's nonzero coefficients; the dense dots find
+    # the same rows, so both sets agree
     for b in (2, 3, 5, 101, 10007):
-        assert _self_test(d, b)
         assert pulled_back_rows_dense(d, b) == set(km._mu_system_rows(d, b)), b
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))
 def test_search_without_a_certificate_raises_and_spends_no_node(d, monkeypatch,
                                                                 cold_mu_system):
-    # the proofs are preconditions: with the top-row bound uncertified the
-    # search raises before its first node instead of searching without it
+    # the proofs are preconditions: with the top-row bound uncertified, one
+    # scaled-q row of the proved rows zeroed, the search raises before its
+    # first node instead of searching without it
     def spend(self):
         raise AssertionError("a node was spent")
 
-    monkeypatch.setattr(sv, "_top_bound_certified", lambda *_: False)
+    rows = km._mu_system_rows
+
+    def mutant(d, b):
+        out = list(rows(d, b))
+        out[2] = (0,) * len(out[2])
+        return tuple(out)
+
+    monkeypatch.setattr(km, "_mu_system_rows", mutant)
     monkeypatch.setattr(sv._Budget, "spend", spend)
     for query in (DimQuery(KisinInstance(d, 2), "le_e", e=8),
                   DimQuery(KisinInstance(d, 3), "le_mu", mu=(6,) + (0,) * (d - 1))):

@@ -105,8 +105,9 @@ def test_cli_imports_only_argparse_json_and_fractions():
 
 def test_every_lru_cache_is_bounded():
     caches = dict(lru_caches())
-    assert {"kisindim.kisin_model._self_test", "kisindim.kisin_model._mu_system_rows",
-            "kisindim.kisin_model._transform_rows", "kisindim.bounds._q_generators"} <= set(caches)
+    assert set(caches) == {"kisindim.kisin_model._transform_rows",
+                           "kisindim.kisin_model._mu_system_rows", "kisindim.solver._prove",
+                           "kisindim.bounds._q_generators"}
     unbounded = [name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
@@ -190,17 +191,17 @@ CONE_Q_REQUESTS = {(2, 3): "8,0", (3, 2): "12,5,0"}
 
 def test_witness_checks_build_cone_q_once_per_instance(capsys, monkeypatch):
     # bounds, witness and dim requests decide membership in Q on the proved
-    # integer rows: the H-polyhedron of Q is built once per (d, b) in a
+    # integer rows: the game rows of Q are read once per (d, b) in a
     # process, by the proof, however many requests check a witness there
     builds = Counter()
-    cone_q = km.cone_q
+    game_rows = km._game_rows
 
     def counted(inst):
         builds[inst.d, inst.b] += 1
-        return cone_q(inst)
+        return game_rows(inst)
 
     clear_caches()
-    monkeypatch.setattr(km, "cone_q", counted)
+    monkeypatch.setattr(km, "_game_rows", counted)
     for _ in range(2):
         for (d, b), mu in CONE_Q_REQUESTS.items():
             for target in (["bounds", "--e", "9"], ["bounds", "--mu", mu],
