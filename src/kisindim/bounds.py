@@ -1,14 +1,13 @@
 """Duality layer and closed-form bounds.
 
-The A-sets live in the target space of the constraint map (R^d for the
-full map g, R^2 for the two-sided map f) and consist of the y whose lift
-``sum_i y_i F_i - delta`` lands in the dual of the chosen cone variant.
-Minimizing <alpha | y> over the relevant B-set evaluates the optimal-value
-function, which is how every bound in this module is produced.
+The A-set lives in the target space R^d of the constraint map g and
+consists of the y whose lift ``sum_i y_i F_i - delta`` lands in the dual
+of the cone Q_max.  Its vertices are the rho_w (`extremal_points_a_qmax`).
 
-Each cone variant is given once, by the generator rows of `_dual_hrep`:
-they cut out its dual, and so the A-set (whose Q_max rows are the facet
-forms f_T).  The optimal-value function itself (`b_value`) and the
+Q_max is given by the generator rows of `_dual_hrep`: they cut out its
+dual, and so the A-set, whose rows are the facet forms f_T.  The A-sets of
+the other cone variants (the full cone Q, Q_min, the graph cones Q_w) and
+of the two-sided form f, the optimal-value function `b_value` and the
 H-representations of the variants are test oracles, in tests/oracles.py.
 
 Everything refuses (typed `UnsupportedRegime`) outside the regime where
@@ -19,15 +18,14 @@ the threshold for the extremal-point and cone-equality statements.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 from math import ceil, gcd, lcm
 
 from . import kisin_model as km
 from . import perm as pm
-from .polyhedra import (Frozen, Halfspace, HPolyhedron, IVec, Vec, _idot, cone_generators,
-                        dot, double_description, enumerate_vertices, primitive_ints,
-                        scaled_ints, vec)
+from .polyhedra import (Frozen, Halfspace, HPolyhedron, IVec, Vec, _idot, dot,
+                        double_description, enumerate_vertices, primitive_ints, scaled_ints,
+                        vec)
 
 
 class UnsupportedRegime(Exception):
@@ -40,7 +38,7 @@ def two_rho(d: int) -> IVec:
 
 
 # ---------------------------------------------------------------------------
-# dual descriptions of the cone variants and the A-sets
+# the dual description of Q_max and its A-set
 # ---------------------------------------------------------------------------
 
 def _proper_subsets(d: int):
@@ -49,64 +47,37 @@ def _proper_subsets(d: int):
         yield frozenset(t for t in range(1, d + 1) if mask & (1 << (t - 1)))
 
 
-def _dual_hrep(inst: km.KisinInstance, variant):
-    """(rows, eq_rows) in E: the variant cone is cone(rows) + span(eq_rows),
-    so z is in its dual iff <z, r> >= 0 for the rows and <z, l> = 0 for the
-    eq rows.
+def _dual_hrep(inst: km.KisinInstance):
+    """(rows, eq_rows) in E: Q_max is cone(rows) + span(eq_rows), so z is in
+    its dual iff <z, r> >= 0 for the rows and <z, l> = 0 for the eq row.
 
-    Q_max and the graph cones Q_w (Q_min is Q_{w0}) are cut out by rows
-    q_x >= q_y, the arcs x -> y of a graph on the cells.  So each is spanned
-    by the all-ones line and the rays -1_J, J a nonempty proper cell set
-    closed under the arcs: the admissible sets of the proper subsets T of
-    {1..d} (in `_proper_subsets` order) for Q_max, the level sets I_s(w),
-    s < d, for Q_w.  The rays of the full cone Q come from a double description."""
+    Q_max is cut out by rows q_x >= q_y, the arcs x -> y of a graph on the
+    cells.  So it is spanned by the all-ones line and the rays -1_J, J a
+    nonempty proper cell set closed under the arcs: the admissible sets of
+    the proper subsets T of {1..d}, in `_proper_subsets` order."""
     d = inst.d
-    if variant == "Q":
-        lines, rays = _q_generators(d, inst.b)
-        return rays, lines
-    if variant == "Qmax":
-        sets = [pm.admissible_from_subset(d, T) for T in _proper_subsets(d)]
-    elif variant == "Qmin" or (isinstance(variant, tuple) and variant[0] == "Qw"):
-        w = pm.w0(d) if variant == "Qmin" else variant[1]
-        sets = [pm.level_set(w, s) for s in range(1, d)]
-    else:
-        raise ValueError(f"unknown cone variant {variant!r}")
-    rows = [km._int_row(inst, ((-1, c) for c in adm.cells)) for adm in sets]
+    rows = [km._int_row(inst, ((-1, c) for c in pm.admissible_from_subset(d, T).cells))
+            for T in _proper_subsets(d)]
     return rows, [km._int_row(inst, ((1, c) for c in inst.cells))]
 
 
-@lru_cache(maxsize=128)
-def _q_generators(d: int, b: int):
-    """The (lines, rays) of the full cone Q, by double description."""
-    cone = km.cone_q(km.KisinInstance(d, b))
-    return cone_generators([h.normal for h in cone.ineqs], [h.normal for h in cone.eqs], cone.dim)
+def _form_vectors(inst: km.KisinInstance) -> list[IVec]:
+    """The integer rows F_i of the top mu-cells, <q, F_i> = mu_{1,i}(q): the
+    constraint map g."""
+    return list(km._transform_rows(inst.d, inst.b)[0][:inst.d])
 
 
-def _form_vectors(inst: km.KisinInstance, form: str) -> list[IVec]:
-    """The integer rows F_i of the top mu-cells, <q, F_i> = mu_{1,i}(q)."""
-    top = km._transform_rows(inst.d, inst.b)[0][:inst.d]
-    if form == "g":
-        return list(top)
-    if form == "f":
-        return [top[0], top[-1]]
-    raise ValueError(f"unknown constraint form {form!r}")
-
-
-def a_set(inst: km.KisinInstance, variant, form: str = "g") -> HPolyhedron:
-    """H-representation of A = {y : sum_i y_i F_i - delta in (variant)*}, one
-    row per row of `_dual_hrep` (in order, those with a zero image dropped).
-    The A-set of the full cone Q is refused below b0."""
-    if variant == "Q" and inst.b < inst.b0:
-        raise UnsupportedRegime(
-            f"A-set for the full cone Q needs b >= b0 = {inst.b0}, got b = {inst.b}")
-    F = _form_vectors(inst, form)
+def a_set(inst: km.KisinInstance) -> HPolyhedron:
+    """H-representation of the Q_max A-set {y : sum_i y_i F_i - delta in
+    Q_max*}, one row per row of `_dual_hrep`, in order.  No row has a zero
+    image: the row of T has entries summing to |T| (1 - b) < 0 (the f_T of
+    `extremal_points_a_qmax`)."""
+    F = _form_vectors(inst)
     delta = km.delta_vec(inst)
-    ineq_rows, eq_rows = _dual_hrep(inst, variant)
-    n = len(F)
+    ineq_rows, eq_rows = _dual_hrep(inst)
     ineqs = [(tuple(_idot(Fi, v) for Fi in F), _idot(delta, v)) for v in ineq_rows]
     eqs = [(tuple(_idot(Fi, v) for Fi in F), _idot(delta, v)) for v in eq_rows]
-    ineqs = [(a, c) for a, c in ineqs if any(x != 0 for x in a)]
-    return HPolyhedron.build(n, ineqs, eqs)
+    return HPolyhedron.build(len(F), ineqs, eqs)
 
 
 def extremal_points_a_qmax(inst: km.KisinInstance) -> dict[pm.Permutation, Vec]:
@@ -123,7 +94,7 @@ def extremal_points_a_qmax(inst: km.KisinInstance) -> dict[pm.Permutation, Vec]:
         raise UnsupportedRegime(
             f"extremal points of the Q_max A-set need b >= b0 = {inst.b0}")
     d = inst.d
-    A = a_set(inst, "Qmax", "g")
+    A = a_set(inst)
     if len(A.ineqs) != 2 ** d - 2:
         raise AssertionError("the Q_max A-set needs one facet per proper subset")
     V = enumerate_vertices(A)

@@ -20,14 +20,12 @@ dim(phi).
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from . import perm as pm
-from .polyhedra import (Frozen, HPolyhedron, IVec, Vec, _idot, fmt_frac, frac, primitive_ints,
-                        scaled_ints)
+from .polyhedra import Frozen, IVec, Vec, _idot, fmt_frac, frac, primitive_ints, scaled_ints
 
 
 class KisinInstance(Frozen):
@@ -93,26 +91,11 @@ class _Triangle(Frozen):
         return {"d": inst.d, "b": inst.b,
                 self.KEY: {f"{i},{j}": fmt_frac(self[(i, j)]) for (i, j) in inst.cells}}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str, h_zero: bool = False):
-        data = json.loads(s)
-        inst = KisinInstance(data["d"], data["b"], h_zero)
-        vals = {tuple(map(int, k.split(","))): Fraction(v) for k, v in data[cls.KEY].items()}
-        return cls(inst, vals)
-
 
 class QPoint(_Triangle):
     """A point of E in q-coordinates."""
 
     KEY = "q"
-
-    @property
-    def q_bottom(self) -> Vec:
-        """(q_{1,d}, ..., q_{d,d})... the last-column values q_i = q_{i,d}."""
-        return tuple(self[(i, self.instance.d)] for i in range(1, self.instance.d + 1))
 
     def in_lattice(self) -> bool:
         """q_{i,j} in (1/b)Z for all cells and q_{i,d} in Z: every denominator
@@ -223,16 +206,10 @@ def delta_vec(inst: KisinInstance) -> IVec:
 # cones
 # ---------------------------------------------------------------------------
 
-def cone_q(inst: KisinInstance) -> HPolyhedron:
-    """The cone Q in E: games I (q_{i,j} >= q_{i,j+1}), II (q_{i,j} <=
-    q_{i+1,j+1}) and III (mu_{i,j} >= mu_{i+1,j+1}), over 1 <= i <= j < d."""
-    return HPolyhedron.build(inst.dim_E, [(a, 0) for a in _game_rows(inst)])
-
-
 def _game_rows(inst):
     """The integer rows of the games over 1 <= i <= j < d, interleaved: I is
     q_{i,j} - q_{i,j+1}, II is q_{i+1,j+1} - q_{i,j}, III is
-    mu_{i,j} - mu_{i+1,j+1}."""
+    mu_{i,j} - mu_{i+1,j+1}.  The cone Q in E is where all are >= 0."""
     d = inst.d
     for i in range(1, d + 1):
         for j in range(i, d):
@@ -400,16 +377,6 @@ class PhiFunctions(Frozen):
             if m >= brk:
                 val = Fraction(m - brk, b) + level
         return val
-
-    @property
-    def q_starts(self) -> Vec:
-        """q_i = q_{i,d}: where each phi_i becomes finite."""
-        return tuple(p[0][0] for p in self.phi_pieces)
-
-    @property
-    def mu_starts(self) -> Vec:
-        """mu_j = mu_{1,j}: where each psi_j becomes finite."""
-        return tuple(p[0][0] for p in self.psi_pieces)
 
 
 def phi_from_q(q: QPoint) -> PhiFunctions:

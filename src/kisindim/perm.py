@@ -1,10 +1,10 @@
 """Permutation combinatorics for the cone machinery.
 
 Permutations act on {1, ..., d} and are stored in one-line notation
-(1-indexed throughout).  Besides the usual group operations this module
-carries the pieces the dimension bounds are built from: records, the
-losers' permutation, the triangular ord tableau and its admissible level
-sets, the twisted half-sum vectors rho_w, and the partial order on S_d
+(1-indexed throughout).  Besides the inverse this module carries the
+pieces the dimension bounds are built from: records, the losers'
+permutation, the triangular ord tableau, the admissible subsets of the
+triangle, the twisted half-sum vectors rho_w, and the partial order on S_d
 defined by lexicographic comparison of iterated prefix sums.
 """
 
@@ -62,26 +62,6 @@ class Permutation(Frozen):
             inv[y - 1] = i
         return Permutation(tuple(inv))
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self * other)(i) = self(other(i))."""
-        return Permutation(tuple(self(other(i)) for i in range(1, self.d + 1)))
-
-    def power(self, n: int) -> "Permutation":
-        out = identity(self.d)
-        base = self
-        while n:
-            if n & 1:
-                out = out.compose(base)
-            base = base.compose(base)
-            n >>= 1
-        return out
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        return _cycles(self.images)
-
-    def order(self) -> int:
-        return lcm(*map(len, self.cycles()))
-
     def label(self) -> str:
         return "".join(str(x) for x in self.images)
 
@@ -102,10 +82,6 @@ def _cycles(images: tuple[int, ...]) -> list[tuple[int, ...]]:
             i = images[i - 1]
         out.append(tuple(cyc))
     return out
-
-
-def identity(d: int) -> Permutation:
-    return Permutation(tuple(range(1, d + 1)))
 
 
 def w0(d: int) -> Permutation:
@@ -206,27 +182,8 @@ class OrdTableau(Frozen):
     def __init__(self, d: int, entries: dict[tuple[int, int], int]):
         self._store(locals())
 
-    def __getitem__(self, cell):
-        return self.entries[cell]
-
     def row(self, i: int) -> tuple[int, ...]:
         return tuple(self.entries[(i, j)] for j in range(i, self.d + 1))
-
-    def level_set(self, s: int) -> AdmissibleSubset:
-        """The cells with entry <= s, as an admissible subset."""
-        cells = frozenset(c for c, v in self.entries.items() if v <= s)
-        return admissible_from_cells(self.d, cells)
-
-
-def admissible_from_cells(d: int, cells) -> AdmissibleSubset:
-    """Build an AdmissibleSubset from its cell set (validates closure)."""
-    cells = frozenset((int(i), int(j)) for i, j in cells)
-    counts = frozenset(c for c in (sum(1 for (a, _) in cells if a == i)
-                                   for i in range(1, d + 1)) if c)
-    adm = AdmissibleSubset(d, cells, counts)
-    if admissible_from_subset(d, counts).cells != cells:
-        raise ValueError("cell set is not the admissible set of its T")
-    return adm
 
 
 def ord_tableau(w: Permutation) -> OrdTableau:
@@ -245,12 +202,6 @@ def ord_tableau(w: Permutation) -> OrdTableau:
     if any(depth[j] != j for j in range(1, d + 1)):
         raise AssertionError(f"ord tableau of {w.images} is not triangular")
     return OrdTableau(d, entries)
-
-
-def level_set(w: Permutation, s: int) -> AdmissibleSubset:
-    """I_s(w), the admissible subset attached to T_s(w) = w*({1..s})."""
-    ws = w_star(w)
-    return admissible_from_subset(w.d, {ws(i) for i in range(1, s + 1)})
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,10 @@ here, the rays of a simplicial cone known in closed form elsewhere) and
 returns each ray's zero set with it, so a caller reads the rows tight at
 each ray off its bits with no dot product.  Its adjacency test is an AND of
 per-row incidence bitsets over the current rays.  A halfspace is stored as
-its primitive integer row, so membership is an integer dot on a point's
-numerators over their common denominator (`scaled_ints`).  A rational row
-is scaled to integers once, where it enters (`Halfspace`, `contains_ray`,
-`cone_generators` and `_echelon`); below that, `primitive_ints` divides
-integer vectors by their gcd.  `fractions.Fraction` appears only at the API
+its primitive integer row.  A rational row is scaled to integers once,
+where it enters (`Halfspace`, `cone_generators` and `_echelon`), by
+`scaled_ints`; below that, `primitive_ints` divides integer vectors by
+their gcd.  `fractions.Fraction` appears only at the API
 edge: `dot` and the coordinates of points and vertices.  Rays and lines are
 returned as primitive integer tuples.
 Polyhedra come in two representations:
@@ -30,15 +29,13 @@ Polyhedra come in two representations:
 method on a homogenizing cone, with the lineality space split off first so that
 the incremental step only ever runs on pointed cones.  Output is always
 minimal and sorted lexicographically, which makes results deterministic
-and directly comparable as exact sets.
-
-The module also carries a max-flow solver on integer capacities and the
-two dual-membership oracles for graph cones that it certifies.
+and directly comparable as exact sets.  Membership in a polyhedron, the
+max-flow solver and the dual-membership oracles for graph cones are test
+oracles, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, mul
@@ -241,30 +238,6 @@ class HPolyhedron(Frozen):
     def eqs(self):
         return [h for h in self.halfspaces if h.is_eq]
 
-    def contains(self, x: Vec) -> bool:
-        if len(x) != self.dim:
-            raise ValueError(f"point of dimension {len(x)} in R^{self.dim}")
-        X, L = scaled_ints(x)
-        for h in self.halfspaces:
-            v, c = _idot(h.normal, X), h.offset * L
-            if v < c or (h.is_eq and v != c):
-                return False
-        return True
-
-    def contains_ray(self, r: Vec) -> bool:
-        """Is r in the recession cone?"""
-        r = scaled_ints(r)[0]
-        for h in self.halfspaces:
-            v = _idot(h.normal, r)
-            if v < 0 or (h.is_eq and v):
-                return False
-        return True
-
-    def intersect(self, other: "HPolyhedron") -> "HPolyhedron":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return HPolyhedron(self.dim, self.halfspaces + other.halfspaces)
-
 
 class VPolyhedron(Frozen):
     """conv(vertices) + cone(rays) + span(lines); minimal and sorted."""
@@ -272,10 +245,6 @@ class VPolyhedron(Frozen):
     def __init__(self, dim: int, vertices: tuple[Vec, ...], rays: tuple[Vec, ...],
                  lines: tuple[Vec, ...] = ()):
         self._store(locals())
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
 
 
 # ---------------------------------------------------------------------------
@@ -434,98 +403,3 @@ def enumerate_vertices(P: HPolyhedron) -> VPolyhedron:
     hom.sort(key=lambda r: [a * (L // r[n]) for a in r[:n]])
     return VPolyhedron(n, tuple(tuple(Fraction(a, r[n]) for a in r[:n]) for r in hom),
                        tuple(r[:n] for r in rays if not r[n]), tuple(l[:n] for l in lines))
-
-
-# ---------------------------------------------------------------------------
-# max flow / min cut on integer capacities
-# ---------------------------------------------------------------------------
-
-def maxflow(source, sink, edges) -> tuple[int, list[int]]:
-    """Edmonds-Karp on a list of (u, v, capacity) edges with nonnegative
-    integer capacities; parallel edges are allowed.  Returns the value of a
-    maximum flow and the flow on each edge, in edge order."""
-    if source == sink:
-        raise ValueError("source and sink must differ")
-    if any(c < 0 for _, _, c in edges):
-        raise ValueError("negative capacity")
-    m = len(edges)
-    # residual arcs: forward i and backward i + m, with tail and head
-    residual = [c for _, _, c in edges] + [0] * m
-    tail = [u for u, _, _ in edges] + [v for _, v, _ in edges]
-    head = tail[m:] + tail[:m]
-    out: dict[object, list[int]] = {}
-    for i, u in enumerate(tail):
-        out.setdefault(u, []).append(i)
-    total = 0
-    while True:
-        # BFS for a shortest augmenting path
-        prev = {source: None}
-        queue = deque([source])
-        while queue and sink not in prev:
-            for i in out.get(queue.popleft(), ()):
-                if residual[i] > 0 and head[i] not in prev:
-                    prev[head[i]] = i
-                    queue.append(head[i])
-        if sink not in prev:
-            break
-        path = []
-        v = sink
-        while prev[v] is not None:
-            path.append(prev[v])
-            v = tail[prev[v]]
-        bottleneck = min(residual[i] for i in path)
-        for i in path:
-            residual[i] -= bottleneck
-            residual[(i + m) % (2 * m)] += bottleneck
-        total += bottleneck
-    return total, residual[m:]
-
-
-# ---------------------------------------------------------------------------
-# graph cones and their dual-membership oracles
-# ---------------------------------------------------------------------------
-
-def admissible_vertex_subsets(nodes: list, arcs: list[tuple]) -> list[frozenset]:
-    """Subsets S' closed under outgoing arcs (every arc from S' stays in S')."""
-    from itertools import combinations
-
-    nodes = list(nodes)
-    out = []
-    for k in range(len(nodes) + 1):
-        for sub in combinations(nodes, k):
-            s = frozenset(sub)
-            if all(not (u in s and v not in s) for u, v in arcs):
-                out.append(s)
-    return out
-
-
-def graph_cone_dual_membership(nodes: list, arcs: list[tuple], x: dict) -> bool:
-    """Membership of x in the dual of the cone {y : y_v <= y_u per arc u->v}.
-
-    Runs two oracles, one over the admissible vertex subsets and one by a
-    max-flow construction (Picard's closure network), and raises if they
-    disagree.  x is scaled by the lcm of its denominators to integers X,
-    and big = max|X| + 1.  Each source edge src->s gets X_s + big, each
-    sink edge s->snk gets big, and each arc gets big*n, the whole source
-    capacity when sum X = 0.  A cut {src} + S with an arc leaving S costs
-    at least big*n; with S closed under the arcs it costs
-    big*n - sum_{s in S} X_s, and S = {} is closed.  So, as with infinite
-    arcs, the maximum flow saturates the source exactly when every closed
-    set has a nonpositive sum: the test the subset oracle makes.
-    """
-    nodes = list(nodes)
-    X = dict(zip(nodes, scaled_ints([frac(x[s]) for s in nodes])[0]))
-    if sum(X.values()) != 0:
-        return False
-    by_subsets = all(sum(X[s] for s in sub) <= 0
-                     for sub in admissible_vertex_subsets(nodes, arcs))
-    n = len(nodes)
-    big = max(map(abs, X.values()), default=0) + 1
-    src, snk = ("__D__",), ("__A__",)
-    edges = [(u, v, big * n) for u, v in arcs]
-    edges += [(src, s, X[s] + big) for s in nodes] + [(s, snk, big) for s in nodes]
-    by_flow = maxflow(src, snk, edges)[0] == big * n
-    if by_subsets != by_flow:
-        raise AssertionError(f"dual membership oracles disagree: subsets={by_subsets} "
-                             f"flow={by_flow}")
-    return by_subsets

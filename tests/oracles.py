@@ -1,29 +1,35 @@
 """Exact oracles, the cones they are run on, a Fraction counter and the
 package's lru caches, shared by the test modules.
 
-The simplex LP `in_cone`, the H-representations of the cone variants
-(`cone_qmax`, `cone_qmin`, `cone_qw`, `cone_chain`), the optimal-value
-function `b_value` and the order `precedes` on S_d live here, not in the
-package: no command and no demo runs them, and the tests check the
-package's own methods against them."""
+The simplex LP `in_cone`, membership in an H-polyhedron (`contains`,
+`contains_ray`), the H-representations of the cone variants (`cone_q`,
+`cone_qmax`, `cone_qmin`, `cone_qw`, `cone_chain`), the A-sets of every
+variant and constraint form (`a_set`), the optimal-value function
+`b_value`, the max-flow and subset oracles for graph cones
+(`graph_cone_dual_membership`) and the order `precedes` on S_d live here,
+not in the package: no command and no demo runs them, and the tests check
+the package's own methods against them."""
 
 import importlib
 import pkgutil
 import sys
+from collections import deque
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from math import gcd, inf, lcm
 
 import kisindim
+from kisindim import bounds as bd
 from kisindim import kisin_model as km
 from kisindim import perm as pm
-from kisindim.bounds import (_dual_hrep, _form_vectors, a_set, reg_star_facets,
-                            strong_regularity, two_rho)
+from kisindim.bounds import UnsupportedRegime, reg_star_facets, strong_regularity, two_rho
 from kisindim.kisin_model import KisinInstance, _int_row, _transform_rows, chain_dual_generators
-from kisindim.perm import (AdmissibleSubset, Permutation, _signature, admissible_from_subset,
-                           all_permutations)
+from kisindim.perm import (AdmissibleSubset, OrdTableau, Permutation, _cycles, _signature,
+                           admissible_from_subset, all_permutations, w_star)
 from kisindim.polyhedra import (Frozen, HPolyhedron, IVec, Vec, VPolyhedron, _echelon,
                                 _eliminate, _idot, cone_generators, dot, enumerate_vertices,
-                                fmt_frac, primitive_ints, scaled_ints, vec)
+                                fmt_frac, frac, primitive_ints, scaled_ints, vec)
 
 
 def primitive_row(v) -> IVec:
@@ -97,6 +103,43 @@ def in_cone(generators: list[Vec], target: Vec) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# membership in a polyhedron
+# ---------------------------------------------------------------------------
+
+def contains(P: HPolyhedron, x: Vec) -> bool:
+    """Is the point x in P?  An integer dot of each row with x's numerators
+    over their common denominator."""
+    if len(x) != P.dim:
+        raise ValueError(f"point of dimension {len(x)} in R^{P.dim}")
+    X, L = scaled_ints(x)
+    for h in P.halfspaces:
+        v, c = _idot(h.normal, X), h.offset * L
+        if v < c or (h.is_eq and v != c):
+            return False
+    return True
+
+
+def contains_ray(P: HPolyhedron, r: Vec) -> bool:
+    """Is r in the recession cone of P?"""
+    r = scaled_ints(r)[0]
+    for h in P.halfspaces:
+        v = _idot(h.normal, r)
+        if v < 0 or (h.is_eq and v):
+            return False
+    return True
+
+
+def intersect(P: HPolyhedron, Q: HPolyhedron) -> HPolyhedron:
+    if P.dim != Q.dim:
+        raise ValueError("dimension mismatch")
+    return HPolyhedron(P.dim, P.halfspaces + Q.halfspaces)
+
+
+def is_empty(V: VPolyhedron) -> bool:
+    return not V.vertices
+
+
+# ---------------------------------------------------------------------------
 # the cone variants and the coordinate forms as H-polyhedra and vectors
 # ---------------------------------------------------------------------------
 
@@ -152,9 +195,81 @@ def cone_qw(inst: KisinInstance, w: pm.Permutation) -> HPolyhedron:
     cells = inst.cells
     for x in cells:
         for y in cells:
-            if x != y and tab[x] >= tab[y]:
+            if x != y and tab.entries[x] >= tab.entries[y]:
                 ineqs.append((_int_row(inst, ((1, x), (-1, y))), 0))
     return HPolyhedron.build(inst.dim_E, ineqs)
+
+
+def cone_q(inst: KisinInstance) -> HPolyhedron:
+    """The cone Q in E: games I (q_{i,j} >= q_{i,j+1}), II (q_{i,j} <=
+    q_{i+1,j+1}) and III (mu_{i,j} >= mu_{i+1,j+1}), over 1 <= i <= j < d."""
+    return HPolyhedron.build(inst.dim_E, [(a, 0) for a in km._game_rows(inst)])
+
+
+@lru_cache(maxsize=128)
+def _q_generators(d: int, b: int):
+    """The (lines, rays) of the full cone Q, by double description."""
+    cone = cone_q(KisinInstance(d, b))
+    return cone_generators([h.normal for h in cone.ineqs], [h.normal for h in cone.eqs], cone.dim)
+
+
+# ---------------------------------------------------------------------------
+# the A-sets of every cone variant and constraint form
+# ---------------------------------------------------------------------------
+
+def _dual_hrep(inst: KisinInstance, variant):
+    """`bounds._dual_hrep` for every cone variant: (rows, eq_rows) in E, the
+    variant cone being cone(rows) + span(eq_rows).
+
+    Q_max's rows are the package's.  The graph cones Q_w (Q_min is Q_{w0})
+    are spanned by the all-ones line and the rays -1_J over the level sets
+    I_s(w), s < d.  The rays of the full cone Q come from a double
+    description."""
+    d = inst.d
+    if variant == "Qmax":
+        return bd._dual_hrep(inst)
+    if variant == "Q":
+        lines, rays = _q_generators(d, inst.b)
+        return rays, lines
+    if variant == "Qmin" or (isinstance(variant, tuple) and variant[0] == "Qw"):
+        w = pm.w0(d) if variant == "Qmin" else variant[1]
+        sets = [level_set(w, s) for s in range(1, d)]
+    else:
+        raise ValueError(f"unknown cone variant {variant!r}")
+    rows = [_int_row(inst, ((-1, c) for c in adm.cells)) for adm in sets]
+    return rows, [_int_row(inst, ((1, c) for c in inst.cells))]
+
+
+def _form_vectors(inst: KisinInstance, form: str) -> list[IVec]:
+    """The integer rows F_i of the constraint map: those of the top
+    mu-cells for g (`bounds._form_vectors`), the first and last of them
+    for the two-sided map f."""
+    top = bd._form_vectors(inst)
+    if form == "g":
+        return top
+    if form == "f":
+        return [top[0], top[-1]]
+    raise ValueError(f"unknown constraint form {form!r}")
+
+
+def a_set(inst: KisinInstance, variant, form: str = "g") -> HPolyhedron:
+    """H-representation of A = {y : sum_i y_i F_i - delta in (variant)*}, one
+    row per row of `_dual_hrep` (in order, those with a zero image dropped).
+    On Q_max and the form g it is the package's `bounds.a_set`.  The A-set
+    of the full cone Q is refused below b0."""
+    if (variant, form) == ("Qmax", "g"):
+        return bd.a_set(inst)
+    if variant == "Q" and inst.b < inst.b0:
+        raise UnsupportedRegime(
+            f"A-set for the full cone Q needs b >= b0 = {inst.b0}, got b = {inst.b}")
+    F = _form_vectors(inst, form)
+    delta = km.delta_vec(inst)
+    ineq_rows, eq_rows = _dual_hrep(inst, variant)
+    n = len(F)
+    ineqs = [(tuple(_idot(Fi, v) for Fi in F), _idot(delta, v)) for v in ineq_rows]
+    eqs = [(tuple(_idot(Fi, v) for Fi in F), _idot(delta, v)) for v in eq_rows]
+    ineqs = [(a, c) for a, c in ineqs if any(x != 0 for x in a)]
+    return HPolyhedron.build(n, ineqs, eqs)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +310,9 @@ def b_value(dd: DualityData, y) -> Fraction | float:
         return -inf
     A = a_set(inst, dd.variant, dd.form)
     if dd.C_gens:
-        A = A.intersect(dual_cone(list(dd.C_gens), len(F)))
+        A = intersect(A, dual_cone(list(dd.C_gens), len(F)))
     V = enumerate_vertices(A)
-    if V.is_empty:
+    if is_empty(V):
         return inf
     return min(dot(v, y) for v in V.vertices)
 
@@ -250,7 +365,7 @@ def cone_hull(rays: list[Vec], lines: list[Vec], n: int) -> HPolyhedron:
 
 def v_to_h(V: VPolyhedron) -> HPolyhedron:
     """H-representation of a nonempty V-polyhedron."""
-    if V.is_empty:
+    if is_empty(V):
         raise ValueError("cannot convert the empty polyhedron to halfspaces")
     n = V.dim
     gens = [(*v, 1) for v in V.vertices] + [(*r, 0) for r in V.rays]
@@ -285,18 +400,19 @@ def polyhedra_set_equal(P: HPolyhedron, Q: HPolyhedron) -> bool:
 
 
 def _v_inside_h(V: VPolyhedron, H: HPolyhedron) -> bool:
-    if V.is_empty:
-        return enumerate_vertices(H).is_empty
-    return (all(H.contains(v) for v in V.vertices)
-            and all(H.contains_ray(r) for r in V.rays)
-            and all(H.contains_ray(l) and H.contains_ray(tuple(-a for a in l)) for l in V.lines))
+    if is_empty(V):
+        return is_empty(enumerate_vertices(H))
+    return (all(contains(H, v) for v in V.vertices)
+            and all(contains_ray(H, r) for r in V.rays)
+            and all(contains_ray(H, l) and contains_ray(H, tuple(-a for a in l))
+                    for l in V.lines))
 
 
 def minkowski_sum_cone(P: HPolyhedron | VPolyhedron, cone_gens) -> HPolyhedron:
     """H-representation of P + cone(cone_gens), by the double description
     of the sum's vertices and rays."""
     V = P if isinstance(P, VPolyhedron) else enumerate_vertices(P)
-    if V.is_empty:
+    if is_empty(V):
         raise ValueError("Minkowski sum with the empty polyhedron")
     gens = [g for g in map(primitive_row, cone_gens) if any(g)]
     return v_to_h(VPolyhedron(V.dim, V.vertices, tuple(sorted(set(list(V.rays) + gens))), V.lines))
@@ -397,9 +513,9 @@ def k_hrep(inst) -> HPolyhedron:
     chain rows of C."""
     d, b = inst.d, inst.b
     rho2 = two_rho(d)
-    return HPolyhedron.build(
+    return intersect(HPolyhedron.build(
         d, [(a, Fraction(_idot(a, rho2), b + 1)) for a, _ in reg_star_facets(inst)],
-        [((1,) * d, 0)]).intersect(cone_chain(d))
+        [((1,) * d, 0)]), cone_chain(d))
 
 
 def f_T_halfspace(inst, T) -> tuple[tuple[Fraction, ...], Fraction]:
@@ -449,7 +565,7 @@ def dominance_polytope(mu, inst: km.KisinInstance, strong: bool) -> HPolyhedron:
 
 def _sup_over(polytope: HPolyhedron, objective: Vec):
     V = enumerate_vertices(polytope)
-    if V.is_empty:
+    if is_empty(V):
         return None
     if any(dot(objective, r) > 0 for r in V.rays):
         return inf
@@ -563,7 +679,7 @@ def pulled_back_rows_dense(d: int, b: int) -> set:
     sum in km._mu_system_rows."""
     images = list(zip(*_transform_rows(d, b)[1]))
     return {primitive_ints([_idot(h.normal, q) for q in images])
-            for h in km.cone_q(KisinInstance(d, b)).halfspaces}
+            for h in cone_q(KisinInstance(d, b)).halfspaces}
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +697,7 @@ def witness_le_e_report(inst: km.KisinInstance, e: int, q: km.QPoint) -> dict:
     top = [dot(mu_cell_vector(inst, 1, j), q.values) for j in range(1, d + 1)]
     report = {
         "n_raw": n_raw, "n": n, "m": (-n) % (b - 1),
-        "in_Q": km.cone_q(inst).contains(q.values),
+        "in_Q": contains(cone_q(inst), q.values),
         "in_R": q.in_lattice(),
         "mu_top_le_e": top[0] <= e,
         "mu_bottom_ge_0": top[-1] >= 0,
@@ -609,7 +725,7 @@ def witness_le_mu_report(inst: km.KisinInstance, mu, q: km.QPoint) -> dict:
     target = Fraction(dot(two_rho(d), mu), b + 1)
     report = {
         "q_levels": qq,
-        "in_Q": km.cone_q(inst).contains(q.values),
+        "in_Q": contains(cone_q(inst), q.values),
         "in_R": q.in_lattice(),
         "image_dominated": all(sum(g[:t]) <= sum(mu[:t]) for t in range(1, d))
         and sum(g) == sum(mu),
@@ -631,13 +747,27 @@ def witness_le_mu_report(inst: km.KisinInstance, mu, q: km.QPoint) -> dict:
 # the permutation layer on Fractions and on pairs of permutations
 # ---------------------------------------------------------------------------
 
+def identity(d: int) -> Permutation:
+    return Permutation(tuple(range(1, d + 1)))
+
+
+def cycles(w: Permutation) -> list[tuple[int, ...]]:
+    """The cycles of w, as `perm._cycles` lists them."""
+    return _cycles(w.images)
+
+
+def order(w: Permutation) -> int:
+    """The order of w in S_d: the lcm of its cycle lengths."""
+    return lcm(*map(len, cycles(w)))
+
+
 def rho_w_fraction(w, b: int):
     """rho_w in Fractions, summed in closed form over each cycle of w:
     coordinate i is (d+1-i) - (b-1) s / (b^L - 1), with L the length of
     i's cycle and s = sum_{n=1..L} w^n(i) b^{L-n}."""
     d = w.d
     out = [Fraction(0)] * d
-    for cyc in w.cycles():
+    for cyc in cycles(w):
         L = len(cyc)
         for i in cyc:
             s = 0
@@ -675,7 +805,7 @@ def _prefix_sum_sequence(w, s: int, length: int) -> list[int]:
 def precedes_pairwise(w1, w2) -> bool:
     """w1 <= w2 in the order on S_d, comparing the prefix-sum sequences up
     to n = lcm of the two permutation orders."""
-    n = lcm(w1.order(), w2.order())
+    n = lcm(order(w1), order(w2))
     return all(_prefix_sum_sequence(w1, s, n) <= _prefix_sum_sequence(w2, s, n)
                for s in range(1, w1.d))
 
@@ -692,6 +822,29 @@ def hasse_diagram_pairwise(d: int) -> list:
 # ---------------------------------------------------------------------------
 # the admissible level sets and the order on S_d by signatures
 # ---------------------------------------------------------------------------
+
+def level_set(w: Permutation, s: int) -> AdmissibleSubset:
+    """I_s(w), the admissible subset attached to T_s(w) = w*({1..s})."""
+    ws = w_star(w)
+    return admissible_from_subset(w.d, {ws(i) for i in range(1, s + 1)})
+
+
+def tableau_level_set(t: OrdTableau, s: int) -> AdmissibleSubset:
+    """The cells of t with entry <= s, as an admissible subset."""
+    cells = frozenset(c for c, v in t.entries.items() if v <= s)
+    return admissible_from_cells(t.d, cells)
+
+
+def admissible_from_cells(d: int, cells) -> AdmissibleSubset:
+    """Build an AdmissibleSubset from its cell set (validates closure)."""
+    cells = frozenset((int(i), int(j)) for i, j in cells)
+    counts = frozenset(c for c in (sum(1 for (a, _) in cells if a == i)
+                                   for i in range(1, d + 1)) if c)
+    adm = AdmissibleSubset(d, cells, counts)
+    if admissible_from_subset(d, counts).cells != cells:
+        raise ValueError("cell set is not the admissible set of its T")
+    return adm
+
 
 def admissible_level(d: int, s: int) -> AdmissibleSubset:
     """I_s = {(i,j) : j - i >= d - s}, the admissible subset of {1..s}."""
@@ -729,6 +882,99 @@ def in_dual_chain_cone(z: Vec) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# max flow / min cut on integer capacities
+# ---------------------------------------------------------------------------
+
+def maxflow(source, sink, edges) -> tuple[int, list[int]]:
+    """Edmonds-Karp on a list of (u, v, capacity) edges with nonnegative
+    integer capacities; parallel edges are allowed.  Returns the value of a
+    maximum flow and the flow on each edge, in edge order."""
+    if source == sink:
+        raise ValueError("source and sink must differ")
+    if any(c < 0 for _, _, c in edges):
+        raise ValueError("negative capacity")
+    m = len(edges)
+    # residual arcs: forward i and backward i + m, with tail and head
+    residual = [c for _, _, c in edges] + [0] * m
+    tail = [u for u, _, _ in edges] + [v for _, v, _ in edges]
+    head = tail[m:] + tail[:m]
+    out: dict[object, list[int]] = {}
+    for i, u in enumerate(tail):
+        out.setdefault(u, []).append(i)
+    total = 0
+    while True:
+        # BFS for a shortest augmenting path
+        prev = {source: None}
+        queue = deque([source])
+        while queue and sink not in prev:
+            for i in out.get(queue.popleft(), ()):
+                if residual[i] > 0 and head[i] not in prev:
+                    prev[head[i]] = i
+                    queue.append(head[i])
+        if sink not in prev:
+            break
+        path = []
+        v = sink
+        while prev[v] is not None:
+            path.append(prev[v])
+            v = tail[prev[v]]
+        bottleneck = min(residual[i] for i in path)
+        for i in path:
+            residual[i] -= bottleneck
+            residual[(i + m) % (2 * m)] += bottleneck
+        total += bottleneck
+    return total, residual[m:]
+
+
+# ---------------------------------------------------------------------------
+# graph cones and their dual-membership oracles
+# ---------------------------------------------------------------------------
+
+def admissible_vertex_subsets(nodes: list, arcs: list[tuple]) -> list[frozenset]:
+    """Subsets S' closed under outgoing arcs (every arc from S' stays in S')."""
+    nodes = list(nodes)
+    out = []
+    for k in range(len(nodes) + 1):
+        for sub in combinations(nodes, k):
+            s = frozenset(sub)
+            if all(not (u in s and v not in s) for u, v in arcs):
+                out.append(s)
+    return out
+
+
+def graph_cone_dual_membership(nodes: list, arcs: list[tuple], x: dict) -> bool:
+    """Membership of x in the dual of the cone {y : y_v <= y_u per arc u->v}.
+
+    Runs two oracles, one over the admissible vertex subsets and one by a
+    max-flow construction (Picard's closure network), and raises if they
+    disagree.  x is scaled by the lcm of its denominators to integers X,
+    and big = max|X| + 1.  Each source edge src->s gets X_s + big, each
+    sink edge s->snk gets big, and each arc gets big*n, the whole source
+    capacity when sum X = 0.  A cut {src} + S with an arc leaving S costs
+    at least big*n; with S closed under the arcs it costs
+    big*n - sum_{s in S} X_s, and S = {} is closed.  So, as with infinite
+    arcs, the maximum flow saturates the source exactly when every closed
+    set has a nonpositive sum: the test the subset oracle makes.
+    """
+    nodes = list(nodes)
+    X = dict(zip(nodes, scaled_ints([frac(x[s]) for s in nodes])[0]))
+    if sum(X.values()) != 0:
+        return False
+    by_subsets = all(sum(X[s] for s in sub) <= 0
+                     for sub in admissible_vertex_subsets(nodes, arcs))
+    n = len(nodes)
+    big = max(map(abs, X.values()), default=0) + 1
+    src, snk = ("__D__",), ("__A__",)
+    edges = [(u, v, big * n) for u, v in arcs]
+    edges += [(src, s, X[s] + big) for s in nodes] + [(s, snk, big) for s in nodes]
+    by_flow = maxflow(src, snk, edges)[0] == big * n
+    if by_subsets != by_flow:
+        raise AssertionError(f"dual membership oracles disagree: subsets={by_subsets} "
+                             f"flow={by_flow}")
+    return by_subsets
+
+
+# ---------------------------------------------------------------------------
 # a Fraction counter and the package's lru caches
 # ---------------------------------------------------------------------------
 
@@ -760,5 +1006,8 @@ def lru_caches():
 
 
 def clear_caches():
+    """Clear every lru_cache of the package and the oracles' own
+    `_q_generators`."""
     for _, fn in lru_caches():
         fn.cache_clear()
+    _q_generators.cache_clear()

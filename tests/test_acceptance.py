@@ -10,11 +10,12 @@ from fractions import Fraction as F
 from kisindim import bounds as bd
 from kisindim import perm as pm
 from kisindim import solver as sv
-from kisindim.kisin_model import (KisinInstance, QPoint, chain_dual_generators, cone_q,
-                                  mu_from_q, phi_from_q, q_from_mu, read_back_q,
-                                  validate_phi)
-from kisindim.polyhedra import enumerate_vertices, graph_cone_dual_membership
-from oracles import admissible_level, cone_chain, minkowski_sum_cone, polyhedra_set_equal
+from kisindim.kisin_model import (KisinInstance, QPoint, chain_dual_generators, mu_from_q,
+                                  phi_from_q, q_from_mu, read_back_q, validate_phi)
+from kisindim.polyhedra import enumerate_vertices
+from oracles import (a_set, admissible_level, cone_chain, cone_q, contains,
+                     graph_cone_dual_membership, intersect, minkowski_sum_cone,
+                     polyhedra_set_equal)
 
 BIG_BUDGET = 500_000_000
 
@@ -95,7 +96,7 @@ def test_acceptance_3_extremal_points():
             inst = KisinInstance(d, b)
             pts = bd.extremal_points_a_qmax(inst)  # raises on any mismatch
             # exact set equality (the w -> vertex map may glue at small b)
-            V = enumerate_vertices(bd.a_set(inst, "Qmax", "g"))
+            V = enumerate_vertices(a_set(inst, "Qmax", "g"))
             assert set(V.vertices) == {pm.rho_w(w, b)
                                        for w in pm.all_permutations(d)}
             for v in pts.values():
@@ -116,13 +117,13 @@ def test_acceptance_4_a_set_identities():
         b_min = max(2, 1 + (d - 1) ** 2 // 4, d + 1)
         for b in (b_min,) if d == 6 else (b_min, 17):
             inst = KisinInstance(d, b)
-            AQ = bd.a_set(inst, "Q", "g")
-            S = minkowski_sum_cone(bd.a_set(inst, "Qmax", "g"),
+            AQ = a_set(inst, "Q", "g")
+            S = minkowski_sum_cone(a_set(inst, "Qmax", "g"),
                                    chain_dual_generators(d))
             assert polyhedra_set_equal(AQ, S), ("sum identity", d, b)
             C = cone_chain(d)
-            assert polyhedra_set_equal(AQ.intersect(C),
-                                       bd.a_set(inst, "Qmin", "g").intersect(C)), \
+            assert polyhedra_set_equal(intersect(AQ, C),
+                                       intersect(a_set(inst, "Qmin", "g"), C)), \
                 ("chain intersection identity", d, b)
     _ok("4 (A_Q = A_Qmax + C* and A_Q cap C = A_Qmin cap C)")
 
@@ -336,7 +337,7 @@ def test_acceptance_9_dual_oracles():
         cells = inst.cells
         tab_min = pm.ord_tableau(pm.w_star(pm.w0(d)))  # band levels
         arcs_min = [(x, y) for x in cells for y in cells
-                    if x != y and tab_min[x] >= tab_min[y]]
+                    if x != y and tab_min.entries[x] >= tab_min.entries[y]]
         arcs_max = [(c, (c[0], c[1] + 1)) for c in cells if c[1] + 1 <= d] + \
                    [(c, (c[0] - 1, c[1] - 1)) for c in cells
                     if c[0] >= 2 and c[1] - 1 >= c[0] - 1]
@@ -391,7 +392,7 @@ def test_acceptance_10_round_trips():
         q = QPoint(inst, {(i, j): F(M * levels[d - 1 - (j - i)] + 3 * i
                                     + rng.randint(0, 1))
                           for (i, j) in inst.cells})
-        assert cone_q(inst).contains(q.values) and q.in_lattice()
+        assert contains(cone_q(inst), q.values) and q.in_lattice()
         p = phi_from_q(q)
         assert validate_phi(p)
         assert read_back_q(p) == q

@@ -109,6 +109,19 @@ def test_verify_budget_refusal_exit_2(capsys):
     assert captured.err.startswith("budget refusal: ")
 
 
+VERIFY_GOLDEN = ("PASS  solver consistency suite\n"
+                 "PASS  witness postconditions\n"
+                 "PASS  extremal points of the Q_max A-set\n"
+                 "PASS  order diagram size\n")
+
+
+@pytest.mark.parametrize("seed", ("0", "3"))
+def test_verify_prints_its_four_suites(capsys, seed):
+    # every suite of verify, by name and in order: a suite dropped or
+    # renamed changes this stdout
+    assert run(capsys, "verify", "--seed", seed) == (0, VERIFY_GOLDEN)
+
+
 def test_verify_negative_budget_is_invalid_input(capsys):
     # rejected before any suite runs
     assert main(["verify", "--budget", "-1"]) == 1

@@ -9,11 +9,11 @@ from kisindim import kisin_model as km
 from kisindim import polyhedra
 from kisindim import solver as sv
 from kisindim.cli import main
-from kisindim.kisin_model import KisinInstance, MuTriangle, cone_q, dim_phi, q_from_mu
+from kisindim.kisin_model import KisinInstance, MuTriangle, dim_phi, q_from_mu
 from kisindim.solver import (BudgetExceeded, DimQuery, dim_d2_closed, dim_d3_closed,
                              dim_exact, consistency_suite, _enumerate_dominated_tops)
-from oracles import (clear_caches, pulled_back_rows_dense, sub_bounds_by_shifted_systems,
-                     top_bound_lp, whole_triangle_certificate)
+from oracles import (clear_caches, cone_q, contains, pulled_back_rows_dense,
+                     sub_bounds_by_shifted_systems, top_bound_lp, whole_triangle_certificate)
 from test_acceptance import _integrally_regular_samples, _strongly_regular_samples
 
 
@@ -120,7 +120,7 @@ def _sampling_self_test(d, b):
                 rows.append([rng.randint(min(prev[k + 1], prev[k]), max(prev[k + 1], prev[k]))
                              for k in range(d - i + 1)])
         tri = MuTriangle(inst, {(i, j): rows[i - 1][j - i] for (i, j) in inst.cells})
-        if _mu_constraints_ok(inst, rows) != Q.contains(q_from_mu(tri).values):
+        if _mu_constraints_ok(inst, rows) != contains(Q, q_from_mu(tri).values):
             raise AssertionError(f"mu-system and q-system disagree at d={d} b={b} rows={rows}")
     return True
 
@@ -152,7 +152,7 @@ def test_mu_constraints_match_cone_on_feasible_triangle():
         tri = MuTriangle(inst, {(i, j): rows[i - 1][j - i]
                                 for (i, j) in inst.cells})
         assert _mu_constraints_ok(inst, rows) == inside
-        assert cone_q(inst).contains(q_from_mu(tri).values) == inside
+        assert contains(cone_q(inst), q_from_mu(tri).values) == inside
 
 
 @pytest.mark.parametrize("form", [(i, j) for i in range(2, 5) for j in range(i, 5)])
