@@ -5,10 +5,18 @@ consists of the y whose lift ``sum_i y_i F_i - delta`` lands in the dual
 of the cone Q_max.  Its vertices are the rho_w (`extremal_points_a_qmax`).
 
 Q_max is given by the generator rows of `_dual_hrep`: they cut out its
-dual, and so the A-set, whose rows are the facet forms f_T.  The A-sets of
-the other cone variants (the full cone Q, Q_min, the graph cones Q_w) and
-of the two-sided form f, the optimal-value function `b_value` and the
+dual, and so the A-set, whose rows are the facet forms f_T (`a_set`, as
+integer rows on homogeneous points).  The A-sets of the other cone
+variants (the full cone Q, Q_min, the graph cones Q_w) and of the
+two-sided form f, the optimal-value function `b_value` and the
 H-representations of the variants are test oracles, in tests/oracles.py.
+
+Every polyhedral computation here is one `polyhedra.double_description`
+from a simplicial seed known in closed form: the A-set's vertices from
+rho_{w0} and its d-1 edges to the rho_{w_s}, the K(b) tables from the
+simplicial cone of Reg* at the apex 2 rho/(b+1), and the dominance sups
+from the orthant.  The general H -> V engine (`enumerate_vertices`) is
+the tests' reference for all three, in tests/oracles.py.
 
 Everything refuses (typed `UnsupportedRegime`) outside the regime where
 the identity it computes is actually proved: b0 = 1 + floor((d-1)^2/4) is
@@ -20,12 +28,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import ceil, gcd, lcm
+from operator import sub
 
 from . import kisin_model as km
 from . import perm as pm
-from .polyhedra import (Frozen, Halfspace, HPolyhedron, IVec, Vec, _idot, dot,
-                        double_description, enumerate_vertices, primitive_ints, scaled_ints,
-                        vec)
+from .polyhedra import (Frozen, IVec, Vec, _idot, dot, double_description, primitive_ints,
+                        scaled_ints, vec)
 
 
 class UnsupportedRegime(Exception):
@@ -61,61 +69,98 @@ def _dual_hrep(inst: km.KisinInstance):
     return rows, [km._int_row(inst, ((1, c) for c in inst.cells))]
 
 
-def _form_vectors(inst: km.KisinInstance) -> list[IVec]:
-    """The integer rows F_i of the top mu-cells, <q, F_i> = mu_{1,i}(q): the
-    constraint map g."""
-    return list(km._transform_rows(inst.d, inst.b)[0][:inst.d])
-
-
-def a_set(inst: km.KisinInstance) -> HPolyhedron:
-    """H-representation of the Q_max A-set {y : sum_i y_i F_i - delta in
-    Q_max*}, one row per row of `_dual_hrep`, in order.  No row has a zero
-    image: the row of T has entries summing to |T| (1 - b) < 0 (the f_T of
-    `extremal_points_a_qmax`)."""
-    F = _form_vectors(inst)
+def a_set(inst: km.KisinInstance) -> tuple[list[IVec], IVec]:
+    """The Q_max A-set {y : sum_i y_i F_i - delta in Q_max*} as integer
+    rows on the homogeneous points (Y, T), y = Y/T: the row
+    (<F_i, v>_i, -<delta, v>) >= 0 of each row v of `_dual_hrep`, one per
+    proper subset in `_proper_subsets` order, and the equation row, the
+    same map of its eq row, which is 0 on the A-set.  The F_i are the
+    integer rows of the top mu-cells, <q, F_i> = mu_{1,i}(q): the
+    constraint map g.  No row has a zero image: the row of T has entries
+    summing to |T| (1 - b) < 0 (the f_T of `extremal_points_a_qmax`)."""
+    F = km._transform_rows(inst.d, inst.b)[0][:inst.d]
     delta = km.delta_vec(inst)
-    ineq_rows, eq_rows = _dual_hrep(inst)
-    ineqs = [(tuple(_idot(Fi, v) for Fi in F), _idot(delta, v)) for v in ineq_rows]
-    eqs = [(tuple(_idot(Fi, v) for Fi in F), _idot(delta, v)) for v in eq_rows]
-    return HPolyhedron.build(len(F), ineqs, eqs)
+    rows, (eq,) = _dual_hrep(inst)
+
+    def homogeneous(v):
+        return (*(_idot(Fi, v) for Fi in F), -_idot(delta, v))
+
+    return [homogeneous(v) for v in rows], homogeneous(eq)
+
+
+def _chain_mask(w: pm.Permutation) -> int:
+    """The chain T_s(w) = {w*(1), ..., w*(s)}, s = 1..d-1, as a bitmask over
+    the `_proper_subsets` indices: T has index (its bitmask) - 1."""
+    ws, mask, out = pm.w_star(w), 0, 0
+    for i in range(1, w.d):
+        mask |= 1 << (ws(i) - 1)
+        out |= 1 << (mask - 1)
+    return out
 
 
 def extremal_points_a_qmax(inst: km.KisinInstance) -> dict[pm.Permutation, Vec]:
     """The vertex map w -> rho_w of the A-set for Q_max (needs b >= b0).
 
-    Also certifies the facet structure on the A-set's inequalities, the
-    forms f_T up to a positive factor, one per proper subset T in the order
-    of `_proper_subsets`: f_T(rho_w) >= 0 with equality on the chain T_s(w),
-    and strict positivity off the chain once b > b0.  (At b = b0 itself
-    extra facets can meet a vertex: at d = 4, b = 3 some off-chain f_T
-    vanish, though the vertex set is still exactly the rho_w family.)
+    The vertices come from one double description in the rows of `a_set`,
+    seeded at the vertex rho_{w0} = 2 rho/(b+1).  The chain of w0 is
+    T_s = {1..s}, since w0* = id, and the seed rows are its facets f_{1..s},
+    s = 1..d-1, then T >= 0.  The seed rays are rho_{w_s} - rho_{w0} with
+    T = 0, w_s being w0 with the values s and s+1 swapped (its chain differs
+    from w0's only at step s), then (rho_{w0}, 1), all as primitive
+    integer rows over D = `pm.rho_denominator`.  The seed is checked by
+    integer dots before the double description runs: each ray is zero on
+    every other seed row and on the equation row, and positive on its own.
+    So the seed rays span the equation's plane, the seed is the simplicial
+    cone of its rows there, and every ray the double description builds, a
+    combination of seed rays, stays in the plane.  The other rows of
+    `a_set` are inserted in order.
+
+    The rays must then be exactly the primitive (D rho_w, D), so no ray has
+    T = 0, and the facet structure is read off the zero sets, mapped back
+    through the seed-row order to the forms f_T, one per proper subset T:
+    f_T vanishes at rho_w on the chain T_s(w), and only there once b > b0.
+    (At b = b0 itself extra facets can meet a vertex: at d = 4, b = 3 some
+    off-chain f_T vanish, though the vertex set is still exactly the rho_w
+    family.)
     """
     if inst.b < inst.b0:
         raise UnsupportedRegime(
             f"extremal points of the Q_max A-set need b >= b0 = {inst.b0}")
-    d = inst.d
-    A = a_set(inst)
-    if len(A.ineqs) != 2 ** d - 2:
-        raise AssertionError("the Q_max A-set needs one facet per proper subset")
-    V = enumerate_vertices(A)
-    out = {w: pm.rho_w(w, inst.b) for w in pm.all_permutations(d)}
-    if set(V.vertices) != set(out.values()):
+    d, b = inst.d, inst.b
+    rows, eq = a_set(inst)
+    D = pm.rho_denominator(d, b)
+    rho = {w: pm.rho_row(w.images, b, D) for w in pm.all_permutations(d)}
+    w0 = pm.w0(d)
+    apex = rho[w0]
+    seed = []
+    for s in range(1, d):
+        ws = tuple(s + 1 if x == s else s if x == s + 1 else x for x in w0.images)
+        seed.append(primitive_ints((*map(sub, pm.rho_row(ws, b, D), apex), 0)))
+    seed.append(primitive_ints((*apex, D)))
+    chain = [(1 << s) - 2 for s in range(1, d)]  # f_{1..s}, the chain of w0
+    seed_rows = [rows[i] for i in chain] + [(0,) * d + (1,)]
+    for j, r in enumerate(seed):
+        vals = [_idot(a, r) for a in seed_rows]
+        if _idot(eq, r) or vals[j] <= 0 or any(vals[:j] + vals[j + 1:]):
+            raise AssertionError(f"the seed at rho_w0 is not simplicial: ray {j}")
+    rest = [i for i in range(len(rows)) if i not in chain]
+    rays, zsets = double_description(seed, [rows[i] for i in rest])
+    if set(rays) != {primitive_ints((*r, D)) for r in rho.values()}:
         raise AssertionError("vertex set differs from the rho_w family")
+    # zero-set bit k is the row rows[order[k]]; bit d-1, T >= 0, is tight at
+    # no vertex
+    order = chain + [None] + rest
+    tight = {r: sum(1 << i for k, i in enumerate(order) if z >> k & 1)
+             for r, z in zip(rays, zsets)}
     # the map need not be injective near b0: at (d, b) = (4, 3) two
     # permutations share their vertex, though the vertex SET is still exact
-    facets = list(zip(_proper_subsets(d), A.ineqs))
-    for w, v in out.items():
-        chain = {frozenset(pm.w_star(w)(i) for i in range(1, s + 1)) for s in range(1, d)}
-        for T, h in facets:
-            val = dot(h.normal, v) - h.offset
-            if T in chain:
-                if val != 0:
-                    raise AssertionError(f"f_T nonzero on the chain of {w.images}: T={set(T)}")
-            elif val < 0:
-                raise AssertionError(f"f_T negative at a vertex: T={set(T)}")
-            elif val == 0 and inst.b > inst.b0:
-                raise AssertionError(f"f_T not strictly positive off the chain: T={set(T)}")
-    return out
+    for w, r in rho.items():
+        have, want = tight[primitive_ints((*r, D))], _chain_mask(w)
+        if have & want != want:
+            raise AssertionError(f"f_T nonzero on the chain of {w.images}")
+        if b > inst.b0 and have != want:
+            raise AssertionError(f"f_T not strictly positive off the chain of {w.images}")
+    return {w: pm.rho_w(w, b) for w in rho}
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +173,15 @@ class RegularityClass(Frozen):
         self._store(locals())
 
 
-def strong_regularity(inst: km.KisinInstance) -> Halfspace:
-    """mu_{d-1} - mu_d <= b (mu_1 - mu_2) - d (b^2 - 1) as an integer row
-    (d >= 2)."""
+def strong_regularity(inst: km.KisinInstance) -> tuple[IVec, int]:
+    """mu_{d-1} - mu_d <= b (mu_1 - mu_2) - d (b^2 - 1) as the primitive
+    integer row (a, c) of <a, mu> >= c (d >= 2)."""
     d, b = inst.d, inst.b
     a = [b, -b] + [0] * (d - 2)
     a[d - 2] -= 1
     a[d - 1] += 1
-    return Halfspace(a, d * (b * b - 1))
+    *a, c = primitive_ints((*a, d * (b * b - 1)))
+    return tuple(a), c
 
 
 def _b_regular(imu: IVec, inst: km.KisinInstance) -> bool:
@@ -155,8 +201,8 @@ def regularity(mu, inst: km.KisinInstance) -> RegularityClass:
     breg = _b_regular(imu, inst)
     integrally = breg and scale == 1 and sum(imu) % (b - 1) == 0
     if integrally and d >= 2:
-        h = strong_regularity(inst)
-        strongly = _idot(h.normal, imu) >= h.offset
+        a, c = strong_regularity(inst)
+        strongly = _idot(a, imu) >= c
     else:
         strongly = integrally
     return RegularityClass(mu, breg, integrally, strongly)
@@ -213,8 +259,7 @@ def _dominated_sup(mu: IVec, inst: km.KisinInstance, strong: bool):
     d = inst.d
     rows = [(a, 0) for a in km.regular_dual_generators(inst)]
     if strong and d >= 2:
-        h = strong_regularity(inst)
-        rows.append((h.normal, h.offset))
+        rows.append(strong_regularity(inst))
     seed = [tuple(int(i == j) for i in range(d)) for j in range(d)]
     rays, _ = double_description(seed, [(*(a[t + 1] - a[t] for t in range(d - 1)),
                                          _idot(a, mu) - c) for a, c in rows])

@@ -201,8 +201,8 @@ def cmd_verify(args) -> int:
 
     def suite_extremal():
         for d in (2, 3):
-            inst = km.KisinInstance(d, max(2, 1 + (d - 1) ** 2 // 4))
-            bd.extremal_points_a_qmax(inst)
+            # at the threshold b0, clamped to the least legal b
+            bd.extremal_points_a_qmax(km.KisinInstance(d, max(2, km.KisinInstance(d, 2).b0)))
         return True, None
 
     def suite_hasse():

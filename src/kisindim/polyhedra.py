@@ -1,37 +1,28 @@
-"""Exact-rational linear algebra and polyhedral geometry.
+"""Exact integer linear algebra and the package's one polyhedral routine.
 
-There is no floating point anywhere in this module.  Elimination (`_echelon`,
-`nullspace`, the row spaces and the initial simplex of the double
-description) and the double description itself run on primitive integer
-vectors (rows and rays scaled by positive rationals, which changes no
-cone), through one fraction-free row step, `_eliminate`.  They are the
-package's one polyhedral engine: it solves no LP (the exact simplex is a
-test oracle, in tests/oracles.py).  `double_description` is the one
-incremental loop: it starts from any simplicial seed (`_initial_simplicial`
-here, the rays of a simplicial cone known in closed form elsewhere) and
-returns each ray's zero set with it, so a caller reads the rows tight at
-each ray off its bits with no dot product.  Its adjacency test is an AND of
-per-row incidence bitsets over the current rays.  A halfspace is stored as
-its primitive integer row.  A rational row is scaled to integers once,
-where it enters (`Halfspace`, `cone_generators` and `_echelon`), by
+There is no floating point anywhere in this module.  `double_description`
+is the incremental double description (Motzkin et al., 1953; Fukuda &
+Prodon, 1996) on primitive integer vectors: rows and rays scaled by
+positive rationals, which changes no cone.  It starts from a simplicial
+seed that its caller knows in closed form, and it returns each ray's zero
+set with it, so the caller reads the rows tight at each ray off its bits
+with no dot product.  Its adjacency test is an AND of per-row incidence
+bitsets over the current rays.  It has three callers, each with its own
+closed-form seed: `bounds.k_polytopes` (the simplicial cone of Reg* at the
+apex 2 rho/(b+1)), `bounds._dominated_sup` (the orthant) and
+`bounds.extremal_points_a_qmax` (the vertex rho_{w0} of the Q_max A-set
+and its d-1 edges).  It solves no LP.
+
+A rational vector is scaled to integers once, where it enters, by
 `scaled_ints`; below that, `primitive_ints` divides integer vectors by
-their gcd.  `fractions.Fraction` appears only at the API
-edge: `dot` and the coordinates of points and vertices.  Rays and lines are
-returned as primitive integer tuples.
-Polyhedra come in two representations:
+their gcd.  `fractions.Fraction` appears only at the API edge: `dot` and
+the coordinates of points and vertices.
 
-- `HPolyhedron`: a finite list of halfspaces ``<a, x> >= c`` and equations
-  ``<a, x> = c``;
-- `VPolyhedron`: vertices, recession-cone rays and (rarely) lines.
-
-`enumerate_vertices` converts the first to the second (and
-`cone_generators` a cone to its generators) by the double description
-method on a homogenizing cone, with the lineality space split off first so that
-the incremental step only ever runs on pointed cones.  Output is always
-minimal and sorted lexicographically, which makes results deterministic
-and directly comparable as exact sets.  Membership in a polyhedron, the
-max-flow solver and the dual-membership oracles for graph cones are test
-oracles, in tests/oracles.py.
+The general H -> V engine (elimination, `nullspace`, an initial simplicial
+cone picked from the rows, `cone_generators`, `enumerate_vertices`) and the
+`Halfspace`, `HPolyhedron` and `VPolyhedron` records are the tests'
+reference, in tests/oracles.py, as are the exact simplex, membership in a
+polyhedron and the graph-cone oracles.
 """
 
 from __future__ import annotations
@@ -79,68 +70,6 @@ def primitive_ints(v) -> IVec:
 
 def _idot(u, v) -> int:
     return sum(map(mul, u, v))
-
-
-def _eliminate(row: list[int], t: list[int], c: int) -> list[int]:
-    """Clear column c of row with a multiple of t (t[c] != 0), keeping the
-    sign of row, and divide out the gcd."""
-    if not row[c]:
-        return row
-    p, f = (t[c], row[c]) if t[c] > 0 else (-t[c], -row[c])
-    out = [p * x - f * y for x, y in zip(row, t)]
-    g = gcd(*out)
-    return [x // g for x in out] if g > 1 else out
-
-
-def _canonical_line(v) -> IVec:
-    """Primitive direction of an integer line, first nonzero entry positive."""
-    w = primitive_ints(v)
-    return w if next((a for a in w if a), 0) >= 0 else tuple(-a for a in w)
-
-
-def _echelon(rows, n: int) -> tuple[list[list[int]], list[int], list[int]]:
-    """Fraction-free Gauss-Jordan elimination over the first n columns.
-
-    Returns (reduced rows, pivot columns, indices of the independent input
-    rows, each independent of the rows before it).  Reduced row k is the
-    primitive positive multiple of row k of the reduced row echelon form:
-    its pivot is positive and every other reduced row is zero there.
-    Entries past column n are carried along, as in [B | I].
-    """
-    tab: list[list[int]] = []
-    pivots: list[int] = []
-    chosen: list[int] = []
-    for i, r in enumerate(rows):
-        if len(pivots) == n:
-            break
-        row = list(primitive_ints(scaled_ints(r)[0]))
-        for c, t in zip(pivots, tab):
-            row = _eliminate(row, t, c)
-        c = next((c for c in range(n) if row[c]), None)
-        if c is None:
-            continue
-        if row[c] < 0:
-            row = [-x for x in row]
-        tab = [_eliminate(t, row, c) for t in tab] + [row]
-        pivots.append(c)
-        chosen.append(i)
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return [tab[k] for k in order], [pivots[k] for k in order], chosen
-
-
-def nullspace(rows, n: int) -> list[IVec]:
-    """Basis of {x : <r, x> = 0 for all rows r}, one primitive integer
-    vector per free column f, with x_f > 0."""
-    tab, pivots, _ = _echelon(rows, n)
-    scale = lcm(*(t[c] for c, t in zip(pivots, tab)))
-    basis = []
-    for f in (c for c in range(n) if c not in pivots):
-        x = [0] * n
-        x[f] = scale
-        for c, t in zip(pivots, tab):
-            x[c] = -t[f] * (scale // t[c])
-        basis.append(primitive_ints(x))
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -201,70 +130,8 @@ class Frozen:
 
 
 # ---------------------------------------------------------------------------
-# polyhedron types
-# ---------------------------------------------------------------------------
-
-class Halfspace(Frozen):
-    """``<normal, x> >= offset`` (or ``=`` when is_eq).
-
-    The rational input is stored as the primitive integer row of
-    (normal, offset), a positive multiple of it that cuts out the same set,
-    so every positive multiple of a row gives an equal halfspace."""
-
-    def __init__(self, normal: Vec, offset: Fraction = 0, is_eq: bool = False):
-        row = primitive_ints(scaled_ints((*normal, offset))[0])
-        if not is_eq and not any(row[:-1]):
-            raise ValueError("inequality with zero normal")
-        object.__setattr__(self, "normal", row[:-1])
-        object.__setattr__(self, "offset", row[-1])
-        object.__setattr__(self, "is_eq", is_eq)
-
-
-class HPolyhedron(Frozen):
-    def __init__(self, dim: int, halfspaces: tuple[Halfspace, ...]):
-        self._store(locals())
-
-    @staticmethod
-    def build(dim, ineqs=(), eqs=()):
-        """ineqs/eqs are (normal, offset) pairs."""
-        return HPolyhedron(dim, tuple([Halfspace(a, c) for a, c in ineqs]
-                                      + [Halfspace(a, c, True) for a, c in eqs]))
-
-    @property
-    def ineqs(self):
-        return [h for h in self.halfspaces if not h.is_eq]
-
-    @property
-    def eqs(self):
-        return [h for h in self.halfspaces if h.is_eq]
-
-
-class VPolyhedron(Frozen):
-    """conv(vertices) + cone(rays) + span(lines); minimal and sorted."""
-
-    def __init__(self, dim: int, vertices: tuple[Vec, ...], rays: tuple[Vec, ...],
-                 lines: tuple[Vec, ...] = ()):
-        self._store(locals())
-
-
-# ---------------------------------------------------------------------------
 # double description
 # ---------------------------------------------------------------------------
-
-def _initial_simplicial(rows: list[IVec], n: int) -> tuple[list[int], list[IVec]]:
-    """Pick n independent rows B and return their indices and the primitive
-    integer rays of the cone they cut out, the columns of B^-1, read off the
-    reduced [B | I]."""
-    chosen = _echelon(rows, n)[2]
-    if len(chosen) < n:
-        raise ValueError("constraint matrix not full rank (cone not pointed)")
-    tab, _, _ = _echelon([tuple(rows[i]) + tuple(int(j == k) for j in range(n))
-                          for k, i in enumerate(chosen)], n)
-    # reduced row c is t[c] > 0 times row c of [I | B^-1]
-    scale = lcm(*(t[c] for c, t in enumerate(tab)))
-    return chosen, [primitive_ints([t[n + j] * (scale // t[c]) for c, t in enumerate(tab)])
-                    for j in range(n)]
-
 
 def double_description(seed: list[IVec], rows) -> tuple[list[IVec], list[int]]:
     """Extreme rays of a pointed cone, each with its zero set, from a
@@ -333,73 +200,3 @@ def double_description(seed: list[IVec], rows) -> tuple[list[IVec], list[int]]:
         rays, zsets = new_rays, new_z
         bit <<= 1
     return rays, zsets
-
-
-def _extreme_rays_pointed(rows: list[IVec], n: int) -> list[IVec]:
-    """Extreme rays of the pointed full-dimensional cone {x : <r,x> >= 0}:
-    the double description seeded with the simplicial cone of the first n
-    independent rows."""
-    if n == 0:
-        return []
-    chosen, seed = _initial_simplicial(rows, n)
-    skip = set(chosen)
-    return double_description(seed, [a for i, a in enumerate(rows) if i not in skip])[0]
-
-
-def cone_generators(ineqs: list[Vec], eqs: list[Vec], n: int) -> tuple[list[IVec], list[IVec]]:
-    """Minimal (lines, rays) generating {x : <a,x> >= 0, <e,x> = 0}, as
-    sorted primitive integer tuples (lines with their first nonzero entry
-    positive).
-
-    The rows are scaled to primitive integer vectors once; the elimination,
-    the double description and the maps back all run on integers.  Positive
-    rescaling of the parametrisations N and W below leaves the normalised
-    output unchanged.
-    """
-    A = [primitive_ints(scaled_ints(a)[0]) for a in ineqs]
-    N = None
-    if eqs:
-        # restrict to the equation subspace: x = N u
-        N = nullspace(eqs, n)
-        if not N:
-            return [], []
-        A = [tuple(_idot(a, c) for c in N) for a in A]
-    k = n if N is None else len(N)
-    A = [r for r in A if any(r)]
-    W = _echelon(A, k)[0]
-    if len(W) < k:
-        # quotient out the lineality: u = W^T t with W a basis of rowspace(A)
-        lines = nullspace(A, k)
-        rays2 = _extreme_rays_pointed([tuple(_idot(a, w) for w in W) for a in A], len(W))
-        rays = [primitive_ints([_idot(t, col) for col in zip(*W)]) for t in rays2]
-    else:
-        lines, rays = [], _extreme_rays_pointed(A, k)
-    if N is not None:
-        cols = list(zip(*N))
-        lines = [[_idot(u, col) for col in cols] for u in lines]
-        rays = [primitive_ints([_idot(u, col) for col in cols]) for u in rays]
-    return sorted(set(map(_canonical_line, lines))), sorted(set(rays))
-
-
-def enumerate_vertices(P: HPolyhedron) -> VPolyhedron:
-    """Exact minimal V-representation; empty lists when P is empty.
-
-    Vertices are `Fraction` tuples; rays and lines are primitive integer
-    tuples."""
-    n = P.dim
-    hom_ineqs = [h.normal + (-h.offset,) for h in P.ineqs]
-    hom_ineqs.append((0,) * n + (1,))  # t >= 0
-    hom_eqs = [h.normal + (-h.offset,) for h in P.eqs]
-    lines, rays = cone_generators(hom_ineqs, hom_eqs, n + 1)
-    if any(l[n] for l in lines):
-        raise AssertionError("a line of the homogenized cone leaves t = 0")
-    # vertices sort as the integer vectors L * r[:n] / r[n], L the lcm of
-    # the r[n]; a generator with r[n] = 0 is primitive, canonical and still
-    # in sorted order without it
-    hom = [r for r in rays if r[n]]
-    if not hom:
-        return VPolyhedron(n, (), (), ())
-    L = lcm(*(r[n] for r in hom))
-    hom.sort(key=lambda r: [a * (L // r[n]) for a in r[:n]])
-    return VPolyhedron(n, tuple(tuple(Fraction(a, r[n]) for a in r[:n]) for r in hom),
-                       tuple(r[:n] for r in rays if not r[n]), tuple(l[:n] for l in lines))

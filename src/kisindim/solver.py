@@ -215,7 +215,8 @@ def _prove(d: int, b: int) -> bool:
         end -= d - s + 1  # rows[end:] now start at q(s, s)
         level = [sum(col) for col in zip(level, *rows[end:end + d - s + 1])]
         weighted = list(map(add, weighted, level))
-        if any(w != _two_rho(r[s - 2]) - (b + 1) * km._dim_form(r[s - 2:], d - s + 2)
+        two_rho = bd.two_rho(d - s + 2)
+        if any(w != _idot(two_rho, r[s - 2]) - (b + 1) * km._dim_form(r[s - 2:], d - s + 2)
                for w, r in zip(weighted, units)):
             raise AssertionError(f"the top-row bound has no certificate at d={d} b={b}")
     return True

@@ -1,7 +1,10 @@
 """Exact oracles, the cones they are run on, a Fraction counter and the
 package's lru caches, shared by the test modules.
 
-The simplex LP `in_cone`, membership in an H-polyhedron (`contains`,
+The general H -> V engine (`enumerate_vertices` and `cone_generators`, by
+elimination and a double description seeded from the rows themselves) with
+the `Halfspace`, `HPolyhedron` and `VPolyhedron` records, the simplex LP
+`in_cone`, membership in an H-polyhedron (`contains`,
 `contains_ray`), the H-representations of the cone variants (`cone_q`,
 `cone_qmax`, `cone_qmin`, `cone_qw`, `cone_chain`), the A-sets of every
 variant and constraint form (`a_set`), the optimal-value function
@@ -27,9 +30,8 @@ from kisindim.bounds import UnsupportedRegime, reg_star_facets, strong_regularit
 from kisindim.kisin_model import KisinInstance, _int_row, _transform_rows, chain_dual_generators
 from kisindim.perm import (AdmissibleSubset, OrdTableau, Permutation, _cycles, _signature,
                            admissible_from_subset, all_permutations, w_star)
-from kisindim.polyhedra import (Frozen, HPolyhedron, IVec, Vec, VPolyhedron, _echelon,
-                                _eliminate, _idot, cone_generators, dot, enumerate_vertices,
-                                fmt_frac, frac, primitive_ints, scaled_ints, vec)
+from kisindim.polyhedra import (Frozen, IVec, Vec, _idot, dot, double_description, fmt_frac,
+                                frac, primitive_ints, scaled_ints, vec)
 
 
 def primitive_row(v) -> IVec:
@@ -37,6 +39,200 @@ def primitive_row(v) -> IVec:
     numerators divided by their gcd."""
     return primitive_ints(scaled_ints(v)[0])
 
+
+# ---------------------------------------------------------------------------
+# the general H -> V engine: elimination, the double description from an
+# initial simplicial cone of its own rows, and the H- and V-polyhedra
+# ---------------------------------------------------------------------------
+
+def _eliminate(row: list[int], t: list[int], c: int) -> list[int]:
+    """Clear column c of row with a multiple of t (t[c] != 0), keeping the
+    sign of row, and divide out the gcd."""
+    if not row[c]:
+        return row
+    p, f = (t[c], row[c]) if t[c] > 0 else (-t[c], -row[c])
+    out = [p * x - f * y for x, y in zip(row, t)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def _canonical_line(v) -> IVec:
+    """Primitive direction of an integer line, first nonzero entry positive."""
+    w = primitive_ints(v)
+    return w if next((a for a in w if a), 0) >= 0 else tuple(-a for a in w)
+
+
+def _echelon(rows, n: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """Fraction-free Gauss-Jordan elimination over the first n columns.
+
+    Returns (reduced rows, pivot columns, indices of the independent input
+    rows, each independent of the rows before it).  Reduced row k is the
+    primitive positive multiple of row k of the reduced row echelon form:
+    its pivot is positive and every other reduced row is zero there.
+    Entries past column n are carried along, as in [B | I].
+    """
+    tab: list[list[int]] = []
+    pivots: list[int] = []
+    chosen: list[int] = []
+    for i, r in enumerate(rows):
+        if len(pivots) == n:
+            break
+        row = list(primitive_ints(scaled_ints(r)[0]))
+        for c, t in zip(pivots, tab):
+            row = _eliminate(row, t, c)
+        c = next((c for c in range(n) if row[c]), None)
+        if c is None:
+            continue
+        if row[c] < 0:
+            row = [-x for x in row]
+        tab = [_eliminate(t, row, c) for t in tab] + [row]
+        pivots.append(c)
+        chosen.append(i)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [tab[k] for k in order], [pivots[k] for k in order], chosen
+
+
+def nullspace(rows, n: int) -> list[IVec]:
+    """Basis of {x : <r, x> = 0 for all rows r}, one primitive integer
+    vector per free column f, with x_f > 0."""
+    tab, pivots, _ = _echelon(rows, n)
+    scale = lcm(*(t[c] for c, t in zip(pivots, tab)))
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        x = [0] * n
+        x[f] = scale
+        for c, t in zip(pivots, tab):
+            x[c] = -t[f] * (scale // t[c])
+        basis.append(primitive_ints(x))
+    return basis
+
+
+class Halfspace(Frozen):
+    """``<normal, x> >= offset`` (or ``=`` when is_eq).
+
+    The rational input is stored as the primitive integer row of
+    (normal, offset), a positive multiple of it that cuts out the same set,
+    so every positive multiple of a row gives an equal halfspace."""
+
+    def __init__(self, normal: Vec, offset: Fraction = 0, is_eq: bool = False):
+        row = primitive_ints(scaled_ints((*normal, offset))[0])
+        if not is_eq and not any(row[:-1]):
+            raise ValueError("inequality with zero normal")
+        object.__setattr__(self, "normal", row[:-1])
+        object.__setattr__(self, "offset", row[-1])
+        object.__setattr__(self, "is_eq", is_eq)
+
+
+class HPolyhedron(Frozen):
+    def __init__(self, dim: int, halfspaces: tuple[Halfspace, ...]):
+        self._store(locals())
+
+    @staticmethod
+    def build(dim, ineqs=(), eqs=()):
+        """ineqs/eqs are (normal, offset) pairs."""
+        return HPolyhedron(dim, tuple([Halfspace(a, c) for a, c in ineqs]
+                                      + [Halfspace(a, c, True) for a, c in eqs]))
+
+    @property
+    def ineqs(self):
+        return [h for h in self.halfspaces if not h.is_eq]
+
+    @property
+    def eqs(self):
+        return [h for h in self.halfspaces if h.is_eq]
+
+
+class VPolyhedron(Frozen):
+    """conv(vertices) + cone(rays) + span(lines); minimal and sorted."""
+
+    def __init__(self, dim: int, vertices: tuple[Vec, ...], rays: tuple[Vec, ...],
+                 lines: tuple[Vec, ...] = ()):
+        self._store(locals())
+
+
+def _initial_simplicial(rows: list[IVec], n: int) -> tuple[list[int], list[IVec]]:
+    """Pick n independent rows B and return their indices and the primitive
+    integer rays of the cone they cut out, the columns of B^-1, read off the
+    reduced [B | I]."""
+    chosen = _echelon(rows, n)[2]
+    if len(chosen) < n:
+        raise ValueError("constraint matrix not full rank (cone not pointed)")
+    tab, _, _ = _echelon([tuple(rows[i]) + tuple(int(j == k) for j in range(n))
+                          for k, i in enumerate(chosen)], n)
+    # reduced row c is t[c] > 0 times row c of [I | B^-1]
+    scale = lcm(*(t[c] for c, t in enumerate(tab)))
+    return chosen, [primitive_ints([t[n + j] * (scale // t[c]) for c, t in enumerate(tab)])
+                    for j in range(n)]
+
+
+def _extreme_rays_pointed(rows: list[IVec], n: int) -> list[IVec]:
+    """Extreme rays of the pointed full-dimensional cone {x : <r,x> >= 0}:
+    the double description seeded with the simplicial cone of the first n
+    independent rows."""
+    if n == 0:
+        return []
+    chosen, seed = _initial_simplicial(rows, n)
+    skip = set(chosen)
+    return double_description(seed, [a for i, a in enumerate(rows) if i not in skip])[0]
+
+
+def cone_generators(ineqs: list[Vec], eqs: list[Vec], n: int) -> tuple[list[IVec], list[IVec]]:
+    """Minimal (lines, rays) generating {x : <a,x> >= 0, <e,x> = 0}, as
+    sorted primitive integer tuples (lines with their first nonzero entry
+    positive).
+
+    The rows are scaled to primitive integer vectors once; the elimination,
+    the double description and the maps back all run on integers.  Positive
+    rescaling of the parametrisations N and W below leaves the normalised
+    output unchanged.
+    """
+    A = [primitive_ints(scaled_ints(a)[0]) for a in ineqs]
+    N = None
+    if eqs:
+        # restrict to the equation subspace: x = N u
+        N = nullspace(eqs, n)
+        if not N:
+            return [], []
+        A = [tuple(_idot(a, c) for c in N) for a in A]
+    k = n if N is None else len(N)
+    A = [r for r in A if any(r)]
+    W = _echelon(A, k)[0]
+    if len(W) < k:
+        # quotient out the lineality: u = W^T t with W a basis of rowspace(A)
+        lines = nullspace(A, k)
+        rays2 = _extreme_rays_pointed([tuple(_idot(a, w) for w in W) for a in A], len(W))
+        rays = [primitive_ints([_idot(t, col) for col in zip(*W)]) for t in rays2]
+    else:
+        lines, rays = [], _extreme_rays_pointed(A, k)
+    if N is not None:
+        cols = list(zip(*N))
+        lines = [[_idot(u, col) for col in cols] for u in lines]
+        rays = [primitive_ints([_idot(u, col) for col in cols]) for u in rays]
+    return sorted(set(map(_canonical_line, lines))), sorted(set(rays))
+
+
+def enumerate_vertices(P: HPolyhedron) -> VPolyhedron:
+    """Exact minimal V-representation; empty lists when P is empty.
+
+    Vertices are `Fraction` tuples; rays and lines are primitive integer
+    tuples."""
+    n = P.dim
+    hom_ineqs = [h.normal + (-h.offset,) for h in P.ineqs]
+    hom_ineqs.append((0,) * n + (1,))  # t >= 0
+    hom_eqs = [h.normal + (-h.offset,) for h in P.eqs]
+    lines, rays = cone_generators(hom_ineqs, hom_eqs, n + 1)
+    if any(l[n] for l in lines):
+        raise AssertionError("a line of the homogenized cone leaves t = 0")
+    # vertices sort as the integer vectors L * r[:n] / r[n], L the lcm of
+    # the r[n]; a generator with r[n] = 0 is primitive, canonical and still
+    # in sorted order without it
+    hom = [r for r in rays if r[n]]
+    if not hom:
+        return VPolyhedron(n, (), (), ())
+    L = lcm(*(r[n] for r in hom))
+    hom.sort(key=lambda r: [a * (L // r[n]) for a in r[:n]])
+    return VPolyhedron(n, tuple(tuple(Fraction(a, r[n]) for a in r[:n]) for r in hom),
+                       tuple(r[:n] for r in rays if not r[n]), tuple(l[:n] for l in lines))
 
 # ---------------------------------------------------------------------------
 # the dual of a cone, and cone membership by an exact simplex LP
@@ -242,9 +438,9 @@ def _dual_hrep(inst: KisinInstance, variant):
 
 def _form_vectors(inst: KisinInstance, form: str) -> list[IVec]:
     """The integer rows F_i of the constraint map: those of the top
-    mu-cells for g (`bounds._form_vectors`), the first and last of them
-    for the two-sided map f."""
-    top = bd._form_vectors(inst)
+    mu-cells for g, <q, F_i> = mu_{1,i}(q) (the rows `bounds.a_set` maps
+    by), the first and last of them for the two-sided map f."""
+    top = list(_transform_rows(inst.d, inst.b)[0][:inst.d])
     if form == "g":
         return top
     if form == "f":
@@ -255,10 +451,9 @@ def _form_vectors(inst: KisinInstance, form: str) -> list[IVec]:
 def a_set(inst: KisinInstance, variant, form: str = "g") -> HPolyhedron:
     """H-representation of A = {y : sum_i y_i F_i - delta in (variant)*}, one
     row per row of `_dual_hrep` (in order, those with a zero image dropped).
-    On Q_max and the form g it is the package's `bounds.a_set`.  The A-set
-    of the full cone Q is refused below b0."""
-    if (variant, form) == ("Qmax", "g"):
-        return bd.a_set(inst)
+    On Q_max and the form g it cuts out the set of the package's integer
+    rows `bounds.a_set`, built here the general way.  The A-set of the full
+    cone Q is refused below b0."""
     if variant == "Q" and inst.b < inst.b0:
         raise UnsupportedRegime(
             f"A-set for the full cone Q needs b >= b0 = {inst.b0}, got b = {inst.b}")
@@ -558,8 +753,7 @@ def dominance_polytope(mu, inst: km.KisinInstance, strong: bool) -> HPolyhedron:
     for h in Reg.ineqs:
         ineqs.append((h.normal, h.offset))
     if strong and d >= 2:
-        h = strong_regularity(inst)
-        ineqs.append((h.normal, h.offset))
+        ineqs.append(strong_regularity(inst))
     return HPolyhedron.build(d, ineqs, eqs)
 
 

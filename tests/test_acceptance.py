@@ -12,8 +12,7 @@ from kisindim import perm as pm
 from kisindim import solver as sv
 from kisindim.kisin_model import (KisinInstance, QPoint, chain_dual_generators, mu_from_q,
                                   phi_from_q, q_from_mu, read_back_q, validate_phi)
-from kisindim.polyhedra import enumerate_vertices
-from oracles import (a_set, admissible_level, cone_chain, cone_q, contains,
+from oracles import (a_set, admissible_level, cone_chain, cone_q, contains, enumerate_vertices,
                      graph_cone_dual_membership, intersect, minkowski_sum_cone,
                      polyhedra_set_equal)
 
@@ -91,7 +90,7 @@ def test_acceptance_2_vertex_coordinate_table():
 
 def test_acceptance_3_extremal_points():
     for d in (2, 3, 4):
-        b0 = max(2, 1 + (d - 1) ** 2 // 4)  # clamped to the legal minimum
+        b0 = max(2, KisinInstance(d, 2).b0)  # clamped to the legal minimum
         for b in (b0, b0 + 3, 17):
             inst = KisinInstance(d, b)
             pts = bd.extremal_points_a_qmax(inst)  # raises on any mismatch
@@ -114,7 +113,7 @@ def test_acceptance_3_extremal_points():
 def test_acceptance_4_a_set_identities():
     # d = 6 at b_min only: its full cone Q has about 4,000 rays
     for d in (2, 3, 4, 5, 6):
-        b_min = max(2, 1 + (d - 1) ** 2 // 4, d + 1)
+        b_min = max(2, KisinInstance(d, 2).b0, d + 1)
         for b in (b_min,) if d == 6 else (b_min, 17):
             inst = KisinInstance(d, b)
             AQ = a_set(inst, "Q", "g")

@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -13,12 +14,12 @@ from kisindim.bounds import (UnsupportedRegime, extremal_points_a_qmax, k_polyto
                              theorem_bounds, two_rho, witness_le_e, witness_le_mu)
 from kisindim.kisin_model import (KisinInstance, chain_dual_generators, mu_from_q,
                                   regular_dual_generators)
-from kisindim.polyhedra import (Halfspace, HPolyhedron, cone_generators, dot,
-                                enumerate_vertices, fmt_frac, vec)
-from oracles import (DualityData, _dual_hrep, _form_vectors, _q_generators, a_set,
-                     admissible_level, b_value, chain_cone_gens, cone_chain, cone_hull,
-                     cone_qmax, cone_qmin, cone_qw, cone_regular, contains, contains_ray,
-                     cycles, dominance_polytope, dominated_sup, dual_cone, f_T_halfspace,
+from kisindim.polyhedra import dot, double_description, fmt_frac, vec
+from oracles import (DualityData, Halfspace, HPolyhedron, _dual_hrep, _form_vectors,
+                     _q_generators, a_set, admissible_level, b_value, chain_cone_gens,
+                     cone_chain, cone_generators, cone_hull, cone_qmax, cone_qmin, cone_qw,
+                     cone_regular, contains, contains_ray, cycles, dominance_polytope,
+                     dominated_sup, dual_cone, enumerate_vertices, f_T_halfspace,
                      fraction_constructions, identity, in_cone, intersect, is_empty, k_hrep,
                      kept_in_sum, level_set, min_over_permutations_fraction,
                      minkowski_sum_cone, polyhedra_set_equal, vertices_of_sum,
@@ -127,7 +128,12 @@ def test_a_set_qmax_matches_f_T_halfspaces():
             for mask in range(1, 2 ** d - 1):
                 T = {t for t in range(1, d + 1) if mask & (1 << (t - 1))}
                 expected.append(Halfspace(*f_T_halfspace(inst, T)))
-            assert a_set(inst, "Qmax", "g").ineqs == expected, (d, b)
+            A = a_set(inst, "Qmax", "g")
+            assert A.ineqs == expected, (d, b)
+            # the package's integer rows on (Y, T) cut out the same halfspaces
+            rows, eq = bd.a_set(inst)
+            assert [Halfspace(r[:-1], -r[-1]) for r in rows] == expected, (d, b)
+            assert A.eqs == [Halfspace(eq[:-1], -eq[-1], True)], (d, b)
 
 
 def _variant_cone(inst, variant):
@@ -237,6 +243,85 @@ def test_extremal_points_d5():
     for b in (5, 17):
         pts = extremal_points_a_qmax(KisinInstance(5, b))
         assert len(set(pts.values())) == 120
+
+
+def _a_set_grid():
+    """(d, b) for d = 1..5 at b in {max(2, b0), b0 + 1, 17, 101}, and (6, 7)."""
+    for d in range(1, 6):
+        b0 = KisinInstance(d, 2).b0
+        yield from ((d, b) for b in sorted({max(2, b0), b0 + 1, 17, 101}))
+    yield 6, 7
+
+
+def _seeded_tight_sets(inst, monkeypatch):
+    """The rays of the double description that extremal_points_a_qmax runs,
+    as points, each with the indices of the rows of `bounds.a_set` tight
+    there, read off its zero set: bit k < d-1 is the chain row f_{1..k+1},
+    bit d-1 is T >= 0 (no row) and bit d + i is the i-th of the other rows,
+    in order."""
+    out = []
+
+    def recorded(seed, rows):
+        rays, zsets = double_description(seed, rows)
+        out.extend(zip(rays, zsets))
+        return rays, zsets
+
+    monkeypatch.setattr(bd, "double_description", recorded)
+    bd.extremal_points_a_qmax(inst)
+    d = inst.d
+    chain = [2 ** s - 2 for s in range(1, d)]
+    order = chain + [None] + [i for i in range(2 ** d - 2) if i not in chain]
+    return {tuple(F(a, r[d]) for a in r[:d]):
+            {order[k] for k in range(len(order)) if z >> k & 1} for r, z in out}
+
+
+@pytest.mark.parametrize("d, b", list(_a_set_grid()))
+def test_seeded_a_set_vertices_match_the_general_route(d, b, monkeypatch):
+    # the double description seeded at rho_w0 against enumerate_vertices on
+    # the oracle's H-representation: the same vertices, no ray with T = 0,
+    # and at each vertex the same tight rows, the oracle's by Fraction dots
+    inst = KisinInstance(d, b)
+    seeded = _seeded_tight_sets(inst, monkeypatch)
+    A = a_set(inst, "Qmax", "g")
+    V = enumerate_vertices(A)
+    assert V.rays == () and V.lines == ()
+    assert seeded == {v: {i for i, h in enumerate(A.ineqs) if dot(h.normal, v) == h.offset}
+                      for v in V.vertices}
+
+
+def _source_mutant(fn, old, new):
+    """fn recompiled in its own module's namespace with the one occurrence
+    of old in its source replaced by new."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1, old
+    namespace = dict(fn.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+def test_extremal_points_refuse_a_negated_seed_ray():
+    # each seed ray negated in turn: the integer seed check refuses it
+    # before the double description runs
+    for d, b in [(1, 2), (2, 3), (3, 5), (4, 3), (4, 17), (5, 101)]:
+        for j in range(d):
+            mutant = _source_mutant(
+                bd.extremal_points_a_qmax, "    seed.append(primitive_ints((*apex, D)))\n",
+                "    seed.append(primitive_ints((*apex, D)))\n"
+                f"    seed[{j}] = tuple(-x for x in seed[{j}])\n")
+            with pytest.raises(AssertionError, match="seed at rho_w0 is not simplicial"):
+                mutant(KisinInstance(d, b))
+
+
+def test_extremal_points_refuse_zero_sets_read_in_insertion_order():
+    # the zero-set bits read as if the rows had been inserted in their own
+    # order, ignoring that the seed rows come first: the chain checks fail
+    mutant = _source_mutant(bd.extremal_points_a_qmax, "order = chain + [None] + rest",
+                            "order = list(range(len(rows) + 1))")
+    for d, b in [(2, 3), (3, 3), (3, 17), (4, 3), (4, 17), (5, 6)]:
+        with pytest.raises(AssertionError, match="on the chain of|off the chain of"):
+            mutant(KisinInstance(d, b))
+    for d, b in [(2, 3), (4, 3), (5, 6)]:
+        bd.extremal_points_a_qmax(KisinInstance(d, b))
 
 
 def test_prefix_sum_bounds_at_vertices():

@@ -10,9 +10,9 @@ from kisindim.kisin_model import (KisinInstance, MuTriangle, QPoint, chain_dual_
                                   d2_lattice_invariants, delta_vec, dim_phi, in_cone_q,
                                   mu_from_q, phi_from_q, q_from_mu, read_back_q,
                                   regular_dual_generators, validate_phi)
-from kisindim.polyhedra import HPolyhedron, dot
-from oracles import (S_T, apply_terms, cone_chain, cone_q, cone_qmax, cone_qmin, cone_qw,
-                     cone_regular, contains, dim_phi_fraction, mu_cell_vector,
+from kisindim.polyhedra import dot
+from oracles import (HPolyhedron, S_T, apply_terms, cone_chain, cone_q, cone_qmax, cone_qmin,
+                     cone_qw, cone_regular, contains, dim_phi_fraction, mu_cell_vector,
                      polyhedra_set_equal)
 
 

@@ -7,16 +7,17 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from kisindim import bounds as bd, polyhedra
 from kisindim.kisin_model import KisinInstance, chain_dual_generators
-from kisindim.polyhedra import (Halfspace, HPolyhedron, VPolyhedron, cone_generators,
-                                dot, enumerate_vertices, nullspace, primitive_ints, vec)
-from oracles import (DualityData, _q_generators, _sign_certificate, a_set,
-                     admissible_vertex_subsets, b_value, chain_cone_gens, cone_hull, contains,
-                     contains_ray, double_description_by_scan, dual_cone,
+from kisindim.polyhedra import dot, primitive_ints, vec
+from oracles import (DualityData, Halfspace, HPolyhedron, VPolyhedron, _q_generators,
+                     _sign_certificate, a_set, admissible_vertex_subsets, b_value,
+                     chain_cone_gens, cone_generators, cone_hull, contains, contains_ray,
+                     double_description_by_scan, dual_cone, enumerate_vertices,
                      graph_cone_dual_membership, in_cone, is_empty, k_hrep, maxflow,
-                     minkowski_sum_cone, polyhedra_set_equal, primitive_row, rank, v_to_h,
-                     vertices_of_sum)
+                     minkowski_sum_cone, nullspace, polyhedra_set_equal, primitive_row, rank,
+                     v_to_h, vertices_of_sum)
 
 
 def square():
@@ -263,7 +264,8 @@ def test_double_description_runs_on_integers(monkeypatch):
         raise AssertionError("Fraction created inside the double description")
 
     monkeypatch.setattr(polyhedra, "Fraction", no_fractions)
-    rays = polyhedra._extreme_rays_pointed(rows, 3)
+    monkeypatch.setattr(oracles, "Fraction", no_fractions)
+    rays = oracles._extreme_rays_pointed(rows, 3)
     assert all(type(x) is int for r in rays for x in r)
     assert sorted(rays) == [tuple(map(int, r)) for r in expected]
 
@@ -278,7 +280,7 @@ def _random_seeded_rows(nmax: int):
         rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n + rng.randint(0, 6))]
         if rank(rows, n) < n:
             continue
-        chosen, seed = polyhedra._initial_simplicial(rows, n)
+        chosen, seed = oracles._initial_simplicial(rows, n)
         yield rows, chosen, seed, [a for i, a in enumerate(rows) if i not in chosen]
 
 
@@ -299,7 +301,7 @@ def test_double_description_matches_the_scan_oracle(monkeypatch):
     # the adjacency test on incidence bitsets against the scan over every
     # zero set: the same rays and zero sets, in the same order, on random
     # rows and on each double description that the K(b) tables, the
-    # dominance sups and the full cone Q run
+    # dominance sups, the Q_max A-set and the full cone Q run
     checked_rays = 0
     for _, _, seed, rest in _random_seeded_rows(6):
         rays, zsets = polyhedra.double_description(seed, rest)
@@ -315,7 +317,7 @@ def test_double_description_matches_the_scan_oracle(monkeypatch):
         calls[caller] += 1
         return out
 
-    monkeypatch.setattr(polyhedra, "double_description", checked)
+    monkeypatch.setattr(oracles, "double_description", checked)
     monkeypatch.setattr(bd, "double_description", checked)
     caller = "k_polytopes"
     for d in range(2, 10):
@@ -330,10 +332,15 @@ def test_double_description_matches_the_scan_oracle(monkeypatch):
                 mu = tuple(sorted((rng.randint(-4 * b, 4 * b) for _ in range(d)), reverse=True))
                 for strong in (False, True):
                     bd._dominated_sup(mu, inst, strong)
+    caller = "extremal_points_a_qmax"
+    for d in range(1, 6):
+        for b in (max(2, KisinInstance(d, 2).b0), 17):
+            bd.extremal_points_a_qmax(KisinInstance(d, b))
     caller = "_q_generators"
     for b in (2, 3):
         assert len(_q_generators.__wrapped__(5, b)[1]) > 100
-    assert calls == {"k_polytopes": 16, "_dominated_sup": 320, "_q_generators": 2}
+    assert calls == {"k_polytopes": 16, "_dominated_sup": 320, "extremal_points_a_qmax": 10,
+                     "_q_generators": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +415,7 @@ def test_rank_matches_rref_oracle():
 
 def test_echelon_rows_are_positive_multiples_of_rref_rows():
     for rows, n in _kernel_matrices():
-        tab, pivots, chosen = polyhedra._echelon(rows, n)
+        tab, pivots, chosen = oracles._echelon(rows, n)
         red, oracle_pivots = _rref(rows, n)
         assert pivots == oracle_pivots
         for t, r, c in zip(tab, red, pivots):
@@ -447,10 +454,10 @@ def test_initial_simplicial_rays_are_tight_on_all_chosen_rows_but_one():
         if n == 0 or rank(rows, n) < n:
             if n:
                 with pytest.raises(ValueError):
-                    polyhedra._initial_simplicial(rows, n)
+                    oracles._initial_simplicial(rows, n)
             continue
-        chosen, rays = polyhedra._initial_simplicial(rows, n)
-        assert chosen == polyhedra._echelon(rows, n)[2]
+        chosen, rays = oracles._initial_simplicial(rows, n)
+        assert chosen == oracles._echelon(rows, n)[2]
         for j, ray in enumerate(rays):
             assert all(type(x) is int for x in ray) and gcd(*ray) == 1
             for k, i in enumerate(chosen):

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import kisindim
-from kisindim import bounds as bd, kisin_model as km, polyhedra
+from kisindim import bounds as bd, kisin_model as km
 from kisindim.cli import main
 from kisindim.kisin_model import KisinInstance
 from kisindim.polyhedra import Frozen, vec
@@ -172,16 +172,21 @@ FLAGGED_MU = {"12,5,0": (True, True), "7,4,1": (True, False), "10,9,0": (False, 
 @pytest.mark.parametrize("mu", sorted(FLAGGED_MU))
 def test_bounds_requests_take_no_vertex_route(capsys, monkeypatch, mu):
     # the three targets of `bounds`, on strongly regular, regular and
-    # non-regular mu, never enumerate the vertices or generators of a
-    # polyhedron
+    # non-regular mu, never take the package's vertex routes: the vertices
+    # of the Q_max A-set or the K(b) tables
     flags = bd.regularity(vec(map(int, mu.split(","))), KisinInstance(3, 2))
     assert (flags.b_regular, flags.strongly_integrally_b_regular) == FLAGGED_MU[mu]
-    for module, name in ((bd, "enumerate_vertices"), (polyhedra, "enumerate_vertices"),
-                         (polyhedra, "cone_generators")):
-        monkeypatch.setattr(module, name, _refuse(name))
+    for name in ("extremal_points_a_qmax", "k_polytopes"):
+        monkeypatch.setattr(bd, name, _refuse(name))
     for target in (["--e", "9"], ["--mu", mu], ["--mu", mu, "--le-mu"]):
         assert main(["bounds", "--d", "3", "--b", "2", *target]) == 0, target
         assert json.loads(capsys.readouterr().out)["target"]
+    # control: the commands that take those routes are refused
+    with pytest.raises(AssertionError, match="k_polytopes called"):
+        main(["tables", "--d", "3", "--b", "2"])
+    assert main(["verify"]) == 1
+    assert "FAIL  extremal points of the Q_max A-set  [AssertionError(" \
+        "'extremal_points_a_qmax called')]" in capsys.readouterr().out
 
 
 # one strongly regular type per (d, b), so bounds --le-mu builds its witness

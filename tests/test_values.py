@@ -1,7 +1,9 @@
-"""Value semantics of the package's record types: construction by position
-and by keyword with the documented defaults, equality and hash over the
-fields, a repr that lists them, immutability, and the validation errors.
-Every record type of the package is a `Frozen`."""
+"""Value semantics of the package's record types and of the polyhedron
+records of tests/oracles.py (`Halfspace`, `HPolyhedron`, `VPolyhedron`):
+construction by position and by keyword with the documented defaults,
+equality and hash over the fields, a repr that lists them, immutability,
+and the validation errors.  Every record type of the package is a
+`Frozen`, and so are the oracles' records."""
 
 from fractions import Fraction as F
 
@@ -10,9 +12,8 @@ import pytest
 from kisindim.bounds import KTables, RegularityClass
 from kisindim.kisin_model import D2LatticeData, KisinInstance, MuTriangle, PhiFunctions, QPoint
 from kisindim.perm import AdmissibleSubset, OrdTableau, Permutation
-from kisindim.polyhedra import Halfspace, HPolyhedron, VPolyhedron
 from kisindim.solver import DimQuery, DimResult
-from oracles import DualityData
+from oracles import DualityData, Halfspace, HPolyhedron, VPolyhedron
 
 REQUIRED = object()
 I23, I25, I35 = KisinInstance(2, 3), KisinInstance(2, 5), KisinInstance(3, 5)
