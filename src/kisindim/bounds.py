@@ -160,7 +160,7 @@ def extremal_points_a_qmax(inst: km.KisinInstance) -> dict[pm.Permutation, Vec]:
             raise AssertionError(f"f_T nonzero on the chain of {w.images}")
         if b > inst.b0 and have != want:
             raise AssertionError(f"f_T not strictly positive off the chain of {w.images}")
-    return {w: pm.rho_w(w, b) for w in rho}
+    return {w: tuple(Fraction(x, D) for x in r) for w, r in rho.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ h = 0).
 A triangle's cells are Fractions, but the work on them is integer: the
 transforms and the dimension functional apply integer matrices, kept per
 (d, b), to the cells' numerators over their common denominator, and
-membership in Q is an integer dot with the proved mu-rows.  A Fraction is
-built only for each output cell of a transform and for the value of
-dim(phi).
+membership in Q takes the games' values at those numerators and at their
+integer image b(b-1) q.  A Fraction is built only for each output cell of
+a transform and for the value of dim(phi).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import perm as pm
-from .polyhedra import Frozen, IVec, Vec, _idot, fmt_frac, frac, primitive_ints, scaled_ints
+from .polyhedra import Frozen, IVec, Vec, _idot, fmt_frac, frac, scaled_ints
 
 
 class KisinInstance(Frozen):
@@ -206,86 +206,32 @@ def delta_vec(inst: KisinInstance) -> IVec:
 # cones
 # ---------------------------------------------------------------------------
 
-def _game_rows(inst):
-    """The integer rows of the games over 1 <= i <= j < d, interleaved: I is
+def _game_pairs(inst):
+    """The games as (key, x, y), the value x - y of the coordinates named
+    by key at the cell indices x, y, over 1 <= i <= j < d, interleaved: I is
     q_{i,j} - q_{i,j+1}, II is q_{i+1,j+1} - q_{i,j}, III is
     mu_{i,j} - mu_{i+1,j+1}.  The cone Q in E is where all are >= 0."""
-    d = inst.d
+    d, start = inst.d, 0
     for i in range(1, d + 1):
-        for j in range(i, d):
-            yield _int_row(inst, ((1, (i, j)), (-1, (i, j + 1))))
-            yield _int_row(inst, ((1, (i + 1, j + 1)), (-1, (i, j))))
-            below = ((-c, x) for c, x in _mu_cell_terms(inst, i + 1, j + 1))
-            yield _int_row(inst, (*_mu_cell_terms(inst, i, j), *below))
-
-
-def _row_slacks(P, Q, R, b):
-    """The level-(r-1) scaled-q rows with rows r-2, r-1, r equal to P, Q, R,
-    in O(d): entry k is b(b-1)(q_{r-1,r-1+k} - q_{r-2,r-2+k}), where
-    b(b-1) q_{i,j} = b mu_{i,i} + sum_{i<s<=j} b (mu_{i,s} - mu_{i+1,s})
-    + sum_{s>j} (mu_{i,s} - mu_{i+1,s}).  From one row to the next, each of
-    the two q-forms weighs one more column by b instead of 1, hence the
-    steps of (b-1) times a column."""
-    rem = [(b - 1) * (Q[0] - P[0]) + 2 * sum(Q) - sum(P) - sum(R)]
-    for k, x in enumerate(R):
-        rem.append(rem[k] + (b - 1) * (Q[k + 1] - P[k + 1] + Q[k] - x))
-    return rem
-
-
-def _unit_triangles(d):
-    """One unit triangle per mu-cell, in row form and row-major order."""
-    return [[[int((r, s) == (i, j)) for s in range(r, d + 1)] for r in range(1, d + 1)]
-            for i in range(1, d + 1) for j in range(i, d + 1)]
-
-
-@lru_cache(maxsize=1024)
-def _mu_system_rows(d: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of the cone Q on the mu-cells, proved before they are
-    returned, or AssertionError: the search's real relaxation as primitive
-    integer forms of the mu-cells, for 2 <= i <= j <= d the order rows
-    mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1} and the scaled-q row, entry j-i
-    of _row_slacks on rows i-1, i, i+1 (row d+1 is empty), each read off
-    the search's own code on unit triangles, with one _row_slacks call per
-    level i and unit triangle.
-
-    The proof: each game row of Q, applied to the integer forms
-    b(b-1) q_{i,j} of the mu-cells (the q_from_mu matrix), is a form of
-    the mu-cells; the two systems must be the same set of primitive
-    integer rows, and equal row sets cut out the same cone on every
-    triangle (single source of truth for the search and `in_cone_q`)."""
-    units = [rows + [[]] for rows in _unit_triangles(d)]
-    out = []
-    for i in range(2, d + 1):
-        slacks = [_row_slacks(r[i - 2], r[i - 1], r[i], b) for r in units]
-        for j in range(i, d + 1):
-            out += [primitive_ints([r[i - 1][j - i] - r[i - 2][j - i + 1] for r in units]),
-                    primitive_ints([r[i - 2][j - i] - r[i - 1][j - i] for r in units]),
-                    primitive_ints([s[j - i] for s in slacks])]
-    # form k is the mu-form of b(b-1) q of cell k, kept as its nonzero
-    # entries, so a game row pulls back to the sum of c times form k over
-    # its nonzero coefficients c at cell k
-    forms = [[(k, y) for k, y in enumerate(form) if y] for form in _transform_rows(d, b)[1]]
-    pulled = set()
-    for game in _game_rows(KisinInstance(d, b)):
-        row = [0] * len(forms)
-        for c, form in zip(game, forms):
-            if c:
-                for k, y in form:
-                    row[k] += c * y
-        pulled.add(primitive_ints(row))
-    mine = set(out)
-    if pulled != mine:
-        raise AssertionError(f"mu-system and q-system disagree at d={d} b={b} "
-                             f"on the rows {sorted(pulled ^ mine)}")
-    return tuple(out)
+        # x is the index of cell (i, j); row i has d-i+1 cells, so cell
+        # (i+1, j+1) is that many further on
+        down = d - i + 1
+        for x in range(start, start + d - i):
+            yield QPoint.KEY, x, x + 1
+            yield QPoint.KEY, x + down, x
+            yield MuTriangle.KEY, x, x + down
+        start += down
 
 
 def in_cone_q(m: MuTriangle) -> bool:
-    """Whether m, any rational triangle, lies in Q: its values scaled to
-    integers on the rows of the mu-system, which are proved to be Q where
-    they are built."""
-    x = scaled_ints(m.values)[0]
-    return all(_idot(row, x) >= 0 for row in _mu_system_rows(m.instance.d, m.instance.b))
+    """Whether m, any rational triangle, lies in Q: the games at its
+    numerators over their common denominator and at the integers b(b-1) q
+    that the q_from_mu matrix maps them to."""
+    inst = m.instance
+    mu = scaled_ints(m.values)[0]
+    coords = {MuTriangle.KEY: mu,
+              QPoint.KEY: [_idot(row, mu) for row in _transform_rows(inst.d, inst.b)[1]]}
+    return all(coords[key][x] >= coords[key][y] for key, x, y in _game_pairs(inst))
 
 
 def chain_dual_generators(d: int) -> list[IVec]:

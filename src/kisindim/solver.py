@@ -29,16 +29,16 @@ fits: with the later cells at their caps that slack is rem_0 below, which
 rises by b+1 per unit of the first cell and 1 per unit of a later one (at
 most b+1 per unit when row r+1 is row d, through the level-d raise).
 
-Each row is set up in O(d) by the closed forms of `km._row_slacks`.  With
+Each row is set up in O(d) by the closed forms of `_row_slacks`.  With
 P, Q the rows r-2, r-1 and R the lower bounds of row r, the slacks are
 rem_0 = (b-1)(Q_0 - P_0) + 2 sum Q - sum P - sum R and
 rem_{k+1} = rem_k + (b-1)(Q_{k+1} - P_{k+1} + Q_k - R_k); the level-d row
 is the same form with no row below it, (b+1) mu_{d,d} >= b Q_0 + Q_1.
-`kisin_model` reads the rows of Q on the mu-cells off these same forms
-and proves them where it builds them, once per (d, b)
-(`_mu_system_rows`); so the rows the search sets up are the rows that
-are proved, and the rows that decide every witness's membership in Q
-(`in_cone_q`).
+`_prove` reads the rows the search sets up off these same forms
+(`_search_rows`), proves them to be the games of Q pulled back to the
+mu-cells once per (d, b), and keeps only the verdict.  The witness checks
+decide membership in Q from the games themselves (`km.in_cone_q`), so
+they test the search against Q's definition, not against its own rows.
 
 One lower bound on the unfilled cells, rows r..d, prunes branches that
 cannot beat the incumbent.  With Q = row r-1, rows r-1..d are a suffix of
@@ -60,11 +60,11 @@ floor: a branch is cut when its bound is strictly below it, so a top that
 can tie still finds its own first optimum.
 
 The bounds are proved, not assumed: `_prove` runs once per (d, b) at the
-entry of the search, on the d-system's rows, which `_mu_system_rows`
-returns only once it has proved them to be Q, and raises AssertionError
-unless for every suffix of rows s-1..d, s = 2..d, (b+1)(bound - dim) of
-the suffix is the sum of its scaled-q rows q(i, j), i >= s, weighted by
-i-s+1, a closed-form Farkas certificate checked by integer sums.
+entry of the search and, once the rows are proved to be Q, raises
+AssertionError unless for every suffix of rows s-1..d, s = 2..d,
+(b+1)(bound - dim) of the suffix is the sum of its scaled-q rows q(i, j),
+i >= s, weighted by i-s+1, a closed-form Farkas certificate checked by
+integer sums.
 
 For le_e only the tops with mu_d <= b-2 are listed (`_enumerate_le_e_tops`);
 each listed top costs one node.  Nothing is kept between queries, so node
@@ -80,11 +80,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil
-from operator import add
+from operator import add, sub
 
 from . import bounds as bd
 from . import kisin_model as km
-from .polyhedra import Frozen, _idot
+from .polyhedra import Frozen, _idot, primitive_ints
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -143,9 +143,7 @@ class DimResult(Frozen):
         elif self.status == "interval":
             out["dim"] = list(self.interval)
         if self.witness is not None:
-            inst = self.witness.instance
-            out["witness"] = {f"{i},{j}": str(int(self.witness[(i, j)]))
-                              for (i, j) in inst.cells}
+            out["witness"] = self.witness.to_dict()["mu"]
         if self.checks:
             out["checks"] = self.checks
         return out
@@ -167,6 +165,19 @@ class _Budget:
 # the mu-coordinate constraint system
 # ---------------------------------------------------------------------------
 
+def _row_slacks(P, Q, R, b):
+    """The level-(r-1) scaled-q rows with rows r-2, r-1, r equal to P, Q, R,
+    in O(d): entry k is b(b-1)(q_{r-1,r-1+k} - q_{r-2,r-2+k}), where
+    b(b-1) q_{i,j} = b mu_{i,i} + sum_{i<s<=j} b (mu_{i,s} - mu_{i+1,s})
+    + sum_{s>j} (mu_{i,s} - mu_{i+1,s}).  From one row to the next, each of
+    the two q-forms weighs one more column by b instead of 1, hence the
+    steps of (b-1) times a column."""
+    rem = [(b - 1) * (Q[0] - P[0]) + 2 * sum(Q) - sum(P) - sum(R)]
+    for k, x in enumerate(R):
+        rem.append(rem[k] + (b - 1) * (Q[k + 1] - P[k + 1] + Q[k] - x))
+    return rem
+
+
 def _below(Q, b, last):
     """Lower bounds on the row under Q: the order bounds Q[1:] and, when
     that row is row d, the level-d row, which has no row below it: its
@@ -174,41 +185,86 @@ def _below(Q, b, last):
     up for it."""
     R = Q[1:]
     if last:
-        R[0] = max(R[0], -(km._row_slacks(Q, (0,), (), b)[0] // (b + 1)))
+        R[0] = max(R[0], -(_row_slacks(Q, (0,), (), b)[0] // (b + 1)))
     return R
-
-
-def _two_rho(top):
-    """<2 rho | top>; 2 rho sums to 0, so a constant shift of the top does
-    not change it."""
-    return _idot(bd.two_rho(len(top)), top)
 
 
 def _top_bound(top, b):
     """floor(<2 rho | top> / (b+1)): an upper bound on dim(phi) over the
-    triangles with this top row, once _prove(d, b) has returned."""
-    return _two_rho(top) // (b + 1)
+    triangles with this top row, once _prove(d, b) has returned.  2 rho
+    sums to 0, so a constant shift of the top does not change
+    <2 rho | top>."""
+    return _idot(bd.two_rho(len(top)), top) // (b + 1)
+
+
+def _unit_triangles(d):
+    """One unit triangle per mu-cell, in row form and row-major order."""
+    return [[[int((r, s) == (i, j)) for s in range(r, d + 1)] for r in range(1, d + 1)]
+            for i in range(1, d + 1) for j in range(i, d + 1)]
+
+
+def _search_rows(d: int, b: int) -> list[list[int]]:
+    """The rows the search sets up, as integer forms of the mu-cells read
+    off its own code on unit triangles: for 2 <= i <= j <= d, the order rows
+    mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1} and the scaled-q row q(i, j),
+    entry j-i of _row_slacks on rows i-1, i, i+1 (row d+1 is empty), with
+    one _row_slacks call per level i and unit triangle."""
+    units = [rows + [[]] for rows in _unit_triangles(d)]
+    out = []
+    for i in range(2, d + 1):
+        slacks = [_row_slacks(r[i - 2], r[i - 1], r[i], b) for r in units]
+        for j in range(i, d + 1):
+            out += [[r[i - 1][j - i] - r[i - 2][j - i + 1] for r in units],
+                    [r[i - 2][j - i] - r[i - 1][j - i] for r in units],
+                    [s[j - i] for s in slacks]]
+    return out
 
 
 @lru_cache(maxsize=1024)
 def _prove(d: int, b: int) -> bool:
     """Prove the preconditions of the search for (d, b), or raise
-    AssertionError: the rows of km._mu_system_rows, which are proved to be
-    Q where they are built, and _top_bound on every suffix of them by its
-    Farkas certificate.  For s = 2..d, rows s-1..d with d' = d-s+2: the
-    target <2 rho' | row s-1> - (b+1) dim'(rows s-1..d), read off its own
-    code on unit triangles, is sum (i-s+1) q(i, j) over the scaled-q rows
-    q(i, j), i >= s, that end the (i, j) triples of _mu_system_rows, so those
-    rows of a triangle the search accepts have dim' at most the bound of row
-    s-1.  True at every (d, b): q(i, j) = Q_{i,j} - Q_{i-1,j-1}, Q = b(b-1) q
+    AssertionError; only the verdict is kept.
+
+    The rows of _search_rows must be Q: as primitive integer rows, the
+    same set as the games pulled back to the mu-cells.  As a q-form, a
+    q-game x - y is q_x - q_y and a mu-game is row x minus row y of the
+    mu_from_q matrix; q-cell k pulls back to b(b-1) q_k, row k of the
+    q_from_mu matrix, kept as its nonzero entries.
+
+    Then _top_bound must hold on every suffix of those rows by its Farkas
+    certificate.  For s = 2..d, rows s-1..d with d' = d-s+2: the target
+    <2 rho' | row s-1> - (b+1) dim'(rows s-1..d), read off its own code on
+    unit triangles, is sum (i-s+1) q(i, j) over the scaled-q rows q(i, j),
+    i >= s, that end the (i, j) triples of _search_rows, so those rows of a
+    triangle the search accepts have dim' at most the bound of row s-1.
+    True at every (d, b): q(i, j) = Q_{i,j} - Q_{i-1,j-1}, Q = b(b-1) q
     (_row_slacks; primitive, as it weighs mu_{i-1,j} by -1), so the sum
     telescopes along each diagonal j - i to sum_i (i-s+2) Q_{i,d} - sum Q
     over rows i >= s-1: b+1 on each cell below row s-1 and b(j-d') - (j-1)
     on the j-th cell of row s-1, as the target.  The sums run from s = d
     down: level holds sum_{i >= s} q(i, j), and weighted adds it once per
     suffix it is in."""
-    rows = km._mu_system_rows(d, b)[2::3]
-    units = km._unit_triangles(d)
+    rows = _search_rows(d, b)
+    inst = km.KisinInstance(d, b)
+    mu_from_q, q_from_mu = km._transform_rows(d, b)
+    forms = [[(k, v) for k, v in enumerate(form) if v] for form in q_from_mu]
+    pulled = set()
+    for key, x, y in km._game_pairs(inst):
+        if key == km.QPoint.KEY:
+            game = ((x, 1), (y, -1))
+        else:
+            game = [(k, c) for k, c in enumerate(map(sub, mu_from_q[x], mu_from_q[y])) if c]
+        row = [0] * inst.dim_E
+        for k, c in game:
+            for cell, v in forms[k]:
+                row[cell] += c * v
+        pulled.add(primitive_ints(row))
+    mine = set(map(primitive_ints, rows))
+    if pulled != mine:
+        raise AssertionError(f"the search's rows and the games of Q disagree at d={d} b={b} "
+                             f"on the rows {sorted(pulled ^ mine)}")
+    rows = rows[2::3]  # the scaled-q rows, which end the (i, j) triples
+    units = _unit_triangles(d)
     level = weighted = [0] * len(units)
     end = len(rows)
     for s in range(d, 1, -1):
@@ -269,7 +325,7 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget, floor: int | None
             # the level-(r-1) row j = r-1+k reads sum_s c_{j,s} mu_{r,s} <= S_j,
             # with c_{j,s} = b for s <= j and 1 for s > j; rem[k] is its slack
             # with every cell of row r at its lower bound
-            rem = km._row_slacks(rows[r - 3], prev, lows, b)
+            rem = _row_slacks(rows[r - 3], prev, lows, b)
         else:
             # row 2 meets no scaled-q row: slacks that no choice of its cells uses up
             rem = [b * (prev[0] - prev[-1])] * (n + 1)
@@ -286,7 +342,7 @@ def _max_dim_top(inst: km.KisinInstance, top, budget: _Budget, floor: int | None
             rise = b + 1 if idx == 0 or r + 1 == d else 1
             while v <= hi:
                 probe[idx] = v
-                short = min(km._row_slacks(prev, probe, _below(probe, b, r + 1 == d), b))
+                short = min(_row_slacks(prev, probe, _below(probe, b, r + 1 == d), b))
                 if short >= 0:
                     break
                 v -= short // rise

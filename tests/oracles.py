@@ -26,6 +26,7 @@ import kisindim
 from kisindim import bounds as bd
 from kisindim import kisin_model as km
 from kisindim import perm as pm
+from kisindim import solver as sv
 from kisindim.bounds import UnsupportedRegime, reg_star_facets, strong_regularity, two_rho
 from kisindim.kisin_model import KisinInstance, _int_row, _transform_rows, chain_dual_generators
 from kisindim.perm import (AdmissibleSubset, OrdTableau, Permutation, _cycles, _signature,
@@ -398,8 +399,17 @@ def cone_qw(inst: KisinInstance, w: pm.Permutation) -> HPolyhedron:
 
 def cone_q(inst: KisinInstance) -> HPolyhedron:
     """The cone Q in E: games I (q_{i,j} >= q_{i,j+1}), II (q_{i,j} <=
-    q_{i+1,j+1}) and III (mu_{i,j} >= mu_{i+1,j+1}), over 1 <= i <= j < d."""
-    return HPolyhedron.build(inst.dim_E, [(a, 0) for a in km._game_rows(inst)])
+    q_{i+1,j+1}) and III (mu_{i,j} >= mu_{i+1,j+1}), over 1 <= i <= j < d,
+    the rows of `km._game_pairs` as q-forms: a mu-game x - y is row x minus
+    row y of the mu_from_q matrix."""
+    forms, cells = _transform_rows(inst.d, inst.b)[0], inst.cells
+    rows = []
+    for key, x, y in km._game_pairs(inst):
+        if key == km.QPoint.KEY:
+            rows.append(_int_row(inst, ((1, cells[x]), (-1, cells[y]))))
+        else:
+            rows.append([u - v for u, v in zip(forms[x], forms[y])])
+    return HPolyhedron.build(inst.dim_E, [(a, 0) for a in rows])
 
 
 @lru_cache(maxsize=128)
@@ -824,12 +834,12 @@ def top_bound_lp(d: int, b: int, divisor: int | None = None) -> bool:
     """The top-row bound by an exact LP (Farkas' lemma): is
     <2 rho | top> - divisor * dim (divisor b+1 unless given), read off the
     search's code on unit triangles, a nonnegative combination of the rows
-    of its real relaxation, km._mu_system_rows?  The reference for
+    of its real relaxation, sv._search_rows?  The reference for
     solver._prove, which checks one known combination."""
     divisor = b + 1 if divisor is None else divisor
     target = [_idot(two_rho(d), r[0]) - divisor * km._dim_form(r, d)
-              for r in km._unit_triangles(d)]
-    return in_cone(km._mu_system_rows(d, b), target)
+              for r in sv._unit_triangles(d)]
+    return in_cone(sv._search_rows(d, b), target)
 
 
 def whole_triangle_certificate(rows, d: int, b: int) -> bool:
@@ -838,7 +848,7 @@ def whole_triangle_certificate(rows, d: int, b: int) -> bool:
     triangles, is sum (i-1) q(i, j) over the scaled-q rows q(i, j) that end
     the (i, j) triples of the d-system rows."""
     target = [_idot(two_rho(d), r[0]) - (b + 1) * km._dim_form(r, d)
-              for r in km._unit_triangles(d)]
+              for r in sv._unit_triangles(d)]
     weights = [i - 1 for i in range(2, d + 1) for _ in range(i, d + 1)]
     cols = zip(*rows[2::3], target)
     return all(_idot(weights, col) == t for *col, t in cols)
@@ -851,11 +861,11 @@ def sub_bounds_by_shifted_systems(d: int, b: int) -> bool:
     certificate.  The reference for solver._prove, which reads
     every suffix certificate off the d-system's own rows."""
     inst = KisinInstance(d, b)
-    full = set(km._mu_system_rows(d, b))
+    full = set(map(tuple, sv._search_rows(d, b)))
     for dp in range(2, d + 1):
         shift = d - dp
         at = [inst.cell_index(i + shift, j + shift) for i, j in KisinInstance(dp, b).cells]
-        sub_rows = km._mu_system_rows(dp, b)
+        sub_rows = sv._search_rows(dp, b)
         for sub_row in sub_rows:
             row = [0] * inst.dim_E
             for k, x in zip(at, sub_row):
@@ -870,7 +880,7 @@ def sub_bounds_by_shifted_systems(d: int, b: int) -> bool:
 def pulled_back_rows_dense(d: int, b: int) -> set:
     """The rows of Q pulled back to the mu-cells by dotting each halfspace
     with every column of the b(b-1) q-forms: the reference for the sparse
-    sum in km._mu_system_rows."""
+    sum in solver._prove."""
     images = list(zip(*_transform_rows(d, b)[1]))
     return {primitive_ints([_idot(h.normal, q) for q in images])
             for h in cone_q(KisinInstance(d, b)).halfspaces}

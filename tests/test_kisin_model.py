@@ -238,7 +238,7 @@ def _fraction_difference(inst, x, y):
 
 def _fraction_cone(inst, games):
     """The cone of the games with its rows built cell by cell in Fraction
-    arithmetic: the oracle for the integer rows of kisin_model._game_rows."""
+    arithmetic: the oracle for the games of kisin_model._game_pairs."""
     ineqs, eqs = [], []
     for i in range(1, inst.d + 1):
         for j in range(i, inst.d):
@@ -304,9 +304,8 @@ def _random_mu_triangle(inst, rng, kind):
 
 
 def test_in_cone_q_matches_the_h_polyhedron():
-    # membership by the proved integer rows against the Fraction
-    # H-polyhedron of Q, on seeded rational triangles; at every d >= 2 both
-    # outcomes occur
+    # membership from the games against the Fraction H-polyhedron of Q, on
+    # seeded rational triangles; at every d >= 2 both outcomes occur
     rng = random.Random(27)
     seen = Counter()
     for d in range(1, 7):

@@ -10,6 +10,7 @@ from kisindim import polyhedra
 from kisindim import solver as sv
 from kisindim.cli import main
 from kisindim.kisin_model import KisinInstance, MuTriangle, dim_phi, q_from_mu
+from kisindim.polyhedra import primitive_ints
 from kisindim.solver import (BudgetExceeded, DimQuery, dim_d2_closed, dim_d3_closed,
                              dim_exact, consistency_suite, _enumerate_dominated_tops)
 from oracles import (clear_caches, cone_q, contains, pulled_back_rows_dense,
@@ -78,7 +79,7 @@ def test_witness_checks_always_verified():
 def _scaled_q(rows, d, b, i, j):
     """b(b-1) q_{i,j} as an integer form of the mu-cells (rows is a list of
     row lists, rows[i-1][j-i] = mu_{i,j}), read term by term off the
-    q-coordinates: the oracle for kisin_model._row_slacks."""
+    q-coordinates: the oracle for solver._row_slacks."""
     v = b * rows[i - 1][0]  # mu_{i,i}
     for s in range(i + 1, j + 1):
         v += b * (rows[i - 1][s - i] - rows[i][s - i - 1])
@@ -103,7 +104,7 @@ def _mu_constraints_ok(inst, rows):
 
 
 def _sampling_self_test(d, b):
-    """Oracle for the proof in kisin_model._mu_system_rows: on 200 seeded
+    """Oracle for the proof in solver._prove: on 200 seeded
     triangles, half of them biased toward feasibility, the mu-system agrees
     with membership of q_from_mu in the cone Q, all in Fraction arithmetic."""
     inst = KisinInstance(d, b)
@@ -140,7 +141,7 @@ def cold_mu_system():
 def test_mu_constraint_system_self_test():
     for d, b in SELF_TEST_GRID:
         assert _sampling_self_test(d, b)
-        assert len(km._mu_system_rows(d, b)) == 3 * d * (d - 1) // 2, (d, b)
+        assert sv._prove(d, b) and len(sv._search_rows(d, b)) == 3 * d * (d - 1) // 2, (d, b)
 
 
 def test_mu_constraints_match_cone_on_feasible_triangle():
@@ -160,7 +161,7 @@ def test_self_test_catches_perturbed_scaled_q(form, monkeypatch, cold_mu_system)
     # one entry of one scaled-q row of d = 4 gains mu_{i-1,i-1}; the rows
     # of level i are the _row_slacks of rows i-1, i, i+1, and row i has 5-i cells
     i, j = form
-    row_slacks = km._row_slacks
+    row_slacks = sv._row_slacks
 
     def perturbed(P, Q, R, b):
         rem = row_slacks(P, Q, R, b)
@@ -168,26 +169,43 @@ def test_self_test_catches_perturbed_scaled_q(form, monkeypatch, cold_mu_system)
             rem[j - i] += P[0]
         return rem
 
-    monkeypatch.setattr(km, "_row_slacks", perturbed)
+    monkeypatch.setattr(sv, "_row_slacks", perturbed)
     for b in (2, 3):
         with pytest.raises(AssertionError, match="disagree"):
-            km._mu_system_rows(4, b)
+            sv._prove(4, b)
 
 
 @pytest.mark.parametrize("b", (2, 3))
 def test_self_test_catches_cone_with_a_halfspace_dropped(b, monkeypatch, cold_mu_system):
-    full = list(km._game_rows(KisinInstance(4, b)))
+    full = list(km._game_pairs(KisinInstance(4, b)))
     for k in range(len(full)):
-        monkeypatch.setattr(km, "_game_rows", lambda inst, k=k: full[:k] + full[k + 1:])
-        km._mu_system_rows.cache_clear()
+        monkeypatch.setattr(km, "_game_pairs", lambda inst, k=k: full[:k] + full[k + 1:])
+        sv._prove.cache_clear()
         with pytest.raises(AssertionError, match="disagree"):
-            km._mu_system_rows(4, b)
+            sv._prove(4, b)
+
+
+@pytest.mark.parametrize("b", (2, 3))
+def test_proof_catches_a_changed_entry_of_mu_from_q(b, monkeypatch, cold_mu_system):
+    # a mu-game is pulled back through the mu_from_q matrix: one entry of
+    # its row of mu_{1,1}, a cell of game III at every d >= 2, raised by one
+    # makes the pulled-back games differ from the search's rows
+    transform_rows = km._transform_rows
+    for d in (2, 3, 4):
+        mu_from_q, q_from_mu = transform_rows(d, b)
+        for k in range(len(mu_from_q)):
+            changed = [list(row) for row in mu_from_q]
+            changed[0][k] += 1
+            monkeypatch.setattr(km, "_transform_rows", lambda d, b: (changed, q_from_mu))
+            sv._prove.cache_clear()
+            with pytest.raises(AssertionError, match="disagree"):
+                sv._prove(d, b)
 
 
 def _game_row_dropped(monkeypatch):
-    # Q with its first game row dropped, on every (d, b)
-    game_rows = km._game_rows
-    monkeypatch.setattr(km, "_game_rows", lambda inst: list(game_rows(inst))[1:])
+    # Q with its first game dropped, on every (d, b)
+    game_pairs = km._game_pairs
+    monkeypatch.setattr(km, "_game_pairs", lambda inst: list(game_pairs(inst))[1:])
 
 
 def test_search_runs_the_proof(monkeypatch, cold_mu_system):
@@ -199,17 +217,31 @@ def test_search_runs_the_proof(monkeypatch, cold_mu_system):
 
 
 @pytest.mark.parametrize("read", [
-    lambda: km.in_cone_q(MuTriangle(KisinInstance(3, 2), (6, 3, 0, 5, 2, 4))),
-    lambda: bd.witness_le_e(KisinInstance(3, 2), 9),
-    lambda: bd.witness_le_mu(KisinInstance(3, 2), (12, 5, 0)),
     lambda: dim_exact(DimQuery(KisinInstance(3, 2), "mu", mu=(6, 3, 0))),
-], ids=["in_cone_q", "witness_le_e", "witness_le_mu", "dim_exact"])
+], ids=["dim_exact"])
 def test_no_reader_gets_unproved_rows(read, monkeypatch, cold_mu_system):
-    # every reader of the mu-rows reaches them through the builder that
-    # proves them: with a game row dropped, each raises before it returns
+    # the search reads its rows only through the proof: with a game
+    # dropped, it raises before it returns
     _game_row_dropped(monkeypatch)
     with pytest.raises(AssertionError, match="disagree"):
         read()
+
+
+def test_bounds_and_witness_requests_never_prove(capsys, monkeypatch, cold_mu_system):
+    # membership in Q is decided from its games: with the search's proof
+    # refused, the witness reports and the bounds and witness requests
+    # still answer, their witnesses in Q
+    def refused(d, b):
+        raise AssertionError("a witness check ran the search's proof")
+
+    monkeypatch.setattr(sv, "_prove", refused)
+    assert bd.witness_le_e(KisinInstance(3, 2), 9)[1]["in_Q"]
+    assert bd.witness_le_mu(KisinInstance(3, 2), (12, 5, 0))[1]["in_Q"]
+    for target in (["bounds", "--e", "9"], ["bounds", "--mu", "12,5,0"],
+                   ["bounds", "--mu", "12,5,0", "--le-mu"], ["witness", "--e", "6"],
+                   ["witness", "--mu", "12,5,0"]):
+        assert main([target[0], "--d", "3", "--b", "2", *target[1:]]) == 0, target
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("b", (2, 3, 10007))
@@ -221,7 +253,7 @@ def test_self_test_calls_no_fraction_transform(b, monkeypatch, cold_mu_system):
 
     monkeypatch.setattr(km, "q_from_mu", refused)
     monkeypatch.setattr(km, "mu_from_q", refused)
-    assert km._mu_system_rows(4, b)
+    assert sv._prove(4, b)
 
 
 def test_shift_invariance_of_dim():
@@ -609,24 +641,27 @@ def test_top_bound_certificate(d):
 def test_top_bound_check_refuses_a_wrong_certificate(d, monkeypatch, cold_mu_system):
     # two mutants of the certificate, made through the rows it reads: the
     # weight i for i-1 on one row (a row (2, j), of weight 1, doubled) and
-    # one scaled-q row dropped (zeroed); the doubled row leaves the LP a
-    # certificate, so it is the check that refuses
-    rows = km._mu_system_rows
+    # one scaled-q row dropped (zeroed).  The doubled row is the same
+    # primitive row, so it is Q and leaves the LP a certificate: the
+    # certificate check refuses it.  The zeroed row is not a row of Q, so
+    # the comparison with the games refuses it first
+    rows = sv._search_rows
     cells = [(i, j) for i in range(2, d + 1) for j in range(i, d + 1)]
 
     def changed(k, scale):
         def mutant(d, b):
-            out = list(rows(d, b))
-            out[3 * k + 2] = tuple(scale * x for x in out[3 * k + 2])
-            return tuple(out)
+            out = rows(d, b)
+            out[3 * k + 2] = [scale * x for x in out[3 * k + 2]]
+            return out
         return mutant
 
     for b in CERTIFICATE_B_VALUES:
         for k, (i, j) in enumerate(cells):
             for scale in (2, 0) if i == 2 else (0,):
-                monkeypatch.setattr(km, "_mu_system_rows", changed(k, scale))
+                monkeypatch.setattr(sv, "_search_rows", changed(k, scale))
                 sv._prove.cache_clear()
-                with pytest.raises(AssertionError, match="no certificate"):
+                with pytest.raises(AssertionError,
+                                   match="no certificate" if scale else "disagree"):
                     sv._prove(d, b)
                 if scale == 2:
                     assert top_bound_lp(d, b), (b, i, j)
@@ -913,9 +948,9 @@ def _closed_form_max_dim_top(inst, top, budget, floor=None):
         n = d - r + 1
         lows = prev[1:]
         if r == d:
-            lows[0] = max(lows[0], -(km._row_slacks(prev, (0,), (), b)[0] // (b + 1)))
+            lows[0] = max(lows[0], -(sv._row_slacks(prev, (0,), (), b)[0] // (b + 1)))
         if r >= 3:
-            rem = km._row_slacks(rows[r - 3], prev, lows, b)
+            rem = sv._row_slacks(rows[r - 3], prev, lows, b)
             if min(rem) < 0:
                 return
         else:
@@ -986,7 +1021,7 @@ def test_level_r_slacks_rise_with_every_cell_of_row_r(b):
         P = [9, 5, 2, 1, -3][:n + 1]
         for last in (False, True) if n == 2 else (False,):
             def slacks(Q):
-                return km._row_slacks(P, Q, sv._below(Q, b, last), b)
+                return sv._row_slacks(P, Q, sv._below(Q, b, last), b)
 
             for Q in itertools.product(range(-4, 5), repeat=n):
                 Q = list(Q)
@@ -1010,7 +1045,7 @@ def test_least_slack_at_the_probe_rises_by_the_jump_divisor(b):
         for P in itertools.combinations_with_replacement(range(3, -4, -1), n + 1):
             for last in (False, True) if n == 2 else (False,):
                 def slacks(Q):
-                    return km._row_slacks(P, Q, sv._below(Q, b, last), b)
+                    return sv._row_slacks(P, Q, sv._below(Q, b, last), b)
 
                 for idx in range(n):
                     rise = b + 1 if idx == 0 or last else 1
@@ -1048,12 +1083,12 @@ def test_row_slacks_and_sub_bound_are_proved(d):
     # unit triangle for 3 <= r <= d+1 (row d+1 is empty); both sides are
     # linear in the mu-cells, so they are equal everywhere
     for b in (2, 3, 5, 7, 101, 10007):
-        for rows in km._unit_triangles(d):
+        for rows in sv._unit_triangles(d):
             rows.append([])
             for r in range(3, d + 2):
                 want = [_scaled_q(rows, d, b, r - 1, j) - _scaled_q(rows, d, b, r - 2, j - 1)
                         for j in range(r - 1, d + 1)]
-                assert km._row_slacks(rows[r - 3], rows[r - 2], rows[r - 1], b) == want, \
+                assert sv._row_slacks(rows[r - 3], rows[r - 2], rows[r - 1], b) == want, \
                     (b, r, rows)
         assert sv._prove(d, b)
 
@@ -1066,10 +1101,10 @@ def test_row_slacks_proof_catches_a_wrong_step(monkeypatch, cold_mu_system):
             rem.append(rem[k] + b * (Q[k + 1] - P[k + 1] + Q[k] - x))
         return rem
 
-    monkeypatch.setattr(km, "_row_slacks", mutant)
+    monkeypatch.setattr(sv, "_row_slacks", mutant)
     for d in (3, 4):
         with pytest.raises(AssertionError, match="disagree"):
-            km._mu_system_rows(d, 2)
+            sv._prove(d, 2)
     with pytest.raises(AssertionError, match="disagree"):
         dim_exact(DimQuery(KisinInstance(3, 2), "mu", mu=(4, 2, 0)))
 
@@ -1077,52 +1112,65 @@ def test_row_slacks_proof_catches_a_wrong_step(monkeypatch, cold_mu_system):
 def test_row_slacks_proof_covers_the_level_d_row(monkeypatch, cold_mu_system):
     # the level-d row is read with no row below it; a wrong first slack
     # there must fail even at d = 2, which has no other scaled-q row
-    row_slacks = km._row_slacks
+    row_slacks = sv._row_slacks
 
     def mutant(P, Q, R, b):
         rem = row_slacks(P, Q, R, b)
         return [rem[0] + (Q[0] if not R else 0)] + rem[1:]
 
-    monkeypatch.setattr(km, "_row_slacks", mutant)
+    monkeypatch.setattr(sv, "_row_slacks", mutant)
     with pytest.raises(AssertionError, match="disagree"):
-        km._mu_system_rows(2, 3)
+        sv._prove(2, 3)
 
 
 def test_sub_bound_needs_every_smaller_certificate(monkeypatch, cold_mu_system):
     # a row-pair mutant of the 4-system: q(3,3) gains q(4,4) and q(2,2)
     # loses twice it, so the whole-triangle certificate (weight i-1 on level
-    # i) still holds, but the suffix of rows 2..4 (weight i-2) sees q(4,4) once
-    rows = km._mu_system_rows
+    # i) still holds, but the suffix of rows 2..4 (weight i-2) sees q(4,4)
+    # once.  Those rows are not Q, so the comparison with the games refuses
+    # them first; each suffix's own check is shown on its target instead:
+    # 2 rho' changed at one suffix length d' < 4 alone leaves the
+    # whole-triangle target as it is, and the proof still refuses
+    rows = sv._search_rows
     at = {cell: 3 * k + 2 for k, cell in enumerate((i, j) for i in range(2, 5)
                                                   for j in range(i, 5))}
 
     def mutant(d, b):
-        out = list(rows(d, b))
+        out = rows(d, b)
         if d == 4:
             q44 = out[at[4, 4]]
-            out[at[3, 3]] = tuple(x + y for x, y in zip(out[at[3, 3]], q44))
-            out[at[2, 2]] = tuple(x - 2 * y for x, y in zip(out[at[2, 2]], q44))
-        return tuple(out)
+            out[at[3, 3]] = [x + y for x, y in zip(out[at[3, 3]], q44)]
+            out[at[2, 2]] = [x - 2 * y for x, y in zip(out[at[2, 2]], q44)]
+        return out
 
-    monkeypatch.setattr(km, "_mu_system_rows", mutant)
-    for b in CERTIFICATE_B_VALUES:
-        assert whole_triangle_certificate(km._mu_system_rows(4, b), 4, b), b
-        with pytest.raises(AssertionError, match="no certificate"):
-            sv._prove(4, b)
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_search_rows", mutant)
+        for b in CERTIFICATE_B_VALUES:
+            assert whole_triangle_certificate(sv._search_rows(4, b), 4, b), b
+            with pytest.raises(AssertionError, match="disagree"):
+                sv._prove(4, b)
+    two_rho = bd.two_rho
+    for n in (2, 3):
+        with monkeypatch.context() as m:
+            m.setattr(bd, "two_rho", lambda k, n=n: (two_rho(k)[0] + (k == n),) + two_rho(k)[1:])
+            for b in CERTIFICATE_B_VALUES:
+                sv._prove.cache_clear()
+                with pytest.raises(AssertionError, match="no certificate"):
+                    sv._prove(4, b)
     assert sv._prove(2, 2)
 
 
 def test_prove_reads_only_the_d_system(monkeypatch, cold_mu_system):
     # every suffix bound is certified on the d-system's own rows: the proofs
     # build no smaller system
-    rows = km._mu_system_rows
+    rows = sv._search_rows
     asked = []
 
     def recorded(d, b):
         asked.append(d)
         return rows(d, b)
 
-    monkeypatch.setattr(km, "_mu_system_rows", recorded)
+    monkeypatch.setattr(sv, "_search_rows", recorded)
     for d in range(2, 7):
         clear_caches()
         asked.clear()
@@ -1140,30 +1188,31 @@ def test_suffix_certificates_match_the_shifted_systems(d):
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_sparse_pull_back_matches_the_dense_dots(d):
-    # _mu_system_rows proves its rows by summing the nonzero entries of the
-    # q-forms over each game row's nonzero coefficients; the dense dots find
-    # the same rows, so both sets agree
+    # _prove pulls the games back by summing the nonzero entries of the
+    # q-forms over each game's nonzero coefficients and finds the search's
+    # rows; the dense dots find the same rows, so both sets agree
     for b in (2, 3, 5, 101, 10007):
-        assert pulled_back_rows_dense(d, b) == set(km._mu_system_rows(d, b)), b
+        assert sv._prove(d, b), b
+        assert pulled_back_rows_dense(d, b) == set(map(primitive_ints, sv._search_rows(d, b))), b
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))
 def test_search_without_a_certificate_raises_and_spends_no_node(d, monkeypatch,
                                                                 cold_mu_system):
-    # the proofs are preconditions: with the top-row bound uncertified, one
-    # scaled-q row of the proved rows zeroed, the search raises before its
-    # first node instead of searching without it
+    # the proofs are preconditions: with the top-row bound uncertified, the
+    # scaled-q row q(2, 2) of the search's rows doubled (still a row of Q),
+    # the search raises before its first node instead of searching without it
     def spend(self):
         raise AssertionError("a node was spent")
 
-    rows = km._mu_system_rows
+    rows = sv._search_rows
 
     def mutant(d, b):
-        out = list(rows(d, b))
-        out[2] = (0,) * len(out[2])
-        return tuple(out)
+        out = rows(d, b)
+        out[2] = [2 * x for x in out[2]]
+        return out
 
-    monkeypatch.setattr(km, "_mu_system_rows", mutant)
+    monkeypatch.setattr(sv, "_search_rows", mutant)
     monkeypatch.setattr(sv._Budget, "spend", spend)
     for query in (DimQuery(KisinInstance(d, 2), "le_e", e=8),
                   DimQuery(KisinInstance(d, 3), "le_mu", mu=(6,) + (0,) * (d - 1))):
