@@ -32,8 +32,8 @@ from operator import sub
 
 from . import kisin_model as km
 from . import perm as pm
-from .polyhedra import (Frozen, IVec, Vec, _idot, dot, double_description, primitive_ints,
-                        scaled_ints, vec)
+from .polyhedra import (Frozen, IVec, Vec, _idot, _sdot, dot, double_description,
+                        primitive_ints, scaled_ints, vec)
 
 
 class UnsupportedRegime(Exception):
@@ -63,10 +63,8 @@ def _dual_hrep(inst: km.KisinInstance):
     cells.  So it is spanned by the all-ones line and the rays -1_J, J a
     nonempty proper cell set closed under the arcs: the admissible sets of
     the proper subsets T of {1..d}, in `_proper_subsets` order."""
-    d = inst.d
-    rows = [km._int_row(inst, ((-1, c) for c in pm.admissible_from_subset(d, T).cells))
-            for T in _proper_subsets(d)]
-    return rows, [km._int_row(inst, ((1, c) for c in inst.cells))]
+    sets = (pm.admissible_from_subset(inst.d, T).cells for T in _proper_subsets(inst.d))
+    return [[-int(c in J) for c in inst.cells] for J in sets], [[1] * inst.dim_E]
 
 
 def a_set(inst: km.KisinInstance) -> tuple[list[IVec], IVec]:
@@ -75,7 +73,7 @@ def a_set(inst: km.KisinInstance) -> tuple[list[IVec], IVec]:
     (<F_i, v>_i, -<delta, v>) >= 0 of each row v of `_dual_hrep`, one per
     proper subset in `_proper_subsets` order, and the equation row, the
     same map of its eq row, which is 0 on the A-set.  The F_i are the
-    integer rows of the top mu-cells, <q, F_i> = mu_{1,i}(q): the
+    sparse rows of the top mu-cells, <q, F_i> = mu_{1,i}(q): the
     constraint map g.  No row has a zero image: the row of T has entries
     summing to |T| (1 - b) < 0 (the f_T of `extremal_points_a_qmax`)."""
     F = km._transform_rows(inst.d, inst.b)[0][:inst.d]
@@ -83,7 +81,7 @@ def a_set(inst: km.KisinInstance) -> tuple[list[IVec], IVec]:
     rows, (eq,) = _dual_hrep(inst)
 
     def homogeneous(v):
-        return (*(_idot(Fi, v) for Fi in F), -_idot(delta, v))
+        return (*(_sdot(Fi, v) for Fi in F), -_idot(delta, v))
 
     return [homogeneous(v) for v in rows], homogeneous(eq)
 

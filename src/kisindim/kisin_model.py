@@ -11,8 +11,8 @@ stratum dimension (exactly when h != 0, up to a d(d-1)/2 slack when
 h = 0).
 
 A triangle's cells are Fractions, but the work on them is integer: the
-transforms and the dimension functional apply integer matrices, kept per
-(d, b), to the cells' numerators over their common denominator, and
+transforms and the dimension functional apply sparse integer rows, kept
+per (d, b), to the cells' numerators over their common denominator, and
 membership in Q takes the games' values at those numerators and at their
 integer image b(b-1) q.  A Fraction is built only for each output cell of
 a transform and for the value of dim(phi).
@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import perm as pm
-from .polyhedra import Frozen, IVec, Vec, _idot, fmt_frac, frac, scaled_ints
+from .polyhedra import Frozen, IVec, SRow, Vec, _idot, _sdot, _ssum, fmt_frac, frac, scaled_ints
 
 
 class KisinInstance(Frozen):
@@ -145,22 +145,22 @@ def q_from_mu(m: MuTriangle) -> QPoint:
 
 
 def _apply(x: _Triangle, k: int, scale: int) -> list[Fraction]:
-    """Matrix k of `_transform_rows` applied to the numerators of x over
+    """The rows k of `_transform_rows` applied to the numerators of x over
     their common denominator, each image divided by that denominator times
     scale: the one place the transforms build Fractions."""
     inst = x.instance
     nums, den = scaled_ints(x.values)
     den *= scale
-    return [Fraction(_idot(row, nums), den) for row in _transform_rows(inst.d, inst.b)[k]]
+    return [Fraction(_sdot(row, nums), den) for row in _transform_rows(inst.d, inst.b)[k]]
 
 
 @lru_cache(maxsize=128)
-def _transform_rows(d: int, b: int) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
-    """The integer matrices of the two transforms, one row per cell in
+def _transform_rows(d: int, b: int) -> tuple[tuple[SRow, ...], tuple[SRow, ...]]:
+    """The sparse integer rows of the two transforms, one per cell in
     row-major order: the q-cell forms of mu_{i,j} (`_mu_cell_terms`) and the
     mu-cell forms of b(b-1) q_{i,j} (`_q_cell_terms`)."""
     inst = KisinInstance(d, b)
-    return tuple(tuple(tuple(_int_row(inst, terms(inst, i, j))) for (i, j) in inst.cells)
+    return tuple(tuple(_int_row(inst, terms(inst, i, j)) for (i, j) in inst.cells)
                  for terms in (_mu_cell_terms, _q_cell_terms))
 
 
@@ -184,12 +184,9 @@ def _q_cell_terms(inst: KisinInstance, i: int, j: int):
         yield -c, (i + 1, s)
 
 
-def _int_row(inst: KisinInstance, terms) -> list[int]:
-    """The integer row over the cells of E that sums (coefficient, cell) terms."""
-    a = [0] * inst.dim_E
-    for c, cell in terms:
-        a[inst.cell_index(*cell)] += c
-    return a
+def _int_row(inst: KisinInstance, terms) -> SRow:
+    """The sparse integer row that sums (coefficient, cell) terms."""
+    return _ssum((c, ((inst.cell_index(*cell), 1),)) for c, cell in terms)
 
 
 def delta_vec(inst: KisinInstance) -> IVec:
@@ -224,14 +221,15 @@ def _game_pairs(inst):
 
 
 def in_cone_q(m: MuTriangle) -> bool:
-    """Whether m, any rational triangle, lies in Q: the games at its
-    numerators over their common denominator and at the integers b(b-1) q
-    that the q_from_mu matrix maps them to."""
-    inst = m.instance
+    """Whether m, any rational triangle, lies in Q: the mu-games at its
+    numerators over their common denominator, then, if they all hold, the
+    q-games at the integers b(b-1) q that the q_from_mu rows map them to."""
     mu = scaled_ints(m.values)[0]
-    coords = {MuTriangle.KEY: mu,
-              QPoint.KEY: [_idot(row, mu) for row in _transform_rows(inst.d, inst.b)[1]]}
-    return all(coords[key][x] >= coords[key][y] for key, x, y in _game_pairs(inst))
+    games = list(_game_pairs(m.instance))
+    if any(mu[x] < mu[y] for key, x, y in games if key == MuTriangle.KEY):
+        return False
+    q = [_sdot(row, mu) for row in _transform_rows(m.instance.d, m.instance.b)[1]]
+    return all(q[x] >= q[y] for key, x, y in games if key == QPoint.KEY)
 
 
 def chain_dual_generators(d: int) -> list[IVec]:
@@ -266,21 +264,18 @@ def dim_phi(x: QPoint | MuTriangle) -> Fraction:
     q-form:  b * sum q_{i,j} + sum_i (2i-1-d-bi) q_{i,d}.
 
     Both run on integers: x's numerators over its common denominator L, the
-    other coordinates from them by the matrix of `_transform_rows` (over L,
+    other coordinates from them by the rows of `_transform_rows` (over L,
     or over L b(b-1) for q from mu), compared exactly across the two
-    denominators.  Only the value is a Fraction.
+    denominators, of which L cancels.  Only the value is a Fraction.
     """
     inst = x.instance
     d, b = inst.d, inst.b
     nums, den = scaled_ints(x.values)
-    if isinstance(x, QPoint):
-        q, q_den = nums, den
-        m = [_idot(row, nums) for row in _transform_rows(d, b)[0]]
-    else:
-        m, q_den = nums, den * b * (b - 1)
-        q = [_idot(row, nums) for row in _transform_rows(d, b)[1]]
+    k = isinstance(x, MuTriangle)  # the rows k of _transform_rows map x to the other side
+    image = [_sdot(row, nums) for row in _transform_rows(d, b)[k]]
+    m, q = (nums, image) if k else (image, nums)
     mu_form = _dim_form((m[:d], m[d:]), d)
-    if mu_form * q_den != _idot(delta_vec(inst), q) * den:
+    if mu_form * (b * (b - 1) if k else 1) != _idot(delta_vec(inst), q):
         raise AssertionError("dimension functional mismatch between coordinates")
     return Fraction(mu_form, den)
 

@@ -35,10 +35,11 @@ rem_0 = (b-1)(Q_0 - P_0) + 2 sum Q - sum P - sum R and
 rem_{k+1} = rem_k + (b-1)(Q_{k+1} - P_{k+1} + Q_k - R_k); the level-d row
 is the same form with no row below it, (b+1) mu_{d,d} >= b Q_0 + Q_1.
 `_prove` reads the rows the search sets up off these same forms
-(`_search_rows`), proves them to be the games of Q pulled back to the
-mu-cells once per (d, b), and keeps only the verdict.  The witness checks
-decide membership in Q from the games themselves (`km.in_cone_q`), so
-they test the search against Q's definition, not against its own rows.
+(`_search_rows`, a level-i row on the cells of rows i-1..i+1 alone), proves
+them to be the games of Q pulled back to the mu-cells once per (d, b), and
+keeps only the verdict.  The witness checks decide membership in Q from
+the games themselves (`km.in_cone_q`), so they test the search against
+Q's definition, not against its own rows.
 
 One lower bound on the unfilled cells, rows r..d, prunes branches that
 cannot beat the incumbent.  With Q = row r-1, rows r-1..d are a suffix of
@@ -80,11 +81,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil
-from operator import add, sub
 
 from . import bounds as bd
 from . import kisin_model as km
-from .polyhedra import Frozen, _idot, primitive_ints
+from .polyhedra import Frozen, SRow, _idot, _ssum, primitive_ints
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -197,27 +197,29 @@ def _top_bound(top, b):
     return _idot(bd.two_rho(len(top)), top) // (b + 1)
 
 
-def _unit_triangles(d):
-    """One unit triangle per mu-cell, in row form and row-major order."""
-    return [[[int((r, s) == (i, j)) for s in range(r, d + 1)] for r in range(1, d + 1)]
-            for i in range(1, d + 1) for j in range(i, d + 1)]
-
-
-def _search_rows(d: int, b: int) -> list[list[int]]:
-    """The rows the search sets up, as integer forms of the mu-cells read
-    off its own code on unit triangles: for 2 <= i <= j <= d, the order rows
+def _search_rows(d: int, b: int) -> list[SRow]:
+    """The rows the search sets up, as sparse integer forms of the mu-cells
+    read off its own code: for 2 <= i <= j <= d, the order rows
     mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1} and the scaled-q row q(i, j),
-    entry j-i of _row_slacks on rows i-1, i, i+1 (row d+1 is empty), with
-    one _row_slacks call per level i and unit triangle."""
-    units = [rows + [[]] for rows in _unit_triangles(d)]
+    entry j-i of _row_slacks on rows i-1, i, i+1 (row d+1 is empty), the
+    only rows it reads: one _row_slacks call per cell there, on its unit."""
+    cells = km.KisinInstance(d, b).cells
     out = []
     for i in range(2, d + 1):
-        slacks = [_row_slacks(r[i - 2], r[i - 1], r[i], b) for r in units]
-        for j in range(i, d + 1):
-            out += [[r[i - 1][j - i] - r[i - 2][j - i + 1] for r in units],
-                    [r[i - 2][j - i] - r[i - 1][j - i] for r in units],
-                    [s[j - i] for s in slacks]]
+        window = [(k, cell) for k, cell in enumerate(cells) if i - 1 <= cell[0] <= i + 1]
+        cols = []
+        for _, cell in window:
+            P, Q, R = ([int((r, c) == cell) for c in range(r, d + 1)] for r in (i - 1, i, i + 1))
+            rem = _row_slacks(P, Q, R, b)
+            cols.append([v for j in range(d - i + 1)
+                         for v in (Q[j] - P[j + 1], P[j] - Q[j], rem[j])])
+        out += [tuple((k, v) for (k, _), v in zip(window, row) if v) for row in zip(*cols)]
     return out
+
+
+def _primitive(row: SRow) -> SRow:
+    """A sparse row divided by the gcd of its coefficients."""
+    return tuple(zip([k for k, _ in row], primitive_ints([c for _, c in row])))
 
 
 @lru_cache(maxsize=1024)
@@ -225,55 +227,45 @@ def _prove(d: int, b: int) -> bool:
     """Prove the preconditions of the search for (d, b), or raise
     AssertionError; only the verdict is kept.
 
-    The rows of _search_rows must be Q: as primitive integer rows, the
-    same set as the games pulled back to the mu-cells.  As a q-form, a
-    q-game x - y is q_x - q_y and a mu-game is row x minus row y of the
-    mu_from_q matrix; q-cell k pulls back to b(b-1) q_k, row k of the
-    q_from_mu matrix, kept as its nonzero entries.
+    The rows of _search_rows must be Q: as primitive sparse rows, the same
+    set as the games pulled back to the mu-cells.  A game x - y pulls back
+    to the pull-back of x minus that of y: q-cell k to b(b-1) q_k, row k of
+    the q_from_mu rows, and mu-cell k to its mu_from_q row, a q-form,
+    pulled back term by term.
 
     Then _top_bound must hold on every suffix of those rows by its Farkas
     certificate.  For s = 2..d, rows s-1..d with d' = d-s+2: the target
-    <2 rho' | row s-1> - (b+1) dim'(rows s-1..d), read off its own code on
-    unit triangles, is sum (i-s+1) q(i, j) over the scaled-q rows q(i, j),
-    i >= s, that end the (i, j) triples of _search_rows, so those rows of a
-    triangle the search accepts have dim' at most the bound of row s-1.
-    True at every (d, b): q(i, j) = Q_{i,j} - Q_{i-1,j-1}, Q = b(b-1) q
-    (_row_slacks; primitive, as it weighs mu_{i-1,j} by -1), so the sum
-    telescopes along each diagonal j - i to sum_i (i-s+2) Q_{i,d} - sum Q
-    over rows i >= s-1: b+1 on each cell below row s-1 and b(j-d') - (j-1)
-    on the j-th cell of row s-1, as the target.  The sums run from s = d
-    down: level holds sum_{i >= s} q(i, j), and weighted adds it once per
-    suffix it is in."""
+    <2 rho' | row s-1> - (b+1) dim'(rows s-1..d) is sum (i-s+1) q(i, j)
+    over the scaled-q rows q(i, j), i >= s, that end the (i, j) triples of
+    _search_rows, so those rows of a triangle the search accepts have dim'
+    at most the bound of row s-1.  True at every (d, b): q(i, j) =
+    Q_{i,j} - Q_{i-1,j-1}, Q = b(b-1) q (_row_slacks; primitive, as it
+    weighs mu_{i-1,j} by -1), so the sum telescopes along each diagonal
+    j - i to sum_i (i-s+2) Q_{i,d} - sum Q over rows i >= s-1.  That is
+    b(j-d') - (j-1) on the j-th cell of row s-1, b+1 on each cell below it
+    and 0 above it, the target read off its own code on the unit top rows
+    and one lower unit.  The sums run from s = d down: level holds
+    sum_{i >= s} q(i, j), and weighted adds it once per suffix it is in."""
     rows = _search_rows(d, b)
-    inst = km.KisinInstance(d, b)
     mu_from_q, q_from_mu = km._transform_rows(d, b)
-    forms = [[(k, v) for k, v in enumerate(form) if v] for form in q_from_mu]
-    pulled = set()
-    for key, x, y in km._game_pairs(inst):
-        if key == km.QPoint.KEY:
-            game = ((x, 1), (y, -1))
-        else:
-            game = [(k, c) for k, c in enumerate(map(sub, mu_from_q[x], mu_from_q[y])) if c]
-        row = [0] * inst.dim_E
-        for k, c in game:
-            for cell, v in forms[k]:
-                row[cell] += c * v
-        pulled.add(primitive_ints(row))
-    mine = set(map(primitive_ints, rows))
+    forms = {km.QPoint.KEY: q_from_mu,
+             km.MuTriangle.KEY: [_ssum((c, q_from_mu[k]) for k, c in form) for form in mu_from_q]}
+    pulled = {_primitive(_ssum(((1, forms[key][x]), (-1, forms[key][y]))))
+              for key, x, y in km._game_pairs(km.KisinInstance(d, b))}
+    mine = set(map(_primitive, rows))
     if pulled != mine:
         raise AssertionError(f"the search's rows and the games of Q disagree at d={d} b={b} "
                              f"on the rows {sorted(pulled ^ mine)}")
     rows = rows[2::3]  # the scaled-q rows, which end the (i, j) triples
-    units = _unit_triangles(d)
-    level = weighted = [0] * len(units)
-    end = len(rows)
+    level = weighted = ()
     for s in range(d, 1, -1):
-        end -= d - s + 1  # rows[end:] now start at q(s, s)
-        level = [sum(col) for col in zip(level, *rows[end:end + d - s + 1])]
-        weighted = list(map(add, weighted, level))
-        two_rho = bd.two_rho(d - s + 2)
-        if any(w != _idot(two_rho, r[s - 2]) - (b + 1) * km._dim_form(r[s - 2:], d - s + 2)
-               for w, r in zip(weighted, units)):
+        n = d - s + 2  # the cells of row s-1
+        level = _ssum([(1, level)] + [(1, rows.pop()) for _ in range(n - 1)])  # + q(s, s..d)
+        weighted = _ssum(((1, weighted), (1, level)))
+        units = [[[int(t == u) for u in range(n)]] for t in range(n)] + [[[0] * n, [1]]]
+        *top, lower = [_idot(bd.two_rho(n), r[0]) - (b + 1) * km._dim_form(r, n) for r in units]
+        want = top + [lower] * (n * (n - 1) // 2)  # on the cells of rows s-1..d
+        if weighted != tuple((k, v) for k, v in enumerate(want, len(mu_from_q) - len(want)) if v):
             raise AssertionError(f"the top-row bound has no certificate at d={d} b={b}")
     return True
 

@@ -11,7 +11,10 @@ variant and constraint form (`a_set`), the optimal-value function
 `b_value`, the max-flow and subset oracles for graph cones
 (`graph_cone_dual_membership`) and the order `precedes` on S_d live here,
 not in the package: no command and no demo runs them, and the tests check
-the package's own methods against them."""
+the package's own methods against them.  So do the dense matrices of the
+transforms and of the search's rows (`dense_transform_rows`,
+`dense_search_rows`), the references for the package's sparse rows, which
+the tests read densified by `dense_rows`."""
 
 import importlib
 import pkgutil
@@ -28,7 +31,7 @@ from kisindim import kisin_model as km
 from kisindim import perm as pm
 from kisindim import solver as sv
 from kisindim.bounds import UnsupportedRegime, reg_star_facets, strong_regularity, two_rho
-from kisindim.kisin_model import KisinInstance, _int_row, _transform_rows, chain_dual_generators
+from kisindim.kisin_model import KisinInstance, _transform_rows, chain_dual_generators
 from kisindim.perm import (AdmissibleSubset, OrdTableau, Permutation, _cycles, _signature,
                            admissible_from_subset, all_permutations, w_star)
 from kisindim.polyhedra import (Frozen, IVec, Vec, _idot, dot, double_description, fmt_frac,
@@ -337,12 +340,76 @@ def is_empty(V: VPolyhedron) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the package's sparse rows as dense integer rows, and the dense references
+# ---------------------------------------------------------------------------
+
+def dense_rows(rows, n: int) -> list[list[int]]:
+    """Sparse rows, their nonzero (index, coefficient) pairs, as dense
+    integer rows of length n."""
+    out = []
+    for row in rows:
+        a = [0] * n
+        for k, c in row:
+            a[k] += c
+        out.append(a)
+    return out
+
+
+def sparse_rows(rows) -> list[tuple[tuple[int, int], ...]]:
+    """Dense integer rows as sparse ones, the inverse of `dense_rows`."""
+    return [tuple((k, c) for k, c in enumerate(row) if c) for row in rows]
+
+
+def dense_int_row(inst: KisinInstance, terms) -> list[int]:
+    """The integer row over the cells of E that sums (coefficient, cell) terms."""
+    a = [0] * inst.dim_E
+    for c, cell in terms:
+        a[inst.cell_index(*cell)] += c
+    return a
+
+
+def dense_transform_rows(d: int, b: int) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
+    """The integer matrices of the two transforms, one row per cell in
+    row-major order: the q-cell forms of mu_{i,j} (`km._mu_cell_terms`) and
+    the mu-cell forms of b(b-1) q_{i,j} (`km._q_cell_terms`).  The
+    reference for the sparse rows of `km._transform_rows`."""
+    inst = KisinInstance(d, b)
+    return tuple(tuple(tuple(dense_int_row(inst, terms(inst, i, j))) for (i, j) in inst.cells)
+                 for terms in (km._mu_cell_terms, km._q_cell_terms))
+
+
+def unit_triangles(d):
+    """One unit triangle per mu-cell, in row form and row-major order."""
+    return [[[int((r, s) == (i, j)) for s in range(r, d + 1)] for r in range(1, d + 1)]
+            for i in range(1, d + 1) for j in range(i, d + 1)]
+
+
+def dense_search_rows(d: int, b: int) -> list[list[int]]:
+    """The rows the search sets up, as integer forms of the mu-cells read
+    off its own code on unit triangles: for 2 <= i <= j <= d, the order rows
+    mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1} and the scaled-q row q(i, j),
+    entry j-i of sv._row_slacks on rows i-1, i, i+1 (row d+1 is empty),
+    with one _row_slacks call per level i and unit triangle.  The reference
+    for the sparse rows of `sv._search_rows`, read on unit windows."""
+    units = [rows + [[]] for rows in unit_triangles(d)]
+    out = []
+    for i in range(2, d + 1):
+        slacks = [sv._row_slacks(r[i - 2], r[i - 1], r[i], b) for r in units]
+        for j in range(i, d + 1):
+            out += [[r[i - 1][j - i] - r[i - 2][j - i + 1] for r in units],
+                    [r[i - 2][j - i] - r[i - 1][j - i] for r in units],
+                    [s[j - i] for s in slacks]]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the cone variants and the coordinate forms as H-polyhedra and vectors
 # ---------------------------------------------------------------------------
 
 def mu_cell_vector(inst: KisinInstance, i: int, j: int) -> Vec:
     """The vector v in E with <q, v> = mu_{i,j}(q)."""
-    return tuple(map(Fraction, _transform_rows(inst.d, inst.b)[0][inst.cell_index(i, j)]))
+    row = _transform_rows(inst.d, inst.b)[0][inst.cell_index(i, j)]
+    return tuple(map(Fraction, dense_rows([row], inst.dim_E)[0]))
 
 
 def S_T(x, T, d: int) -> Fraction:
@@ -359,8 +426,8 @@ def _games_i_and_ii(inst: KisinInstance):
     (q_{i+1,j+1} - q_{i,j}), one pair per 1 <= i <= j < d."""
     for i in range(1, inst.d + 1):
         for j in range(i, inst.d):
-            yield (_int_row(inst, ((1, (i, j)), (-1, (i, j + 1)))),
-                   _int_row(inst, ((1, (i + 1, j + 1)), (-1, (i, j)))))
+            yield (dense_int_row(inst, ((1, (i, j)), (-1, (i, j + 1)))),
+                   dense_int_row(inst, ((1, (i + 1, j + 1)), (-1, (i, j)))))
 
 
 def cone_qmax(inst: KisinInstance) -> HPolyhedron:
@@ -393,7 +460,7 @@ def cone_qw(inst: KisinInstance, w: pm.Permutation) -> HPolyhedron:
     for x in cells:
         for y in cells:
             if x != y and tab.entries[x] >= tab.entries[y]:
-                ineqs.append((_int_row(inst, ((1, x), (-1, y))), 0))
+                ineqs.append((dense_int_row(inst, ((1, x), (-1, y))), 0))
     return HPolyhedron.build(inst.dim_E, ineqs)
 
 
@@ -401,12 +468,13 @@ def cone_q(inst: KisinInstance) -> HPolyhedron:
     """The cone Q in E: games I (q_{i,j} >= q_{i,j+1}), II (q_{i,j} <=
     q_{i+1,j+1}) and III (mu_{i,j} >= mu_{i+1,j+1}), over 1 <= i <= j < d,
     the rows of `km._game_pairs` as q-forms: a mu-game x - y is row x minus
-    row y of the mu_from_q matrix."""
-    forms, cells = _transform_rows(inst.d, inst.b)[0], inst.cells
+    row y of the mu_from_q rows, densified."""
+    forms = dense_rows(_transform_rows(inst.d, inst.b)[0], inst.dim_E)
+    cells = inst.cells
     rows = []
     for key, x, y in km._game_pairs(inst):
         if key == km.QPoint.KEY:
-            rows.append(_int_row(inst, ((1, cells[x]), (-1, cells[y]))))
+            rows.append(dense_int_row(inst, ((1, cells[x]), (-1, cells[y]))))
         else:
             rows.append([u - v for u, v in zip(forms[x], forms[y])])
     return HPolyhedron.build(inst.dim_E, [(a, 0) for a in rows])
@@ -442,15 +510,15 @@ def _dual_hrep(inst: KisinInstance, variant):
         sets = [level_set(w, s) for s in range(1, d)]
     else:
         raise ValueError(f"unknown cone variant {variant!r}")
-    rows = [_int_row(inst, ((-1, c) for c in adm.cells)) for adm in sets]
-    return rows, [_int_row(inst, ((1, c) for c in inst.cells))]
+    rows = [dense_int_row(inst, ((-1, c) for c in adm.cells)) for adm in sets]
+    return rows, [dense_int_row(inst, ((1, c) for c in inst.cells))]
 
 
 def _form_vectors(inst: KisinInstance, form: str) -> list[IVec]:
     """The integer rows F_i of the constraint map: those of the top
     mu-cells for g, <q, F_i> = mu_{1,i}(q) (the rows `bounds.a_set` maps
     by), the first and last of them for the two-sided map f."""
-    top = list(_transform_rows(inst.d, inst.b)[0][:inst.d])
+    top = dense_rows(_transform_rows(inst.d, inst.b)[0][:inst.d], inst.dim_E)
     if form == "g":
         return top
     if form == "f":
@@ -838,19 +906,19 @@ def top_bound_lp(d: int, b: int, divisor: int | None = None) -> bool:
     solver._prove, which checks one known combination."""
     divisor = b + 1 if divisor is None else divisor
     target = [_idot(two_rho(d), r[0]) - divisor * km._dim_form(r, d)
-              for r in sv._unit_triangles(d)]
-    return in_cone(sv._search_rows(d, b), target)
+              for r in unit_triangles(d)]
+    return in_cone(dense_rows(sv._search_rows(d, b), len(target)), target)
 
 
 def whole_triangle_certificate(rows, d: int, b: int) -> bool:
     """The top-row bound's closed-form certificate on the whole triangle
     only: <2 rho | top> - (b+1) dim, read off the search's code on unit
     triangles, is sum (i-1) q(i, j) over the scaled-q rows q(i, j) that end
-    the (i, j) triples of the d-system rows."""
+    the (i, j) triples of the d-system's sparse rows."""
     target = [_idot(two_rho(d), r[0]) - (b + 1) * km._dim_form(r, d)
-              for r in sv._unit_triangles(d)]
+              for r in unit_triangles(d)]
     weights = [i - 1 for i in range(2, d + 1) for _ in range(i, d + 1)]
-    cols = zip(*rows[2::3], target)
+    cols = zip(*dense_rows(rows[2::3], len(target)), target)
     return all(_idot(weights, col) == t for *col, t in cols)
 
 
@@ -861,12 +929,12 @@ def sub_bounds_by_shifted_systems(d: int, b: int) -> bool:
     certificate.  The reference for solver._prove, which reads
     every suffix certificate off the d-system's own rows."""
     inst = KisinInstance(d, b)
-    full = set(map(tuple, sv._search_rows(d, b)))
+    full = set(map(tuple, dense_rows(sv._search_rows(d, b), inst.dim_E)))
     for dp in range(2, d + 1):
         shift = d - dp
         at = [inst.cell_index(i + shift, j + shift) for i, j in KisinInstance(dp, b).cells]
         sub_rows = sv._search_rows(dp, b)
-        for sub_row in sub_rows:
+        for sub_row in dense_rows(sub_rows, len(at)):
             row = [0] * inst.dim_E
             for k, x in zip(at, sub_row):
                 row[k] = x
@@ -881,7 +949,7 @@ def pulled_back_rows_dense(d: int, b: int) -> set:
     """The rows of Q pulled back to the mu-cells by dotting each halfspace
     with every column of the b(b-1) q-forms: the reference for the sparse
     sum in solver._prove."""
-    images = list(zip(*_transform_rows(d, b)[1]))
+    images = list(zip(*dense_rows(_transform_rows(d, b)[1], d * (d + 1) // 2)))
     return {primitive_ints([_idot(h.normal, q) for q in images])
             for h in cone_q(KisinInstance(d, b)).halfspaces}
 

@@ -12,8 +12,8 @@ from kisindim.kisin_model import (KisinInstance, MuTriangle, QPoint, chain_dual_
                                   regular_dual_generators, validate_phi)
 from kisindim.polyhedra import dot
 from oracles import (HPolyhedron, S_T, apply_terms, cone_chain, cone_q, cone_qmax, cone_qmin,
-                     cone_qw, cone_regular, contains, dim_phi_fraction, mu_cell_vector,
-                     polyhedra_set_equal)
+                     cone_qw, cone_regular, contains, dense_rows, dense_transform_rows,
+                     dim_phi_fraction, mu_cell_vector, polyhedra_set_equal)
 
 
 def rand_qpoint(inst, rng, denom=(1, 2, 3)):
@@ -107,8 +107,19 @@ def _rational_triangle(cls, inst, rng):
 KERNEL_GRID = [(d, b) for d in range(1, 7) for b in (2, 3, 5, 7, 101)]
 
 
+@pytest.mark.parametrize("d", range(1, 11))
+def test_sparse_transform_rows_match_the_dense_matrices(d):
+    # each sparse row, equal cells merged and zeros dropped, densified is the
+    # row of the dense matrix that sums the same terms
+    for b in (2, 3, 5, 101, 10007):
+        for sparse, dense in zip(km._transform_rows(d, b), dense_transform_rows(d, b)):
+            assert all(x < y for row in sparse for (x, _), (y, _) in zip(row, row[1:])), b
+            assert all(c for row in sparse for _, c in row), b
+            assert [tuple(r) for r in dense_rows(sparse, d * (d + 1) // 2)] == list(dense), b
+
+
 def test_transforms_match_the_term_walk():
-    # the integer matrices of _transform_rows against the Fraction walk of
+    # the sparse rows of _transform_rows against the Fraction walk of
     # the (coefficient, cell) terms they are built from
     rng = random.Random(24)
     for d, b in KERNEL_GRID:
@@ -301,6 +312,23 @@ def _random_mu_triangle(inst, rng, kind):
     if kind == 3:
         q[rng.randrange(len(q))] += F(rng.choice((-1, 1)), rng.choice((1, 2, b)))
     return mu_from_q(QPoint(inst, q))
+
+
+def test_in_cone_q_decides_the_mu_games_first(monkeypatch):
+    # a triangle that fails a mu-game is outside Q before any q-cell is
+    # computed: with the q_from_mu rows refused, it still gets its answer
+    def refused(d, b):
+        raise AssertionError("the q-cells were computed")
+
+    monkeypatch.setattr(km, "_transform_rows", refused)
+    for d, b in ((2, 2), (3, 3), (5, 101)):
+        inst = KisinInstance(d, b)
+        # game III at (d-1, d-1), mu_{d-1,d-1} - mu_{d,d}, is -1/b
+        cells = [F(0)] * (inst.dim_E - 1) + [F(1, b)]
+        assert not in_cone_q(MuTriangle(inst, cells)), (d, b)
+    # control: a triangle that passes every mu-game reaches the q-cells
+    with pytest.raises(AssertionError, match="q-cells"):
+        in_cone_q(MuTriangle(KisinInstance(2, 2), [0, 0, 0]))
 
 
 def test_in_cone_q_matches_the_h_polyhedron():

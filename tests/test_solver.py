@@ -13,8 +13,9 @@ from kisindim.kisin_model import KisinInstance, MuTriangle, dim_phi, q_from_mu
 from kisindim.polyhedra import primitive_ints
 from kisindim.solver import (BudgetExceeded, DimQuery, dim_d2_closed, dim_d3_closed,
                              dim_exact, consistency_suite, _enumerate_dominated_tops)
-from oracles import (clear_caches, cone_q, contains, pulled_back_rows_dense,
-                     sub_bounds_by_shifted_systems, top_bound_lp, whole_triangle_certificate)
+from oracles import (clear_caches, cone_q, contains, dense_rows, dense_search_rows,
+                     pulled_back_rows_dense, sparse_rows, sub_bounds_by_shifted_systems,
+                     top_bound_lp, unit_triangles, whole_triangle_certificate)
 from test_acceptance import _integrally_regular_samples, _strongly_regular_samples
 
 
@@ -187,17 +188,21 @@ def test_self_test_catches_cone_with_a_halfspace_dropped(b, monkeypatch, cold_mu
 
 @pytest.mark.parametrize("b", (2, 3))
 def test_proof_catches_a_changed_entry_of_mu_from_q(b, monkeypatch, cold_mu_system):
-    # a mu-game is pulled back through the mu_from_q matrix: one entry of
-    # its row of mu_{1,1}, a cell of game III at every d >= 2, raised by one
-    # makes the pulled-back games differ from the search's rows
-    transform_rows = km._transform_rows
+    # a mu-game is pulled back through the mu_from_q rows: one coefficient
+    # of the row of mu_{1,1}, a cell of game III at every d >= 2, raised by
+    # one (a term on cell k added to its terms) makes the pulled-back games
+    # differ from the search's rows
+    mu_cell_terms = km._mu_cell_terms
     for d in (2, 3, 4):
-        mu_from_q, q_from_mu = transform_rows(d, b)
-        for k in range(len(mu_from_q)):
-            changed = [list(row) for row in mu_from_q]
-            changed[0][k] += 1
-            monkeypatch.setattr(km, "_transform_rows", lambda d, b: (changed, q_from_mu))
-            sv._prove.cache_clear()
+        cells = KisinInstance(d, b).cells
+        for k in range(len(cells)):
+            def changed(inst, i, j, k=k):
+                yield from mu_cell_terms(inst, i, j)
+                if (i, j) == (1, 1):
+                    yield 1, cells[k]
+
+            monkeypatch.setattr(km, "_mu_cell_terms", changed)
+            clear_caches()
             with pytest.raises(AssertionError, match="disagree"):
                 sv._prove(d, b)
 
@@ -650,9 +655,9 @@ def test_top_bound_check_refuses_a_wrong_certificate(d, monkeypatch, cold_mu_sys
 
     def changed(k, scale):
         def mutant(d, b):
-            out = rows(d, b)
+            out = dense_rows(rows(d, b), d * (d + 1) // 2)
             out[3 * k + 2] = [scale * x for x in out[3 * k + 2]]
-            return out
+            return sparse_rows(out)
         return mutant
 
     for b in CERTIFICATE_B_VALUES:
@@ -1083,7 +1088,7 @@ def test_row_slacks_and_sub_bound_are_proved(d):
     # unit triangle for 3 <= r <= d+1 (row d+1 is empty); both sides are
     # linear in the mu-cells, so they are equal everywhere
     for b in (2, 3, 5, 7, 101, 10007):
-        for rows in sv._unit_triangles(d):
+        for rows in unit_triangles(d):
             rows.append([])
             for r in range(3, d + 2):
                 want = [_scaled_q(rows, d, b, r - 1, j) - _scaled_q(rows, d, b, r - 2, j - 1)
@@ -1136,12 +1141,12 @@ def test_sub_bound_needs_every_smaller_certificate(monkeypatch, cold_mu_system):
                                                   for j in range(i, 5))}
 
     def mutant(d, b):
-        out = rows(d, b)
+        out = dense_rows(rows(d, b), d * (d + 1) // 2)
         if d == 4:
             q44 = out[at[4, 4]]
             out[at[3, 3]] = [x + y for x, y in zip(out[at[3, 3]], q44)]
             out[at[2, 2]] = [x - 2 * y for x, y in zip(out[at[2, 2]], q44)]
-        return out
+        return sparse_rows(out)
 
     with monkeypatch.context() as m:
         m.setattr(sv, "_search_rows", mutant)
@@ -1188,12 +1193,21 @@ def test_suffix_certificates_match_the_shifted_systems(d):
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_sparse_pull_back_matches_the_dense_dots(d):
-    # _prove pulls the games back by summing the nonzero entries of the
-    # q-forms over each game's nonzero coefficients and finds the search's
-    # rows; the dense dots find the same rows, so both sets agree
+    # _prove pulls the games back by summing the sparse q-forms over each
+    # cell's and game's terms and finds the search's rows; the dense dots
+    # find the same rows, so both sets agree
     for b in (2, 3, 5, 101, 10007):
         assert sv._prove(d, b), b
-        assert pulled_back_rows_dense(d, b) == set(map(primitive_ints, sv._search_rows(d, b))), b
+        rows = dense_rows(sv._search_rows(d, b), d * (d + 1) // 2)
+        assert pulled_back_rows_dense(d, b) == set(map(primitive_ints, rows)), b
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_search_rows_on_unit_windows_match_the_unit_triangles(d):
+    # each level-i row is read on the cells of rows i-1..i+1 only; densified,
+    # the rows are those read off _row_slacks on every unit triangle
+    for b in (2, 3, 5, 101, 10007):
+        assert dense_rows(sv._search_rows(d, b), d * (d + 1) // 2) == dense_search_rows(d, b), b
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))
@@ -1208,9 +1222,9 @@ def test_search_without_a_certificate_raises_and_spends_no_node(d, monkeypatch,
     rows = sv._search_rows
 
     def mutant(d, b):
-        out = rows(d, b)
+        out = dense_rows(rows(d, b), d * (d + 1) // 2)
         out[2] = [2 * x for x in out[2]]
-        return out
+        return sparse_rows(out)
 
     monkeypatch.setattr(sv, "_search_rows", mutant)
     monkeypatch.setattr(sv._Budget, "spend", spend)
