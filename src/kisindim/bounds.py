@@ -359,10 +359,10 @@ def witness_le_e(inst: km.KisinInstance, e: int):
     report = {
         "n_raw": n_raw, "n": n, "m": m,
         "in_Q": km.in_cone_q(mu),
-        "in_R": q.in_lattice(),
+        "in_R": mu.in_lattice(),
         "mu_top_le_e": mu[(1, 1)] <= e,
         "mu_bottom_ge_0": mu[(1, d)] >= 0,
-        "objective": km.dim_phi(q),
+        "objective": km.dim_phi(mu),
         "objective_target": quarter * n,
         "objective_lower_target": quarter * n_raw,
     }
@@ -408,11 +408,11 @@ def witness_le_mu(inst: km.KisinInstance, mu, reg=None):
     report = {
         "q_levels": qq,
         "in_Q": km.in_cone_q(m),
-        "in_R": q.in_lattice(),
+        "in_R": m.in_lattice(),
         # image constraint: g(q) dominated by mu (partial sums, equal total)
         "image_dominated": all(sum(g[:t]) <= sum(mu[:t]) for t in range(1, d))
         and sum(g) == sum(mu),
-        "objective": km.dim_phi(q),
+        "objective": km.dim_phi(m),
         "objective_provable_target": target - d * (d - 1),
         "objective_stated_target": target - (d - 1) ** 2 - Fraction((d - 2) ** 2, 4),
         "exact_when_integral": qp == qq,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import perm as pm
 from .polyhedra import Frozen, IVec, SRow, Vec, _idot, _sdot, _ssum, fmt_frac, frac, scaled_ints
@@ -97,13 +96,6 @@ class QPoint(_Triangle):
 
     KEY = "q"
 
-    def in_lattice(self) -> bool:
-        """q_{i,j} in (1/b)Z for all cells and q_{i,d} in Z: every denominator
-        divides b exactly when their lcm does."""
-        b, d = self.instance.b, self.instance.d
-        return (b % lcm(*(v.denominator for v in self.values)) == 0
-                and all(self[(i, d)].denominator == 1 for i in range(1, d + 1)))
-
 
 class MuTriangle(_Triangle):
     """A point of E in mu-coordinates; the top row is the elementary-divisor
@@ -117,7 +109,8 @@ class MuTriangle(_Triangle):
 
     def in_lattice(self) -> bool:
         """All mu_{i,j} integral and b-1 divides every row sum; this holds
-        exactly when q_from_mu(self).in_lattice().  With R_i the sum of row i,
+        exactly when q_from_mu(self) lies in the q-lattice, q_{i,j} in (1/b)Z
+        for all cells and q_{i,d} in Z.  With R_i the sum of row i,
         R_i = (b-1)(q_{i,d} + ... + q_{d,d}) and b q_{i,j} = b q_{i,d} -
         sum_{s>j} (mu_{i,s} - mu_{i+1,s}) (row d+1 empty), and mu_from_q has
         integer coefficients on the b q_{i,j} and the q_{j,d}."""
@@ -154,11 +147,18 @@ def _apply(x: _Triangle, k: int, scale: int) -> list[Fraction]:
     return [Fraction(_sdot(row, nums), den) for row in _transform_rows(inst.d, inst.b)[k]]
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=32)
 def _transform_rows(d: int, b: int) -> tuple[tuple[SRow, ...], tuple[SRow, ...]]:
     """The sparse integer rows of the two transforms, one per cell in
     row-major order: the q-cell forms of mu_{i,j} (`_mu_cell_terms`) and the
-    mu-cell forms of b(b-1) q_{i,j} (`_q_cell_terms`)."""
+    mu-cell forms of b(b-1) q_{i,j} (`_q_cell_terms`).
+
+    The package's one cache whose entries grow with d: an entry holds about
+    d^3 (cell, coefficient) pairs, at most 125 d^3 bytes under tracemalloc
+    (6.9 kB at (4, 2), 20.5 MB at (60, 2), 26.1 MB at (60, 10^20)).  So its
+    32 entries keep at most 4,000 D^3 bytes, D the largest d served: under
+    1 MB for D = 6, 13.5 MB for D = 15, 864 MB for D = 60.  32 is twice the
+    16 (d, b) of the benchmark's long-running mixed session."""
     inst = KisinInstance(d, b)
     return tuple(tuple(_int_row(inst, terms(inst, i, j)) for (i, j) in inst.cells)
                  for terms in (_mu_cell_terms, _q_cell_terms))
@@ -225,11 +225,14 @@ def in_cone_q(m: MuTriangle) -> bool:
     numerators over their common denominator, then, if they all hold, the
     q-games at the integers b(b-1) q that the q_from_mu rows map them to."""
     mu = scaled_ints(m.values)[0]
-    games = list(_game_pairs(m.instance))
-    if any(mu[x] < mu[y] for key, x, y in games if key == MuTriangle.KEY):
-        return False
+    q_games = []
+    for key, x, y in _game_pairs(m.instance):
+        if key == QPoint.KEY:
+            q_games.append((x, y))
+        elif mu[x] < mu[y]:
+            return False
     q = [_sdot(row, mu) for row in _transform_rows(m.instance.d, m.instance.b)[1]]
-    return all(q[x] >= q[y] for key, x, y in games if key == QPoint.KEY)
+    return all(q[x] >= q[y] for x, y in q_games)
 
 
 def chain_dual_generators(d: int) -> list[IVec]:
@@ -257,25 +260,25 @@ def _dim_form(rows, d):
             - sum(map(sum, rows[1:])))
 
 
-def dim_phi(x: QPoint | MuTriangle) -> Fraction:
-    """dim(phi) evaluated in both coordinate systems (cross-checked).
+def dim_phi(m: MuTriangle) -> Fraction:
+    """dim(phi) of a mu-triangle, evaluated in both coordinate systems
+    (cross-checked).
 
     mu-form: sum_j (d+1-j) mu_{1,j} - sum_{(i,j)} mu_{i,j};
     q-form:  b * sum q_{i,j} + sum_i (2i-1-d-bi) q_{i,d}.
 
-    Both run on integers: x's numerators over its common denominator L, the
-    other coordinates from them by the rows of `_transform_rows` (over L,
-    or over L b(b-1) for q from mu), compared exactly across the two
-    denominators, of which L cancels.  Only the value is a Fraction.
+    Both run on integers: m's numerators over their common denominator L,
+    and the integers b(b-1) L q that the q_from_mu rows map them to, so the
+    q-form must be b(b-1) times the mu-form.  Only the value is a Fraction.
     """
-    inst = x.instance
+    if not isinstance(m, MuTriangle):
+        raise TypeError(f"dim_phi takes a MuTriangle, not {type(m).__name__}")
+    inst = m.instance
     d, b = inst.d, inst.b
-    nums, den = scaled_ints(x.values)
-    k = isinstance(x, MuTriangle)  # the rows k of _transform_rows map x to the other side
-    image = [_sdot(row, nums) for row in _transform_rows(d, b)[k]]
-    m, q = (nums, image) if k else (image, nums)
-    mu_form = _dim_form((m[:d], m[d:]), d)
-    if mu_form * (b * (b - 1) if k else 1) != _idot(delta_vec(inst), q):
+    mu, den = scaled_ints(m.values)
+    q = [_sdot(row, mu) for row in _transform_rows(d, b)[1]]
+    mu_form = _dim_form((mu[:d], mu[d:]), d)
+    if mu_form * b * (b - 1) != _idot(delta_vec(inst), q):
         raise AssertionError("dimension functional mismatch between coordinates")
     return Fraction(mu_form, den)
 
@@ -296,28 +299,23 @@ class PhiFunctions(Frozen):
 
     def phi(self, i: int, x) -> Fraction | None:
         """phi_i(x); None encodes -infinity."""
-        x = frac(x)
-        b = self.instance.b
-        pieces = self.phi_pieces[i - 1]
-        if x < pieces[0][0]:
-            return None
-        val = None
-        for (brk, level) in pieces:
-            if x >= brk:
-                val = b * (x - brk) + level
-        return val
+        return _piecewise(self.phi_pieces[i - 1], self.instance.b, x)
 
     def psi(self, j: int, m) -> Fraction | None:
-        m = frac(m)
-        b = self.instance.b
-        pieces = self.psi_pieces[j - 1]
-        if m < pieces[0][0]:
-            return None
-        val = None
-        for (brk, level) in pieces:
-            if m >= brk:
-                val = Fraction(m - brk, b) + level
-        return val
+        """psi_j(m); None encodes -infinity."""
+        return _piecewise(self.psi_pieces[j - 1], Fraction(1, self.instance.b), m)
+
+
+def _piecewise(pieces, slope, x) -> Fraction | None:
+    """The value at x of the function with the given slope that restarts at
+    each of the sorted breakpoints (brk, level) from that level: the last
+    breakpoint at or below x decides, and None (-infinity) below the first."""
+    x = frac(x)
+    val = None
+    for brk, level in pieces:
+        if x >= brk:
+            val = slope * (x - brk) + level
+    return val
 
 
 def phi_from_q(q: QPoint) -> PhiFunctions:

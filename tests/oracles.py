@@ -14,7 +14,9 @@ not in the package: no command and no demo runs them, and the tests check
 the package's own methods against them.  So do the dense matrices of the
 transforms and of the search's rows (`dense_transform_rows`,
 `dense_search_rows`), the references for the package's sparse rows, which
-the tests read densified by `dense_rows`."""
+the tests read densified by `dense_rows`, and the q-side checks of a
+point of E (`q_in_lattice`, `dim_phi_q`), the references for the
+package's checks on its mu-triangle."""
 
 import importlib
 import pkgutil
@@ -34,8 +36,8 @@ from kisindim.bounds import UnsupportedRegime, reg_star_facets, strong_regularit
 from kisindim.kisin_model import KisinInstance, _transform_rows, chain_dual_generators
 from kisindim.perm import (AdmissibleSubset, OrdTableau, Permutation, _cycles, _signature,
                            admissible_from_subset, all_permutations, w_star)
-from kisindim.polyhedra import (Frozen, IVec, Vec, _idot, dot, double_description, fmt_frac,
-                                frac, primitive_ints, scaled_ints, vec)
+from kisindim.polyhedra import (Frozen, IVec, Vec, _idot, _sdot, dot, double_description,
+                                fmt_frac, frac, primitive_ints, scaled_ints, vec)
 
 
 def primitive_row(v) -> IVec:
@@ -850,7 +852,7 @@ def dominated_sup(mu, inst: km.KisinInstance, strong: bool):
 
 
 # ---------------------------------------------------------------------------
-# the triangle kernel and the JSON encoder by the Fraction route
+# the triangle kernel by the Fraction route
 # ---------------------------------------------------------------------------
 
 def apply_terms(x, terms, scale: int) -> list[Fraction]:
@@ -881,6 +883,39 @@ def dim_phi_fraction(x) -> Fraction:
         raise AssertionError("dimension functional mismatch between coordinates")
     return mu_form
 
+
+# ---------------------------------------------------------------------------
+# a point of E checked in q-coordinates
+# ---------------------------------------------------------------------------
+
+def q_in_lattice(q: km.QPoint) -> bool:
+    """q_{i,j} in (1/b)Z for all cells and q_{i,d} in Z: every denominator
+    divides b exactly when their lcm does.  The q-side reference for
+    MuTriangle.in_lattice, which decides the same lattice on mu_from_q(q)."""
+    b, d = q.instance.b, q.instance.d
+    return (b % lcm(*(v.denominator for v in q.values)) == 0
+            and all(q[(i, d)].denominator == 1 for i in range(1, d + 1)))
+
+
+def dim_phi_q(q: km.QPoint) -> Fraction:
+    """dim(phi) of a q-triangle on integers, cross-checked as km.dim_phi
+    does from the other side: q's numerators over their common denominator
+    L, and the integers L mu that the mu_from_q rows map them to, must give
+    the same value by the q-form and the mu-form.  The q-side reference for
+    km.dim_phi(mu_from_q(q))."""
+    inst = q.instance
+    d, b = inst.d, inst.b
+    nums, den = scaled_ints(q.values)
+    m = [_sdot(row, nums) for row in _transform_rows(d, b)[0]]
+    mu_form = km._dim_form((m[:d], m[d:]), d)
+    if mu_form != _idot(km.delta_vec(inst), nums):
+        raise AssertionError("dimension functional mismatch between coordinates")
+    return Fraction(mu_form, den)
+
+
+# ---------------------------------------------------------------------------
+# the JSON encoder by the Fraction route
+# ---------------------------------------------------------------------------
 
 def encode(obj):
     """A payload with every Fraction replaced by its "p/q" string and every
@@ -970,7 +1005,7 @@ def witness_le_e_report(inst: km.KisinInstance, e: int, q: km.QPoint) -> dict:
     report = {
         "n_raw": n_raw, "n": n, "m": (-n) % (b - 1),
         "in_Q": contains(cone_q(inst), q.values),
-        "in_R": q.in_lattice(),
+        "in_R": q_in_lattice(q),
         "mu_top_le_e": top[0] <= e,
         "mu_bottom_ge_0": top[-1] >= 0,
         "objective": dot(km.delta_vec(inst), q.values),
@@ -998,7 +1033,7 @@ def witness_le_mu_report(inst: km.KisinInstance, mu, q: km.QPoint) -> dict:
     report = {
         "q_levels": qq,
         "in_Q": contains(cone_q(inst), q.values),
-        "in_R": q.in_lattice(),
+        "in_R": q_in_lattice(q),
         "image_dominated": all(sum(g[:t]) <= sum(mu[:t]) for t in range(1, d))
         and sum(g) == sum(mu),
         "objective": dot(km.delta_vec(inst), q.values),

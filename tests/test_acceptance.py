@@ -14,7 +14,7 @@ from kisindim.kisin_model import (KisinInstance, QPoint, chain_dual_generators, 
                                   phi_from_q, q_from_mu, read_back_q, validate_phi)
 from oracles import (a_set, admissible_level, cone_chain, cone_q, contains, enumerate_vertices,
                      graph_cone_dual_membership, intersect, minkowski_sum_cone,
-                     polyhedra_set_equal)
+                     polyhedra_set_equal, q_in_lattice)
 
 BIG_BUDGET = 500_000_000
 
@@ -391,7 +391,7 @@ def test_acceptance_10_round_trips():
         q = QPoint(inst, {(i, j): F(M * levels[d - 1 - (j - i)] + 3 * i
                                     + rng.randint(0, 1))
                           for (i, j) in inst.cells})
-        assert contains(cone_q(inst), q.values) and q.in_lattice()
+        assert contains(cone_q(inst), q.values) and q_in_lattice(q)
         p = phi_from_q(q)
         assert validate_phi(p)
         assert read_back_q(p) == q

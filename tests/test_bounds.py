@@ -828,10 +828,34 @@ def test_witness_le_mu_at_d1_is_ok_exactly_when_the_objective_meets_the_target(m
         assert rep["ok"] and rep["exact_when_integral"] and rep["objective"] == 0, (b, mu)
     dim_phi = km.dim_phi
     for step in (1, -1):
-        monkeypatch.setattr(km, "dim_phi", lambda q, step=step: dim_phi(q) + step)
+        monkeypatch.setattr(km, "dim_phi", lambda m, step=step: dim_phi(m) + step)
         for b, mu in types:
             _, rep = witness_le_mu(KisinInstance(1, b), mu)
             assert not rep["ok"], (b, mu, step)
+
+
+def _off_the_lattice(m):
+    """m plus (b-1)/(b+1) on every mu-cell, which is 1/(b+1) on every
+    q-cell: every game and dim(phi) keep their values, the lattice is left."""
+    b = m.instance.b
+    return km.MuTriangle(m.instance, [x + F(b - 1, b + 1) for x in m.values])
+
+
+def test_witness_reports_read_the_lattice_off_their_mu_triangle(monkeypatch):
+    # both reports decide in_R on the mu-triangle they build: moved off the
+    # lattice, it stays in Q with the same objective, and the report says
+    # it is outside R and not ok
+    mu_from_q = km.mu_from_q
+    for d, b, mu in ((2, 3, (8, 0)), (3, 2, (12, 5, 0))):
+        inst = KisinInstance(d, b)
+        for build in (lambda: witness_le_e(inst, 9), lambda: witness_le_mu(inst, mu)):
+            monkeypatch.setattr(km, "mu_from_q", mu_from_q)
+            _, good = build()
+            monkeypatch.setattr(km, "mu_from_q", lambda q: _off_the_lattice(mu_from_q(q)))
+            _, rep = build()
+            assert good["ok"] and good["in_R"], (d, b, good)
+            assert rep["in_Q"] and rep["objective"] == good["objective"], (d, b, rep)
+            assert not rep["in_R"] and not rep["ok"], (d, b, rep)
 
 
 def test_witness_le_mu_rejects_non_regular():

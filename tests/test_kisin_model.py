@@ -13,7 +13,8 @@ from kisindim.kisin_model import (KisinInstance, MuTriangle, QPoint, chain_dual_
 from kisindim.polyhedra import dot
 from oracles import (HPolyhedron, S_T, apply_terms, cone_chain, cone_q, cone_qmax, cone_qmin,
                      cone_qw, cone_regular, contains, dense_rows, dense_transform_rows,
-                     dim_phi_fraction, mu_cell_vector, polyhedra_set_equal)
+                     dim_phi_fraction, dim_phi_q, mu_cell_vector, polyhedra_set_equal,
+                     q_in_lattice)
 
 
 def rand_qpoint(inst, rng, denom=(1, 2, 3)):
@@ -136,10 +137,19 @@ def test_dim_phi_matches_the_fraction_forms():
     for d, b in KERNEL_GRID:
         inst = KisinInstance(d, b)
         for _ in range(10):
-            for cls in (QPoint, MuTriangle):
+            for check, cls in ((dim_phi_q, QPoint), (dim_phi, MuTriangle)):
                 x = _rational_triangle(cls, inst, rng)
-                value = dim_phi(x)
+                value = check(x)
                 assert value == dim_phi_fraction(x) and type(value) is F, x
+
+
+def test_dim_phi_takes_only_a_mu_triangle():
+    # read as mu-cells, a QPoint's cells would pass the cross-check and
+    # give the dimension of another point
+    q = QPoint(KisinInstance(2, 2), {(1, 1): 2, (1, 2): 1, (2, 2): 2})
+    with pytest.raises(TypeError, match="MuTriangle"):
+        dim_phi(q)
+    assert dim_phi(mu_from_q(q)) == dim_phi_q(q) == 1
 
 
 @pytest.mark.parametrize("d, b", [(1, 2), (2, 3), (4, 5), (6, 101)])
@@ -154,9 +164,9 @@ def test_dim_phi_raises_on_a_delta_coefficient_off_by_one(monkeypatch, d, b):
         for step in (1, -1):
             bad = row[:k] + (row[k] + step,) + row[k + 1:]
             monkeypatch.setattr(km, "delta_vec", lambda inst, bad=bad: bad)
-            for x in (q, m):
+            for check, x in ((dim_phi_q, q), (dim_phi, m)):
                 with pytest.raises(AssertionError, match="mismatch"):
-                    dim_phi(x)
+                    check(x)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -213,9 +223,49 @@ def test_lattice_conditions_equivalent():
                         vals.update(zip(((i, j) for j in range(i, d + 1)), row))
                     m = MuTriangle(inst, vals)
                     q = q_from_mu(m)
-                assert q.in_lattice() == m.in_lattice(), m.values
+                assert q_in_lattice(q) == m.in_lattice(), m.values
                 hits[m.in_lattice()] += 1
             assert hits[True] > 0 and hits[False] > 0, (d, b)
+
+
+def _grid_q_point(inst, rng, kind):
+    """A q-triangle of one of four kinds: a point constant on the bands
+    j - i with integral levels nonincreasing in j - i (in Q_min, so in Q,
+    and in the lattice); the same plus 1/(b+1) on every cell (still in Q,
+    off the lattice); the first kind with one cell moved by +-13 or 13/b
+    (mostly outside Q); and random cells with denominators 1, 2 and b."""
+    d, b = inst.d, inst.b
+    if kind == 3:
+        return QPoint(inst, [F(rng.randint(-12, 12), rng.choice((1, 1, 2, b)))
+                             for _ in inst.cells])
+    levels = sorted(rng.randint(-6, 6) for _ in range(d))
+    q = [F(levels[d - 1 - (j - i)]) for (i, j) in inst.cells]
+    if kind == 1:
+        q = [x + F(1, b + 1) for x in q]
+    if kind == 2:
+        q[rng.randrange(len(q))] += rng.choice((-13, 13, F(13, b)))
+    return QPoint(inst, q)
+
+
+def test_mu_triangle_checks_match_the_q_side_oracles():
+    # the package decides the lattice and dim(phi) of a point on its
+    # mu-triangle alone; the q-side oracles decide them on q.  At every
+    # d >= 2 the grid has points in and outside Q, on and off the lattice
+    # (at d = 1 there are no games, so Q is all of E)
+    rng = random.Random(40)
+    seen = Counter()
+    for d in range(1, 6):
+        for b in (2, 3, 5):
+            inst = KisinInstance(d, b)
+            for trial in range(40):
+                q = _grid_q_point(inst, rng, trial % 4)
+                m = mu_from_q(q)
+                assert m.in_lattice() == q_in_lattice(q), (d, b, q.values)
+                value = dim_phi(m)
+                assert value == dim_phi_q(q) and type(value) is F, (d, b, q.values)
+                seen[d, contains(cone_q(inst), q.values), q_in_lattice(q)] += 1
+    assert all(seen[d, inside, lattice] for d in range(2, 6)
+               for inside in (True, False) for lattice in (True, False)), seen
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +544,7 @@ def build_cones(inst):
         "Q_min": cone_qmin(inst),
         "C": cone_chain(inst.d),
         "Reg": cone_regular(inst),
-        "lattice_q": lambda q: q.in_lattice(),
+        "lattice_q": q_in_lattice,
         "lattice_mu": lambda m: m.in_lattice(),
     }
 
@@ -584,7 +634,8 @@ def test_S_T_general_formulas():
 
 def test_dim_phi_d1_is_zero():
     inst = KisinInstance(1, 3)
-    assert dim_phi(QPoint(inst, [F(7, 2)])) == 0
+    q = QPoint(inst, [F(7, 2)])
+    assert dim_phi_q(q) == dim_phi(mu_from_q(q)) == 0
 
 
 def test_dim_phi_worked_example():
@@ -668,7 +719,7 @@ def test_phi_validate_and_read_back_random():
                     continue
                 p = phi_from_q(q)
                 assert validate_phi(p)
-                assert q.in_lattice()
+                assert q_in_lattice(q)
                 # breakpoints land in (1/b)Z for lattice points
                 for pieces in p.phi_pieces:
                     for brk, _ in pieces:

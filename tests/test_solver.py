@@ -77,6 +77,18 @@ def test_witness_checks_always_verified():
         assert dim_phi(tri) == r.max_dim_phi
 
 
+def test_dim_witness_check_reads_the_lattice_off_the_triangle():
+    # moved by (b-1)/(b+1) on every mu-cell, 1/(b+1) on every q-cell, a
+    # witness keeps Q and its dim(phi) but leaves the lattice, and the check
+    # refuses it
+    for d, b, mu in [(2, 2, (5, 1)), (3, 3, (7, 2, 1))]:
+        r = dim_exact(DimQuery(KisinInstance(d, b), "mu", mu=mu))
+        moved = MuTriangle(r.witness.instance, [x + F(b - 1, b + 1) for x in r.witness.values])
+        assert km.in_cone_q(moved) and dim_phi(moved) == r.max_dim_phi, (d, b)
+        with pytest.raises(AssertionError, match="'witness_in_R': False"):
+            sv._verify_witness(moved, r.max_dim_phi)
+
+
 def _scaled_q(rows, d, b, i, j):
     """b(b-1) q_{i,j} as an integer form of the mu-cells (rows is a list of
     row lists, rows[i-1][j-i] = mu_{i,j}), read term by term off the
