@@ -32,7 +32,7 @@ from operator import sub
 
 from . import kisin_model as km
 from . import perm as pm
-from .polyhedra import (Frozen, IVec, Vec, _idot, _sdot, dot, double_description,
+from .polyhedra import (Frozen, IVec, Vec, _idot, dot, double_description,
                         primitive_ints, scaled_ints, vec)
 
 
@@ -73,15 +73,16 @@ def a_set(inst: km.KisinInstance) -> tuple[list[IVec], IVec]:
     (<F_i, v>_i, -<delta, v>) >= 0 of each row v of `_dual_hrep`, one per
     proper subset in `_proper_subsets` order, and the equation row, the
     same map of its eq row, which is 0 on the A-set.  The F_i are the
-    sparse rows of the top mu-cells, <q, F_i> = mu_{1,i}(q): the
-    constraint map g.  No row has a zero image: the row of T has entries
-    summing to |T| (1 - b) < 0 (the f_T of `extremal_points_a_qmax`)."""
-    F = km._transform_rows(inst.d, inst.b)[0][:inst.d]
+    q-forms of the top mu-cells, <q, F_i> = mu_{1,i}(q): the constraint
+    map g, so the <F_i, v> are the top row of `km._mu_of` at v.  No row
+    has a zero image: the row of T has entries summing to |T| (1 - b) < 0
+    (the f_T of `extremal_points_a_qmax`)."""
+    d, b = inst.d, inst.b
     delta = km.delta_vec(inst)
     rows, (eq,) = _dual_hrep(inst)
 
     def homogeneous(v):
-        return (*(_sdot(Fi, v) for Fi in F), -_idot(delta, v))
+        return (*km._mu_of(v, d, b)[:d], -_idot(delta, v))
 
     return [homogeneous(v) for v in rows], homogeneous(eq)
 

@@ -10,10 +10,11 @@ tuples, and on lattice points the dimension functional computes the
 stratum dimension (exactly when h != 0, up to a d(d-1)/2 slack when
 h = 0).
 
-A triangle's cells are Fractions, but the work on them is integer: the
-transforms and the dimension functional apply sparse integer rows, kept
-per (d, b), to the cells' numerators over their common denominator, and
-membership in Q takes the games' values at those numerators and at their
+A triangle's cells are Fractions, but the work on them is integer: each
+transform is one running sum on integer cells, `_q_of` along each row and
+`_mu_of` up each column, in O(d^2) with no stored rows, applied to the
+cells' numerators over their common denominator; membership in Q and the
+dimension functional take the values at those numerators and at their
 integer image b(b-1) q.  A Fraction is built only for each output cell of
 a transform and for the value of dim(phi).
 """
@@ -21,10 +22,10 @@ a transform and for the value of dim(phi).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import accumulate
 
 from . import perm as pm
-from .polyhedra import Frozen, IVec, SRow, Vec, _idot, _sdot, _ssum, fmt_frac, frac, scaled_ints
+from .polyhedra import Frozen, IVec, Vec, _idot, fmt_frac, frac, scaled_ints
 
 
 class KisinInstance(Frozen):
@@ -127,66 +128,54 @@ class MuTriangle(_Triangle):
 
 def mu_from_q(q: QPoint) -> MuTriangle:
     """mu_{i,j} = b q_{j,j} - q_{j,d} + b * sum_{s=i}^{j-1} (q_{s,j} - q_{s,j-1})."""
-    return MuTriangle(q.instance, _apply(q, 0, 1))
+    return MuTriangle(q.instance, _apply(q, _mu_of, 1))
 
 
 def q_from_mu(m: MuTriangle) -> QPoint:
     """q_{i,j} = (b mu_{i,i} + b sum_{s=i+1}^{j}(mu_{i,s}-mu_{i+1,s})
     + sum_{s=j+1}^{d}(mu_{i,s}-mu_{i+1,s})) / (b(b-1))."""
     b = m.instance.b
-    return QPoint(m.instance, _apply(m, 1, b * (b - 1)))
+    return QPoint(m.instance, _apply(m, _q_of, b * (b - 1)))
 
 
-def _apply(x: _Triangle, k: int, scale: int) -> list[Fraction]:
-    """The rows k of `_transform_rows` applied to the numerators of x over
-    their common denominator, each image divided by that denominator times
+def _apply(x: _Triangle, transform, scale: int) -> list[Fraction]:
+    """The integer transform applied to the numerators of x over their
+    common denominator, each image divided by that denominator times
     scale: the one place the transforms build Fractions."""
     inst = x.instance
     nums, den = scaled_ints(x.values)
     den *= scale
-    return [Fraction(_sdot(row, nums), den) for row in _transform_rows(inst.d, inst.b)[k]]
+    return [Fraction(v, den) for v in transform(nums, inst.d, inst.b)]
 
 
-@lru_cache(maxsize=32)
-def _transform_rows(d: int, b: int) -> tuple[tuple[SRow, ...], tuple[SRow, ...]]:
-    """The sparse integer rows of the two transforms, one per cell in
-    row-major order: the q-cell forms of mu_{i,j} (`_mu_cell_terms`) and the
-    mu-cell forms of b(b-1) q_{i,j} (`_q_cell_terms`).
-
-    The package's one cache whose entries grow with d: an entry holds about
-    d^3 (cell, coefficient) pairs, at most 125 d^3 bytes under tracemalloc
-    (6.9 kB at (4, 2), 20.5 MB at (60, 2), 26.1 MB at (60, 10^20)).  So its
-    32 entries keep at most 4,000 D^3 bytes, D the largest d served: under
-    1 MB for D = 6, 13.5 MB for D = 15, 864 MB for D = 60.  32 is twice the
-    16 (d, b) of the benchmark's long-running mixed session."""
-    inst = KisinInstance(d, b)
-    return tuple(tuple(_int_row(inst, terms(inst, i, j)) for (i, j) in inst.cells)
-                 for terms in (_mu_cell_terms, _q_cell_terms))
+def _q_of(mu, d: int, b: int) -> list[int]:
+    """b(b-1) q of the integer mu-cells, both in row-major order, by a
+    running sum along each row: b(b-1) q_{i,j} = b mu_{i,i} + T_i +
+    (b-1) P_i(j), with P_i(j) = sum_{s=i+1}^{j} (mu_{i,s} - mu_{i+1,s}) and
+    T_i = P_i(d).  A mu-cell's coefficient is at most b in absolute value."""
+    out, start = [], 0
+    for n in range(d, 0, -1):  # the cells of row i; row i+1 follows with n-1
+        row, below = mu[start:start + n], mu[start + n:start + 2 * n - 1]
+        steps = [x - y for x, y in zip(row[1:], below)]
+        first = b * row[0] + sum(steps)
+        out += [first + (b - 1) * p for p in accumulate(steps, initial=0)]
+        start += n
+    return out
 
 
-def _mu_cell_terms(inst: KisinInstance, i: int, j: int):
-    """mu_{i,j} as (coefficient, q-cell) terms."""
-    b = inst.b
-    yield b, (j, j)
-    yield -1, (j, inst.d)
-    for s in range(i, j):
-        yield b, (s, j)
-        yield -b, (s, j - 1)
-
-
-def _q_cell_terms(inst: KisinInstance, i: int, j: int):
-    """b(b-1) q_{i,j} as (coefficient, mu-cell) terms."""
-    b = inst.b
-    yield b, (i, i)
-    for s in range(i + 1, inst.d + 1):
-        c = b if s <= j else 1
-        yield c, (i, s)
-        yield -c, (i + 1, s)
-
-
-def _int_row(inst: KisinInstance, terms) -> SRow:
-    """The sparse integer row that sums (coefficient, cell) terms."""
-    return _ssum((c, ((inst.cell_index(*cell), 1),)) for c, cell in terms)
+def _mu_of(q, d: int, b: int) -> list[int]:
+    """mu of the integer q-cells, both in row-major order, by a running sum
+    up each column: mu_{j,j} = b q_{j,j} - q_{j,d} and, for i < j,
+    mu_{i,j} = mu_{i+1,j} + b (q_{i,j} - q_{i,j-1}).  A q-cell's
+    coefficient is at most b in absolute value."""
+    out, below, end = [], [], len(q)
+    for n in range(1, d + 1):  # the cells of row i, from row d up
+        row = q[end - n:end]
+        below = [b * row[0] - row[-1]] + [m + b * (y - x)
+                                          for m, x, y in zip(below, row, row[1:])]
+        out[:0] = below
+        end -= n
+    return out
 
 
 def delta_vec(inst: KisinInstance) -> IVec:
@@ -223,7 +212,7 @@ def _game_pairs(inst):
 def in_cone_q(m: MuTriangle) -> bool:
     """Whether m, any rational triangle, lies in Q: the mu-games at its
     numerators over their common denominator, then, if they all hold, the
-    q-games at the integers b(b-1) q that the q_from_mu rows map them to."""
+    q-games at their image b(b-1) q under `_q_of`."""
     mu = scaled_ints(m.values)[0]
     q_games = []
     for key, x, y in _game_pairs(m.instance):
@@ -231,7 +220,7 @@ def in_cone_q(m: MuTriangle) -> bool:
             q_games.append((x, y))
         elif mu[x] < mu[y]:
             return False
-    q = [_sdot(row, mu) for row in _transform_rows(m.instance.d, m.instance.b)[1]]
+    q = _q_of(mu, m.instance.d, m.instance.b)
     return all(q[x] >= q[y] for x, y in q_games)
 
 
@@ -268,15 +257,15 @@ def dim_phi(m: MuTriangle) -> Fraction:
     q-form:  b * sum q_{i,j} + sum_i (2i-1-d-bi) q_{i,d}.
 
     Both run on integers: m's numerators over their common denominator L,
-    and the integers b(b-1) L q that the q_from_mu rows map them to, so the
-    q-form must be b(b-1) times the mu-form.  Only the value is a Fraction.
+    and their image b(b-1) L q under `_q_of`, so the q-form must be b(b-1)
+    times the mu-form.  Only the value is a Fraction.
     """
     if not isinstance(m, MuTriangle):
         raise TypeError(f"dim_phi takes a MuTriangle, not {type(m).__name__}")
     inst = m.instance
     d, b = inst.d, inst.b
     mu, den = scaled_ints(m.values)
-    q = [_sdot(row, mu) for row in _transform_rows(d, b)[1]]
+    q = _q_of(mu, d, b)
     mu_form = _dim_form((mu[:d], mu[d:]), d)
     if mu_form * b * (b - 1) != _idot(delta_vec(inst), q):
         raise AssertionError("dimension functional mismatch between coordinates")

@@ -33,7 +33,6 @@ from operator import attrgetter, mul
 
 Vec = tuple[Fraction, ...]
 IVec = tuple[int, ...]
-SRow = tuple[tuple[int, int], ...]  # a sparse integer row: its nonzero (index, coefficient) pairs
 
 
 # ---------------------------------------------------------------------------
@@ -71,20 +70,6 @@ def primitive_ints(v) -> IVec:
 
 def _idot(u, v) -> int:
     return sum(map(mul, u, v))
-
-
-def _sdot(row: SRow, x) -> int:
-    """The dot of a sparse row with the integer vector x."""
-    return sum([c * x[k] for k, c in row])
-
-
-def _ssum(terms) -> SRow:
-    """The sparse row sum c * row over the (c, sparse row) terms."""
-    out = {}
-    for c, row in terms:
-        for k, v in row:
-            out[k] = out.get(k, 0) + c * v
-    return tuple(sorted((k, c) for k, c in out.items() if c))
 
 
 # ---------------------------------------------------------------------------

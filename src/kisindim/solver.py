@@ -34,12 +34,11 @@ P, Q the rows r-2, r-1 and R the lower bounds of row r, the slacks are
 rem_0 = (b-1)(Q_0 - P_0) + 2 sum Q - sum P - sum R and
 rem_{k+1} = rem_k + (b-1)(Q_{k+1} - P_{k+1} + Q_k - R_k); the level-d row
 is the same form with no row below it, (b+1) mu_{d,d} >= b Q_0 + Q_1.
-`_prove` reads the rows the search sets up off these same forms
-(`_search_rows`, a level-i row on the cells of rows i-1..i+1 alone), proves
-them to be the games of Q pulled back to the mu-cells once per (d, b), and
-keeps only the verdict.  The witness checks decide membership in Q from
-the games themselves (`km.in_cone_q`), so they test the search against
-Q's definition, not against its own rows.
+Once per (d, b), `_prove` evaluates these same forms, each level on rows
+i-1..i+1 alone, at one integer triangle, proves them there to be the games
+of Q, and keeps only the verdict: no row is stored.  The witness checks
+decide membership in Q from the games themselves (`km.in_cone_q`), so
+they test the search against Q's definition, not against its own rows.
 
 One lower bound on the unfilled cells, rows r..d, prunes branches that
 cannot beat the incumbent.  With Q = row r-1, rows r-1..d are a suffix of
@@ -65,7 +64,7 @@ entry of the search and, once the rows are proved to be Q, raises
 AssertionError unless for every suffix of rows s-1..d, s = 2..d,
 (b+1)(bound - dim) of the suffix is the sum of its scaled-q rows q(i, j),
 i >= s, weighted by i-s+1, a closed-form Farkas certificate checked by
-integer sums.
+integer sums at the same triangle.
 
 For le_e only the tops with mu_d <= b-2 are listed (`_enumerate_le_e_tops`);
 each listed top costs one node.  Nothing is kept between queries, so node
@@ -80,11 +79,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import ceil
 
 from . import bounds as bd
 from . import kisin_model as km
-from .polyhedra import Frozen, SRow, _idot, _ssum, primitive_ints
+from .polyhedra import Frozen, _idot
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -197,75 +197,78 @@ def _top_bound(top, b):
     return _idot(bd.two_rho(len(top)), top) // (b + 1)
 
 
-def _search_rows(d: int, b: int) -> list[SRow]:
-    """The rows the search sets up, as sparse integer forms of the mu-cells
-    read off its own code: for 2 <= i <= j <= d, the order rows
-    mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1} and the scaled-q row q(i, j),
-    entry j-i of _row_slacks on rows i-1, i, i+1 (row d+1 is empty), the
-    only rows it reads: one _row_slacks call per cell there, on its unit."""
-    cells = km.KisinInstance(d, b).cells
-    out = []
-    for i in range(2, d + 1):
-        window = [(k, cell) for k, cell in enumerate(cells) if i - 1 <= cell[0] <= i + 1]
-        cols = []
-        for _, cell in window:
-            P, Q, R = ([int((r, c) == cell) for c in range(r, d + 1)] for r in (i - 1, i, i + 1))
-            rem = _row_slacks(P, Q, R, b)
-            cols.append([v for j in range(d - i + 1)
-                         for v in (Q[j] - P[j + 1], P[j] - Q[j], rem[j])])
-        out += [tuple((k, v) for (k, _), v in zip(window, row) if v) for row in zip(*cols)]
-    return out
-
-
-def _primitive(row: SRow) -> SRow:
-    """A sparse row divided by the gcd of its coefficients."""
-    return tuple(zip([k for k, _ in row], primitive_ints([c for _, c in row])))
-
-
 @lru_cache(maxsize=1024)
 def _prove(d: int, b: int) -> bool:
     """Prove the preconditions of the search for (d, b), or raise
     AssertionError; only the verdict is kept.
 
-    The rows of _search_rows must be Q: as primitive sparse rows, the same
-    set as the games pulled back to the mu-cells.  A game x - y pulls back
-    to the pull-back of x minus that of y: q-cell k to b(b-1) q_k, row k of
-    the q_from_mu rows, and mu-cell k to its mu_from_q row, a q-form,
-    pulled back term by term.
+    Every check compares two integer linear forms on the mu-cells by their
+    values at one integer triangle, v = (B^0, ..., B^{n-1}) in row-major
+    order, n = d(d+1)/2.  When every coefficient of the difference is below
+    B in absolute value, equal values make equal forms: the least nonzero
+    coefficient would be a multiple of B (Kronecker, 1882; Schoenhage,
+    1982).  So B is a power of two above 2C, with C = 6 (bd)^2 a bound on
+    the coefficients of every form compared, read off the code of each map
+    read at v.  No coefficient of `_q_of` or `_mu_of` exceeds b in absolute
+    value, and a row of `_mu_of` has at most 2(j-i)+2 terms, so mu(q(v))
+    has coefficients at most b((2d-1)b + 1) <= 2d b^2, as b(b-1) v has.  A
+    cell enters the first slack of `_row_slacks` with a coefficient of at
+    most b+1 and at most two of its steps, each adding at most b-1, so a
+    slack's are at most 2b; so are a game's, the difference of two cells,
+    and an order row's, scaled, are at most b-1.  A cell enters the slacks
+    of three levels, at most d-1 per level, each weighted at most d-1, so
+    a certificate's are at most 6b(d-1)^2; the target's are at most
+    (b+2)(d-1), as two_rho and the top-row weights of `km._dim_form` are
+    at most d-1 and the lower ones 1.
 
-    Then _top_bound must hold on every suffix of those rows by its Farkas
-    certificate.  For s = 2..d, rows s-1..d with d' = d-s+2: the target
+    (a) The transforms are inverse: mu(q(v)) = b(b-1) v, with q the
+    running sum `km._q_of` (b(b-1) q) and mu the running sum `km._mu_of`.
+
+    (b) The rows the search sets up are the games of Q, in order and with
+    fixed scales.  For each level i = 2..d and j = 0..d-i, with P, Q, R
+    the rows i-1, i, i+1 of v (row d+1 empty): (b-1)(Q[j] - P[j+1]), the
+    slack j of `_row_slacks` and P[j] - Q[j] are games I, II and III of
+    `km._game_pairs` at (i-1, i-1+j), the q-games read at q(v).
+
+    (c) The top-row bound has a Farkas certificate on every suffix of
+    those rows.  For s = 2..d, rows s-1..d with d' = d-s+2: the target
     <2 rho' | row s-1> - (b+1) dim'(rows s-1..d) is sum (i-s+1) q(i, j)
-    over the scaled-q rows q(i, j), i >= s, that end the (i, j) triples of
-    _search_rows, so those rows of a triangle the search accepts have dim'
-    at most the bound of row s-1.  True at every (d, b): q(i, j) =
-    Q_{i,j} - Q_{i-1,j-1}, Q = b(b-1) q (_row_slacks; primitive, as it
-    weighs mu_{i-1,j} by -1), so the sum telescopes along each diagonal
-    j - i to sum_i (i-s+2) Q_{i,d} - sum Q over rows i >= s-1.  That is
-    b(j-d') - (j-1) on the j-th cell of row s-1, b+1 on each cell below it
-    and 0 above it, the target read off its own code on the unit top rows
-    and one lower unit.  The sums run from s = d down: level holds
-    sum_{i >= s} q(i, j), and weighted adds it once per suffix it is in."""
-    rows = _search_rows(d, b)
-    mu_from_q, q_from_mu = km._transform_rows(d, b)
-    forms = {km.QPoint.KEY: q_from_mu,
-             km.MuTriangle.KEY: [_ssum((c, q_from_mu[k]) for k, c in form) for form in mu_from_q]}
-    pulled = {_primitive(_ssum(((1, forms[key][x]), (-1, forms[key][y]))))
-              for key, x, y in km._game_pairs(km.KisinInstance(d, b))}
-    mine = set(map(_primitive, rows))
-    if pulled != mine:
-        raise AssertionError(f"the search's rows and the games of Q disagree at d={d} b={b} "
-                             f"on the rows {sorted(pulled ^ mine)}")
-    rows = rows[2::3]  # the scaled-q rows, which end the (i, j) triples
-    level = weighted = ()
+    over the slacks q(i, j) of the levels i >= s, so those rows of a
+    triangle the search accepts have dim' at most the bound of row s-1.
+    True at every (d, b): q(i, j) = Q_{i,j} - Q_{i-1,j-1} with
+    Q = b(b-1) q, so the sum telescopes along each diagonal j - i.  The
+    sums run from s = d down: level holds sum_{i >= s} q(i, j), weighted
+    adds it once per suffix it is in, and lower holds the cells of rows
+    s..d, which dim' weighs alike."""
+    inst = km.KisinInstance(d, b)
+    t = (12 * (b * d) ** 2).bit_length()  # B = 2^t > 2C
+    mu = [1 << t * k for k in range(inst.dim_E)]
+    q = km._q_of(mu, d, b)
+    back = km._mu_of(q, d, b)
+    if len(back) != len(mu) or any(x != b * (b - 1) * y for x, y in zip(back, mu)):
+        raise AssertionError(f"the two transforms disagree at d={d} b={b}")
+    at = {km.QPoint.KEY: q, km.MuTriangle.KEY: mu}
+    games = (at[key][x] - at[key][y] for key, x, y in km._game_pairs(inst))
+    rows = [mu[inst.cell_index(i, i):inst.cell_index(i, d) + 1] for i in range(1, d + 1)] + [[]]
+    levels = []  # the sum of the slacks of each level i = 2..d at v
+
+    def search():
+        for i in range(2, d + 1):
+            P, Q, R = rows[i - 2:i + 1]
+            rem = _row_slacks(P, Q, R, b)
+            levels.append(sum(rem))
+            for j, x in enumerate(rem):
+                yield from ((b - 1) * (Q[j] - P[j + 1]), x, P[j] - Q[j])
+
+    if any(x != y for x, y in zip_longest(search(), games)):
+        raise AssertionError(f"the search's rows and the games of Q disagree at d={d} b={b}")
+    level = weighted = lower = 0
     for s in range(d, 1, -1):
-        n = d - s + 2  # the cells of row s-1
-        level = _ssum([(1, level)] + [(1, rows.pop()) for _ in range(n - 1)])  # + q(s, s..d)
-        weighted = _ssum(((1, weighted), (1, level)))
-        units = [[[int(t == u) for u in range(n)]] for t in range(n)] + [[[0] * n, [1]]]
-        *top, lower = [_idot(bd.two_rho(n), r[0]) - (b + 1) * km._dim_form(r, n) for r in units]
-        want = top + [lower] * (n * (n - 1) // 2)  # on the cells of rows s-1..d
-        if weighted != tuple((k, v) for k, v in enumerate(want, len(mu_from_q) - len(want)) if v):
+        level += levels[s - 2]  # + q(s, s..d)
+        weighted += level
+        top, lower = rows[s - 2], lower + sum(rows[s - 1])  # lower: the cells of rows s..d
+        if weighted != (_idot(bd.two_rho(len(top)), top)
+                        - (b + 1) * km._dim_form((top, (lower,)), len(top))):
             raise AssertionError(f"the top-row bound has no certificate at d={d} b={b}")
     return True
 

@@ -1,4 +1,4 @@
-"""Exact oracles, the cones they are run on, a Fraction counter and the
+"""Exact oracles, the cones they are run on, call counters and the
 package's lru caches, shared by the test modules.
 
 The general H -> V engine (`enumerate_vertices` and `cone_generators`, by
@@ -11,12 +11,13 @@ variant and constraint form (`a_set`), the optimal-value function
 `b_value`, the max-flow and subset oracles for graph cones
 (`graph_cone_dual_membership`) and the order `precedes` on S_d live here,
 not in the package: no command and no demo runs them, and the tests check
-the package's own methods against them.  So do the dense matrices of the
-transforms and of the search's rows (`dense_transform_rows`,
-`dense_search_rows`), the references for the package's sparse rows, which
-the tests read densified by `dense_rows`, and the q-side checks of a
-point of E (`q_in_lattice`, `dim_phi_q`), the references for the
-package's checks on its mu-triangle."""
+the package's own methods against them.  So do the term generators of the
+transforms and the dense matrices they sum to (`mu_cell_terms`,
+`q_cell_terms`, `dense_transform_rows`), the references for the package's
+running sums, the dense rows of the search (`dense_search_rows`), the
+reference for the values `solver._prove` reads off it at one point, and
+the q-side checks of a point of E (`q_in_lattice`, `dim_phi_q`), the
+references for the package's checks on its mu-triangle."""
 
 import importlib
 import pkgutil
@@ -33,10 +34,10 @@ from kisindim import kisin_model as km
 from kisindim import perm as pm
 from kisindim import solver as sv
 from kisindim.bounds import UnsupportedRegime, reg_star_facets, strong_regularity, two_rho
-from kisindim.kisin_model import KisinInstance, _transform_rows, chain_dual_generators
+from kisindim.kisin_model import KisinInstance, chain_dual_generators
 from kisindim.perm import (AdmissibleSubset, OrdTableau, Permutation, _cycles, _signature,
                            admissible_from_subset, all_permutations, w_star)
-from kisindim.polyhedra import (Frozen, IVec, Vec, _idot, _sdot, dot, double_description,
+from kisindim.polyhedra import (Frozen, IVec, Vec, _idot, dot, double_description,
                                 fmt_frac, frac, primitive_ints, scaled_ints, vec)
 
 
@@ -342,24 +343,27 @@ def is_empty(V: VPolyhedron) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the package's sparse rows as dense integer rows, and the dense references
+# the dense references for the transforms and the search's rows
 # ---------------------------------------------------------------------------
 
-def dense_rows(rows, n: int) -> list[list[int]]:
-    """Sparse rows, their nonzero (index, coefficient) pairs, as dense
-    integer rows of length n."""
-    out = []
-    for row in rows:
-        a = [0] * n
-        for k, c in row:
-            a[k] += c
-        out.append(a)
-    return out
+def mu_cell_terms(inst: KisinInstance, i: int, j: int):
+    """mu_{i,j} as (coefficient, q-cell) terms."""
+    b = inst.b
+    yield b, (j, j)
+    yield -1, (j, inst.d)
+    for s in range(i, j):
+        yield b, (s, j)
+        yield -b, (s, j - 1)
 
 
-def sparse_rows(rows) -> list[tuple[tuple[int, int], ...]]:
-    """Dense integer rows as sparse ones, the inverse of `dense_rows`."""
-    return [tuple((k, c) for k, c in enumerate(row) if c) for row in rows]
+def q_cell_terms(inst: KisinInstance, i: int, j: int):
+    """b(b-1) q_{i,j} as (coefficient, mu-cell) terms."""
+    b = inst.b
+    yield b, (i, i)
+    for s in range(i + 1, inst.d + 1):
+        c = b if s <= j else 1
+        yield c, (i, s)
+        yield -c, (i + 1, s)
 
 
 def dense_int_row(inst: KisinInstance, terms) -> list[int]:
@@ -372,12 +376,12 @@ def dense_int_row(inst: KisinInstance, terms) -> list[int]:
 
 def dense_transform_rows(d: int, b: int) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
     """The integer matrices of the two transforms, one row per cell in
-    row-major order: the q-cell forms of mu_{i,j} (`km._mu_cell_terms`) and
-    the mu-cell forms of b(b-1) q_{i,j} (`km._q_cell_terms`).  The
-    reference for the sparse rows of `km._transform_rows`."""
+    row-major order: the q-cell forms of mu_{i,j} (`mu_cell_terms`) and
+    the mu-cell forms of b(b-1) q_{i,j} (`q_cell_terms`).  The reference
+    for the running sums `km._mu_of` and `km._q_of`."""
     inst = KisinInstance(d, b)
     return tuple(tuple(tuple(dense_int_row(inst, terms(inst, i, j))) for (i, j) in inst.cells)
-                 for terms in (km._mu_cell_terms, km._q_cell_terms))
+                 for terms in (mu_cell_terms, q_cell_terms))
 
 
 def unit_triangles(d):
@@ -392,7 +396,7 @@ def dense_search_rows(d: int, b: int) -> list[list[int]]:
     mu_{i-1,j} <= mu_{i,j} <= mu_{i-1,j-1} and the scaled-q row q(i, j),
     entry j-i of sv._row_slacks on rows i-1, i, i+1 (row d+1 is empty),
     with one _row_slacks call per level i and unit triangle.  The reference
-    for the sparse rows of `sv._search_rows`, read on unit windows."""
+    for the values `sv._prove` reads off the search's code at one point."""
     units = [rows + [[]] for rows in unit_triangles(d)]
     out = []
     for i in range(2, d + 1):
@@ -410,8 +414,7 @@ def dense_search_rows(d: int, b: int) -> list[list[int]]:
 
 def mu_cell_vector(inst: KisinInstance, i: int, j: int) -> Vec:
     """The vector v in E with <q, v> = mu_{i,j}(q)."""
-    row = _transform_rows(inst.d, inst.b)[0][inst.cell_index(i, j)]
-    return tuple(map(Fraction, dense_rows([row], inst.dim_E)[0]))
+    return tuple(map(Fraction, dense_transform_rows(inst.d, inst.b)[0][inst.cell_index(i, j)]))
 
 
 def S_T(x, T, d: int) -> Fraction:
@@ -470,8 +473,8 @@ def cone_q(inst: KisinInstance) -> HPolyhedron:
     """The cone Q in E: games I (q_{i,j} >= q_{i,j+1}), II (q_{i,j} <=
     q_{i+1,j+1}) and III (mu_{i,j} >= mu_{i+1,j+1}), over 1 <= i <= j < d,
     the rows of `km._game_pairs` as q-forms: a mu-game x - y is row x minus
-    row y of the mu_from_q rows, densified."""
-    forms = dense_rows(_transform_rows(inst.d, inst.b)[0], inst.dim_E)
+    row y of the mu_from_q matrix."""
+    forms = dense_transform_rows(inst.d, inst.b)[0]
     cells = inst.cells
     rows = []
     for key, x, y in km._game_pairs(inst):
@@ -520,7 +523,7 @@ def _form_vectors(inst: KisinInstance, form: str) -> list[IVec]:
     """The integer rows F_i of the constraint map: those of the top
     mu-cells for g, <q, F_i> = mu_{1,i}(q) (the rows `bounds.a_set` maps
     by), the first and last of them for the two-sided map f."""
-    top = dense_rows(_transform_rows(inst.d, inst.b)[0][:inst.d], inst.dim_E)
+    top = [list(row) for row in dense_transform_rows(inst.d, inst.b)[0][:inst.d]]
     if form == "g":
         return top
     if form == "f":
@@ -858,9 +861,8 @@ def dominated_sup(mu, inst: km.KisinInstance, strong: bool):
 def apply_terms(x, terms, scale: int) -> list[Fraction]:
     """For each cell (i, j), the sum of c * x[cell] over the (coefficient,
     cell) terms(inst, i, j), divided by scale, walking the term generators
-    cell by cell in Fractions: mu_from_q is apply_terms(q,
-    km._mu_cell_terms, 1) and q_from_mu is apply_terms(m, km._q_cell_terms,
-    b(b-1))."""
+    cell by cell in Fractions: mu_from_q is apply_terms(q, mu_cell_terms,
+    1) and q_from_mu is apply_terms(m, q_cell_terms, b(b-1))."""
     inst = x.instance
     return [sum((c * x[cell] for c, cell in terms(inst, i, j)), Fraction(0)) / scale
             for (i, j) in inst.cells]
@@ -873,10 +875,10 @@ def dim_phi_fraction(x) -> Fraction:
     d = inst.d
     if isinstance(x, km.QPoint):
         q = x.values
-        m = apply_terms(x, km._mu_cell_terms, 1)
+        m = apply_terms(x, mu_cell_terms, 1)
     else:
         m = x.values
-        q = apply_terms(x, km._q_cell_terms, inst.b * (inst.b - 1))
+        q = apply_terms(x, q_cell_terms, inst.b * (inst.b - 1))
     mu_form = (sum((d - j) * v for j, v in enumerate(m[:d], 1))
                - sum(m[d:], Fraction(0)))
     if mu_form != dot(km.delta_vec(inst), q):
@@ -900,13 +902,13 @@ def q_in_lattice(q: km.QPoint) -> bool:
 def dim_phi_q(q: km.QPoint) -> Fraction:
     """dim(phi) of a q-triangle on integers, cross-checked as km.dim_phi
     does from the other side: q's numerators over their common denominator
-    L, and the integers L mu that the mu_from_q rows map them to, must give
+    L, and the integers L mu that the mu_from_q matrix maps them to, must give
     the same value by the q-form and the mu-form.  The q-side reference for
     km.dim_phi(mu_from_q(q))."""
     inst = q.instance
     d, b = inst.d, inst.b
     nums, den = scaled_ints(q.values)
-    m = [_sdot(row, nums) for row in _transform_rows(d, b)[0]]
+    m = [_idot(row, nums) for row in dense_transform_rows(d, b)[0]]
     mu_form = km._dim_form((m[:d], m[d:]), d)
     if mu_form != _idot(km.delta_vec(inst), nums):
         raise AssertionError("dimension functional mismatch between coordinates")
@@ -937,23 +939,23 @@ def top_bound_lp(d: int, b: int, divisor: int | None = None) -> bool:
     """The top-row bound by an exact LP (Farkas' lemma): is
     <2 rho | top> - divisor * dim (divisor b+1 unless given), read off the
     search's code on unit triangles, a nonnegative combination of the rows
-    of its real relaxation, sv._search_rows?  The reference for
-    solver._prove, which checks one known combination."""
+    of its real relaxation, the rows of dense_search_rows?  The reference
+    for solver._prove, which checks one known combination."""
     divisor = b + 1 if divisor is None else divisor
     target = [_idot(two_rho(d), r[0]) - divisor * km._dim_form(r, d)
               for r in unit_triangles(d)]
-    return in_cone(dense_rows(sv._search_rows(d, b), len(target)), target)
+    return in_cone(dense_search_rows(d, b), target)
 
 
 def whole_triangle_certificate(rows, d: int, b: int) -> bool:
     """The top-row bound's closed-form certificate on the whole triangle
     only: <2 rho | top> - (b+1) dim, read off the search's code on unit
     triangles, is sum (i-1) q(i, j) over the scaled-q rows q(i, j) that end
-    the (i, j) triples of the d-system's sparse rows."""
+    the (i, j) triples of the d-system's dense rows."""
     target = [_idot(two_rho(d), r[0]) - (b + 1) * km._dim_form(r, d)
               for r in unit_triangles(d)]
     weights = [i - 1 for i in range(2, d + 1) for _ in range(i, d + 1)]
-    cols = zip(*dense_rows(rows[2::3], len(target)), target)
+    cols = zip(*rows[2::3], target)
     return all(_idot(weights, col) == t for *col, t in cols)
 
 
@@ -964,12 +966,12 @@ def sub_bounds_by_shifted_systems(d: int, b: int) -> bool:
     certificate.  The reference for solver._prove, which reads
     every suffix certificate off the d-system's own rows."""
     inst = KisinInstance(d, b)
-    full = set(map(tuple, dense_rows(sv._search_rows(d, b), inst.dim_E)))
+    full = set(map(tuple, dense_search_rows(d, b)))
     for dp in range(2, d + 1):
         shift = d - dp
         at = [inst.cell_index(i + shift, j + shift) for i, j in KisinInstance(dp, b).cells]
-        sub_rows = sv._search_rows(dp, b)
-        for sub_row in dense_rows(sub_rows, len(at)):
+        sub_rows = dense_search_rows(dp, b)
+        for sub_row in sub_rows:
             row = [0] * inst.dim_E
             for k, x in zip(at, sub_row):
                 row[k] = x
@@ -982,9 +984,9 @@ def sub_bounds_by_shifted_systems(d: int, b: int) -> bool:
 
 def pulled_back_rows_dense(d: int, b: int) -> set:
     """The rows of Q pulled back to the mu-cells by dotting each halfspace
-    with every column of the b(b-1) q-forms: the reference for the sparse
-    sum in solver._prove."""
-    images = list(zip(*dense_rows(_transform_rows(d, b)[1], d * (d + 1) // 2)))
+    with every column of the b(b-1) q-forms, as a set of primitive rows:
+    the reference for the games that solver._prove reads at one point."""
+    images = list(zip(*dense_transform_rows(d, b)[1]))
     return {primitive_ints([_idot(h.normal, q) for q in images])
             for h in cone_q(KisinInstance(d, b)).halfspaces}
 
@@ -1282,13 +1284,17 @@ def graph_cone_dual_membership(nodes: list, arcs: list[tuple], x: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# a Fraction counter and the package's lru caches
+# call counters and the package's lru caches
 # ---------------------------------------------------------------------------
 
 def fraction_constructions(fn) -> int:
     """The number of Fraction.__new__ calls made while fn() runs."""
+    return code_calls(Fraction.__new__.__code__, fn)
+
+
+def code_calls(code, fn) -> int:
+    """The number of calls of the code object `code` made while fn() runs."""
     calls = 0
-    code = Fraction.__new__.__code__
 
     def profile(frame, event, arg):
         nonlocal calls

@@ -12,9 +12,9 @@ from kisindim.kisin_model import (KisinInstance, MuTriangle, QPoint, chain_dual_
                                   regular_dual_generators, validate_phi)
 from kisindim.polyhedra import dot
 from oracles import (HPolyhedron, S_T, apply_terms, cone_chain, cone_q, cone_qmax, cone_qmin,
-                     cone_qw, cone_regular, contains, dense_rows, dense_transform_rows,
-                     dim_phi_fraction, dim_phi_q, mu_cell_vector, polyhedra_set_equal,
-                     q_in_lattice)
+                     cone_qw, cone_regular, contains, dense_transform_rows, dim_phi_fraction,
+                     dim_phi_q, mu_cell_terms, mu_cell_vector, polyhedra_set_equal,
+                     q_cell_terms, q_in_lattice)
 
 
 def rand_qpoint(inst, rng, denom=(1, 2, 3)):
@@ -110,26 +110,28 @@ KERNEL_GRID = [(d, b) for d in range(1, 7) for b in (2, 3, 5, 7, 101)]
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_sparse_transform_rows_match_the_dense_matrices(d):
-    # each sparse row, equal cells merged and zeros dropped, densified is the
-    # row of the dense matrix that sums the same terms
+    # the running sums at each unit triangle are the columns of the dense
+    # matrices that sum the term generators; both are linear, so they are
+    # the same maps
+    n = d * (d + 1) // 2
+    units = [[int(k == t) for k in range(n)] for t in range(n)]
     for b in (2, 3, 5, 101, 10007):
-        for sparse, dense in zip(km._transform_rows(d, b), dense_transform_rows(d, b)):
-            assert all(x < y for row in sparse for (x, _), (y, _) in zip(row, row[1:])), b
-            assert all(c for row in sparse for _, c in row), b
-            assert [tuple(r) for r in dense_rows(sparse, d * (d + 1) // 2)] == list(dense), b
+        mu_rows, q_rows = dense_transform_rows(d, b)
+        assert list(zip(*(km._mu_of(e, d, b) for e in units))) == list(mu_rows), b
+        assert list(zip(*(km._q_of(e, d, b) for e in units))) == list(q_rows), b
 
 
 def test_transforms_match_the_term_walk():
-    # the sparse rows of _transform_rows against the Fraction walk of
-    # the (coefficient, cell) terms they are built from
+    # the running sums against the Fraction walk of the (coefficient, cell)
+    # terms of the dense matrices
     rng = random.Random(24)
     for d, b in KERNEL_GRID:
         inst = KisinInstance(d, b)
         for _ in range(10):
             q = _rational_triangle(QPoint, inst, rng)
-            assert list(mu_from_q(q).values) == apply_terms(q, km._mu_cell_terms, 1)
+            assert list(mu_from_q(q).values) == apply_terms(q, mu_cell_terms, 1)
             m = _rational_triangle(MuTriangle, inst, rng)
-            assert list(q_from_mu(m).values) == apply_terms(m, km._q_cell_terms, b * (b - 1))
+            assert list(q_from_mu(m).values) == apply_terms(m, q_cell_terms, b * (b - 1))
 
 
 def test_dim_phi_matches_the_fraction_forms():
@@ -366,11 +368,11 @@ def _random_mu_triangle(inst, rng, kind):
 
 def test_in_cone_q_decides_the_mu_games_first(monkeypatch):
     # a triangle that fails a mu-game is outside Q before any q-cell is
-    # computed: with the q_from_mu rows refused, it still gets its answer
-    def refused(d, b):
+    # computed: with the q running sum refused, it still gets its answer
+    def refused(mu, d, b):
         raise AssertionError("the q-cells were computed")
 
-    monkeypatch.setattr(km, "_transform_rows", refused)
+    monkeypatch.setattr(km, "_q_of", refused)
     for d, b in ((2, 2), (3, 3), (5, 101)):
         inst = KisinInstance(d, b)
         # game III at (d-1, d-1), mu_{d-1,d-1} - mu_{d,d}, is -1/b

@@ -13,10 +13,11 @@ from kisindim.kisin_model import KisinInstance, MuTriangle, dim_phi, q_from_mu
 from kisindim.polyhedra import primitive_ints
 from kisindim.solver import (BudgetExceeded, DimQuery, dim_d2_closed, dim_d3_closed,
                              dim_exact, consistency_suite, _enumerate_dominated_tops)
-from oracles import (clear_caches, cone_q, contains, dense_rows, dense_search_rows,
-                     pulled_back_rows_dense, sparse_rows, sub_bounds_by_shifted_systems,
-                     top_bound_lp, unit_triangles, whole_triangle_certificate)
+from oracles import (clear_caches, cone_q, contains, dense_search_rows, dense_transform_rows,
+                     pulled_back_rows_dense, sub_bounds_by_shifted_systems, top_bound_lp,
+                     unit_triangles, whole_triangle_certificate)
 from test_acceptance import _integrally_regular_samples, _strongly_regular_samples
+from test_bounds import _source_mutant
 
 
 def test_query_validation():
@@ -154,7 +155,7 @@ def cold_mu_system():
 def test_mu_constraint_system_self_test():
     for d, b in SELF_TEST_GRID:
         assert _sampling_self_test(d, b)
-        assert sv._prove(d, b) and len(sv._search_rows(d, b)) == 3 * d * (d - 1) // 2, (d, b)
+        assert sv._prove(d, b) and len(dense_search_rows(d, b)) == 3 * d * (d - 1) // 2, (d, b)
 
 
 def test_mu_constraints_match_cone_on_feasible_triangle():
@@ -200,20 +201,39 @@ def test_self_test_catches_cone_with_a_halfspace_dropped(b, monkeypatch, cold_mu
 
 @pytest.mark.parametrize("b", (2, 3))
 def test_proof_catches_a_changed_entry_of_mu_from_q(b, monkeypatch, cold_mu_system):
-    # a mu-game is pulled back through the mu_from_q rows: one coefficient
-    # of the row of mu_{1,1}, a cell of game III at every d >= 2, raised by
-    # one (a term on cell k added to its terms) makes the pulled-back games
-    # differ from the search's rows
-    mu_cell_terms = km._mu_cell_terms
-    for d in (2, 3, 4):
-        cells = KisinInstance(d, b).cells
-        for k in range(len(cells)):
-            def changed(inst, i, j, k=k):
-                yield from mu_cell_terms(inst, i, j)
-                if (i, j) == (1, 1):
-                    yield 1, cells[k]
+    # one extra term in the mu sum: the coefficient of q-cell k in mu_{1,1}
+    # raised by one.  The games are read at v in mu-coordinates and at q(v),
+    # so only the inverse identity mu(q(v)) = b(b-1) v reads the mu sum, and
+    # it must refuse every such mutant
+    mu_of = km._mu_of
+    for d in (1, 2, 3, 4):
+        for k in range(d * (d + 1) // 2):
+            def changed(q, d, b, k=k):
+                out = mu_of(q, d, b)
+                out[0] += q[k]
+                return out
 
-            monkeypatch.setattr(km, "_mu_cell_terms", changed)
+            monkeypatch.setattr(km, "_mu_of", changed)
+            clear_caches()
+            with pytest.raises(AssertionError, match="transforms disagree"):
+                sv._prove(d, b)
+
+
+@pytest.mark.parametrize("b", (2, 3, 10007))
+def test_proof_catches_an_extra_term_in_the_q_sum(b, monkeypatch, cold_mu_system):
+    # the coefficient of mu-cell k in b(b-1) q at cell x raised by one, for
+    # every pair (x, k): the q sum is read by the inverse identity and by
+    # games I and II, and the proof refuses each mutant
+    q_of = km._q_of
+    for d in (1, 2, 3, 4):
+        n = d * (d + 1) // 2
+        for x, k in itertools.product(range(n), repeat=2):
+            def changed(mu, d, b, x=x, k=k):
+                out = q_of(mu, d, b)
+                out[x] += mu[k]
+                return out
+
+            monkeypatch.setattr(km, "_q_of", changed)
             clear_caches()
             with pytest.raises(AssertionError, match="disagree"):
                 sv._prove(d, b)
@@ -263,8 +283,8 @@ def test_bounds_and_witness_requests_never_prove(capsys, monkeypatch, cold_mu_sy
 
 @pytest.mark.parametrize("b", (2, 3, 10007))
 def test_self_test_calls_no_fraction_transform(b, monkeypatch, cold_mu_system):
-    # the proof reads the integer forms b(b-1) q off km._q_cell_terms, the
-    # forms q_from_mu divides, and maps no triangle in Fraction arithmetic
+    # the proof reads the integers b(b-1) q off the running sum km._q_of,
+    # the one q_from_mu divides, and maps no triangle in Fraction arithmetic
     def refused(m):
         raise AssertionError("the proof mapped a triangle")
 
@@ -656,32 +676,75 @@ def test_top_bound_certificate(d):
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5))
 def test_top_bound_check_refuses_a_wrong_certificate(d, monkeypatch, cold_mu_system):
-    # two mutants of the certificate, made through the rows it reads: the
-    # weight i for i-1 on one row (a row (2, j), of weight 1, doubled) and
-    # one scaled-q row dropped (zeroed).  The doubled row is the same
-    # primitive row, so it is Q and leaves the LP a certificate: the
-    # certificate check refuses it.  The zeroed row is not a row of Q, so
-    # the comparison with the games refuses it first
-    rows = sv._search_rows
-    cells = [(i, j) for i in range(2, d + 1) for j in range(i, d + 1)]
+    # two mutants of the rows the certificate reads: one row (2, j), of
+    # weight 1, doubled, and one scaled-q row dropped (zeroed).  The doubled
+    # row spans the same ray, so the LP still finds a certificate; the
+    # proof pairs each row with its game at a fixed scale, so it refuses
+    # both before the certificate is read
+    row_slacks = sv._row_slacks
 
-    def changed(k, scale):
-        def mutant(d, b):
-            out = dense_rows(rows(d, b), d * (d + 1) // 2)
-            out[3 * k + 2] = [scale * x for x in out[3 * k + 2]]
-            return sparse_rows(out)
+    def changed(i, j, scale):
+        def mutant(P, Q, R, b):
+            rem = row_slacks(P, Q, R, b)
+            if len(Q) == d - i + 1:  # level i
+                rem[j - i] *= scale
+            return rem
         return mutant
 
     for b in CERTIFICATE_B_VALUES:
-        for k, (i, j) in enumerate(cells):
+        for i, j in ((i, j) for i in range(2, d + 1) for j in range(i, d + 1)):
             for scale in (2, 0) if i == 2 else (0,):
-                monkeypatch.setattr(sv, "_search_rows", changed(k, scale))
+                monkeypatch.setattr(sv, "_row_slacks", changed(i, j, scale))
                 sv._prove.cache_clear()
-                with pytest.raises(AssertionError,
-                                   match="no certificate" if scale else "disagree"):
+                with pytest.raises(AssertionError, match="disagree"):
                     sv._prove(d, b)
                 if scale == 2:
                     assert top_bound_lp(d, b), (b, i, j)
+
+
+# the weight of q(d, d) one too high in every suffix's certificate
+WEIGHT_OFF_BY_ONE = ("        weighted += level\n",
+                     "        weighted += level + levels[-1]\n")
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
+def test_proof_refuses_a_certificate_weight_off_by_one(d):
+    # the rows are Q, so only the certificate check can refuse the mutant
+    mutant = _source_mutant(sv._prove.__wrapped__, *WEIGHT_OFF_BY_ONE)
+    for b in CERTIFICATE_B_VALUES:
+        with pytest.raises(AssertionError, match="no certificate"):
+            mutant(d, b)
+
+
+def test_proof_base_refuses_a_carry_mutant(monkeypatch, cold_mu_system):
+    # +B' on mu_{i,i} and -1 on mu_{i,i+1}, cells k and k+1, in the first
+    # slack of each level i < d: at v built on a base B' at or below twice
+    # the coefficient bound C = 6 (bd)^2, B' B'^k - B'^(k+1) = 0, so the
+    # mutant evaluates equal to the true slack there, and the proof on that
+    # base is fooled.  The proof's own base, above 2C, refuses it
+    row_slacks = sv._row_slacks
+    for d, b in ((3, 2), (4, 3), (6, 7), (7, 10007)):
+        low = (12 * (b * d) ** 2).bit_length() - 1  # B' = 2^low <= 2C
+
+        def mutant(P, Q, R, b, low=low):
+            rem = row_slacks(P, Q, R, b)
+            if len(Q) > 1:
+                rem[0] += (Q[0] << low) - Q[1]
+            return rem
+
+        v = [1 << low * k for k in range(d * (d + 1) // 2)]
+        rows = [v[KisinInstance(d, b).cell_index(i, i):][:d - i + 1] for i in range(1, d + 1)]
+        rows.append([])
+        assert all(mutant(*rows[i - 2:i + 1], b) == row_slacks(*rows[i - 2:i + 1], b)
+                   for i in range(2, d + 1))
+        monkeypatch.setattr(sv, "_row_slacks", mutant)
+        low_base = _source_mutant(sv._prove.__wrapped__, "t = (12 * (b * d) ** 2).bit_length()",
+                                  f"t = {low}")
+        assert low_base(d, b)
+        clear_caches()
+        with pytest.raises(AssertionError, match="disagree"):
+            sv._prove(d, b)
+        monkeypatch.undo()
 
 
 def test_the_search_solves_no_lp(monkeypatch, cold_mu_system):
@@ -1111,17 +1174,16 @@ def test_row_slacks_and_sub_bound_are_proved(d):
 
 
 def test_row_slacks_proof_catches_a_wrong_step(monkeypatch, cold_mu_system):
-    # b for b-1 in the step from one scaled-q row to the next
-    def mutant(P, Q, R, b):
-        rem = [(b - 1) * (Q[0] - P[0]) + 2 * sum(Q) - sum(P) - sum(R)]
-        for k, x in enumerate(R):
-            rem.append(rem[k] + b * (Q[k + 1] - P[k + 1] + Q[k] - x))
-        return rem
-
+    # b for b-1 in the step from one scaled-q row to the next.  At d = 2 the
+    # one level has no row below it, so no step runs and the mutant is the
+    # true code there
+    mutant = _source_mutant(sv._row_slacks, "rem[k] + (b - 1) * (", "rem[k] + b * (")
     monkeypatch.setattr(sv, "_row_slacks", mutant)
-    for d in (3, 4):
-        with pytest.raises(AssertionError, match="disagree"):
-            sv._prove(d, 2)
+    for b in (2, 3, 10007):
+        assert sv._prove(2, b)
+        for d in (3, 4, 5, 6):
+            with pytest.raises(AssertionError, match="disagree"):
+                sv._prove(d, b)
     with pytest.raises(AssertionError, match="disagree"):
         dim_exact(DimQuery(KisinInstance(3, 2), "mu", mu=(4, 2, 0)))
 
@@ -1141,29 +1203,27 @@ def test_row_slacks_proof_covers_the_level_d_row(monkeypatch, cold_mu_system):
 
 
 def test_sub_bound_needs_every_smaller_certificate(monkeypatch, cold_mu_system):
-    # a row-pair mutant of the 4-system: q(3,3) gains q(4,4) and q(2,2)
+    # a row-pair mutant of the 4-system: q(3,3) gains mu_{3,3} and q(2,2)
     # loses twice it, so the whole-triangle certificate (weight i-1 on level
-    # i) still holds, but the suffix of rows 2..4 (weight i-2) sees q(4,4)
+    # i) still holds, but the suffix of rows 2..4 (weight i-2) sees mu_{3,3}
     # once.  Those rows are not Q, so the comparison with the games refuses
     # them first; each suffix's own check is shown on its target instead:
     # 2 rho' changed at one suffix length d' < 4 alone leaves the
     # whole-triangle target as it is, and the proof still refuses
-    rows = sv._search_rows
-    at = {cell: 3 * k + 2 for k, cell in enumerate((i, j) for i in range(2, 5)
-                                                  for j in range(i, 5))}
+    row_slacks = sv._row_slacks
 
-    def mutant(d, b):
-        out = dense_rows(rows(d, b), d * (d + 1) // 2)
-        if d == 4:
-            q44 = out[at[4, 4]]
-            out[at[3, 3]] = [x + y for x, y in zip(out[at[3, 3]], q44)]
-            out[at[2, 2]] = [x - 2 * y for x, y in zip(out[at[2, 2]], q44)]
-        return sparse_rows(out)
+    def mutant(P, Q, R, b):
+        rem = row_slacks(P, Q, R, b)
+        if len(P) == 4:  # level 2 of the 4-system; mu_{3,3} is R[0]
+            rem[0] -= 2 * R[0]
+        elif len(P) == 3:  # level 3; mu_{3,3} is Q[0]
+            rem[0] += Q[0]
+        return rem
 
     with monkeypatch.context() as m:
-        m.setattr(sv, "_search_rows", mutant)
+        m.setattr(sv, "_row_slacks", mutant)
         for b in CERTIFICATE_B_VALUES:
-            assert whole_triangle_certificate(sv._search_rows(4, b), 4, b), b
+            assert whole_triangle_certificate(dense_search_rows(4, b), 4, b), b
             with pytest.raises(AssertionError, match="disagree"):
                 sv._prove(4, b)
     two_rho = bd.two_rho
@@ -1179,20 +1239,20 @@ def test_sub_bound_needs_every_smaller_certificate(monkeypatch, cold_mu_system):
 
 def test_prove_reads_only_the_d_system(monkeypatch, cold_mu_system):
     # every suffix bound is certified on the d-system's own rows: the proofs
-    # build no smaller system
-    rows = sv._search_rows
-    asked = []
-
-    def recorded(d, b):
-        asked.append(d)
-        return rows(d, b)
-
-    monkeypatch.setattr(sv, "_search_rows", recorded)
+    # read the games of the d-system alone, and the search's slacks once per
+    # level, on the rows of one triangle (row i-1 of level i has d-i+2 cells)
+    game_pairs, row_slacks = km._game_pairs, sv._row_slacks
+    asked, levels = [], []
+    monkeypatch.setattr(km, "_game_pairs",
+                        lambda inst: asked.append(inst.d) or game_pairs(inst))
+    monkeypatch.setattr(sv, "_row_slacks",
+                        lambda P, Q, R, b: levels.append(len(P)) or row_slacks(P, Q, R, b))
     for d in range(2, 7):
         clear_caches()
         asked.clear()
+        levels.clear()
         assert sv._prove(d, 2)
-        assert set(asked) == {d}, (d, asked)
+        assert asked == [d] and levels == list(range(d, 1, -1)), (d, asked, levels)
 
 
 @pytest.mark.parametrize("d", range(2, 11))
@@ -1205,40 +1265,45 @@ def test_suffix_certificates_match_the_shifted_systems(d):
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_sparse_pull_back_matches_the_dense_dots(d):
-    # _prove pulls the games back by summing the sparse q-forms over each
-    # cell's and game's terms and finds the search's rows; the dense dots
-    # find the same rows, so both sets agree
+    # _prove finds the search's rows to be the games at one point; the
+    # halfspaces of the H-polyhedron of Q dotted with every column of the
+    # dense b(b-1) q-forms give the same rows, as sets of primitive rows
     for b in (2, 3, 5, 101, 10007):
         assert sv._prove(d, b), b
-        rows = dense_rows(sv._search_rows(d, b), d * (d + 1) // 2)
-        assert pulled_back_rows_dense(d, b) == set(map(primitive_ints, rows)), b
+        assert pulled_back_rows_dense(d, b) == set(map(primitive_ints, dense_search_rows(d, b))), b
 
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_search_rows_on_unit_windows_match_the_unit_triangles(d):
-    # each level-i row is read on the cells of rows i-1..i+1 only; densified,
-    # the rows are those read off _row_slacks on every unit triangle
+    # the fixed pairing _prove checks at one point, on the dense rows read
+    # off _row_slacks on every unit triangle: the search's order rows
+    # mu_{i,j} - mu_{i-1,j} and mu_{i-1,j-1} - mu_{i,j} and its scaled-q row
+    # q(i, j), scaled by b-1, 1 and 1, are games I, III and II at
+    # (i-1, j-1) in km._game_pairs order, q-games as rows of the dense
+    # b(b-1) q-forms
+    n = d * (d + 1) // 2
     for b in (2, 3, 5, 101, 10007):
-        assert dense_rows(sv._search_rows(d, b), d * (d + 1) // 2) == dense_search_rows(d, b), b
+        q_rows = dense_transform_rows(d, b)[1]
+        unit = {km.QPoint.KEY: q_rows, km.MuTriangle.KEY: [[int(k == t) for k in range(n)]
+                                                           for t in range(n)]}
+        games = [[u - w for u, w in zip(unit[key][x], unit[key][y])]
+                 for key, x, y in km._game_pairs(KisinInstance(d, b))]
+        rows = dense_search_rows(d, b)
+        mine = [row for lower, upper, slack in zip(rows[::3], rows[1::3], rows[2::3])
+                for row in ([(b - 1) * x for x in lower], slack, upper)]
+        assert mine == games, b
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))
 def test_search_without_a_certificate_raises_and_spends_no_node(d, monkeypatch,
                                                                 cold_mu_system):
-    # the proofs are preconditions: with the top-row bound uncertified, the
-    # scaled-q row q(2, 2) of the search's rows doubled (still a row of Q),
-    # the search raises before its first node instead of searching without it
+    # the proofs are preconditions: with the top-row bound uncertified (a
+    # certificate weight off by one), the search raises before its first
+    # node instead of searching without it
     def spend(self):
         raise AssertionError("a node was spent")
 
-    rows = sv._search_rows
-
-    def mutant(d, b):
-        out = dense_rows(rows(d, b), d * (d + 1) // 2)
-        out[2] = [2 * x for x in out[2]]
-        return sparse_rows(out)
-
-    monkeypatch.setattr(sv, "_search_rows", mutant)
+    monkeypatch.setattr(sv, "_prove", _source_mutant(sv._prove.__wrapped__, *WEIGHT_OFF_BY_ONE))
     monkeypatch.setattr(sv._Budget, "spend", spend)
     for query in (DimQuery(KisinInstance(d, 2), "le_e", e=8),
                   DimQuery(KisinInstance(d, 3), "le_mu", mu=(6,) + (0,) * (d - 1))):

@@ -24,7 +24,8 @@ from kisindim import bounds as bd, solver as sv
 from kisindim.cli import main
 from kisindim.kisin_model import KisinInstance
 from kisindim.polyhedra import Frozen, vec
-from oracles import DualityData, _q_generators, a_set, b_value, clear_caches, lru_caches
+from oracles import (DualityData, _q_generators, a_set, b_value, clear_caches, code_calls,
+                     lru_caches)
 
 SRC = Path(kisindim.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -105,7 +106,7 @@ def test_cli_imports_only_argparse_json_and_fractions():
 
 def test_every_lru_cache_is_bounded():
     caches = dict(lru_caches())
-    assert set(caches) == {"kisindim.kisin_model._transform_rows", "kisindim.solver._prove"}
+    assert set(caches) == {"kisindim.solver._prove"}
     unbounded = [name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
@@ -192,31 +193,25 @@ def test_bounds_requests_take_no_vertex_route(capsys, monkeypatch, mu):
 CONE_Q_REQUESTS = {(2, 3): "8,0", (3, 2): "12,5,0"}
 
 
-def test_witness_checks_build_cone_q_once_per_instance(capsys, monkeypatch):
+def test_witness_checks_build_cone_q_once_per_instance(capsys):
     # bounds, witness and dim requests decide membership in Q from its
-    # games and build no rows for it: the search's rows are read only by
+    # games and read no rows for it: the search's rows are read only by
     # its proof, once per (d, b) in a process, from the first dim request,
     # however many requests check a witness there
     builds = Counter()
-    search_rows = sv._search_rows
-    command = [None]
-
-    def counted(d, b):
-        builds[command[0], d, b] += 1
-        return search_rows(d, b)
-
+    proof = sv._prove.__wrapped__.__code__
     clear_caches()
-    monkeypatch.setattr(sv, "_search_rows", counted)
     for _ in range(2):
         for (d, b), mu in CONE_Q_REQUESTS.items():
             for target in (["bounds", "--e", "9"], ["bounds", "--mu", mu],
                            ["bounds", "--mu", mu, "--le-mu"], ["witness", "--e", "6"],
                            ["witness", "--mu", mu], ["dim", "--e", "4"], ["dim", "--mu", mu]):
                 argv = [target[0], "--d", str(d), "--b", str(b), *target[1:]]
-                command[0] = target[0]
-                assert main(argv) == 0, argv
+                exits = []
+                builds[target[0], d, b] += code_calls(proof, lambda: exits.append(main(argv)))
+                assert exits == [0], argv
                 capsys.readouterr()
-    assert builds == Counter({("dim", d, b): 1 for d, b in CONE_Q_REQUESTS})
+    assert +builds == Counter({("dim", d, b): 1 for d, b in CONE_Q_REQUESTS})
 
 
 def _references(tree):
@@ -267,7 +262,7 @@ def test_every_function_has_a_caller():
 
 # q_from_mu stays though no command or demo calls it: it is the documented
 # inverse of mu_from_q (MuTriangle.in_lattice states its contract through
-# it), and the two transforms share one kernel, `_apply`.  KTables.K_vertices
+# it), and the two transforms share one Fraction edge, `_apply`.  KTables.K_vertices
 # stays beside Kp_vertices, which the demo reads: the two document how a
 # vertex row (Y, T) reads as a point.  perm.rho_w stays though no module
 # calls it (the A-set reads its vertices off the rows `rho_row`): it is the
