@@ -28,7 +28,7 @@ print("\n".join(hasse_dot(3).splitlines()[:5]), "...")
 
 # a lattice point of the cone and the functions it encodes
 inst = KisinInstance(2, 2)
-q = QPoint(inst, {(1, 1): 2, (1, 2): 1, (2, 2): 2})
+q = QPoint(inst, (2, 1, 2))
 p = phi_from_q(q)
 print("\nprofile of q = (2, 1, 2):")
 for x in (0, 1, F(3, 2), 2, 3):

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import ceil, gcd, lcm
+from math import ceil, lcm
 from operator import sub
 
 from . import kisin_model as km
 from . import perm as pm
-from .polyhedra import (Frozen, IVec, Vec, _idot, dot, double_description,
+from .polyhedra import (Frozen, IVec, Vec, _idot, dot, double_description, fmt_row,
                         primitive_ints, scaled_ints, vec)
 
 
@@ -351,10 +351,8 @@ def witness_le_e(inst: km.KisinInstance, e: int):
     n_raw = (e - b + 2) // (b + 1)
     n = max(0, n_raw)
     m = (-n) % (b - 1)
-    hi = Fraction(m + b * n, b - 1)
-    lo = Fraction(m + n, b - 1)
-    q = km.QPoint(inst, {(i, j): (hi if 2 * (j - i) < d else lo)
-                         for (i, j) in inst.cells})
+    q = km.QPoint(inst, [m + b * n if 2 * (j - i) < d else m + n for (i, j) in inst.cells],
+                  b - 1)
     quarter = d * d // 4
     mu = km.mu_from_q(q)
     report = {
@@ -394,7 +392,7 @@ def witness_le_mu(inst: km.KisinInstance, mu, reg=None):
     qq.append(int(total) - sum(qq))
     if any(x > y for x, y in zip(qq, qq[1:])):
         raise AssertionError("rounded levels not nondecreasing")
-    q = km.QPoint(inst, {(i, j): qq[d - 1 - (j - i)] for (i, j) in inst.cells})
+    q = km.QPoint(inst, [qq[d - 1 - (j - i)] for (i, j) in inst.cells])
     m = km.mu_from_q(q)
     g = m.top_row
     target = Fraction(dot(two_rho(d), mu), b + 1)
@@ -429,17 +427,6 @@ def witness_le_mu(inst: km.KisinInstance, mu, reg=None):
 # the K(b) polytopes
 # ---------------------------------------------------------------------------
 
-def _fmt_row(row: IVec) -> list[str]:
-    """The coordinates a/T of a homogeneous integer row (a_1, ..., a_d, T),
-    T > 0, each in lowest terms as `fmt_frac` prints it."""
-    *Y, T = row
-    out = []
-    for a in Y:
-        g = gcd(a, T)
-        out.append(str(a // g) if g == T else f"{a // g}/{T // g}")
-    return out
-
-
 class KTables(Frozen):
     """The vertex tables of K and K + C*, all integer rows.  A vertex y is
     kept as the primitive homogeneous row (Y, T), T > 0, with y = Y/T, and
@@ -463,9 +450,9 @@ class KTables(Frozen):
         return len(self.K_rows), len(self.Kp_rows)
 
     def _formatted(self) -> tuple[list[list[str]], list[list[str]]]:
-        """The `_fmt_row` coordinates of the K rows and the K + C* rows, each
+        """The `fmt_row` coordinates of the K rows and the K + C* rows, each
         K row formatted once (the K + C* rows are among them)."""
-        K = [_fmt_row(r) for r in self.K_rows]
+        K = [fmt_row(r) for r in self.K_rows]
         by_row = dict(zip(self.K_rows, K))
         return K, [by_row[r] for r in self.Kp_rows]
 

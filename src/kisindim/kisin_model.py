@@ -10,22 +10,23 @@ tuples, and on lattice points the dimension functional computes the
 stratum dimension (exactly when h != 0, up to a d(d-1)/2 slack when
 h = 0).
 
-A triangle's cells are Fractions, but the work on them is integer: each
-transform is one running sum on integer cells, `_q_of` along each row and
-`_mu_of` up each column, in O(d^2) with no stored rows, applied to the
-cells' numerators over their common denominator; membership in Q and the
-dimension functional take the values at those numerators and at their
-integer image b(b-1) q.  A Fraction is built only for each output cell of
-a transform and for the value of dim(phi).
+A triangle is integer numerators over one positive denominator, in lowest
+terms, and the work on it is integer: each transform is one running sum on
+the numerators, `_q_of` along each row and `_mu_of` up each column, in
+O(d^2) with no stored rows; membership in Q, the lattice and dim(phi) read
+the numerators and their integer image b(b-1) q.  A Fraction is built only
+where a cell is read (`[]`, `top_row`) and for the value of dim(phi);
+`to_dict` prints the numerators over the denominator as integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 
 from . import perm as pm
-from .polyhedra import Frozen, IVec, Vec, _idot, fmt_frac, frac, scaled_ints
+from .polyhedra import Frozen, IVec, Vec, _idot, fmt_row, scaled_ints
 
 
 class KisinInstance(Frozen):
@@ -66,30 +67,33 @@ class KisinInstance(Frozen):
 
 
 class _Triangle(Frozen):
-    """One rational per cell of the triangle I, in row-major cell order: a
-    record whose fields are the instance and the value tuple.  `KEY` names
-    the coordinates in JSON."""
+    """A point of E as integers: cell k of the triangle I, in row-major
+    order, is nums[k] / den, with den > 0 and the gcd of den and the nums
+    divided out, so that equal points are equal records.  `KEY` names the
+    coordinates in JSON."""
 
     KEY: str
 
-    def __init__(self, instance: KisinInstance, values):
-        if isinstance(values, dict):
-            vals = tuple(frac(values[c]) for c in instance.cells)
-        else:
-            vals = tuple(frac(v) for v in values)
-        if len(vals) != instance.dim_E:
-            raise ValueError(f"expected {instance.dim_E} values, got {len(vals)}")
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, instance: KisinInstance, nums, den: int = 1):
+        nums = tuple(nums)
+        if len(nums) != instance.dim_E:
+            raise ValueError(f"expected {instance.dim_E} values, got {len(nums)}")
+        if den <= 0:
+            raise ValueError(f"the denominator must be positive, got {den}")
+        g = gcd(den, *nums)
+        if g > 1:
+            nums, den = tuple(x // g for x in nums), den // g
+        self._store(locals())
 
     def __getitem__(self, cell):
         i, j = cell
-        return self.values[self.instance.cell_index(i, j)]
+        return Fraction(self.nums[self.instance.cell_index(i, j)], self.den)
 
     def to_dict(self) -> dict:
         inst = self.instance
         return {"d": inst.d, "b": inst.b,
-                self.KEY: {f"{i},{j}": fmt_frac(self[(i, j)]) for (i, j) in inst.cells}}
+                self.KEY: dict(zip((f"{i},{j}" for i, j in inst.cells),
+                                   fmt_row((*self.nums, self.den))))}
 
 
 class QPoint(_Triangle):
@@ -106,7 +110,7 @@ class MuTriangle(_Triangle):
 
     @property
     def top_row(self) -> Vec:
-        return tuple(self[(1, j)] for j in range(1, self.instance.d + 1))
+        return tuple(Fraction(x, self.den) for x in self.nums[:self.instance.d])
 
     def in_lattice(self) -> bool:
         """All mu_{i,j} integral and b-1 divides every row sum; this holds
@@ -116,10 +120,9 @@ class MuTriangle(_Triangle):
         sum_{s>j} (mu_{i,s} - mu_{i+1,s}) (row d+1 empty), and mu_from_q has
         integer coefficients on the b q_{i,j} and the q_{j,d}."""
         b, d = self.instance.b, self.instance.d
-        x, den = scaled_ints(self.values)
-        at = self.instance.cell_index
-        return den == 1 and all(sum(x[at(i, i):at(i, d) + 1]) % (b - 1) == 0
-                                for i in range(1, d + 1))
+        x, at = self.nums, self.instance.cell_index
+        return self.den == 1 and all(sum(x[at(i, i):at(i, d) + 1]) % (b - 1) == 0
+                                     for i in range(1, d + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +131,21 @@ class MuTriangle(_Triangle):
 
 def mu_from_q(q: QPoint) -> MuTriangle:
     """mu_{i,j} = b q_{j,j} - q_{j,d} + b * sum_{s=i}^{j-1} (q_{s,j} - q_{s,j-1})."""
-    return MuTriangle(q.instance, _apply(q, _mu_of, 1))
+    return _apply(MuTriangle, q, _mu_of, 1)
 
 
 def q_from_mu(m: MuTriangle) -> QPoint:
     """q_{i,j} = (b mu_{i,i} + b sum_{s=i+1}^{j}(mu_{i,s}-mu_{i+1,s})
     + sum_{s=j+1}^{d}(mu_{i,s}-mu_{i+1,s})) / (b(b-1))."""
     b = m.instance.b
-    return QPoint(m.instance, _apply(m, _q_of, b * (b - 1)))
+    return _apply(QPoint, m, _q_of, b * (b - 1))
 
 
-def _apply(x: _Triangle, transform, scale: int) -> list[Fraction]:
-    """The integer transform applied to the numerators of x over their
-    common denominator, each image divided by that denominator times
-    scale: the one place the transforms build Fractions."""
+def _apply(cls, x: _Triangle, transform, scale: int) -> _Triangle:
+    """The cls triangle of the integer transform of x's numerators, over
+    x's denominator times scale."""
     inst = x.instance
-    nums, den = scaled_ints(x.values)
-    den *= scale
-    return [Fraction(v, den) for v in transform(nums, inst.d, inst.b)]
+    return cls(inst, transform(x.nums, inst.d, inst.b), x.den * scale)
 
 
 def _q_of(mu, d: int, b: int) -> list[int]:
@@ -211,9 +211,9 @@ def _game_pairs(inst):
 
 def in_cone_q(m: MuTriangle) -> bool:
     """Whether m, any rational triangle, lies in Q: the mu-games at its
-    numerators over their common denominator, then, if they all hold, the
-    q-games at their image b(b-1) q under `_q_of`."""
-    mu = scaled_ints(m.values)[0]
+    numerators, then, if they all hold, the q-games at their image
+    b(b-1) q under `_q_of`."""
+    mu = m.nums
     q_games = []
     for key, x, y in _game_pairs(m.instance):
         if key == QPoint.KEY:
@@ -256,15 +256,15 @@ def dim_phi(m: MuTriangle) -> Fraction:
     mu-form: sum_j (d+1-j) mu_{1,j} - sum_{(i,j)} mu_{i,j};
     q-form:  b * sum q_{i,j} + sum_i (2i-1-d-bi) q_{i,d}.
 
-    Both run on integers: m's numerators over their common denominator L,
-    and their image b(b-1) L q under `_q_of`, so the q-form must be b(b-1)
-    times the mu-form.  Only the value is a Fraction.
+    Both run on integers: m's numerators over its denominator L, and their
+    image b(b-1) L q under `_q_of`, so the q-form must be b(b-1) times the
+    mu-form.  Only the value is a Fraction.
     """
     if not isinstance(m, MuTriangle):
         raise TypeError(f"dim_phi takes a MuTriangle, not {type(m).__name__}")
     inst = m.instance
     d, b = inst.d, inst.b
-    mu, den = scaled_ints(m.values)
+    mu, den = m.nums, m.den
     q = _q_of(mu, d, b)
     mu_form = _dim_form((mu[:d], mu[d:]), d)
     if mu_form * b * (b - 1) != _idot(delta_vec(inst), q):
@@ -299,7 +299,6 @@ def _piecewise(pieces, slope, x) -> Fraction | None:
     """The value at x of the function with the given slope that restarts at
     each of the sorted breakpoints (brk, level) from that level: the last
     breakpoint at or below x decides, and None (-infinity) below the first."""
-    x = frac(x)
     val = None
     for brk, level in pieces:
         if x >= brk:
@@ -390,7 +389,7 @@ def read_back_q(p: PhiFunctions) -> QPoint:
                 if x is not None:
                     candidates.add(x)
     xs = sorted(candidates)
-    vals = {}
+    vals = []  # in row-major cell order
     for i in range(1, d + 1):
         for j in range(i, d + 1):
             found = None
@@ -404,8 +403,8 @@ def read_back_q(p: PhiFunctions) -> QPoint:
                     break
             if found is None:
                 raise AssertionError(f"no crossing point for ({i},{j})")
-            vals[(i, j)] = found
-    return QPoint(inst, vals)
+            vals.append(found)
+    return QPoint(inst, *scaled_ints(vals))
 
 
 def _phi_preimage(p: PhiFunctions, i: int, value: Fraction):
@@ -450,8 +449,9 @@ def d2_lattice_invariants(alpha: int, gamma: int, delta: int, b: int) -> D2Latti
     inst = KisinInstance(2, b)
     mu1 = b * (alpha + delta - gamma) - delta
     mu2 = b * gamma - alpha
-    q11 = alpha + Fraction((b - 1) * (delta - gamma), b)
-    q = QPoint(inst, {(1, 1): q11, (1, 2): gamma, (2, 2): alpha + delta - gamma})
+    # q = (alpha + (b-1)(delta-gamma)/b, gamma, alpha + delta - gamma)
+    q = QPoint(inst, (b * alpha + (b - 1) * (delta - gamma), b * gamma,
+                      b * (alpha + delta - gamma)), b)
     prof = phi_from_q(q)
     # cross-check the generic pieces against the closed forms
     m = mu_from_q(q)

@@ -76,9 +76,15 @@ def _idot(u, v) -> int:
 # rational formatting ("p/q", lowest terms, q > 0; integers print bare)
 # ---------------------------------------------------------------------------
 
+def fmt_row(row: IVec) -> list[str]:
+    """Each coordinate a/T of a homogeneous integer row (..., a, ..., T), T > 0."""
+    *Y, T = row
+    return [str(a // g) if (g := gcd(a, T)) == T else f"{a // g}/{T // g}" for a in Y]
+
+
 def fmt_frac(x: Fraction) -> str:
     x = frac(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return fmt_row((x.numerator, x.denominator))[0]
 
 
 # ---------------------------------------------------------------------------

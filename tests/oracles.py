@@ -17,7 +17,10 @@ transforms and the dense matrices they sum to (`mu_cell_terms`,
 running sums, the dense rows of the search (`dense_search_rows`), the
 reference for the values `solver._prove` reads off it at one point, and
 the q-side checks of a point of E (`q_in_lattice`, `dim_phi_q`), the
-references for the package's checks on its mu-triangle."""
+references for the package's checks on its mu-triangle, and the
+Fraction-celled triangle with its transforms and checks
+(`FractionTriangle`, `fraction_in_cone_q`, ...), the reference for the
+package's triangle of integer numerators over one denominator."""
 
 import importlib
 import pkgutil
@@ -874,10 +877,10 @@ def dim_phi_fraction(x) -> Fraction:
     inst = x.instance
     d = inst.d
     if isinstance(x, km.QPoint):
-        q = x.values
+        q = fraction_cells(x)
         m = apply_terms(x, mu_cell_terms, 1)
     else:
-        m = x.values
+        m = fraction_cells(x)
         q = apply_terms(x, q_cell_terms, inst.b * (inst.b - 1))
     mu_form = (sum((d - j) * v for j, v in enumerate(m[:d], 1))
                - sum(m[d:], Fraction(0)))
@@ -895,22 +898,142 @@ def q_in_lattice(q: km.QPoint) -> bool:
     divides b exactly when their lcm does.  The q-side reference for
     MuTriangle.in_lattice, which decides the same lattice on mu_from_q(q)."""
     b, d = q.instance.b, q.instance.d
-    return (b % lcm(*(v.denominator for v in q.values)) == 0
+    return (b % lcm(*(v.denominator for v in fraction_cells(q))) == 0
             and all(q[(i, d)].denominator == 1 for i in range(1, d + 1)))
 
 
 def dim_phi_q(q: km.QPoint) -> Fraction:
     """dim(phi) of a q-triangle on integers, cross-checked as km.dim_phi
-    does from the other side: q's numerators over their common denominator
-    L, and the integers L mu that the mu_from_q matrix maps them to, must give
+    does from the other side: q's numerators over its denominator L, and
+    the integers L mu that the mu_from_q matrix maps them to, must give
     the same value by the q-form and the mu-form.  The q-side reference for
     km.dim_phi(mu_from_q(q))."""
     inst = q.instance
     d, b = inst.d, inst.b
-    nums, den = scaled_ints(q.values)
+    nums, den = q.nums, q.den
     m = [_idot(row, nums) for row in dense_transform_rows(d, b)[0]]
     mu_form = km._dim_form((m[:d], m[d:]), d)
     if mu_form != _idot(km.delta_vec(inst), nums):
+        raise AssertionError("dimension functional mismatch between coordinates")
+    return Fraction(mu_form, den)
+
+
+# ---------------------------------------------------------------------------
+# triangles in Fractions: built from rational cells, read as Fractions, and
+# the Fraction-celled triangle the package's integer triangle replaced
+# ---------------------------------------------------------------------------
+
+def rational_triangle(cls, inst: KisinInstance, values):
+    """The cls triangle with the rational cells values, in row-major order
+    or by cell: their numerators over their common denominator."""
+    if isinstance(values, dict):
+        values = [values[c] for c in inst.cells]
+    return cls(inst, *scaled_ints(vec(values)))
+
+
+def qpoint(inst: KisinInstance, values) -> km.QPoint:
+    """rational_triangle(km.QPoint, inst, values)."""
+    return rational_triangle(km.QPoint, inst, values)
+
+
+def mu_triangle(inst: KisinInstance, values) -> km.MuTriangle:
+    """rational_triangle(km.MuTriangle, inst, values)."""
+    return rational_triangle(km.MuTriangle, inst, values)
+
+
+def fraction_cells(x) -> Vec:
+    """The cells of a triangle as Fractions, in row-major order."""
+    return tuple(Fraction(n, x.den) for n in x.nums)
+
+
+class FractionTriangle(Frozen):
+    """One Fraction per cell of the triangle I, in row-major order: the
+    reference for km._Triangle, whose checks and transforms read integer
+    numerators over one denominator instead."""
+
+    KEY: str
+
+    def __init__(self, instance: KisinInstance, values):
+        if isinstance(values, dict):
+            vals = tuple(frac(values[c]) for c in instance.cells)
+        else:
+            vals = tuple(frac(v) for v in values)
+        if len(vals) != instance.dim_E:
+            raise ValueError(f"expected {instance.dim_E} values, got {len(vals)}")
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "values", vals)
+
+    def __getitem__(self, cell):
+        i, j = cell
+        return self.values[self.instance.cell_index(i, j)]
+
+    def to_dict(self) -> dict:
+        inst = self.instance
+        return {"d": inst.d, "b": inst.b,
+                self.KEY: {f"{i},{j}": fmt_frac(self[(i, j)]) for (i, j) in inst.cells}}
+
+
+class FractionQPoint(FractionTriangle):
+    KEY = "q"
+
+
+class FractionMuTriangle(FractionTriangle):
+    KEY = "mu"
+
+    @property
+    def top_row(self) -> Vec:
+        return tuple(self[(1, j)] for j in range(1, self.instance.d + 1))
+
+    def in_lattice(self) -> bool:
+        b, d = self.instance.b, self.instance.d
+        x, den = scaled_ints(self.values)
+        at = self.instance.cell_index
+        return den == 1 and all(sum(x[at(i, i):at(i, d) + 1]) % (b - 1) == 0
+                                for i in range(1, d + 1))
+
+
+def _fraction_apply(x: FractionTriangle, transform, scale: int) -> list[Fraction]:
+    """The integer transform at the numerators of x over their common
+    denominator, each image a Fraction over that denominator times scale."""
+    inst = x.instance
+    nums, den = scaled_ints(x.values)
+    den *= scale
+    return [Fraction(v, den) for v in transform(nums, inst.d, inst.b)]
+
+
+def fraction_mu_from_q(q: FractionQPoint) -> FractionMuTriangle:
+    """km.mu_from_q on the reference triangle."""
+    return FractionMuTriangle(q.instance, _fraction_apply(q, km._mu_of, 1))
+
+
+def fraction_q_from_mu(m: FractionMuTriangle) -> FractionQPoint:
+    """km.q_from_mu on the reference triangle."""
+    b = m.instance.b
+    return FractionQPoint(m.instance, _fraction_apply(m, km._q_of, b * (b - 1)))
+
+
+def fraction_in_cone_q(m: FractionMuTriangle) -> bool:
+    """km.in_cone_q on the reference triangle: the games at its cells'
+    numerators over their common denominator."""
+    mu = scaled_ints(m.values)[0]
+    q_games = []
+    for key, x, y in km._game_pairs(m.instance):
+        if key == km.QPoint.KEY:
+            q_games.append((x, y))
+        elif mu[x] < mu[y]:
+            return False
+    q = km._q_of(mu, m.instance.d, m.instance.b)
+    return all(q[x] >= q[y] for x, y in q_games)
+
+
+def fraction_dim_phi(m: FractionMuTriangle) -> Fraction:
+    """km.dim_phi on the reference triangle, cross-checked alike."""
+    inst = m.instance
+    d, b = inst.d, inst.b
+    mu, den = scaled_ints(m.values)
+    q = km._q_of(mu, d, b)
+    mu_form = km._dim_form((mu[:d], mu[d:]), d)
+    if mu_form * b * (b - 1) != _idot(km.delta_vec(inst), q):
         raise AssertionError("dimension functional mismatch between coordinates")
     return Fraction(mu_form, den)
 
@@ -1003,14 +1126,14 @@ def witness_le_e_report(inst: km.KisinInstance, e: int, q: km.QPoint) -> dict:
     n_raw = (e - b + 2) // (b + 1)
     n = max(0, n_raw)
     quarter = d * d // 4
-    top = [dot(mu_cell_vector(inst, 1, j), q.values) for j in range(1, d + 1)]
+    top = [dot(mu_cell_vector(inst, 1, j), fraction_cells(q)) for j in range(1, d + 1)]
     report = {
         "n_raw": n_raw, "n": n, "m": (-n) % (b - 1),
-        "in_Q": contains(cone_q(inst), q.values),
+        "in_Q": contains(cone_q(inst), fraction_cells(q)),
         "in_R": q_in_lattice(q),
         "mu_top_le_e": top[0] <= e,
         "mu_bottom_ge_0": top[-1] >= 0,
-        "objective": dot(km.delta_vec(inst), q.values),
+        "objective": dot(km.delta_vec(inst), fraction_cells(q)),
         "objective_target": quarter * n,
         "objective_lower_target": quarter * n_raw,
     }
@@ -1030,15 +1153,15 @@ def witness_le_mu_report(inst: km.KisinInstance, mu, q: km.QPoint) -> dict:
     qp = [Fraction(mu[i - 1] + b * mu[d - i], b * b - 1) for i in range(1, d + 1)]
     qq = [-(-x.numerator // x.denominator) for x in qp[:-1]]
     qq.append(int(sum(qp)) - sum(qq))
-    g = [dot(mu_cell_vector(inst, 1, i), q.values) for i in range(1, d + 1)]
+    g = [dot(mu_cell_vector(inst, 1, i), fraction_cells(q)) for i in range(1, d + 1)]
     target = Fraction(dot(two_rho(d), mu), b + 1)
     report = {
         "q_levels": qq,
-        "in_Q": contains(cone_q(inst), q.values),
+        "in_Q": contains(cone_q(inst), fraction_cells(q)),
         "in_R": q_in_lattice(q),
         "image_dominated": all(sum(g[:t]) <= sum(mu[:t]) for t in range(1, d))
         and sum(g) == sum(mu),
-        "objective": dot(km.delta_vec(inst), q.values),
+        "objective": dot(km.delta_vec(inst), fraction_cells(q)),
         "objective_provable_target": target - d * (d - 1),
         "objective_stated_target": target - (d - 1) ** 2 - Fraction((d - 2) ** 2, 4),
         "exact_when_integral": all(x == y for x, y in zip(qp, qq)),

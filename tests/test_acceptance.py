@@ -13,8 +13,8 @@ from kisindim import solver as sv
 from kisindim.kisin_model import (KisinInstance, QPoint, chain_dual_generators, mu_from_q,
                                   phi_from_q, q_from_mu, read_back_q, validate_phi)
 from oracles import (a_set, admissible_level, cone_chain, cone_q, contains, enumerate_vertices,
-                     graph_cone_dual_membership, intersect, minkowski_sum_cone,
-                     polyhedra_set_equal, q_in_lattice)
+                     fraction_cells, graph_cone_dual_membership, intersect, minkowski_sum_cone,
+                     polyhedra_set_equal, q_in_lattice, qpoint)
 
 BIG_BUDGET = 500_000_000
 
@@ -375,7 +375,7 @@ def test_acceptance_10_round_trips():
     while trips < 1000:
         d = rng.randint(1, 6)
         inst = KisinInstance(d, rng.choice((2, 3, 5)))
-        q = QPoint(inst, [F(rng.randint(-40, 40), rng.randint(1, 6))
+        q = qpoint(inst, [F(rng.randint(-40, 40), rng.randint(1, 6))
                           for _ in inst.cells])
         assert q_from_mu(mu_from_q(q)) == q
         trips += 1
@@ -388,10 +388,9 @@ def test_acceptance_10_round_trips():
         # banded integers with wide gaps and a row tilt: all games strict
         M = 4 * b * b + 7
         levels = sorted(rng.sample(range(0, 4 * d), d))
-        q = QPoint(inst, {(i, j): F(M * levels[d - 1 - (j - i)] + 3 * i
-                                    + rng.randint(0, 1))
-                          for (i, j) in inst.cells})
-        assert contains(cone_q(inst), q.values) and q_in_lattice(q)
+        q = QPoint(inst, [M * levels[d - 1 - (j - i)] + 3 * i + rng.randint(0, 1)
+                          for (i, j) in inst.cells])
+        assert contains(cone_q(inst), fraction_cells(q)) and q_in_lattice(q)
         p = phi_from_q(q)
         assert validate_phi(p)
         assert read_back_q(p) == q

@@ -1,5 +1,6 @@
 import inspect
 import random
+import textwrap
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
@@ -20,9 +21,9 @@ from oracles import (DualityData, Halfspace, HPolyhedron, _dual_hrep, _form_vect
                      cone_chain, cone_generators, cone_hull, cone_qmax, cone_qmin, cone_qw,
                      cone_regular, contains, contains_ray, cycles, dominance_polytope,
                      dominated_sup, dual_cone, enumerate_vertices, f_T_halfspace,
-                     fraction_constructions, identity, in_cone, intersect, is_empty, k_hrep,
-                     kept_in_sum, level_set, min_over_permutations_fraction,
-                     minkowski_sum_cone, polyhedra_set_equal, vertices_of_sum,
+                     fraction_cells, fraction_constructions, identity, in_cone, intersect,
+                     is_empty, k_hrep, kept_in_sum, level_set, min_over_permutations_fraction,
+                     minkowski_sum_cone, mu_triangle, polyhedra_set_equal, vertices_of_sum,
                      witness_le_e_report, witness_le_mu_report)
 
 
@@ -290,9 +291,9 @@ def test_seeded_a_set_vertices_match_the_general_route(d, b, monkeypatch):
 
 
 def _source_mutant(fn, old, new):
-    """fn recompiled in its own module's namespace with the one occurrence
-    of old in its source replaced by new."""
-    source = inspect.getsource(fn)
+    """fn, a function or a method, recompiled in its own module's namespace
+    with the one occurrence of old in its source replaced by new."""
+    source = textwrap.dedent(inspect.getsource(fn))
     assert source.count(old) == 1, old
     namespace = dict(fn.__globals__)
     exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
@@ -838,7 +839,7 @@ def _off_the_lattice(m):
     """m plus (b-1)/(b+1) on every mu-cell, which is 1/(b+1) on every
     q-cell: every game and dim(phi) keep their values, the lattice is left."""
     b = m.instance.b
-    return km.MuTriangle(m.instance, [x + F(b - 1, b + 1) for x in m.values])
+    return mu_triangle(m.instance, [x + F(b - 1, b + 1) for x in fraction_cells(m)])
 
 
 def test_witness_reports_read_the_lattice_off_their_mu_triangle(monkeypatch):

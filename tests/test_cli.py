@@ -13,7 +13,7 @@ import pytest
 from kisindim import bounds as bd, cli, solver as sv
 from kisindim.cli import build_parser, main
 from kisindim.kisin_model import KisinInstance
-from oracles import clear_caches, encode, fraction_constructions
+from oracles import clear_caches, encode, fraction_cells, fraction_constructions
 
 
 def run(capsys, *argv):
@@ -268,20 +268,27 @@ def test_tables_benchmark_pool_matches_its_recorded_digests(capsys, monkeypatch)
 
 
 def test_dim_requests_build_one_witness_triangle(capsys, monkeypatch):
-    # the search keeps its incumbent as integer rows: a request builds the
-    # cells of the one witness it prints and the value of dim(phi), at most
-    # d(d+1)/2 + 1 Fractions, with every cache cold and then warm
+    # the search keeps its incumbent as integer rows and its witness is an
+    # integer triangle, printed from its numerators: a request builds at
+    # most one Fraction, the value of dim(phi), with every cache cold and
+    # then warm.  A witness request reads two cells of its mu-triangle and
+    # dim(phi)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     wl = importlib.import_module("workloads")
     pool = [argv for argv in wl.pool("mixed-session") if argv[0] == "dim"]
     pool.append(["dim", "--d", "4", "--b", "2", "--e", "20"])
+    witness = ["witness", "--d", "4", "--b", "3", "--e", "13"]
     for cold in (True, False):
         for argv in pool:
             d = int(argv[argv.index("--d") + 1])
             if cold:
                 clear_caches()
-            assert fraction_constructions(lambda: main(argv)) <= d * (d + 1) // 2 + 1, argv
+            assert fraction_constructions(lambda: main(argv)) <= 1, argv
             assert json.loads(capsys.readouterr().out)["query"]["d"] == d
+        if cold:
+            clear_caches()
+        assert fraction_constructions(lambda: main(witness)) == 3
+        assert json.loads(capsys.readouterr().out)["report"]["ok"]
 
 
 # the bounds, witness and dim requests of the `mixed-session` pool, by group
@@ -377,7 +384,7 @@ def _report_payloads():
     ones and the witness and bounds reports the commands print."""
     inst = KisinInstance(3, 2)
     q, report = bd.witness_le_mu(inst, (12, 5, 0))
-    yield {"q": q.values, "report": report}
+    yield {"q": fraction_cells(q), "report": report}
     yield bd.theorem_bounds("le_mu", (12, 5, 0), inst)
     yield bd.theorem_bounds("le_e", 9, KisinInstance(4, 3, True))
     yield {"z": [Fraction(1, 2), (Fraction(-7, 3), 0, None)], "a": {"b": (True, Fraction(6, 4))},

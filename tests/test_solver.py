@@ -14,10 +14,11 @@ from kisindim.polyhedra import primitive_ints
 from kisindim.solver import (BudgetExceeded, DimQuery, dim_d2_closed, dim_d3_closed,
                              dim_exact, consistency_suite, _enumerate_dominated_tops)
 from oracles import (clear_caches, cone_q, contains, dense_search_rows, dense_transform_rows,
-                     pulled_back_rows_dense, sub_bounds_by_shifted_systems, top_bound_lp,
-                     unit_triangles, whole_triangle_certificate)
+                     fraction_cells, pulled_back_rows_dense,
+                     sub_bounds_by_shifted_systems, top_bound_lp, unit_triangles,
+                     whole_triangle_certificate)
 from test_acceptance import _integrally_regular_samples, _strongly_regular_samples
-from test_bounds import _source_mutant
+from test_bounds import _off_the_lattice, _source_mutant
 
 
 def test_query_validation():
@@ -84,7 +85,7 @@ def test_dim_witness_check_reads_the_lattice_off_the_triangle():
     # refuses it
     for d, b, mu in [(2, 2, (5, 1)), (3, 3, (7, 2, 1))]:
         r = dim_exact(DimQuery(KisinInstance(d, b), "mu", mu=mu))
-        moved = MuTriangle(r.witness.instance, [x + F(b - 1, b + 1) for x in r.witness.values])
+        moved = _off_the_lattice(r.witness)
         assert km.in_cone_q(moved) and dim_phi(moved) == r.max_dim_phi, (d, b)
         with pytest.raises(AssertionError, match="'witness_in_R': False"):
             sv._verify_witness(moved, r.max_dim_phi)
@@ -134,8 +135,8 @@ def _sampling_self_test(d, b):
                 prev = rows[-1]
                 rows.append([rng.randint(min(prev[k + 1], prev[k]), max(prev[k + 1], prev[k]))
                              for k in range(d - i + 1)])
-        tri = MuTriangle(inst, {(i, j): rows[i - 1][j - i] for (i, j) in inst.cells})
-        if _mu_constraints_ok(inst, rows) != contains(Q, q_from_mu(tri).values):
+        tri = MuTriangle(inst, [x for row in rows for x in row])
+        if _mu_constraints_ok(inst, rows) != contains(Q, fraction_cells(q_from_mu(tri))):
             raise AssertionError(f"mu-system and q-system disagree at d={d} b={b} rows={rows}")
     return True
 
@@ -164,10 +165,9 @@ def test_mu_constraints_match_cone_on_feasible_triangle():
     # breaks a scaled-q inequality
     for rows, inside in (([[6, 3, 0], [5, 2], [4]], True),
                          ([[6, 3, 0], [4, 2], [3]], False)):
-        tri = MuTriangle(inst, {(i, j): rows[i - 1][j - i]
-                                for (i, j) in inst.cells})
+        tri = MuTriangle(inst, [x for row in rows for x in row])
         assert _mu_constraints_ok(inst, rows) == inside
-        assert contains(cone_q(inst), q_from_mu(tri).values) == inside
+        assert contains(cone_q(inst), fraction_cells(q_from_mu(tri))) == inside
 
 
 @pytest.mark.parametrize("form", [(i, j) for i in range(2, 5) for j in range(i, 5)])
@@ -484,7 +484,7 @@ def _solve_top(inst, top, tracker):
     value, rows = sv._max_dim_top(inst, top, tracker)
     if value is None:
         return None, None
-    return value, MuTriangle(inst, {(i, j): rows[i - 1][j - i] for (i, j) in inst.cells})
+    return value, MuTriangle(inst, [x for row in rows for x in row])
 
 
 def _dim_all_tops(query):
@@ -507,7 +507,7 @@ def _dim_all_tops(query):
         value, tri = _solve_top(inst, top, tracker)
         if value is None:
             continue
-        if best is None or value > best or (value == best and tri.values < witness.values):
+        if best is None or value > best or (value == best and tri.nums < witness.nums):
             best, witness = value, tri
     return best, witness, 10 ** 9 - tracker.left
 

@@ -262,7 +262,7 @@ def test_every_function_has_a_caller():
 
 # q_from_mu stays though no command or demo calls it: it is the documented
 # inverse of mu_from_q (MuTriangle.in_lattice states its contract through
-# it), and the two transforms share one Fraction edge, `_apply`.  KTables.K_vertices
+# it), and the two transforms share one edge, `_apply`.  KTables.K_vertices
 # stays beside Kp_vertices, which the demo reads: the two document how a
 # vertex row (Y, T) reads as a point.  perm.rho_w stays though no module
 # calls it (the A-set reads its vertices off the rows `rho_row`): it is the

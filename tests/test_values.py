@@ -42,9 +42,11 @@ CASES = {
     KisinInstance: [("d", 3, 4, REQUIRED), ("b", 5, 7, REQUIRED),
                     ("h_zero", False, True, False)],
     QPoint: [("instance", I23, I25, REQUIRED),
-             ("values", (F(0), F(1, 3), F(1)), (F(0), F(2, 3), F(1)), REQUIRED)],
+             ("nums", (0, 1, 3), (0, 2, 3), REQUIRED),
+             ("den", 3, 5, 1)],
     MuTriangle: [("instance", I23, I25, REQUIRED),
-                 ("values", (F(3), F(0), F(2)), (F(2), F(1), F(2)), REQUIRED)],
+                 ("nums", (3, 0, 2), (2, 1, 2), REQUIRED),
+                 ("den", 1, 7, 1)],
     PhiFunctions: [("instance", I23, I35, REQUIRED),
                    ("phi_pieces", PIECES, PIECES2, REQUIRED),
                    ("psi_pieces", PIECES, PIECES2, REQUIRED)],
@@ -58,7 +60,7 @@ CASES = {
                ("mu", (3, 0), (4, 0), None)],
     DimResult: [("status", "exact", "empty", REQUIRED), ("dim", None, 2, None),
                 ("interval", None, (1, 2), None),
-                ("witness", None, MuTriangle(KisinInstance(1, 2), [F(0)]), None),
+                ("witness", None, MuTriangle(KisinInstance(1, 2), (0,)), None),
                 ("nodes", 0, 5, 0), ("checks", None, {"passed": True}, None)],
     DualityData: [("instance", I23, I35, REQUIRED), ("variant", "Q", "Qmax", "Q"),
                   ("form", "g", "f", "g"), ("C_gens", (), ((F(1), F(0)),), ()),
@@ -146,8 +148,14 @@ def test_validation_errors():
         AdmissibleSubset(2, frozenset({(2, 1)}), frozenset())
     with pytest.raises(ValueError):
         Permutation((1, 1, 3))
-    with pytest.raises(ValueError, match="expected 3 values, got 2"):
-        QPoint(I23, (0, 1))
+    for cls in (QPoint, MuTriangle):
+        with pytest.raises(ValueError, match="expected 3 values, got 2"):
+            cls(I23, (0, 1))
+        with pytest.raises(ValueError, match="expected 3 values, got 4"):
+            cls(I23, (0, 1, 2, 3), 2)
+        for den in (0, -1, -6):
+            with pytest.raises(ValueError, match="denominator must be positive"):
+                cls(I23, (0, 1, 2), den)
 
 
 def test_constructors_normalise_their_fields():
@@ -156,7 +164,27 @@ def test_constructors_normalise_their_fields():
     assert h.normal == (1, 2) and type(h.normal) is tuple
     assert all(type(x) is int for x in h.normal + (h.offset,)) and h.offset == 3
     assert Permutation([F(2), 1]).images == (2, 1)
-    # a triangle stores its cells as a tuple of fractions in row-major order
-    m = MuTriangle(I23, {(2, 2): 1, (1, 1): F(1, 2), (1, 2): 0})
-    assert m.values == (F(1, 2), 0, 1) and type(m.values) is tuple
-    assert all(type(x) is F for x in m.values)
+    # a triangle stores its cells, in row-major order, as a tuple of
+    # integer numerators over a positive denominator, in lowest terms
+    m = MuTriangle(I23, [1, 0, 2], 2)
+    assert (m.nums, m.den) == ((1, 0, 2), 2) and type(m.nums) is tuple
+    assert all(type(x) is int for x in m.nums + (m.den,))
+    assert (m[(1, 1)], m[(1, 2)], m[(2, 2)]) == (F(1, 2), 0, 1)
+    assert all(type(m[c]) is F for c in I23.cells)
+
+
+@pytest.mark.parametrize("cls", (QPoint, MuTriangle), ids=lambda c: c.__name__)
+def test_triangles_are_equal_by_value(cls):
+    # an unreduced (nums, den) is its reduced form: equal, with equal
+    # fields, hash and repr; the zero triangle is over 1 whatever its den
+    for nums, den, reduced in (((2, -4, 6), 4, ((1, -2, 3), 2)),
+                               ((3, 9, 0), 3, ((1, 3, 0), 1)),
+                               ((0, 0, 0), 12, ((0, 0, 0), 1)),
+                               ((5, 10, -15), 10, ((1, 2, -3), 2)),
+                               ((1, 2, 3), 7, ((1, 2, 3), 7))):
+        a, b = cls(I23, nums, den), cls(I23, *reduced)
+        assert (a.nums, a.den) == reduced
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert len({a, b}) == 1
+    assert cls(I23, (1, 2, 3), 2) != cls(I23, (1, 2, 3), 4)
+    assert cls(I23, [1, 2, 3]) == cls(I23, (1, 2, 3))
